@@ -204,19 +204,25 @@ func BenchmarkAblationDistanceIndependentLinks(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAliasResolution measures Mercator's dataset with
-// alias resolution versus without (interface granularity), the Table I
+// TestAblationAliasResolution checks Mercator's dataset with alias
+// resolution against without (interface granularity), the Table I
 // interface-vs-router distinction.
-func BenchmarkAblationAliasResolution(b *testing.B) {
-	p := pipeline(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := p.RawMercator
-		withAlias := len(res.RouterNodes)
-		without := len(res.IfaceNodes)
-		if withAlias >= without {
-			b.Fatal("alias resolution did not collapse interfaces")
-		}
+func TestAblationAliasResolution(t *testing.T) {
+	p, _, _ := serveFixture(t)
+	res := p.RawMercator
+	if withAlias, without := len(res.RouterNodes), len(res.IfaceNodes); withAlias >= without {
+		t.Fatalf("alias resolution did not collapse interfaces: %d routers from %d interfaces", withAlias, without)
+	}
+}
+
+// TestAblationHostnameOnlyMapping checks full-chain IxMapper coverage
+// over the collected Skitter interfaces: the fallbacks behind hostname
+// mapping must leave under a tenth unmapped.
+func TestAblationHostnameOnlyMapping(t *testing.T) {
+	p, _, _ := serveFixture(t)
+	st := p.Dataset("skitter", "ixmapper").Stats
+	if st.DiscardedUnmapped >= st.RawNodes/10 {
+		t.Fatalf("full-chain mapper left %d of %d nodes unmapped, want <10%%", st.DiscardedUnmapped, st.RawNodes)
 	}
 }
 
@@ -233,7 +239,7 @@ var (
 	serveHits   []uint32
 )
 
-func serveFixture(b *testing.B) (*core.Pipeline, *geoserve.Engine, []uint32) {
+func serveFixture(tb testing.TB) (*core.Pipeline, *geoserve.Engine, []uint32) {
 	serveOnce.Do(func() {
 		p, err := core.Run(core.TestConfig())
 		if err != nil {
@@ -511,18 +517,4 @@ func BenchmarkJSONBatch(b *testing.B) {
 		}
 	})
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*batchSize), "ns/lookup")
-}
-
-// BenchmarkAblationHostnameOnlyMapping compares full-chain IxMapper
-// coverage against hostname-only mapping over the collected Skitter
-// interfaces.
-func BenchmarkAblationHostnameOnlyMapping(b *testing.B) {
-	p := pipeline(b)
-	full := p.Dataset("skitter", "ixmapper")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if full.Stats.DiscardedUnmapped >= full.Stats.RawNodes/10 {
-			b.Fatal("full-chain mapper should leave <10% unmapped")
-		}
-	}
 }

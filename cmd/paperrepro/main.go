@@ -21,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 
 	"geonet/internal/core"
@@ -50,6 +51,12 @@ func main() {
 		return
 	}
 
+	want, err := selectExperiments(*only, core.Experiments())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "paperrepro:", err)
+		os.Exit(2)
+	}
+
 	var progress io.Writer = os.Stderr
 	if *quiet {
 		progress = nil
@@ -58,13 +65,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperrepro:", err)
 		os.Exit(1)
-	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
 	}
 
 	for _, e := range core.Experiments() {
@@ -80,6 +80,27 @@ func main() {
 			}
 		}
 	}
+}
+
+// selectExperiments parses -only's comma-separated ids into the set to
+// run (empty = all), rejecting any id that names no experiment.
+func selectExperiments(only string, all []core.Experiment) (map[string]bool, error) {
+	want := map[string]bool{}
+	if only == "" {
+		return want, nil
+	}
+	valid := make([]string, len(all))
+	for i, e := range all {
+		valid[i] = e.ID
+	}
+	for _, id := range strings.Split(only, ",") {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(valid, id) {
+			return nil, fmt.Errorf("unknown experiment id %q; valid ids: %s", id, strings.Join(valid, ", "))
+		}
+		want[id] = true
+	}
+	return want, nil
 }
 
 func writeData(dir string, rep core.Report) error {

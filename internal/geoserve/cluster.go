@@ -244,10 +244,10 @@ func sameIndex(a, b *Snapshot) bool {
 // routed to the owning shard (which records the lookup in its own
 // metrics). Allocation-free, like Engine.Lookup.
 func (c *Cluster) Lookup(mapper int, ip uint32) Answer {
-	start := time.Now()
-	v := c.view.Load()
-	a, code, sh := c.lookupOn(v, mapper, ip)
-	sh.st.m.record(mapper, code, time.Since(start), start)
+	sh, d := c.route(c.view.Load(), ip)
+	t := sh.st.m.begin()
+	a, code := d.lookup(mapper, ip)
+	sh.st.m.end(t, mapper, code)
 	return a
 }
 
@@ -256,7 +256,6 @@ func (c *Cluster) Lookup(mapper int, ip uint32) Answer {
 // and lookup all use one view load, so a concurrent swap cannot split
 // them.
 func (c *Cluster) Locate(mapperName string, ip uint32) (Answer, bool) {
-	start := time.Now()
 	v := c.view.Load()
 	idx := 0
 	if mapperName != "" {
@@ -265,25 +264,27 @@ func (c *Cluster) Locate(mapperName string, ip uint32) (Answer, bool) {
 			return Answer{IP: ip}, false
 		}
 	}
-	a, code, sh := c.lookupOn(v, idx, ip)
-	sh.st.m.record(idx, code, time.Since(start), start)
+	sh, d := c.route(v, ip)
+	t := sh.st.m.begin()
+	a, code := d.lookup(idx, ip)
+	sh.st.m.end(t, idx, code)
 	return a, true
 }
 
-// lookupOn routes ip on the given view and answers from the owning
-// shard's current data. While a swap to a different prefix topology is
-// mid-flight a shard's own data may not cover the routed range yet; the
-// view's split of the same epoch then serves instead, so every single
-// answer is wholly from one of the two live epochs.
-func (c *Cluster) lookupOn(v *clusterView, mapper int, ip uint32) (Answer, method, *Shard) {
+// route finds ip's owning shard on the given view and the data that
+// answers it: the shard's current data. While a swap to a different
+// prefix topology is mid-flight a shard's own data may not cover the
+// routed range yet; the view's split of the same epoch then serves
+// instead, so every single answer is wholly from one of the two live
+// epochs.
+func (c *Cluster) route(v *clusterView, ip uint32) (*Shard, *shardData) {
 	i := shardIndexOf(v.starts, ip)
 	sh := c.shards[i]
 	d := sh.data.Load()
 	if !d.owns(ip) {
 		d = v.datas[i]
 	}
-	a, code := d.lookup(mapper, ip)
-	return a, code, sh
+	return sh, d
 }
 
 // LookupBatch answers ips[i] into out[i] under the mapper with the
@@ -434,7 +435,6 @@ func scatterServe(tr *obs.Trace, serve func(shard int, shardOf []uint8), i int, 
 // shard (recording the lookup in that shard's metrics, exactly like
 // Locate) and returns the snapshot's cached response tail.
 func (c *Cluster) locateTail(mapperName string, ip uint32) ([]byte, bool) {
-	start := time.Now()
 	v := c.view.Load()
 	idx := 0
 	if mapperName != "" {
@@ -443,15 +443,11 @@ func (c *Cluster) locateTail(mapperName string, ip uint32) ([]byte, bool) {
 			return nil, false
 		}
 	}
-	i := shardIndexOf(v.starts, ip)
-	sh := c.shards[i]
-	d := sh.data.Load()
-	if !d.owns(ip) {
-		d = v.datas[i]
-	}
+	sh, d := c.route(v, ip)
+	t := sh.st.m.begin()
 	row := d.lookupRow(ip)
 	tail := d.snap.jsonTail(idx, row)
-	sh.st.m.record(idx, d.snap.rowMethod(idx, row), time.Since(start), start)
+	sh.st.m.end(t, idx, d.snap.rowMethod(idx, row))
 	return tail, true
 }
 
@@ -467,7 +463,7 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 		"Lookups served across all mappers.", nil, func() uint64 {
 			var n uint64
 			for _, sh := range c.shards {
-				n += sh.st.m.total.Load()
+				n += sh.st.m.total()
 			}
 			return n
 		})
@@ -480,14 +476,13 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 			if name == "" {
 				name = "unmapped"
 			}
-			mi, code := mi, code
 			reg.CounterFunc("geoserve_lookups_total",
 				"Lookups by mapper and resolution method.",
 				obs.Labels{{Key: "mapper", Value: mapper}, {Key: "method", Value: name}},
 				func() uint64 {
 					var n uint64
 					for _, sh := range c.shards {
-						n += sh.st.m.methods[mi][code].Load()
+						n += sh.st.m.methodCount(mi, code)
 					}
 					return n
 				})
@@ -525,7 +520,7 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 		reg.RegisterHistogram("geoserve_lookup_latency_seconds",
 			"Per-lookup serving latency.", labels, &sh.st.m.lat)
 		reg.CounterFunc("geoserve_shard_lookups_total",
-			"Lookups served by shard.", labels, sh.st.m.total.Load)
+			"Lookups served by shard.", labels, sh.st.m.total)
 		reg.CounterFunc("geoserve_shard_shed_total",
 			"Batches this shard's budget shed.", labels, sh.st.shed.Load)
 		reg.GaugeFunc("geoserve_shard_inflight",
@@ -550,7 +545,7 @@ func (c *Cluster) Status() ClusterStatus {
 	for i, sh := range c.shards {
 		d := sh.data.Load()
 		merged.Merge(&sh.st.m.lat)
-		n := sh.st.m.total.Load()
+		n := sh.st.m.total()
 		lookups += n
 		w := sh.st.m.windowQPS(now, 0)
 		window += w
@@ -567,25 +562,7 @@ func (c *Cluster) Status() ClusterStatus {
 			ShedBatches:  sh.st.shed.Load(),
 			Inflight:     sh.inflight.Load(),
 		}
-		for mi, name := range v.snap.mappers {
-			if mi >= maxMappers {
-				break
-			}
-			for code := method(0); code < numMethods; code++ {
-				n := sh.st.m.methods[mi][code].Load()
-				if n == 0 {
-					continue
-				}
-				key := methodNames[code]
-				if code == methodNone {
-					key = "unmapped"
-				}
-				if methods[name] == nil {
-					methods[name] = map[string]uint64{}
-				}
-				methods[name][key] += n
-			}
-		}
+		sh.st.m.addMethodCounts(methods, v.snap.mappers)
 	}
 	// Shed is loaded before the batch total so a concurrent shed can
 	// never make shed > batches and underflow the served count below.

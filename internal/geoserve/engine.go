@@ -63,12 +63,14 @@ func (e *Engine) Swap(s *Snapshot) *Snapshot {
 }
 
 // Lookup answers one address under the mapper with the given index on
-// the current snapshot, recording latency and method metrics. This is
-// the in-process hot path: it allocates nothing.
+// the current snapshot, counting it exactly by mapper and method; one
+// lookup in samplePeriod per stripe is also timed (see metrics). This
+// is the in-process hot path: it allocates nothing and, unsampled,
+// reads no clock and writes no cache line another core writes.
 func (e *Engine) Lookup(mapper int, ip uint32) Answer {
-	start := time.Now()
+	t := e.m.begin()
 	a, code := e.snap.Load().lookup(mapper, ip)
-	e.m.record(mapper, code, time.Since(start), start)
+	e.m.end(t, mapper, code)
 	return a
 }
 
@@ -77,7 +79,6 @@ func (e *Engine) Lookup(mapper int, ip uint32) Answer {
 // first mapper). Name resolution and lookup use the same snapshot
 // load, so a concurrent hot-swap cannot split them.
 func (e *Engine) Locate(mapperName string, ip uint32) (Answer, bool) {
-	start := time.Now()
 	snap := e.snap.Load()
 	idx := 0
 	if mapperName != "" {
@@ -86,8 +87,9 @@ func (e *Engine) Locate(mapperName string, ip uint32) (Answer, bool) {
 			return Answer{IP: ip}, false
 		}
 	}
+	t := e.m.begin()
 	a, code := snap.lookup(idx, ip)
-	e.m.record(idx, code, time.Since(start), start)
+	e.m.end(t, idx, code)
 	return a, true
 }
 
@@ -117,7 +119,6 @@ func (e *Engine) serveWire(mapperID uint16, ips []uint32, out []byte, _ *obs.Tra
 // the mapper by name and returns the snapshot's cached response tail
 // for ip's answer row, recording the lookup exactly like Locate.
 func (e *Engine) locateTail(mapperName string, ip uint32) ([]byte, bool) {
-	start := time.Now()
 	snap := e.snap.Load()
 	idx := 0
 	if mapperName != "" {
@@ -126,9 +127,10 @@ func (e *Engine) locateTail(mapperName string, ip uint32) ([]byte, bool) {
 			return nil, false
 		}
 	}
+	t := e.m.begin()
 	row := snap.lookupRow(ip)
 	tail := snap.jsonTail(idx, row)
-	e.m.record(idx, snap.rowMethod(idx, row), time.Since(start), start)
+	e.m.end(t, idx, snap.rowMethod(idx, row))
 	return tail, true
 }
 
@@ -140,7 +142,7 @@ func (e *Engine) Status() Status {
 	uptime := now.Sub(e.start).Seconds()
 	st := Status{
 		UptimeSeconds: uptime,
-		Lookups:       e.m.total.Load(),
+		Lookups:       e.m.total(),
 		QPSWindow:     e.m.windowQPS(now, 0),
 		LatencyP50Ns:  int64(e.m.lat.Quantile(0.50)),
 		LatencyP90Ns:  int64(e.m.lat.Quantile(0.90)),
@@ -151,26 +153,7 @@ func (e *Engine) Status() Status {
 	if uptime > 0 {
 		st.QPSLifetime = float64(st.Lookups) / uptime
 	}
-	for mi, name := range snap.mappers {
-		if mi >= maxMappers {
-			break
-		}
-		counts := map[string]uint64{}
-		for code := method(0); code < numMethods; code++ {
-			n := e.m.methods[mi][code].Load()
-			if n == 0 {
-				continue
-			}
-			key := methodNames[code]
-			if code == methodNone {
-				key = "unmapped"
-			}
-			counts[key] = n
-		}
-		if len(counts) > 0 {
-			st.Methods[name] = counts
-		}
-	}
+	e.m.addMethodCounts(st.Methods, snap.mappers)
 	return st
 }
 

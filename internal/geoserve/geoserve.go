@@ -68,7 +68,13 @@
 // shard.serve) into a bounded in-memory ring with a slow-request
 // retention bias. Requests without the header pay one header lookup
 // and nothing else; the hot paths stay zero-allocation with the full
-// observability layer attached (TestLookupZeroAlloc). NewHandler and
+// observability layer attached (TestLookupZeroAlloc). Lookup and
+// per-method counts are exact — single lookups add to core-local
+// counter stripes that scrapes and Status fold by summing
+// (TestLookupCountsExact) — while single-lookup latency and the
+// windowed QPS come from one timed lookup in 64 per stripe, weighted
+// by the lookups it stands for; batches are timed per shard sub-batch.
+// See metrics.go and DESIGN.md § Observability. NewHandler and
 // NewClusterHandler mint a fresh obs bundle per handler; the Observed
 // variants accept a caller-owned bundle so a replica re-registering
 // per installed epoch keeps one continuous scrape.

@@ -1,6 +1,7 @@
 package geoserve
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,27 +27,86 @@ const maxMappers = 4
 // ringSeconds sizes the sliding-window QPS ring.
 const ringSeconds = 16
 
-type secondCell struct {
-	sec atomic.Int64
-	n   atomic.Uint64
-}
+const (
+	// numStripes is how many counter stripes a metrics holds; more Ps
+	// than stripes share, which costs speed, never counts.
+	numStripes = 8
+	// samplePeriod: a stripe times its 1st, 65th, 129th… single lookup.
+	samplePeriod = 64
+)
 
-// metrics aggregates the serving counters /statusz reports. All state
-// is atomic; Record never blocks and never allocates.
-type metrics struct {
-	total   atomic.Uint64
+// stripe is one core-local slice of the exact counters. The counters
+// lead and the padding trails, so at any 8-byte alignment two stripes'
+// counters never share a 64-byte line.
+type stripe struct {
+	// singles counts single lookups and is the sampling counter;
+	// batched counts lookups folded by recordBatch.
+	singles atomic.Uint64
+	batched atomic.Uint64
 	methods [maxMappers][numMethods]atomic.Uint64
-	lat     Histogram
-	ring    [ringSeconds]secondCell
+	_       [256 - 8*(2+maxMappers*int(numMethods))]byte
 }
 
-func (m *metrics) record(mapper int, code method, d time.Duration, now time.Time) {
-	m.total.Add(1)
-	if mapper >= 0 && mapper < maxMappers {
-		m.methods[mapper][code].Add(1)
+// metrics aggregates the serving counters /statusz and /metrics report.
+// Lookup and method counts are exact: a caller adds to a stripe it
+// reaches with per-P affinity and readers sum the stripes. Latency and
+// the QPS ring are fed per sub-batch, and on the single-lookup path by
+// one timed lookup in samplePeriod per stripe, weighted by the lookups
+// it stands for. Nothing here blocks or allocates.
+type metrics struct {
+	stripes [numStripes]stripe
+	// free hands a P the stripe it used last (sync.Pool keeps one item
+	// per P); next deals the fixed array round-robin when the pool is
+	// empty or the GC has cleared it. Two Ps may end up on one stripe:
+	// the counters are atomic, so that is slower, never wrong.
+	free sync.Pool
+	next atomic.Uint32
+	lat  Histogram
+	// ring cells hold unix second<<32 | lookups in that second, one
+	// word so a second boundary cannot separate the two.
+	ring [ringSeconds]atomic.Uint64
+}
+
+func (m *metrics) acquire() *stripe {
+	if st, _ := m.free.Get().(*stripe); st != nil {
+		return st
 	}
-	m.lat.Record(d)
-	m.ringAdd(now, 1)
+	return &m.stripes[m.next.Add(1)%numStripes]
+}
+
+// lookupTick is one single lookup between begin and end.
+type lookupTick struct {
+	st *stripe
+	// weight is 0 unless this lookup is its stripe's latency sample;
+	// then it is the lookups the sample stands for (itself and the
+	// untimed ones since the previous sample) and start is set.
+	weight uint64
+	start  time.Time
+}
+
+// begin counts one single lookup and reads the clock only if it is a
+// sample. The first lookup on a stripe is one, so latency is reported
+// as soon as anything has been served.
+func (m *metrics) begin() lookupTick {
+	t := lookupTick{st: m.acquire()}
+	if n := t.st.singles.Add(1); n%samplePeriod == 1 {
+		t.weight = min(n, samplePeriod) // the first stands for itself alone
+		t.start = time.Now()
+	}
+	return t
+}
+
+// end attributes the lookup begun as t to its mapper and method and,
+// for a sample, records its latency.
+func (m *metrics) end(t lookupTick, mapper int, code method) {
+	if mapper >= 0 && mapper < maxMappers {
+		t.st.methods[mapper][code].Add(1)
+	}
+	m.free.Put(t.st)
+	if t.weight != 0 {
+		m.lat.RecordN(time.Since(t.start), t.weight)
+		m.ringAdd(t.start, t.weight)
+	}
 }
 
 // recordBatch folds one shard sub-batch into the metrics: n lookups
@@ -56,27 +116,75 @@ func (m *metrics) recordBatch(mapper int, counts *[numMethods]uint32, n uint64, 
 	if n == 0 {
 		return
 	}
-	m.total.Add(n)
+	st := m.acquire()
+	st.batched.Add(n)
 	if mapper >= 0 && mapper < maxMappers {
 		for code := range counts {
 			if c := counts[code]; c > 0 {
-				m.methods[mapper][code].Add(uint64(c))
+				st.methods[mapper][code].Add(uint64(c))
 			}
 		}
 	}
+	m.free.Put(st)
 	m.lat.RecordN(elapsed/time.Duration(n), n)
 	m.ringAdd(now, n)
 }
 
-func (m *metrics) ringAdd(now time.Time, n uint64) {
-	s := now.Unix()
-	c := &m.ring[uint64(s)%ringSeconds]
-	if old := c.sec.Load(); old != s {
-		if c.sec.CompareAndSwap(old, s) {
-			c.n.Store(0)
+// total folds the exact lookup count from the stripes.
+func (m *metrics) total() uint64 {
+	var n uint64
+	for i := range m.stripes {
+		n += m.stripes[i].singles.Load() + m.stripes[i].batched.Load()
+	}
+	return n
+}
+
+// methodCount folds one mapper × method counter from the stripes.
+func (m *metrics) methodCount(mapper int, code method) uint64 {
+	var n uint64
+	for i := range m.stripes {
+		n += m.stripes[i].methods[mapper][code].Load()
+	}
+	return n
+}
+
+// addMethodCounts folds the non-zero mapper × method counters into dst
+// under the given mapper names.
+func (m *metrics) addMethodCounts(dst MethodCounts, mappers []string) {
+	for mi, name := range mappers[:min(len(mappers), maxMappers)] {
+		for code := method(0); code < numMethods; code++ {
+			n := m.methodCount(mi, code)
+			if n == 0 {
+				continue
+			}
+			key := methodNames[code]
+			if code == methodNone {
+				key = "unmapped"
+			}
+			if dst[name] == nil {
+				dst[name] = map[string]uint64{}
+			}
+			dst[name][key] += n
 		}
 	}
-	c.n.Add(n)
+}
+
+// ringAdd adds n lookups to now's second. A cell still holding another
+// second is restarted in the same compare-and-swap that adds, so no
+// concurrent add is wiped.
+func (m *metrics) ringAdd(now time.Time, n uint64) {
+	s := uint64(now.Unix())
+	c := &m.ring[s%ringSeconds]
+	for {
+		old := c.Load()
+		next := old + n
+		if old>>32 != s {
+			next = s<<32 | n
+		}
+		if c.CompareAndSwap(old, next) {
+			return
+		}
+	}
 }
 
 // windowQPS sums the ring over the last complete `window` seconds
@@ -88,9 +196,9 @@ func (m *metrics) windowQPS(now time.Time, window int) float64 {
 	nowSec := now.Unix()
 	var n uint64
 	for i := range m.ring {
-		sec := m.ring[i].sec.Load()
-		if sec >= nowSec-int64(window) && sec < nowSec {
-			n += m.ring[i].n.Load()
+		c := m.ring[i].Load()
+		if sec := int64(c >> 32); sec >= nowSec-int64(window) && sec < nowSec {
+			n += c & (1<<32 - 1)
 		}
 	}
 	return float64(n) / float64(window)
@@ -103,7 +211,7 @@ func (m *metrics) windowQPS(now time.Time, window int) float64 {
 // place, keeping the scrape's family shape stable across epochs.
 func (m *metrics) register(reg *obs.Registry, mappers []string) {
 	reg.CounterFunc("geoserve_requests_total",
-		"Lookups served across all mappers.", nil, m.total.Load)
+		"Lookups served across all mappers.", nil, m.total)
 	for mi, mapper := range mappers {
 		if mi >= maxMappers {
 			break
@@ -113,11 +221,10 @@ func (m *metrics) register(reg *obs.Registry, mappers []string) {
 			if name == "" {
 				name = "unmapped"
 			}
-			cell := &m.methods[mi][code]
 			reg.CounterFunc("geoserve_lookups_total",
 				"Lookups by mapper and resolution method.",
 				obs.Labels{{Key: "mapper", Value: mapper}, {Key: "method", Value: name}},
-				cell.Load)
+				func() uint64 { return m.methodCount(mi, code) })
 		}
 	}
 	reg.RegisterHistogram("geoserve_lookup_latency_seconds",

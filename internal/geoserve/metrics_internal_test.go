@@ -1,0 +1,253 @@
+package geoserve
+
+// Tests of the striped serving counters: exact lookup and method counts
+// under concurrent single lookups, batch folds, scrapes, hot swaps and
+// an epoch carry-over, and a QPS ring that loses nothing at a second
+// boundary.
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"geonet/internal/obs"
+)
+
+// countedBackend is what the exactness test drives: the HTTP backend
+// surface plus the index-addressed single lookup.
+type countedBackend interface {
+	backend
+	Lookup(mapper int, ip uint32) Answer
+}
+
+// scrapeSums scrapes h's /metrics and, for each named sample (a family
+// name, or a histogram's name_count), sums its series.
+func scrapeSums(t *testing.T, h http.Handler, names ...string) []uint64 {
+	t.Helper()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	if w.Code != http.StatusOK {
+		t.Errorf("metrics scrape status %d", w.Code)
+	}
+	sums := make([]uint64, len(names))
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		for i, name := range names {
+			rest, ok := strings.CutPrefix(line, name)
+			if !ok || rest == "" || (rest[0] != ' ' && rest[0] != '{') {
+				continue
+			}
+			v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64)
+			if err != nil {
+				t.Errorf("unparsable sample %q: %v", line, err)
+			}
+			sums[i] += uint64(v)
+		}
+	}
+	return sums
+}
+
+// TestLookupCountsExact runs G goroutines × N single lookups (Lookup,
+// Locate and the JSON tail path by turns), a wire batch every 64th
+// lookup, concurrent /metrics scrapes, hot swaps and one carry-over to
+// a replacement backend, over an engine and a 4-shard cluster. The
+// counters must come out exact, and the sampled latency histogram may
+// trail them by less than one sample period per stripe. Run under
+// -race in CI.
+func TestLookupCountsExact(t *testing.T) {
+	const (
+		goroutines = 8
+		perG       = 4000
+		batchEvery = 64
+		batchLen   = 37
+	)
+	snapA := syntheticSnapshot(0x0A000000, 96, 2, 0)
+	snapB := syntheticSnapshot(0x0A000000, 96, 2, 0.5)
+	probes := probeAddrs(snapA)
+
+	cases := []struct {
+		name    string
+		stripes int
+		start   func() countedBackend
+		swap    func(b countedBackend, s *Snapshot)
+		carry   func(prev countedBackend) countedBackend
+	}{
+		{
+			name:    "engine",
+			stripes: numStripes,
+			start:   func() countedBackend { return NewEngine(snapA) },
+			swap:    func(b countedBackend, s *Snapshot) { b.(*Engine).Swap(s) },
+			carry:   func(prev countedBackend) countedBackend { return NewEngineFrom(snapB, prev.(*Engine)) },
+		},
+		{
+			name:    "cluster4",
+			stripes: 4 * numStripes,
+			start: func() countedBackend {
+				c, err := NewCluster(snapA, ClusterConfig{Shards: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			},
+			swap: func(b countedBackend, s *Snapshot) {
+				if _, err := b.(*Cluster).Swap(s); err != nil {
+					t.Error(err)
+				}
+			},
+			carry: func(prev countedBackend) countedBackend {
+				c, err := NewClusterFrom(snapB, ClusterConfig{Shards: 4}, prev.(*Cluster))
+				if err != nil {
+					t.Error(err)
+					return prev
+				}
+				return c
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := obs.NewObservability(tc.name)
+			var (
+				cur     atomic.Pointer[countedBackend]
+				handler atomic.Pointer[http.Handler]
+			)
+			install := func(b countedBackend) {
+				h := http.Handler(newHandler(b, o))
+				cur.Store(&b)
+				handler.Store(&h)
+			}
+			install(tc.start())
+
+			var (
+				workers sync.WaitGroup
+				batched atomic.Uint64
+			)
+			for g := 0; g < goroutines; g++ {
+				workers.Add(1)
+				go func(g int) {
+					defer workers.Done()
+					out := make([]byte, batchLen*WireAnswerSize)
+					for i := 0; i < perG; i++ {
+						if g == 0 && i == perG/2 {
+							// Mid-run, carry the accounting over to a
+							// replacement backend, as a replica
+							// installing an epoch does.
+							install(tc.carry(*cur.Load()))
+						}
+						b := *cur.Load()
+						ip := probes[(g*perG+i)%len(probes)]
+						switch i % 3 {
+						case 0:
+							b.Lookup(i&1, ip)
+						case 1:
+							if _, ok := b.Locate("m1", ip); !ok {
+								t.Error("Locate: mapper m1 unknown")
+							}
+						default:
+							if _, ok := b.locateTail("", ip); !ok {
+								t.Error("locateTail: default mapper unknown")
+							}
+						}
+						if i%batchEvery == 0 {
+							ips := probes[i%(len(probes)-batchLen):][:batchLen]
+							if _, ok, err := b.serveWire(uint16(i&1), ips, out, nil); !ok || err != nil {
+								t.Errorf("serveWire: ok=%v err=%v", ok, err)
+							}
+							batched.Add(batchLen)
+						}
+					}
+				}(g)
+			}
+
+			// Beside the workers: scrape and hot-swap.
+			stop := make(chan struct{})
+			var side sync.WaitGroup
+			side.Add(1)
+			go func() {
+				defer side.Done()
+				var last uint64
+				for round := 0; ; round++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					s := scrapeSums(t, *handler.Load(), "geoserve_lookup_latency_seconds_count", "geoserve_lookups_total", "geoserve_requests_total")
+					// Families render in name order, so the total is read last.
+					if s[0] > s[2] || s[1] > s[2] || s[2] < last {
+						t.Errorf("scrape %d: latency count %d, attributed %d, total %d (previous total %d)", round, s[0], s[1], s[2], last)
+					}
+					last = s[2]
+					if round%2 == 0 {
+						tc.swap(*cur.Load(), snapB)
+					} else {
+						tc.swap(*cur.Load(), snapA)
+					}
+				}
+			}()
+			workers.Wait()
+			close(stop)
+			side.Wait()
+
+			want := uint64(goroutines*perG) + batched.Load()
+			s := scrapeSums(t, *handler.Load(), "geoserve_requests_total", "geoserve_lookups_total", "geoserve_lookup_latency_seconds_count")
+			total, attributed, timed := s[0], s[1], s[2]
+			if total != want {
+				t.Errorf("geoserve_requests_total = %d, want exactly %d", total, want)
+			}
+			if attributed != total {
+				t.Errorf("geoserve_lookups_total sums to %d, geoserve_requests_total is %d", attributed, total)
+			}
+			if slack := uint64(samplePeriod * tc.stripes); timed > total || total-timed >= slack {
+				t.Errorf("latency _count = %d, want within %d below %d", timed, slack, total)
+			}
+		})
+	}
+}
+
+// TestRingAddSecondBoundary walks a fake clock through the ring's
+// seconds with the goroutines held in step, so every cell's restart for
+// a new second races the other goroutines' adds to that second. Every
+// add must land. (The split second/count cell this replaces lost one
+// or more in about one lap of fifty.)
+func TestRingAddSecondBoundary(t *testing.T) {
+	const (
+		goroutines = 4
+		seconds    = ringSeconds - 2
+		adds       = 3
+		laps       = 500
+		first      = 1_700_000_000
+	)
+	for lap := 0; lap < laps; lap++ {
+		var (
+			m       metrics
+			arrived atomic.Int64
+			wg      sync.WaitGroup
+		)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for s := 0; s < seconds; s++ {
+					arrived.Add(1)
+					for arrived.Load() < int64(goroutines*(s+1)) {
+						runtime.Gosched()
+					}
+					for i := 0; i < adds; i++ {
+						m.ringAdd(time.Unix(int64(first+s), 0), 1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		want := float64(goroutines * adds)
+		if got := m.windowQPS(time.Unix(first+seconds, 0), seconds); got != want {
+			t.Fatalf("lap %d: ring averages %v lookups a second over its %d seconds, want %v", lap, got, seconds, want)
+		}
+	}
+}

@@ -387,17 +387,20 @@ func (r *Router) noteHealthy(m *member, epoch uint64, digest string) {
 	m.admitted = true
 }
 
-// noteServed records a successful forwarded request and refreshes the
+// noteServed records a successful forwarded request and advances the
 // member's observed epoch from the response headers (it does not
 // readmit — only probes do that, so one lucky response can't bounce a
-// flapping member back in ahead of its health check).
+// flapping member back in ahead of its health check). It never lowers
+// the epoch: a reply the replica gave just before its swap can arrive
+// after the probe that saw the new epoch, and noting the old one would
+// starve the replica of traffic until the next probe.
 func (r *Router) noteServed(m *member, resp *http.Response) {
 	epoch, _ := strconv.ParseUint(resp.Header.Get("X-Geo-Epoch"), 10, 64)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m.requests++
 	m.consecFails = 0
-	if epoch > 0 {
+	if epoch > 0 && epoch >= m.epoch {
 		m.epoch = epoch
 		if d := resp.Header.Get("X-Geo-Digest"); d != "" {
 			m.digest = d

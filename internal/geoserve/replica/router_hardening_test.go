@@ -231,3 +231,65 @@ func TestRouterDrain(t *testing.T) {
 		t.Fatalf("drained answer diverges: %q vs %q", got, want)
 	}
 }
+
+// TestRouterLateReplyKeepsProbedEpoch pins that a served reply never
+// lowers the router's note of a replica's epoch: a reply the replica
+// gave just before its swap, reaching the router after the probe that
+// saw the new epoch, must leave epoch and digest as the probe set them.
+func TestRouterLateReplyKeepsProbedEpoch(t *testing.T) {
+	snap1 := makeSnapshot(t, 31, 30, 8)
+	snap2 := makeSnapshot(t, 32, 30, 8)
+	pub := NewPublisher()
+	mux := fleetMux{"builder": pub.Handler()}
+	client, _ := localClient(mux, nil)
+	rep := New(Config{BuilderURL: "http://builder", Client: client})
+
+	// rep0 answers its first /v1/locate from whatever epoch it holds,
+	// then keeps the reply back until the test lets it go.
+	var gated atomic.Bool
+	answered, release := make(chan struct{}), make(chan struct{})
+	mux["rep0"] = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		rep.Handler().ServeHTTP(w, req)
+		if req.URL.Path == "/v1/locate" && gated.CompareAndSwap(false, true) {
+			close(answered)
+			<-release
+		}
+	})
+	router := NewRouter(RouterConfig{Replicas: []string{repURL(0)}, Client: client})
+	mux["router"] = router.Handler()
+
+	sync := func(snap *geoserve.Snapshot) {
+		t.Helper()
+		if _, err := pub.Publish(snap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rep.SyncOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		router.ProbeOnce(context.Background())
+	}
+	sync(snap1)
+
+	late := make(chan string, 1)
+	go func() {
+		resp, err := client.Get("http://router/v1/locate?ip=10.1.0.1")
+		if err != nil {
+			late <- err.Error()
+			return
+		}
+		resp.Body.Close()
+		late <- resp.Header.Get("X-Geo-Epoch")
+	}()
+	<-answered
+	sync(snap2)
+	close(release)
+	if epoch := <-late; epoch != "1" {
+		t.Fatalf("held reply carries epoch %q, want the old epoch 1", epoch)
+	}
+
+	st := router.Status()
+	if got := st.Replicas[0]; st.Epoch != 2 || got.Epoch != 2 || got.Digest != snap2.Digest() {
+		t.Fatalf("after a late epoch-1 reply the router plans on epoch %d and notes replica epoch %d digest %s, want epoch 2 digest %s",
+			st.Epoch, got.Epoch, got.Digest, snap2.Digest())
+	}
+}

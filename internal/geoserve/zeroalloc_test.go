@@ -20,6 +20,8 @@ func TestLookupZeroAlloc(t *testing.T) {
 		t.Fatal("fixture has no public interface addresses")
 	}
 
+	mappers := snap.Mappers()
+
 	e := geoserve.NewEngine(snap)
 	// Registering on a handler attaches the engine's metrics to a live
 	// registry, same as production serving.
@@ -33,6 +35,15 @@ func TestLookupZeroAlloc(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Errorf("Engine.Lookup: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		a, ok := e.Locate(mappers[i&1], hits[i%len(hits)])
+		if !ok || a.IP == 0 {
+			t.Fatal("bad answer")
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("Engine.Locate: %v allocs/op, want 0", n)
 	}
 
 	c, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: 4})
@@ -49,5 +60,14 @@ func TestLookupZeroAlloc(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Errorf("Cluster.Lookup: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		a, ok := c.Locate(mappers[i&1], hits[i%len(hits)])
+		if !ok || a.IP == 0 {
+			t.Fatal("bad answer")
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("Cluster.Locate: %v allocs/op, want 0", n)
 	}
 }
