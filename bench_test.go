@@ -235,11 +235,11 @@ func TestAblationHostnameOnlyMapping(t *testing.T) {
 var (
 	serveOnce   sync.Once
 	servePipe   *core.Pipeline
-	serveEngine *geoserve.Engine
+	serveEngine *geoserve.Cluster
 	serveHits   []uint32
 )
 
-func serveFixture(tb testing.TB) (*core.Pipeline, *geoserve.Engine, []uint32) {
+func serveFixture(tb testing.TB) (*core.Pipeline, *geoserve.Cluster, []uint32) {
 	serveOnce.Do(func() {
 		p, err := core.Run(core.TestConfig())
 		if err != nil {
@@ -457,7 +457,7 @@ func BenchmarkWireBatch(b *testing.B) {
 			if shards == 1 {
 				h = geoserve.NewHandler(e)
 			} else {
-				h = geoserve.NewClusterHandler(clusterFixture(b, shards))
+				h = geoserve.NewHandler(clusterFixture(b, shards))
 			}
 			const batchSize = 256
 			batch := make([]uint32, batchSize)

@@ -2,8 +2,8 @@
 // layer: N workers each issue one lookup, wait for the answer, and
 // immediately issue the next, so measured throughput is the service's
 // sustainable rate at that concurrency (not an open-loop arrival
-// fantasy). It drives either a running geoserved over HTTP or the
-// engine in-process.
+// fantasy). It drives either a running geoserved over HTTP or a
+// geoserve.Cluster in-process.
 //
 //	geoload -scale 0.02 -mix zipf -concurrency 8 -duration 5s
 //	geoload -target http://localhost:8080 -mix unmappable -duration 10s
@@ -15,15 +15,14 @@
 //	zipf        /24s drawn rank-Zipf (theta -zipftheta), hot-prefix skew
 //	unmappable  half uniform, half guaranteed-miss (class E) addresses
 //
-// In-process mode builds the pipeline itself (-seed/-scale) and with
-// -shards N > 1 drives a prefix-sharded geoserve.Cluster instead of a
-// single engine; HTTP mode fetches the target's /24 index from
-// /v1/prefixes, so the mix matches whatever world the server is
-// serving. When the target is sharded (either mode) the report gains a
-// per-shard section: each shard's lookups, QPS and share of the run's
-// traffic. -json writes a snapshot in the scripts/bench.sh
-// BENCH_<date>.json shape, so cmd/benchcmp can diff load-test runs
-// like any other benchmark.
+// In-process mode builds the pipeline itself (-seed/-scale) and drives
+// a geoserve.Cluster of -shards prefix-range shards; HTTP mode fetches
+// the target's /24 index from /v1/prefixes, so the mix matches whatever
+// world the server is serving. When the target has more than one shard
+// (either mode) the report gains a per-shard section: each shard's
+// lookups, QPS and share of the run's traffic. -json writes the run as
+// one JSON document (counts, quantiles, the full latency histogram);
+// the repo's benchmark and its -compare live in bench/.
 //
 // In HTTP mode -wire selects the request encoding: json issues one
 // GET /v1/locate per lookup; bin posts length-prefixed binary batches
@@ -75,24 +74,21 @@ type target interface {
 }
 
 type inProcess struct {
-	engine *geoserve.Engine
-	mapper int
-}
-
-func (t *inProcess) lookup(ip uint32) (bool, error) {
-	return t.engine.Lookup(t.mapper, ip).Found, nil
-}
-func (t *inProcess) mode() string { return "inprocess" }
-
-type inProcessCluster struct {
 	cluster *geoserve.Cluster
 	mapper  int
 }
 
-func (t *inProcessCluster) lookup(ip uint32) (bool, error) {
+func (t *inProcess) lookup(ip uint32) (bool, error) {
 	return t.cluster.Lookup(t.mapper, ip).Found, nil
 }
-func (t *inProcessCluster) mode() string { return "inprocess-sharded" }
+
+// mode keeps the two labels earlier reports carry.
+func (t *inProcess) mode() string {
+	if t.cluster.NumShards() > 1 {
+		return "inprocess-sharded"
+	}
+	return "inprocess"
+}
 
 type overHTTP struct {
 	client *http.Client
@@ -120,19 +116,19 @@ func (t *overHTTP) lookup(ip uint32) (bool, error) {
 func (t *overHTTP) mode() string { return "http" }
 
 func main() {
-	targetURL := flag.String("target", "", "geoserved base URL (empty = drive the engine in-process)")
+	targetURL := flag.String("target", "", "geoserved base URL (empty = drive a cluster in-process)")
 	targetList := flag.String("target-list", "", "comma-separated replica URLs: drive the whole fleet with failover and a per-replica report")
 	seed := flag.Int64("seed", 1, "world seed (in-process mode)")
 	scale := flag.Float64("scale", 0.02, "world scale (in-process mode)")
 	workers := flag.Int("workers", 0, "pipeline workers for the in-process build (0 = one per CPU)")
-	shards := flag.Int("shards", 1, "drive a sharded cluster in-process (1 = single engine)")
+	shards := flag.Int("shards", 1, "prefix-range shards of the in-process cluster (1 = unsharded)")
 	mapper := flag.String("mapper", "ixmapper", "mapper to query")
 	concurrency := flag.Int("concurrency", 4, "closed-loop workers")
 	duration := flag.Duration("duration", 5*time.Second, "measurement duration")
 	mixName := flag.String("mix", "uniform", "address mix: uniform, zipf or unmappable")
 	zipfTheta := flag.Float64("zipftheta", 1.2, "Zipf exponent for -mix zipf")
 	loadSeed := flag.Int64("loadseed", 1, "seed for the address draw streams")
-	jsonOut := flag.String("json", "", "write a bench.sh-shaped JSON snapshot to this file ('-' = stdout)")
+	jsonOut := flag.String("json", "", "write the run as JSON to this file ('-' = stdout)")
 	quiet := flag.Bool("quiet", false, "suppress build progress")
 	wire := flag.String("wire", "json", "HTTP request encoding: json (GET /v1/locate), bin (binary batches to /v1/locate/bin) or stream (full-duplex /v1/locate/stream)")
 	wireBatch := flag.Int("wirebatch", 256, "addresses per binary batch or stream chunk (-wire bin|stream)")
@@ -147,7 +143,7 @@ func main() {
 		log.Fatal("geoload: -concurrency must be >= 1")
 	}
 	if *shards > 1 && *targetURL != "" {
-		log.Fatal("geoload: -shards only shapes the in-process engine; start geoserved -shards and point -target at it instead")
+		log.Fatal("geoload: -shards only shapes the in-process cluster; start geoserved -shards and point -target at it instead")
 	}
 	if *wire != "json" && *wire != "bin" && *wire != "stream" {
 		log.Fatalf("geoload: unknown -wire %q (json, bin or stream)", *wire)
@@ -177,7 +173,7 @@ func main() {
 		prefixes   []uint32
 		worldScale = *scale
 		// shardStats reads the per-shard lookup totals after the run
-		// (nil when the target is an unsharded engine).
+		// (nil when the target reports none).
 		shardStats func() []shardCount
 	)
 	if *targetURL == "" {
@@ -198,21 +194,17 @@ func main() {
 			log.Fatalf("geoload: unknown mapper %q (have %v)", *mapper, snap.Mappers())
 		}
 		prefixes = snap.Prefixes()
-		if *shards > 1 {
-			cluster, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: *shards})
-			if err != nil {
-				log.Fatalf("geoload: %v", err)
+		cluster, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: *shards})
+		if err != nil {
+			log.Fatalf("geoload: %v", err)
+		}
+		tgt = &inProcess{cluster: cluster, mapper: idx}
+		shardStats = func() []shardCount {
+			var out []shardCount
+			for _, ss := range cluster.Status().ShardStats {
+				out = append(out, shardCount{ID: ss.ID, Lookups: ss.Lookups})
 			}
-			tgt = &inProcessCluster{cluster: cluster, mapper: idx}
-			shardStats = func() []shardCount {
-				var out []shardCount
-				for _, ss := range cluster.Status().ShardStats {
-					out = append(out, shardCount{ID: ss.ID, Lookups: ss.Lookups})
-				}
-				return out
-			}
-		} else {
-			tgt = &inProcess{engine: geoserve.NewEngine(snap), mapper: idx}
+			return out
 		}
 	} else {
 		client := &http.Client{Transport: &http.Transport{
@@ -244,8 +236,8 @@ func main() {
 		default:
 			tgt = &overHTTP{client: client, base: *targetURL, mapper: *mapper}
 		}
-		// A sharded geoserved exposes per-shard sections in /statusz;
-		// report this run's per-shard traffic as a before/after delta.
+		// geoserved exposes per-shard sections in /statusz; report this
+		// run's per-shard traffic as a before/after delta.
 		if before, ok := fetchShardLookups(client, *targetURL); ok {
 			shardStats = func() []shardCount {
 				after, ok := fetchShardLookups(client, *targetURL)
@@ -319,7 +311,10 @@ func main() {
 		res.churnFailed = churnFailed
 	}
 	if shardStats != nil {
-		res.shards = shardStats()
+		// One shard is the whole run; the summary already says that.
+		if sc := shardStats(); len(sc) > 1 {
+			res.shards = sc
+		}
 	}
 	fmt.Print(res.format(tgt.mode(), *mapper, mix, *concurrency, *duration))
 	if *jsonOut != "" {
@@ -385,9 +380,9 @@ func fetchBuildScale(client *http.Client, base string) (float64, error) {
 	return body.Snapshot.Build.Scale, nil
 }
 
-// fetchShardLookups reads the per-shard lookup counters from a sharded
-// geoserved's /statusz; ok=false when the target serves unsharded (no
-// shard_stats section).
+// fetchShardLookups reads the per-shard lookup counters from a
+// geoserved's /statusz; ok=false when the target has no shard_stats
+// section (a router).
 func fetchShardLookups(client *http.Client, base string) ([]shardCount, bool) {
 	resp, err := client.Get(base + "/statusz")
 	if err != nil {
@@ -419,8 +414,8 @@ type result struct {
 	errors  uint64
 	elapsed time.Duration
 	lat     *geoserve.Histogram
-	// shards holds per-shard lookup counts when the target is a
-	// sharded cluster (in-process or a sharded geoserved).
+	// shards holds per-shard lookup counts when the target has more
+	// than one shard (in-process or a sharded geoserved).
 	shards []shardCount
 	// churnEvery > 0 means the run drove continuous churn on the
 	// target; churnSteps/churnFailed count the admin steps fired.
@@ -584,8 +579,9 @@ func (r *result) format(mode, mapper string, mix mixKind, concurrency int, d tim
 	return s
 }
 
-// writeJSON emits the scripts/bench.sh snapshot shape so cmd/benchcmp
-// can compare geoload runs.
+// writeJSON emits the run as one JSON document: environment keys, the
+// "geoload" section, and a one-entry "benchmarks" list (name,
+// iterations, ns_per_op).
 func (r *result) writeJSON(path, mode, mapper string, mix mixKind, concurrency int, scale float64) error {
 	name := fmt.Sprintf("GeoloadLookup/%s/%s/%s/c%d", mode, mix, mapper, concurrency)
 	nsPerOp := 0.0
@@ -639,7 +635,7 @@ func (r *result) writeJSON(path, mode, mapper string, mix mixKind, concurrency i
 }
 
 // marshalOrdered renders the snapshot with the conventional field
-// order (date/cpu counts first, benchmarks last), matching bench.sh.
+// order (date/cpu counts first, benchmarks last).
 func marshalOrdered(m map[string]any) ([]byte, error) {
 	order := []string{"date", "gomaxprocs", "num_cpu", "bench_scale", "geoload", "benchmarks"}
 	var buf []byte

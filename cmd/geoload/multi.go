@@ -369,7 +369,7 @@ func (r *multiResult) format(mapper string, mix mixKind, concurrency int, d time
 	return s
 }
 
-// writeJSON emits the scripts/bench.sh snapshot shape with a
+// writeJSON emits the same document shape as result.writeJSON with a
 // per-replica breakdown under the geoload key.
 func (r *multiResult) writeJSON(path, mapper string, mix mixKind, concurrency int, scale float64) error {
 	name := fmt.Sprintf("GeoloadLookup/multi/%s/%s/c%d", mix, mapper, concurrency)

@@ -21,20 +21,18 @@
 //	POST /v1/admin/rebuild[?seed=N&scale=F]
 //	POST /v1/admin/churn           apply one churn step (builder mode)
 //
-// With -shards N > 1 the snapshot is split into N prefix-range shards
-// served by a scatter-gather cluster (geoserve.Cluster): single
-// lookups route to the owning shard, batches fan out with per-shard
-// batching and load-shedding (429 when a shard's in-flight queue
-// exceeds -queuebudget), and /statusz grows a per-shard section.
-// Answers are byte-identical to the unsharded engine at any shard
-// count.
+// Every mode that serves lookups serves them from one geoserve.Cluster
+// of -shards N prefix-range shards (default 1): single lookups route
+// to the owning shard, batches fan out with per-shard batching and
+// load-shedding (429 when a shard's in-flight queue exceeds
+// -queuebudget), and /statusz carries one section per shard. Answers
+// are byte-identical at any shard count.
 //
 // The rebuild endpoint runs a whole new pipeline (possibly a different
 // seed or scale) in the background and hot-swaps the serving snapshot
-// when it finishes — shard by shard in cluster mode, with an epoch
-// guard so a scatter-gathered batch never mixes two epochs; readers
-// never pause. One rebuild runs at a time (409 while one is in
-// flight).
+// when it finishes — shard by shard, with an epoch guard so a batch
+// never mixes two epochs; readers never pause. One rebuild runs at a
+// time (409 while one is in flight).
 //
 // # Continuous topology churn
 //
@@ -105,8 +103,8 @@
 // bias. With -debug-addr a second listener additionally serves the
 // net/http/pprof suite alongside /metrics and /debug/tracez, so
 // profiling and scraping can be firewalled away from query traffic.
-// Replica mode accepts -shards/-queuebudget too: each installed epoch
-// then serves from a scatter-gather cluster instead of one engine.
+// Replica mode accepts -shards/-queuebudget too, for the cluster each
+// installed epoch serves from.
 //
 // All modes drain on SIGTERM/SIGINT: replicas and routers fail
 // /healthz with status "draining" so load balancers steer away, then
@@ -151,7 +149,7 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "world scale relative to the paper's Skitter snapshot")
 	workers := flag.Int("workers", 0, "pipeline/compile workers (0 = one per CPU); also pins GOMAXPROCS")
 	cacheBudget := flag.Int("cachebudget", 0, "netsim route-cache budget override (0 = default)")
-	shards := flag.Int("shards", 1, "prefix-range serving shards (1 = single unsharded engine)")
+	shards := flag.Int("shards", 1, "prefix-range serving shards (1 = unsharded)")
 	queueBudget := flag.Int("queuebudget", 0, "per-shard in-flight batch budget before shedding (0 = default)")
 	snapshotPath := flag.String("snapshot", "", "cold start: load this snapshot file instead of running the pipeline")
 	writeSnapshot := flag.String("write-snapshot", "", "write the serving snapshot to this file (then exit if -addr is empty)")
@@ -296,8 +294,8 @@ func serve(addr string, h http.Handler, drain func(), timeout time.Duration) {
 
 // runReplica serves the API from snapshots fetched off a builder: 503
 // until the first verified epoch, then last-good-epoch serving through
-// any builder outage. With shards > 1 each installed epoch serves from
-// a scatter-gather cluster instead of a single engine.
+// any builder outage. Each installed epoch serves from a cluster of
+// the given shard count.
 func runReplica(addr, builderURL string, shards, queueBudget int, drainTimeout time.Duration, debugAddr string) {
 	rep := replica.New(replica.Config{BuilderURL: builderURL, Shards: shards, QueueBudget: queueBudget})
 	startDebugServer(debugAddr, rep.Obs())
@@ -386,48 +384,17 @@ func runBuilder(o builderOpts) {
 		log.Fatal("geoserved: empty -addr without -write-snapshot serves nothing")
 	}
 
-	// handler serves the API; swap hot-swaps a rebuilt snapshot in, and
-	// swapDelta installs a delta-compiled one (shard geometry reused,
-	// only shards owning touched /24s re-split in cluster mode).
-	var (
-		handler   http.Handler
-		swap      func(*geoserve.Snapshot) error
-		swapDelta func(*geoserve.Snapshot, []uint32) (resplit int, err error)
-		bundle    *obs.Observability
-	)
-	if o.shards > 1 {
-		cluster, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{
-			Shards:      o.shards,
-			QueueBudget: o.queueBudget,
-		})
-		if err != nil {
-			log.Fatalf("geoserved: %v", err)
-		}
-		bundle = obs.NewObservability("cluster")
-		handler = geoserve.NewObservedClusterHandler(cluster, bundle)
-		swap = func(s *geoserve.Snapshot) error {
-			_, err := cluster.Swap(s)
-			return err
-		}
-		swapDelta = func(s *geoserve.Snapshot, touched []uint32) (int, error) {
-			_, resplit, err := cluster.SwapDelta(s, touched)
-			return resplit, err
-		}
-		log.Printf("sharded serving: %d prefix-range shards, queue budget %d",
-			cluster.NumShards(), cluster.QueueBudget())
-	} else {
-		engine := geoserve.NewEngine(snap)
-		bundle = obs.NewObservability("engine")
-		handler = geoserve.NewObservedHandler(engine, bundle)
-		swap = func(s *geoserve.Snapshot) error {
-			engine.Swap(s)
-			return nil
-		}
-		swapDelta = func(s *geoserve.Snapshot, _ []uint32) (int, error) {
-			engine.Swap(s)
-			return 0, nil
-		}
+	cluster, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{
+		Shards:      o.shards,
+		QueueBudget: o.queueBudget,
+	})
+	if err != nil {
+		log.Fatalf("geoserved: %v", err)
 	}
+	bundle := obs.NewObservability("cluster")
+	handler := geoserve.NewObservedHandler(cluster, bundle)
+	log.Printf("serving from %d prefix-range shards, queue budget %d",
+		cluster.NumShards(), cluster.QueueBudget())
 	startDebugServer(o.debugAddr, bundle)
 	log.Printf("serving snapshot %s: %d /24s, %d exact addresses, %d AS footprints",
 		snap.Digest()[:12], snap.NumPrefixes(), snap.NumExactIPs(), snap.NumFootprints())
@@ -460,7 +427,7 @@ func runBuilder(o builderOpts) {
 		}
 		cr := &churnRunner{
 			pipe: pipe, ch: ch, prev: snap, events: o.churnEvents,
-			swapDelta: swapDelta, pub: pub,
+			cluster: cluster, pub: pub,
 		}
 		mux.HandleFunc("POST /v1/admin/churn", func(w http.ResponseWriter, r *http.Request) {
 			res, err := cr.step()
@@ -517,7 +484,7 @@ func runBuilder(o builderOpts) {
 			defer rebuilding.Store(false)
 			_, fresh, err := build(newSeed, newScale, o.workers, o.cacheBudget, o.quiet)
 			if err == nil {
-				err = swap(fresh)
+				_, err = cluster.Swap(fresh)
 			}
 			if err != nil {
 				log.Printf("rebuild(seed %d, scale %g) failed: %v", newSeed, newScale, err)
@@ -543,18 +510,18 @@ func runBuilder(o builderOpts) {
 
 // churnRunner serializes churn steps: each step draws the next batch
 // of topology events, delta-compiles the serving snapshot (only dirty
-// /24 intervals recomputed), hot-swaps it in — per-shard in cluster
-// mode — and publishes the new epoch when replication is on. The
+// /24 intervals recomputed), hot-swaps it in shard by shard and
+// publishes the new epoch when replication is on. The
 // mutex keeps the chain linear: steps from the background ticker and
 // from POST /v1/admin/churn interleave but never race.
 type churnRunner struct {
-	mu        sync.Mutex
-	pipe      *core.Pipeline
-	ch        *churn.Churner
-	prev      *geoserve.Snapshot
-	events    int
-	swapDelta func(*geoserve.Snapshot, []uint32) (int, error)
-	pub       *replica.Publisher
+	mu      sync.Mutex
+	pipe    *core.Pipeline
+	ch      *churn.Churner
+	prev    *geoserve.Snapshot
+	events  int
+	cluster *geoserve.Cluster
+	pub     *replica.Publisher
 }
 
 // churnResult is the JSON answer of one applied churn step.
@@ -578,7 +545,7 @@ func (cr *churnRunner) step() (churnResult, error) {
 	if err != nil {
 		return churnResult{}, fmt.Errorf("churn step %d: delta compile: %w", step.N, err)
 	}
-	resplit, err := cr.swapDelta(next, stats.Touched)
+	_, resplit, err := cr.cluster.SwapDelta(next, stats.Touched)
 	if err != nil {
 		return churnResult{}, fmt.Errorf("churn step %d: swap: %w", step.N, err)
 	}

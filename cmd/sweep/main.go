@@ -108,8 +108,7 @@ type axisFlags struct {
 
 // specsFromFlags resolves the spec list from either the JSON file or
 // the matrix flags — the whole flag→Matrix construction minus process
-// concerns, so tests can drive it with synthetic values (mirroring
-// cmd/benchcmp's compare() extraction).
+// concerns, so tests can drive it with synthetic values.
 func specsFromFlags(specFile string, f axisFlags) ([]scenario.Spec, error) {
 	if specFile != "" {
 		return loadSpecFile(specFile)

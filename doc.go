@@ -81,10 +81,11 @@
 // interval index with exact precomputed answers for every known
 // interface address and prefix-level answers for generic hosts, each
 // carrying location, method attribution, BGP origin AS and a
-// confidence radius from the AS's geographic footprint — published
-// through an atomic pointer for lock-free concurrent lookups (two
-// binary searches, zero allocations) and hot-swappable when a new
-// pipeline finishes building in the background. cmd/geoserved serves
+// confidence radius from the AS's geographic footprint — published by
+// the one serving type, geoserve.Cluster, through an atomic pointer
+// for lock-free concurrent lookups (two binary searches, zero
+// allocations) and hot-swappable when a new pipeline finishes building
+// in the background. cmd/geoserved serves
 // the HTTP JSON API (locate, batch, AS footprints, healthz, statusz,
 // admin rebuild):
 //
@@ -92,16 +93,16 @@
 //
 // and cmd/geoload drives it closed-loop (uniform, Zipf-over-prefixes
 // or unmappable-heavy address mixes, in-process or over HTTP) with
-// bench.sh-compatible JSON reports. With -shards N the snapshot serves
-// as a prefix-sharded scatter-gather cluster: N contiguous cuts of the
-// /24 interval index, each an independently hot-swappable shard with
-// its own metrics and load-shedding budget (429 when a shard's batch
-// queue is at budget), swapped shard by shard behind an epoch guard on
-// rebuild; geoload reports per-shard QPS against sharded targets.
-// Snapshot digests follow the same determinism discipline as report
-// digests; geoserve's golden tests pin them byte-for-byte across
-// worker counts, hot-swaps and — the shard-count invariance — across
-// cluster topologies {1, 2, 3, 8} vs the unsharded engine.
+// JSON reports. A cluster has -shards N prefix-range shards (default
+// one, the unsharded server): N contiguous cuts of the /24 interval
+// index, each a window on the one snapshot with its own metrics and
+// load-shedding budget (429 when a shard's batch queue is at budget),
+// swapped shard by shard behind an epoch guard on rebuild; geoload
+// reports per-shard QPS against sharded targets. Snapshot digests
+// follow the same determinism discipline as report digests;
+// geoserve's golden tests pin them byte-for-byte across worker counts,
+// hot-swaps and — the shard-count invariance — across cluster
+// topologies {1, 2, 3, 8}, each checked against Snapshot.Lookup.
 //
 // # Replicated serving (snapfile, replica, faultinject)
 //
@@ -125,15 +126,16 @@
 // deterministic chaos layer (seeded drops, truncations, bit-flips,
 // latency, mid-transfer resets over in-memory HTTP) whose suite proves
 // the degraded modes, and the replication golden pins that a replica
-// serving a fetched snapshot answers byte-identically to the engine
+// serving a fetched snapshot answers byte-identically to the builder
 // that compiled it.
 //
 // Run the benchmark suite with
 //
 //	go test -bench=. -benchmem
 //
-// or scripts/bench.sh, which snapshots results to BENCH_<date>.json and
-// prints deltas against the previous snapshot via cmd/benchcmp. The
+// for a look while working. The repo's benchmark is the nested module
+// bench/ (BENCHMARK.json, bench/README.md): four workloads, a ladder
+// of per-layer rungs, fingerprinted result files and -compare. The
 // table/figure benches analyse a shared pipeline built at the paper's
 // full scale; pass -short (or set GEONET_BENCH_SCALE) to shrink it.
 // Compare BenchmarkPipelineFull against BenchmarkPipelineFullSerial to

@@ -80,7 +80,7 @@ func TestChurnWireChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler := geoserve.NewClusterHandler(cluster)
+	handler := geoserve.NewHandler(cluster)
 
 	// Addresses are drawn from the final snapshot's /24 index — a
 	// superset of every earlier epoch's — plus its exact rows, so

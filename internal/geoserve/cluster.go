@@ -33,24 +33,23 @@ type ClusterConfig struct {
 	QueueBudget int
 }
 
-// clusterView is one epoch of the cluster: a snapshot, its routing
-// table and its per-shard splits, published together through one
-// atomic pointer. A batch serves entirely from one view, so
-// scatter-gathered answer sets can never blend two epochs even while a
-// shard-by-shard swap is in progress.
+// clusterView is one epoch of the cluster: a snapshot and its routing
+// table, published together through one atomic pointer. A batch serves
+// entirely from one view, so scatter-gathered answer sets can never
+// blend two epochs even while a shard-by-shard swap is in progress.
 type clusterView struct {
 	snap   *Snapshot
 	starts []uint32
-	datas  []*shardData
 }
 
-// Cluster is the sharded serving engine: a coordinator that routes
-// single lookups to the owning prefix-range shard and scatter-gathers
-// batches across shards, each shard an independently hot-swappable
-// engine with its own metrics and load-shedding budget. For any shard
-// count a Cluster serves byte-identical answers to an unsharded Engine
-// over the same snapshot (the shard-count-invariance golden pins
-// this).
+// Cluster is the serving type: it publishes a Snapshot for lock-free
+// concurrent reads and hot-swaps to new ones without pausing readers.
+// A coordinator routes single lookups to the owning prefix-range shard
+// and scatter-gathers batches across shards; each shard is a window on
+// the one snapshot with its own metrics and load-shedding budget, so
+// every shard count runs the same Snapshot search code and serves the
+// same bytes as Snapshot.Lookup (the shard-count-invariance golden
+// pins this). An unsharded server is the 1-shard Cluster.
 type Cluster struct {
 	shards  []*Shard
 	view    atomic.Pointer[clusterView]
@@ -61,8 +60,7 @@ type Cluster struct {
 
 // clusterMetrics is the carryable accounting of a serving cluster —
 // everything that must survive the cluster being rebuilt for a new
-// epoch (NewClusterFrom hands it to the replacement, exactly like
-// NewEngineFrom carries an engine's metrics struct), separated from
+// epoch (NewClusterFrom hands it to the replacement), separated from
 // the per-epoch routing state that must not.
 type clusterMetrics struct {
 	swaps   atomic.Uint64
@@ -99,10 +97,24 @@ type batchScratch struct {
 	involved []int
 }
 
+// Engine and NewEngine are the names the frozen bench/ module calls
+// the unsharded server by (bench/README.md § "The surface the harness
+// calls"); they exist only for it. New code says Cluster.
+type Engine = Cluster
+
+// NewEngine starts serving the given snapshot from one shard.
+func NewEngine(s *Snapshot) *Engine {
+	c, err := NewCluster(s, ClusterConfig{Shards: 1})
+	if err != nil {
+		panic(err) // unreachable: a 1-shard split accepts any snapshot
+	}
+	return c
+}
+
 // NewCluster splits the snapshot into cfg.Shards prefix-range shards
-// and starts serving. It fails if the snapshot has fewer /24 intervals
-// than shards (a shard must own at least one interval for routing cuts
-// to stay distinct).
+// and starts serving. It fails if cfg.Shards > 1 and the snapshot has
+// fewer /24 intervals than shards (a shard must own at least one
+// interval for routing cuts to stay distinct).
 func NewCluster(snap *Snapshot, cfg ClusterConfig) (*Cluster, error) {
 	return NewClusterFrom(snap, cfg, nil)
 }
@@ -111,10 +123,9 @@ func NewCluster(snap *Snapshot, cfg ClusterConfig) (*Cluster, error) {
 // accounting forward: coordinator counters, uptime origin and every
 // shard's metrics continue, and the swap count advances by one — so a
 // replica installing each epoch as a fresh cluster still reports one
-// continuous serving history (scrape continuity, like NewEngineFrom).
-// If prev is nil, or its shard count differs from cfg's (the counters
-// would no longer attribute to the same shard cuts), the accounting
-// starts fresh.
+// continuous serving history (scrape continuity). If prev is nil, or
+// its shard count differs from cfg's (the counters would no longer
+// attribute to the same shard cuts), the accounting starts fresh.
 func NewClusterFrom(snap *Snapshot, cfg ClusterConfig, prev *Cluster) (*Cluster, error) {
 	datas, starts, err := splitSnapshot(snap, cfg.Shards)
 	if err != nil {
@@ -137,7 +148,7 @@ func NewClusterFrom(snap *Snapshot, cfg ClusterConfig, prev *Cluster) (*Cluster,
 		sh.data.Store(d)
 		c.shards[i] = sh
 	}
-	c.view.Store(&clusterView{snap: snap, starts: starts, datas: datas})
+	c.view.Store(&clusterView{snap: snap, starts: starts})
 	return c, nil
 }
 
@@ -151,64 +162,44 @@ func (c *Cluster) QueueBudget() int { return c.budget }
 func (c *Cluster) Snapshot() *Snapshot { return c.view.Load().snap }
 
 // Swap rebuilds the cluster onto a new snapshot: the new per-shard
-// splits are stored shard by shard (single lookups migrate
+// windows are stored shard by shard (single lookups migrate
 // incrementally, each shard atomically), then the complete new epoch
 // is published for the batch path. Readers never pause, and a batch in
 // flight keeps serving its whole answer set from the epoch it loaded.
 // Returns the previously published snapshot.
 func (c *Cluster) Swap(snap *Snapshot) (*Snapshot, error) {
+	old, _, err := c.swap(snap)
+	return old, err
+}
+
+func (c *Cluster) swap(snap *Snapshot) (old *Snapshot, starts []uint32, err error) {
 	datas, starts, err := splitSnapshot(snap, len(c.shards))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i, sh := range c.shards {
 		sh.data.Store(datas[i])
 	}
-	old := c.view.Swap(&clusterView{snap: snap, starts: starts, datas: datas})
+	ov := c.view.Swap(&clusterView{snap: snap, starts: starts})
 	c.cm.swaps.Add(1)
-	return old.snap, nil
+	return ov.snap, starts, nil
 }
 
-// SwapDelta publishes a delta-compiled snapshot. When the new
-// snapshot's interval index is unchanged (the common churn step:
-// answers moved, geometry didn't), every shard keeps its existing cut
-// offsets — the per-shard views re-alias the new snapshot's arrays at
-// the old cuts with no re-searching — and resplit reports how many
-// shards actually owned a touched /24 (CompileDelta's DeltaStats.
-// Touched), i.e. how many shards the delta really moved. When the
-// index itself changed (allocation growth or reclaim shifted the
-// cuts), it falls back to a full re-split of every shard. Either way
-// the swap publishes exactly like Swap: shard by shard for single
-// lookups, then one atomic view for the batch path, so a batch never
-// blends epochs.
+// SwapDelta publishes a delta-compiled snapshot exactly like Swap and
+// reports how many shards the delta really moved: when the interval
+// index is unchanged (the common churn step: answers moved, geometry
+// didn't) the cuts are the same, and resplit counts the shards owning
+// a touched /24 (CompileDelta's DeltaStats.Touched); when the index
+// itself changed (allocation growth or reclaim shifted the cuts) every
+// shard moved.
 func (c *Cluster) SwapDelta(snap *Snapshot, touched []uint32) (old *Snapshot, resplit int, err error) {
-	v := c.view.Load()
-	var (
-		datas  []*shardData
-		starts []uint32
-	)
-	if sameIndex(v.snap, snap) {
-		starts = v.starts
-		datas = make([]*shardData, len(v.datas))
-		for i, od := range v.datas {
-			nd := &shardData{
-				snap:      snap,
-				id:        od.id,
-				lo:        od.lo,
-				hi:        od.hi,
-				prefixes:  snap.prefixes[od.pOff : od.pOff+len(od.prefixes)],
-				prefixAns: make([][]entry, len(snap.mappers)),
-				ips:       snap.ips[od.ipOff : od.ipOff+len(od.ips)],
-				ipAns:     make([][]entry, len(snap.mappers)),
-				pOff:      od.pOff,
-				ipOff:     od.ipOff,
-			}
-			for m := range snap.mappers {
-				nd.prefixAns[m] = snap.prefixAns[m][od.pOff : od.pOff+len(od.prefixes)]
-				nd.ipAns[m] = snap.ipAns[m][od.ipOff : od.ipOff+len(od.ips)]
-			}
-			datas[i] = nd
-		}
+	old, starts, err := c.swap(snap)
+	if err != nil {
+		return nil, 0, err
+	}
+	resplit = len(c.shards)
+	if sameIndex(old, snap) {
+		resplit = 0
 		var seen [maxShards]bool
 		for _, b := range touched {
 			if i := shardIndexOf(starts, b); !seen[i] {
@@ -216,37 +207,29 @@ func (c *Cluster) SwapDelta(snap *Snapshot, touched []uint32) (old *Snapshot, re
 				resplit++
 			}
 		}
-	} else {
-		datas, starts, err = splitSnapshot(snap, len(c.shards))
-		if err != nil {
-			return nil, 0, err
-		}
-		resplit = len(datas)
 	}
-	for i, sh := range c.shards {
-		sh.data.Store(datas[i])
-	}
-	ov := c.view.Swap(&clusterView{snap: snap, starts: starts, datas: datas})
-	c.cm.swaps.Add(1)
 	c.cm.deltaSwaps.Add(1)
 	c.cm.resplitShards.Add(uint64(resplit))
-	return ov.snap, resplit, nil
+	return old, resplit, nil
 }
 
 // sameIndex reports whether two snapshots share an identical interval
 // and exact-address index (answers may differ) — the condition under
-// which a delta swap can keep the cluster's existing shard cuts.
+// which a swap leaves the cluster's shard cuts where they were.
 func sameIndex(a, b *Snapshot) bool {
 	return slices.Equal(a.prefixes, b.prefixes) && slices.Equal(a.ips, b.ips)
 }
 
 // Lookup answers one address under the mapper with the given index,
-// routed to the owning shard (which records the lookup in its own
-// metrics). Allocation-free, like Engine.Lookup.
+// routed to the owning shard, which counts it exactly by mapper and
+// method; one lookup in samplePeriod per stripe is also timed (see
+// metrics). This is the in-process hot path: it allocates nothing and,
+// unsampled, reads no clock and writes no cache line another core
+// writes.
 func (c *Cluster) Lookup(mapper int, ip uint32) Answer {
-	sh, d := c.route(c.view.Load(), ip)
+	sh, snap := c.route(c.view.Load(), ip)
 	t := sh.st.m.begin()
-	a, code := d.lookup(mapper, ip)
+	a, code := snap.lookup(mapper, ip)
 	sh.st.m.end(t, mapper, code)
 	return a
 }
@@ -257,34 +240,28 @@ func (c *Cluster) Lookup(mapper int, ip uint32) Answer {
 // them.
 func (c *Cluster) Locate(mapperName string, ip uint32) (Answer, bool) {
 	v := c.view.Load()
-	idx := 0
-	if mapperName != "" {
-		var ok bool
-		if idx, ok = v.snap.MapperIndex(mapperName); !ok {
-			return Answer{IP: ip}, false
-		}
+	idx, ok := v.snap.mapperByName(mapperName)
+	if !ok {
+		return Answer{IP: ip}, false
 	}
-	sh, d := c.route(v, ip)
+	sh, snap := c.route(v, ip)
 	t := sh.st.m.begin()
-	a, code := d.lookup(idx, ip)
+	a, code := snap.lookup(idx, ip)
 	sh.st.m.end(t, idx, code)
 	return a, true
 }
 
-// route finds ip's owning shard on the given view and the data that
-// answers it: the shard's current data. While a swap to a different
-// prefix topology is mid-flight a shard's own data may not cover the
-// routed range yet; the view's split of the same epoch then serves
-// instead, so every single answer is wholly from one of the two live
-// epochs.
-func (c *Cluster) route(v *clusterView, ip uint32) (*Shard, *shardData) {
-	i := shardIndexOf(v.starts, ip)
-	sh := c.shards[i]
-	d := sh.data.Load()
-	if !d.owns(ip) {
-		d = v.datas[i]
+// route finds ip's owning shard on the given view and the snapshot
+// that answers it: the one the shard's window is on. While a swap to a
+// different prefix topology is mid-flight a shard's own window may not
+// cover the routed range yet; the view's snapshot then serves instead,
+// so every single answer is wholly from one of the two live epochs.
+func (c *Cluster) route(v *clusterView, ip uint32) (*Shard, *Snapshot) {
+	sh := c.shards[shardIndexOf(v.starts, ip)]
+	if d := sh.data.Load(); d.owns(ip) {
+		return sh, d.snap
 	}
-	return sh, d
+	return sh, v.snap
 }
 
 // LookupBatch answers ips[i] into out[i] under the mapper with the
@@ -306,25 +283,23 @@ func (c *Cluster) LookupBatch(mapper int, ips []uint32, out []Answer) (string, e
 	return v.snap.Digest(), nil
 }
 
-// LocateBatch is LookupBatch with mapper resolution by name (empty
-// selects the first mapper); ok=false for an unknown mapper.
-func (c *Cluster) LocateBatch(mapperName string, ips []uint32, out []Answer) (digest string, ok bool, err error) {
+// locateBatch is LookupBatch with mapper resolution by name (empty
+// selects the first mapper) on the same view that serves. It returns
+// the snapshot of that view and the mapper index resolved on it, so
+// the caller names the mapper from the epoch that answered; ok=false
+// means the name is unknown there and nothing ran. tr is the request's
+// trace handle (nil when untraced).
+func (c *Cluster) locateBatch(mapperName string, ips []uint32, out []Answer, tr *obs.Trace) (snap *Snapshot, mapper int, ok bool, err error) {
 	v := c.view.Load()
-	idx := 0
-	if mapperName != "" {
-		if idx, ok = v.snap.MapperIndex(mapperName); !ok {
-			return "", false, nil
-		}
+	if mapper, ok = v.snap.mapperByName(mapperName); !ok {
+		return v.snap, 0, false, nil
 	}
-	if err := c.serveBatch(v, idx, ips, out, nil); err != nil {
-		return "", true, err
-	}
-	return v.snap.Digest(), true, nil
+	return v.snap, mapper, true, c.serveBatch(v, mapper, ips, out, tr)
 }
 
 func (c *Cluster) serveBatch(v *clusterView, mapper int, ips []uint32, out []Answer, tr *obs.Trace) error {
 	return c.scatter(v, ips, tr, func(i int, shardOf []uint8) {
-		c.shards[i].serveGroup(v.datas[i], mapper, ips, shardOf, out)
+		c.shards[i].serveGroup(v.snap, uint8(i), mapper, ips, shardOf, out)
 	})
 }
 
@@ -332,8 +307,7 @@ func (c *Cluster) serveBatch(v *clusterView, mapper int, ips []uint32, out []Ans
 // positions in out (WireAnswerSize bytes each), resolving the wire
 // mapper id and serving the whole batch from one epoch-consistent
 // view. ok=false means the id doesn't resolve on that epoch; a wrapped
-// ErrOverloaded means the batch was shed whole. Implements the
-// backend interface alongside Engine.serveWire.
+// ErrOverloaded means the batch was shed whole.
 func (c *Cluster) serveWire(mapperID uint16, ips []uint32, out []byte, tr *obs.Trace) (*Snapshot, bool, error) {
 	v := c.view.Load()
 	idx, ok := v.snap.wireMapperIndex(mapperID)
@@ -342,7 +316,7 @@ func (c *Cluster) serveWire(mapperID uint16, ips []uint32, out []byte, tr *obs.T
 	}
 	w := v.snap.wire()
 	err := c.scatter(v, ips, tr, func(i int, shardOf []uint8) {
-		c.shards[i].serveGroupWire(v.datas[i], w, idx, ips, shardOf, out)
+		c.shards[i].serveGroupWire(v.snap, uint8(i), w, idx, ips, shardOf, out)
 	})
 	return v.snap, true, err
 }
@@ -430,33 +404,34 @@ func scatterServe(tr *obs.Trace, serve func(shard int, shardOf []uint8), i int, 
 	tr.Span("shard.serve", t0, obs.AInt("shard", i), obs.AInt("batch", len(shardOf)))
 }
 
-// locateTail is the cluster side of the preserialized JSON single-
-// lookup path: it resolves the mapper by name, routes to the owning
-// shard (recording the lookup in that shard's metrics, exactly like
-// Locate) and returns the snapshot's cached response tail.
+// locateTail is the preserialized JSON single-lookup path: it
+// resolves the mapper by name, routes to the owning shard (recording
+// the lookup in that shard's metrics, exactly like Locate) and returns
+// the snapshot's cached response tail for ip's answer row; ok=false
+// means the mapper is unknown.
 func (c *Cluster) locateTail(mapperName string, ip uint32) ([]byte, bool) {
 	v := c.view.Load()
-	idx := 0
-	if mapperName != "" {
-		var ok bool
-		if idx, ok = v.snap.MapperIndex(mapperName); !ok {
-			return nil, false
-		}
+	idx, ok := v.snap.mapperByName(mapperName)
+	if !ok {
+		return nil, false
 	}
-	sh, d := c.route(v, ip)
+	sh, snap := c.route(v, ip)
 	t := sh.st.m.begin()
-	row := d.lookupRow(ip)
-	tail := d.snap.jsonTail(idx, row)
-	sh.st.m.end(t, idx, d.snap.rowMethod(idx, row))
+	row := snap.lookupRow(ip)
+	tail := snap.jsonTail(idx, row)
+	sh.st.m.end(t, idx, snap.rowMethod(idx, row))
 	return tail, true
 }
 
 // registerMetrics exposes the cluster's serving families on reg:
-// coordinator totals summed across shards under the same names the
-// single-engine handler uses, scatter-gather counters, and a per-shard
-// section (latency histogram, lookups, sheds, in-flight) labeled by
-// shard index. Scrape-time readers only load atomics; nothing here
-// touches the serving hot path.
+// coordinator totals summed across shards, scatter-gather counters,
+// and a per-shard section (latency histogram, lookups, sheds,
+// in-flight) labeled by shard index. Registration order is fixed
+// (mapper-major, method-minor) so the exposition — and the golden test
+// pinning it — is deterministic. Safe to call again for a replacement
+// cluster: the registry replaces series in place, keeping the scrape's
+// family shape stable across epochs. Scrape-time readers only load
+// atomics; nothing here touches the serving hot path.
 func (c *Cluster) registerMetrics(reg *obs.Registry) {
 	mappers := c.view.Load().snap.Mappers()
 	reg.CounterFunc("geoserve_requests_total",
@@ -531,7 +506,7 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 
 // Status reports the coordinator's serving metrics, a per-shard
 // section for each shard, and the published epoch's identity.
-func (c *Cluster) Status() ClusterStatus {
+func (c *Cluster) Status() Status {
 	now := time.Now()
 	v := c.view.Load()
 	uptime := now.Sub(c.cm.start).Seconds()
@@ -553,8 +528,8 @@ func (c *Cluster) Status() ClusterStatus {
 			ID:           i,
 			RangeStart:   FormatIPv4(d.lo),
 			RangeEnd:     FormatIPv4(d.hi),
-			Prefixes:     len(d.prefixes),
-			ExactIPs:     len(d.ips),
+			Prefixes:     d.prefixes,
+			ExactIPs:     d.exactIPs,
 			Lookups:      n,
 			QPSWindow:    w,
 			LatencyP50Ns: int64(sh.st.m.lat.Quantile(0.50)),
@@ -568,7 +543,7 @@ func (c *Cluster) Status() ClusterStatus {
 	// never make shed > batches and underflow the served count below.
 	shed := c.cm.shedBatches.Load()
 	batches := c.cm.batches.Load()
-	st := ClusterStatus{
+	st := Status{
 		UptimeSeconds: uptime,
 		Shards:        len(c.shards),
 		QueueBudget:   c.budget,
@@ -583,7 +558,7 @@ func (c *Cluster) Status() ClusterStatus {
 		LatencyP99Ns:  int64(merged.Quantile(0.99)),
 		Methods:       methods,
 		ShardStats:    stats,
-		Snapshot:      makeSnapshotInfo(v.snap, c.cm.swaps.Load()),
+		Snapshot:      c.snapshotInfo(v.snap),
 	}
 	if batches > shed {
 		st.AvgFanout = float64(c.cm.fanout.Load()) / float64(batches-shed)
@@ -592,4 +567,8 @@ func (c *Cluster) Status() ClusterStatus {
 		st.QPSLifetime = float64(lookups) / uptime
 	}
 	return st
+}
+
+func (c *Cluster) snapshotInfo(snap *Snapshot) SnapshotInfo {
+	return makeSnapshotInfo(snap, c.cm.swaps.Load())
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"geonet/internal/analysis"
@@ -91,30 +92,31 @@ func TestSplitBalancedAndPartitions(t *testing.T) {
 		}
 		totalPrefixes, totalIPs := 0, 0
 		for i, d := range datas {
-			if d.id != i {
-				t.Fatalf("shard %d has id %d", i, d.id)
+			if d.snap != snap || d.lo != starts[i] {
+				t.Fatalf("split %d: shard %d is a window on %p from %d, want %p from %d", n, i, d.snap, d.lo, snap, starts[i])
 			}
 			// Balance: every shard within one prefix of the ideal cut.
-			if lo, hi := len(snap.prefixes)/n, len(snap.prefixes)/n+1; len(d.prefixes) < lo || len(d.prefixes) > hi {
-				t.Fatalf("split %d: shard %d owns %d prefixes, want %d or %d", n, i, len(d.prefixes), lo, hi)
+			if lo, hi := len(snap.prefixes)/n, len(snap.prefixes)/n+1; d.prefixes < lo || d.prefixes > hi {
+				t.Fatalf("split %d: shard %d owns %d prefixes, want %d or %d", n, i, d.prefixes, lo, hi)
 			}
-			totalPrefixes += len(d.prefixes)
-			totalIPs += len(d.ips)
 			// Ranges tile the address space contiguously.
 			if i > 0 && d.lo != datas[i-1].hi+1 {
 				t.Fatalf("split %d: shard %d range starts at %d, prev ends at %d", n, i, d.lo, datas[i-1].hi)
 			}
-			// Every owned prefix and ip falls inside the shard's range.
-			for _, p := range d.prefixes {
-				if p < d.lo || p > d.hi {
+			// The window's counts are consecutive runs of the parent's
+			// sorted arrays, and every member falls inside its range.
+			for _, p := range snap.prefixes[totalPrefixes : totalPrefixes+d.prefixes] {
+				if !d.owns(p) {
 					t.Fatalf("split %d: shard %d prefix %d outside [%d, %d]", n, i, p, d.lo, d.hi)
 				}
 			}
-			for _, ip := range d.ips {
-				if ip < d.lo || ip > d.hi {
+			for _, ip := range snap.ips[totalIPs : totalIPs+d.exactIPs] {
+				if !d.owns(ip) {
 					t.Fatalf("split %d: shard %d ip %d outside range", n, i, ip)
 				}
 			}
+			totalPrefixes += d.prefixes
+			totalIPs += d.exactIPs
 		}
 		if datas[n-1].hi != 0xFFFFFFFF {
 			t.Fatalf("split %d: last shard ends at %d", n, datas[n-1].hi)
@@ -135,6 +137,19 @@ func TestSplitErrors(t *testing.T) {
 	}
 	if _, err := NewCluster(snap, ClusterConfig{Shards: 9}); err == nil {
 		t.Error("NewCluster with more shards than prefixes should fail")
+	}
+	// One shard is the unsharded server: it takes any snapshot, an
+	// empty one included, and misses everywhere on it.
+	empty := &Snapshot{}
+	c, err := NewCluster(empty, ClusterConfig{Shards: 1})
+	if err != nil {
+		t.Fatalf("NewCluster(empty, 1 shard): %v", err)
+	}
+	if got := c.Lookup(0, 0x0A000001); got != (Answer{IP: 0x0A000001}) {
+		t.Errorf("empty snapshot answered %+v", got)
+	}
+	if _, err := NewCluster(empty, ClusterConfig{Shards: 2}); err == nil {
+		t.Error("NewCluster(empty, 2 shards) should fail")
 	}
 }
 
@@ -185,11 +200,11 @@ func TestClusterBatchMatchesSingle(t *testing.T) {
 		}
 	}
 	// Named resolution path.
-	if _, ok, _ := c.LocateBatch("nope", probes[:2], out[:2]); ok {
+	if _, _, ok, _ := c.locateBatch("nope", probes[:2], out[:2], nil); ok {
 		t.Fatal("unknown mapper accepted")
 	}
-	if _, ok, err := c.LocateBatch("m0", probes[:2], out[:2]); !ok || err != nil {
-		t.Fatalf("LocateBatch(m0) = %v, %v", ok, err)
+	if got, idx, ok, err := c.locateBatch("m1", probes[:2], out[:2], nil); got != snap || idx != 1 || !ok || err != nil {
+		t.Fatalf("locateBatch(m1) = %p, %d, %v, %v", got, idx, ok, err)
 	}
 	if _, err := c.LookupBatch(0, probes, out[:1]); err == nil {
 		t.Fatal("short out buffer accepted")
@@ -231,8 +246,7 @@ func TestClusterShed(t *testing.T) {
 		}
 	}
 	// A batch owned entirely by un-saturated shards still serves.
-	owned := c.shards[0].data.Load()
-	if _, err := c.LookupBatch(0, owned.ips[:2], out[:2]); err != nil {
+	if _, err := c.LookupBatch(0, snap.ips[:2], out[:2]); err != nil {
 		t.Fatalf("shard-0-only batch shed: %v", err)
 	}
 
@@ -255,7 +269,7 @@ func TestClusterHTTP429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewClusterHandler(c)
+	h := NewHandler(c)
 	c.shards[0].inflight.Store(1)
 
 	var ips []string
@@ -280,7 +294,7 @@ func TestClusterHTTP429(t *testing.T) {
 
 	w = httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest("GET", "/statusz", nil))
-	var st ClusterStatus
+	var st Status
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -425,4 +439,100 @@ func TestClusterStatusShape(t *testing.T) {
 	if attributed != st.Lookups {
 		t.Fatalf("method counts sum %d != lookups %d", attributed, st.Lookups)
 	}
+}
+
+// TestJSONBatchOneViewAcrossSwap races JSON batches on the unsharded
+// handler against hot-swaps between two snapshots that disagree on
+// every probed answer and on the mapper names. A reply must be wholly
+// one epoch's: every answer, every result's mapper and the reply's
+// "mapper" from the same snapshot. (The engine this replaced loaded
+// the snapshot once per address and named the mapper after serving.)
+// Run under -race in CI.
+func TestJSONBatchOneViewAcrossSwap(t *testing.T) {
+	snapA := syntheticSnapshot(10<<24, 23, 2, 0)
+	snapB := syntheticSnapshot(10<<24, 23, 2, 2.5)
+	snapB.mappers = []string{"n0", "n1"}
+	snapB.digest = snapB.computeDigest()
+	byMapper := map[string]*Snapshot{"m0": snapA, "n0": snapB}
+
+	var (
+		addrs []uint32
+		ips   []string
+	)
+	for _, ip := range probeAddrs(snapA) {
+		if a, b := snapA.Lookup(0, ip), snapB.Lookup(0, ip); a.Found && b.Found && a.Loc != b.Loc {
+			addrs = append(addrs, ip)
+			ips = append(ips, FormatIPv4(ip))
+		}
+	}
+	if len(addrs) < 64 {
+		t.Fatalf("only %d probes answer differently in the two snapshots", len(addrs))
+	}
+	body, err := json.Marshal(map[string]any{"ips": ips})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e := NewEngine(snapA)
+	h := NewHandler(e)
+	stop := make(chan struct{})
+	var swapper sync.WaitGroup
+	swapper.Add(1)
+	go func() {
+		defer swapper.Done()
+		for next := snapB; ; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := e.Swap(next); err != nil {
+				t.Error(err)
+				return
+			}
+			if next == snapB {
+				next = snapA
+			} else {
+				next = snapB
+			}
+		}
+	}()
+
+	var workers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			for round := 0; round < 300; round++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/locate/batch", bytes.NewReader(body)))
+				var resp struct {
+					Mapper  string `json:"mapper"`
+					Results []struct {
+						Mapper string  `json:"mapper"`
+						Lat    float64 `json:"lat"`
+					} `json:"results"`
+				}
+				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != 200 {
+					t.Errorf("status %d, %v: %s", w.Code, err, w.Body)
+					return
+				}
+				snap := byMapper[resp.Mapper]
+				if snap == nil || len(resp.Results) != len(addrs) {
+					t.Errorf("reply names mapper %q with %d results", resp.Mapper, len(resp.Results))
+					return
+				}
+				for i, r := range resp.Results {
+					if want := snap.Lookup(0, addrs[i]).Loc.Lat; r.Mapper != resp.Mapper || r.Lat != want {
+						t.Errorf("reply under %q mixes epochs: result %d is {%q lat %v}, that snapshot says lat %v",
+							resp.Mapper, i, r.Mapper, r.Lat, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	workers.Wait()
+	close(stop)
+	swapper.Wait()
 }

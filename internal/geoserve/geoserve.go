@@ -16,30 +16,33 @@
 // geographic footprint (analysis.Footprints). A lookup is two binary
 // searches and allocates nothing.
 //
-// Snapshots are immutable after Compile, so an Engine publishes one
-// through an atomic.Pointer: reads are lock-free and concurrent, and
-// when a new pipeline (different seed, scale or ablation) finishes
-// building in the background the Engine hot-swaps to its snapshot
-// without pausing readers. NewHandler exposes the HTTP API that
-// cmd/geoserved serves and cmd/geoload drives: the JSON endpoints,
-// plus the binary wire protocol (/v1/locate/bin batches and
-// /v1/locate/stream full-duplex chunk streams, driven by geoload
-// -wire bin|stream) whose epoch-tagged fixed-width answer frames are
-// copied straight out of the snapshot's columnar slabs — see wire.go
-// and the wire-protocol section of DESIGN.md.
+// Snapshots are immutable after Compile, and one type serves them:
+// a Cluster publishes a snapshot through an atomic.Pointer, so reads
+// are lock-free and concurrent, and when a new pipeline (different
+// seed, scale or ablation) finishes building in the background the
+// Cluster hot-swaps to its snapshot without pausing readers.
+// NewHandler exposes the HTTP API that cmd/geoserved serves and
+// cmd/geoload drives: the JSON endpoints, plus the binary wire
+// protocol (/v1/locate/bin batches and /v1/locate/stream full-duplex
+// chunk streams, driven by geoload -wire bin|stream) whose
+// epoch-tagged fixed-width answer frames are copied straight out of
+// the snapshot's columnar slabs — see wire.go and the wire-protocol
+// section of DESIGN.md.
 //
-// Above one engine sits the sharded serving cluster: NewCluster splits
-// a snapshot into N prefix-range shards — contiguous cuts of the
-// sorted /24 interval index balanced by interval count, each shard an
-// independently hot-swappable engine with its own metrics and
-// in-flight budget. A coordinator routes single lookups to the owning
-// shard (still zero allocations) and scatter-gathers batches with
-// per-shard sub-batching and load-shedding (a batch touching a shard
-// at budget answers 429 instead of queueing unboundedly). Rebuilds
-// swap shard by shard behind an epoch guard — batches serve wholly
-// from one atomically-published epoch, so an answer set never blends
-// two snapshots. For any shard count the cluster serves byte-identical
-// answers to the unsharded engine (TestGoldenShardInvariance).
+// NewCluster splits a snapshot into N prefix-range shards — contiguous
+// cuts of the sorted /24 interval index balanced by interval count.
+// A shard is a window on the one snapshot (an address range, its own
+// metrics and in-flight budget), not a copy of any index: every shard
+// count runs the same Snapshot lookup code, and the unsharded server
+// is the 1-shard Cluster (NewEngine, a name kept for bench/). A
+// coordinator routes single lookups to the owning shard (zero
+// allocations) and scatter-gathers batches with per-shard sub-batching
+// and load-shedding (a batch touching a shard at budget answers 429
+// instead of queueing unboundedly). Rebuilds swap shard by shard
+// behind an epoch guard — batches, JSON and binary, serve wholly from
+// one atomically-published epoch, so an answer set never blends two
+// snapshots. For any shard count the cluster's answers equal
+// Snapshot.Lookup's (TestGoldenShardInvariance).
 //
 // Determinism discipline: Compile parallelizes over per-index result
 // slots only, so a snapshot's content — pinned by Digest, a SHA-256
@@ -53,8 +56,9 @@
 // allocations, auto-detected interface churn, footprint radius
 // patches — and copies every other row from the previous snapshot,
 // producing a snapshot byte-identical (same Digest) to a from-scratch
-// Compile of the same source; Cluster.SwapDelta then re-splits only
-// the shards owning touched intervals under the same epoch guard. The
+// Compile of the same source; Cluster.SwapDelta then publishes it
+// under the same epoch guard and reports how many shards owned a
+// touched interval. The
 // golden churn corpus (churn.TestGoldenChurnCorpus) pins the identity
 // at every step, and TestChurnWireChaos races wire batches against a
 // live churn stream.
@@ -74,10 +78,10 @@
 // (TestLookupCountsExact) — while single-lookup latency and the
 // windowed QPS come from one timed lookup in 64 per stripe, weighted
 // by the lookups it stands for; batches are timed per shard sub-batch.
-// See metrics.go and DESIGN.md § Observability. NewHandler and
-// NewClusterHandler mint a fresh obs bundle per handler; the Observed
-// variants accept a caller-owned bundle so a replica re-registering
-// per installed epoch keeps one continuous scrape.
+// See metrics.go and DESIGN.md § Observability. NewHandler mints a
+// fresh obs bundle per handler; NewObservedHandler accepts a
+// caller-owned bundle so a replica re-registering per installed epoch
+// keeps one continuous scrape.
 package geoserve
 
 import (

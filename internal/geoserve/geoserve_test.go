@@ -237,8 +237,8 @@ func TestEngineHotSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old := e.Swap(snap2); old != snap {
-		t.Fatal("Swap did not return the previous snapshot")
+	if old, err := e.Swap(snap2); err != nil || old != snap {
+		t.Fatalf("Swap returned %p, %v; want the previous snapshot %p", old, err, snap)
 	}
 	if e.Snapshot() != snap2 {
 		t.Fatal("Swap did not publish the new snapshot")

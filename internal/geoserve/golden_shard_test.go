@@ -48,7 +48,8 @@ func answersDigest(snap *geoserve.Snapshot, lookup func(mapper int, ip uint32) g
 
 // batchAnswersDigest is answersDigest through the scatter-gather batch
 // path, in fixed-size chunks, so batch serving is pinned to the same
-// constant as single lookups.
+// constant as single lookups. Every answer is also held field for
+// field against the reference Snapshot.Lookup.
 func batchAnswersDigest(t *testing.T, snap *geoserve.Snapshot, c *geoserve.Cluster) string {
 	t.Helper()
 	h := sha256.New()
@@ -66,6 +67,10 @@ func batchAnswersDigest(t *testing.T, snap *geoserve.Snapshot, c *geoserve.Clust
 			}
 			for i, ip := range chunk {
 				a := out[i]
+				if want := snap.Lookup(m, ip); a != want {
+					t.Errorf("shards=%d mapper=%d ip=%s: batch answered %+v, Snapshot.Lookup says %+v",
+						c.NumShards(), m, geoserve.FormatIPv4(ip), a, want)
+				}
 				fmt.Fprintf(h, "%d %d %v %v %.17g %.17g %s %d %.17g\n",
 					m, ip, a.Found, a.Exact, a.Loc.Lat, a.Loc.Lon, a.Method, a.ASN, a.RadiusMi)
 			}
@@ -79,7 +84,7 @@ func batchAnswersDigest(t *testing.T, snap *geoserve.Snapshot, c *geoserve.Clust
 // unknown-mapper 400), scatter-gather batches (default and explicit
 // mapper, plus a bad-address 400), an AS footprint, healthz, and the
 // /v1/prefixes body by hash. Every transcripted byte must be identical
-// for any shard count and for the unsharded engine.
+// for any shard count.
 func clusterTranscript(snap *geoserve.Snapshot, h http.Handler, p *core.Pipeline) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digest %s\n", snap.Digest())
@@ -144,34 +149,46 @@ func clusterTranscript(snap *geoserve.Snapshot, h http.Handler, p *core.Pipeline
 	return b.String()
 }
 
-// TestGoldenShardInvariance pins the headline tentpole invariant: for
-// shard counts {1, 2, 3, 8} the digest of all answers (single-lookup
-// and scatter-gather batch paths both) and a full HTTP transcript are
-// byte-identical to the unsharded engine — cluster topology, like
-// worker count before it, must never move a single byte. Regenerate
-// with
+// TestGoldenShardInvariance pins the headline invariant: for shard
+// counts {1, 2, 3, 8} every answer (single-lookup and scatter-gather
+// batch paths both) equals the public reference Snapshot.Lookup field
+// for field, so the digest of all answers is the reference's, and the
+// full HTTP transcript is byte-identical to the 1-shard server's —
+// cluster topology, like worker count before it, must never move a
+// single byte. Regenerate with
 //
 //	go test ./internal/geoserve -run TestGoldenShardInvariance -update
 func TestGoldenShardInvariance(t *testing.T) {
 	p, snap := fixture(t)
 
-	engine := geoserve.NewEngine(snap)
-	wantDigest := answersDigest(snap, engine.Lookup)
-	wantTranscript := clusterTranscript(snap, geoserve.NewHandler(engine), p)
+	wantDigest := answersDigest(snap, snap.Lookup)
+	var wantTranscript string
+	probes := invarianceProbes(snap)
 
 	for _, shards := range []int{1, 2, 3, 8} {
 		c, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
+		for m := range snap.Mappers() {
+			for _, ip := range probes {
+				if got, want := c.Lookup(m, ip), snap.Lookup(m, ip); got != want {
+					t.Errorf("shards=%d mapper=%d ip=%s: answered %+v, Snapshot.Lookup says %+v",
+						shards, m, geoserve.FormatIPv4(ip), got, want)
+				}
+			}
+		}
 		if got := answersDigest(snap, c.Lookup); got != wantDigest {
-			t.Errorf("shards=%d: single-lookup answers digest %s != unsharded %s", shards, got, wantDigest)
+			t.Errorf("shards=%d: single-lookup answers digest %s != reference %s", shards, got, wantDigest)
 		}
 		if got := batchAnswersDigest(t, snap, c); got != wantDigest {
-			t.Errorf("shards=%d: batch answers digest %s != unsharded %s", shards, got, wantDigest)
+			t.Errorf("shards=%d: batch answers digest %s != reference %s", shards, got, wantDigest)
 		}
-		if got := clusterTranscript(snap, geoserve.NewClusterHandler(c), p); got != wantTranscript {
-			t.Errorf("shards=%d: HTTP transcript differs from the unsharded engine.\ngot:\n%s\nwant:\n%s",
+		got := clusterTranscript(snap, geoserve.NewHandler(c), p)
+		if shards == 1 {
+			wantTranscript = got
+		} else if got != wantTranscript {
+			t.Errorf("shards=%d: HTTP transcript differs from the 1-shard server's.\ngot:\n%s\nwant:\n%s",
 				shards, got, wantTranscript)
 		}
 	}

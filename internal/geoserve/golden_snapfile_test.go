@@ -52,7 +52,7 @@ func TestGoldenSnapfileReplication(t *testing.T) {
 		t.Fatalf("sync: swapped=%v err=%v", swapped, err)
 	}
 
-	got := goldenTranscript(rep.Engine().Snapshot(), rep.Handler(), p)
+	got := goldenTranscript(rep.Cluster().Snapshot(), rep.Handler(), p)
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_serving.txt"))
 	if err != nil {
 		t.Fatalf("missing golden file (run TestGoldenServing with -update): %v", err)

@@ -116,7 +116,7 @@ func TestGoldenWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cg := goldenWireTranscript(t, snap, geoserve.NewClusterHandler(c), probes); cg != got {
+		if cg := goldenWireTranscript(t, snap, geoserve.NewHandler(c), probes); cg != got {
 			t.Fatalf("cluster(%d shards) wire transcript differs from engine's", shards)
 		}
 	}

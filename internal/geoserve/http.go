@@ -23,105 +23,39 @@ const MaxBatch = 4096
 // an unbounded body into the decoder.
 const maxBatchBodyBytes = 1 << 20
 
-// backend is the serving surface the HTTP layer binds to: a single
-// Engine or a sharded Cluster. Both produce byte-identical responses
-// for the same snapshot (the shard-count-invariance golden pins this);
-// only /statusz differs, reporting each mode's own metrics shape.
-type backend interface {
-	Locate(mapperName string, ip uint32) (Answer, bool)
-	Snapshot() *Snapshot
-	// locateBatch answers ips into out under the named mapper.
-	// ok=false means the mapper is unknown; a wrapped ErrOverloaded
-	// means the batch was shed (HTTP 429). tr is the request's trace
-	// handle (nil when untraced).
-	locateBatch(mapperName string, ips []uint32, out []Answer, tr *obs.Trace) (ok bool, err error)
-	// locateTail returns the preserialized /v1/locate response tail
-	// for one lookup (wire.go); ok=false means the mapper is unknown.
-	locateTail(mapperName string, ip uint32) (tail []byte, ok bool)
-	// serveWire answers ips as WireAnswerSize-byte wire answers into
-	// out from one epoch-consistent snapshot (returned); ok=false means
-	// the wire mapper id doesn't resolve on it, a wrapped ErrOverloaded
-	// that the batch was shed. tr is the request's trace handle (nil
-	// when untraced).
-	serveWire(mapperID uint16, ips []uint32, out []byte, tr *obs.Trace) (snap *Snapshot, ok bool, err error)
-	// registerMetrics exposes the backend's serving families on reg.
-	registerMetrics(reg *obs.Registry)
-	info() SnapshotInfo
-	statusAny() any
-}
-
-func (e *Engine) locateBatch(mapperName string, ips []uint32, out []Answer, _ *obs.Trace) (bool, error) {
-	for i, ip := range ips {
-		a, ok := e.Locate(mapperName, ip)
-		if !ok {
-			return false, nil
-		}
-		out[i] = a
-	}
-	return true, nil
-}
-
-func (e *Engine) info() SnapshotInfo { return e.snapshotInfo(e.snap.Load()) }
-func (e *Engine) statusAny() any     { return e.Status() }
-
-func (c *Cluster) locateBatch(mapperName string, ips []uint32, out []Answer, tr *obs.Trace) (bool, error) {
-	v := c.view.Load()
-	idx := 0
-	if mapperName != "" {
-		var ok bool
-		if idx, ok = v.snap.MapperIndex(mapperName); !ok {
-			return false, nil
-		}
-	}
-	return true, c.serveBatch(v, idx, ips, out, tr)
-}
-
-func (c *Cluster) info() SnapshotInfo {
-	return makeSnapshotInfo(c.view.Load().snap, c.cm.swaps.Load())
-}
-func (c *Cluster) statusAny() any { return c.Status() }
-
-// NewHandler returns the service's HTTP JSON API over a single engine:
+// NewHandler returns the service's HTTP API over a cluster:
 //
 //	GET  /v1/locate?ip=A.B.C.D[&mapper=NAME]   one lookup
 //	POST /v1/locate/batch                      {"mapper": ..., "ips": [...]}
+//	POST /v1/locate/bin                        binary batch (wire.go)
+//	POST /v1/locate/stream                     full-duplex binary chunks
 //	GET  /v1/as/{asn}/footprint                per-mapper AS footprints
 //	GET  /v1/prefixes                          the allocated /24 index
 //	GET  /healthz                              liveness + snapshot identity
-//	GET  /statusz                              qps, latency quantiles, method counts
+//	GET  /statusz                              qps, latency quantiles, method counts, per-shard sections
 //
-// cmd/geoserved wraps it with the admin rebuild endpoint.
+// Responses are byte-identical at any shard count; a batch shed by a
+// shard at budget answers 429. cmd/geoserved wraps the handler with
+// the admin endpoints.
 //
 // The handler also mounts GET /metrics and GET /debug/tracez from a
 // fresh observability bundle; use NewObservedHandler to supply one
 // (required to keep scrape continuity across epoch hot-swaps).
-func NewHandler(e *Engine) http.Handler { return newHandler(e, nil) }
-
-// NewClusterHandler returns the same HTTP JSON API over a sharded
-// cluster. Responses are byte-identical to NewHandler over the same
-// snapshot; /statusz reports the cluster's coordinator and per-shard
-// metrics, and a shed batch answers 429.
-func NewClusterHandler(c *Cluster) http.Handler { return newHandler(c, nil) }
-
-// NewObservedHandler is NewHandler bound to a caller-owned
-// observability bundle: the engine's families register onto o.Metrics
-// (replacing in place on re-registration, so an epoch swap that
-// rebuilds the handler keeps one continuous scrape), and traced
-// requests record spans into o.Traces.
-func NewObservedHandler(e *Engine, o *obs.Observability) http.Handler { return newHandler(e, o) }
-
-// NewObservedClusterHandler is NewClusterHandler bound to a
-// caller-owned observability bundle.
-func NewObservedClusterHandler(c *Cluster, o *obs.Observability) http.Handler {
-	return newHandler(c, o)
+func NewHandler(c *Cluster) http.Handler {
+	return NewObservedHandler(c, obs.NewObservability("cluster"))
 }
 
-// apiHandler is the HTTP serving surface over a backend plus its
+// NewClusterHandler is NewHandler under the name the frozen bench/
+// module calls it by for a sharded cluster (bench/README.md § "The
+// surface the harness calls"); it exists only for it.
+func NewClusterHandler(c *Cluster) http.Handler { return NewHandler(c) }
+
+// apiHandler is the HTTP serving surface over a cluster plus its
 // observability state: the wire-protocol traffic counters live here
-// because the wire endpoints are an HTTP-layer concern, not a
-// backend one.
+// because the wire endpoints are an HTTP-layer concern, not a serving
+// one.
 type apiHandler struct {
-	b   backend
+	c   *Cluster
 	obs *obs.Observability
 	mux *http.ServeMux
 
@@ -164,16 +98,14 @@ func (h *apiHandler) trace(w http.ResponseWriter, r *http.Request) *obs.Trace {
 	return tr
 }
 
-func newHandler(b backend, o *obs.Observability) http.Handler {
-	if o == nil {
-		component := "engine"
-		if _, ok := b.(*Cluster); ok {
-			component = "cluster"
-		}
-		o = obs.NewObservability(component)
-	}
-	h := &apiHandler{b: b, obs: o}
-	b.registerMetrics(o.Metrics)
+// NewObservedHandler is NewHandler bound to a caller-owned
+// observability bundle: the cluster's families register onto o.Metrics
+// (replacing in place on re-registration, so an epoch swap that
+// rebuilds the handler keeps one continuous scrape), and traced
+// requests record spans into o.Traces.
+func NewObservedHandler(c *Cluster, o *obs.Observability) http.Handler {
+	h := &apiHandler{c: c, obs: o}
+	c.registerMetrics(o.Metrics)
 	h.registerWireMetrics(o.Metrics)
 
 	mux := http.NewServeMux()
@@ -190,10 +122,10 @@ func newHandler(b backend, o *obs.Observability) http.Handler {
 		// The hot path: the response body is the queried address
 		// spliced into the snapshot's preserialized tail for the
 		// answer row — no per-request JSON encoding. Byte-identical to
-		// encoding answerJSON(b.Locate(...)) (the goldens pin it).
-		tail, ok := b.locateTail(mapper, ip)
+		// encoding answerJSON(c.Locate(...)) (the goldens pin it).
+		tail, ok := c.locateTail(mapper, ip)
 		if !ok {
-			httpError(w, http.StatusBadRequest, "unknown mapper %q (have %v)", mapper, b.Snapshot().Mappers())
+			httpError(w, http.StatusBadRequest, "unknown mapper %q (have %v)", mapper, c.Snapshot().Mappers())
 			return
 		}
 		writeLocate(w, ip, tail)
@@ -249,9 +181,11 @@ func newHandler(b backend, o *obs.Observability) http.Handler {
 		if tr != nil {
 			defer tr.Span("serve.batch", time.Now(), obs.AInt("n", len(ips)))
 		}
-		ok, err := b.locateBatch(req.Mapper, ips, out, tr)
+		// The mapper list of a 400 and the name in the reply come from
+		// the snapshot that served, not from one loaded after a swap.
+		snap, mapper, ok, err := c.locateBatch(req.Mapper, ips, out, tr)
 		if !ok {
-			httpError(w, http.StatusBadRequest, "unknown mapper %q (have %v)", req.Mapper, b.Snapshot().Mappers())
+			httpError(w, http.StatusBadRequest, "unknown mapper %q (have %v)", req.Mapper, snap.Mappers())
 			return
 		}
 		if err != nil {
@@ -262,7 +196,7 @@ func newHandler(b backend, o *obs.Observability) http.Handler {
 			httpError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		mapperName := mapperOrDefault(b, req.Mapper)
+		mapperName := snap.mappers[mapper]
 		results := make([]locateJSON, len(out))
 		for i, a := range out {
 			results[i] = answerJSON(a, mapperName)
@@ -279,7 +213,7 @@ func newHandler(b backend, o *obs.Observability) http.Handler {
 			httpError(w, http.StatusBadRequest, "bad asn %q", r.PathValue("asn"))
 			return
 		}
-		snap := b.Snapshot()
+		snap := c.Snapshot()
 		resp := struct {
 			ASN     int                      `json:"asn"`
 			Mappers map[string]footprintJSON `json:"mappers"`
@@ -305,8 +239,7 @@ func newHandler(b backend, o *obs.Observability) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/prefixes", func(w http.ResponseWriter, r *http.Request) {
-		snap := b.Snapshot()
-		prefixes := snap.Prefixes()
+		prefixes := c.Snapshot().Prefixes()
 		out := make([]string, len(prefixes))
 		for i, p := range prefixes {
 			out[i] = FormatIPv4(p) + "/24"
@@ -321,11 +254,11 @@ func newHandler(b backend, o *obs.Observability) http.Handler {
 		writeJSON(w, struct {
 			Status   string       `json:"status"`
 			Snapshot SnapshotInfo `json:"snapshot"`
-		}{"ok", b.info()})
+		}{"ok", c.snapshotInfo(c.Snapshot())})
 	})
 
 	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, b.statusAny())
+		writeJSON(w, c.Status())
 	})
 
 	mux.HandleFunc("POST /v1/locate/bin", h.serveWireBatch)
@@ -394,16 +327,6 @@ func answerJSON(a Answer, mapperName string) locateJSON {
 		out.Lat, out.Lon = &lat, &lon
 	}
 	return out
-}
-
-func mapperOrDefault(b backend, name string) string {
-	if name != "" {
-		return name
-	}
-	if mappers := b.Snapshot().Mappers(); len(mappers) > 0 {
-		return mappers[0]
-	}
-	return ""
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

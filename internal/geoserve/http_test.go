@@ -233,6 +233,26 @@ func TestHTTPHealthAndStatus(t *testing.T) {
 	if st.LatencyP50Ns <= 0 || st.LatencyP99Ns < st.LatencyP50Ns {
 		t.Fatalf("implausible latency quantiles: p50=%d p99=%d", st.LatencyP50Ns, st.LatencyP99Ns)
 	}
+	// The unsharded server is the 1-shard cluster: /statusz keeps every
+	// key the engine-shaped status had and gains the cluster's, with
+	// one shard owning the whole address space and index.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(w.Body.Bytes(), &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"uptime_seconds", "lookups", "qps_window", "qps_lifetime",
+		"latency_p50_ns", "latency_p90_ns", "latency_p99_ns", "methods", "snapshot"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("statusz lost key %q", k)
+		}
+	}
+	if st.Shards != 1 || len(st.ShardStats) != 1 {
+		t.Fatalf("statusz shards = %d/%d, want 1/1", st.Shards, len(st.ShardStats))
+	}
+	if ss := st.ShardStats[0]; ss.RangeStart != "0.0.0.0" || ss.RangeEnd != "255.255.255.255" ||
+		ss.Prefixes != snap.NumPrefixes() || ss.ExactIPs != snap.NumExactIPs() || ss.Lookups != 51 {
+		t.Fatalf("the one shard does not own everything: %+v", ss)
+	}
 }
 
 func TestHTTPPrefixes(t *testing.T) {

@@ -36,7 +36,7 @@ func fuzzHandlers(tb testing.TB) (engine, cluster http.Handler) {
 		if err != nil {
 			panic(err)
 		}
-		fuzzCluster = geoserve.NewClusterHandler(c)
+		fuzzCluster = geoserve.NewHandler(c)
 	})
 	return fuzzEngine, fuzzCluster
 }

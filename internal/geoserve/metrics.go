@@ -204,57 +204,9 @@ func (m *metrics) windowQPS(now time.Time, window int) float64 {
 	return float64(n) / float64(window)
 }
 
-// register exposes the serving counters as Prometheus families on reg.
-// Registration order is fixed (mapper-major, method-minor) so the
-// exposition — and the golden test pinning it — is deterministic. Safe
-// to call again after a hot swap: the registry replaces series in
-// place, keeping the scrape's family shape stable across epochs.
-func (m *metrics) register(reg *obs.Registry, mappers []string) {
-	reg.CounterFunc("geoserve_requests_total",
-		"Lookups served across all mappers.", nil, m.total)
-	for mi, mapper := range mappers {
-		if mi >= maxMappers {
-			break
-		}
-		for code := method(0); code < numMethods; code++ {
-			name := methodNames[code]
-			if name == "" {
-				name = "unmapped"
-			}
-			reg.CounterFunc("geoserve_lookups_total",
-				"Lookups by mapper and resolution method.",
-				obs.Labels{{Key: "mapper", Value: mapper}, {Key: "method", Value: name}},
-				func() uint64 { return m.methodCount(mi, code) })
-		}
-	}
-	reg.RegisterHistogram("geoserve_lookup_latency_seconds",
-		"Per-lookup serving latency.", nil, &m.lat)
-	reg.GaugeFunc("geoserve_window_qps",
-		"Lookups per second over the trailing complete-seconds window.", nil,
-		func() float64 { return m.windowQPS(time.Now(), 0) })
-}
-
 // MethodCounts reports per-mapper lookup counts keyed by method name;
 // misses are keyed "unmapped".
 type MethodCounts map[string]map[string]uint64
-
-// Status is one /statusz observation of the engine.
-type Status struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Lookups       uint64  `json:"lookups"`
-	// QPSWindow averages over the trailing ~14 complete seconds;
-	// QPSLifetime over the whole uptime.
-	QPSWindow   float64 `json:"qps_window"`
-	QPSLifetime float64 `json:"qps_lifetime"`
-	// Latency quantiles in nanoseconds (bucketed, ~25% resolution).
-	LatencyP50Ns int64 `json:"latency_p50_ns"`
-	LatencyP90Ns int64 `json:"latency_p90_ns"`
-	LatencyP99Ns int64 `json:"latency_p99_ns"`
-	// Methods maps mapper name -> method (or "unmapped") -> count.
-	Methods MethodCounts `json:"methods"`
-
-	Snapshot SnapshotInfo `json:"snapshot"`
-}
 
 // SnapshotInfo summarises the currently published snapshot.
 type SnapshotInfo struct {
@@ -264,8 +216,8 @@ type SnapshotInfo struct {
 	Prefixes   int       `json:"prefixes"`
 	ExactIPs   int       `json:"exact_ips"`
 	Footprints int       `json:"footprints"`
-	// Swaps counts hot-swaps since the engine started (0 = the
-	// snapshot the engine was created with).
+	// Swaps counts hot-swaps since serving started (0 = the snapshot
+	// the cluster was created with).
 	Swaps uint64 `json:"swaps"`
 }
 
@@ -300,11 +252,10 @@ type ShardStatus struct {
 	Inflight    int64  `json:"inflight"`
 }
 
-// ClusterStatus is one /statusz observation of a sharded cluster:
-// coordinator totals (latency quantiles merged across shards, method
-// counts aggregated), scatter-gather counters, and a per-shard
-// section.
-type ClusterStatus struct {
+// Status is one /statusz observation of a cluster: coordinator totals
+// (latency quantiles merged across shards, method counts aggregated),
+// scatter-gather counters, and a per-shard section.
+type Status struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Shards        int     `json:"shards"`
 	QueueBudget   int     `json:"queue_budget"`
@@ -317,15 +268,18 @@ type ClusterStatus struct {
 	// DeltaSwaps counts epoch swaps published as incremental
 	// delta-compiled snapshots; ResplitShards accumulates, across
 	// those, the shards each delta actually moved.
-	DeltaSwaps    uint64        `json:"delta_swaps,omitempty"`
-	ResplitShards uint64        `json:"resplit_shards,omitempty"`
-	AvgFanout     float64       `json:"avg_fanout"`
-	QPSWindow     float64       `json:"qps_window"`
-	QPSLifetime   float64       `json:"qps_lifetime"`
-	LatencyP50Ns  int64         `json:"latency_p50_ns"`
-	LatencyP90Ns  int64         `json:"latency_p90_ns"`
-	LatencyP99Ns  int64         `json:"latency_p99_ns"`
-	Methods       MethodCounts  `json:"methods"`
-	ShardStats    []ShardStatus `json:"shard_stats"`
-	Snapshot      SnapshotInfo  `json:"snapshot"`
+	DeltaSwaps    uint64  `json:"delta_swaps,omitempty"`
+	ResplitShards uint64  `json:"resplit_shards,omitempty"`
+	AvgFanout     float64 `json:"avg_fanout"`
+	// QPSWindow averages over the trailing ~14 complete seconds;
+	// QPSLifetime over the whole uptime.
+	QPSWindow   float64 `json:"qps_window"`
+	QPSLifetime float64 `json:"qps_lifetime"`
+	// Latency quantiles in nanoseconds (bucketed, ~25% resolution).
+	LatencyP50Ns int64         `json:"latency_p50_ns"`
+	LatencyP90Ns int64         `json:"latency_p90_ns"`
+	LatencyP99Ns int64         `json:"latency_p99_ns"`
+	Methods      MethodCounts  `json:"methods"`
+	ShardStats   []ShardStatus `json:"shard_stats"`
+	Snapshot     SnapshotInfo  `json:"snapshot"`
 }

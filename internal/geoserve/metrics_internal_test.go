@@ -19,13 +19,6 @@ import (
 	"geonet/internal/obs"
 )
 
-// countedBackend is what the exactness test drives: the HTTP backend
-// surface plus the index-addressed single lookup.
-type countedBackend interface {
-	backend
-	Lookup(mapper int, ip uint32) Answer
-}
-
 // scrapeSums scrapes h's /metrics and, for each named sample (a family
 // name, or a histogram's name_count), sums its series.
 func scrapeSums(t *testing.T, h http.Handler, names ...string) []uint64 {
@@ -55,7 +48,7 @@ func scrapeSums(t *testing.T, h http.Handler, names ...string) []uint64 {
 // TestLookupCountsExact runs G goroutines × N single lookups (Lookup,
 // Locate and the JSON tail path by turns), a wire batch every 64th
 // lookup, concurrent /metrics scrapes, hot swaps and one carry-over to
-// a replacement backend, over an engine and a 4-shard cluster. The
+// a replacement cluster, over one shard and four. The
 // counters must come out exact, and the sampled latency histogram may
 // trail them by less than one sample period per stripe. Run under
 // -race in CI.
@@ -70,55 +63,31 @@ func TestLookupCountsExact(t *testing.T) {
 	snapB := syntheticSnapshot(0x0A000000, 96, 2, 0.5)
 	probes := probeAddrs(snapA)
 
+	// "engine" is the 1-shard cluster NewEngine returns.
 	cases := []struct {
-		name    string
-		stripes int
-		start   func() countedBackend
-		swap    func(b countedBackend, s *Snapshot)
-		carry   func(prev countedBackend) countedBackend
+		name   string
+		shards int
+		start  func() *Cluster
 	}{
-		{
-			name:    "engine",
-			stripes: numStripes,
-			start:   func() countedBackend { return NewEngine(snapA) },
-			swap:    func(b countedBackend, s *Snapshot) { b.(*Engine).Swap(s) },
-			carry:   func(prev countedBackend) countedBackend { return NewEngineFrom(snapB, prev.(*Engine)) },
-		},
-		{
-			name:    "cluster4",
-			stripes: 4 * numStripes,
-			start: func() countedBackend {
-				c, err := NewCluster(snapA, ClusterConfig{Shards: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c
-			},
-			swap: func(b countedBackend, s *Snapshot) {
-				if _, err := b.(*Cluster).Swap(s); err != nil {
-					t.Error(err)
-				}
-			},
-			carry: func(prev countedBackend) countedBackend {
-				c, err := NewClusterFrom(snapB, ClusterConfig{Shards: 4}, prev.(*Cluster))
-				if err != nil {
-					t.Error(err)
-					return prev
-				}
-				return c
-			},
-		},
+		{name: "engine", shards: 1, start: func() *Cluster { return NewEngine(snapA) }},
+		{name: "cluster4", shards: 4, start: func() *Cluster {
+			c, err := NewCluster(snapA, ClusterConfig{Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			o := obs.NewObservability(tc.name)
 			var (
-				cur     atomic.Pointer[countedBackend]
+				cur     atomic.Pointer[Cluster]
 				handler atomic.Pointer[http.Handler]
 			)
-			install := func(b countedBackend) {
-				h := http.Handler(newHandler(b, o))
-				cur.Store(&b)
+			install := func(c *Cluster) {
+				h := NewObservedHandler(c, o)
+				cur.Store(c)
 				handler.Store(&h)
 			}
 			install(tc.start())
@@ -135,11 +104,16 @@ func TestLookupCountsExact(t *testing.T) {
 					for i := 0; i < perG; i++ {
 						if g == 0 && i == perG/2 {
 							// Mid-run, carry the accounting over to a
-							// replacement backend, as a replica
+							// replacement cluster, as a replica
 							// installing an epoch does.
-							install(tc.carry(*cur.Load()))
+							next, err := NewClusterFrom(snapB, ClusterConfig{Shards: tc.shards}, cur.Load())
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							install(next)
 						}
-						b := *cur.Load()
+						b := cur.Load()
 						ip := probes[(g*perG+i)%len(probes)]
 						switch i % 3 {
 						case 0:
@@ -183,10 +157,12 @@ func TestLookupCountsExact(t *testing.T) {
 						t.Errorf("scrape %d: latency count %d, attributed %d, total %d (previous total %d)", round, s[0], s[1], s[2], last)
 					}
 					last = s[2]
+					next := snapA
 					if round%2 == 0 {
-						tc.swap(*cur.Load(), snapB)
-					} else {
-						tc.swap(*cur.Load(), snapA)
+						next = snapB
+					}
+					if _, err := cur.Load().Swap(next); err != nil {
+						t.Error(err)
 					}
 				}
 			}()
@@ -203,7 +179,7 @@ func TestLookupCountsExact(t *testing.T) {
 			if attributed != total {
 				t.Errorf("geoserve_lookups_total sums to %d, geoserve_requests_total is %d", attributed, total)
 			}
-			if slack := uint64(samplePeriod * tc.stripes); timed > total || total-timed >= slack {
+			if slack := uint64(samplePeriod * tc.shards * numStripes); timed > total || total-timed >= slack {
 				t.Errorf("latency _count = %d, want within %d below %d", timed, slack, total)
 			}
 		})

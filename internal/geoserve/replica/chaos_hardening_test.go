@@ -96,7 +96,7 @@ func TestGoldenDeltaChurnByteIdentity(t *testing.T) {
 				t.Fatalf("epoch %d replica %d: swapped=%v err=%v", epoch, i, swapped, err)
 			}
 		}
-		dSnap, fSnap := deltaRep.Engine().Snapshot(), fullRep.Engine().Snapshot()
+		dSnap, fSnap := deltaRep.Cluster().Snapshot(), fullRep.Cluster().Snapshot()
 		if dSnap.Digest() != fSnap.Digest() || dSnap.Digest() != snap.Digest() {
 			t.Fatalf("epoch %d: delta-synced digest %s, full %s, published %s",
 				epoch, dSnap.Digest(), fSnap.Digest(), snap.Digest())
@@ -186,12 +186,12 @@ func TestChaosDeltaCorruptionFallsBack(t *testing.T) {
 		}
 		// The invariant under fire: whatever is serving is exactly the
 		// published snapshot, byte for byte.
-		if got := rep.Engine().Snapshot().Digest(); got != snap.Digest() {
+		if got := rep.Cluster().Snapshot().Digest(); got != snap.Digest() {
 			t.Fatalf("epoch %d: serving digest %s, published %s", e, got, snap.Digest())
 		}
 		ip := snap.ExactIPs()[2]
 		want := geoserve.NewEngine(snap).Lookup(0, ip)
-		if got := rep.Engine().Lookup(0, ip); got != want {
+		if got := rep.Cluster().Lookup(0, ip); got != want {
 			t.Fatalf("epoch %d answer diverged: %+v vs %+v", e, got, want)
 		}
 		if rep.Status().Epoch != e {

@@ -43,7 +43,7 @@ func TestChaosCorruptFetchEventuallyRecovers(t *testing.T) {
 			}
 			rep.SyncOnce(context.Background())
 			// The invariant under fire: whatever is serving was published.
-			if e := rep.Engine(); e != nil && !published[e.Snapshot().Digest()] {
+			if e := rep.Cluster(); e != nil && !published[e.Snapshot().Digest()] {
 				t.Fatalf("serving an unpublished snapshot at epoch %d", rep.Epoch())
 			}
 		}

@@ -271,7 +271,7 @@ func normalizeMetrics(body string) string {
 
 // TestGoldenMetricsFamilies pins the full metric surface — family
 // names, help text, label sets and histogram bucket layouts — of all
-// four handler kinds against a golden file. Values are normalized, so
+// three handler kinds against a golden file. Values are normalized, so
 // the golden only changes when the exposition contract does; refresh
 // deliberately with -update.
 func TestGoldenMetricsFamilies(t *testing.T) {
@@ -290,13 +290,11 @@ func TestGoldenMetricsFamilies(t *testing.T) {
 		fmt.Fprintf(&got, "== %s ==\n%s\n", name, normalizeMetrics(body))
 	}
 
-	section("engine", scrape(geoserve.NewHandler(geoserve.NewEngine(snap))))
-
 	cluster, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	section("cluster", scrape(geoserve.NewClusterHandler(cluster)))
+	section("cluster", scrape(geoserve.NewHandler(cluster)))
 
 	f := shardedFleet(t, 2, snap)
 	_, body := get(t, f.client, "http://rep0/metrics")

@@ -60,13 +60,13 @@ type Config struct {
 	// NoDelta forces full-snapshot fetches even when the builder
 	// retains our current epoch.
 	NoDelta bool
-	// Shards > 1 serves each installed epoch through a sharded
-	// geoserve.Cluster instead of a single Engine, so one replica
-	// process exercises the scatter-gather path (and reports honest
-	// per-shard trace spans). 0 or 1 means a single engine.
+	// Shards is how many prefix-range shards the geoserve.Cluster of
+	// each installed epoch has; above 1 one replica process exercises
+	// the scatter-gather path (and reports honest per-shard trace
+	// spans). 0 or 1 means one shard.
 	Shards int
-	// QueueBudget is the per-shard in-flight batch budget in cluster
-	// mode; <= 0 means geoserve.DefaultQueueBudget.
+	// QueueBudget is the per-shard in-flight batch budget; <= 0 means
+	// geoserve.DefaultQueueBudget.
 	QueueBudget int
 }
 
@@ -92,12 +92,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// served binds one epoch's engine and handler together so the epoch
+// served binds one epoch's cluster and handler together so the epoch
 // headers a response carries always match the snapshot that answered
 // it — the cross-process analogue of the cluster's epoch view.
 type served struct {
-	// Exactly one of engine/cluster is non-nil, per Config.Shards.
-	engine  *geoserve.Engine
 	cluster *geoserve.Cluster
 	handler http.Handler
 	snap    *geoserve.Snapshot
@@ -142,15 +140,7 @@ type Replica struct {
 	now            func() time.Time
 	obs            *obs.Observability
 	// warmupFn gates the swap; tests stub it to force failures.
-	warmupFn func(target warmTarget, epoch uint64) error
-}
-
-// warmTarget is what the warm-up gate needs from a candidate serving
-// backend: both Engine and Cluster satisfy it, so one self-probe
-// covers both serving modes.
-type warmTarget interface {
-	Lookup(mapper int, ip uint32) geoserve.Answer
-	Snapshot() *geoserve.Snapshot
+	warmupFn func(target *geoserve.Cluster, epoch uint64) error
 }
 
 // New builds a replica; it serves 503 until its first successful sync.
@@ -254,18 +244,8 @@ func (r *Replica) Epoch() uint64 {
 	return 0
 }
 
-// Engine exposes the serving engine of the current epoch (nil before
-// the first sync and in cluster mode); in-process callers can drive
-// lookups through it.
-func (r *Replica) Engine() *geoserve.Engine {
-	if cur := r.cur.Load(); cur != nil {
-		return cur.engine
-	}
-	return nil
-}
-
 // Cluster exposes the serving cluster of the current epoch (nil before
-// the first sync and in single-engine mode).
+// the first sync); in-process callers can drive lookups through it.
 func (r *Replica) Cluster() *geoserve.Cluster {
 	if cur := r.cur.Load(); cur != nil {
 		return cur.cluster
@@ -451,57 +431,39 @@ func (r *Replica) fetchDelta(ctx context.Context, cur *served, m Manifest) (*geo
 	return snap, nil
 }
 
-// install builds the serving backend for a verified snapshot (a
-// sharded cluster when Config.Shards > 1, else an engine), gates the
-// swap on the warm-up self-probe, and publishes the bundle atomically.
-// A warm-up failure keeps the last-good epoch serving and surfaces as
-// warmup_failed in /statusz.
+// install builds the serving cluster for a verified snapshot, gates
+// the swap on the warm-up self-probe, and publishes the bundle
+// atomically. A warm-up failure keeps the last-good epoch serving and
+// surfaces as warmup_failed in /statusz.
 //
-// Both modes rebuild the handler against the replica's one
-// observability bundle: re-registration replaces series in place, so
-// /metrics keeps a single continuous scrape across epochs. Both modes
-// also carry their serving counters across the swap — the engine path
-// via NewEngineFrom, the cluster path via NewClusterFrom — so lookup
-// totals, latency history, and the swap count are monotone whether an
-// epoch arrived as a full fetch or a delta apply.
+// The handler is rebuilt against the replica's one observability
+// bundle: re-registration replaces series in place, so /metrics keeps
+// a single continuous scrape across epochs. NewClusterFrom carries the
+// serving counters across the swap, so lookup totals, latency history
+// and the swap count are monotone whether an epoch arrived as a full
+// fetch or a delta apply.
 func (r *Replica) install(snap *geoserve.Snapshot, m Manifest) error {
-	next := &served{snap: snap, epoch: m.Epoch, digest: m.Digest}
-	var target warmTarget
-	if r.cfg.Shards > 1 {
-		var prev *geoserve.Cluster
-		if cur := r.cur.Load(); cur != nil {
-			prev = cur.cluster
-		}
-		clu, err := geoserve.NewClusterFrom(snap, geoserve.ClusterConfig{
-			Shards:      r.cfg.Shards,
-			QueueBudget: r.cfg.QueueBudget,
-		}, prev)
-		if err != nil {
-			return fmt.Errorf("replica: epoch %d does not split into %d shards: %w", m.Epoch, r.cfg.Shards, err)
-		}
-		next.cluster = clu
-		target = clu
-	} else {
-		var prev *geoserve.Engine
-		if cur := r.cur.Load(); cur != nil {
-			prev = cur.engine
-		}
-		next.engine = geoserve.NewEngineFrom(snap, prev)
-		target = next.engine
+	clu, err := geoserve.NewClusterFrom(snap, geoserve.ClusterConfig{
+		Shards:      max(r.cfg.Shards, 1),
+		QueueBudget: r.cfg.QueueBudget,
+	}, r.Cluster())
+	if err != nil {
+		return fmt.Errorf("replica: epoch %d does not split into %d shards: %w", m.Epoch, r.cfg.Shards, err)
 	}
-	if err := r.warmupFn(target, m.Epoch); err != nil {
+	if err := r.warmupFn(clu, m.Epoch); err != nil {
 		r.warmupFails.Add(1)
 		r.warmupFailed.Store(true)
 		return fmt.Errorf("replica: epoch %d failed warm-up, keeping epoch %d: %w", m.Epoch, r.Epoch(), err)
 	}
-	if next.cluster != nil {
-		next.handler = geoserve.NewObservedClusterHandler(next.cluster, r.obs)
-	} else {
-		next.handler = geoserve.NewObservedHandler(next.engine, r.obs)
-	}
 	r.warmupFailed.Store(false)
-	next.since = r.now()
-	r.cur.Store(next)
+	r.cur.Store(&served{
+		cluster: clu,
+		handler: geoserve.NewObservedHandler(clu, r.obs),
+		snap:    snap,
+		epoch:   m.Epoch,
+		digest:  m.Digest,
+		since:   r.now(),
+	})
 	r.swaps.Add(1)
 	r.mu.Lock()
 	r.lastErr = ""
@@ -511,16 +473,16 @@ func (r *Replica) install(snap *geoserve.Snapshot, m Manifest) error {
 
 // selfProbe is the default warm-up gate: a seeded sample of the
 // snapshot's own interval index (prefix rows and exact addresses) must
-// answer through the engine exactly as the snapshot's row data says,
+// answer through the cluster exactly as the snapshot's row data says,
 // with coordinates inside the valid range, and an address outside
 // allocated space must come back unmapped. The probe set is drawn from
 // the candidate snapshot itself, so it scales with the index and never
 // needs external fixtures.
-func (r *Replica) selfProbe(engine warmTarget, epoch uint64) error {
+func (r *Replica) selfProbe(clu *geoserve.Cluster, epoch uint64) error {
 	if r.cfg.WarmupProbes < 0 {
 		return nil
 	}
-	snap := engine.Snapshot()
+	snap := clu.Snapshot()
 	mappers := snap.Mappers()
 	if len(mappers) == 0 {
 		return errors.New("snapshot names no mappers")
@@ -536,10 +498,10 @@ func (r *Replica) selfProbe(engine warmTarget, epoch uint64) error {
 	}
 	for _, ip := range ips {
 		for mi, name := range mappers {
-			got := engine.Lookup(mi, ip)
+			got := clu.Lookup(mi, ip)
 			want := snap.Lookup(mi, ip)
 			if got != want {
-				return fmt.Errorf("probe %d via %s: engine answered %+v, snapshot row says %+v", ip, name, got, want)
+				return fmt.Errorf("probe %d via %s: cluster answered %+v, snapshot row says %+v", ip, name, got, want)
 			}
 			if got.Found && !got.Loc.Valid() {
 				return fmt.Errorf("probe %d via %s: location %v out of range", ip, name, got.Loc)
@@ -547,10 +509,10 @@ func (r *Replica) selfProbe(engine warmTarget, epoch uint64) error {
 		}
 	}
 	// One probe from the top of the address space, where no interval
-	// normally lives: engine and snapshot must agree there too, so a
+	// normally lives: cluster and snapshot must agree there too, so a
 	// misaligned index can't claim unallocated space.
-	if got, want := engine.Lookup(0, 0xFFFFFFFE), snap.Lookup(0, 0xFFFFFFFE); got != want {
-		return fmt.Errorf("out-of-space probe: engine answered %+v, snapshot row says %+v", got, want)
+	if got, want := clu.Lookup(0, 0xFFFFFFFE), snap.Lookup(0, 0xFFFFFFFE); got != want {
+		return fmt.Errorf("out-of-space probe: cluster answered %+v, snapshot row says %+v", got, want)
 	}
 	return nil
 }
@@ -671,7 +633,7 @@ func (r *Replica) Draining() bool { return r.draining.Load() }
 func (r *Replica) InFlight() int64 { return r.inflight.Load() }
 
 // Status is the replica's /statusz shape: replication state plus the
-// serving engine's own metrics when an epoch is loaded.
+// serving cluster's own metrics when an epoch is loaded.
 type Status struct {
 	// State is "empty" until the first verified epoch, then "serving";
 	// "draining" after Drain regardless of epoch.
@@ -709,9 +671,6 @@ type Status struct {
 	LastError      string `json:"last_error,omitempty"`
 
 	Serving *geoserve.Status `json:"serving,omitempty"`
-	// ServingCluster replaces Serving when the replica runs in
-	// cluster mode (Config.Shards > 1).
-	ServingCluster *geoserve.ClusterStatus `json:"serving_cluster,omitempty"`
 }
 
 // Status snapshots the replica's replication state.
@@ -745,13 +704,8 @@ func (r *Replica) Status() Status {
 		st.Epoch = cur.epoch
 		st.Digest = cur.digest
 		st.StaleEpoch = sinceContact < 0 || sinceContact > r.cfg.StaleAfter
-		if cur.cluster != nil {
-			cs := cur.cluster.Status()
-			st.ServingCluster = &cs
-		} else {
-			es := cur.engine.Status()
-			st.Serving = &es
-		}
+		cs := cur.cluster.Status()
+		st.Serving = &cs
 	}
 	if r.draining.Load() {
 		st.State = "draining"
@@ -816,11 +770,7 @@ func (r *Replica) serveHealthz(w http.ResponseWriter) {
 	body := healthzBody{Status: "ok", Epoch: st.Epoch, Digest: st.Digest, StaleEpoch: st.StaleEpoch}
 	cur := r.cur.Load()
 	if cur != nil {
-		if cur.cluster != nil {
-			body.Snapshot = cur.cluster.Status().Snapshot
-		} else {
-			body.Snapshot = cur.engine.Status().Snapshot
-		}
+		body.Snapshot = cur.cluster.Status().Snapshot
 	}
 	switch {
 	case r.draining.Load():

@@ -134,7 +134,7 @@ func TestReplicaResumesTruncatedFetch(t *testing.T) {
 	if st.Resumes != 1 || st.Epoch != 1 || st.FetchFailures != 1 {
 		t.Fatalf("status %+v, want one resume into epoch 1", st)
 	}
-	if rep.Engine().Snapshot().Digest() != snap.Digest() {
+	if rep.Cluster().Snapshot().Digest() != snap.Digest() {
 		t.Fatal("resumed snapshot digest mismatch")
 	}
 }
@@ -171,7 +171,7 @@ func TestReplicaVerifyRejectsCorruptFetch(t *testing.T) {
 		t.Fatalf("corrupt sync: swapped=%v err=%v", swapped, err)
 	}
 	// Last-good epoch still serving.
-	if rep.Epoch() != 1 || rep.Engine().Snapshot().Digest() != snap1.Digest() {
+	if rep.Epoch() != 1 || rep.Cluster().Snapshot().Digest() != snap1.Digest() {
 		t.Fatalf("after corrupt fetch: epoch %d", rep.Epoch())
 	}
 	// A corrupt complete download is discarded, not resumed into.
@@ -185,7 +185,7 @@ func TestReplicaVerifyRejectsCorruptFetch(t *testing.T) {
 	if swapped, err = rep.SyncOnce(context.Background()); err != nil || !swapped {
 		t.Fatalf("recovery sync: swapped=%v err=%v", swapped, err)
 	}
-	if rep.Epoch() != 2 || rep.Engine().Snapshot().Digest() != snap2.Digest() {
+	if rep.Epoch() != 2 || rep.Cluster().Snapshot().Digest() != snap2.Digest() {
 		t.Fatalf("recovery landed on epoch %d", rep.Epoch())
 	}
 }

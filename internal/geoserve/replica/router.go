@@ -718,7 +718,7 @@ type batchPart struct {
 // the merged answer set is always the product of exactly one epoch.
 // Request validation mirrors geoserve's handler byte for byte, and
 // merged bodies are rebuilt from the sub-responses' raw result
-// objects, so a routed batch is byte-identical to a single-engine
+// objects, so a routed batch is byte-identical to one cluster's
 // batch over the same snapshot.
 func (r *Router) serveBatch(w http.ResponseWriter, req *http.Request, tr *obs.Trace) {
 	r.batches.Add(1)

@@ -38,7 +38,7 @@ func TestReplicaDeltaSync(t *testing.T) {
 	if st.DeltaSyncs != 1 || st.DeltaFallbacks != 0 || st.Fetches != 1 {
 		t.Fatalf("counters %+v: want 1 delta sync, 0 fallbacks, 1 full fetch", st)
 	}
-	if rep.Engine().Snapshot().Digest() != s2.Digest() {
+	if rep.Cluster().Snapshot().Digest() != s2.Digest() {
 		t.Fatal("served snapshot is not the published epoch")
 	}
 }
@@ -86,7 +86,7 @@ func TestReplicaWarmupGate(t *testing.T) {
 	}
 
 	probeErr := errors.New("seeded probe answered garbage")
-	rep.warmupFn = func(warmTarget, uint64) error { return probeErr }
+	rep.warmupFn = func(*geoserve.Cluster, uint64) error { return probeErr }
 	if _, err := pub.Publish(s2); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestReplicaWarmupGate(t *testing.T) {
 	if !st.WarmupFailed || st.WarmupFailures != 1 {
 		t.Fatalf("status %+v: want warmup_failed", st)
 	}
-	if rep.Epoch() != 1 || rep.Engine().Snapshot().Digest() != s1.Digest() {
+	if rep.Epoch() != 1 || rep.Cluster().Snapshot().Digest() != s1.Digest() {
 		t.Fatalf("gated install moved serving to epoch %d", rep.Epoch())
 	}
 
@@ -266,10 +266,9 @@ func TestPublishIdenticalSnapshotNoEpochChurn(t *testing.T) {
 }
 
 // TestReplicaClusterCountersCarryAcrossDeltaSwap pins serving-counter
-// continuity in cluster mode: when an epoch arrives by delta apply the
-// installed cluster must carry the previous epoch's lookup totals,
-// batch counts, per-shard counters and swap count forward, exactly as
-// the engine path does via NewEngineFrom.
+// continuity: when an epoch arrives by delta apply the installed
+// cluster must carry the previous epoch's lookup totals, batch counts,
+// per-shard counters and swap count forward.
 func TestReplicaClusterCountersCarryAcrossDeltaSwap(t *testing.T) {
 	pub := NewPublisher()
 	s1, s2 := makeSnapshot(t, 31, 32, 8), makeSnapshot(t, 32, 32, 8)

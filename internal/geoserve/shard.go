@@ -1,7 +1,6 @@
 package geoserve
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -11,87 +10,32 @@ import (
 // store shard ids in one byte.
 const maxShards = 256
 
-// shardData is one shard's immutable view of a parent snapshot: the
-// contiguous run of the sorted /24 interval index it owns plus the
-// exact-address answers falling inside its address range. The slices
-// alias the parent snapshot's backing arrays (no copies), so splitting
-// a snapshot is O(shards·log n) and a shard lookup is byte-equivalent
-// to the unsharded lookup by construction — the sub-slices partition
-// the full sorted arrays at the same cut points.
+// shardData is one shard's window on a parent snapshot: the address
+// range it owns and how much of the index falls inside it. It holds no
+// index of its own — a shard lookup is the parent's Snapshot.lookup,
+// so it is byte-equivalent to the unsharded lookup by construction —
+// and splitting a snapshot is O(shards·log n).
 type shardData struct {
-	snap *Snapshot // parent; digest, mappers and footprints live here
-	id   int
+	snap *Snapshot
 	// The shard owns addresses in [lo, hi] (inclusive); the ranges of a
 	// split partition the whole 32-bit space, so every address has
 	// exactly one owner.
 	lo, hi uint32
-
-	prefixes  []uint32
-	prefixAns [][]entry
-	ips       []uint32
-	ipAns     [][]entry
-
-	// pOff and ipOff are the cut points of this shard's sub-slices in
-	// the parent arrays, so a shard-local index maps back to a parent
-	// columnar row (the wire slab and JSON cache are row-addressed).
-	pOff, ipOff int
-}
-
-// lookup mirrors Snapshot.lookup over the shard's sub-slices: exact
-// answer for a known interface address, prefix-level answer inside an
-// allocated /24, zero-valued miss otherwise. Allocation-free.
-func (d *shardData) lookup(mapper int, ip uint32) (Answer, method) {
-	if mapper < 0 || mapper >= len(d.snap.mappers) {
-		return Answer{IP: ip}, methodNone
-	}
-	if i, ok := search32(d.ips, ip); ok {
-		e := &d.ipAns[mapper][i]
-		return e.answer(ip, true), e.method
-	}
-	if i, ok := search32(d.prefixes, ip&^0xff); ok {
-		e := &d.prefixAns[mapper][i]
-		return e.answer(ip, false), e.method
-	}
-	return Answer{IP: ip}, methodNone
+	// prefixes and exactIPs count the /24 intervals and exact addresses
+	// inside the range (/statusz reports them).
+	prefixes, exactIPs int
 }
 
 // owns reports whether ip falls in the shard's address range.
 func (d *shardData) owns(ip uint32) bool { return ip >= d.lo && ip <= d.hi }
 
-// lookupRow mirrors Snapshot.lookupRow over the shard's sub-slices,
-// returning the PARENT snapshot's columnar row (or -1): the shard's
-// cut offsets translate local indices, so wire records and cached JSON
-// tails are shared with the unsharded paths.
-func (d *shardData) lookupRow(ip uint32) int {
-	if i, ok := search32(d.ips, ip); ok {
-		return len(d.snap.prefixes) + d.ipOff + i
-	}
-	if i, ok := search32(d.prefixes, ip&^0xff); ok {
-		return d.pOff + i
-	}
-	return -1
-}
-
-// wireAnswer writes ip's 36-byte wire answer at dst out of the parent
-// snapshot's record slab, like Snapshot.wireAnswer but searching only
-// this shard's sub-slices.
-func (d *shardData) wireAnswer(w *wireState, mapper int, ip uint32, dst []byte) method {
-	binary.LittleEndian.PutUint32(dst, ip)
-	row := d.lookupRow(ip)
-	if row < 0 || mapper < 0 || mapper >= len(d.snap.mappers) {
-		copy(dst[4:WireAnswerSize], zeroWireRecord[:])
-		return methodNone
-	}
-	copy(dst[4:WireAnswerSize], w.slabs[mapper][row*wireRecordSize:])
-	return method(dst[4+wireOffMethod])
-}
-
 // splitSnapshot cuts the snapshot's sorted /24 interval index into n
 // contiguous runs balanced by interval count (runs differ by at most
-// one prefix), and splits the exact-address index at the same address
+// one prefix), and counts the exact addresses between the same address
 // boundaries. starts[i] is the lower bound of shard i's address range;
 // starts[0] is 0 and the last shard extends to 0xFFFFFFFF, so the
 // ranges partition the address space and routing is one binary search.
+// One shard takes any snapshot, an empty one included.
 func splitSnapshot(snap *Snapshot, n int) (datas []*shardData, starts []uint32, err error) {
 	if n < 1 {
 		return nil, nil, fmt.Errorf("geoserve: shard count %d < 1", n)
@@ -99,7 +43,7 @@ func splitSnapshot(snap *Snapshot, n int) (datas []*shardData, starts []uint32, 
 	if n > maxShards {
 		return nil, nil, fmt.Errorf("geoserve: shard count %d exceeds max %d", n, maxShards)
 	}
-	if n > len(snap.prefixes) {
+	if n > 1 && n > len(snap.prefixes) {
 		return nil, nil, fmt.Errorf("geoserve: %d shards over %d /24 intervals", n, len(snap.prefixes))
 	}
 	starts = make([]uint32, n)
@@ -109,34 +53,15 @@ func splitSnapshot(snap *Snapshot, n int) (datas []*shardData, starts []uint32, 
 	datas = make([]*shardData, n)
 	for i := 0; i < n; i++ {
 		pLo, pHi := i*len(snap.prefixes)/n, (i+1)*len(snap.prefixes)/n
-		hi := uint32(0xFFFFFFFF)
-		if i+1 < n {
-			hi = starts[i+1] - 1
-		}
 		// Exact addresses in [starts[i], hi] — lower bounds in the
 		// sorted ips array.
 		ipLo, _ := search32(snap.ips, starts[i])
-		ipHi := len(snap.ips)
+		hi, ipHi := uint32(0xFFFFFFFF), len(snap.ips)
 		if i+1 < n {
+			hi = starts[i+1] - 1
 			ipHi, _ = search32(snap.ips, starts[i+1])
 		}
-		d := &shardData{
-			snap:      snap,
-			id:        i,
-			lo:        starts[i],
-			hi:        hi,
-			prefixes:  snap.prefixes[pLo:pHi],
-			prefixAns: make([][]entry, len(snap.mappers)),
-			ips:       snap.ips[ipLo:ipHi],
-			ipAns:     make([][]entry, len(snap.mappers)),
-			pOff:      pLo,
-			ipOff:     ipLo,
-		}
-		for m := range snap.mappers {
-			d.prefixAns[m] = snap.prefixAns[m][pLo:pHi]
-			d.ipAns[m] = snap.ipAns[m][ipLo:ipHi]
-		}
-		datas[i] = d
+		datas[i] = &shardData{snap: snap, lo: starts[i], hi: hi, prefixes: pHi - pLo, exactIPs: ipHi - ipLo}
 	}
 	return datas, starts, nil
 }
@@ -160,16 +85,16 @@ func shardIndexOf(starts []uint32, ip uint32) int {
 // shed count. It lives in clusterMetrics rather than the Shard itself
 // so NewClusterFrom can hand a replacement cluster the previous one's
 // counters — epochs advancing by delta apply must not reset per-shard
-// accounting (the same continuity NewEngineFrom gives a single engine).
+// accounting.
 type shardState struct {
 	m    metrics
 	shed atomic.Uint64
 }
 
-// Shard is one independently hot-swappable serving engine inside a
-// Cluster: its own atomic data pointer (readers never block on a
-// swap), its own metrics, and its own in-flight budget for batch work
-// (the load-shedding unit).
+// Shard is one independently hot-swappable prefix range of a Cluster:
+// its own atomic window pointer (readers never block on a swap), its
+// own metrics, and its own in-flight budget for batch work (the
+// load-shedding unit).
 type Shard struct {
 	data atomic.Pointer[shardData]
 	st   *shardState
@@ -193,20 +118,19 @@ func (sh *Shard) tryAcquire() bool {
 func (sh *Shard) release() { sh.inflight.Add(-1) }
 
 // serveGroup answers this shard's members of a scattered batch: it
-// scans the shard-id scratch, looks up every address it owns on the
-// epoch-consistent data d, and records the sub-batch in one metrics
-// update (per-lookup latency is the sub-batch average, so batch
-// serving never pays a clock read per address).
-func (sh *Shard) serveGroup(d *shardData, mapper int, ips []uint32, shardOf []uint8, out []Answer) {
+// scans the shard-id scratch for its id me, looks up every address it
+// owns on the batch's epoch-consistent snapshot, and records the
+// sub-batch in one metrics update (per-lookup latency is the sub-batch
+// average, so batch serving never pays a clock read per address).
+func (sh *Shard) serveGroup(snap *Snapshot, me uint8, mapper int, ips []uint32, shardOf []uint8, out []Answer) {
 	t0 := time.Now()
 	var counts [numMethods]uint32
-	me := uint8(d.id)
 	n := uint64(0)
 	for j, ip := range ips {
 		if shardOf[j] != me {
 			continue
 		}
-		a, code := d.lookup(mapper, ip)
+		a, code := snap.lookup(mapper, ip)
 		out[j] = a
 		counts[code]++
 		n++
@@ -217,16 +141,15 @@ func (sh *Shard) serveGroup(d *shardData, mapper int, ips []uint32, shardOf []ui
 // serveGroupWire is serveGroup for the binary wire path: it writes
 // this shard's members of a scattered batch as fixed-width answers at
 // their disjoint positions in out.
-func (sh *Shard) serveGroupWire(d *shardData, w *wireState, mapper int, ips []uint32, shardOf []uint8, out []byte) {
+func (sh *Shard) serveGroupWire(snap *Snapshot, me uint8, w *wireState, mapper int, ips []uint32, shardOf []uint8, out []byte) {
 	t0 := time.Now()
 	var counts [numMethods]uint32
-	me := uint8(d.id)
 	n := uint64(0)
 	for j, ip := range ips {
 		if shardOf[j] != me {
 			continue
 		}
-		code := d.wireAnswer(w, mapper, ip, out[j*WireAnswerSize:])
+		code := snap.wireAnswer(w, mapper, ip, out[j*WireAnswerSize:])
 		counts[code]++
 		n++
 	}

@@ -103,6 +103,15 @@ func (s *Snapshot) MapperIndex(name string) (int, bool) {
 	return 0, false
 }
 
+// mapperByName resolves the mapper a request names; an empty name
+// selects the first mapper.
+func (s *Snapshot) mapperByName(name string) (int, bool) {
+	if name == "" {
+		return 0, len(s.mappers) > 0
+	}
+	return s.MapperIndex(name)
+}
+
 // NumPrefixes reports the number of allocated /24s in the index.
 func (s *Snapshot) NumPrefixes() int { return len(s.prefixes) }
 
@@ -177,7 +186,7 @@ func (s *Snapshot) Lookup(mapper int, ip uint32) Answer {
 	return a
 }
 
-// lookup additionally returns the stored method code, so the engine's
+// lookup additionally returns the stored method code, so the serving
 // metrics path never round-trips it through the method-name string.
 func (s *Snapshot) lookup(mapper int, ip uint32) (Answer, method) {
 	if mapper < 0 || mapper >= len(s.mappers) {

@@ -51,7 +51,7 @@ func TestWireStreamErrFrameCarriesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newHandler(c, nil))
+	srv := httptest.NewServer(NewHandler(c))
 	defer srv.Close()
 	probes := wireProbeIPs(snap)
 

@@ -412,7 +412,7 @@ func MarshalAnswerJSON(a Answer, mapperName string) []byte {
 // (row order matches Columns: prefix answers, then exact answers), the
 // 8-byte epoch tag, and the lazily-filled preserialized JSON response
 // tails for the single-lookup path. A snapshot is immutable, so the
-// state is built once and the engine's atomic snapshot swap is the
+// state is built once and the cluster's atomic snapshot swap is the
 // cache invalidation.
 type wireState struct {
 	slabs [][]byte

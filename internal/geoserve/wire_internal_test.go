@@ -123,9 +123,9 @@ func TestWireDecodeTypedErrors(t *testing.T) {
 
 // engineWireResponse drives POST /v1/locate/bin through the full HTTP
 // handler and returns the response body.
-func engineWireResponse(t *testing.T, e *Engine, mapper uint16, ips []uint32) []byte {
+func engineWireResponse(t *testing.T, e *Cluster, mapper uint16, ips []uint32) []byte {
 	t.Helper()
-	return handlerWireResponse(t, newHandler(e, nil), mapper, ips)
+	return handlerWireResponse(t, NewHandler(e), mapper, ips)
 }
 
 func handlerWireResponse(t *testing.T, h http.Handler, mapper uint16, ips []uint32) []byte {
@@ -202,7 +202,7 @@ func TestWireEngineClusterByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := handlerWireResponse(t, newHandler(c, nil), 0, probes)
+		got := handlerWireResponse(t, NewHandler(c), 0, probes)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("cluster(%d shards) wire response differs from engine's", shards)
 		}
@@ -210,7 +210,7 @@ func TestWireEngineClusterByteIdentity(t *testing.T) {
 		if _, err := c.Swap(syntheticSnapshot(10<<24, 23, 2, 0)); err != nil {
 			t.Fatal(err)
 		}
-		after := handlerWireResponse(t, newHandler(c, nil), 0, probes)
+		after := handlerWireResponse(t, NewHandler(c), 0, probes)
 		if !bytes.Equal(after, want) {
 			t.Fatalf("cluster(%d shards) wire response drifted across hot-swap", shards)
 		}
@@ -219,7 +219,7 @@ func TestWireEngineClusterByteIdentity(t *testing.T) {
 
 func TestWireBinHTTPErrors(t *testing.T) {
 	snap := syntheticSnapshot(10<<24, 9, 2, 0)
-	h := newHandler(NewEngine(snap), nil)
+	h := NewHandler(NewEngine(snap))
 	post := func(body []byte) *httptest.ResponseRecorder {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/locate/bin", bytes.NewReader(body)))
@@ -254,7 +254,7 @@ func TestWireBinOverloaded(t *testing.T) {
 	}
 	req := AppendWireBatchRequest(nil, 0, wireProbeIPs(snap))
 	w := httptest.NewRecorder()
-	newHandler(c, nil).ServeHTTP(w, httptest.NewRequest("POST", "/v1/locate/bin", bytes.NewReader(req)))
+	NewHandler(c).ServeHTTP(w, httptest.NewRequest("POST", "/v1/locate/bin", bytes.NewReader(req)))
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", w.Code, w.Body.String())
 	}
@@ -325,7 +325,7 @@ func TestWireStream(t *testing.T) {
 	snap1 := syntheticSnapshot(10<<24, 23, 2, 0)
 	snap2 := syntheticSnapshot(10<<24, 23, 2, 1.5) // different content
 	e := NewEngine(snap1)
-	srv := httptest.NewServer(newHandler(e, nil))
+	srv := httptest.NewServer(NewHandler(e))
 	defer srv.Close()
 
 	sc := dialStream(t, srv.URL, 1)
@@ -363,7 +363,7 @@ func TestWireStreamOverloaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newHandler(c, nil))
+	srv := httptest.NewServer(NewHandler(c))
 	defer srv.Close()
 
 	sc := dialStream(t, srv.URL, 0)
@@ -392,7 +392,7 @@ func TestWireStreamSwapRace(t *testing.T) {
 	snapA := syntheticSnapshot(10<<24, 23, 2, 0)
 	snapB := syntheticSnapshot(10<<24, 23, 2, 2.5)
 	e := NewEngine(snapA)
-	srv := httptest.NewServer(newHandler(e, nil))
+	srv := httptest.NewServer(NewHandler(e))
 	defer srv.Close()
 
 	tagA, tagB := snapA.wireTag(), snapB.wireTag()

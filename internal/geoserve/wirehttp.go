@@ -83,7 +83,7 @@ func (h *apiHandler) serveWireBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := sc.out[:need]
 	encStart := time.Now()
-	snap, ok, err := h.b.serveWire(mapperID, ips, resp[wireHeaderSize+12:], tr)
+	snap, ok, err := h.c.serveWire(mapperID, ips, resp[wireHeaderSize+12:], tr)
 	if !ok {
 		httpError(w, http.StatusBadRequest, "wire mapper id %d does not resolve (have %v)", mapperID, snap.Mappers())
 		return
@@ -144,7 +144,7 @@ func (h *apiHandler) serveWireStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resolve against the current snapshot so a bad mapper id still
 	// gets a clean 400; each chunk re-resolves on its serving epoch.
-	snap := h.b.Snapshot()
+	snap := h.c.Snapshot()
 	idx, ok := snap.wireMapperIndex(mapperID)
 	if !ok {
 		httpError(w, http.StatusBadRequest, "wire mapper id %d does not resolve (have %v)", mapperID, snap.Mappers())
@@ -207,7 +207,7 @@ func (h *apiHandler) serveWireStream(w http.ResponseWriter, r *http.Request) {
 		}
 		frame := sc.out[:frameLen]
 		encStart := time.Now()
-		snap, ok, err := h.b.serveWire(mapperID, ips, frame[12:], tr)
+		snap, ok, err := h.c.serveWire(mapperID, ips, frame[12:], tr)
 		if !ok {
 			// The mapper id stopped resolving after a hot-swap.
 			h.writeErrFrame(w, wireErrCodeUnknownMapper, tr)

@@ -50,7 +50,7 @@ func TestLookupZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	geoserve.NewObservedClusterHandler(c, obs.NewObservability("cluster"))
+	geoserve.NewObservedHandler(c, obs.NewObservability("cluster"))
 	i = 0
 	if n := testing.AllocsPerRun(1000, func() {
 		a := c.Lookup(i&1, hits[i%len(hits)])

@@ -32,8 +32,8 @@ import "net/http"
 // per-epoch handler rebuild) create one bundle up front and thread it
 // through every rebuild, so scrape continuity survives the swap.
 type Observability struct {
-	// Component names the process role ("engine", "cluster", "replica",
-	// "router", ...); it labels tracez output and the component info
+	// Component names the process role ("cluster", "replica", "router",
+	// ...); it labels tracez output and the component info
 	// gauge.
 	Component string
 	Metrics   *Registry

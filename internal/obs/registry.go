@@ -77,7 +77,7 @@ type family struct {
 //
 // Re-registering a (name, labels) pair replaces that series' reader in
 // place. Hot-swap paths lean on this: a replica rebuilding its serving
-// handler for a new epoch re-registers the engine families against the
+// handler for a new epoch re-registers the serving families against the
 // same registry, and the scrape keeps its family set without
 // duplicates.
 type Registry struct {
