@@ -89,7 +89,7 @@
 // The binary endpoints speak the geoserve wire protocol (see the wire
 // protocol section of DESIGN.md): length-prefixed batches of IPv4
 // addresses answered by fixed-width records copied straight out of
-// the snapshot's columnar slabs, each frame tagged with the serving
+// the snapshot's record slabs, each frame tagged with the serving
 // snapshot's epoch. cmd/geoload drives them with -wire bin|stream.
 //
 // # Observability

@@ -107,8 +107,10 @@
 // # Replicated serving (snapfile, replica, faultinject)
 //
 // Snapshots also travel between processes. internal/geoserve/snapfile
-// is the versioned on-disk format — a length-prefixed columnar layout
-// whose trailer carries both a whole-file hash and the snapshot's
+// is the versioned on-disk format — length-prefixed sections holding
+// the snapshot's own tables, each mapper's answers as the slab of
+// 32-byte records it serves from, under a trailer that carries both a
+// whole-file hash and the snapshot's
 // content digest, so Load verifies (never trusts) every byte and
 // rejects truncated, corrupt or version-skewed files with typed
 // errors; a fuzzed loader guarantees no input panics or loads with a

@@ -314,9 +314,8 @@ func (c *Cluster) serveWire(mapperID uint16, ips []uint32, out []byte, tr *obs.T
 	if !ok {
 		return v.snap, false, nil
 	}
-	w := v.snap.wire()
 	err := c.scatter(v, ips, tr, func(i int, shardOf []uint8) {
-		c.shards[i].serveGroupWire(v.snap, uint8(i), w, idx, ips, shardOf, out)
+		c.shards[i].serveGroupWire(v.snap, uint8(i), idx, ips, shardOf, out)
 	})
 	return v.snap, true, err
 }

@@ -36,31 +36,35 @@ func syntheticSnapshot(start uint32, nPrefixes, nMappers int, salt float64) *Sna
 	for i := 0; i < nPrefixes; i += 3 {
 		s.ips = append(s.ips, s.prefixes[i]+1, s.prefixes[i]+200)
 	}
-	mkEntry := func(m, i int, exact bool) entry {
-		e := entry{
-			loc:      geo.Point{Lat: float64(i%90) + salt, Lon: float64(m*10+i%180) - 90},
-			radiusMi: float64(i%50) * 10,
-			asn:      int32(1 + i%7),
-			method:   method(1 + (m+i)%int(numMethods-1)),
-			found:    i%5 != 0,
+	put := func(rec []byte, m, i int, exact bool) {
+		a := Answer{
+			Exact:    exact,
+			RadiusMi: float64(i%50) * 10,
+			ASN:      1 + i%7,
+		}
+		if a.Found = i%5 != 0; a.Found {
+			a.Loc = geo.Point{Lat: float64(i%90) + salt, Lon: float64(m*10+i%180) - 90}
+			a.Method = methodNames[1+(m+i)%int(numMethods-1)]
 		}
 		if exact {
-			e.radiusMi += 1
+			a.RadiusMi += 1
 		}
-		return e
+		if err := PutRecord(rec, a); err != nil {
+			panic(err)
+		}
 	}
-	s.prefixAns = make([][]entry, nMappers)
-	s.ipAns = make([][]entry, nMappers)
 	s.footprints = make([][]analysis.ASFootprint, nMappers)
 	for m := 0; m < nMappers; m++ {
+		slab := make([]byte, (len(s.prefixes)+len(s.ips))*RecordSize)
 		for i := range s.prefixes {
-			s.prefixAns[m] = append(s.prefixAns[m], mkEntry(m, i, false))
+			put(slab[i*RecordSize:], m, i, false)
 		}
 		for i := range s.ips {
-			s.ipAns[m] = append(s.ipAns[m], mkEntry(m, i, true))
+			put(slab[(len(s.prefixes)+i)*RecordSize:], m, i, true)
 		}
+		s.records = append(s.records, slab)
 	}
-	s.digest = s.computeDigest()
+	s.seal()
 	return s
 }
 
@@ -452,7 +456,7 @@ func TestJSONBatchOneViewAcrossSwap(t *testing.T) {
 	snapA := syntheticSnapshot(10<<24, 23, 2, 0)
 	snapB := syntheticSnapshot(10<<24, 23, 2, 2.5)
 	snapB.mappers = []string{"n0", "n1"}
-	snapB.digest = snapB.computeDigest()
+	snapB.seal()
 	byMapper := map[string]*Snapshot{"m0": snapA, "n0": snapB}
 
 	var (

@@ -124,87 +124,81 @@ func Compile(src Source) (*Snapshot, error) {
 		}
 	}
 
-	// Representative "generic host" address per /24: the highest
-	// address in the block that is not a known interface, so the
-	// prefix-level answer reflects what the mapper says about an
-	// arbitrary, PTR-less host there (whois by range, EdgeScape feed
-	// by /24).
-	reps := make([]uint32, len(s.prefixes))
+	// addrs[row] is the address a slab row is answered for: an exact
+	// row's own address, and per /24 a representative "generic host"
+	// address — the highest address in the block that is not a known
+	// interface, so the prefix-level answer reflects what the mapper
+	// says about an arbitrary, PTR-less host there (whois by range,
+	// EdgeScape feed by /24).
+	rows := len(s.prefixes) + len(s.ips)
+	addrs := make([]uint32, rows)
 	parallel.ForEach(workers, len(s.prefixes), func(i int) {
-		base := s.prefixes[i]
-		reps[i] = base
-		for off := uint32(255); ; off-- {
-			if _, taken := in.ByIP[base+off]; !taken {
-				reps[i] = base + off
-				break
-			}
-			if off == 0 {
-				break
-			}
-		}
+		addrs[i] = genericHost(in, s.prefixes[i])
 	})
+	copy(addrs[len(s.prefixes):], s.ips)
 
-	s.prefixAns = make([][]entry, len(src.Mappers))
-	s.ipAns = make([][]entry, len(src.Mappers))
-	var (
-		errMu      sync.Mutex
-		compileErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if compileErr == nil {
-			compileErr = err
-		}
-		errMu.Unlock()
-	}
+	// Every row of every mapper's slab is written in place, once.
+	var firstErr compileErr
 	for m, nm := range src.Mappers {
-		mapper := nm.Mapper
-		prefixAns := make([]entry, len(s.prefixes))
-		parallel.ForEach(workers, len(s.prefixes), func(i int) {
-			e, err := compileEntry(mapper, src.Table, byASN[m], reps[i])
-			if err != nil {
-				setErr(err)
-			}
-			prefixAns[i] = e
+		slab := make([]byte, rows*RecordSize)
+		parallel.ForEach(workers, rows, func(row int) {
+			firstErr.set(compileRecord(slab[row*RecordSize:], nm.Mapper, src.Table, byASN[m], addrs[row], row >= len(s.prefixes)))
 		})
-		ipAns := make([]entry, len(s.ips))
-		parallel.ForEach(workers, len(s.ips), func(i int) {
-			e, err := compileEntry(mapper, src.Table, byASN[m], s.ips[i])
-			if err != nil {
-				setErr(err)
-			}
-			ipAns[i] = e
-		})
-		s.prefixAns[m] = prefixAns
-		s.ipAns[m] = ipAns
+		s.records = append(s.records, slab)
 	}
-	if compileErr != nil {
-		return nil, compileErr
+	if firstErr.err != nil {
+		return nil, firstErr.err
 	}
 
-	s.digest = s.computeDigest()
+	s.seal()
 	return s, nil
 }
 
-// compileEntry precomputes one answer: mapper resolution, BGP origin
-// AS and the footprint-derived confidence radius.
-func compileEntry(mapper geoloc.MethodMapper, table *bgp.Table, footprints map[int]analysis.ASFootprint, ip uint32) (entry, error) {
-	var e entry
-	p, methodName, ok := mapper.LocateMethod(ip)
-	if ok {
-		code, known := methodCode(methodName)
-		if !known || code == methodNone {
-			return e, fmt.Errorf("geoserve: mapper %q returned unknown method %q", mapper.Name(), methodName)
+// genericHost picks the representative address of the /24 at base (see
+// Compile): the highest one that is not a known interface, or base
+// itself when all 256 are.
+func genericHost(in *netgen.Internet, base uint32) uint32 {
+	for off := uint32(255); off > 0; off-- {
+		if _, taken := in.ByIP[base+off]; !taken {
+			return base + off
 		}
-		e.loc, e.method, e.found = p, code, true
+	}
+	return base
+}
+
+// compileErr keeps the first error of a parallel compile pass.
+type compileErr struct {
+	mu  sync.Mutex
+	err error
+}
+
+func (e *compileErr) set(err error) {
+	if err != nil {
+		e.mu.Lock()
+		if e.err == nil {
+			e.err = err
+		}
+		e.mu.Unlock()
+	}
+}
+
+// compileRecord precomputes one answer into dst: mapper resolution,
+// BGP origin AS and the footprint-derived confidence radius.
+func compileRecord(dst []byte, mapper geoloc.MethodMapper, table *bgp.Table, footprints map[int]analysis.ASFootprint, ip uint32, exact bool) error {
+	a := Answer{Exact: exact}
+	if p, methodName, ok := mapper.LocateMethod(ip); ok {
+		a.Loc, a.Method, a.Found = p, methodName, true
 	}
 	if asn, ok := table.OriginAS(ip); ok {
-		e.asn = int32(asn)
+		a.ASN = asn
 		if fp, ok := footprints[asn]; ok {
-			e.radiusMi = fp.RadiusMi
+			a.RadiusMi = fp.RadiusMi
 		}
 	}
-	return e, nil
+	if err := PutRecord(dst, a); err != nil {
+		return fmt.Errorf("geoserve: mapper %q at %s: %w", mapper.Name(), FormatIPv4(ip), err)
+	}
+	return nil
 }
 
 func dedup32(xs []uint32) []uint32 {

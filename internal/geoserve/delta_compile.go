@@ -1,9 +1,11 @@
 package geoserve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
-	"sync"
 
 	"geonet/internal/analysis"
 	"geonet/internal/parallel"
@@ -187,170 +189,116 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 
 	touched := map[uint32]struct{}{}
 
-	// classify merges prev keys against new keys and assigns each new
-	// row an op; deleted prev keys land in touched (their interval's
-	// answers changed: they no longer exist).
-	classify := func(prevKeys, newKeys []uint32, prevAsnAt func(int) int32, dirtyKey func(uint32) uint32) (ops []uint8, prevIdx []int32) {
-		ops = make([]uint8, len(newKeys))
-		prevIdx = make([]int32, len(newKeys))
+	// classify merges one of prev's sorted key tables against its
+	// successor and gives each new row (rows are slab rows: the key
+	// tables sit at prevOff and newOff in their slabs) an op and the
+	// prev row it came from, -1 for a key new to the index. Deleted prev
+	// keys land in touched: their interval's answers no longer exist.
+	rows := len(s.prefixes) + len(s.ips)
+	ops := make([]uint8, rows)
+	prevRow := make([]int32, rows)
+	classify := func(prevKeys, newKeys []uint32, prevOff, newOff int) {
 		j := 0
 		for i, k := range newKeys {
-			for j < len(prevKeys) && prevKeys[j] < k {
+			for ; j < len(prevKeys) && prevKeys[j] < k; j++ {
 				st.Deleted++
 				touched[prevKeys[j]&^0xff] = struct{}{}
-				j++
 			}
+			row := newOff + i
 			if j < len(prevKeys) && prevKeys[j] == k {
-				prevIdx[i] = int32(j)
-				if _, d := dirtySet[dirtyKey(k)]; d {
-					ops[i] = opRecompute
-				} else if changedASN[prevAsnAt(j)] {
-					ops[i] = opPatch
-				} else {
-					ops[i] = opCopy
+				prevRow[row] = int32(prevOff + j)
+				if _, d := dirtySet[k&^0xff]; d {
+					ops[row] = opRecompute
+				} else if changedASN[recordASN(prev.record(0, prevOff+j))] {
+					ops[row] = opPatch
 				}
 				j++
 			} else {
-				prevIdx[i] = -1
-				ops[i] = opRecompute
+				prevRow[row] = -1
+				ops[row] = opRecompute
 			}
 		}
 		for ; j < len(prevKeys); j++ {
 			st.Deleted++
 			touched[prevKeys[j]&^0xff] = struct{}{}
 		}
-		return ops, prevIdx
 	}
+	classify(prev.prefixes, s.prefixes, 0, 0)
+	classify(prev.ips, s.ips, len(prev.prefixes), len(s.prefixes))
 
-	pOps, pPrev := classify(prev.prefixes, s.prefixes,
-		func(j int) int32 { return prev.prefixAns[0][j].asn },
-		func(k uint32) uint32 { return k })
-	ipOps, ipPrev := classify(prev.ips, s.ips,
-		func(j int) int32 { return prev.ipAns[0][j].asn },
-		func(k uint32) uint32 { return k &^ 0xff })
-
-	// Representative generic-host addresses, only for the prefix rows
-	// being recompiled (rep selection walks the interface map — skip it
-	// for copied rows, whose reps cannot have moved).
-	var pRecomp []int
-	for i, op := range pOps {
+	// The address each recompiled row is answered for: the exact
+	// address, or the /24's representative generic host (selecting it
+	// walks the interface map — skipped for copied rows, whose
+	// representatives cannot have moved).
+	var recomp []int
+	for row, op := range ops {
 		if op == opRecompute {
-			pRecomp = append(pRecomp, i)
+			recomp = append(recomp, row)
 		}
 	}
-	var ipRecomp []int
-	for i, op := range ipOps {
-		if op == opRecompute {
-			ipRecomp = append(ipRecomp, i)
+	rowKey := func(row int) uint32 {
+		if row < len(s.prefixes) {
+			return s.prefixes[row]
 		}
+		return s.ips[row-len(s.prefixes)]
 	}
-	reps := make([]uint32, len(pRecomp))
-	parallel.ForEach(workers, len(pRecomp), func(k int) {
-		base := s.prefixes[pRecomp[k]]
-		reps[k] = base
-		for off := uint32(255); ; off-- {
-			if _, taken := in.ByIP[base+off]; !taken {
-				reps[k] = base + off
-				break
-			}
-			if off == 0 {
-				break
-			}
+	addrs := make([]uint32, len(recomp))
+	parallel.ForEach(workers, len(recomp), func(k int) {
+		addrs[k] = rowKey(recomp[k])
+		if recomp[k] < len(s.prefixes) {
+			addrs[k] = genericHost(in, addrs[k])
 		}
 	})
 
-	s.prefixAns = make([][]entry, len(src.Mappers))
-	s.ipAns = make([][]entry, len(src.Mappers))
-	var (
-		errMu      sync.Mutex
-		compileErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if compileErr == nil {
-			compileErr = err
-		}
-		errMu.Unlock()
-	}
-	patch := func(e entry, fps map[int]analysis.ASFootprint) entry {
-		e.radiusMi = 0
-		if fp, ok := fps[int(e.asn)]; ok {
-			e.radiusMi = fp.RadiusMi
-		}
-		return e
-	}
+	var firstErr compileErr
 	for m, nm := range src.Mappers {
-		mapper := nm.Mapper
-		prefixAns := make([]entry, len(s.prefixes))
-		for i, op := range pOps {
-			switch op {
-			case opCopy:
-				prefixAns[i] = prev.prefixAns[m][pPrev[i]]
-			case opPatch:
-				prefixAns[i] = patch(prev.prefixAns[m][pPrev[i]], byASN[m])
+		slab := make([]byte, rows*RecordSize)
+		for row, op := range ops {
+			if op == opRecompute {
+				continue
+			}
+			rec := slab[row*RecordSize:][:RecordSize]
+			copy(rec, prev.record(m, int(prevRow[row])))
+			if op == opPatch {
+				// The one field a footprint change moves; every
+				// other byte of the record stands.
+				radius := 0.0
+				if fp, ok := byASN[m][int(recordASN(rec))]; ok {
+					radius = fp.RadiusMi
+				}
+				binary.LittleEndian.PutUint64(rec[recOffRadius:], math.Float64bits(radius))
 			}
 		}
-		parallel.ForEach(workers, len(pRecomp), func(k int) {
-			e, err := compileEntry(mapper, src.Table, byASN[m], reps[k])
-			if err != nil {
-				setErr(err)
-			}
-			prefixAns[pRecomp[k]] = e
+		parallel.ForEach(workers, len(recomp), func(k int) {
+			row := recomp[k]
+			firstErr.set(compileRecord(slab[row*RecordSize:], nm.Mapper, src.Table, byASN[m], addrs[k], row >= len(s.prefixes)))
 		})
-		ipAns := make([]entry, len(s.ips))
-		for i, op := range ipOps {
-			switch op {
-			case opCopy:
-				ipAns[i] = prev.ipAns[m][ipPrev[i]]
-			case opPatch:
-				ipAns[i] = patch(prev.ipAns[m][ipPrev[i]], byASN[m])
-			}
-		}
-		parallel.ForEach(workers, len(ipRecomp), func(k int) {
-			e, err := compileEntry(mapper, src.Table, byASN[m], s.ips[ipRecomp[k]])
-			if err != nil {
-				setErr(err)
-			}
-			ipAns[ipRecomp[k]] = e
-		})
-		s.prefixAns[m] = prefixAns
-		s.ipAns[m] = ipAns
+		s.records = append(s.records, slab)
 	}
-	if compileErr != nil {
-		return nil, st, compileErr
+	if firstErr.err != nil {
+		return nil, st, firstErr.err
 	}
 
 	// Stats + the touched set: a recompiled or patched row only counts
 	// as touched if its answers actually differ from prev's.
-	rowTouched := func(i int, prevIdx int32, newKey uint32, pa, prevPA [][]entry) {
-		if prevIdx < 0 {
-			touched[newKey&^0xff] = struct{}{}
-			return
+	st.Rows = rows
+	for row, op := range ops {
+		switch op {
+		case opCopy:
+			st.Copied++
+			continue
+		case opPatch:
+			st.Patched++
+		case opRecompute:
+			st.Recompiled++
 		}
-		for m := range pa {
-			if pa[m][i] != prevPA[m][int(prevIdx)] {
-				touched[newKey&^0xff] = struct{}{}
-				return
+		for m := range s.records {
+			if prevRow[row] < 0 || !bytes.Equal(s.record(m, row), prev.record(m, int(prevRow[row]))) {
+				touched[rowKey(row)&^0xff] = struct{}{}
+				break
 			}
 		}
 	}
-	countOps := func(ops []uint8, prevIdx []int32, keys []uint32, pa, prevPA [][]entry) {
-		for i, op := range ops {
-			st.Rows++
-			switch op {
-			case opCopy:
-				st.Copied++
-			case opPatch:
-				st.Patched++
-				rowTouched(i, prevIdx[i], keys[i], pa, prevPA)
-			case opRecompute:
-				st.Recompiled++
-				rowTouched(i, prevIdx[i], keys[i], pa, prevPA)
-			}
-		}
-	}
-	countOps(pOps, pPrev, s.prefixes, s.prefixAns, prev.prefixAns)
-	countOps(ipOps, ipPrev, s.ips, s.ipAns, prev.ipAns)
 	st.Touched = make([]uint32, 0, len(touched))
 	for b := range touched {
 		st.Touched = append(st.Touched, b)
@@ -360,6 +308,6 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 	// Identity is content identity: the digest hashes every table in
 	// full, so a delta compile that drifted from the from-scratch
 	// result is caught by any digest comparison downstream.
-	s.digest = s.computeDigest()
+	s.seal()
 	return s, st, nil
 }

@@ -26,8 +26,9 @@
 // protocol (/v1/locate/bin batches and /v1/locate/stream full-duplex
 // chunk streams, driven by geoload -wire bin|stream) whose
 // epoch-tagged fixed-width answer frames are copied straight out of
-// the snapshot's columnar slabs — see wire.go and the wire-protocol
-// section of DESIGN.md.
+// the snapshot's record slabs — the 32-byte record is the one stored
+// form of an answer (record.go), shared with the snapfile formats; see
+// wire.go and the wire-protocol section of DESIGN.md.
 //
 // NewCluster splits a snapshot into N prefix-range shards — contiguous
 // cuts of the sorted /24 interval index balanced by interval count.

@@ -13,7 +13,7 @@ import (
 )
 
 // TestGoldenSnapfileReplication pins the whole replication pipeline
-// against the serving golden: Serve → snapfile.Write → Load must
+// against the serving golden: Serve → snapfile.WriteFile → Load must
 // reproduce the identical content digest, and a replica that fetched
 // the snapshot over the replication protocol must serve the exact
 // transcript in testdata/golden_serving.txt — byte for byte what a

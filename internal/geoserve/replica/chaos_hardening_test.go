@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -29,18 +31,25 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // epochs exist for.
 func churn(tb testing.TB, snap *geoserve.Snapshot, step int) *geoserve.Snapshot {
 	tb.Helper()
-	c := snap.Columns()
-	for m := range c.Answers {
-		a := &c.Answers[m]
-		for i := step % 7; i < len(a.Lat); i += 7 {
-			if a.Found[i] == 1 {
-				a.Lat[i] = a.Lat[i]/2 + float64(step)
-				a.Lon[i] = a.Lon[i]/2 - float64(step)
-				a.Radius[i] = a.Radius[i]/2 + 1
+	c := snap.Tables()
+	c.Records = append([][]byte(nil), c.Records...)
+	for m := range c.Records {
+		// Tables shares the snapshot's memory: mutate a clone.
+		slab := bytes.Clone(c.Records[m])
+		c.Records[m] = slab
+		for i := step % 7; i*geoserve.RecordSize < len(slab); i += 7 {
+			rec := slab[i*geoserve.RecordSize:][:geoserve.RecordSize]
+			if rec[28]&1 == 0 { // not found
+				continue
+			}
+			// lat, lon and radius are the record's three leading f64s.
+			for f, delta := range []float64{float64(step), -float64(step), 1} {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(rec[8*f:]))
+				binary.LittleEndian.PutUint64(rec[8*f:], math.Float64bits(v/2+delta))
 			}
 		}
 	}
-	out, err := geoserve.FromColumns(c)
+	out, err := geoserve.FromTables(c)
 	if err != nil {
 		tb.Fatalf("churn step %d: %v", step, err)
 	}

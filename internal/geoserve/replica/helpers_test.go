@@ -13,46 +13,45 @@ import (
 )
 
 // makeSnapshot assembles a small synthetic snapshot through
-// geoserve.FromColumns so fleet tests need no pipeline run. Content is
+// geoserve.FromTables so fleet tests need no pipeline run. Content is
 // deterministic in (seed, nPrefixes, nASNs).
 func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Snapshot {
 	tb.Helper()
 	r := rng.New(seed)
-	c := &geoserve.Columns{
+	c := geoserve.Tables{
 		Build:   geoserve.BuildInfo{Seed: seed, Scale: 0.5, Label: "synthetic"},
 		Mappers: []string{"alpha", "beta"},
 	}
 	for i := 0; i < nPrefixes; i++ {
 		base := uint32(10<<24) + uint32(i)<<8
 		c.Prefixes = append(c.Prefixes, base)
+		// Two exact addresses per /24.
 		c.IPs = append(c.IPs, base+1, base+2)
 	}
 	for i := 0; i < nASNs; i++ {
 		c.ASNs = append(c.ASNs, int32(100+i))
 	}
+	methods := []string{"feed", "hostname", "loc", "whois"}
 	rows := len(c.Prefixes) + len(c.IPs)
 	for m := 0; m < len(c.Mappers); m++ {
-		a := geoserve.AnswerColumns{
-			Lat:    make([]float64, rows),
-			Lon:    make([]float64, rows),
-			Radius: make([]float64, rows),
-			ASN:    make([]int32, rows),
-			Method: make([]uint8, rows),
-			Found:  make([]uint8, rows),
-		}
+		slab := make([]byte, rows*geoserve.RecordSize)
 		for i := 0; i < rows; i++ {
+			a := geoserve.Answer{Exact: i >= len(c.Prefixes)}
 			if nASNs > 0 {
-				a.ASN[i] = c.ASNs[r.Intn(nASNs)]
+				a.ASN = int(c.ASNs[r.Intn(nASNs)])
 			}
 			if r.Bool(0.8) {
-				a.Found[i] = 1
-				a.Method[i] = uint8(1 + r.Intn(4))
-				a.Lat[i] = r.Float64()*180 - 90
-				a.Lon[i] = r.Float64()*360 - 180
-				a.Radius[i] = r.Float64() * 500
+				a.Found = true
+				a.Method = methods[r.Intn(4)]
+				a.Loc.Lat = r.Float64()*180 - 90
+				a.Loc.Lon = r.Float64()*360 - 180
+				a.RadiusMi = r.Float64() * 500
+			}
+			if err := geoserve.PutRecord(slab[i*geoserve.RecordSize:], a); err != nil {
+				tb.Fatal(err)
 			}
 		}
-		c.Answers = append(c.Answers, a)
+		c.Records = append(c.Records, slab)
 		fps := make([]analysis.ASFootprint, nASNs)
 		for i := range fps {
 			if r.Bool(0.7) {
@@ -69,9 +68,9 @@ func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Sna
 		}
 		c.Footprints = append(c.Footprints, fps)
 	}
-	snap, err := geoserve.FromColumns(c)
+	snap, err := geoserve.FromTables(c)
 	if err != nil {
-		tb.Fatalf("FromColumns: %v", err)
+		tb.Fatalf("FromTables: %v", err)
 	}
 	return snap
 }

@@ -141,7 +141,7 @@ func (sh *Shard) serveGroup(snap *Snapshot, me uint8, mapper int, ips []uint32, 
 // serveGroupWire is serveGroup for the binary wire path: it writes
 // this shard's members of a scattered batch as fixed-width answers at
 // their disjoint positions in out.
-func (sh *Shard) serveGroupWire(snap *Snapshot, me uint8, w *wireState, mapper int, ips []uint32, shardOf []uint8, out []byte) {
+func (sh *Shard) serveGroupWire(snap *Snapshot, me uint8, mapper int, ips []uint32, shardOf []uint8, out []byte) {
 	t0 := time.Now()
 	var counts [numMethods]uint32
 	n := uint64(0)
@@ -149,7 +149,7 @@ func (sh *Shard) serveGroupWire(snap *Snapshot, me uint8, w *wireState, mapper i
 		if shardOf[j] != me {
 			continue
 		}
-		code := snap.wireAnswer(w, mapper, ip, out[j*WireAnswerSize:])
+		code := snap.wireAnswer(mapper, ip, out[j*WireAnswerSize:])
 		counts[code]++
 		n++
 	}

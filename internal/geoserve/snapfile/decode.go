@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"geonet/internal/analysis"
+	"geonet/internal/geoserve"
 )
 
 // decoder walks an encoded byte slice with bounds-checked reads; every
@@ -118,24 +121,80 @@ func (d *decoder) rawF64() float64 {
 	return math.Float64frombits(v)
 }
 
-func (d *decoder) f64s(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.rawF64()
+func decodeBuild(header *decoder) (build geoserve.BuildInfo, err error) {
+	seed, err := header.u64("build seed")
+	if err != nil {
+		return build, err
 	}
-	return out
+	build.Seed = int64(seed)
+	if build.Scale, err = header.f64("build scale"); err != nil {
+		return build, err
+	}
+	build.Label, err = header.str("build label")
+	return build, err
 }
 
-func (d *decoder) i32s(n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(d.rawU32())
+func decodeMappers(d *decoder) ([]string, error) {
+	sec, err := d.section("mappers")
+	if err != nil {
+		return nil, err
 	}
-	return out
+	n, err := sec.u32("mapper count")
+	if err != nil {
+		return nil, err
+	}
+	// Each mapper name costs at least its 4-byte length prefix, so the
+	// count is bounded by the section payload before anything allocates.
+	if uint64(n)*4 > uint64(sec.remaining()) {
+		return nil, fmt.Errorf("%w: mapper count %d exceeds section size", ErrFormat, n)
+	}
+	names := make([]string, n)
+	for i := range names {
+		if names[i], err = sec.str("mapper name"); err != nil {
+			return nil, err
+		}
+	}
+	return names, sec.done("mappers")
 }
 
-func (d *decoder) bytes(n int) []byte {
-	b := d.data[d.off : d.off+n]
-	d.off += n
-	return append([]byte(nil), b...)
+func decodeASNs(d *decoder) ([]int32, error) {
+	raw, err := d.u32Section("asns")
+	if err != nil {
+		return nil, err
+	}
+	asns := make([]int32, len(raw))
+	for i, v := range raw {
+		asns[i] = int32(v)
+	}
+	return asns, nil
+}
+
+// decodeFootprints consumes one section per mapper, each exactly nASNs
+// rows.
+func decodeFootprints(d *decoder, nMappers, nASNs int) ([][]analysis.ASFootprint, error) {
+	out := make([][]analysis.ASFootprint, nMappers)
+	for m := range out {
+		sec, err := d.section("footprints")
+		if err != nil {
+			return nil, err
+		}
+		if sec.remaining() != nASNs*footprintRowBytes {
+			return nil, fmt.Errorf("%w: footprint section for mapper %d is %d bytes, want %d rows × %d",
+				ErrFormat, m, sec.remaining(), nASNs, footprintRowBytes)
+		}
+		fps := make([]analysis.ASFootprint, nASNs)
+		for i := range fps {
+			fp := &fps[i]
+			fp.ASN = int(int32(sec.rawU32()))
+			fp.Interfaces = int(sec.rawU32())
+			fp.Locations = int(sec.rawU32())
+			fp.Degree = int(sec.rawU32())
+			fp.Centroid.Lat = sec.rawF64()
+			fp.Centroid.Lon = sec.rawF64()
+			fp.AreaSqMi = sec.rawF64()
+			fp.RadiusMi = sec.rawF64()
+		}
+		out[m] = fps
+	}
+	return out, nil
 }

@@ -1,20 +1,19 @@
 package snapfile
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 
-	"geonet/internal/analysis"
 	"geonet/internal/geoserve"
 )
 
 // DeltaFormatVersion is the snapshot delta format this package writes
 // and the only one it applies.
-const DeltaFormatVersion = 1
+const DeltaFormatVersion = 2
 
 // deltaMagic identifies a snapshot delta file; it never changes across
 // versions.
@@ -48,106 +47,64 @@ const (
 	opPut = 1
 )
 
-// ival is one /24 interval's row span inside a Columns: the optional
-// prefix row plus the exact-address rows whose /24 it is.
+// ival is one /24 interval's rows inside a Tables: the prefix row, if
+// the /24 has one, and the exact-address rows whose /24 it is, both as
+// half-open ranges.
 type ival struct {
-	key    uint32 // /24 base address
-	prefix int    // index into Prefixes, -1 when the /24 has no prefix row
-	ipLo   int    // half-open range into IPs
-	ipHi   int
+	key      uint32 // /24 base address
+	pLo, pHi int    // into Prefixes; 0 or 1 rows
+	ipLo     int    // into IPs
+	ipHi     int
 }
 
 // intervals groups a snapshot's row space by /24. Both indexes are
 // ascending, so one merge pass yields the intervals in key order.
-func intervals(c *geoserve.Columns) []ival {
-	out := make([]ival, 0, len(c.Prefixes))
+func intervals(t geoserve.Tables) []ival {
+	out := make([]ival, 0, len(t.Prefixes))
 	pi, ii := 0, 0
-	for pi < len(c.Prefixes) || ii < len(c.IPs) {
+	for pi < len(t.Prefixes) || ii < len(t.IPs) {
 		var key uint32
 		switch {
-		case pi >= len(c.Prefixes):
-			key = c.IPs[ii] &^ 0xff
-		case ii >= len(c.IPs):
-			key = c.Prefixes[pi]
+		case pi >= len(t.Prefixes):
+			key = t.IPs[ii] &^ 0xff
+		case ii >= len(t.IPs):
+			key = t.Prefixes[pi]
 		default:
-			key = c.Prefixes[pi]
-			if k := c.IPs[ii] &^ 0xff; k < key {
-				key = k
-			}
+			key = min(t.Prefixes[pi], t.IPs[ii]&^0xff)
 		}
-		v := ival{key: key, prefix: -1, ipLo: ii, ipHi: ii}
-		if pi < len(c.Prefixes) && c.Prefixes[pi] == key {
-			v.prefix = pi
+		v := ival{key: key, pLo: pi, ipLo: ii}
+		if pi < len(t.Prefixes) && t.Prefixes[pi] == key {
 			pi++
 		}
-		for ii < len(c.IPs) && c.IPs[ii]&^0xff == key {
+		for ii < len(t.IPs) && t.IPs[ii]&^0xff == key {
 			ii++
 		}
-		v.ipHi = ii
+		v.pHi, v.ipHi = pi, ii
 		out = append(out, v)
 	}
 	return out
 }
 
-// rowEqual compares one answer row across two column sets bitwise
-// (floats by their bit patterns, so the comparison is exactly the
-// byte-identity the encoded forms would have).
-func rowEqual(a, b *geoserve.AnswerColumns, ra, rb int) bool {
-	return math.Float64bits(a.Lat[ra]) == math.Float64bits(b.Lat[rb]) &&
-		math.Float64bits(a.Lon[ra]) == math.Float64bits(b.Lon[rb]) &&
-		math.Float64bits(a.Radius[ra]) == math.Float64bits(b.Radius[rb]) &&
-		a.ASN[ra] == b.ASN[rb] &&
-		a.Method[ra] == b.Method[rb] &&
-		a.Found[ra] == b.Found[rb]
+// recs returns rows [lo, hi) of a slab of records.
+func recs(slab []byte, lo, hi int) []byte {
+	return slab[lo*geoserve.RecordSize : hi*geoserve.RecordSize]
 }
 
 // ivalEqual reports whether one /24 interval carries identical content
-// in both column sets: same prefix presence, same exact addresses, and
-// identical answer rows under every mapper.
-func ivalEqual(oc, nc *geoserve.Columns, ov, nv ival) bool {
-	if (ov.prefix >= 0) != (nv.prefix >= 0) || ov.ipHi-ov.ipLo != nv.ipHi-nv.ipLo {
+// in both snapshots: same prefix presence, same exact addresses, and
+// byte-identical records under every mapper.
+func ivalEqual(ot, nt geoserve.Tables, ov, nv ival) bool {
+	if ov.pHi-ov.pLo != nv.pHi-nv.pLo || !slices.Equal(ot.IPs[ov.ipLo:ov.ipHi], nt.IPs[nv.ipLo:nv.ipHi]) {
 		return false
 	}
-	for k := 0; k < ov.ipHi-ov.ipLo; k++ {
-		if oc.IPs[ov.ipLo+k] != nc.IPs[nv.ipLo+k] {
+	op, np := len(ot.Prefixes), len(nt.Prefixes)
+	for m := range ot.Records {
+		if !bytes.Equal(recs(ot.Records[m], ov.pLo, ov.pHi), recs(nt.Records[m], nv.pLo, nv.pHi)) ||
+			!bytes.Equal(recs(ot.Records[m], op+ov.ipLo, op+ov.ipHi), recs(nt.Records[m], np+nv.ipLo, np+nv.ipHi)) {
 			return false
-		}
-	}
-	for m := range oc.Answers {
-		oa, na := &oc.Answers[m], &nc.Answers[m]
-		if ov.prefix >= 0 && !rowEqual(oa, na, ov.prefix, nv.prefix) {
-			return false
-		}
-		for k := 0; k < ov.ipHi-ov.ipLo; k++ {
-			if !rowEqual(oa, na, len(oc.Prefixes)+ov.ipLo+k, len(nc.Prefixes)+nv.ipLo+k) {
-				return false
-			}
 		}
 	}
 	return true
-}
-
-// appendIvalRows emits an interval's answer rows (prefix row first,
-// then exact rows in address order) for every mapper, row-major.
-func appendIvalRows(buf []byte, c *geoserve.Columns, v ival) []byte {
-	row := func(b []byte, a *geoserve.AnswerColumns, r int) []byte {
-		b = appendF64(b, a.Lat[r])
-		b = appendF64(b, a.Lon[r])
-		b = appendF64(b, a.Radius[r])
-		b = binary.LittleEndian.AppendUint32(b, uint32(a.ASN[r]))
-		b = append(b, a.Method[r], a.Found[r])
-		return b
-	}
-	for m := range c.Answers {
-		a := &c.Answers[m]
-		if v.prefix >= 0 {
-			buf = row(buf, a, v.prefix)
-		}
-		for k := v.ipLo; k < v.ipHi; k++ {
-			buf = row(buf, a, len(c.Prefixes)+k)
-		}
-	}
-	return buf
 }
 
 // Diff computes the deterministic per-/24-interval delta that turns
@@ -158,68 +115,35 @@ func appendIvalRows(buf []byte, c *geoserve.Columns, v ival) []byte {
 // encoding carries the same dual-digest trailer discipline as full
 // snapshot files: new's content digest plus a whole-file SHA-256.
 func Diff(old, new *geoserve.Snapshot, fromEpoch, toEpoch uint64) ([]byte, error) {
-	oldMappers, newMappers := old.Mappers(), new.Mappers()
-	if len(oldMappers) != len(newMappers) {
-		return nil, fmt.Errorf("snapfile: cannot diff across mapper sets %v -> %v", oldMappers, newMappers)
+	ot, nt := old.Tables(), new.Tables()
+	if !slices.Equal(ot.Mappers, nt.Mappers) {
+		return nil, fmt.Errorf("snapfile: cannot diff across mapper sets %v -> %v", ot.Mappers, nt.Mappers)
 	}
-	for i := range oldMappers {
-		if oldMappers[i] != newMappers[i] {
-			return nil, fmt.Errorf("snapfile: cannot diff across mapper sets %v -> %v", oldMappers, newMappers)
-		}
-	}
-	oc, nc := old.Columns(), new.Columns()
-
-	buf := []byte(deltaMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, DeltaFormatVersion)
 	fromDigest, err := rawDigest(old.Digest())
 	if err != nil {
 		return nil, err
 	}
+	toDigest, err := rawDigest(new.Digest())
+	if err != nil {
+		return nil, err
+	}
+
+	buf := []byte(deltaMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, DeltaFormatVersion)
 	buf = appendSection(buf, func(b []byte) []byte {
 		b = binary.LittleEndian.AppendUint64(b, fromEpoch)
 		b = binary.LittleEndian.AppendUint64(b, toEpoch)
 		b = append(b, fromDigest...)
-		b = binary.LittleEndian.AppendUint64(b, uint64(nc.Build.Seed))
-		b = appendF64(b, nc.Build.Scale)
-		b = appendString(b, nc.Build.Label)
-		return b
+		return appendBuild(b, nt.Build)
 	})
-	buf = appendSection(buf, func(b []byte) []byte {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(nc.Mappers)))
-		for _, name := range nc.Mappers {
-			b = appendString(b, name)
-		}
-		return b
-	})
+	buf = appendMappers(buf, nt.Mappers)
 	// ASNs and footprints are tiny next to the answer tables; they
 	// always travel whole, so footprint drift never needs interval ops.
-	buf = appendSection(buf, func(b []byte) []byte {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(nc.ASNs)))
-		for _, v := range nc.ASNs {
-			b = binary.LittleEndian.AppendUint32(b, uint32(v))
-		}
-		return b
-	})
-	for m := range nc.Footprints {
-		fps := nc.Footprints[m]
-		buf = appendSection(buf, func(b []byte) []byte {
-			for i := range fps {
-				fp := &fps[i]
-				b = binary.LittleEndian.AppendUint32(b, uint32(fp.ASN))
-				b = binary.LittleEndian.AppendUint32(b, uint32(fp.Interfaces))
-				b = binary.LittleEndian.AppendUint32(b, uint32(fp.Locations))
-				b = binary.LittleEndian.AppendUint32(b, uint32(fp.Degree))
-				b = appendF64(b, fp.Centroid.Lat)
-				b = appendF64(b, fp.Centroid.Lon)
-				b = appendF64(b, fp.AreaSqMi)
-				b = appendF64(b, fp.RadiusMi)
-			}
-			return b
-		})
-	}
+	buf = appendASNs(buf, nt.ASNs)
+	buf = appendFootprints(buf, nt.Footprints)
 
 	// Ops: one merge pass over both interval lists, ascending by key.
-	ovs, nvs := intervals(oc), intervals(nc)
+	ovs, nvs := intervals(ot), intervals(nt)
 	buf = appendSection(buf, func(b []byte) []byte {
 		at := len(b)
 		b = binary.LittleEndian.AppendUint32(b, 0)
@@ -233,12 +157,12 @@ func Diff(old, new *geoserve.Snapshot, fromEpoch, toEpoch uint64) ([]byte, error
 				nOps++
 				oi++
 			case oi >= len(ovs) || nvs[ni].key < ovs[oi].key:
-				b = appendPutOp(b, nc, nvs[ni])
+				b = appendPutOp(b, nt, nvs[ni])
 				nOps++
 				ni++
 			default:
-				if !ivalEqual(oc, nc, ovs[oi], nvs[ni]) {
-					b = appendPutOp(b, nc, nvs[ni])
+				if !ivalEqual(ot, nt, ovs[oi], nvs[ni]) {
+					b = appendPutOp(b, nt, nvs[ni])
 					nOps++
 				}
 				oi++
@@ -248,55 +172,33 @@ func Diff(old, new *geoserve.Snapshot, fromEpoch, toEpoch uint64) ([]byte, error
 		binary.LittleEndian.PutUint32(b[at:], uint32(nOps))
 		return b
 	})
-
-	toDigest, err := rawDigest(new.Digest())
-	if err != nil {
-		return nil, err
-	}
-	buf = append(buf, toDigest...)
-	sum := sha256.Sum256(buf)
-	buf = append(buf, sum[:]...)
-	return buf, nil
+	return appendTrailer(buf, toDigest), nil
 }
 
-func appendPutOp(b []byte, c *geoserve.Columns, v ival) []byte {
+// appendPutOp emits an interval whole: its prefix flag and exact
+// addresses, then per mapper its records as they sit in the slab —
+// the prefix record if any, then the exact records in address order.
+func appendPutOp(b []byte, t geoserve.Tables, v ival) []byte {
 	b = binary.LittleEndian.AppendUint32(b, v.key)
-	b = append(b, opPut)
-	if v.prefix >= 0 {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+	b = append(b, opPut, byte(v.pHi-v.pLo))
+	b = appendU32s(b, t.IPs[v.ipLo:v.ipHi])
+	np := len(t.Prefixes)
+	for _, slab := range t.Records {
+		b = append(b, recs(slab, v.pLo, v.pHi)...)
+		b = append(b, recs(slab, np+v.ipLo, np+v.ipHi)...)
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(v.ipHi-v.ipLo))
-	for k := v.ipLo; k < v.ipHi; k++ {
-		b = binary.LittleEndian.AppendUint32(b, c.IPs[k])
-	}
-	return appendIvalRows(b, c, v)
-}
-
-func rawDigest(hexDigest string) ([]byte, error) {
-	raw, err := hex.DecodeString(hexDigest)
-	if err != nil || len(raw) != 32 {
-		return nil, fmt.Errorf("snapfile: snapshot digest %q is not a sha256", hexDigest)
-	}
-	return raw, nil
+	return b
 }
 
 // deltaOp is one decoded interval op.
 type deltaOp struct {
 	key    uint32
 	kind   uint8
-	prefix bool
+	prefix int // prefix rows carried: 0 or 1
 	ips    []uint32
-	// rows holds hasPrefix+len(ips) answer rows per mapper, row-major
-	// in mapper order, each row the 6 answer fields.
-	rows []deltaRow
-}
-
-type deltaRow struct {
-	lat, lon, radius float64
-	asn              int32
-	method, found    uint8
+	// recs holds prefix+len(ips) records per mapper, in mapper order;
+	// it aliases the delta's bytes.
+	recs []byte
 }
 
 // Apply verifies a delta end to end and rebuilds the target snapshot
@@ -305,22 +207,14 @@ type deltaRow struct {
 // digest must equal the delta's from-digest, and the reassembled
 // snapshot's recomputed digest must equal the to-digest trailer — an
 // applied delta can never yield a snapshot the builder did not
-// publish.
+// publish. The result retains neither data nor base's memory.
 func Apply(base *geoserve.Snapshot, data []byte) (*geoserve.Snapshot, DeltaInfo, error) {
 	info := DeltaInfo{SizeBytes: int64(len(data))}
-	if len(data) < len(deltaMagic)+4 || string(data[:len(deltaMagic)]) != deltaMagic {
-		return nil, info, fmt.Errorf("%w (not a snapshot delta)", ErrMagic)
+	d, version, err := openEnvelope(data, deltaMagic, DeltaFormatVersion)
+	info.FormatVersion = version
+	if err != nil {
+		return nil, info, err
 	}
-	info.FormatVersion = binary.LittleEndian.Uint32(data[len(deltaMagic):])
-	if info.FormatVersion != DeltaFormatVersion {
-		return nil, info, fmt.Errorf("%w %d (this build speaks delta v%d)", ErrVersion, info.FormatVersion, DeltaFormatVersion)
-	}
-	if len(data) < len(deltaMagic)+4+trailerBytes {
-		return nil, info, fmt.Errorf("%w: %d bytes is shorter than the minimal delta", ErrTruncated, len(data))
-	}
-	body := data[len(deltaMagic)+4 : len(data)-trailerBytes]
-	d := &decoder{data: body}
-
 	header, err := d.section("delta header")
 	if err != nil {
 		return nil, info, err
@@ -336,69 +230,33 @@ func Apply(base *geoserve.Snapshot, data []byte) (*geoserve.Snapshot, DeltaInfo,
 		return nil, info, err
 	}
 	info.FromDigest = hex.EncodeToString(fromRaw)
-	seed, err := header.u64("build seed")
-	if err != nil {
-		return nil, info, err
-	}
-	info.Build.Seed = int64(seed)
-	if info.Build.Scale, err = header.f64("build scale"); err != nil {
-		return nil, info, err
-	}
-	if info.Build.Label, err = header.str("build label"); err != nil {
+	if info.Build, err = decodeBuild(header); err != nil {
 		return nil, info, err
 	}
 	if err := header.done("delta header"); err != nil {
 		return nil, info, err
 	}
-	info.ToDigest = hex.EncodeToString(data[len(data)-trailerBytes : len(data)-32])
+	info.ToDigest = trailerDigest(data)
 
-	var mappers []string
-	msec, err := d.section("delta mappers")
+	mappers, err := decodeMappers(d)
 	if err != nil {
 		return nil, info, err
 	}
-	nMappers, err := msec.u32("mapper count")
+	asns, err := decodeASNs(d)
 	if err != nil {
 		return nil, info, err
-	}
-	if uint64(nMappers)*4 > uint64(msec.remaining()) {
-		return nil, info, fmt.Errorf("%w: mapper count %d exceeds section size", ErrFormat, nMappers)
-	}
-	for i := 0; i < int(nMappers); i++ {
-		name, err := msec.str("mapper name")
-		if err != nil {
-			return nil, info, err
-		}
-		mappers = append(mappers, name)
-	}
-	if err := msec.done("delta mappers"); err != nil {
-		return nil, info, err
-	}
-
-	asnsRaw, err := d.u32Section("delta asns")
-	if err != nil {
-		return nil, info, err
-	}
-	asns := make([]int32, len(asnsRaw))
-	for i, v := range asnsRaw {
-		asns[i] = int32(v)
 	}
 	footprints, err := decodeFootprints(d, len(mappers), len(asns))
 	if err != nil {
 		return nil, info, err
 	}
-
 	ops, err := decodeOps(d, len(mappers))
 	if err != nil {
 		return nil, info, err
 	}
 	info.Ops = len(ops)
-	if d.remaining() != 0 {
-		return nil, info, fmt.Errorf("%w: %d trailing bytes after the ops section", ErrFormat, d.remaining())
-	}
-	sum := sha256.Sum256(data[:len(data)-32])
-	if string(sum[:]) != string(data[len(data)-32:]) {
-		return nil, info, fmt.Errorf("%w: delta file hash mismatch", ErrCorrupt)
+	if err := closeEnvelope(data, d); err != nil {
+		return nil, info, err
 	}
 
 	if base == nil || base.Digest() != info.FromDigest {
@@ -408,57 +266,17 @@ func Apply(base *geoserve.Snapshot, data []byte) (*geoserve.Snapshot, DeltaInfo,
 		}
 		return nil, info, fmt.Errorf("%w: delta is from %s, base is %s", ErrDeltaBase, info.FromDigest, have)
 	}
-	baseC := base.Columns()
-	if len(baseC.Mappers) != len(mappers) {
-		return nil, info, fmt.Errorf("%w: delta has %d mappers, base %d", ErrFormat, len(mappers), len(baseC.Mappers))
+	bt := base.Tables()
+	if !slices.Equal(bt.Mappers, mappers) {
+		return nil, info, fmt.Errorf("%w: delta mappers %v != base mappers %v", ErrFormat, mappers, bt.Mappers)
 	}
-	for i := range mappers {
-		if baseC.Mappers[i] != mappers[i] {
-			return nil, info, fmt.Errorf("%w: delta mapper %q != base mapper %q", ErrFormat, mappers[i], baseC.Mappers[i])
-		}
-	}
-
-	nc, err := mergeOps(baseC, info.Build, mappers, asns, footprints, ops)
+	nt, err := applyOps(bt, ops)
 	if err != nil {
 		return nil, info, err
 	}
-	snap, err := geoserve.FromColumns(nc)
-	if err != nil {
-		return nil, info, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	if snap.Digest() != info.ToDigest {
-		return nil, info, fmt.Errorf("%w: applied delta hashes to %s, trailer names %s",
-			ErrCorrupt, snap.Digest(), info.ToDigest)
-	}
-	return snap, info, nil
-}
-
-func decodeFootprints(d *decoder, nMappers, nASNs int) ([][]analysis.ASFootprint, error) {
-	out := make([][]analysis.ASFootprint, nMappers)
-	for m := 0; m < nMappers; m++ {
-		sec, err := d.section("delta footprints")
-		if err != nil {
-			return nil, err
-		}
-		if sec.remaining() != nASNs*footprintRowBytes {
-			return nil, fmt.Errorf("%w: footprint section for mapper %d is %d bytes, want %d rows × %d",
-				ErrFormat, m, sec.remaining(), nASNs, footprintRowBytes)
-		}
-		fps := make([]analysis.ASFootprint, nASNs)
-		for i := range fps {
-			fp := &fps[i]
-			fp.ASN = int(int32(sec.rawU32()))
-			fp.Interfaces = int(sec.rawU32())
-			fp.Locations = int(sec.rawU32())
-			fp.Degree = int(sec.rawU32())
-			fp.Centroid.Lat = sec.rawF64()
-			fp.Centroid.Lon = sec.rawF64()
-			fp.AreaSqMi = sec.rawF64()
-			fp.RadiusMi = sec.rawF64()
-		}
-		out[m] = fps
-	}
-	return out, nil
+	nt.Build, nt.Mappers, nt.ASNs, nt.Footprints = info.Build, mappers, asns, footprints
+	snap, err := assemble(nt, info.ToDigest)
+	return snap, info, err
 }
 
 func decodeOps(d *decoder, nMappers int) ([]deltaOp, error) {
@@ -502,7 +320,7 @@ func decodeOps(d *decoder, nMappers int) ([]deltaOp, error) {
 			if flags[0] > 1 {
 				return nil, fmt.Errorf("%w: op prefix flag %d", ErrFormat, flags[0])
 			}
-			op.prefix = flags[0] == 1
+			op.prefix = int(flags[0])
 			nIPs, err := sec.u32("op ip count")
 			if err != nil {
 				return nil, err
@@ -520,20 +338,8 @@ func decodeOps(d *decoder, nMappers int) ([]deltaOp, error) {
 					return nil, fmt.Errorf("%w: op ips not strictly ascending in /24 %d", ErrFormat, key)
 				}
 			}
-			rows := nMappers * (boolInt(op.prefix) + len(op.ips))
-			if rows*answerRowBytes > sec.remaining() {
-				return nil, fmt.Errorf("%w: op at %d needs %d row bytes, %d left",
-					ErrTruncated, key, rows*answerRowBytes, sec.remaining())
-			}
-			op.rows = make([]deltaRow, rows)
-			for k := range op.rows {
-				r := &op.rows[k]
-				r.lat = sec.rawF64()
-				r.lon = sec.rawF64()
-				r.radius = sec.rawF64()
-				r.asn = int32(sec.rawU32())
-				b, _ := sec.take(2, "op row flags")
-				r.method, r.found = b[0], b[1]
+			if op.recs, err = sec.take(nMappers*(op.prefix+len(op.ips))*geoserve.RecordSize, "op records"); err != nil {
+				return nil, err
 			}
 		default:
 			return nil, fmt.Errorf("%w: op kind %d", ErrFormat, op.kind)
@@ -546,124 +352,65 @@ func decodeOps(d *decoder, nMappers int) ([]deltaOp, error) {
 	return ops, nil
 }
 
-func boolInt(b bool) int {
-	if b {
-		return 1
+// applyOps rebuilds the target's index and slabs: base's rows copy
+// through in runs between ops, an op's /24 is dropped from base, and a
+// put op's rows take its place (or extend the index where base had no
+// such /24). The records themselves are only checked afterwards, by
+// geoserve.FromTables.
+func applyOps(base geoserve.Tables, ops []deltaOp) (geoserve.Tables, error) {
+	putBytes := 0
+	for _, op := range ops {
+		putBytes += len(op.recs)
 	}
-	return 0
-}
-
-// mergeOps rebuilds the target's column set: base intervals copy
-// through except where an op replaces or removes them, and ops keyed
-// past the base add new intervals. Answers are re-laid-out into the
-// prefix-rows-then-exact-rows order FromColumns expects.
-func mergeOps(baseC *geoserve.Columns, build geoserve.BuildInfo, mappers []string, asns []int32, footprints [][]analysis.ASFootprint, ops []deltaOp) (*geoserve.Columns, error) {
-	type outIval struct {
-		prefix bool
-		ips    []uint32
-		// row returns mapper m's answer row r of the interval (prefix
-		// row 0 when present, then exact rows).
-		row func(m, r int) deltaRow
+	// A slab's exact rows follow its prefix rows, whose number is only
+	// known at the end: the exact rows collect on the side and join
+	// their slab last.
+	var out geoserve.Tables
+	nbp := len(base.Prefixes)
+	exact := make([][]byte, len(base.Records))
+	for m, slab := range base.Records {
+		out.Records = append(out.Records, make([]byte, 0, len(slab)+putBytes))
+		exact[m] = make([]byte, 0, len(slab)-nbp*geoserve.RecordSize+putBytes)
 	}
-	bvs := intervals(baseC)
-	var merged []outIval
-	fromBase := func(v ival) outIval {
-		return outIval{
-			prefix: v.prefix >= 0,
-			ips:    baseC.IPs[v.ipLo:v.ipHi],
-			row: func(m, r int) deltaRow {
-				a := &baseC.Answers[m]
-				var idx int
-				if v.prefix >= 0 && r == 0 {
-					idx = v.prefix
-				} else {
-					idx = len(baseC.Prefixes) + v.ipLo + r - boolInt(v.prefix >= 0)
-				}
-				return deltaRow{
-					lat: a.Lat[idx], lon: a.Lon[idx], radius: a.Radius[idx],
-					asn: a.ASN[idx], method: a.Method[idx], found: a.Found[idx],
-				}
-			},
+	pCur, iCur := 0, 0
+	copyBase := func(pEnd, iEnd int) {
+		out.Prefixes = append(out.Prefixes, base.Prefixes[pCur:pEnd]...)
+		out.IPs = append(out.IPs, base.IPs[iCur:iEnd]...)
+		for m, slab := range base.Records {
+			out.Records[m] = append(out.Records[m], recs(slab, pCur, pEnd)...)
+			exact[m] = append(exact[m], recs(slab, nbp+iCur, nbp+iEnd)...)
 		}
 	}
-	fromOp := func(op deltaOp) outIval {
-		perMapper := boolInt(op.prefix) + len(op.ips)
-		return outIval{
-			prefix: op.prefix,
-			ips:    op.ips,
-			row:    func(m, r int) deltaRow { return op.rows[m*perMapper+r] },
+	for _, op := range ops {
+		pEnd, _ := slices.BinarySearch(base.Prefixes, op.key)
+		iEnd, _ := slices.BinarySearch(base.IPs, op.key)
+		copyBase(pEnd, iEnd)
+		pCur, iCur = pEnd, iEnd
+		if pCur < nbp && base.Prefixes[pCur] == op.key {
+			pCur++
 		}
-	}
-	keys := make([]uint32, 0, len(bvs))
-	bi, oi := 0, 0
-	for bi < len(bvs) || oi < len(ops) {
-		switch {
-		case oi >= len(ops) || (bi < len(bvs) && bvs[bi].key < ops[oi].key):
-			keys = append(keys, bvs[bi].key)
-			merged = append(merged, fromBase(bvs[bi]))
-			bi++
-		case bi >= len(bvs) || ops[oi].key < bvs[bi].key:
-			if ops[oi].kind == opDel {
-				return nil, fmt.Errorf("%w: delta removes /24 %d absent from base", ErrFormat, ops[oi].key)
+		for iCur < len(base.IPs) && base.IPs[iCur]&^0xff == op.key {
+			iCur++
+		}
+		if op.kind == opDel {
+			if pCur == pEnd && iCur == iEnd {
+				return out, fmt.Errorf("%w: delta removes /24 %d absent from base", ErrFormat, op.key)
 			}
-			keys = append(keys, ops[oi].key)
-			merged = append(merged, fromOp(ops[oi]))
-			oi++
-		default:
-			if ops[oi].kind == opPut {
-				keys = append(keys, ops[oi].key)
-				merged = append(merged, fromOp(ops[oi]))
-			}
-			bi++
-			oi++
+			continue
+		}
+		if op.prefix == 1 {
+			out.Prefixes = append(out.Prefixes, op.key)
+		}
+		out.IPs = append(out.IPs, op.ips...)
+		rows := op.prefix + len(op.ips)
+		for m := range out.Records {
+			out.Records[m] = append(out.Records[m], recs(op.recs, m*rows, m*rows+op.prefix)...)
+			exact[m] = append(exact[m], recs(op.recs, m*rows+op.prefix, (m+1)*rows)...)
 		}
 	}
-
-	nc := &geoserve.Columns{
-		Build:   build,
-		Mappers: mappers,
-		ASNs:    asns,
+	copyBase(nbp, len(base.IPs))
+	for m := range out.Records {
+		out.Records[m] = append(out.Records[m], exact[m]...)
 	}
-	for i, v := range merged {
-		if v.prefix {
-			nc.Prefixes = append(nc.Prefixes, keys[i])
-		}
-		nc.IPs = append(nc.IPs, v.ips...)
-	}
-	rows := len(nc.Prefixes) + len(nc.IPs)
-	nc.Answers = make([]geoserve.AnswerColumns, len(mappers))
-	for m := range mappers {
-		a := geoserve.AnswerColumns{
-			Lat:    make([]float64, 0, rows),
-			Lon:    make([]float64, 0, rows),
-			Radius: make([]float64, 0, rows),
-			ASN:    make([]int32, 0, rows),
-			Method: make([]uint8, 0, rows),
-			Found:  make([]uint8, 0, rows),
-		}
-		appendRow := func(r deltaRow) {
-			a.Lat = append(a.Lat, r.lat)
-			a.Lon = append(a.Lon, r.lon)
-			a.Radius = append(a.Radius, r.radius)
-			a.ASN = append(a.ASN, r.asn)
-			a.Method = append(a.Method, r.method)
-			a.Found = append(a.Found, r.found)
-		}
-		for _, v := range merged {
-			if v.prefix {
-				appendRow(v.row(m, 0))
-			}
-		}
-		for _, v := range merged {
-			for k := range v.ips {
-				appendRow(v.row(m, boolInt(v.prefix)+k))
-			}
-		}
-		nc.Answers[m] = a
-	}
-	nc.Footprints = make([][]analysis.ASFootprint, len(mappers))
-	for m := range footprints {
-		nc.Footprints[m] = footprints[m]
-	}
-	return nc, nil
+	return out, nil
 }

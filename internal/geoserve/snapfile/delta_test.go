@@ -23,7 +23,7 @@ func buildWorld(tb testing.TB, seed int64, keys []uint32, salts map[uint32]int64
 	tb.Helper()
 	sorted := append([]uint32(nil), keys...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	c := &geoserve.Columns{
+	c := geoserve.Tables{
 		Build:   geoserve.BuildInfo{Seed: seed, Scale: 0.5, Label: "delta-world"},
 		Mappers: []string{"alpha", "beta"},
 	}
@@ -35,26 +35,23 @@ func buildWorld(tb testing.TB, seed int64, keys []uint32, salts map[uint32]int64
 		c.Prefixes = append(c.Prefixes, key)
 		c.IPs = append(c.IPs, key+1, key+2)
 	}
+	methods := []string{"feed", "hostname", "loc", "whois"}
 	rows := len(c.Prefixes) + len(c.IPs)
 	for m := 0; m < len(c.Mappers); m++ {
-		a := geoserve.AnswerColumns{
-			Lat:    make([]float64, rows),
-			Lon:    make([]float64, rows),
-			Radius: make([]float64, rows),
-			ASN:    make([]int32, rows),
-			Method: make([]uint8, rows),
-			Found:  make([]uint8, rows),
-		}
+		slab := make([]byte, rows*geoserve.RecordSize)
 		fill := func(row int, r *rng.Stream) {
-			a.ASN[row] = c.ASNs[r.Intn(nASNs)]
+			a := geoserve.Answer{Exact: row >= len(sorted)}
+			asn := int(c.ASNs[r.Intn(nASNs)])
 			if r.Bool(0.8) {
-				a.Found[row] = 1
-				a.Method[row] = uint8(1 + r.Intn(4))
-				a.Lat[row] = r.Float64()*180 - 90
-				a.Lon[row] = r.Float64()*360 - 180
-				a.Radius[row] = r.Float64() * 500
-			} else {
-				a.ASN[row] = 0
+				a.ASN = asn
+				a.Found = true
+				a.Method = methods[r.Intn(4)]
+				a.Loc.Lat = r.Float64()*180 - 90
+				a.Loc.Lon = r.Float64()*360 - 180
+				a.RadiusMi = r.Float64() * 500
+			}
+			if err := geoserve.PutRecord(slab[row*geoserve.RecordSize:], a); err != nil {
+				tb.Fatal(err)
 			}
 		}
 		for i, key := range sorted {
@@ -63,7 +60,7 @@ func buildWorld(tb testing.TB, seed int64, keys []uint32, salts map[uint32]int64
 			fill(len(sorted)+2*i, r)
 			fill(len(sorted)+2*i+1, r)
 		}
-		c.Answers = append(c.Answers, a)
+		c.Records = append(c.Records, slab)
 		fps := make([]analysis.ASFootprint, nASNs)
 		fr := rng.New(seed + int64(m))
 		for i := range fps {
@@ -81,9 +78,9 @@ func buildWorld(tb testing.TB, seed int64, keys []uint32, salts map[uint32]int64
 		}
 		c.Footprints = append(c.Footprints, fps)
 	}
-	snap, err := geoserve.FromColumns(c)
+	snap, err := geoserve.FromTables(c)
 	if err != nil {
-		tb.Fatalf("FromColumns: %v", err)
+		tb.Fatalf("FromTables: %v", err)
 	}
 	return snap
 }
@@ -207,9 +204,9 @@ func TestDiffDeterministic(t *testing.T) {
 func TestDiffRejectsMapperMismatch(t *testing.T) {
 	snap := buildWorld(t, 4, worldKeys(8), nil)
 	other := makeSnapshot(t, 4, 8, 4)
-	c := other.Columns()
+	c := other.Tables()
 	c.Mappers = []string{"alpha", "gamma"}
-	renamed, err := geoserve.FromColumns(c)
+	renamed, err := geoserve.FromTables(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +237,20 @@ func TestApplyRejectsDamage(t *testing.T) {
 		{"bit flip in body", func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }, ErrCorrupt},
 		{"bit flip in to-digest", func(b []byte) []byte { b[len(b)-40] ^= 0x01; return b }, ErrCorrupt},
 		{"bit flip in file hash", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, ErrCorrupt},
+	}
+	// A put op's records get the same canonical-record checks a full
+	// file's do: each case is resealed, and its to-digest left alone.
+	for _, nc := range noncanonical {
+		damage = append(damage, struct {
+			name string
+			mut  func([]byte) []byte
+			want error
+		}{"put op: " + nc.name, func(b []byte) []byte {
+			at := findRecord(t, b, new, nc.exactRow)
+			nc.mut(b[at : at+geoserve.RecordSize])
+			reseal(b)
+			return b
+		}, ErrFormat})
 	}
 	for _, tc := range damage {
 		t.Run(tc.name, func(t *testing.T) {

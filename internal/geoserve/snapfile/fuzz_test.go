@@ -1,12 +1,17 @@
 package snapfile
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"geonet/internal/geoserve"
 )
 
 var update = flag.Bool("update", false, "regenerate the fuzz seed corpus")
@@ -59,10 +64,69 @@ func FuzzSnapfileLoad(f *testing.F) {
 	})
 }
 
+// fuzzDeltaBase is the snapshot every seed delta under testdata/fuzz
+// applies to.
+func fuzzDeltaBase(tb testing.TB) *geoserve.Snapshot {
+	return buildWorld(tb, 1, worldKeys(8), nil)
+}
+
+// FuzzSnapdeltaApply feeds Apply arbitrary mutations of valid deltas
+// (seed corpus testdata/fuzz/*.snapdelta), each also with its
+// whole-file hash resealed so the mutation reaches the op merge and
+// the record checks behind the hash. The properties: Apply never
+// panics, every failure is one of the package's typed errors, no
+// snapshot comes back beside an error, and a success always hashes to
+// the to-digest the delta's trailer names.
+func FuzzSnapdeltaApply(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "*.snapdelta"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(seeds) == 0 {
+		f.Fatal("no delta seed corpus under testdata/fuzz (regenerate with TestWriteFuzzCorpus -update)")
+	}
+	base := fuzzDeltaBase(f)
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, _, err := Apply(base, data); err != nil {
+			f.Fatalf("seed %s no longer applies (regenerate with TestWriteFuzzCorpus -update): %v", path, err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(deltaMagic))
+	f.Add([]byte{})
+	typed := []error{ErrMagic, ErrVersion, ErrTruncated, ErrFormat, ErrCorrupt, ErrDeltaBase}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resealed := bytes.Clone(data)
+		if len(resealed) >= 32 {
+			reseal(resealed)
+		}
+		for _, data := range [][]byte{data, resealed} {
+			snap, info, err := Apply(base, data)
+			if err != nil {
+				if snap != nil {
+					t.Fatal("Apply returned a snapshot alongside its error")
+				}
+				if !slices.ContainsFunc(typed, func(want error) bool { return errors.Is(err, want) }) {
+					t.Fatalf("untyped error %v", err)
+				}
+				continue
+			}
+			trailer := hex.EncodeToString(data[len(data)-64 : len(data)-32])
+			if snap.Digest() != trailer || info.ToDigest != trailer {
+				t.Fatalf("applied digest %s, info %s, trailer %s", snap.Digest(), info.ToDigest, trailer)
+			}
+		}
+	})
+}
+
 // TestWriteFuzzCorpus regenerates the checked-in seed corpus when run
 // with -update (the snapfile package reuses the geoserve golden flag
 // convention). The corpus holds small but structurally complete files:
-// multiple mappers, footprint gaps, an empty world.
+// multiple mappers, footprint gaps, an empty world, and two deltas.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if !*update {
 		t.Skip("run with -update to regenerate testdata/fuzz")
@@ -81,6 +145,19 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases["valid_tiny.snap"] = blob
+	// Deltas from fuzzDeltaBase: a churned epoch (a tombstone, a put
+	// over an existing /24 and one adding a /24) and an unchanged one
+	// (no ops).
+	base := fuzzDeltaBase(t)
+	keys, salts := churnedKeys(worldKeys(8), 1)
+	if blob, err = Diff(base, buildWorld(t, 1, keys, salts), 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	cases["valid_churn.snapdelta"] = blob
+	if blob, err = Diff(base, base, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	cases["valid_noop.snapdelta"] = blob
 	for name, data := range cases {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)

@@ -3,7 +3,7 @@
 // replicas, and the cold-start path that makes geoserved startup
 // O(snapshot size) instead of O(pipeline).
 //
-// Layout (all integers little-endian):
+// Snapshot file layout, format 2 (all integers little-endian):
 //
 //	magic   [8]byte "geosnapf"
 //	version u32     (= FormatVersion)
@@ -13,33 +13,61 @@
 //	  prefixes    u32 count + count u32 (/24 interval index, ascending)
 //	  ips         u32 count + count u32 (exact-address index, ascending)
 //	  asns        u32 count + count i32 (footprinted AS union, ascending)
-//	  answers     one section per mapper: columnar slabs over
-//	              len(prefixes)+len(ips) rows — lat f64, lon f64,
-//	              radius f64, asn i32, method u8, found u8, each field
-//	              a contiguous slab
+//	  answers     one section per mapper: the mapper's record slab as
+//	              the snapshot holds it (geoserve.Tables.Records) —
+//	              len(prefixes)+len(ips) records of geoserve.RecordSize
+//	              bytes, prefix rows then exact rows; the record layout
+//	              is the wire protocol's (geoserve/wire.go)
 //	  footprints  one section per mapper: 48-byte rows (asn i32,
 //	              interfaces/locations/degree u32, centroid lat/lon
 //	              f64, area f64, radius f64)
 //	trailer [32]byte content digest (= Snapshot.Digest(), raw)
 //	        [32]byte SHA-256 over every preceding byte of the file
 //
-// Load never trusts the file: magic and version gate first, every
-// section length and count is bounds-checked against the remaining
-// bytes before any allocation, geoserve.FromColumns revalidates the
-// structural invariants lookups rely on, the whole-file hash must
-// match, and the content digest is recomputed from the reassembled
-// snapshot and compared against the trailer. Truncated, corrupt or
-// version-skewed files are rejected with typed errors — never a panic,
-// and never a snapshot whose Digest() differs from the trailer.
+// Snapshot delta layout, format 2 (magic "geosnapd", DeltaFormatVersion;
+// see Diff and Apply): the same envelope around a header (from epoch,
+// to epoch, the base's content digest, build), the target's mappers,
+// asns and footprints sections whole, and one ops section —
+//
+//	ops   u32 count, then per op, ascending by key:
+//	        key u32 (/24 base) | kind u8 (0 delete, 1 put)
+//	        put only: prefix rows u8 (0 or 1) | u32 count + exact
+//	        addresses | per mapper, the /24's records as they sit in
+//	        the slab: the prefix record if any, then the exact records
+//
+// — closed by the target's content digest and the whole-file hash.
+// Format 1 of both (30-byte rows, column-major in the file and
+// row-major in the delta) has no reader: one binary runs a fleet and
+// every snapshot is recompiled from the pipeline, so an old file gets
+// ErrVersion.
+//
+// Load and Apply never trust their bytes: magic and version gate
+// first, every section length and count is bounds-checked against the
+// remaining bytes before any allocation, the whole-file hash must
+// match, geoserve.FromTables revalidates the structural invariants
+// lookups rely on (sort order, /24 alignment, lengths, footprint ASN
+// agreement), and the content digest is recomputed from the
+// reassembled snapshot and compared against the trailer. Records
+// arrive as the bytes that will be served, so FromTables also holds
+// each to the canonical form: known flag bits only, method code in
+// range, found set exactly when there is a method, zero reserved
+// bytes, and the exact flag set exactly on the exact rows. The last
+// two are not redundant with the digest — Snapshot.Digest hashes the
+// fields of an answer, which cover neither the exact flag (implied by
+// row position) nor the reserved bytes — and without them two files
+// with one digest could serve different wire bytes. Truncated,
+// corrupt, non-canonical or version-skewed input is rejected with
+// typed errors — never a panic, and never a snapshot whose Digest()
+// differs from the trailer.
 package snapfile
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -50,7 +78,7 @@ import (
 
 // FormatVersion is the snapshot file format this package writes and
 // the only one it loads.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // magic identifies a snapshot file; it never changes across versions.
 const magic = "geosnapf"
@@ -86,103 +114,39 @@ type FileInfo struct {
 }
 
 const (
-	answerRowBytes    = 8 + 8 + 8 + 4 + 1 + 1
 	footprintRowBytes = 4 + 4 + 4 + 4 + 8 + 8 + 8 + 8
 	trailerBytes      = 32 + 32
 )
 
 // Encode serialises the snapshot at the given replication epoch.
 func Encode(snap *geoserve.Snapshot, epoch uint64) ([]byte, error) {
-	c := snap.Columns()
-	buf := make([]byte, 0, encodedSize(c))
+	digest, err := rawDigest(snap.Digest())
+	if err != nil {
+		return nil, err
+	}
+	t := snap.Tables()
+	buf := make([]byte, 0, encodedSize(t))
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
-
 	buf = appendSection(buf, func(b []byte) []byte {
 		b = binary.LittleEndian.AppendUint64(b, epoch)
-		b = binary.LittleEndian.AppendUint64(b, uint64(c.Build.Seed))
-		b = appendF64(b, c.Build.Scale)
-		b = appendString(b, c.Build.Label)
-		return b
+		return appendBuild(b, t.Build)
 	})
-	buf = appendSection(buf, func(b []byte) []byte {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(c.Mappers)))
-		for _, name := range c.Mappers {
-			b = appendString(b, name)
-		}
-		return b
-	})
-	buf = appendSection(buf, func(b []byte) []byte { return appendU32s(b, c.Prefixes) })
-	buf = appendSection(buf, func(b []byte) []byte { return appendU32s(b, c.IPs) })
-	buf = appendSection(buf, func(b []byte) []byte {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(c.ASNs)))
-		for _, v := range c.ASNs {
-			b = binary.LittleEndian.AppendUint32(b, uint32(v))
-		}
-		return b
-	})
-	for m := range c.Answers {
-		a := &c.Answers[m]
-		buf = appendSection(buf, func(b []byte) []byte {
-			for _, v := range a.Lat {
-				b = appendF64(b, v)
-			}
-			for _, v := range a.Lon {
-				b = appendF64(b, v)
-			}
-			for _, v := range a.Radius {
-				b = appendF64(b, v)
-			}
-			for _, v := range a.ASN {
-				b = binary.LittleEndian.AppendUint32(b, uint32(v))
-			}
-			b = append(b, a.Method...)
-			b = append(b, a.Found...)
-			return b
-		})
+	buf = appendMappers(buf, t.Mappers)
+	buf = appendSection(buf, func(b []byte) []byte { return appendU32s(b, t.Prefixes) })
+	buf = appendSection(buf, func(b []byte) []byte { return appendU32s(b, t.IPs) })
+	buf = appendASNs(buf, t.ASNs)
+	for _, slab := range t.Records {
+		buf = appendSection(buf, func(b []byte) []byte { return append(b, slab...) })
 	}
-	for m := range c.Footprints {
-		fps := c.Footprints[m]
-		buf = appendSection(buf, func(b []byte) []byte {
-			for i := range fps {
-				fp := &fps[i]
-				b = binary.LittleEndian.AppendUint32(b, uint32(fp.ASN))
-				b = binary.LittleEndian.AppendUint32(b, uint32(fp.Interfaces))
-				b = binary.LittleEndian.AppendUint32(b, uint32(fp.Locations))
-				b = binary.LittleEndian.AppendUint32(b, uint32(fp.Degree))
-				b = appendF64(b, fp.Centroid.Lat)
-				b = appendF64(b, fp.Centroid.Lon)
-				b = appendF64(b, fp.AreaSqMi)
-				b = appendF64(b, fp.RadiusMi)
-			}
-			return b
-		})
-	}
-
-	digest, err := hex.DecodeString(snap.Digest())
-	if err != nil || len(digest) != 32 {
-		return nil, fmt.Errorf("snapfile: snapshot digest %q is not a sha256", snap.Digest())
-	}
-	buf = append(buf, digest...)
-	sum := sha256.Sum256(buf)
-	buf = append(buf, sum[:]...)
-	return buf, nil
-}
-
-// Write serialises the snapshot to w, returning the byte count.
-func Write(w io.Writer, snap *geoserve.Snapshot, epoch uint64) (int64, error) {
-	buf, err := Encode(snap, epoch)
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(buf)
-	return int64(n), err
+	buf = appendFootprints(buf, t.Footprints)
+	return appendTrailer(buf, digest), nil
 }
 
 // WriteFile writes the snapshot to path atomically: the bytes land in
-// a temporary file in the same directory and rename into place, so a
-// concurrent Load sees either the old complete file or the new one,
-// never a half-written hybrid.
+// a temporary file in the same directory, are synced, and rename into
+// place, so a concurrent Load — or one after a crash — sees either the
+// old complete file or the new one, never a half-written hybrid.
 func WriteFile(path string, snap *geoserve.Snapshot, epoch uint64) error {
 	buf, err := Encode(snap, epoch)
 	if err != nil {
@@ -195,6 +159,10 @@ func WriteFile(path string, snap *geoserve.Snapshot, epoch uint64) error {
 	}
 	defer os.Remove(tmp.Name())
 	if _, err := tmp.Write(buf); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -225,23 +193,16 @@ func readSnapFileHeap(path string) ([]byte, func(), error) {
 	return data, func() {}, nil
 }
 
-// Decode validates and reassembles an encoded snapshot.
+// Decode validates and reassembles an encoded snapshot. It retains
+// none of data: each mapper's slab is copied out once.
 func Decode(data []byte) (*geoserve.Snapshot, FileInfo, error) {
 	info := FileInfo{SizeBytes: int64(len(data))}
-	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
-		return nil, info, fmt.Errorf("%w (not a snapshot file)", ErrMagic)
+	d, version, err := openEnvelope(data, magic, FormatVersion)
+	info.FormatVersion = version
+	if err != nil {
+		return nil, info, err
 	}
-	info.FormatVersion = binary.LittleEndian.Uint32(data[len(magic):])
-	if info.FormatVersion != FormatVersion {
-		return nil, info, fmt.Errorf("%w %d (this build speaks %d)", ErrVersion, info.FormatVersion, FormatVersion)
-	}
-	if len(data) < len(magic)+4+trailerBytes {
-		return nil, info, fmt.Errorf("%w: %d bytes is shorter than the minimal file", ErrTruncated, len(data))
-	}
-	body := data[len(magic)+4 : len(data)-trailerBytes]
-	d := &decoder{data: body}
-
-	c := &geoserve.Columns{}
+	var t geoserve.Tables
 	header, err := d.section("header")
 	if err != nil {
 		return nil, info, err
@@ -249,145 +210,118 @@ func Decode(data []byte) (*geoserve.Snapshot, FileInfo, error) {
 	if info.Epoch, err = header.u64("epoch"); err != nil {
 		return nil, info, err
 	}
-	seed, err := header.u64("build seed")
-	if err != nil {
-		return nil, info, err
-	}
-	c.Build.Seed = int64(seed)
-	if c.Build.Scale, err = header.f64("build scale"); err != nil {
-		return nil, info, err
-	}
-	if c.Build.Label, err = header.str("build label"); err != nil {
+	if t.Build, err = decodeBuild(header); err != nil {
 		return nil, info, err
 	}
 	if err := header.done("header"); err != nil {
 		return nil, info, err
 	}
-	info.Build = c.Build
-
-	mappers, err := d.section("mappers")
-	if err != nil {
+	info.Build = t.Build
+	if t.Mappers, err = decodeMappers(d); err != nil {
 		return nil, info, err
 	}
-	nMappers, err := mappers.u32("mapper count")
-	if err != nil {
+	if t.Prefixes, err = d.u32Section("prefixes"); err != nil {
 		return nil, info, err
 	}
-	// Each mapper name costs at least its 4-byte length prefix, so the
-	// count is bounded by the section payload before anything allocates.
-	if uint64(nMappers)*4 > uint64(mappers.remaining()) {
-		return nil, info, fmt.Errorf("%w: mapper count %d exceeds section size", ErrFormat, nMappers)
-	}
-	for i := 0; i < int(nMappers); i++ {
-		name, err := mappers.str("mapper name")
-		if err != nil {
-			return nil, info, err
-		}
-		c.Mappers = append(c.Mappers, name)
-	}
-	if err := mappers.done("mappers"); err != nil {
+	if t.IPs, err = d.u32Section("ips"); err != nil {
 		return nil, info, err
 	}
-
-	if c.Prefixes, err = d.u32Section("prefixes"); err != nil {
+	if t.ASNs, err = decodeASNs(d); err != nil {
 		return nil, info, err
 	}
-	if c.IPs, err = d.u32Section("ips"); err != nil {
-		return nil, info, err
-	}
-	asnsRaw, err := d.u32Section("asns")
-	if err != nil {
-		return nil, info, err
-	}
-	c.ASNs = make([]int32, len(asnsRaw))
-	for i, v := range asnsRaw {
-		c.ASNs[i] = int32(v)
-	}
-
-	rows := len(c.Prefixes) + len(c.IPs)
-	for m := 0; m < len(c.Mappers); m++ {
+	rows := len(t.Prefixes) + len(t.IPs)
+	for m := range t.Mappers {
 		sec, err := d.section("answers")
 		if err != nil {
 			return nil, info, err
 		}
-		if sec.remaining() != rows*answerRowBytes {
+		if sec.remaining() != rows*geoserve.RecordSize {
 			return nil, info, fmt.Errorf("%w: answers section for mapper %d is %d bytes, want %d rows × %d",
-				ErrFormat, m, sec.remaining(), rows, answerRowBytes)
+				ErrFormat, m, sec.remaining(), rows, geoserve.RecordSize)
 		}
-		a := geoserve.AnswerColumns{
-			Lat:    sec.f64s(rows),
-			Lon:    sec.f64s(rows),
-			Radius: sec.f64s(rows),
-			ASN:    sec.i32s(rows),
-			Method: sec.bytes(rows),
-			Found:  sec.bytes(rows),
-		}
-		c.Answers = append(c.Answers, a)
+		t.Records = append(t.Records, bytes.Clone(sec.data))
 	}
-	for m := 0; m < len(c.Mappers); m++ {
-		sec, err := d.section("footprints")
-		if err != nil {
-			return nil, info, err
-		}
-		n := len(c.ASNs)
-		if sec.remaining() != n*footprintRowBytes {
-			return nil, info, fmt.Errorf("%w: footprint section for mapper %d is %d bytes, want %d rows × %d",
-				ErrFormat, m, sec.remaining(), n, footprintRowBytes)
-		}
-		fps := make([]analysis.ASFootprint, n)
-		for i := range fps {
-			fp := &fps[i]
-			fp.ASN = int(int32(sec.rawU32()))
-			fp.Interfaces = int(sec.rawU32())
-			fp.Locations = int(sec.rawU32())
-			fp.Degree = int(sec.rawU32())
-			fp.Centroid.Lat = sec.rawF64()
-			fp.Centroid.Lon = sec.rawF64()
-			fp.AreaSqMi = sec.rawF64()
-			fp.RadiusMi = sec.rawF64()
-		}
-		c.Footprints = append(c.Footprints, fps)
+	if t.Footprints, err = decodeFootprints(d, len(t.Mappers), len(t.ASNs)); err != nil {
+		return nil, info, err
 	}
-	if d.remaining() != 0 {
-		return nil, info, fmt.Errorf("%w: %d trailing bytes after the last section", ErrFormat, d.remaining())
+	if err := closeEnvelope(data, d); err != nil {
+		return nil, info, err
 	}
-
-	// Whole-file integrity: the final 32 bytes hash everything before
-	// them, covering the header fields the content digest excludes.
-	sum := sha256.Sum256(data[:len(data)-32])
-	if string(sum[:]) != string(data[len(data)-32:]) {
-		return nil, info, fmt.Errorf("%w: file hash mismatch", ErrCorrupt)
-	}
-
-	snap, err := geoserve.FromColumns(c)
+	snap, err := assemble(t, trailerDigest(data))
 	if err != nil {
-		return nil, info, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	// The content digest is recomputed from the reassembled snapshot;
-	// the trailer must agree, so a loaded snapshot can never carry a
-	// digest its content does not hash to.
-	wantDigest := hex.EncodeToString(data[len(data)-trailerBytes : len(data)-32])
-	if snap.Digest() != wantDigest {
-		return nil, info, fmt.Errorf("%w: content digest %s does not match trailer %s",
-			ErrCorrupt, snap.Digest(), wantDigest)
+		return nil, info, err
 	}
 	info.Digest = snap.Digest()
 	return snap, info, nil
 }
 
-func encodedSize(c *geoserve.Columns) int {
+// openEnvelope checks what both formats open with — magic, version,
+// room for the trailer — and returns a decoder over the sections in
+// between.
+func openEnvelope(data []byte, magic string, speaks uint32) (*decoder, uint32, error) {
+	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
+		return nil, 0, fmt.Errorf("%w (want %q)", ErrMagic, magic)
+	}
+	version := binary.LittleEndian.Uint32(data[len(magic):])
+	if version != speaks {
+		return nil, version, fmt.Errorf("%w %d (this build speaks %d)", ErrVersion, version, speaks)
+	}
+	if len(data) < len(magic)+4+trailerBytes {
+		return nil, version, fmt.Errorf("%w: %d bytes is shorter than the minimal file", ErrTruncated, len(data))
+	}
+	return &decoder{data: data[len(magic)+4 : len(data)-trailerBytes]}, version, nil
+}
+
+// closeEnvelope checks what both formats close with once every
+// section has parsed: nothing unread before the trailer, and final 32
+// bytes that hash everything before them (covering the header fields
+// the content digest excludes).
+func closeEnvelope(data []byte, d *decoder) error {
+	if d.remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after the last section", ErrFormat, d.remaining())
+	}
+	sum := sha256.Sum256(data[:len(data)-32])
+	if !bytes.Equal(sum[:], data[len(data)-32:]) {
+		return fmt.Errorf("%w: file hash mismatch", ErrCorrupt)
+	}
+	return nil
+}
+
+// assemble builds the snapshot over tables parsed from outside bytes:
+// geoserve.FromTables revalidates every invariant a lookup relies on,
+// and the content digest it recomputes must equal the one the file's
+// trailer names, so a loaded snapshot can never carry a digest its
+// content does not hash to.
+func assemble(t geoserve.Tables, wantDigest string) (*geoserve.Snapshot, error) {
+	snap, err := geoserve.FromTables(t)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+	}
+	if snap.Digest() != wantDigest {
+		return nil, fmt.Errorf("%w: content hashes to %s, trailer names %s", ErrCorrupt, snap.Digest(), wantDigest)
+	}
+	return snap, nil
+}
+
+// trailerDigest is the content digest (hex) a file's trailer names.
+func trailerDigest(data []byte) string {
+	return hex.EncodeToString(data[len(data)-trailerBytes : len(data)-32])
+}
+
+func encodedSize(t geoserve.Tables) int {
 	n := len(magic) + 4
-	n += 8 + 8 + 8 + 8 + 4 + len(c.Build.Label) // header
+	n += 8 + 8 + 8 + 8 + 4 + len(t.Build.Label) // header
 	n += 8 + 4                                  // mappers
-	for _, name := range c.Mappers {
+	for _, name := range t.Mappers {
 		n += 4 + len(name)
 	}
-	n += 8 + 4 + 4*len(c.Prefixes)
-	n += 8 + 4 + 4*len(c.IPs)
-	n += 8 + 4 + 4*len(c.ASNs)
-	rows := len(c.Prefixes) + len(c.IPs)
-	n += len(c.Mappers) * (8 + rows*answerRowBytes)
-	n += len(c.Mappers) * (8 + len(c.ASNs)*footprintRowBytes)
+	n += 8 + 4 + 4*len(t.Prefixes)
+	n += 8 + 4 + 4*len(t.IPs)
+	n += 8 + 4 + 4*len(t.ASNs)
+	for _, slab := range t.Records {
+		n += 8 + len(slab)
+	}
+	n += len(t.Mappers) * (8 + len(t.ASNs)*footprintRowBytes)
 	return n + trailerBytes
 }
 
@@ -416,4 +350,71 @@ func appendU32s(b []byte, xs []uint32) []byte {
 		b = binary.LittleEndian.AppendUint32(b, v)
 	}
 	return b
+}
+
+// The append functions below and their decode counterparts in
+// decode.go are the sections the snapshot and delta formats share.
+
+// appendBuild emits the build identity a header section ends with.
+func appendBuild(b []byte, build geoserve.BuildInfo) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(build.Seed))
+	b = appendF64(b, build.Scale)
+	return appendString(b, build.Label)
+}
+
+func appendMappers(buf []byte, names []string) []byte {
+	return appendSection(buf, func(b []byte) []byte {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(names)))
+		for _, name := range names {
+			b = appendString(b, name)
+		}
+		return b
+	})
+}
+
+func appendASNs(buf []byte, asns []int32) []byte {
+	return appendSection(buf, func(b []byte) []byte {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(asns)))
+		for _, v := range asns {
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+		return b
+	})
+}
+
+// appendFootprints emits one section per mapper.
+func appendFootprints(buf []byte, footprints [][]analysis.ASFootprint) []byte {
+	for _, fps := range footprints {
+		buf = appendSection(buf, func(b []byte) []byte {
+			for i := range fps {
+				fp := &fps[i]
+				b = binary.LittleEndian.AppendUint32(b, uint32(fp.ASN))
+				b = binary.LittleEndian.AppendUint32(b, uint32(fp.Interfaces))
+				b = binary.LittleEndian.AppendUint32(b, uint32(fp.Locations))
+				b = binary.LittleEndian.AppendUint32(b, uint32(fp.Degree))
+				b = appendF64(b, fp.Centroid.Lat)
+				b = appendF64(b, fp.Centroid.Lon)
+				b = appendF64(b, fp.AreaSqMi)
+				b = appendF64(b, fp.RadiusMi)
+			}
+			return b
+		})
+	}
+	return buf
+}
+
+// appendTrailer closes a file: the content digest, then a SHA-256 over
+// every byte before it.
+func appendTrailer(buf, digest []byte) []byte {
+	buf = append(buf, digest...)
+	sum := sha256.Sum256(buf)
+	return append(buf, sum[:]...)
+}
+
+func rawDigest(hexDigest string) ([]byte, error) {
+	raw, err := hex.DecodeString(hexDigest)
+	if err != nil || len(raw) != 32 {
+		return nil, fmt.Errorf("snapfile: snapshot digest %q is not a sha256", hexDigest)
+	}
+	return raw, nil
 }

@@ -14,12 +14,12 @@ import (
 )
 
 // makeSnapshot assembles a small synthetic snapshot through the same
-// FromColumns path Load uses, so tests need no pipeline run. Content
+// FromTables path Load uses, so tests need no pipeline run. Content
 // is deterministic in (seed, nPrefixes, nASNs).
 func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Snapshot {
 	tb.Helper()
 	r := rng.New(seed)
-	c := &geoserve.Columns{
+	c := geoserve.Tables{
 		Build:   geoserve.BuildInfo{Seed: seed, Scale: 0.5, Label: "synthetic"},
 		Mappers: []string{"alpha", "beta"},
 	}
@@ -32,29 +32,27 @@ func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Sna
 	for i := 0; i < nASNs; i++ {
 		c.ASNs = append(c.ASNs, int32(100+i))
 	}
+	methods := []string{"feed", "hostname", "loc", "whois"}
 	rows := len(c.Prefixes) + len(c.IPs)
 	for m := 0; m < len(c.Mappers); m++ {
-		a := geoserve.AnswerColumns{
-			Lat:    make([]float64, rows),
-			Lon:    make([]float64, rows),
-			Radius: make([]float64, rows),
-			ASN:    make([]int32, rows),
-			Method: make([]uint8, rows),
-			Found:  make([]uint8, rows),
-		}
+		slab := make([]byte, rows*geoserve.RecordSize)
 		for i := 0; i < rows; i++ {
+			a := geoserve.Answer{Exact: i >= len(c.Prefixes)}
 			if nASNs > 0 {
-				a.ASN[i] = c.ASNs[r.Intn(nASNs)]
+				a.ASN = int(c.ASNs[r.Intn(nASNs)])
 			}
 			if r.Bool(0.8) {
-				a.Found[i] = 1
-				a.Method[i] = uint8(1 + r.Intn(4))
-				a.Lat[i] = r.Float64()*180 - 90
-				a.Lon[i] = r.Float64()*360 - 180
-				a.Radius[i] = r.Float64() * 500
+				a.Found = true
+				a.Method = methods[r.Intn(4)]
+				a.Loc.Lat = r.Float64()*180 - 90
+				a.Loc.Lon = r.Float64()*360 - 180
+				a.RadiusMi = r.Float64() * 500
+			}
+			if err := geoserve.PutRecord(slab[i*geoserve.RecordSize:], a); err != nil {
+				tb.Fatal(err)
 			}
 		}
-		c.Answers = append(c.Answers, a)
+		c.Records = append(c.Records, slab)
 		fps := make([]analysis.ASFootprint, nASNs)
 		for i := range fps {
 			if r.Bool(0.7) {
@@ -71,9 +69,9 @@ func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Sna
 		}
 		c.Footprints = append(c.Footprints, fps)
 	}
-	snap, err := geoserve.FromColumns(c)
+	snap, err := geoserve.FromTables(c)
 	if err != nil {
-		tb.Fatalf("FromColumns: %v", err)
+		tb.Fatalf("FromTables: %v", err)
 	}
 	return snap
 }
@@ -228,6 +226,91 @@ func TestLoadRejectsDigestSwap(t *testing.T) {
 	reseal(forged)
 	if _, _, err := Decode(forged); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forged digest loaded with err %v, want ErrCorrupt", err)
+	}
+}
+
+// noncanonical lists the ways a stored record can differ from anything
+// PutRecord writes. The first four leave Snapshot.Digest's byte stream
+// untouched (it covers neither the exact flag nor the reserved bytes),
+// so only the loader's canonical-record checks stand between them and
+// a snapshot that serves different bytes under the published digest.
+var noncanonical = []struct {
+	name     string
+	exactRow bool
+	mut      func(rec []byte)
+}{
+	{"prefix row with the exact flag", false, func(rec []byte) { rec[28] |= 2 }},
+	{"exact row without the exact flag", true, func(rec []byte) { rec[28] &^= 2 }},
+	{"unknown flag bit", false, func(rec []byte) { rec[28] |= 0x80 }},
+	{"non-zero reserved byte", true, func(rec []byte) { rec[31] = 1 }},
+	{"method code out of range", false, func(rec []byte) { rec[29] = 9 }},
+	{"found without a method", true, func(rec []byte) { rec[29] = 0 }},
+}
+
+// findRecord returns the offset inside blob of a found record of
+// snap's first mapper — a prefix row's, or an exact row's — so a test
+// can damage it in an encoded file or delta (a delta carries only the
+// changed intervals' records, hence the search).
+func findRecord(tb testing.TB, blob []byte, snap *geoserve.Snapshot, exactRow bool) int {
+	tb.Helper()
+	tabs := snap.Tables()
+	lo, hi := 0, len(tabs.Prefixes)
+	if exactRow {
+		lo, hi = hi, hi+len(tabs.IPs)
+	}
+	for row := lo; row < hi; row++ {
+		rec := tabs.Records[0][row*geoserve.RecordSize:][:geoserve.RecordSize]
+		if rec[28]&1 == 0 {
+			continue
+		}
+		if at := bytes.Index(blob, rec); at >= 0 {
+			return at
+		}
+	}
+	tb.Fatalf("no found record (exact=%v) of the snapshot occurs in the %d-byte blob", exactRow, len(blob))
+	return -1
+}
+
+// TestLoadRejectsNoncanonicalRecord damages one record of an otherwise
+// valid file, reseals the whole-file hash and leaves the content-digest
+// trailer alone: the file must fail as malformed, never load.
+func TestLoadRejectsNoncanonicalRecord(t *testing.T) {
+	snap := makeSnapshot(t, 5, 12, 4)
+	blob, err := Encode(snap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range noncanonical {
+		t.Run(tc.name, func(t *testing.T) {
+			forged := bytes.Clone(blob)
+			at := findRecord(t, forged, snap, tc.exactRow)
+			tc.mut(forged[at : at+geoserve.RecordSize])
+			reseal(forged)
+			if s, _, err := Decode(forged); !errors.Is(err, ErrFormat) || s != nil {
+				t.Fatalf("snapshot %v, err %v; want no snapshot and ErrFormat", s != nil, err)
+			}
+		})
+	}
+}
+
+// TestLoadRejectsV1 pins that the retired version-1 layouts get the
+// typed version error, not a parse attempt.
+func TestLoadRejectsV1(t *testing.T) {
+	snap := makeSnapshot(t, 5, 12, 4)
+	blob, err := Encode(snap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := Diff(snap, makeSnapshot(t, 6, 12, 4), 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(magic)], delta[len(deltaMagic)] = 1, 1
+	if _, info, err := Decode(blob); !errors.Is(err, ErrVersion) || info.FormatVersion != 1 {
+		t.Fatalf("v1 file: err %v, info %+v; want ErrVersion naming version 1", err, info)
+	}
+	if _, info, err := Apply(snap, delta); !errors.Is(err, ErrVersion) || info.FormatVersion != 1 {
+		t.Fatalf("v1 delta: err %v, info %+v; want ErrVersion naming version 1", err, info)
 	}
 }
 

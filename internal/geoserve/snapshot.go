@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"geonet/internal/analysis"
-	"geonet/internal/geo"
 )
 
 // method codes index methodNames; they are the compact stored form of
@@ -39,16 +38,6 @@ func methodCode(name string) (method, bool) {
 	return methodNone, false
 }
 
-// entry is one precomputed answer (per mapper, per /24 or per exact
-// address).
-type entry struct {
-	loc      geo.Point
-	radiusMi float64
-	asn      int32
-	method   method
-	found    bool
-}
-
 // Snapshot is the immutable compiled serving index. All state is flat
 // sorted slices; nothing is mutated after Compile, so any number of
 // goroutines may query it concurrently without synchronisation.
@@ -57,15 +46,16 @@ type Snapshot struct {
 	mappers []string
 
 	// prefixes holds the base address of every allocated /24 in
-	// ascending order; prefixAns[m][i] answers a generic (non-
-	// interface) address inside prefixes[i] under mapper m.
-	prefixes  []uint32
-	prefixAns [][]entry
+	// ascending order; ips every known interface address in ascending
+	// order.
+	prefixes []uint32
+	ips      []uint32
 
-	// ips holds every known interface address in ascending order;
-	// ipAns[m][i] is its exact answer under mapper m.
-	ips   []uint32
-	ipAns [][]entry
+	// records[m] is mapper m's answers, RecordSize bytes per row (see
+	// record.go): row i < len(prefixes) answers a generic (non-
+	// interface) address inside prefixes[i], row len(prefixes)+i is
+	// ips[i]'s exact answer.
+	records [][]byte
 
 	// asns holds the union of footprinted AS numbers in ascending
 	// order; footprints[m][i] is asns[i]'s footprint under mapper m
@@ -73,14 +63,16 @@ type Snapshot struct {
 	asns       []int32
 	footprints [][]analysis.ASFootprint
 
+	// digest is the content digest and tag its first 8 bytes, the
+	// epoch tag of the wire protocol; seal sets both.
 	digest string
+	tag    uint64
 
-	// wireP lazily holds the wire-serving acceleration — record slabs,
-	// epoch tag and the preserialized JSON cache (see wire.go); wireMu
-	// serializes its first build. Both are identity, not content:
-	// computeDigest never sees them.
-	wireMu sync.Mutex
-	wireP  atomic.Pointer[wireState]
+	// tails is the lazily allocated cache of preserialized JSON
+	// response tails (see jsonTail). It is derived, not content: the
+	// digest never sees it.
+	tailsOnce sync.Once
+	tails     []atomic.Pointer[[]byte]
 }
 
 // Build reports the pipeline identity the snapshot was compiled from.
@@ -164,18 +156,6 @@ func search32(xs []uint32, v uint32) (int, bool) {
 	return lo, false
 }
 
-func (e *entry) answer(ip uint32, exact bool) Answer {
-	return Answer{
-		IP:       ip,
-		Found:    e.found,
-		Exact:    exact,
-		Loc:      e.loc,
-		Method:   methodNames[e.method],
-		ASN:      int(e.asn),
-		RadiusMi: e.radiusMi,
-	}
-}
-
 // Lookup answers one address under the mapper with the given index
 // (see MapperIndex). It allocates nothing: known interface addresses
 // return their exact precomputed answer, other addresses inside an
@@ -188,19 +168,43 @@ func (s *Snapshot) Lookup(mapper int, ip uint32) Answer {
 
 // lookup additionally returns the stored method code, so the serving
 // metrics path never round-trips it through the method-name string.
+// It spells lookupRow's two searches out instead of calling it: the
+// searches are too big to inline into lookupRow's callers, and a
+// second call costs this path ~3 ns of ~100 (measured, PR 14).
 func (s *Snapshot) lookup(mapper int, ip uint32) (Answer, method) {
-	if mapper < 0 || mapper >= len(s.mappers) {
+	if mapper < 0 || mapper >= len(s.records) {
 		return Answer{IP: ip}, methodNone
 	}
+	row, ok := search32(s.ips, ip)
+	if ok {
+		row += len(s.prefixes)
+	} else if row, ok = search32(s.prefixes, ip&^0xff); !ok {
+		return Answer{IP: ip}, methodNone
+	}
+	rec := s.records[mapper][row*RecordSize:][:RecordSize]
+	return recordAnswer(ip, rec), method(rec[recOffMethod])
+}
+
+// lookupRow locates ip's answer row in every mapper's slab: its exact
+// row when ip is a known interface address, else its /24's prefix row,
+// else -1 (a miss).
+func (s *Snapshot) lookupRow(ip uint32) int {
 	if i, ok := search32(s.ips, ip); ok {
-		e := &s.ipAns[mapper][i]
-		return e.answer(ip, true), e.method
+		return len(s.prefixes) + i
 	}
 	if i, ok := search32(s.prefixes, ip&^0xff); ok {
-		e := &s.prefixAns[mapper][i]
-		return e.answer(ip, false), e.method
+		return i
 	}
-	return Answer{IP: ip}, methodNone
+	return -1
+}
+
+// record returns the stored record of (mapper, row), or nil for a miss
+// (row -1) or an out-of-range mapper.
+func (s *Snapshot) record(mapper, row int) []byte {
+	if row < 0 || mapper < 0 || mapper >= len(s.records) {
+		return nil
+	}
+	return s.records[mapper][row*RecordSize:][:RecordSize]
 }
 
 // Footprint returns an AS's geographic footprint under the mapper with
@@ -287,27 +291,24 @@ func (w *hashWriter) str(s string) {
 	w.h.Write([]byte(s))
 }
 
-// entry emits the same byte sequence as f64/f64/f64/u32/u8/u8 would,
-// batched into one append — the digest loop runs once per row per
-// mapper, so per-field call overhead is measurable (delta compiles are
-// digest-bound; see BenchmarkServeDelta).
-func (w *hashWriter) entry(e *entry) {
-	w.grow(30)
-	var b [30]byte
-	binary.LittleEndian.PutUint64(b[0:], math.Float64bits(e.loc.Lat))
-	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(e.loc.Lon))
-	binary.LittleEndian.PutUint64(b[16:], math.Float64bits(e.radiusMi))
-	binary.LittleEndian.PutUint32(b[24:], uint32(e.asn))
-	b[28] = uint8(e.method)
-	if e.found {
-		b[29] = 1
+// records emits, per record, the 30 bytes f64/f64/f64/u32/u8/u8 of
+// (lat, lon, radius, asn, method, found): the digest is defined over
+// an answer's fields, not over the bytes that store them, which keeps
+// a digest — and every golden pinning one — stable across changes of
+// the stored layout. The exact flag (implied by row position) and the
+// reserved bytes are therefore not in it; FromTables pins those.
+func (w *hashWriter) records(slab []byte) {
+	for ; len(slab) >= RecordSize; slab = slab[RecordSize:] {
+		w.grow(30)
+		w.buf = append(w.buf, slab[:recOffFlags]...)
+		w.buf = append(w.buf, slab[recOffMethod], slab[recOffFlags]&recFlagFound)
 	}
-	w.buf = append(w.buf, b[:]...)
 }
 
-// computeDigest hashes every content table in a fixed order; BuildInfo
-// is deliberately excluded (see Digest).
-func (s *Snapshot) computeDigest() string {
+// seal computes the content digest, hashing every content table in a
+// fixed order (BuildInfo is deliberately excluded, see Digest), and
+// the epoch tag.
+func (s *Snapshot) seal() {
 	w := &hashWriter{h: sha256.New(), buf: make([]byte, 0, 1<<16)}
 	w.str("geoserve-snapshot-v1")
 	w.u32(uint32(len(s.mappers)))
@@ -318,13 +319,8 @@ func (s *Snapshot) computeDigest() string {
 	w.u32s(s.prefixes)
 	w.u32(uint32(len(s.ips)))
 	w.u32s(s.ips)
-	for m := range s.mappers {
-		for i := range s.prefixAns[m] {
-			w.entry(&s.prefixAns[m][i])
-		}
-		for i := range s.ipAns[m] {
-			w.entry(&s.ipAns[m][i])
-		}
+	for _, slab := range s.records {
+		w.records(slab)
 	}
 	w.u32(uint32(len(s.asns)))
 	for _, asn := range s.asns {
@@ -344,5 +340,7 @@ func (s *Snapshot) computeDigest() string {
 		}
 	}
 	w.flush()
-	return hex.EncodeToString(w.h.Sum(nil))
+	sum := w.h.Sum(nil)
+	s.digest = hex.EncodeToString(sum)
+	s.tag = binary.BigEndian.Uint64(sum)
 }

@@ -2,12 +2,10 @@ package geoserve
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync/atomic"
 )
 
@@ -40,11 +38,16 @@ import (
 // digest; every answer in one frame comes from that single snapshot
 // (the cluster's epoch guard), so a reader can detect a hot-swap
 // between frames without ever seeing a blended frame. An answer is 36
-// bytes — the queried address followed by the 32-byte record copied
-// verbatim from the snapshot's precomputed wire slab:
+// bytes — the queried address followed by the 32-byte record:
 //
-//	answer = ip u32 | lat f64 | lon f64 | radius_mi f64 | asn u32 |
+//	answer = ip u32 | record
+//	record = lat f64 | lon f64 | radius_mi f64 | asn u32 |
 //	         flags u8 (bit0 found, bit1 exact) | method u8 | 0 u16
+//
+// The record is not an encoding made for the wire: it is the row the
+// snapshot stores (record.go), the snapfile's answers section and the
+// snapdelta's put-op payload, so a served answer is one copy of 32
+// bytes out of the snapshot and a miss is 32 zero bytes.
 //
 // A stream response may end early with an error frame — count
 // 0xFFFFFFFF followed by a u32 code — when a chunk is oversized, the
@@ -60,10 +63,9 @@ const (
 	WireMapperDefault = 0xFFFF
 
 	wireHeaderSize = 8
-	wireRecordSize = 32
 	// WireAnswerSize is the fixed width of one answer on the wire: the
 	// queried address plus its record.
-	WireAnswerSize = 4 + wireRecordSize
+	WireAnswerSize = 4 + RecordSize
 
 	wireKindBatchReq   = 1
 	wireKindStreamReq  = 2
@@ -84,17 +86,6 @@ const (
 	// is only ever set for traced requests, so untraced streams keep
 	// the original 8-byte error frame byte-for-byte.
 	wireErrTraceFlag = 0x80000000
-
-	// Record field offsets inside the 32-byte record.
-	wireOffLat    = 0
-	wireOffLon    = 8
-	wireOffRadius = 16
-	wireOffASN    = 24
-	wireOffFlags  = 28
-	wireOffMethod = 29
-
-	wireFlagFound = 1 << 0
-	wireFlagExact = 1 << 1
 )
 
 // WireContentType is the Content-Type of binary wire requests and
@@ -222,28 +213,11 @@ func decodeWireAnswer(b []byte) (Answer, error) {
 	if len(b) < WireAnswerSize {
 		return Answer{}, fmt.Errorf("%w: %d-byte answer", ErrWireFormat, len(b))
 	}
-	flags := b[4+wireOffFlags]
-	code := b[4+wireOffMethod]
-	if flags&^(wireFlagFound|wireFlagExact) != 0 {
-		return Answer{}, fmt.Errorf("%w: unknown answer flags %#x", ErrWireFormat, flags)
+	rec := b[4:WireAnswerSize]
+	if err := checkRecord(rec); err != nil {
+		return Answer{}, fmt.Errorf("%w: %v", ErrWireFormat, err)
 	}
-	if code >= uint8(numMethods) {
-		return Answer{}, fmt.Errorf("%w: method code %d out of range", ErrWireFormat, code)
-	}
-	if b[4+wireOffMethod+1] != 0 || b[4+wireOffMethod+2] != 0 {
-		return Answer{}, fmt.Errorf("%w: nonzero reserved bytes", ErrWireFormat)
-	}
-	a := Answer{
-		IP:       binary.LittleEndian.Uint32(b),
-		Found:    flags&wireFlagFound != 0,
-		Exact:    flags&wireFlagExact != 0,
-		Method:   methodNames[code],
-		ASN:      int(int32(binary.LittleEndian.Uint32(b[4+wireOffASN:]))),
-		RadiusMi: f64frombits(b[4+wireOffRadius:]),
-	}
-	a.Loc.Lat = f64frombits(b[4+wireOffLat:])
-	a.Loc.Lon = f64frombits(b[4+wireOffLon:])
-	return a, nil
+	return recordAnswer(binary.LittleEndian.Uint32(b), rec), nil
 }
 
 // WireReader decodes a binary wire response — the single frame of a
@@ -389,10 +363,6 @@ func (r *sliceReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func f64frombits(b []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
 // MarshalAnswerJSON renders an Answer exactly as GET /v1/locate does
 // (compact JSON, fixed field order, trailing newline). The wire golden
 // uses it to pin that decoded binary answers are byte-equivalent to
@@ -405,82 +375,14 @@ func MarshalAnswerJSON(a Answer, mapperName string) []byte {
 	return append(b, '\n')
 }
 
-// --- Snapshot wire slabs and the preserialized JSON cache ---
+// --- Serving from the snapshot's records ---
 
-// wireState is the lazily-built serving acceleration attached to a
-// Snapshot: per-mapper slabs of ready-to-copy 32-byte wire records
-// (row order matches Columns: prefix answers, then exact answers), the
-// 8-byte epoch tag, and the lazily-filled preserialized JSON response
-// tails for the single-lookup path. A snapshot is immutable, so the
-// state is built once and the cluster's atomic snapshot swap is the
-// cache invalidation.
-type wireState struct {
-	slabs [][]byte
-	tag   uint64
-	// tails[m*(rows+1)+row+1] caches the /v1/locate response tail
-	// (everything after the ip string) for row under mapper m; slot
-	// m*(rows+1) is the mapper's miss tail. Filled on first use.
-	tails []atomic.Pointer[[]byte]
-}
-
-var zeroWireRecord [wireRecordSize]byte
-
-// wire returns the snapshot's wire state, building it on first use.
-func (s *Snapshot) wire() *wireState {
-	if w := s.wireP.Load(); w != nil {
-		return w
-	}
-	s.wireMu.Lock()
-	defer s.wireMu.Unlock()
-	if w := s.wireP.Load(); w != nil {
-		return w
-	}
-	rows := len(s.prefixes) + len(s.ips)
-	w := &wireState{
-		slabs: make([][]byte, len(s.mappers)),
-		tails: make([]atomic.Pointer[[]byte], len(s.mappers)*(rows+1)),
-	}
-	if len(s.digest) >= 16 {
-		if raw, err := hex.DecodeString(s.digest[:16]); err == nil {
-			w.tag = binary.BigEndian.Uint64(raw)
-		}
-	}
-	for m := range s.mappers {
-		slab := make([]byte, rows*wireRecordSize)
-		for i := range s.prefixAns[m] {
-			putWireRecord(slab[i*wireRecordSize:], &s.prefixAns[m][i], false)
-		}
-		for i := range s.ipAns[m] {
-			putWireRecord(slab[(len(s.prefixes)+i)*wireRecordSize:], &s.ipAns[m][i], true)
-		}
-		w.slabs[m] = slab
-	}
-	s.wireP.Store(w)
-	return w
-}
-
-func putWireRecord(dst []byte, e *entry, exact bool) {
-	binary.LittleEndian.PutUint64(dst[wireOffLat:], math.Float64bits(e.loc.Lat))
-	binary.LittleEndian.PutUint64(dst[wireOffLon:], math.Float64bits(e.loc.Lon))
-	binary.LittleEndian.PutUint64(dst[wireOffRadius:], math.Float64bits(e.radiusMi))
-	binary.LittleEndian.PutUint32(dst[wireOffASN:], uint32(e.asn))
-	var flags byte
-	if e.found {
-		flags |= wireFlagFound
-	}
-	if exact {
-		flags |= wireFlagExact
-	}
-	dst[wireOffFlags] = flags
-	dst[wireOffMethod] = uint8(e.method)
-	dst[wireOffMethod+1] = 0
-	dst[wireOffMethod+2] = 0
-}
+var zeroRecord [RecordSize]byte
 
 // wireTag is the epoch tag framed into every answer frame: the first 8
 // bytes of the content digest, so two snapshots tag equal iff their
 // digests share a prefix (in practice: iff they are the same content).
-func (s *Snapshot) wireTag() uint64 { return s.wire().tag }
+func (s *Snapshot) wireTag() uint64 { return s.tag }
 
 // wireMapperIndex resolves a request's mapper id on this snapshot.
 func (s *Snapshot) wireMapperIndex(id uint16) (int, bool) {
@@ -493,43 +395,26 @@ func (s *Snapshot) wireMapperIndex(id uint16) (int, bool) {
 	return 0, false
 }
 
-// lookupRow locates ip's answer row in the columnar layout: exact rows
-// follow the prefix rows (Columns order), -1 is a miss. The row is
-// mapper-independent; every mapper's slab shares it.
-func (s *Snapshot) lookupRow(ip uint32) int {
-	if i, ok := search32(s.ips, ip); ok {
-		return len(s.prefixes) + i
-	}
-	if i, ok := search32(s.prefixes, ip&^0xff); ok {
-		return i
-	}
-	return -1
-}
-
 // rowMethod reports the stored method code of (mapper, row) for the
 // metrics path; misses and out-of-range mappers count as methodNone.
 func (s *Snapshot) rowMethod(mapper, row int) method {
-	if row < 0 || mapper < 0 || mapper >= len(s.mappers) {
-		return methodNone
+	if rec := s.record(mapper, row); rec != nil {
+		return method(rec[recOffMethod])
 	}
-	if row < len(s.prefixes) {
-		return s.prefixAns[mapper][row].method
-	}
-	return s.ipAns[mapper][row-len(s.prefixes)].method
+	return methodNone
 }
 
 // wireAnswer writes ip's 36-byte wire answer under mapper at dst and
 // returns the answer's method code. The record bytes are one copy out
-// of the precomputed slab; a miss copies the static zero record.
-func (s *Snapshot) wireAnswer(w *wireState, mapper int, ip uint32, dst []byte) method {
+// of the snapshot; a miss copies the static zero record.
+func (s *Snapshot) wireAnswer(mapper int, ip uint32, dst []byte) method {
 	binary.LittleEndian.PutUint32(dst, ip)
-	row := s.lookupRow(ip)
-	if row < 0 || mapper < 0 || mapper >= len(s.mappers) {
-		copy(dst[4:WireAnswerSize], zeroWireRecord[:])
-		return methodNone
+	rec := s.record(mapper, s.lookupRow(ip))
+	if rec == nil {
+		rec = zeroRecord[:]
 	}
-	copy(dst[4:WireAnswerSize], w.slabs[mapper][row*wireRecordSize:])
-	return method(dst[4+wireOffMethod])
+	copy(dst[4:WireAnswerSize], rec)
+	return method(rec[recOffMethod])
 }
 
 // jsonTail returns the preserialized /v1/locate response tail for
@@ -542,19 +427,19 @@ func (s *Snapshot) jsonTail(mapper, row int) []byte {
 		// case correct without a cache slot.
 		return buildJSONTail(Answer{}, "")
 	}
-	w := s.wire()
+	// tails[m*(rows+1)+row+1] caches the tail for row under mapper m;
+	// slot m*(rows+1) is the mapper's miss tail.
 	rows := len(s.prefixes) + len(s.ips)
-	slot := &w.tails[mapper*(rows+1)+row+1]
+	s.tailsOnce.Do(func() {
+		s.tails = make([]atomic.Pointer[[]byte], len(s.mappers)*(rows+1))
+	})
+	slot := &s.tails[mapper*(rows+1)+row+1]
 	if p := slot.Load(); p != nil {
 		return *p
 	}
 	a := Answer{}
-	if row >= 0 {
-		if row < len(s.prefixes) {
-			a = s.prefixAns[mapper][row].answer(0, false)
-		} else {
-			a = s.ipAns[mapper][row-len(s.prefixes)].answer(0, true)
-		}
+	if rec := s.record(mapper, row); rec != nil {
+		a = recordAnswer(0, rec)
 	}
 	tail := buildJSONTail(a, s.mappers[mapper])
 	slot.Store(&tail)

@@ -90,11 +90,11 @@ func TestWireDecodeTypedErrors(t *testing.T) {
 	truncAnswers := resp[:len(resp)-7]
 	trailing := append(bytes.Clone(resp), 0xAA)
 	badFlags := bytes.Clone(resp)
-	badFlags[wireHeaderSize+12+4+wireOffFlags] = 0xF0
+	badFlags[wireHeaderSize+12+4+recOffFlags] = 0xF0
 	badMethod := bytes.Clone(resp)
-	badMethod[wireHeaderSize+12+4+wireOffMethod] = 0xEE
+	badMethod[wireHeaderSize+12+4+recOffMethod] = 0xEE
 	badReserved := bytes.Clone(resp)
-	badReserved[wireHeaderSize+12+4+wireOffMethod+1] = 1
+	badReserved[wireHeaderSize+12+4+recOffMethod+1] = 1
 	reqNotResp := AppendWireBatchRequest(nil, 0, []uint32{1})
 
 	cases := []struct {

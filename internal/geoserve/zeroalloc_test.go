@@ -1,9 +1,13 @@
 package geoserve_test
 
 import (
+	"bytes"
+	"runtime"
+	"slices"
 	"testing"
 
 	"geonet/internal/geoserve"
+	"geonet/internal/geoserve/snapfile"
 	"geonet/internal/obs"
 )
 
@@ -69,5 +73,80 @@ func TestLookupZeroAlloc(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Errorf("Cluster.Locate: %v allocs/op, want 0", n)
+	}
+}
+
+// TestFirstWireBatchBuildsNothing pins that a snapshot holds one copy
+// of its answers and the wire path serves from it: on a snapshot
+// nothing has served from yet — freshly compiled, and freshly decoded
+// from a snapfile — the first /v1/locate/bin batch allocates nothing
+// that grows with the row count, and for every mapper and row the 32
+// record bytes in the response are the bytes of Tables().Records.
+func TestFirstWireBatchBuildsNothing(t *testing.T) {
+	p, _ := fixture(t)
+	compiled, err := p.Serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := snapfile.Encode(compiled, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, _, err := snapfile.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, snap := range map[string]*geoserve.Snapshot{"compiled": compiled, "decoded": decoded} {
+		tabs := snap.Tables()
+		rows := len(tabs.Prefixes) + len(tabs.IPs)
+		h := geoserve.NewHandler(geoserve.NewEngine(snap))
+
+		// A second full copy of the answers is rows × RecordSize per
+		// mapper; a 64-address batch needs a few KB of buffers.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := postWire(t, h, 0, tabs.IPs[:64])
+		runtime.ReadMemStats(&after)
+		if w.Code != 200 {
+			t.Fatalf("%s: first batch answered %d", name, w.Code)
+		}
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(rows*geoserve.RecordSize/8); grew > limit {
+			t.Errorf("%s: first wire batch allocated %d bytes, want under %d (%d rows)", name, grew, limit, rows)
+		}
+
+		// One address per row: for each /24 its highest address that has
+		// no exact row of its own (a /24 of 256 interfaces would fail the
+		// comparison below; the fixture has none), and each exact address.
+		addrs, addrRow := make([]uint32, 0, rows), make([]int, 0, rows)
+		isExact := func(ip uint32) bool {
+			_, ok := slices.BinarySearch(tabs.IPs, ip)
+			return ok
+		}
+		for i, base := range tabs.Prefixes {
+			ip := base + 255
+			for ip > base && isExact(ip) {
+				ip--
+			}
+			addrs, addrRow = append(addrs, ip), append(addrRow, i)
+		}
+		for i, ip := range tabs.IPs {
+			addrs, addrRow = append(addrs, ip), append(addrRow, len(tabs.Prefixes)+i)
+		}
+		for m := range tabs.Mappers {
+			for lo := 0; lo < len(addrs); lo += geoserve.MaxBatch {
+				hi := min(lo+geoserve.MaxBatch, len(addrs))
+				body := postWire(t, h, uint16(m), addrs[lo:hi]).Body.Bytes()
+				const frame = 8 + 12 // message header, then count and epoch tag
+				if len(body) != frame+(hi-lo)*geoserve.WireAnswerSize {
+					t.Fatalf("%s mapper %d: %d-byte reply to %d addresses", name, m, len(body), hi-lo)
+				}
+				for j, row := range addrRow[lo:hi] {
+					served := body[frame+j*geoserve.WireAnswerSize+4:][:geoserve.RecordSize]
+					if stored := tabs.Records[m][row*geoserve.RecordSize:][:geoserve.RecordSize]; !bytes.Equal(served, stored) {
+						t.Fatalf("%s mapper %d row %d: served record %x, stored %x", name, m, row, served, stored)
+					}
+				}
+			}
+		}
 	}
 }
