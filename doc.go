@@ -83,8 +83,9 @@
 // carrying location, method attribution, BGP origin AS and a
 // confidence radius from the AS's geographic footprint — published by
 // the one serving type, geoserve.Cluster, through an atomic pointer
-// for lock-free concurrent lookups (two binary searches, zero
-// allocations) and hot-swappable when a new pipeline finishes building
+// for lock-free concurrent lookups (three loads through a /16 → /24 →
+// host-bitmap directory and a popcount, zero allocations) and
+// hot-swappable when a new pipeline finishes building
 // in the background. cmd/geoserved serves
 // the HTTP JSON API (locate, batch, AS footprints, healthz, statusz,
 // admin rebuild):

@@ -47,7 +47,7 @@ type clusterView struct {
 // A coordinator routes single lookups to the owning prefix-range shard
 // and scatter-gathers batches across shards; each shard is a window on
 // the one snapshot with its own metrics and load-shedding budget, so
-// every shard count runs the same Snapshot search code and serves the
+// every shard count runs the same Snapshot lookup code and serves the
 // same bytes as Snapshot.Lookup (the shard-count-invariance golden
 // pins this). An unsharded server is the 1-shard Cluster.
 type Cluster struct {
@@ -215,9 +215,12 @@ func (c *Cluster) SwapDelta(snap *Snapshot, touched []uint32) (old *Snapshot, re
 
 // sameIndex reports whether two snapshots share an identical interval
 // and exact-address index (answers may differ) — the condition under
-// which a swap leaves the cluster's shard cuts where they were.
+// which a swap leaves the cluster's shard cuts where they were, and a
+// delta compile shares its predecessor's directory (after which the
+// first comparison here decides).
 func sameIndex(a, b *Snapshot) bool {
-	return slices.Equal(a.prefixes, b.prefixes) && slices.Equal(a.ips, b.ips)
+	return a.dir == b.dir ||
+		slices.Equal(a.prefixes, b.prefixes) && slices.Equal(a.ips, b.ips)
 }
 
 // Lookup answers one address under the mapper with the given index,

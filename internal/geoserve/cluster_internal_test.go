@@ -145,6 +145,7 @@ func TestSplitErrors(t *testing.T) {
 	// One shard is the unsharded server: it takes any snapshot, an
 	// empty one included, and misses everywhere on it.
 	empty := &Snapshot{}
+	empty.seal()
 	c, err := NewCluster(empty, ClusterConfig{Shards: 1})
 	if err != nil {
 		t.Fatalf("NewCluster(empty, 1 shard): %v", err)

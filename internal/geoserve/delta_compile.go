@@ -112,6 +112,12 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 	slices.Sort(s.ips)
 	s.ips = dedup32(s.ips)
 
+	// The common churn step moves answers, not the index: it then
+	// shares prev's index and the directory derived from it.
+	if sameIndex(prev, s) {
+		s.prefixes, s.ips, s.dir = prev.prefixes, prev.ips, prev.dir
+	}
+
 	// Footprint tables, and the set of ASNs whose footprint changed
 	// under any mapper since prev (their rows need a radius patch).
 	byASN := make([]map[int]analysis.ASFootprint, len(src.Mappers))

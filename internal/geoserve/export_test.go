@@ -1,0 +1,63 @@
+package geoserve
+
+import (
+	"testing"
+	"unsafe"
+)
+
+// This file is the directory tests' window into the package: the
+// oracle and what the external tests (which can reach the pipeline
+// fixture and the snapfile codec) need of the unexported directory.
+
+// searchRow is the lookup the directory replaced — a binary search of
+// the exact addresses, then one of the /24s — kept as the oracle every
+// directory test compares against.
+func searchRow(s *Snapshot, ip uint32) int {
+	if i, ok := search32(s.ips, ip); ok {
+		return len(s.prefixes) + i
+	}
+	if i, ok := search32(s.prefixes, ip&^0xff); ok {
+		return i
+	}
+	return -1
+}
+
+// CheckDirectory compares the directory's row with the oracle's at
+// both ends of the address space and, for every stored /24 and every
+// exact address, at the address itself, its neighbours on both sides
+// and (for a /24) its last host and the first of the next /24.
+func CheckDirectory(tb testing.TB, s *Snapshot) {
+	tb.Helper()
+	probe := func(ip uint32) {
+		if got, want := s.lookupRow(ip), searchRow(s, ip); got != want {
+			tb.Fatalf("%s: directory row %d, binary search row %d (%d /24s, %d exact)",
+				FormatIPv4(ip), got, want, len(s.prefixes), len(s.ips))
+		}
+	}
+	probe(0)
+	probe(0xFFFFFFFF)
+	for _, p := range s.prefixes {
+		for _, ip := range [...]uint32{p - 1, p, p + 1, p + 255, p + 256} {
+			probe(ip)
+		}
+	}
+	for _, ip := range s.ips {
+		probe(ip - 1)
+		probe(ip)
+		probe(ip + 1)
+	}
+}
+
+// SharesDirectory reports whether b serves from a's directory rather
+// than one of its own.
+func SharesDirectory(a, b *Snapshot) bool { return a.dir == b.dir }
+
+// DirectorySize reports how many blocks and slots the snapshot's
+// directory holds and the bytes it occupies, by capacity.
+func DirectorySize(s *Snapshot) (blocks, slots, bytes int) {
+	d := s.dir
+	bytes = int(unsafe.Sizeof(d.l1)) +
+		cap(d.blocks)*int(unsafe.Sizeof(d.blocks[0])) +
+		cap(d.slots)*int(unsafe.Sizeof(d.slots[0]))
+	return len(d.blocks), len(d.slots), bytes
+}

@@ -13,8 +13,9 @@
 // outside the allocated space miss. Answers carry the mapped location,
 // the method that produced it (feed/hostname/loc/whois), the BGP
 // origin AS and a confidence-style radius derived from the origin AS's
-// geographic footprint (analysis.Footprints). A lookup is two binary
-// searches and allocates nothing.
+// geographic footprint (analysis.Footprints). A lookup is three loads
+// through the snapshot's /16 → /24 → host-bitmap directory and
+// allocates nothing.
 //
 // Snapshots are immutable after Compile, and one type serves them:
 // a Cluster publishes a snapshot through an atomic.Pointer, so reads

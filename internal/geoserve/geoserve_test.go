@@ -1,6 +1,7 @@
 package geoserve_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -145,22 +146,75 @@ func searchPrefix(snap *geoserve.Snapshot, ip uint32) (int, bool) {
 	return 0, false
 }
 
-// TestLookupHitPathZeroAllocs pins the acceptance criterion: the hit
-// path (engine included, metrics recorded) allocates nothing. The miss
-// path must stay clean too.
+// lookupPath is one way a lookup can end, with an address that takes it.
+type lookupPath struct {
+	name  string
+	ip    uint32
+	exact bool // the answer is an exact row
+	miss  bool // the answer is the bare miss
+}
+
+// lookupPaths finds, on the fixture snapshot, an address for each way
+// through the directory: an exact hit (the popcount rank), a
+// prefix-level hit, a miss in a /16 nothing occupies and a miss in an
+// unallocated /24 of an occupied /16. The benchmark's workloads draw
+// all but the prefix hit at most 2 % of the time.
+func lookupPaths(t *testing.T, snap *geoserve.Snapshot) []lookupPath {
+	t.Helper()
+	prefixes, ips := snap.Prefixes(), snap.ExactIPs()
+	// has reports whether one of the ascending xs lies in [lo, lo+n).
+	has := func(xs []uint32, lo, n uint32) bool {
+		i, _ := slices.BinarySearch(xs, lo)
+		return i < len(xs) && xs[i]-lo < n
+	}
+	generic := prefixes[0] + 255
+	for has(ips, generic, 1) {
+		generic--
+	}
+	no16 := uint32(0xFFFF0101)
+	for has(prefixes, no16&^0xffff, 1<<16) || has(ips, no16&^0xffff, 1<<16) {
+		no16 -= 1 << 16
+	}
+	no24 := uint32(0)
+	for _, p := range prefixes {
+		if next := p + 256; next>>16 == p>>16 && !has(prefixes, next, 256) && !has(ips, next, 256) {
+			no24 = next + 9
+			break
+		}
+	}
+	if no24 == 0 {
+		t.Fatal("fixture has no unallocated /24 after an allocated one in the same /16")
+	}
+	paths := []lookupPath{
+		{name: "exact hit", ip: ips[len(ips)/2], exact: true},
+		{name: "prefix hit", ip: generic},
+		{name: "miss, unoccupied /16", ip: no16, miss: true},
+		{name: "miss, unallocated /24 of an occupied /16", ip: no24, miss: true},
+	}
+	for _, path := range paths {
+		a := snap.Lookup(0, path.ip)
+		if a.Exact != path.exact || (a == geoserve.Answer{IP: path.ip}) != path.miss {
+			t.Fatalf("%s: %s answered %+v", path.name, geoserve.FormatIPv4(path.ip), a)
+		}
+	}
+	return paths
+}
+
+// TestLookupHitPathZeroAllocs pins the acceptance criterion: every way
+// a lookup can end (engine included, metrics recorded) allocates
+// nothing.
 func TestLookupHitPathZeroAllocs(t *testing.T) {
-	p, snap := fixture(t)
+	_, snap := fixture(t)
 	e := geoserve.NewEngine(snap)
-	ips := publicIfaceIPs(p)
-	hit := ips[len(ips)/2]
-	if n := testing.AllocsPerRun(1000, func() { e.Lookup(0, hit) }); n != 0 {
-		t.Errorf("hit path allocates %v per op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { e.Lookup(1, 0xF0000001) }); n != 0 {
-		t.Errorf("miss path allocates %v per op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { e.Locate("edgescape", hit) }); n != 0 {
-		t.Errorf("named lookup allocates %v per op, want 0", n)
+	for _, path := range lookupPaths(t, snap) {
+		for m := 0; m < 2; m++ {
+			if n := testing.AllocsPerRun(1000, func() { e.Lookup(m, path.ip) }); n != 0 {
+				t.Errorf("%s: mapper %d lookup allocates %v per op, want 0", path.name, m, n)
+			}
+		}
+		if n := testing.AllocsPerRun(1000, func() { e.Locate("edgescape", path.ip) }); n != 0 {
+			t.Errorf("%s: named lookup allocates %v per op, want 0", path.name, n)
+		}
 	}
 }
 

@@ -145,7 +145,11 @@ func (s *Snapshot) Tables() Tables {
 // invariant a lookup relies on — lengths, sort order, alignment,
 // canonical records — and computing the content digest from scratch
 // (it is never trusted from the caller). The tables are retained, so
-// callers must not mutate them afterwards.
+// callers must not mutate them afterwards. The tables may be bytes a
+// decoder read off the network, and the lookup directory is built from
+// them here: whatever they hold it takes 256 KB, 1 KB per distinct /16
+// (at most 64 MB, reached by 65 536 rows of 36 B each) and 40 B per
+// distinct /24 (TestDirectoryBound).
 func FromTables(t Tables) (*Snapshot, error) {
 	if len(t.Mappers) == 0 {
 		return nil, fmt.Errorf("geoserve: tables with no mappers")
@@ -186,6 +190,9 @@ func FromTables(t Tables) (*Snapshot, error) {
 		}
 	}
 	rows := len(t.Prefixes) + len(t.IPs)
+	if rows > math.MaxInt32 {
+		return nil, fmt.Errorf("geoserve: %d rows exceed the directory's int32 row numbers", rows)
+	}
 	for m := range t.Mappers {
 		if len(t.Records[m]) != rows*RecordSize {
 			return nil, fmt.Errorf("geoserve: mapper %d slab is %d bytes, want %d rows × %d", m, len(t.Records[m]), rows, RecordSize)

@@ -23,12 +23,58 @@ func reseal(b []byte) {
 	copy(b[len(b)-32:], sum[:])
 }
 
+// checkLookups compares what a loaded snapshot serves with a binary
+// search of its own tables — the lookup the directory replaced, which
+// FromTables now builds from bytes a decoder read — at every stored
+// /24, every exact address and their neighbours on both sides: the
+// served answer must re-encode to the record of the row the search
+// names, and be the bare miss where it names none.
+func checkLookups(t *testing.T, snap *geoserve.Snapshot) {
+	t.Helper()
+	tabs := snap.Tables()
+	probe := func(ip uint32) {
+		row, ok := slices.BinarySearch(tabs.IPs, ip)
+		if ok {
+			row += len(tabs.Prefixes)
+		} else if row, ok = slices.BinarySearch(tabs.Prefixes, ip&^0xff); !ok {
+			row = -1
+		}
+		for m := range tabs.Mappers {
+			a := snap.Lookup(m, ip)
+			if row < 0 {
+				if a != (geoserve.Answer{IP: ip}) {
+					t.Fatalf("mapper %d: %s is in no row but answered %+v", m, geoserve.FormatIPv4(ip), a)
+				}
+				continue
+			}
+			var rec [geoserve.RecordSize]byte
+			if err := geoserve.PutRecord(rec[:], a); err != nil {
+				t.Fatal(err)
+			}
+			if want := tabs.Records[m][row*geoserve.RecordSize:][:geoserve.RecordSize]; a.IP != ip || !bytes.Equal(rec[:], want) {
+				t.Fatalf("mapper %d: %s answered %+v (record %x), row %d holds %x", m, geoserve.FormatIPv4(ip), a, rec, row, want)
+			}
+		}
+	}
+	for _, p := range tabs.Prefixes {
+		probe(p - 1)
+		probe(p)
+		probe(p + 1)
+	}
+	for _, ip := range tabs.IPs {
+		probe(ip - 1)
+		probe(ip)
+		probe(ip + 1)
+	}
+}
+
 // FuzzSnapfileLoad feeds Decode arbitrary mutations of valid snapshot
 // files (seed corpus under testdata/fuzz/). Two properties: Decode
 // never panics whatever the bytes, and a load that succeeds always
 // returns a snapshot whose recomputed Digest() equals the file's
 // trailer digest — corruption can fail a load but can never smuggle
-// content in under the wrong digest.
+// content in under the wrong digest — and which serves its own tables
+// (checkLookups).
 func FuzzSnapfileLoad(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "*.snap"))
 	if err != nil {
@@ -61,6 +107,7 @@ func FuzzSnapfileLoad(f *testing.F) {
 		if info.Digest != snap.Digest() {
 			t.Fatalf("FileInfo digest %s != snapshot %s", info.Digest, snap.Digest())
 		}
+		checkLookups(t, snap)
 	})
 }
 
@@ -76,7 +123,8 @@ func fuzzDeltaBase(tb testing.TB) *geoserve.Snapshot {
 // the record checks behind the hash. The properties: Apply never
 // panics, every failure is one of the package's typed errors, no
 // snapshot comes back beside an error, and a success always hashes to
-// the to-digest the delta's trailer names.
+// the to-digest the delta's trailer names and serves its own tables
+// (checkLookups).
 func FuzzSnapdeltaApply(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "*.snapdelta"))
 	if err != nil {
@@ -119,6 +167,7 @@ func FuzzSnapdeltaApply(f *testing.F) {
 			if snap.Digest() != trailer || info.ToDigest != trailer {
 				t.Fatalf("applied digest %s, info %s, trailer %s", snap.Digest(), info.ToDigest, trailer)
 			}
+			checkLookups(t, snap)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -38,9 +39,10 @@ func methodCode(name string) (method, bool) {
 	return methodNone, false
 }
 
-// Snapshot is the immutable compiled serving index. All state is flat
-// sorted slices; nothing is mutated after Compile, so any number of
-// goroutines may query it concurrently without synchronisation.
+// Snapshot is the immutable compiled serving index. All content is
+// flat sorted slices, located through a directory derived from them;
+// nothing is mutated after Compile, so any number of goroutines may
+// query it concurrently without synchronisation.
 type Snapshot struct {
 	build   BuildInfo
 	mappers []string
@@ -67,6 +69,10 @@ type Snapshot struct {
 	// epoch tag of the wire protocol; seal sets both.
 	digest string
 	tag    uint64
+
+	// dir locates an address's row (see directory). seal derives it
+	// from prefixes and ips; like tails it is not content.
+	dir *directory
 
 	// tails is the lazily allocated cache of preserialized JSON
 	// response tails (see jsonTail). It is derived, not content: the
@@ -138,8 +144,8 @@ func (s *Snapshot) ExactIPs() []uint32 {
 // hot-swaps to identical rebuilds.
 func (s *Snapshot) Digest() string { return s.digest }
 
-// search32 finds v in the ascending slice xs, manually inlined binary
-// search so the lookup hot path stays allocation-free.
+// search32 finds v in the ascending slice xs: the index of the first
+// element not below v, and whether that element is v.
 func search32(xs []uint32, v uint32) (int, bool) {
 	lo, hi := 0, len(xs)
 	for lo < hi {
@@ -168,35 +174,18 @@ func (s *Snapshot) Lookup(mapper int, ip uint32) Answer {
 
 // lookup additionally returns the stored method code, so the serving
 // metrics path never round-trips it through the method-name string.
-// It spells lookupRow's two searches out instead of calling it: the
-// searches are too big to inline into lookupRow's callers, and a
-// second call costs this path ~3 ns of ~100 (measured, PR 14).
 func (s *Snapshot) lookup(mapper int, ip uint32) (Answer, method) {
-	if mapper < 0 || mapper >= len(s.records) {
+	rec := s.record(mapper, s.lookupRow(ip))
+	if rec == nil {
 		return Answer{IP: ip}, methodNone
 	}
-	row, ok := search32(s.ips, ip)
-	if ok {
-		row += len(s.prefixes)
-	} else if row, ok = search32(s.prefixes, ip&^0xff); !ok {
-		return Answer{IP: ip}, methodNone
-	}
-	rec := s.records[mapper][row*RecordSize:][:RecordSize]
 	return recordAnswer(ip, rec), method(rec[recOffMethod])
 }
 
 // lookupRow locates ip's answer row in every mapper's slab: its exact
 // row when ip is a known interface address, else its /24's prefix row,
-// else -1 (a miss).
-func (s *Snapshot) lookupRow(ip uint32) int {
-	if i, ok := search32(s.ips, ip); ok {
-		return len(s.prefixes) + i
-	}
-	if i, ok := search32(s.prefixes, ip&^0xff); ok {
-		return i
-	}
-	return -1
-}
+// else -1 (a miss). Every serving path finds its row here.
+func (s *Snapshot) lookupRow(ip uint32) int { return s.dir.row(ip) }
 
 // record returns the stored record of (mapper, row), or nil for a miss
 // (row -1) or an out-of-range mapper.
@@ -214,19 +203,11 @@ func (s *Snapshot) Footprint(mapper int, asn int) (analysis.ASFootprint, bool) {
 	if mapper < 0 || mapper >= len(s.mappers) || asn <= 0 || asn > math.MaxInt32 {
 		return analysis.ASFootprint{}, false
 	}
-	lo, hi := 0, len(s.asns)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.asns[mid] < int32(asn) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(s.asns) || s.asns[lo] != int32(asn) {
+	i, ok := slices.BinarySearch(s.asns, int32(asn))
+	if !ok {
 		return analysis.ASFootprint{}, false
 	}
-	fp := s.footprints[mapper][lo]
+	fp := s.footprints[mapper][i]
 	return fp, fp.ASN != 0
 }
 
@@ -307,8 +288,14 @@ func (w *hashWriter) records(slab []byte) {
 
 // seal computes the content digest, hashing every content table in a
 // fixed order (BuildInfo is deliberately excluded, see Digest), and
-// the epoch tag.
+// the epoch tag, and builds the directory unless the snapshot already
+// shares one (CompileDelta over an unchanged index). Every constructor
+// of a Snapshot ends here, so none serves without a directory and no
+// lookup ever builds one.
 func (s *Snapshot) seal() {
+	if s.dir == nil {
+		s.dir = buildDirectory(s.prefixes, s.ips)
+	}
 	w := &hashWriter{h: sha256.New(), buf: make([]byte, 0, 1<<16)}
 	w.str("geoserve-snapshot-v1")
 	w.u32(uint32(len(s.mappers)))

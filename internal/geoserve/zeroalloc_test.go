@@ -74,6 +74,30 @@ func TestLookupZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Cluster.Locate: %v allocs/op, want 0", n)
 	}
+
+	// The pools above are interface addresses, all exact hits; the
+	// other ways through the directory must stay as clean, unsharded
+	// and sharded.
+	for _, path := range lookupPaths(t, snap) {
+		for name, c := range map[string]*geoserve.Cluster{"Engine": e, "Cluster": c} {
+			if n := testing.AllocsPerRun(1000, func() {
+				if a := c.Lookup(i&1, path.ip); a.Exact != path.exact {
+					t.Fatal("bad answer")
+				}
+				i++
+			}); n != 0 {
+				t.Errorf("%s.Lookup, %s: %v allocs/op, want 0", name, path.name, n)
+			}
+			if n := testing.AllocsPerRun(1000, func() {
+				if a, ok := c.Locate(mappers[i&1], path.ip); !ok || a.Exact != path.exact {
+					t.Fatal("bad answer")
+				}
+				i++
+			}); n != 0 {
+				t.Errorf("%s.Locate, %s: %v allocs/op, want 0", name, path.name, n)
+			}
+		}
+	}
 }
 
 // TestFirstWireBatchBuildsNothing pins that a snapshot holds one copy
