@@ -405,9 +405,9 @@ func BenchmarkClusterLookupParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkClusterBatch measures scatter-gather batch serving: each
-// iteration is one 256-address batch spanning the whole index (so
-// every shard participates), with the amortised per-address cost
+// BenchmarkClusterBatch measures batch serving: each iteration is one
+// 256-address batch spanning the whole index (so every shard range is
+// admitted against and charged), with the amortised per-address cost
 // reported as ns/lookup — the number to compare against
 // BenchmarkServeLookupParallel's ns/op at equal GOMAXPROCS.
 func BenchmarkClusterBatch(b *testing.B) {

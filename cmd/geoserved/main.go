@@ -22,17 +22,19 @@
 //	POST /v1/admin/churn           apply one churn step (builder mode)
 //
 // Every mode that serves lookups serves them from one geoserve.Cluster
-// of -shards N prefix-range shards (default 1): single lookups route
-// to the owning shard, batches fan out with per-shard batching and
-// load-shedding (429 when a shard's in-flight queue exceeds
-// -queuebudget), and /statusz carries one section per shard. Answers
-// are byte-identical at any shard count.
+// of -shards N prefix-range shards (default 1). Shards are ranges for
+// accounting and shedding, not parallelism: a lookup is counted on the
+// shard owning its address, a batch is admitted against the shards it
+// touches (429 when one already holds -queuebudget batches in flight)
+// and served by the goroutine that brought it, and /statusz carries
+// one section per shard. Answers are byte-identical at any shard
+// count.
 //
 // The rebuild endpoint runs a whole new pipeline (possibly a different
 // seed or scale) in the background and hot-swaps the serving snapshot
-// when it finishes — shard by shard, with an epoch guard so a batch
-// never mixes two epochs; readers never pause. One rebuild runs at a
-// time (409 while one is in flight).
+// when it finishes — one pointer store, so no answer or batch mixes
+// two epochs; readers never pause. One rebuild runs at a time (409
+// while one is in flight).
 //
 // # Continuous topology churn
 //
@@ -42,9 +44,9 @@
 // announces/withdraws, allocation growth, interface churn and monitor
 // loss, and each step is delta-compiled from the serving snapshot —
 // only the /24 intervals whose answers could have changed are
-// recomputed — then hot-swapped shard by shard (Cluster.SwapDelta
-// re-splits only the shards owning touched intervals) and, with
-// -publish, published as a delta-served replication epoch.
+// recomputed — then hot-swapped (Cluster.SwapDelta reports how many
+// shards own a touched interval) and, with -publish, published as a
+// delta-served replication epoch.
 //
 //	geoserved -scale 0.1 -publish -churn -churn-interval 5s
 //
@@ -149,7 +151,7 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "world scale relative to the paper's Skitter snapshot")
 	workers := flag.Int("workers", 0, "pipeline/compile workers (0 = one per CPU); also pins GOMAXPROCS")
 	cacheBudget := flag.Int("cachebudget", 0, "netsim route-cache budget override (0 = default)")
-	shards := flag.Int("shards", 1, "prefix-range serving shards (1 = unsharded)")
+	shards := flag.Int("shards", 1, "prefix-range shards: ranges for per-shard accounting and shedding, not parallelism (1 = unsharded)")
 	queueBudget := flag.Int("queuebudget", 0, "per-shard in-flight batch budget before shedding (0 = default)")
 	snapshotPath := flag.String("snapshot", "", "cold start: load this snapshot file instead of running the pipeline")
 	writeSnapshot := flag.String("write-snapshot", "", "write the serving snapshot to this file (then exit if -addr is empty)")
@@ -510,10 +512,10 @@ func runBuilder(o builderOpts) {
 
 // churnRunner serializes churn steps: each step draws the next batch
 // of topology events, delta-compiles the serving snapshot (only dirty
-// /24 intervals recomputed), hot-swaps it in shard by shard and
-// publishes the new epoch when replication is on. The
-// mutex keeps the chain linear: steps from the background ticker and
-// from POST /v1/admin/churn interleave but never race.
+// /24 intervals recomputed), hot-swaps it in and publishes the new
+// epoch when replication is on. The mutex keeps the chain linear:
+// steps from the background ticker and from POST /v1/admin/churn
+// interleave but never race.
 type churnRunner struct {
 	mu      sync.Mutex
 	pipe    *core.Pipeline

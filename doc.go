@@ -96,14 +96,16 @@
 // or unmappable-heavy address mixes, in-process or over HTTP) with
 // JSON reports. A cluster has -shards N prefix-range shards (default
 // one, the unsharded server): N contiguous cuts of the /24 interval
-// index, each a window on the one snapshot with its own metrics and
-// load-shedding budget (429 when a shard's batch queue is at budget),
-// swapped shard by shard behind an epoch guard on rebuild; geoload
-// reports per-shard QPS against sharded targets. Snapshot digests
-// follow the same determinism discipline as report digests;
-// geoserve's golden tests pin them byte-for-byte across worker counts,
-// hot-swaps and — the shard-count invariance — across cluster
-// topologies {1, 2, 3, 8}, each checked against Snapshot.Lookup.
+// index, each an accounting range with its own metrics and
+// load-shedding budget (429 when a range a batch touches is at
+// budget) — not workers: every request is answered by the goroutine
+// that brought it, from the one snapshot a rebuild publishes with a
+// single pointer store; geoload reports per-shard QPS against sharded
+// targets. Snapshot digests follow the same determinism discipline as
+// report digests; geoserve's golden tests pin them byte-for-byte
+// across worker counts, hot-swaps and — the shard-count invariance —
+// across cluster topologies {1, 2, 3, 8}, each checked against
+// Snapshot.Lookup.
 //
 // # Replicated serving (snapfile, replica, faultinject)
 //

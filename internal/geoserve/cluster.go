@@ -5,15 +5,15 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"geonet/internal/obs"
 )
 
-// ErrOverloaded is returned (wrapped) by batch lookups when an owning
-// shard's in-flight queue is at budget; the HTTP layer maps it to 429.
+// ErrOverloaded is returned (wrapped) by batch lookups when a shard
+// range the batch touches is at its in-flight budget; the HTTP layer
+// maps it to 429.
 var ErrOverloaded = errors.New("geoserve: cluster overloaded")
 
 // DefaultQueueBudget is the per-shard in-flight batch budget when
@@ -24,19 +24,20 @@ const DefaultQueueBudget = 64
 type ClusterConfig struct {
 	// Shards is the number of prefix-range shards (>= 1). The sorted
 	// /24 interval index is cut into Shards contiguous runs balanced by
-	// interval count.
+	// interval count. A shard is an accounting range — its own counters
+	// and admission budget — not a unit of parallelism.
 	Shards int
-	// QueueBudget caps each shard's in-flight batch tasks; a batch
-	// touching a shard already at budget is shed whole (ErrOverloaded,
-	// HTTP 429) rather than queued without bound. <= 0 means
-	// DefaultQueueBudget.
+	// QueueBudget caps the batches in flight on each shard range; a
+	// batch touching a range already at budget is shed whole
+	// (ErrOverloaded, HTTP 429) rather than queued without bound. <= 0
+	// means DefaultQueueBudget.
 	QueueBudget int
 }
 
-// clusterView is one epoch of the cluster: a snapshot and its routing
-// table, published together through one atomic pointer. A batch serves
-// entirely from one view, so scatter-gathered answer sets can never
-// blend two epochs even while a shard-by-shard swap is in progress.
+// clusterView is one epoch of the cluster: a snapshot and the cuts
+// between its shard ranges, published together through one atomic
+// pointer. That pointer is the whole epoch guard: every lookup, single
+// or batch, loads it once and answers entirely from what it loaded.
 type clusterView struct {
 	snap   *Snapshot
 	starts []uint32
@@ -44,18 +45,18 @@ type clusterView struct {
 
 // Cluster is the serving type: it publishes a Snapshot for lock-free
 // concurrent reads and hot-swaps to new ones without pausing readers.
-// A coordinator routes single lookups to the owning prefix-range shard
-// and scatter-gathers batches across shards; each shard is a window on
-// the one snapshot with its own metrics and load-shedding budget, so
-// every shard count runs the same Snapshot lookup code and serves the
-// same bytes as Snapshot.Lookup (the shard-count-invariance golden
-// pins this). An unsharded server is the 1-shard Cluster.
+// Every lookup runs Snapshot.lookup on the goroutine that asked, so any
+// shard count serves the same bytes as Snapshot.Lookup (the
+// shard-count-invariance golden pins this). A shard is a contiguous
+// address range with its own metrics and load-shedding budget: a
+// lookup is counted on the range owning its address, and a batch is
+// admitted against the ranges it touches. An unsharded server is the
+// 1-shard Cluster.
 type Cluster struct {
-	shards  []*Shard
-	view    atomic.Pointer[clusterView]
-	cm      *clusterMetrics
-	budget  int
-	scratch sync.Pool // *batchScratch
+	shards []*Shard
+	view   atomic.Pointer[clusterView]
+	cm     *clusterMetrics
+	budget int
 }
 
 // clusterMetrics is the carryable accounting of a serving cluster —
@@ -65,11 +66,11 @@ type Cluster struct {
 type clusterMetrics struct {
 	swaps   atomic.Uint64
 	batches atomic.Uint64
-	// shedBatches counts whole batches rejected because some owning
+	// shedBatches counts whole batches rejected because some touched
 	// shard was at budget; the shards' own counters attribute them.
 	shedBatches atomic.Uint64
-	// fanout accumulates the number of shard sub-batches scattered, so
-	// Status can report the average scatter width.
+	// fanout accumulates the number of shard ranges served batches
+	// touched, so Status can report the average.
 	fanout atomic.Uint64
 	// deltaSwaps counts epoch swaps that arrived as incremental
 	// delta-compiled snapshots (SwapDelta); resplitShards accumulates,
@@ -78,23 +79,16 @@ type clusterMetrics struct {
 	deltaSwaps    atomic.Uint64
 	resplitShards atomic.Uint64
 	start         time.Time
-	shardStates   []*shardState
+	shards        []*Shard
 }
 
 func newClusterMetrics(shards int) *clusterMetrics {
 	cm := &clusterMetrics{start: time.Now()}
-	cm.shardStates = make([]*shardState, shards)
-	for i := range cm.shardStates {
-		cm.shardStates[i] = &shardState{}
+	cm.shards = make([]*Shard, shards)
+	for i := range cm.shards {
+		cm.shards[i] = &Shard{}
 	}
 	return cm
-}
-
-// batchScratch is pooled per-request scatter state: the owning shard
-// of every address in the batch plus the distinct shards involved.
-type batchScratch struct {
-	shardOf  []uint8
-	involved []int
 }
 
 // Engine and NewEngine are the names the frozen bench/ module calls
@@ -127,7 +121,7 @@ func NewCluster(snap *Snapshot, cfg ClusterConfig) (*Cluster, error) {
 // its shard count differs from cfg's (the counters would no longer
 // attribute to the same shard cuts), the accounting starts fresh.
 func NewClusterFrom(snap *Snapshot, cfg ClusterConfig, prev *Cluster) (*Cluster, error) {
-	datas, starts, err := splitSnapshot(snap, cfg.Shards)
+	starts, err := splitSnapshot(snap, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -136,18 +130,13 @@ func NewClusterFrom(snap *Snapshot, cfg ClusterConfig, prev *Cluster) (*Cluster,
 		budget = DefaultQueueBudget
 	}
 	c := &Cluster{budget: budget}
-	if prev != nil && len(prev.shards) == len(datas) {
+	if prev != nil && len(prev.shards) == len(starts) {
 		c.cm = prev.cm
 		c.cm.swaps.Add(1)
 	} else {
-		c.cm = newClusterMetrics(len(datas))
+		c.cm = newClusterMetrics(len(starts))
 	}
-	c.shards = make([]*Shard, len(datas))
-	for i, d := range datas {
-		sh := &Shard{budget: int64(budget), st: c.cm.shardStates[i]}
-		sh.data.Store(d)
-		c.shards[i] = sh
-	}
+	c.shards = c.cm.shards
 	c.view.Store(&clusterView{snap: snap, starts: starts})
 	return c, nil
 }
@@ -161,24 +150,19 @@ func (c *Cluster) QueueBudget() int { return c.budget }
 // Snapshot returns the snapshot of the currently published epoch.
 func (c *Cluster) Snapshot() *Snapshot { return c.view.Load().snap }
 
-// Swap rebuilds the cluster onto a new snapshot: the new per-shard
-// windows are stored shard by shard (single lookups migrate
-// incrementally, each shard atomically), then the complete new epoch
-// is published for the batch path. Readers never pause, and a batch in
-// flight keeps serving its whole answer set from the epoch it loaded.
-// Returns the previously published snapshot.
+// Swap publishes a new snapshot and its shard cuts in one pointer
+// store. Readers never pause: a lookup or batch in flight finishes on
+// the epoch it loaded, and everything after sees the new one. Returns
+// the previously published snapshot.
 func (c *Cluster) Swap(snap *Snapshot) (*Snapshot, error) {
 	old, _, err := c.swap(snap)
 	return old, err
 }
 
 func (c *Cluster) swap(snap *Snapshot) (old *Snapshot, starts []uint32, err error) {
-	datas, starts, err := splitSnapshot(snap, len(c.shards))
+	starts, err = splitSnapshot(snap, len(c.shards))
 	if err != nil {
 		return nil, nil, err
-	}
-	for i, sh := range c.shards {
-		sh.data.Store(datas[i])
 	}
 	ov := c.view.Swap(&clusterView{snap: snap, starts: starts})
 	c.cm.swaps.Add(1)
@@ -223,17 +207,18 @@ func sameIndex(a, b *Snapshot) bool {
 		slices.Equal(a.prefixes, b.prefixes) && slices.Equal(a.ips, b.ips)
 }
 
-// Lookup answers one address under the mapper with the given index,
-// routed to the owning shard, which counts it exactly by mapper and
-// method; one lookup in samplePeriod per stripe is also timed (see
-// metrics). This is the in-process hot path: it allocates nothing and,
-// unsampled, reads no clock and writes no cache line another core
-// writes.
+// Lookup answers one address under the mapper with the given index
+// and counts it, exactly by mapper and method, on the shard range
+// owning the address; one lookup in samplePeriod per stripe is also
+// timed (see metrics). This is the in-process hot path: it allocates
+// nothing and, unsampled, reads no clock and writes no cache line
+// another core writes.
 func (c *Cluster) Lookup(mapper int, ip uint32) Answer {
-	sh, snap := c.route(c.view.Load(), ip)
-	t := sh.st.m.begin()
-	a, code := snap.lookup(mapper, ip)
-	sh.st.m.end(t, mapper, code)
+	v := c.view.Load()
+	m := &c.shards[shardIndexOf(v.starts, ip)].m
+	t := m.begin()
+	a, code := v.snap.lookup(mapper, ip)
+	m.end(t, mapper, code)
 	return a
 }
 
@@ -247,33 +232,38 @@ func (c *Cluster) Locate(mapperName string, ip uint32) (Answer, bool) {
 	if !ok {
 		return Answer{IP: ip}, false
 	}
-	sh, snap := c.route(v, ip)
-	t := sh.st.m.begin()
-	a, code := snap.lookup(idx, ip)
-	sh.st.m.end(t, idx, code)
+	m := &c.shards[shardIndexOf(v.starts, ip)].m
+	t := m.begin()
+	a, code := v.snap.lookup(idx, ip)
+	m.end(t, idx, code)
 	return a, true
 }
 
-// route finds ip's owning shard on the given view and the snapshot
-// that answers it: the one the shard's window is on. While a swap to a
-// different prefix topology is mid-flight a shard's own window may not
-// cover the routed range yet; the view's snapshot then serves instead,
-// so every single answer is wholly from one of the two live epochs.
-func (c *Cluster) route(v *clusterView, ip uint32) (*Shard, *Snapshot) {
-	sh := c.shards[shardIndexOf(v.starts, ip)]
-	if d := sh.data.Load(); d.owns(ip) {
-		return sh, d.snap
+// locateTail is the preserialized JSON single-lookup path: it
+// resolves the mapper by name, counts the lookup exactly like Locate
+// and returns the snapshot's cached response tail for ip's answer row.
+// The snapshot returned is the one that resolved and answered; ok=false
+// means the mapper is unknown on it.
+func (c *Cluster) locateTail(mapperName string, ip uint32) (snap *Snapshot, tail []byte, ok bool) {
+	v := c.view.Load()
+	idx, ok := v.snap.mapperByName(mapperName)
+	if !ok {
+		return v.snap, nil, false
 	}
-	return sh, v.snap
+	m := &c.shards[shardIndexOf(v.starts, ip)].m
+	t := m.begin()
+	row := v.snap.lookupRow(ip)
+	tail = v.snap.jsonTail(idx, row)
+	m.end(t, idx, v.snap.rowMethod(idx, row))
+	return v.snap, tail, true
 }
 
 // LookupBatch answers ips[i] into out[i] under the mapper with the
-// given index, scatter-gathering per-shard sub-batches: addresses are
-// grouped by owning shard, each involved shard serves its group
-// concurrently (bounded by its in-flight budget) against one
-// epoch-consistent view, and results land at their input positions.
-// The returned digest identifies the single snapshot epoch that served
-// the whole batch. A wrapped ErrOverloaded means no lookup ran and the
+// given index, on the calling goroutine and from one view. The batch is
+// admitted against the in-flight budget of every shard range it
+// touches, and each range is charged the lookups that fell in it. The
+// returned digest identifies the single snapshot epoch that served the
+// whole batch. A wrapped ErrOverloaded means no lookup ran and the
 // batch was shed.
 func (c *Cluster) LookupBatch(mapper int, ips []uint32, out []Answer) (string, error) {
 	if len(out) < len(ips) {
@@ -301,132 +291,105 @@ func (c *Cluster) locateBatch(mapperName string, ips []uint32, out []Answer, tr 
 }
 
 func (c *Cluster) serveBatch(v *clusterView, mapper int, ips []uint32, out []Answer, tr *obs.Trace) error {
-	return c.scatter(v, ips, tr, func(i int, shardOf []uint8) {
-		c.shards[i].serveGroup(v.snap, uint8(i), mapper, ips, shardOf, out)
-	})
+	var b batchTally
+	if err := c.admit(v, ips, &b); err != nil {
+		return err
+	}
+	for j, ip := range ips {
+		a, code := v.snap.lookup(mapper, ip)
+		out[j] = a
+		b.methods[code]++
+	}
+	c.settle(&b, mapper, len(ips), tr)
+	return nil
 }
 
 // serveWire answers ips as fixed-width wire answers written at their
 // positions in out (WireAnswerSize bytes each), resolving the wire
-// mapper id and serving the whole batch from one epoch-consistent
-// view. ok=false means the id doesn't resolve on that epoch; a wrapped
-// ErrOverloaded means the batch was shed whole.
-func (c *Cluster) serveWire(mapperID uint16, ips []uint32, out []byte, tr *obs.Trace) (*Snapshot, bool, error) {
+// mapper id and serving the whole batch from one view. It returns that
+// view's snapshot and the mapper index resolved on it; ok=false means
+// the id doesn't resolve on that epoch, a wrapped ErrOverloaded that
+// the batch was shed whole.
+func (c *Cluster) serveWire(mapperID uint16, ips []uint32, out []byte, tr *obs.Trace) (snap *Snapshot, mapper int, ok bool, err error) {
 	v := c.view.Load()
-	idx, ok := v.snap.wireMapperIndex(mapperID)
-	if !ok {
-		return v.snap, false, nil
+	if mapper, ok = v.snap.wireMapperIndex(mapperID); !ok {
+		return v.snap, 0, false, nil
 	}
-	err := c.scatter(v, ips, tr, func(i int, shardOf []uint8) {
-		c.shards[i].serveGroupWire(v.snap, uint8(i), idx, ips, shardOf, out)
-	})
-	return v.snap, true, err
+	var b batchTally
+	if err := c.admit(v, ips, &b); err != nil {
+		return v.snap, mapper, true, err
+	}
+	for j, ip := range ips {
+		b.methods[v.snap.wireAnswer(mapper, ip, out[j*WireAnswerSize:])]++
+	}
+	c.settle(&b, mapper, len(ips), tr)
+	return v.snap, mapper, true, nil
 }
 
-// scatter groups ips by owning shard on the view, admits the batch
-// all-or-nothing against every involved shard's in-flight budget, and
-// runs serve(i, shardOf) for each involved shard — concurrently when
-// more than one — releasing slots as groups finish. serve implementors
-// write only positions j with shardOf[j] == i, so concurrent groups
-// stay disjoint.
-func (c *Cluster) scatter(v *clusterView, ips []uint32, tr *obs.Trace, serve func(shard int, shardOf []uint8)) error {
-	c.cm.batches.Add(1)
-	sc, _ := c.scratch.Get().(*batchScratch)
-	if sc == nil {
-		sc = &batchScratch{}
-	}
-	if cap(sc.shardOf) < len(ips) {
-		sc.shardOf = make([]uint8, len(ips))
-	}
-	shardOf := sc.shardOf[:len(ips)]
-	involved := sc.involved[:0]
-	var seen [maxShards]bool
-	for j, ip := range ips {
-		i := shardIndexOf(v.starts, ip)
-		shardOf[j] = uint8(i)
-		if !seen[i] {
-			seen[i] = true
-			involved = append(involved, i)
-		}
-	}
-	sc.involved = involved
-	if len(involved) == 0 { // empty batch: nothing to scatter
-		c.scratch.Put(sc)
-		return nil
-	}
+// batchTally is one batch's accounting, held on the stack of the
+// goroutine serving it: when serving began, how many of the batch's
+// addresses fall in each shard range, and the answers' method counts.
+type batchTally struct {
+	start    time.Time
+	touched  int
+	perShard [maxShards]uint32
+	methods  [numMethods]uint32
+}
 
-	// All-or-nothing admission: reserve a slot on every involved shard
-	// before any lookup runs, so a shed batch does no partial work.
-	for k, i := range involved {
-		if !c.shards[i].tryAcquire() {
-			for _, j := range involved[:k] {
-				c.shards[j].release()
+// admit counts the batch's addresses per shard range on the view and
+// reserves an in-flight slot on every range touched, all or nothing: a
+// shed batch runs no lookup, and a range holding none of the batch's
+// addresses is neither charged nor admitted against.
+func (c *Cluster) admit(v *clusterView, ips []uint32, b *batchTally) error {
+	c.cm.batches.Add(1)
+	for _, ip := range ips {
+		b.perShard[shardIndexOf(v.starts, ip)]++
+	}
+	for i, sh := range c.shards {
+		if b.perShard[i] == 0 {
+			continue
+		}
+		if !sh.tryAcquire(c.budget) {
+			for j, held := range c.shards[:i] {
+				if b.perShard[j] != 0 {
+					held.release()
+				}
 			}
 			c.cm.shedBatches.Add(1)
-			c.scratch.Put(sc)
 			return fmt.Errorf("%w: shard %d at in-flight budget %d", ErrOverloaded, i, c.budget)
 		}
+		b.touched++
 	}
-	c.cm.fanout.Add(uint64(len(involved)))
-
-	if len(involved) == 1 {
-		i := involved[0]
-		scatterServe(tr, serve, i, shardOf)
-		c.shards[i].release()
-	} else {
-		var wg sync.WaitGroup
-		for _, i := range involved[1:] {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				scatterServe(tr, serve, i, shardOf)
-				c.shards[i].release()
-			}(i)
-		}
-		i0 := involved[0]
-		scatterServe(tr, serve, i0, shardOf)
-		c.shards[i0].release()
-		wg.Wait()
-	}
-	c.scratch.Put(sc)
+	c.cm.fanout.Add(uint64(b.touched))
+	b.start = time.Now()
 	return nil
 }
 
-// scatterServe runs one shard's sub-batch, recording a shard.serve
-// span for traced requests. A top-level function rather than a wrap of
-// serve inside scatter so the untraced hot path never mutates (and so
-// never heap-boxes) the serve callback.
-func scatterServe(tr *obs.Trace, serve func(shard int, shardOf []uint8), i int, shardOf []uint8) {
-	if tr == nil {
-		serve(i, shardOf)
+// settle closes a served batch of n lookups: every touched range is
+// charged the lookups that fell in it, at the batch's per-lookup
+// average latency (so batch serving never pays a clock read per
+// address), and its slot released. Method counts are only ever reported
+// summed over ranges, so the lowest touched range takes the batch's.
+func (c *Cluster) settle(b *batchTally, mapper, n int, tr *obs.Trace) {
+	if n == 0 {
 		return
 	}
-	t0 := time.Now()
-	serve(i, shardOf)
-	tr.Span("shard.serve", t0, obs.AInt("shard", i), obs.AInt("batch", len(shardOf)))
-}
-
-// locateTail is the preserialized JSON single-lookup path: it
-// resolves the mapper by name, routes to the owning shard (recording
-// the lookup in that shard's metrics, exactly like Locate) and returns
-// the snapshot's cached response tail for ip's answer row; ok=false
-// means the mapper is unknown.
-func (c *Cluster) locateTail(mapperName string, ip uint32) ([]byte, bool) {
-	v := c.view.Load()
-	idx, ok := v.snap.mapperByName(mapperName)
-	if !ok {
-		return nil, false
+	perLookup := time.Since(b.start) / time.Duration(n)
+	methods := &b.methods
+	for i, sh := range c.shards {
+		if k := b.perShard[i]; k != 0 {
+			sh.m.recordBatch(mapper, methods, uint64(k), perLookup, b.start)
+			methods = nil
+			sh.release()
+		}
 	}
-	sh, snap := c.route(v, ip)
-	t := sh.st.m.begin()
-	row := snap.lookupRow(ip)
-	tail := snap.jsonTail(idx, row)
-	sh.st.m.end(t, idx, snap.rowMethod(idx, row))
-	return tail, true
+	if tr != nil {
+		tr.Span("cluster.serve", b.start, obs.AInt("batch", n), obs.AInt("shards", b.touched))
+	}
 }
 
 // registerMetrics exposes the cluster's serving families on reg:
-// coordinator totals summed across shards, scatter-gather counters,
+// coordinator totals summed across shards, batch counters,
 // and a per-shard section (latency histogram, lookups, sheds,
 // in-flight) labeled by shard index. Registration order is fixed
 // (mapper-major, method-minor) so the exposition — and the golden test
@@ -440,7 +403,7 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 		"Lookups served across all mappers.", nil, func() uint64 {
 			var n uint64
 			for _, sh := range c.shards {
-				n += sh.st.m.total()
+				n += sh.m.total()
 			}
 			return n
 		})
@@ -459,7 +422,7 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 				func() uint64 {
 					var n uint64
 					for _, sh := range c.shards {
-						n += sh.st.m.methodCount(mi, code)
+						n += sh.m.methodCount(mi, code)
 					}
 					return n
 				})
@@ -471,7 +434,7 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 			now := time.Now()
 			var qps float64
 			for _, sh := range c.shards {
-				qps += sh.st.m.windowQPS(now, 0)
+				qps += sh.m.windowQPS(now, 0)
 			}
 			return qps
 		})
@@ -479,12 +442,12 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 		"Snapshot hot-swaps since the serving metrics were created.", nil,
 		c.cm.swaps.Load)
 	reg.CounterFunc("geoserve_cluster_batches_total",
-		"Scatter-gather batch requests.", nil, c.cm.batches.Load)
+		"Batch requests.", nil, c.cm.batches.Load)
 	reg.CounterFunc("geoserve_cluster_shed_batches_total",
 		"Batches rejected whole because an owning shard was at budget.", nil,
 		c.cm.shedBatches.Load)
 	reg.CounterFunc("geoserve_cluster_fanout_total",
-		"Shard sub-batches scattered across served batches.", nil,
+		"Shard ranges touched by served batches.", nil,
 		c.cm.fanout.Load)
 	reg.CounterFunc("geoserve_cluster_delta_swaps_total",
 		"Epoch swaps published as incremental delta-compiled snapshots.", nil,
@@ -495,11 +458,11 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 	for i, sh := range c.shards {
 		labels := obs.Labels{{Key: "shard", Value: strconv.Itoa(i)}}
 		reg.RegisterHistogram("geoserve_lookup_latency_seconds",
-			"Per-lookup serving latency.", labels, &sh.st.m.lat)
+			"Per-lookup serving latency.", labels, &sh.m.lat)
 		reg.CounterFunc("geoserve_shard_lookups_total",
-			"Lookups served by shard.", labels, sh.st.m.total)
+			"Lookups served by shard.", labels, sh.m.total)
 		reg.CounterFunc("geoserve_shard_shed_total",
-			"Batches this shard's budget shed.", labels, sh.st.shed.Load)
+			"Batches this shard's budget shed.", labels, sh.shed.Load)
 		reg.GaugeFunc("geoserve_shard_inflight",
 			"In-flight batch tasks on this shard.", labels,
 			func() float64 { return float64(sh.inflight.Load()) })
@@ -520,26 +483,26 @@ func (c *Cluster) Status() Status {
 	methods := MethodCounts{}
 	stats := make([]ShardStatus, len(c.shards))
 	for i, sh := range c.shards {
-		d := sh.data.Load()
-		merged.Merge(&sh.st.m.lat)
-		n := sh.st.m.total()
+		lo, hi, prefixes, exactIPs := shardRange(v.snap, v.starts, i)
+		merged.Merge(&sh.m.lat)
+		n := sh.m.total()
 		lookups += n
-		w := sh.st.m.windowQPS(now, 0)
+		w := sh.m.windowQPS(now, 0)
 		window += w
 		stats[i] = ShardStatus{
 			ID:           i,
-			RangeStart:   FormatIPv4(d.lo),
-			RangeEnd:     FormatIPv4(d.hi),
-			Prefixes:     d.prefixes,
-			ExactIPs:     d.exactIPs,
+			RangeStart:   FormatIPv4(lo),
+			RangeEnd:     FormatIPv4(hi),
+			Prefixes:     prefixes,
+			ExactIPs:     exactIPs,
 			Lookups:      n,
 			QPSWindow:    w,
-			LatencyP50Ns: int64(sh.st.m.lat.Quantile(0.50)),
-			LatencyP99Ns: int64(sh.st.m.lat.Quantile(0.99)),
-			ShedBatches:  sh.st.shed.Load(),
+			LatencyP50Ns: int64(sh.m.lat.Quantile(0.50)),
+			LatencyP99Ns: int64(sh.m.lat.Quantile(0.99)),
+			ShedBatches:  sh.shed.Load(),
 			Inflight:     sh.inflight.Load(),
 		}
-		sh.st.m.addMethodCounts(methods, v.snap.mappers)
+		sh.m.addMethodCounts(methods, v.snap.mappers)
 	}
 	// Shed is loaded before the batch total so a concurrent shed can
 	// never make shed > batches and underflow the served count below.
@@ -569,8 +532,4 @@ func (c *Cluster) Status() Status {
 		st.QPSLifetime = float64(lookups) / uptime
 	}
 	return st
-}
-
-func (c *Cluster) snapshotInfo(snap *Snapshot) SnapshotInfo {
-	return makeSnapshotInfo(snap, c.cm.swaps.Load())
 }

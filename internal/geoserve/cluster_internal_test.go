@@ -1,10 +1,10 @@
 package geoserve
 
 // Internal cluster tests over small synthetic snapshots: the split
-// rule, routing, load-shedding and the mid-swap epoch guard are all
-// checkable without building a pipeline, so these run in microseconds
-// and can reach into the unexported machinery (shard inflight
-// counters, half-finished swaps).
+// rule, routing, load-shedding and the epoch guard are all checkable
+// without building a pipeline, so these run in microseconds and can
+// reach into the unexported machinery (shard inflight counters, the
+// published view).
 
 import (
 	"bytes"
@@ -84,46 +84,50 @@ func probeAddrs(s *Snapshot) []uint32 {
 func TestSplitBalancedAndPartitions(t *testing.T) {
 	snap := syntheticSnapshot(10<<24, 23, 2, 0)
 	for _, n := range []int{1, 2, 3, 8, 23} {
-		datas, starts, err := splitSnapshot(snap, n)
+		starts, err := splitSnapshot(snap, n)
 		if err != nil {
 			t.Fatalf("split %d: %v", n, err)
 		}
-		if len(datas) != n || len(starts) != n {
-			t.Fatalf("split %d: got %d shards", n, len(datas))
+		if len(starts) != n {
+			t.Fatalf("split %d: got %d shards", n, len(starts))
 		}
 		if starts[0] != 0 {
 			t.Fatalf("split %d: starts[0] = %d, want 0", n, starts[0])
 		}
 		totalPrefixes, totalIPs := 0, 0
-		for i, d := range datas {
-			if d.snap != snap || d.lo != starts[i] {
-				t.Fatalf("split %d: shard %d is a window on %p from %d, want %p from %d", n, i, d.snap, d.lo, snap, starts[i])
+		prevHi := uint32(0)
+		for i := range starts {
+			lo, hi, prefixes, exactIPs := shardRange(snap, starts, i)
+			if lo != starts[i] {
+				t.Fatalf("split %d: shard %d range starts at %d, want %d", n, i, lo, starts[i])
 			}
 			// Balance: every shard within one prefix of the ideal cut.
-			if lo, hi := len(snap.prefixes)/n, len(snap.prefixes)/n+1; d.prefixes < lo || d.prefixes > hi {
-				t.Fatalf("split %d: shard %d owns %d prefixes, want %d or %d", n, i, d.prefixes, lo, hi)
+			if least := len(snap.prefixes) / n; prefixes < least || prefixes > least+1 {
+				t.Fatalf("split %d: shard %d owns %d prefixes, want %d or %d", n, i, prefixes, least, least+1)
 			}
 			// Ranges tile the address space contiguously.
-			if i > 0 && d.lo != datas[i-1].hi+1 {
-				t.Fatalf("split %d: shard %d range starts at %d, prev ends at %d", n, i, d.lo, datas[i-1].hi)
+			if i > 0 && lo != prevHi+1 {
+				t.Fatalf("split %d: shard %d range starts at %d, prev ends at %d", n, i, lo, prevHi)
 			}
-			// The window's counts are consecutive runs of the parent's
-			// sorted arrays, and every member falls inside its range.
-			for _, p := range snap.prefixes[totalPrefixes : totalPrefixes+d.prefixes] {
-				if !d.owns(p) {
-					t.Fatalf("split %d: shard %d prefix %d outside [%d, %d]", n, i, p, d.lo, d.hi)
+			prevHi = hi
+			// The range's counts are consecutive runs of the snapshot's
+			// sorted arrays; every member falls inside the range and
+			// routes to this shard.
+			for _, p := range snap.prefixes[totalPrefixes : totalPrefixes+prefixes] {
+				if p < lo || p > hi || shardIndexOf(starts, p) != i {
+					t.Fatalf("split %d: shard %d prefix %d outside [%d, %d]", n, i, p, lo, hi)
 				}
 			}
-			for _, ip := range snap.ips[totalIPs : totalIPs+d.exactIPs] {
-				if !d.owns(ip) {
+			for _, ip := range snap.ips[totalIPs : totalIPs+exactIPs] {
+				if ip < lo || ip > hi || shardIndexOf(starts, ip) != i {
 					t.Fatalf("split %d: shard %d ip %d outside range", n, i, ip)
 				}
 			}
-			totalPrefixes += d.prefixes
-			totalIPs += d.exactIPs
+			totalPrefixes += prefixes
+			totalIPs += exactIPs
 		}
-		if datas[n-1].hi != 0xFFFFFFFF {
-			t.Fatalf("split %d: last shard ends at %d", n, datas[n-1].hi)
+		if prevHi != 0xFFFFFFFF {
+			t.Fatalf("split %d: last shard ends at %d", n, prevHi)
 		}
 		if totalPrefixes != len(snap.prefixes) || totalIPs != len(snap.ips) {
 			t.Fatalf("split %d: shards cover %d prefixes / %d ips, want %d / %d",
@@ -135,7 +139,7 @@ func TestSplitBalancedAndPartitions(t *testing.T) {
 func TestSplitErrors(t *testing.T) {
 	snap := syntheticSnapshot(10<<24, 5, 1, 0)
 	for _, n := range []int{0, -1, 6, maxShards + 1} {
-		if _, _, err := splitSnapshot(snap, n); err == nil {
+		if _, err := splitSnapshot(snap, n); err == nil {
 			t.Errorf("splitSnapshot(%d shards over 5 prefixes) should fail", n)
 		}
 	}
@@ -220,48 +224,127 @@ func TestClusterBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestClusterShed pins the load-shedding policy: a batch touching a
-// shard whose in-flight queue is at budget is rejected whole (no
-// partial work), the shard and coordinator count the shed, and
-// releasing the queue restores service.
+// TestClusterShed pins the load-shedding policy and the per-range
+// accounting of batches: a batch touching a shard range whose in-flight
+// queue is at budget is rejected whole (no partial work, nothing
+// charged), the range and the coordinator count the shed, a range
+// holding none of a batch's addresses is neither charged nor admitted
+// against, the empty batch touches nothing, and a served batch whose
+// addresses fall k0/k1/k2 into the three ranges charges them exactly
+// that, with exact method totals.
 func TestClusterShed(t *testing.T) {
 	snap := syntheticSnapshot(10<<24, 23, 1, 0)
 	c, err := NewCluster(snap, ClusterConfig{Shards: 3, QueueBudget: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := NewHandler(c)
+	starts := c.view.Load().starts
 	probes := probeAddrs(snap) // spans all shards
 	out := make([]Answer, len(probes))
+
+	// What the counters must read: lookups per range and per method.
+	var wantShard [3]uint64
+	wantMethods := map[string]uint64{}
+	charge := func(ips []uint32) {
+		for _, ip := range ips {
+			wantShard[shardIndexOf(starts, ip)]++
+			key := snap.Lookup(0, ip).Method
+			if key == "" {
+				key = "unmapped"
+			}
+			wantMethods[key]++
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		s := scrapeSums(t, h,
+			`geoserve_shard_lookups_total{shard="0"}`, `geoserve_shard_lookups_total{shard="1"}`,
+			`geoserve_shard_lookups_total{shard="2"}`, "geoserve_requests_total", "geoserve_lookups_total")
+		if [3]uint64(s[:3]) != wantShard {
+			t.Fatalf("%s: geoserve_shard_lookups_total reads %v, want %v", when, s[:3], wantShard)
+		}
+		if sum := wantShard[0] + wantShard[1] + wantShard[2]; s[3] != sum || s[4] != sum {
+			t.Fatalf("%s: requests_total %d, lookups_total %d, want both %d", when, s[3], s[4], sum)
+		}
+		got := c.Status().Methods["m0"]
+		if len(got) != len(wantMethods) {
+			t.Fatalf("%s: method counts %v, want %v", when, got, wantMethods)
+		}
+		for k, n := range wantMethods {
+			if got[k] != n {
+				t.Fatalf("%s: method counts %v, want %v", when, got, wantMethods)
+			}
+		}
+	}
+	inflight := func(when string, want ...int64) {
+		t.Helper()
+		for i, sh := range c.shards {
+			if got := sh.inflight.Load(); got != want[i] {
+				t.Fatalf("%s: shard %d inflight = %d, want %d", when, i, got, want[i])
+			}
+		}
+	}
 
 	// Saturate shard 1's queue.
 	c.shards[1].inflight.Store(2)
 	if _, err := c.LookupBatch(0, probes, out); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("expected ErrOverloaded, got %v", err)
 	}
-	if got := c.shards[1].st.shed.Load(); got != 1 {
+	if got := c.shards[1].shed.Load(); got != 1 {
 		t.Fatalf("shard 1 shed = %d, want 1", got)
 	}
 	if got := c.Status().ShedBatches; got != 1 {
 		t.Fatalf("coordinator sheds = %d, want 1", got)
 	}
-	// All-or-nothing: the other shards' reservations were rolled back.
-	for i, sh := range c.shards {
-		if i != 1 && sh.inflight.Load() != 0 {
-			t.Fatalf("shard %d inflight = %d after shed, want 0", i, sh.inflight.Load())
-		}
-	}
-	// A batch owned entirely by un-saturated shards still serves.
+	// All-or-nothing: shard 0's reservation was rolled back and no
+	// lookup was charged anywhere.
+	inflight("after a shed", 0, 2, 0)
+	check("after a shed")
+
+	// A batch confined to an un-saturated range still serves: shard 1,
+	// holding none of its addresses, is not admitted against, and only
+	// range 0 is charged.
 	if _, err := c.LookupBatch(0, snap.ips[:2], out[:2]); err != nil {
 		t.Fatalf("shard-0-only batch shed: %v", err)
 	}
+	charge(snap.ips[:2])
+	if wantShard != [3]uint64{2, 0, 0} {
+		t.Fatalf("the first two exact addresses fall %v into the ranges, want all in range 0", wantShard)
+	}
+	inflight("after a range-0 batch", 0, 2, 0)
+	check("after a range-0 batch")
 
-	// Release the queue: full batches serve again.
-	c.shards[1].inflight.Store(0)
+	// The empty batch touches nothing, so no budget can shed it.
+	c.shards[0].inflight.Store(2)
+	c.shards[2].inflight.Store(2)
+	if _, err := c.LookupBatch(0, nil, nil); err != nil {
+		t.Fatalf("empty batch shed: %v", err)
+	}
+	inflight("after an empty batch", 2, 2, 2)
+	check("after an empty batch")
+
+	// Release the queues: full batches serve again, every range charged
+	// exactly the addresses that fell in it.
+	for _, sh := range c.shards {
+		sh.inflight.Store(0)
+	}
 	if _, err := c.LookupBatch(0, probes, out); err != nil {
 		t.Fatalf("post-release batch failed: %v", err)
 	}
-	if got := c.Status().Batches; got != 3 {
-		t.Fatalf("batches = %d, want 3", got)
+	charge(probes)
+	if wantShard[0] == 0 || wantShard[1] == 0 || wantShard[2] == 0 {
+		t.Fatalf("probes fall %v into the ranges, want some in each", wantShard)
+	}
+	inflight("after a full batch", 0, 0, 0)
+	check("after a full batch")
+	st := c.Status()
+	if st.Batches != 4 || st.ShedBatches != 1 {
+		t.Fatalf("batches = %d (%d shed), want 4 (1 shed)", st.Batches, st.ShedBatches)
+	}
+	// Ranges touched by the three served batches: 1, 0 and 3.
+	if want := 4.0 / 3; st.AvgFanout != want {
+		t.Fatalf("avg_fanout = %v, want %v", st.AvgFanout, want)
 	}
 }
 
@@ -318,11 +401,11 @@ func TestClusterHTTP429(t *testing.T) {
 	}
 }
 
-// TestMidSwapEpochGuard freezes a shard-by-shard swap halfway and
-// checks the guard: batches serve wholly from the still-published old
-// epoch, and every single lookup's answer equals one of the two live
-// snapshots' answers for that address — never a third value blended
-// from both.
+// TestMidSwapEpochGuard checks the epoch guard across a real Swap
+// between disjoint topologies: before it every batch (digest and each
+// answer) and every single lookup is the old epoch's, after it the new
+// one's — one published pointer, so there is no state in between to
+// serve from.
 func TestMidSwapEpochGuard(t *testing.T) {
 	// Different start, spacing and salt: disjoint topologies and
 	// distinct digests, so a blend would be visible.
@@ -335,42 +418,39 @@ func TestMidSwapEpochGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Freeze a half-finished swap: shard 0 and 1 already hold B's
-	// splits, shard 2 and the published view still hold A.
-	datasB, _, err := splitSnapshot(snapB, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.shards[0].data.Store(datasB[0])
-	c.shards[1].data.Store(datasB[1])
-
 	probes := append(probeAddrs(snapA), probeAddrs(snapB)...)
-	for m := 0; m < 2; m++ {
-		// Batches: one epoch, the still-published A.
-		out := make([]Answer, len(probes))
-		digest, err := c.LookupBatch(m, probes, out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if digest != snapA.Digest() {
-			t.Fatalf("mid-swap batch digest %s, want old epoch %s", digest, snapA.Digest())
-		}
-		for i, ip := range probes {
-			if want := snapA.Lookup(m, ip); out[i] != want {
-				t.Fatalf("mid-swap batch[%d] = %+v, want old-epoch %+v", i, out[i], want)
+	out := make([]Answer, len(probes))
+	servesOnly := func(when string, snap *Snapshot) {
+		t.Helper()
+		for m := 0; m < 2; m++ {
+			digest, err := c.LookupBatch(m, probes, out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if digest != snap.Digest() {
+				t.Fatalf("%s: batch digest %s, want %s", when, digest, snap.Digest())
+			}
+			for i, ip := range probes {
+				want := snap.Lookup(m, ip)
+				if out[i] != want {
+					t.Fatalf("%s: batch[%d] = %+v, want %+v", when, i, out[i], want)
+				}
+				if got := c.Lookup(m, ip); got != want {
+					t.Fatalf("%s: single answer %+v, want %+v", when, got, want)
+				}
 			}
 		}
-		// Singles: each answer is wholly from one of the two epochs.
-		for _, ip := range probes {
-			got := c.Lookup(m, ip)
-			if a, b := snapA.Lookup(m, ip), snapB.Lookup(m, ip); got != a && got != b {
-				t.Fatalf("mid-swap single answer %+v matches neither epoch (A %+v, B %+v)", got, a, b)
-			}
+		// The shard ranges are the same epoch's cuts.
+		prefixes := 0
+		for _, ss := range c.Status().ShardStats {
+			prefixes += ss.Prefixes
+		}
+		if prefixes != snap.NumPrefixes() {
+			t.Fatalf("%s: shard ranges cover %d prefixes, want %d", when, prefixes, snap.NumPrefixes())
 		}
 	}
 
-	// Complete the swap: batches flip to B's epoch atomically.
+	servesOnly("before the swap", snapA)
 	old, err := c.Swap(snapB)
 	if err != nil {
 		t.Fatal(err)
@@ -378,19 +458,7 @@ func TestMidSwapEpochGuard(t *testing.T) {
 	if old != snapA {
 		t.Fatal("Swap did not return the previous snapshot")
 	}
-	out := make([]Answer, len(probes))
-	digest, err := c.LookupBatch(0, probes, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if digest != snapB.Digest() {
-		t.Fatalf("post-swap digest %s, want %s", digest, snapB.Digest())
-	}
-	for i, ip := range probes {
-		if want := snapB.Lookup(0, ip); out[i] != want {
-			t.Fatalf("post-swap batch[%d] = %+v, want %+v", i, out[i], want)
-		}
-	}
+	servesOnly("after the swap", snapB)
 	if got := c.Status().Snapshot.Swaps; got != 1 {
 		t.Fatalf("swaps = %d, want 1", got)
 	}
@@ -452,7 +520,9 @@ func TestClusterStatusShape(t *testing.T) {
 // one epoch's: every answer, every result's mapper and the reply's
 // "mapper" from the same snapshot. (The engine this replaced loaded
 // the snapshot once per address and named the mapper after serving.)
-// Run under -race in CI.
+// Single GETs under a mapper only one epoch knows ride along: the 400
+// must list the mappers of the epoch that refused the name, so never
+// the name itself. Run under -race in CI.
 func TestJSONBatchOneViewAcrossSwap(t *testing.T) {
 	snapA := syntheticSnapshot(10<<24, 23, 2, 0)
 	snapB := syntheticSnapshot(10<<24, 23, 2, 2.5)
@@ -533,6 +603,29 @@ func TestJSONBatchOneViewAcrossSwap(t *testing.T) {
 							resp.Mapper, i, r.Mapper, r.Lat, want)
 						return
 					}
+				}
+
+				// n0 is snapB's: snapB answers under it, snapA refuses
+				// it and lists its own mappers.
+				probe := round % len(addrs)
+				w = httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/locate?mapper=n0&ip="+ips[probe], nil))
+				var one struct {
+					Mapper string  `json:"mapper"`
+					Lat    float64 `json:"lat"`
+					Error  string  `json:"error"`
+				}
+				if err := json.Unmarshal(w.Body.Bytes(), &one); err != nil {
+					t.Errorf("status %d, %v: %s", w.Code, err, w.Body)
+					return
+				}
+				if want := snapB.Lookup(0, addrs[probe]).Loc.Lat; w.Code == 200 && (one.Mapper != "n0" || one.Lat != want) {
+					t.Errorf("single reply {%q lat %v}, snapB says lat %v", one.Mapper, one.Lat, want)
+					return
+				}
+				if want := `unknown mapper "n0" (have [m0 m1])`; w.Code != 200 && (w.Code != 400 || one.Error != want) {
+					t.Errorf("single refusal %d %q, want 400 %q", w.Code, one.Error, want)
+					return
 				}
 			}
 		}()

@@ -1,8 +1,8 @@
 package geoserve_test
 
 // Fixture-scale cluster tests: zero-alloc single lookups through the
-// coordinator, and the chaos test racing scatter-gather batches
-// against repeated shard-by-shard hot-swaps (run under -race in CI).
+// coordinator, and the chaos test racing batches against repeated
+// hot-swaps (run under -race in CI).
 
 import (
 	"sync"
@@ -72,9 +72,9 @@ func reversedSnapshot(tb testing.TB) *geoserve.Snapshot {
 }
 
 // TestClusterChaosBatchDuringSwaps is the mixed-epoch chaos test:
-// reader goroutines scatter-gather batches (every batch spanning all
-// shards) while the main goroutine hot-swaps the cluster shard by
-// shard between two distinguishable snapshots, under -race in CI.
+// reader goroutines serve batches (every batch spanning all shards)
+// while the main goroutine hot-swaps the cluster between two
+// distinguishable snapshots, under -race in CI.
 // Every batch's reported digest must be one of the two live epochs,
 // and every answer in the batch must equal that epoch's snapshot
 // answer — a blend of epochs inside one answer set fails.

@@ -33,16 +33,17 @@
 //
 // NewCluster splits a snapshot into N prefix-range shards — contiguous
 // cuts of the sorted /24 interval index balanced by interval count.
-// A shard is a window on the one snapshot (an address range, its own
-// metrics and in-flight budget), not a copy of any index: every shard
-// count runs the same Snapshot lookup code, and the unsharded server
-// is the 1-shard Cluster (NewEngine, a name kept for bench/). A
-// coordinator routes single lookups to the owning shard (zero
-// allocations) and scatter-gathers batches with per-shard sub-batching
-// and load-shedding (a batch touching a shard at budget answers 429
-// instead of queueing unboundedly). Rebuilds swap shard by shard
-// behind an epoch guard — batches, JSON and binary, serve wholly from
-// one atomically-published epoch, so an answer set never blends two
+// A shard is an accounting range (an address range with its own
+// metrics and in-flight budget), not a copy of any index and not a
+// unit of parallelism: every lookup, single or in a batch, runs the
+// same Snapshot lookup code on the goroutine that asked, and the
+// unsharded server is the 1-shard Cluster (NewEngine, a name kept for
+// bench/). A lookup is counted on the range owning its address (zero
+// allocations); a batch is admitted against the ranges it touches (one
+// at budget sheds it whole, 429, instead of queueing unboundedly) and
+// charges each the lookups that fell in it. The epoch guard is one
+// pointer: a snapshot and its shard cuts are published together, every
+// request loads them once, so no answer or answer set blends two
 // snapshots. For any shard count the cluster's answers equal
 // Snapshot.Lookup's (TestGoldenShardInvariance).
 //
@@ -60,10 +61,9 @@
 // producing a snapshot byte-identical (same Digest) to a from-scratch
 // Compile of the same source; Cluster.SwapDelta then publishes it
 // under the same epoch guard and reports how many shards owned a
-// touched interval. The
-// golden churn corpus (churn.TestGoldenChurnCorpus) pins the identity
-// at every step, and TestChurnWireChaos races wire batches against a
-// live churn stream.
+// touched interval. The golden churn corpus
+// (churn.TestGoldenChurnCorpus) pins the identity at every step, and
+// TestChurnWireChaos races wire batches against a live churn stream.
 //
 // Every handler carries the internal/obs observability layer: serving,
 // shard, wire-protocol and epoch-swap metrics exposed in Prometheus
@@ -71,7 +71,7 @@
 // layouts, pinned by replica.TestGoldenMetricsFamilies), and
 // request-scoped tracing at GET /debug/tracez — a request carrying an
 // X-Geo-Trace header records per-hop spans (serve.batch, wire.encode,
-// shard.serve) into a bounded in-memory ring with a slow-request
+// cluster.serve) into a bounded in-memory ring with a slow-request
 // retention bias. Requests without the header pay one header lookup
 // and nothing else; the hot paths stay zero-allocation with the full
 // observability layer attached (TestLookupZeroAlloc). Lookup and
@@ -79,7 +79,7 @@
 // counter stripes that scrapes and Status fold by summing
 // (TestLookupCountsExact) — while single-lookup latency and the
 // windowed QPS come from one timed lookup in 64 per stripe, weighted
-// by the lookups it stands for; batches are timed per shard sub-batch.
+// by the lookups it stands for; a batch is timed once, as a whole.
 // See metrics.go and DESIGN.md § Observability. NewHandler mints a
 // fresh obs bundle per handler; NewObservedHandler accepts a
 // caller-owned bundle so a replica re-registering per installed epoch

@@ -46,8 +46,8 @@ func answersDigest(snap *geoserve.Snapshot, lookup func(mapper int, ip uint32) g
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// batchAnswersDigest is answersDigest through the scatter-gather batch
-// path, in fixed-size chunks, so batch serving is pinned to the same
+// batchAnswersDigest is answersDigest through the batch path, in
+// fixed-size chunks, so batch serving is pinned to the same
 // constant as single lookups. Every answer is also held field for
 // field against the reference Snapshot.Lookup.
 func batchAnswersDigest(t *testing.T, snap *geoserve.Snapshot, c *geoserve.Cluster) string {
@@ -81,7 +81,7 @@ func batchAnswersDigest(t *testing.T, snap *geoserve.Snapshot, c *geoserve.Clust
 
 // clusterTranscript renders a fixed request set through a handler:
 // single locates under both mappers (hits, generics, misses, an
-// unknown-mapper 400), scatter-gather batches (default and explicit
+// unknown-mapper 400), batches (default and explicit
 // mapper, plus a bad-address 400), an AS footprint, healthz, and the
 // /v1/prefixes body by hash. Every transcripted byte must be identical
 // for any shard count.
@@ -150,8 +150,8 @@ func clusterTranscript(snap *geoserve.Snapshot, h http.Handler, p *core.Pipeline
 }
 
 // TestGoldenShardInvariance pins the headline invariant: for shard
-// counts {1, 2, 3, 8} every answer (single-lookup and scatter-gather
-// batch paths both) equals the public reference Snapshot.Lookup field
+// counts {1, 2, 3, 8} every answer (single-lookup and batch paths
+// both) equals the public reference Snapshot.Lookup field
 // for field, so the digest of all answers is the reference's, and the
 // full HTTP transcript is byte-identical to the 1-shard server's —
 // cluster topology, like worker count before it, must never move a

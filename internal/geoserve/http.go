@@ -123,9 +123,10 @@ func NewObservedHandler(c *Cluster, o *obs.Observability) http.Handler {
 		// spliced into the snapshot's preserialized tail for the
 		// answer row — no per-request JSON encoding. Byte-identical to
 		// encoding answerJSON(c.Locate(...)) (the goldens pin it).
-		tail, ok := c.locateTail(mapper, ip)
+		// A 400 lists the mappers of the snapshot that refused the name.
+		snap, tail, ok := c.locateTail(mapper, ip)
 		if !ok {
-			httpError(w, http.StatusBadRequest, "unknown mapper %q (have %v)", mapper, c.Snapshot().Mappers())
+			httpError(w, http.StatusBadRequest, "unknown mapper %q (have %v)", mapper, snap.Mappers())
 			return
 		}
 		writeLocate(w, ip, tail)

@@ -50,7 +50,7 @@ type stripe struct {
 // metrics aggregates the serving counters /statusz and /metrics report.
 // Lookup and method counts are exact: a caller adds to a stripe it
 // reaches with per-P affinity and readers sum the stripes. Latency and
-// the QPS ring are fed per sub-batch, and on the single-lookup path by
+// the QPS ring are fed per batch, and on the single-lookup path by
 // one timed lookup in samplePeriod per stripe, weighted by the lookups
 // it stands for. Nothing here blocks or allocates.
 type metrics struct {
@@ -109,16 +109,14 @@ func (m *metrics) end(t lookupTick, mapper int, code method) {
 	}
 }
 
-// recordBatch folds one shard sub-batch into the metrics: n lookups
-// with per-method counts accumulated locally by the caller, entering
-// the latency histogram at the sub-batch's per-lookup average.
-func (m *metrics) recordBatch(mapper int, counts *[numMethods]uint32, n uint64, elapsed time.Duration, now time.Time) {
-	if n == 0 {
-		return
-	}
+// recordBatch folds a batch's share into the metrics: n lookups
+// entering the latency histogram at perLookup each, and the per-method
+// counts the caller accumulated locally (nil when another shard range
+// takes the batch's).
+func (m *metrics) recordBatch(mapper int, counts *[numMethods]uint32, n uint64, perLookup time.Duration, now time.Time) {
 	st := m.acquire()
 	st.batched.Add(n)
-	if mapper >= 0 && mapper < maxMappers {
+	if counts != nil && mapper >= 0 && mapper < maxMappers {
 		for code := range counts {
 			if c := counts[code]; c > 0 {
 				st.methods[mapper][code].Add(uint64(c))
@@ -126,7 +124,7 @@ func (m *metrics) recordBatch(mapper int, counts *[numMethods]uint32, n uint64, 
 		}
 	}
 	m.free.Put(st)
-	m.lat.RecordN(elapsed/time.Duration(n), n)
+	m.lat.RecordN(perLookup, n)
 	m.ringAdd(now, n)
 }
 
@@ -221,7 +219,7 @@ type SnapshotInfo struct {
 	Swaps uint64 `json:"swaps"`
 }
 
-func makeSnapshotInfo(snap *Snapshot, swaps uint64) SnapshotInfo {
+func (c *Cluster) snapshotInfo(snap *Snapshot) SnapshotInfo {
 	return SnapshotInfo{
 		Digest:     snap.Digest(),
 		Build:      snap.Build(),
@@ -229,7 +227,7 @@ func makeSnapshotInfo(snap *Snapshot, swaps uint64) SnapshotInfo {
 		Prefixes:   snap.NumPrefixes(),
 		ExactIPs:   snap.NumExactIPs(),
 		Footprints: len(snap.asns),
-		Swaps:      swaps,
+		Swaps:      c.cm.swaps.Load(),
 	}
 }
 
@@ -254,15 +252,15 @@ type ShardStatus struct {
 
 // Status is one /statusz observation of a cluster: coordinator totals
 // (latency quantiles merged across shards, method counts aggregated),
-// scatter-gather counters, and a per-shard section.
+// batch counters, and a per-shard section.
 type Status struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Shards        int     `json:"shards"`
 	QueueBudget   int     `json:"queue_budget"`
 	Lookups       uint64  `json:"lookups"`
-	// Batches counts scatter-gather batch requests; ShedBatches the
-	// ones rejected whole under load (HTTP 429); AvgFanout the mean
-	// number of shards a served batch touched.
+	// Batches counts batch requests; ShedBatches the ones rejected
+	// whole under load (HTTP 429); AvgFanout the mean number of shard
+	// ranges a served batch touched.
 	Batches     uint64 `json:"batches"`
 	ShedBatches uint64 `json:"shed_batches"`
 	// DeltaSwaps counts epoch swaps published as incremental

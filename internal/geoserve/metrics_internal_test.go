@@ -49,9 +49,10 @@ func scrapeSums(t *testing.T, h http.Handler, names ...string) []uint64 {
 // Locate and the JSON tail path by turns), a wire batch every 64th
 // lookup, concurrent /metrics scrapes, hot swaps and one carry-over to
 // a replacement cluster, over one shard and four. The
-// counters must come out exact, and the sampled latency histogram may
-// trail them by less than one sample period per stripe. Run under
-// -race in CI.
+// counters must come out exact — in total, by method, and per shard
+// range (each lookup, single or in a batch, on the range owning its
+// address) — and the sampled latency histogram may trail them by less
+// than one sample period per stripe. Run under -race in CI.
 func TestLookupCountsExact(t *testing.T) {
 	const (
 		goroutines = 8
@@ -91,10 +92,14 @@ func TestLookupCountsExact(t *testing.T) {
 				handler.Store(&h)
 			}
 			install(tc.start())
+			// snapA and snapB share one index, so every epoch here cuts
+			// the shard ranges at the same addresses.
+			starts := cur.Load().view.Load().starts
 
 			var (
-				workers sync.WaitGroup
-				batched atomic.Uint64
+				workers   sync.WaitGroup
+				batched   atomic.Uint64
+				wantShard = make([]atomic.Uint64, tc.shards)
 			)
 			for g := 0; g < goroutines; g++ {
 				workers.Add(1)
@@ -115,6 +120,7 @@ func TestLookupCountsExact(t *testing.T) {
 						}
 						b := cur.Load()
 						ip := probes[(g*perG+i)%len(probes)]
+						wantShard[shardIndexOf(starts, ip)].Add(1)
 						switch i % 3 {
 						case 0:
 							b.Lookup(i&1, ip)
@@ -123,16 +129,19 @@ func TestLookupCountsExact(t *testing.T) {
 								t.Error("Locate: mapper m1 unknown")
 							}
 						default:
-							if _, ok := b.locateTail("", ip); !ok {
+							if _, _, ok := b.locateTail("", ip); !ok {
 								t.Error("locateTail: default mapper unknown")
 							}
 						}
 						if i%batchEvery == 0 {
 							ips := probes[i%(len(probes)-batchLen):][:batchLen]
-							if _, ok, err := b.serveWire(uint16(i&1), ips, out, nil); !ok || err != nil {
+							if _, _, ok, err := b.serveWire(uint16(i&1), ips, out, nil); !ok || err != nil {
 								t.Errorf("serveWire: ok=%v err=%v", ok, err)
 							}
 							batched.Add(batchLen)
+							for _, ip := range ips {
+								wantShard[shardIndexOf(starts, ip)].Add(1)
+							}
 						}
 					}
 				}(g)
@@ -181,6 +190,15 @@ func TestLookupCountsExact(t *testing.T) {
 			}
 			if slack := uint64(samplePeriod * tc.shards * numStripes); timed > total || total-timed >= slack {
 				t.Errorf("latency _count = %d, want within %d below %d", timed, slack, total)
+			}
+			var series []string
+			for i := range wantShard {
+				series = append(series, `geoserve_shard_lookups_total{shard="`+strconv.Itoa(i)+`"}`)
+			}
+			for i, got := range scrapeSums(t, *handler.Load(), series...) {
+				if want := wantShard[i].Load(); got != want {
+					t.Errorf("%s = %d, want exactly %d", series[i], got, want)
+				}
 			}
 		})
 	}

@@ -110,7 +110,7 @@ type tracezBody struct {
 // shardedFleet is a publisher + n replicas serving through 2-shard
 // clusters + a router, wired over in-memory transports — the smallest
 // deployment in which a traced batch crosses all three hop kinds
-// (router → replica → shard).
+// (router → replica → cluster).
 func shardedFleet(tb testing.TB, n int, snap *geoserve.Snapshot) *fleet {
 	tb.Helper()
 	f := &fleet{pub: NewPublisher()}
@@ -138,7 +138,7 @@ func shardedFleet(tb testing.TB, n int, snap *geoserve.Snapshot) *fleet {
 // TestFleetObservability boots a replicated sharded fleet in-process,
 // drives a batch through the router, and checks the whole observability
 // contract end to end: the router mints a trace ID, the ID propagates
-// across the router → replica → shard hops (visible in each tier's
+// across the router → replica → cluster hops (visible in each tier's
 // /debug/tracez), and every node's /metrics scrape exposes only known
 // families.
 func TestFleetObservability(t *testing.T) {
@@ -172,7 +172,7 @@ func TestFleetObservability(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"router.batch", "serve.batch", "shard.serve"} {
+	for _, want := range []string{"router.batch", "serve.batch", "cluster.serve"} {
 		if !spanNames[want] {
 			t.Errorf("trace %s missing a %q span across the fleet (got %v)", traceID, want, spanNames)
 		}

@@ -61,9 +61,8 @@ type Config struct {
 	// retains our current epoch.
 	NoDelta bool
 	// Shards is how many prefix-range shards the geoserve.Cluster of
-	// each installed epoch has; above 1 one replica process exercises
-	// the scatter-gather path (and reports honest per-shard trace
-	// spans). 0 or 1 means one shard.
+	// each installed epoch has: ranges that are counted and shed
+	// separately, not workers. 0 or 1 means one shard.
 	Shards int
 	// QueueBudget is the per-shard in-flight batch budget; <= 0 means
 	// geoserve.DefaultQueueBudget.

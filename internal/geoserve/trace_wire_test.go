@@ -57,7 +57,7 @@ func TestWireStreamErrFrameCarriesTrace(t *testing.T) {
 
 	pin := func() {
 		for _, sh := range c.shards {
-			if !sh.tryAcquire() {
+			if !sh.tryAcquire(c.budget) {
 				t.Fatal("failed to pin shard at budget")
 			}
 		}

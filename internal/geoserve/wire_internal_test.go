@@ -248,7 +248,7 @@ func TestWireBinOverloaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sh := range c.shards {
-		if !sh.tryAcquire() {
+		if !sh.tryAcquire(c.budget) {
 			t.Fatal("failed to pin shard at budget")
 		}
 	}
@@ -372,7 +372,7 @@ func TestWireStreamOverloaded(t *testing.T) {
 		t.Fatalf("healthy chunk got tag %016x", tag)
 	}
 	for _, sh := range c.shards {
-		sh.tryAcquire()
+		sh.tryAcquire(c.budget)
 	}
 	if _, err := sc.w.Write(AppendWireChunk(nil, probes)); err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func (h *apiHandler) serveWireBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := sc.out[:need]
 	encStart := time.Now()
-	snap, ok, err := h.c.serveWire(mapperID, ips, resp[wireHeaderSize+12:], tr)
+	snap, idx, ok, err := h.c.serveWire(mapperID, ips, resp[wireHeaderSize+12:], tr)
 	if !ok {
 		httpError(w, http.StatusBadRequest, "wire mapper id %d does not resolve (have %v)", mapperID, snap.Mappers())
 		return
@@ -99,7 +99,6 @@ func (h *apiHandler) serveWireBatch(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		tr.Span("wire.encode", encStart, obs.AInt("n", len(ips)))
 	}
-	idx, _ := snap.wireMapperIndex(mapperID)
 	putWireHeader(resp, wireKindBatchResp, uint16(idx))
 	binary.LittleEndian.PutUint32(resp[wireHeaderSize:], uint32(len(ips)))
 	binary.LittleEndian.PutUint64(resp[wireHeaderSize+4:], snap.wireTag())
@@ -207,7 +206,7 @@ func (h *apiHandler) serveWireStream(w http.ResponseWriter, r *http.Request) {
 		}
 		frame := sc.out[:frameLen]
 		encStart := time.Now()
-		snap, ok, err := h.c.serveWire(mapperID, ips, frame[12:], tr)
+		snap, _, ok, err := h.c.serveWire(mapperID, ips, frame[12:], tr)
 		if !ok {
 			// The mapper id stopped resolving after a hot-swap.
 			h.writeErrFrame(w, wireErrCodeUnknownMapper, tr)

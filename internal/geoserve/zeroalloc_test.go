@@ -2,6 +2,9 @@ package geoserve_test
 
 import (
 	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"slices"
 	"testing"
@@ -96,6 +99,61 @@ func TestLookupZeroAlloc(t *testing.T) {
 			}); n != 0 {
 				t.Errorf("%s.Locate, %s: %v allocs/op, want 0", name, path.name, n)
 			}
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestLookupBatchZeroAllocs pins that a batch is served by the
+// goroutine that brought it, at every shard count: LookupBatch
+// allocates nothing — so it starts no goroutine and takes no scratch
+// buffer, however many shard ranges the batch touches — and a
+// /v1/locate/bin request costs the same allocations at 1, 2 and 8
+// shards, for a MaxBatch batch spread over every range and for a batch
+// of one address.
+func TestLookupBatchZeroAllocs(t *testing.T) {
+	_, snap := fixture(t)
+	prefixes := snap.Prefixes()
+	full := make([]uint32, geoserve.MaxBatch)
+	for j := range full {
+		full[j] = prefixes[j*len(prefixes)/len(full)] + 9
+	}
+	out := make([]geoserve.Answer, len(full))
+
+	for _, batch := range [][]uint32{full, full[:1]} {
+		handlerAllocs := map[int]float64{}
+		for _, shards := range []int{1, 2, 8} {
+			c, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := geoserve.NewObservedHandler(c, obs.NewObservability("cluster"))
+			if n := testing.AllocsPerRun(100, func() {
+				if _, err := c.LookupBatch(0, batch, out); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("LookupBatch of %d at %d shards: %v allocs/op, want 0", len(batch), shards, n)
+			}
+			// The full batch really was spread over every range.
+			if st := c.Status(); len(batch) == len(full) && st.AvgFanout != float64(shards) {
+				t.Fatalf("%d shards: full batches touched %v ranges on average", shards, st.AvgFanout)
+			}
+
+			body := bytes.NewReader(geoserve.AppendWireBatchRequest(nil, 0, batch))
+			handlerAllocs[shards] = testing.AllocsPerRun(100, func() {
+				body.Seek(0, io.SeekStart)
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/locate/bin", body))
+				if w.Code != http.StatusOK {
+					t.Fatalf("status %d", w.Code)
+				}
+			})
+		}
+		if a := handlerAllocs; (a[2] != a[1] || a[8] != a[1]) && !raceEnabled {
+			t.Errorf("/v1/locate/bin batch of %d: %v allocs/op by shard count, want the same at each", len(batch), a)
 		}
 	}
 }
