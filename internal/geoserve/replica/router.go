@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -614,14 +615,63 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
+// maxBody caps the bytes the router buffers per direction. A reply
+// buffer past maxPooledBody is not pooled, so one huge reply pins no
+// memory, and no more is allocated on a peer's declared length alone.
+const (
+	maxBody       = 64 << 20
+	maxPooledBody = 1 << 20
+)
+
+// replyPool recycles forwardOnce's reply buffers.
+var replyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBody reads r to EOF into buf's capacity, first making room for
+// the declared length plus the byte that lets EOF arrive without a
+// regrow (never under 512); with none declared append grows it.
+func readBody(buf []byte, r io.Reader, declared int64) ([]byte, error) {
+	if need := min(max(declared, 511), maxPooledBody) + 1; int64(cap(buf)) < need {
+		buf = make([]byte, 0, need)
+	}
+	return geoserve.ReadAllInto(buf[:0], r)
+}
+
+// readReply buffers a replica's whole body into buf. It fails for a
+// body that must not be relayed: a read error (a reset, a stall past
+// the deadline), a length other than the one the Content-Length header
+// declared (a clean EOF mid-body), or one that reached maxBody.
+func readReply(buf []byte, method string, resp *http.Response) ([]byte, error) {
+	declared, err := strconv.ParseInt(resp.Header.Get("Content-Length"), 10, 64)
+	if err != nil || method == http.MethodHead {
+		declared = -1
+	}
+	body, err := readBody(buf, io.LimitReader(resp.Body, maxBody), declared)
+	if err == nil && (len(body) == maxBody || declared >= 0 && int64(len(body)) != declared) {
+		err = fmt.Errorf("body ends at %d bytes: %d declared, %d the cap", len(body), declared, maxBody)
+	}
+	return body, err
+}
+
 // forward proxies one request to the least-loaded replica at the plan
-// epoch, trying others on transport failure, timeout, or replica-side
-// 5xx as long as the retry budget holds.
+// epoch, trying others on transport failure, timeout, replica-side 5xx
+// or a short body as long as the retry budget holds. A request that
+// cannot be read whole is refused before any replica is contacted.
 func (r *Router) forward(w http.ResponseWriter, req *http.Request, tr *obs.Trace) {
 	r.requests.Add(1)
+	// Sized once but never reused: the transport may still be reading
+	// these bytes after Do returns (a replica answering mid-upload).
 	var body []byte
-	if req.Body != nil {
-		body, _ = io.ReadAll(req.Body)
+	if req.Body != nil && req.Body != http.NoBody {
+		var err error
+		body, err = readBody(nil, http.MaxBytesReader(w, req.Body, maxBody), req.ContentLength)
+		if err != nil {
+			code := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpJSONError(w, code, "reading body: %v", err)
+			return
+		}
 	}
 	for attempt := 0; attempt <= len(r.members); attempt++ {
 		if attempt > 0 && !r.allowRetry() {
@@ -672,10 +722,15 @@ func (r *Router) forwardOnce(w http.ResponseWriter, req *http.Request, m *member
 		return false, nil
 	}
 	// Buffer the whole body before declaring success: a replica that
-	// returned headers and then stalled mid-body (or hit the deadline)
-	// is a failed attempt to retry elsewhere, never a truncated answer
-	// passed to the client.
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	// returned headers and then stalled, reset or ended mid-body is a
+	// failed attempt to retry elsewhere, never a truncated answer
+	// passed to the client. The buffer is pooled and sized from the
+	// declared length, so holding the reply back costs one copy of it.
+	buf := replyPool.Get().(*[]byte)
+	respBody, err := readReply(*buf, req.Method, resp)
+	if *buf = respBody[:0]; cap(*buf) <= maxPooledBody {
+		defer replyPool.Put(buf)
+	}
 	if err != nil {
 		r.finishCall(m, 0, false)
 		tr.Span("router.forward", t0, obs.A("replica", m.url), obs.A("outcome", "truncated"))
@@ -848,7 +903,8 @@ func (r *Router) batchCall(ctx context.Context, m *member, mapper string, ips []
 	part.status = resp.StatusCode
 	part.ctype = resp.Header.Get("Content-Type")
 	part.epoch, _ = strconv.ParseUint(resp.Header.Get("X-Geo-Epoch"), 10, 64)
-	part.raw, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	// Unpooled: the merge's json.RawMessage results alias these bytes.
+	part.raw, err = readReply(nil, http.MethodPost, resp)
 	if err != nil {
 		r.finishCall(m, 0, false)
 		part.err = err

@@ -22,6 +22,8 @@ type fleet struct {
 	// client talks to any node; its transport injects decide's faults.
 	client *http.Client
 	tr     *faultinject.Transport
+	// mux is the in-memory network: tests may wrap a node's handler.
+	mux fleetMux
 }
 
 // repURL names replica i in the fleet mux.
@@ -32,8 +34,16 @@ func repURL(i int) string { return fmt.Sprintf("http://rep%d", i) }
 // test's own requests.
 func newFleet(tb testing.TB, n int, snap *geoserve.Snapshot, decide faultinject.Decider) *fleet {
 	tb.Helper()
+	return newFleetWith(tb, n, snap, decide, RouterConfig{FailThreshold: 1})
+}
+
+// newFleetWith is newFleet with the router's knobs chosen by the
+// caller; Replicas and Client are filled in here.
+func newFleetWith(tb testing.TB, n int, snap *geoserve.Snapshot, decide faultinject.Decider, cfg RouterConfig) *fleet {
+	tb.Helper()
 	f := &fleet{pub: NewPublisher()}
 	mux := fleetMux{"builder": f.pub.Handler()}
+	f.mux = mux
 	f.client, f.tr = localClient(mux, decide)
 	for i := 0; i < n; i++ {
 		rep := New(Config{BuilderURL: "http://builder", Client: f.client})
@@ -44,7 +54,8 @@ func newFleet(tb testing.TB, n int, snap *geoserve.Snapshot, decide faultinject.
 	for i := range f.replicas {
 		urls = append(urls, repURL(i))
 	}
-	f.router = NewRouter(RouterConfig{Replicas: urls, Client: f.client, FailThreshold: 1})
+	cfg.Replicas, cfg.Client = urls, f.client
+	f.router = NewRouter(cfg)
 	mux["router"] = f.router.Handler()
 	if snap != nil {
 		if _, err := f.pub.Publish(snap); err != nil {

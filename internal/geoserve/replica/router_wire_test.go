@@ -9,6 +9,20 @@ import (
 	"geonet/internal/geoserve"
 )
 
+// wireIPs is batchIPs(n) as the binary protocol's addresses.
+func wireIPs(tb testing.TB, n int) []uint32 {
+	tb.Helper()
+	var ips []uint32
+	for _, s := range batchIPs(n) {
+		ip, err := geoserve.ParseIPv4(s)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ips = append(ips, ip)
+	}
+	return ips
+}
+
 func postWireBin(tb testing.TB, client *http.Client, url string, mapper uint16, ips []uint32) (int, []byte) {
 	tb.Helper()
 	req := geoserve.AppendWireBatchRequest(nil, mapper, ips)
@@ -35,14 +49,7 @@ func TestRouterWireByteIdentity(t *testing.T) {
 	direct := geoserve.NewHandler(geoserve.NewEngine(snap))
 	dc, _ := localClient(fleetMux{"direct": direct}, nil)
 
-	var ips []uint32
-	for i, s := range batchIPs(24) {
-		ip, err := geoserve.ParseIPv4(s)
-		if err != nil {
-			t.Fatalf("batch ip %d %q: %v", i, s, err)
-		}
-		ips = append(ips, ip)
-	}
+	ips := wireIPs(t, 24)
 
 	for _, mapper := range []uint16{0, 1, geoserve.WireMapperDefault} {
 		rCode, rBody := postWireBin(t, f.client, "http://router", mapper, ips)

@@ -29,9 +29,9 @@ var wireScratchPool = sync.Pool{New: func() any {
 	return &wireScratch{body: make([]byte, 0, wireMaxBatchBody)}
 }}
 
-// readAllInto reads r to EOF into dst's capacity, growing as needed —
-// io.ReadAll with a reusable buffer.
-func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
+// ReadAllInto reads r to EOF into dst's capacity, growing as needed —
+// io.ReadAll with a reusable buffer (the router's forward path too).
+func ReadAllInto(dst []byte, r io.Reader) ([]byte, error) {
 	for {
 		if len(dst) == cap(dst) {
 			dst = append(dst, 0)[:len(dst)]
@@ -58,7 +58,7 @@ func (h *apiHandler) serveWireBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := wireScratchPool.Get().(*wireScratch)
 	defer wireScratchPool.Put(sc)
-	body, err := readAllInto(sc.body[:0], http.MaxBytesReader(w, r.Body, wireMaxBatchBody))
+	body, err := ReadAllInto(sc.body[:0], http.MaxBytesReader(w, r.Body, wireMaxBatchBody))
 	sc.body = body[:0]
 	h.wireRxBytes.Add(uint64(len(body)))
 	if err != nil {
