@@ -84,8 +84,10 @@
 // requests with per-replica latency EWMAs, runs every attempt under a
 // deadline with a global retry budget and a per-replica circuit
 // breaker, ejects unhealthy replicas, readmits them when probes
-// recover, never blends two epochs in one batch answer, and sheds
-// with 503 + Retry-After only when no healthy replica holds a
+// recover, forwards every request — a JSON batch like a single lookup
+// or a binary frame — whole to one replica at the plan epoch (so no
+// answer set blends two epochs, and validation is the replica's), and
+// sheds with 503 + Retry-After only when no healthy replica holds a
 // complete epoch.
 //
 // The binary endpoints speak the geoserve wire protocol (see the wire

@@ -92,16 +92,15 @@
 //
 //	go run ./cmd/geoserved -addr :8080 -scale 0.1
 //
-// and cmd/geoload drives it closed-loop (uniform, Zipf-over-prefixes
-// or unmappable-heavy address mixes, in-process or over HTTP) with
-// JSON reports. A cluster has -shards N prefix-range shards (default
+// and cmd/geoload drives running nodes closed-loop over HTTP (uniform,
+// Zipf-over-prefixes or unmappable-heavy address mixes; a text report
+// and the same report as JSON). A cluster has -shards N prefix-range shards (default
 // one, the unsharded server): N contiguous cuts of the /24 interval
 // index, each an accounting range with its own metrics and
 // load-shedding budget (429 when a range a batch touches is at
 // budget) — not workers: every request is answered by the goroutine
 // that brought it, from the one snapshot a rebuild publishes with a
-// single pointer store; geoload reports per-shard QPS against sharded
-// targets. Snapshot digests follow the same determinism discipline as
+// single pointer store. Snapshot digests follow the same determinism discipline as
 // report digests; geoserve's golden tests pin them byte-for-byte
 // across worker counts, hot-swaps and — the shard-count invariance —
 // across cluster topologies {1, 2, 3, 8}, each checked against
@@ -123,11 +122,13 @@
 // → swap loop under capped jittered backoff (a bad fetch leaves the
 // last-good epoch serving; a dead builder leaves replicas serving
 // stale and saying so), and a router fans lookups over the fleet with
-// health-checked ejection/readmission, epoch-consistent batches, and
+// health-checked ejection/readmission, every request answered whole by
+// one replica at the plan epoch (so no batch blends epochs), and
 // 503 + Retry-After only when no healthy replica holds a complete
 // epoch. geoserved grows the matching modes (-write-snapshot,
-// -snapshot cold start, -publish, -replica-of, -router) and geoload a
-// -target-list multi-replica bench mode; internal/faultinject is the
+// -snapshot cold start, -publish, -replica-of, -router) and geoload
+// takes a list of -target URLs (failover, honored Retry-After, one
+// report row per target); internal/faultinject is the
 // deterministic chaos layer (seeded drops, truncations, bit-flips,
 // latency, mid-transfer resets over in-memory HTTP) whose suite proves
 // the degraded modes, and the replication golden pins that a replica

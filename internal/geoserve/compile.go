@@ -2,7 +2,7 @@ package geoserve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"geonet/internal/analysis"
@@ -46,83 +46,12 @@ type NamedMapper struct {
 // per-index slots under Workers, so the result (and its Digest) is
 // identical at any worker count.
 func Compile(src Source) (*Snapshot, error) {
-	if src.Internet == nil {
-		return nil, fmt.Errorf("geoserve: nil Internet")
-	}
-	if src.Table == nil {
-		return nil, fmt.Errorf("geoserve: nil BGP table")
-	}
-	if len(src.Mappers) == 0 {
-		return nil, fmt.Errorf("geoserve: no mappers")
+	s, byASN, err := skeleton(src)
+	if err != nil {
+		return nil, err
 	}
 	workers := parallel.Workers(src.Workers)
 	in := src.Internet
-
-	s := &Snapshot{build: src.Build}
-	for _, nm := range src.Mappers {
-		if nm.Mapper == nil {
-			return nil, fmt.Errorf("geoserve: nil mapper")
-		}
-		name := nm.Mapper.Name()
-		for _, seen := range s.mappers {
-			if seen == name {
-				return nil, fmt.Errorf("geoserve: duplicate mapper %q", name)
-			}
-		}
-		s.mappers = append(s.mappers, name)
-	}
-
-	// The /24 interval index: every /24 of every AS's originated
-	// prefixes, ascending. Prefixes are disjoint across ASes, so the
-	// dedup only guards degenerate inputs.
-	for ai := range in.ASes {
-		for _, p := range in.ASes[ai].Prefixes {
-			size := uint32(1)
-			if p.Len < 32 {
-				size = uint32(1) << (32 - uint(p.Len))
-			}
-			for base := p.Addr; base < p.Addr+size; base += 256 {
-				s.prefixes = append(s.prefixes, base)
-			}
-		}
-	}
-	sort.Slice(s.prefixes, func(i, j int) bool { return s.prefixes[i] < s.prefixes[j] })
-	s.prefixes = dedup32(s.prefixes)
-
-	// Exact answers for every public interface address.
-	for i := range in.Ifaces {
-		if ifc := &in.Ifaces[i]; ifc.IP != 0 && !ifc.Private {
-			s.ips = append(s.ips, ifc.IP)
-		}
-	}
-	sort.Slice(s.ips, func(i, j int) bool { return s.ips[i] < s.ips[j] })
-	s.ips = dedup32(s.ips)
-
-	// Footprint tables: union of ASNs across mappers, ascending; a
-	// zero-ASN footprint marks absence under one mapper.
-	byASN := make([]map[int]analysis.ASFootprint, len(src.Mappers))
-	asnSet := map[int32]struct{}{}
-	for m, nm := range src.Mappers {
-		byASN[m] = make(map[int]analysis.ASFootprint, len(nm.Footprints))
-		for _, fp := range nm.Footprints {
-			if fp.ASN <= 0 {
-				return nil, fmt.Errorf("geoserve: footprint with non-positive ASN %d", fp.ASN)
-			}
-			byASN[m][fp.ASN] = fp
-			asnSet[int32(fp.ASN)] = struct{}{}
-		}
-	}
-	for asn := range asnSet {
-		s.asns = append(s.asns, asn)
-	}
-	sort.Slice(s.asns, func(i, j int) bool { return s.asns[i] < s.asns[j] })
-	s.footprints = make([][]analysis.ASFootprint, len(src.Mappers))
-	for m := range src.Mappers {
-		s.footprints[m] = make([]analysis.ASFootprint, len(s.asns))
-		for i, asn := range s.asns {
-			s.footprints[m][i] = byASN[m][int(asn)] // zero value when absent
-		}
-	}
 
 	// addrs[row] is the address a slab row is answered for: an exact
 	// row's own address, and per /24 a representative "generic host"
@@ -152,6 +81,90 @@ func Compile(src Source) (*Snapshot, error) {
 
 	s.seal()
 	return s, nil
+}
+
+// skeleton validates src and builds everything of its snapshot that no
+// mapper answer goes into: the mapper names, the /24 and exact-address
+// indexes and the footprint tables. byASN[m] is mapper m's footprints
+// by ASN, where compileRecord reads a row's confidence radius. Compile
+// and CompileDelta both start here, which is what guarantees the two
+// enumerate and order the indexes identically.
+func skeleton(src Source) (s *Snapshot, byASN []map[int]analysis.ASFootprint, err error) {
+	if src.Internet == nil {
+		return nil, nil, fmt.Errorf("geoserve: nil Internet")
+	}
+	if src.Table == nil {
+		return nil, nil, fmt.Errorf("geoserve: nil BGP table")
+	}
+	if len(src.Mappers) == 0 {
+		return nil, nil, fmt.Errorf("geoserve: no mappers")
+	}
+	in := src.Internet
+
+	s = &Snapshot{build: src.Build}
+	for _, nm := range src.Mappers {
+		if nm.Mapper == nil {
+			return nil, nil, fmt.Errorf("geoserve: nil mapper")
+		}
+		name := nm.Mapper.Name()
+		if slices.Contains(s.mappers, name) {
+			return nil, nil, fmt.Errorf("geoserve: duplicate mapper %q", name)
+		}
+		s.mappers = append(s.mappers, name)
+	}
+
+	// The /24 interval index: every /24 of every AS's originated
+	// prefixes, ascending. Prefixes are disjoint across ASes, so the
+	// dedup only guards degenerate inputs.
+	for ai := range in.ASes {
+		for _, p := range in.ASes[ai].Prefixes {
+			size := uint32(1)
+			if p.Len < 32 {
+				size = uint32(1) << (32 - uint(p.Len))
+			}
+			for base := p.Addr; base < p.Addr+size; base += 256 {
+				s.prefixes = append(s.prefixes, base)
+			}
+		}
+	}
+	slices.Sort(s.prefixes)
+	s.prefixes = slices.Compact(s.prefixes)
+
+	// Exact answers for every public interface address.
+	for i := range in.Ifaces {
+		if ifc := &in.Ifaces[i]; ifc.IP != 0 && !ifc.Private {
+			s.ips = append(s.ips, ifc.IP)
+		}
+	}
+	slices.Sort(s.ips)
+	s.ips = slices.Compact(s.ips)
+
+	// Footprint tables: union of ASNs across mappers, ascending; a
+	// zero-ASN footprint marks absence under one mapper.
+	byASN = make([]map[int]analysis.ASFootprint, len(src.Mappers))
+	asnSet := map[int32]struct{}{}
+	for m, nm := range src.Mappers {
+		byASN[m] = make(map[int]analysis.ASFootprint, len(nm.Footprints))
+		for _, fp := range nm.Footprints {
+			if fp.ASN <= 0 {
+				return nil, nil, fmt.Errorf("geoserve: footprint with non-positive ASN %d", fp.ASN)
+			}
+			byASN[m][fp.ASN] = fp
+			asnSet[int32(fp.ASN)] = struct{}{}
+		}
+	}
+	for asn := range asnSet {
+		s.asns = append(s.asns, asn)
+	}
+	slices.Sort(s.asns)
+	s.footprints = make([][]analysis.ASFootprint, len(src.Mappers))
+	for m := range src.Mappers {
+		s.footprints[m] = make([]analysis.ASFootprint, len(s.asns))
+		for i, asn := range s.asns {
+			s.footprints[m][i] = byASN[m][int(asn)] // zero value when absent
+		}
+	}
+	return s, byASN, nil
 }
 
 // genericHost picks the representative address of the /24 at base (see
@@ -199,17 +212,4 @@ func compileRecord(dst []byte, mapper geoloc.MethodMapper, table *bgp.Table, foo
 		return fmt.Errorf("geoserve: mapper %q at %s: %w", mapper.Name(), FormatIPv4(ip), err)
 	}
 	return nil
-}
-
-func dedup32(xs []uint32) []uint32 {
-	if len(xs) == 0 {
-		return xs
-	}
-	out := xs[:1]
-	for _, v := range xs[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

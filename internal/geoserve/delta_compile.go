@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 
-	"geonet/internal/analysis"
 	"geonet/internal/parallel"
 )
 
@@ -64,53 +63,15 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 	if prev == nil {
 		return nil, st, fmt.Errorf("geoserve: delta compile: nil previous snapshot (use Compile)")
 	}
-	if src.Internet == nil {
-		return nil, st, fmt.Errorf("geoserve: nil Internet")
+	s, byASN, err := skeleton(src)
+	if err != nil {
+		return nil, st, err
 	}
-	if src.Table == nil {
-		return nil, st, fmt.Errorf("geoserve: nil BGP table")
-	}
-	if len(src.Mappers) != len(prev.mappers) {
-		return nil, st, fmt.Errorf("geoserve: delta compile: %d mappers, previous snapshot has %d", len(src.Mappers), len(prev.mappers))
-	}
-	for i, nm := range src.Mappers {
-		if nm.Mapper == nil {
-			return nil, st, fmt.Errorf("geoserve: nil mapper")
-		}
-		if name := nm.Mapper.Name(); name != prev.mappers[i] {
-			return nil, st, fmt.Errorf("geoserve: delta compile: mapper %d is %q, previous snapshot has %q", i, name, prev.mappers[i])
-		}
+	if !slices.Equal(s.mappers, prev.mappers) {
+		return nil, st, fmt.Errorf("geoserve: delta compile: mappers %q, previous snapshot has %q", s.mappers, prev.mappers)
 	}
 	workers := parallel.Workers(src.Workers)
 	in := src.Internet
-
-	s := &Snapshot{build: src.Build}
-	s.mappers = append(s.mappers, prev.mappers...)
-
-	// Rebuild the index skeleton exactly as Compile does — the
-	// enumeration is cheap next to mapper calls, and sharing the code
-	// path guarantees identical ordering.
-	for ai := range in.ASes {
-		for _, p := range in.ASes[ai].Prefixes {
-			size := uint32(1)
-			if p.Len < 32 {
-				size = uint32(1) << (32 - uint(p.Len))
-			}
-			for base := p.Addr; base < p.Addr+size; base += 256 {
-				s.prefixes = append(s.prefixes, base)
-			}
-		}
-	}
-	slices.Sort(s.prefixes)
-	s.prefixes = dedup32(s.prefixes)
-
-	for i := range in.Ifaces {
-		if ifc := &in.Ifaces[i]; ifc.IP != 0 && !ifc.Private {
-			s.ips = append(s.ips, ifc.IP)
-		}
-	}
-	slices.Sort(s.ips)
-	s.ips = dedup32(s.ips)
 
 	// The common churn step moves answers, not the index: it then
 	// shares prev's index and the directory derived from it.
@@ -118,31 +79,8 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 		s.prefixes, s.ips, s.dir = prev.prefixes, prev.ips, prev.dir
 	}
 
-	// Footprint tables, and the set of ASNs whose footprint changed
-	// under any mapper since prev (their rows need a radius patch).
-	byASN := make([]map[int]analysis.ASFootprint, len(src.Mappers))
-	asnSet := map[int32]struct{}{}
-	for m, nm := range src.Mappers {
-		byASN[m] = make(map[int]analysis.ASFootprint, len(nm.Footprints))
-		for _, fp := range nm.Footprints {
-			if fp.ASN <= 0 {
-				return nil, st, fmt.Errorf("geoserve: footprint with non-positive ASN %d", fp.ASN)
-			}
-			byASN[m][fp.ASN] = fp
-			asnSet[int32(fp.ASN)] = struct{}{}
-		}
-	}
-	for asn := range asnSet {
-		s.asns = append(s.asns, asn)
-	}
-	slices.Sort(s.asns)
-	s.footprints = make([][]analysis.ASFootprint, len(src.Mappers))
-	for m := range src.Mappers {
-		s.footprints[m] = make([]analysis.ASFootprint, len(s.asns))
-		for i, asn := range s.asns {
-			s.footprints[m][i] = byASN[m][int(asn)]
-		}
-	}
+	// The ASNs whose footprint changed under any mapper since prev:
+	// their rows need a radius patch.
 	changedASN := map[int32]bool{}
 	{
 		// Merge prev.asns against s.asns; an ASN present on only one

@@ -3,6 +3,7 @@ package replica
 import (
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"geonet/internal/analysis"
@@ -102,14 +103,24 @@ func localClient(f fleetMux, decide faultinject.Decider) (*http.Client, *faultin
 // get fetches a URL through the client and returns status + body.
 func get(tb testing.TB, client *http.Client, url string) (int, string) {
 	tb.Helper()
-	resp, err := client.Get(url)
+	return do(tb, client, "GET", url, "")
+}
+
+// do sends one request with the given body and returns status + body.
+func do(tb testing.TB, client *http.Client, method, url, body string) (int, string) {
+	tb.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
-		tb.Fatalf("GET %s: %v", url, err)
+		tb.Fatal(err)
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		tb.Fatalf("%s %s: %v", method, url, err)
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		tb.Fatalf("GET %s: read: %v", url, err)
+		tb.Fatalf("%s %s: read: %v", method, url, err)
 	}
 	return resp.StatusCode, string(b)
 }

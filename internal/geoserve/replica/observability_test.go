@@ -57,7 +57,6 @@ var knownFamilies = map[string]bool{
 	"geoserve_replication_draining":               true,
 	"geoserve_replication_inflight":               true,
 	"geoserve_router_requests_total":              true,
-	"geoserve_router_batches_total":               true,
 	"geoserve_router_retries_total":               true,
 	"geoserve_router_sheds_total":                 true,
 	"geoserve_router_budget_denied_total":         true,
@@ -172,7 +171,7 @@ func TestFleetObservability(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"router.batch", "serve.batch", "cluster.serve"} {
+	for _, want := range []string{"router.forward", "serve.batch", "cluster.serve"} {
 		if !spanNames[want] {
 			t.Errorf("trace %s missing a %q span across the fleet (got %v)", traceID, want, spanNames)
 		}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -120,11 +121,12 @@ type member struct {
 // Router fans geoserve lookups over a fleet of replicas. It probes
 // each replica's /healthz, ejects members after FailThreshold
 // consecutive failures and readmits them on the next healthy probe,
-// and routes every request to replicas serving one agreed epoch — a
-// batch is scattered across replicas only at that epoch and replies
-// carrying any other epoch force a replan, so one answer set never
-// blends snapshots. When no healthy replica holds a complete epoch the
-// router sheds with 503 + Retry-After rather than degrade silently.
+// and sends every request whole — a single lookup, a JSON batch, a
+// binary frame — to one replica at the agreed epoch. That replica
+// answers it from one snapshot and its X-Geo-Epoch is relayed, so no
+// answer set can blend snapshots. When no healthy replica holds a
+// complete epoch the router sheds with 503 + Retry-After rather than
+// degrade silently.
 //
 // Within the plan, traffic goes to the member with the fewest
 // outstanding requests (latency EWMA breaking ties, round-robin after
@@ -150,7 +152,6 @@ type Router struct {
 	inflight atomic.Int64
 
 	requests atomic.Uint64
-	batches  atomic.Uint64
 	retries  atomic.Uint64
 	sheds    atomic.Uint64
 	start    time.Time
@@ -184,8 +185,6 @@ func (r *Router) registerMetrics() {
 	reg := r.obs.Metrics
 	reg.CounterFunc("geoserve_router_requests_total",
 		"Requests forwarded (single lookups and misc paths).", nil, r.requests.Load)
-	reg.CounterFunc("geoserve_router_batches_total",
-		"Batch requests scattered over the fleet.", nil, r.batches.Load)
 	reg.CounterFunc("geoserve_router_retries_total",
 		"Retry tokens spent.", nil, r.retries.Load)
 	reg.CounterFunc("geoserve_router_sheds_total",
@@ -278,8 +277,7 @@ func (r *Router) memberCounter(m *member, read func(*member) uint64) func() uint
 
 // ensureTrace is the edge mint: it adopts the request's X-Geo-Trace ID
 // or mints a fresh one, writing it back onto the request headers so
-// every downstream hop (forward clones them, batchCall copies it)
-// carries the same ID.
+// every downstream hop (forward clones them) carries the same ID.
 func (r *Router) ensureTrace(req *http.Request) *obs.Trace {
 	id, ok := obs.ParseTraceID(req.Header.Get(obs.TraceHeader))
 	if !ok {
@@ -570,10 +568,10 @@ func (r *Router) shed(w http.ResponseWriter, tr *obs.Trace) {
 	json.NewEncoder(w).Encode(body)
 }
 
-// Handler serves the geoserve API by delegation: single lookups
-// forward to the least-loaded replica at the plan epoch (retrying
-// others under the budget), batches scatter over the plan's replicas
-// and merge, and /statusz//healthz report the router's own fleet view.
+// Handler serves the geoserve API by delegation: every route but the
+// router's own /statusz, /healthz, /metrics and /debug/tracez forwards
+// to the least-loaded replica at the plan epoch (retrying others under
+// the budget), so request validation and reply bytes are the replica's.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, req *http.Request) {
@@ -596,13 +594,6 @@ func (r *Router) Handler() http.Handler {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
 		writeJSON(w, body)
-	})
-	mux.HandleFunc("POST /v1/locate/batch", func(w http.ResponseWriter, req *http.Request) {
-		r.inflight.Add(1)
-		defer r.inflight.Add(-1)
-		tr := r.ensureTrace(req)
-		w.Header().Set(obs.TraceHeader, tr.TraceID().String())
-		r.serveBatch(w, req, tr)
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
 		r.inflight.Add(1)
@@ -653,9 +644,10 @@ func readReply(buf []byte, method string, resp *http.Response) ([]byte, error) {
 }
 
 // forward proxies one request to the least-loaded replica at the plan
-// epoch, trying others on transport failure, timeout, replica-side 5xx
-// or a short body as long as the retry budget holds. A request that
-// cannot be read whole is refused before any replica is contacted.
+// epoch, trying each other one at most once on transport failure,
+// timeout, replica-side 5xx or a short body as long as the retry budget
+// holds. A request that cannot be read whole is refused before any
+// replica is contacted.
 func (r *Router) forward(w http.ResponseWriter, req *http.Request, tr *obs.Trace) {
 	r.requests.Add(1)
 	// Sized once but never reused: the transport may still be reading
@@ -673,12 +665,15 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, tr *obs.Trace
 			return
 		}
 	}
-	for attempt := 0; attempt <= len(r.members); attempt++ {
-		if attempt > 0 && !r.allowRetry() {
-			break
-		}
+	// A member that failed this request is not asked again: one failure
+	// leaves it routable, and a low latency EWMA would sort it first.
+	var failed []*member
+	for len(failed) < len(r.members) {
 		_, ms := r.plan()
-		if len(ms) == 0 {
+		if len(failed) > 0 {
+			ms = slices.DeleteFunc(ms, func(m *member) bool { return slices.Contains(failed, m) })
+		}
+		if len(ms) == 0 || len(failed) > 0 && !r.allowRetry() {
 			break
 		}
 		m := r.orderByLoad(ms)[0]
@@ -690,6 +685,7 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, tr *obs.Trace
 		if done {
 			return
 		}
+		failed = append(failed, m)
 	}
 	r.shed(w, tr)
 }
@@ -754,197 +750,6 @@ func copyResponse(w http.ResponseWriter, resp *http.Response, body []byte) {
 	w.Write(body)
 }
 
-// batchPart is one scattered sub-batch's outcome.
-type batchPart struct {
-	m       *member
-	status  int
-	ctype   string
-	epoch   uint64
-	mapper  string
-	results []json.RawMessage
-	raw     []byte
-	err     error
-}
-
-// serveBatch answers a batch by scattering contiguous IP chunks over
-// the plan's replicas (cheapest-loaded first) and merging the
-// sub-results in order. Every sub-response must carry the plan epoch;
-// one that does not (a replica swapped mid-batch) forces a replan, so
-// the merged answer set is always the product of exactly one epoch.
-// Request validation mirrors geoserve's handler byte for byte, and
-// merged bodies are rebuilt from the sub-responses' raw result
-// objects, so a routed batch is byte-identical to one cluster's
-// batch over the same snapshot.
-func (r *Router) serveBatch(w http.ResponseWriter, req *http.Request, tr *obs.Trace) {
-	r.batches.Add(1)
-	var in struct {
-		Mapper string   `json:"mapper"`
-		IPs    []string `json:"ips"`
-	}
-	if err := json.NewDecoder(req.Body).Decode(&in); err != nil {
-		httpJSONError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(in.IPs) == 0 {
-		httpJSONError(w, http.StatusBadRequest, "empty ips")
-		return
-	}
-	if len(in.IPs) > geoserve.MaxBatch {
-		httpJSONError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(in.IPs), geoserve.MaxBatch)
-		return
-	}
-	for _, ipStr := range in.IPs {
-		if _, err := geoserve.ParseIPv4(ipStr); err != nil {
-			httpJSONError(w, http.StatusBadRequest, "bad ip %q", ipStr)
-			return
-		}
-	}
-
-	const planAttempts = 3
-	t0 := time.Now()
-	for attempt := 0; attempt < planAttempts; attempt++ {
-		if attempt > 0 && !r.allowRetry() {
-			break
-		}
-		epoch, ms := r.plan()
-		if len(ms) == 0 {
-			break
-		}
-		order := r.orderByLoad(ms)
-		chunks := splitChunks(in.IPs, len(order))
-		parts := make([]batchPart, len(chunks))
-		var wg sync.WaitGroup
-		for i := range chunks {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				parts[i] = r.batchCall(req.Context(), order[i%len(order)], in.Mapper, chunks[i], tr)
-			}(i)
-		}
-		wg.Wait()
-
-		replan := false
-		for _, p := range parts {
-			switch {
-			case p.err != nil:
-				replan = true
-			case p.status >= 500:
-				replan = true
-			case p.status != http.StatusOK:
-				// A client-side rejection (unknown mapper, shed shard):
-				// pass the first one through untouched.
-				if p.ctype != "" {
-					w.Header().Set("Content-Type", p.ctype)
-				}
-				w.WriteHeader(p.status)
-				w.Write(p.raw)
-				return
-			case p.epoch != epoch:
-				// Replica swapped between planning and answering; its
-				// answers belong to another snapshot. Refresh our view
-				// and replan — never blend epochs into one answer set.
-				r.noteHealthy(p.m, p.epoch, "")
-				replan = true
-			}
-		}
-		if replan {
-			continue
-		}
-		merged := struct {
-			Mapper  string            `json:"mapper"`
-			Results []json.RawMessage `json:"results"`
-		}{Mapper: parts[0].mapper, Results: make([]json.RawMessage, 0, len(in.IPs))}
-		for _, p := range parts {
-			merged.Results = append(merged.Results, p.results...)
-		}
-		w.Header().Set("X-Geo-Epoch", strconv.FormatUint(epoch, 10))
-		tr.Span("router.batch", t0,
-			obs.AInt("n", len(in.IPs)),
-			obs.AInt("chunks", len(chunks)),
-			obs.AInt("attempt", attempt),
-			obs.A("epoch", strconv.FormatUint(epoch, 10)))
-		writeJSON(w, merged)
-		return
-	}
-	tr.Span("router.batch", t0, obs.AInt("n", len(in.IPs)), obs.A("outcome", "shed"))
-	r.shed(w, tr)
-}
-
-func (r *Router) batchCall(ctx context.Context, m *member, mapper string, ips []string, tr *obs.Trace) batchPart {
-	part := batchPart{m: m}
-	body, err := json.Marshal(struct {
-		Mapper string   `json:"mapper"`
-		IPs    []string `json:"ips"`
-	}{mapper, ips})
-	if err != nil {
-		part.err = err
-		return part
-	}
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "POST", m.url+"/v1/locate/batch", bytes.NewReader(body))
-	if err != nil {
-		part.err = err
-		return part
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if id := tr.TraceID(); id != 0 {
-		req.Header.Set(obs.TraceHeader, id.String())
-	}
-	r.startCall(m)
-	t0 := time.Now()
-	resp, err := r.cfg.Client.Do(req)
-	if err != nil {
-		r.finishCall(m, 0, false)
-		part.err = err
-		return part
-	}
-	defer resp.Body.Close()
-	part.status = resp.StatusCode
-	part.ctype = resp.Header.Get("Content-Type")
-	part.epoch, _ = strconv.ParseUint(resp.Header.Get("X-Geo-Epoch"), 10, 64)
-	// Unpooled: the merge's json.RawMessage results alias these bytes.
-	part.raw, err = readReply(nil, http.MethodPost, resp)
-	if err != nil {
-		r.finishCall(m, 0, false)
-		part.err = err
-		return part
-	}
-	if resp.StatusCode >= 500 {
-		r.finishCall(m, 0, false)
-		return part
-	}
-	r.finishCall(m, time.Since(t0), true)
-	if resp.StatusCode == http.StatusOK {
-		var sub struct {
-			Mapper  string            `json:"mapper"`
-			Results []json.RawMessage `json:"results"`
-		}
-		if err := json.Unmarshal(part.raw, &sub); err != nil {
-			part.err = fmt.Errorf("replica %s: bad batch body: %w", m.url, err)
-			return part
-		}
-		part.mapper, part.results = sub.Mapper, sub.Results
-		r.earnBudget()
-		r.noteServed(m, resp)
-	}
-	return part
-}
-
-// splitChunks splits ips into at most k contiguous, order-preserving
-// chunks of near-equal size.
-func splitChunks(ips []string, k int) [][]string {
-	if k > len(ips) {
-		k = len(ips)
-	}
-	chunks := make([][]string, 0, k)
-	for i := 0; i < k; i++ {
-		lo, hi := i*len(ips)/k, (i+1)*len(ips)/k
-		chunks = append(chunks, ips[lo:hi])
-	}
-	return chunks
-}
-
 // RouterReplica is one member's row in the router's /statusz.
 type RouterReplica struct {
 	URL          string `json:"url"`
@@ -973,7 +778,6 @@ type RouterStatus struct {
 	Draining        bool    `json:"draining"`
 	InFlight        int64   `json:"in_flight"`
 	Requests        uint64  `json:"requests"`
-	Batches         uint64  `json:"batches"`
 	Retries         uint64  `json:"retries"`
 	Sheds           uint64  `json:"sheds"`
 	// RetryBudget is the tokens left in the global retry pool;
@@ -993,7 +797,6 @@ func (r *Router) Status() RouterStatus {
 		Draining:        r.draining.Load(),
 		InFlight:        r.inflight.Load(),
 		Requests:        r.requests.Load(),
-		Batches:         r.batches.Load(),
 		Retries:         r.retries.Load(),
 		Sheds:           r.sheds.Load(),
 		RetryBudget:     float64(r.budgetTenths.Load()) / 10,

@@ -114,6 +114,40 @@ func TestRouterRetryBudgetStopsStorm(t *testing.T) {
 	}
 }
 
+// TestRouterRetrySkipsFailedMember pins that a retry never goes back to
+// the member that just failed this request: after one 500 rep0 is still
+// routable (FailThreshold 2, BreakerThreshold 3) and its lower latency
+// EWMA sorts it first again.
+func TestRouterRetrySkipsFailedMember(t *testing.T) {
+	snap := makeSnapshot(t, 25, 20, 6)
+	f := newFleetWith(t, 2, snap, nil, RouterConfig{})
+	var hits atomic.Int64
+	rep0 := f.mux["rep0"]
+	f.mux["rep0"] = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/healthz" {
+			rep0.ServeHTTP(w, req)
+			return
+		}
+		hits.Add(1)
+		http.Error(w, "broken", http.StatusInternalServerError)
+	})
+	f.router.mu.Lock()
+	f.router.members[0].ewmaMs, f.router.members[0].ewmaSet = 1, true
+	f.router.members[1].ewmaMs, f.router.members[1].ewmaSet = 5, true
+	f.router.mu.Unlock()
+
+	if code, body := get(t, f.client, "http://router/v1/locate?ip=10.1.0.1"); code != 200 {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Errorf("%d attempts on the failing replica, want 1", n)
+	}
+	st := f.router.Status()
+	if st.Retries != 1 || st.Replicas[0].Failures != 1 || st.Replicas[1].Requests != 1 {
+		t.Errorf("status %+v: want one retry, one failure on rep0, the answer from rep1", st)
+	}
+}
+
 // TestRouterBreakerOpensAndRecovers pins the per-replica circuit
 // breaker: request failures open it (removing the member from the plan
 // even though probes still pass), the cooldown moves it to half-open,

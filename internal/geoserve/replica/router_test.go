@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -128,9 +129,9 @@ func TestRouterShedsWithNoHealthyReplica(t *testing.T) {
 	}
 }
 
-// TestRouterMatchesEngineByteForByte pins that routed answers — single
-// lookups and scattered batches — are byte-identical to one engine
-// over the same snapshot.
+// TestRouterMatchesEngineByteForByte pins that routed replies — single
+// lookups, batches and every batch rejection — are byte-identical to
+// one engine's over the same snapshot.
 func TestRouterMatchesEngineByteForByte(t *testing.T) {
 	snap := makeSnapshot(t, 11, 40, 10)
 	f := newFleet(t, 3, snap, nil)
@@ -152,7 +153,7 @@ func TestRouterMatchesEngineByteForByte(t *testing.T) {
 		}
 	}
 
-	// Batches scatter over all three replicas and merge in order.
+	// A batch is answered whole by one replica.
 	for _, n := range []int{1, 2, 3, 7, 50} {
 		ips := batchIPs(n)
 		resp, rBody := postBatch(t, f.client, "http://router", "alpha", ips)
@@ -170,6 +171,28 @@ func TestRouterMatchesEngineByteForByte(t *testing.T) {
 	dResp, dBody := postBatch(t, dc, "http://direct", "nope", batchIPs(4))
 	if resp.StatusCode != http.StatusBadRequest || resp.StatusCode != dResp.StatusCode || rBody != dBody {
 		t.Fatalf("unknown-mapper batch: router (%d) %q vs engine (%d) %q", resp.StatusCode, rBody, dResp.StatusCode, dBody)
+	}
+	// The rejections internal/geoserve/http_test.go lists: the replica
+	// validates, so the router cannot drift from it.
+	huge := `{"ips":["1.2.3.4"],"pad":"` + strings.Repeat("x", 1<<20) + `"}`
+	for _, tc := range []struct {
+		name, method, body string
+		want               int
+	}{
+		{"malformed", "POST", `{`, 400},
+		{"empty", "POST", `{"ips":[]}`, 400},
+		{"bad address", "POST", `{"ips":["999.1.1.1"]}`, 400},
+		{"trailing object", "POST", `{"ips":["1.2.3.4"]}{"ips":["5.6.7.8"]}`, 400},
+		{"trailing garbage", "POST", `{"ips":["1.2.3.4"]}garbage`, 400},
+		{"trailing whitespace", "POST", `{"ips":["1.2.3.4"]}` + "\n  \n", 200},
+		{"over the body cap", "POST", huge, 413},
+		{"wrong method", "GET", "", 405},
+	} {
+		rCode, rBody := do(t, f.client, tc.method, "http://router/v1/locate/batch", tc.body)
+		dCode, dBody := do(t, dc, tc.method, "http://direct/v1/locate/batch", tc.body)
+		if rCode != tc.want || rCode != dCode || rBody != dBody {
+			t.Errorf("%s batch: router (%d) %q vs engine (%d) %q, want %d", tc.name, rCode, rBody, dCode, dBody, tc.want)
+		}
 	}
 	if st := f.router.Status(); st.Retries != 0 || st.Sheds != 0 {
 		t.Fatalf("healthy fleet needed retries: %+v", st)
@@ -290,7 +313,7 @@ func TestRouterBatchNeverBlendsEpochs(t *testing.T) {
 	if e := resp.Header.Get("X-Geo-Epoch"); e != "2" || body != want2 {
 		t.Fatalf("post-probe batch epoch %q", e)
 	}
-	// And once every replica catches up, scatter resumes at epoch 2.
+	// And once every replica catches up, both serve epoch 2.
 	f.syncAll(t)
 	f.router.ProbeOnce(context.Background())
 	resp, body = postBatch(t, f.client, "http://router", "alpha", ips)

@@ -85,7 +85,7 @@ func A(key, value string) Attr { return Attr{key, value} }
 func AInt(key string, value int) Attr { return Attr{key, strconv.Itoa(value)} }
 
 // Span is one hop's record of a traced request: where time went in
-// this component (queue wait, scatter fan-out, wire encode, a retry
+// this component (admission, batch serve, wire encode, a retry
 // decision), tied back to the edge-minted trace ID.
 type Span struct {
 	Trace    TraceID
