@@ -228,10 +228,15 @@ func TestAblationHostnameOnlyMapping(t *testing.T) {
 
 // ---- Serving layer (internal/geoserve) ----
 
-// The serve benches run over the test-scale (0.02) pipeline — the
-// snapshot size the ISSUE acceptance pins — independent of benchScale,
-// so their numbers are comparable across snapshots regardless of the
-// table/figure benches' scale.
+// What is left here is what no rung of the bench/ ladder measures: the
+// miss path, the exact-address path and the JSON batch handler. Compile,
+// delta compile, engine and cluster lookups, cluster batches and the
+// binary handler are rungs there (bench/README.md) with their
+// allocation pins in internal/geoserve/zeroalloc_test.go.
+//
+// The serve benches run over the test-scale (0.02) pipeline,
+// independent of benchScale, so their numbers are comparable across
+// snapshots regardless of the table/figure benches' scale.
 var (
 	serveOnce   sync.Once
 	servePipe   *core.Pipeline
@@ -258,90 +263,6 @@ func serveFixture(tb testing.TB) (*core.Pipeline, *geoserve.Cluster, []uint32) {
 		}
 	})
 	return servePipe, serveEngine, serveHits
-}
-
-// BenchmarkServeSnapshotCompile measures compiling a finished pipeline
-// into a serving snapshot (the rebuild cost behind a hot-swap).
-func BenchmarkServeSnapshotCompile(b *testing.B) {
-	p, _, _ := serveFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Serve(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeDelta measures the incremental recompile behind one
-// churn step: the same byte-identical snapshot the full compile above
-// produces, but with only the dirty /24 intervals recomputed. The
-// step is pinned to a small event batch so at most 1% of rows churn —
-// the regime continuous topology churn lives in — and the bench
-// reports the dirty fraction so drift is visible in snapshots. The
-// acceptance bar is >= 5x faster than BenchmarkServeSnapshotCompile.
-func BenchmarkServeDelta(b *testing.B) {
-	p, _, _ := serveFixture(b)
-	prev, err := p.Serve()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ch, err := p.Churner(core.ServeOptions{}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	step, err := ch.Next(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, stats, err := p.ServeDelta(prev, step)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dirty := float64(stats.Recompiled+stats.Patched) / float64(stats.Rows)
-	if dirty > 0.01 {
-		b.Fatalf("step churned %.2f%% of rows; the bench wants the <= 1%% regime", 100*dirty)
-	}
-	b.ReportMetric(100*dirty, "%dirty")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := p.ServeDelta(prev, step); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeLookupParallel is the serving hot path under full
-// parallelism: engine lookups (metrics included) on known interface
-// addresses. The acceptance bar is >= 1M lookups/sec (ns/op <= 1000)
-// with 0 allocs/op.
-func BenchmarkServeLookupParallel(b *testing.B) {
-	_, e, hits := serveFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			a := e.Lookup(i&1, hits[i%len(hits)])
-			if a.IP == 0 {
-				b.Fatal("bad answer")
-			}
-			i++
-		}
-	})
-}
-
-// BenchmarkServeLookupSerial is the same path single-threaded, for
-// GOMAXPROCS=1 snapshot comparability.
-func BenchmarkServeLookupSerial(b *testing.B) {
-	_, e, hits := serveFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := e.Lookup(i&1, hits[i%len(hits)])
-		if a.IP == 0 {
-			b.Fatal("bad answer")
-		}
-	}
 }
 
 // BenchmarkServeLookupMiss measures the miss path (addresses outside
@@ -372,74 +293,7 @@ func BenchmarkServeLookupExact(b *testing.B) {
 	}
 }
 
-// ---- Sharded serving (geoserve.Cluster) ----
-
-func clusterFixture(b *testing.B, shards int) *geoserve.Cluster {
-	_, e, _ := serveFixture(b)
-	c, err := geoserve.NewCluster(e.Snapshot(), geoserve.ClusterConfig{Shards: shards})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c
-}
-
-// BenchmarkClusterLookupParallel is the cluster's single-lookup hot
-// path (route to the owning shard, per-shard metrics) under full
-// parallelism — directly comparable to BenchmarkServeLookupParallel;
-// the acceptance bar is parity (sharding must not cost single-box
-// speed) at 0 allocs/op.
-func BenchmarkClusterLookupParallel(b *testing.B) {
-	_, _, hits := serveFixture(b)
-	c := clusterFixture(b, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			a := c.Lookup(i&1, hits[i%len(hits)])
-			if a.IP == 0 {
-				b.Fatal("bad answer")
-			}
-			i++
-		}
-	})
-}
-
-// BenchmarkClusterBatch measures batch serving: each iteration is one
-// 256-address batch spanning the whole index (so every shard range is
-// admitted against and charged), with the amortised per-address cost
-// reported as ns/lookup — the number to compare against
-// BenchmarkServeLookupParallel's ns/op at equal GOMAXPROCS.
-func BenchmarkClusterBatch(b *testing.B) {
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			_, _, hits := serveFixture(b)
-			c := clusterFixture(b, shards)
-			const batchSize = 256
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				batch := make([]uint32, batchSize)
-				for j := range batch {
-					// A stride walk over the sorted hits spreads every
-					// batch across the full index and all shards.
-					batch[j] = hits[(j*len(hits)/batchSize)%len(hits)]
-				}
-				out := make([]geoserve.Answer, batchSize)
-				i := 0
-				for pb.Next() {
-					if _, err := c.LookupBatch(i&1, batch, out); err != nil {
-						b.Fatal(err)
-					}
-					i++
-				}
-			})
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*batchSize), "ns/lookup")
-		})
-	}
-}
-
-// nullResponseWriter sinks handler output so the wire benches measure
+// nullResponseWriter sinks handler output so the handler bench measures
 // serving cost, not recorder bookkeeping.
 type nullResponseWriter struct {
 	hdr  http.Header
@@ -462,48 +316,9 @@ func (w *nullResponseWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// BenchmarkWireBatch drives POST /v1/locate/bin through the full HTTP
-// handler: one 256-address binary batch per iteration, engine and
-// sharded cluster, with amortised ns/lookup reported — the number the
-// JSON wall is measured against (compare BenchmarkJSONBatch).
-func BenchmarkWireBatch(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			_, e, hits := serveFixture(b)
-			var h http.Handler
-			if shards == 1 {
-				h = geoserve.NewHandler(e)
-			} else {
-				h = geoserve.NewHandler(clusterFixture(b, shards))
-			}
-			const batchSize = 256
-			batch := make([]uint32, batchSize)
-			for j := range batch {
-				batch[j] = hits[(j*len(hits)/batchSize)%len(hits)]
-			}
-			body := geoserve.AppendWireBatchRequest(nil, 0, batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				var w nullResponseWriter
-				rd := bytes.NewReader(nil)
-				for pb.Next() {
-					rd.Reset(body)
-					req := httptest.NewRequest("POST", "/v1/locate/bin", rd)
-					w.code, w.n = 0, 0
-					h.ServeHTTP(&w, req)
-					if w.code != http.StatusOK || w.n == 0 {
-						b.Fatalf("bin status %d (%d bytes)", w.code, w.n)
-					}
-				}
-			})
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*batchSize), "ns/lookup")
-		})
-	}
-}
-
-// BenchmarkJSONBatch is the same 256-address batch through the JSON
-// endpoint — the wall BenchmarkWireBatch exists to knock down.
+// BenchmarkJSONBatch is one 256-address batch through the JSON batch
+// endpoint per iteration, amortised ns/lookup reported — the wall the
+// binary endpoint (the ladder's wire_handler_ns) exists to knock down.
 func BenchmarkJSONBatch(b *testing.B) {
 	_, e, hits := serveFixture(b)
 	h := geoserve.NewHandler(e)

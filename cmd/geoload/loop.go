@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"geonet/internal/geoserve"
+	"geonet/internal/obs"
 	"geonet/internal/rng"
 )
 
@@ -46,7 +46,7 @@ type tally struct {
 	// next target; throttled those answered 429/503 with a Retry-After
 	// the worker honored before touching the fleet again.
 	retries, throttled uint64
-	lat                geoserve.Histogram
+	lat                obs.Histogram
 	epochs             map[string]uint64
 }
 
@@ -114,7 +114,7 @@ func (l *loop) run() *report {
 	rep := &report{
 		Mix: l.mix.String(), Concurrency: l.concurrency, Batch: l.batch,
 		DurationNs:          int64(l.duration),
-		LatencyHistBoundsNs: geoserve.HistogramBounds(),
+		LatencyHistBoundsNs: obs.ExportBounds(),
 		Total:               sum[n].row("", elapsed),
 	}
 	for i, url := range l.urls {

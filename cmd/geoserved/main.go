@@ -396,6 +396,7 @@ func runBuilder(o builderOpts) {
 		log.Fatalf("geoserved: %v", err)
 	}
 	bundle := obs.NewObservability("cluster")
+	bundle.Metrics.Collect(cluster.Collect)
 	handler := geoserve.NewObservedHandler(cluster, bundle)
 	log.Printf("serving from %d prefix-range shards, queue budget %d",
 		cluster.NumShards(), cluster.QueueBudget())

@@ -78,8 +78,21 @@ type clusterMetrics struct {
 	// actually moved.
 	deltaSwaps    atomic.Uint64
 	resplitShards atomic.Uint64
-	start         time.Time
-	shards        []*Shard
+	// wire is added to by the HTTP handlers over the cluster; a replica
+	// builds a handler per epoch and these must outlive it.
+	wire   wireCounters
+	start  time.Time
+	shards []*Shard
+}
+
+// wireCounters counts the binary endpoints' traffic.
+type wireCounters struct {
+	batchFrames  obs.Counter // /v1/locate/bin responses
+	streamFrames obs.Counter // stream answer frames
+	errFrames    obs.Counter // in-band error frames
+	rxBytes      obs.Counter // wire request bytes read
+	txBytes      obs.Counter // wire response bytes written
+	epochChanges obs.Counter // epoch tag changes mid-stream
 }
 
 func newClusterMetrics(shards int) *clusterMetrics {
@@ -388,94 +401,18 @@ func (c *Cluster) settle(b *batchTally, mapper, n int, tr *obs.Trace) {
 	}
 }
 
-// registerMetrics exposes the cluster's serving families on reg:
-// coordinator totals summed across shards, batch counters,
-// and a per-shard section (latency histogram, lookups, sheds,
-// in-flight) labeled by shard index. Registration order is fixed
-// (mapper-major, method-minor) so the exposition — and the golden test
-// pinning it — is deterministic. Safe to call again for a replacement
-// cluster: the registry replaces series in place, keeping the scrape's
-// family shape stable across epochs. Scrape-time readers only load
-// atomics; nothing here touches the serving hot path.
-func (c *Cluster) registerMetrics(reg *obs.Registry) {
-	mappers := c.view.Load().snap.Mappers()
-	reg.CounterFunc("geoserve_requests_total",
-		"Lookups served across all mappers.", nil, func() uint64 {
-			var n uint64
-			for _, sh := range c.shards {
-				n += sh.m.total()
-			}
-			return n
-		})
-	for mi, mapper := range mappers {
-		if mi >= maxMappers {
-			break
-		}
-		for code := method(0); code < numMethods; code++ {
-			name := methodNames[code]
-			if name == "" {
-				name = "unmapped"
-			}
-			reg.CounterFunc("geoserve_lookups_total",
-				"Lookups by mapper and resolution method.",
-				obs.Labels{{Key: "mapper", Value: mapper}, {Key: "method", Value: name}},
-				func() uint64 {
-					var n uint64
-					for _, sh := range c.shards {
-						n += sh.m.methodCount(mi, code)
-					}
-					return n
-				})
-		}
-	}
-	reg.GaugeFunc("geoserve_window_qps",
-		"Lookups per second over the trailing complete-seconds window.", nil,
-		func() float64 {
-			now := time.Now()
-			var qps float64
-			for _, sh := range c.shards {
-				qps += sh.m.windowQPS(now, 0)
-			}
-			return qps
-		})
-	reg.CounterFunc("geoserve_snapshot_swaps_total",
-		"Snapshot hot-swaps since the serving metrics were created.", nil,
-		c.cm.swaps.Load)
-	reg.CounterFunc("geoserve_cluster_batches_total",
-		"Batch requests.", nil, c.cm.batches.Load)
-	reg.CounterFunc("geoserve_cluster_shed_batches_total",
-		"Batches rejected whole because an owning shard was at budget.", nil,
-		c.cm.shedBatches.Load)
-	reg.CounterFunc("geoserve_cluster_fanout_total",
-		"Shard ranges touched by served batches.", nil,
-		c.cm.fanout.Load)
-	reg.CounterFunc("geoserve_cluster_delta_swaps_total",
-		"Epoch swaps published as incremental delta-compiled snapshots.", nil,
-		c.cm.deltaSwaps.Load)
-	reg.CounterFunc("geoserve_cluster_resplit_shards_total",
-		"Shards whose content a delta swap actually moved.", nil,
-		c.cm.resplitShards.Load)
-	for i, sh := range c.shards {
-		labels := obs.Labels{{Key: "shard", Value: strconv.Itoa(i)}}
-		reg.RegisterHistogram("geoserve_lookup_latency_seconds",
-			"Per-lookup serving latency.", labels, &sh.m.lat)
-		reg.CounterFunc("geoserve_shard_lookups_total",
-			"Lookups served by shard.", labels, sh.m.total)
-		reg.CounterFunc("geoserve_shard_shed_total",
-			"Batches this shard's budget shed.", labels, sh.shed.Load)
-		reg.GaugeFunc("geoserve_shard_inflight",
-			"In-flight batch tasks on this shard.", labels,
-			func() float64 { return float64(sh.inflight.Load()) })
-	}
-}
-
 // Status reports the coordinator's serving metrics, a per-shard
-// section for each shard, and the published epoch's identity.
+// section for each shard, and the published epoch's identity. It is the
+// one computation behind both /statusz (its JSON) and /metrics (Emit).
+// A lookup counts itself, then its method, then its latency; each
+// range is read in the reverse order, so under traffic the latency
+// counts and the method counts never exceed the lookup totals reported
+// beside them.
 func (c *Cluster) Status() Status {
 	now := time.Now()
 	v := c.view.Load()
 	uptime := now.Sub(c.cm.start).Seconds()
-	merged := &Histogram{}
+	merged := &obs.Histogram{}
 	var (
 		lookups uint64
 		window  float64
@@ -484,7 +421,10 @@ func (c *Cluster) Status() Status {
 	stats := make([]ShardStatus, len(c.shards))
 	for i, sh := range c.shards {
 		lo, hi, prefixes, exactIPs := shardRange(v.snap, v.starts, i)
-		merged.Merge(&sh.m.lat)
+		lat := &obs.Histogram{}
+		lat.Merge(&sh.m.lat)
+		merged.Merge(lat)
+		sh.m.addMethodCounts(methods, v.snap.mappers)
 		n := sh.m.total()
 		lookups += n
 		w := sh.m.windowQPS(now, 0)
@@ -497,17 +437,18 @@ func (c *Cluster) Status() Status {
 			ExactIPs:     exactIPs,
 			Lookups:      n,
 			QPSWindow:    w,
-			LatencyP50Ns: int64(sh.m.lat.Quantile(0.50)),
-			LatencyP99Ns: int64(sh.m.lat.Quantile(0.99)),
+			LatencyP50Ns: int64(lat.Quantile(0.50)),
+			LatencyP99Ns: int64(lat.Quantile(0.99)),
+			Latency:      lat,
 			ShedBatches:  sh.shed.Load(),
 			Inflight:     sh.inflight.Load(),
 		}
-		sh.m.addMethodCounts(methods, v.snap.mappers)
 	}
 	// Shed is loaded before the batch total so a concurrent shed can
 	// never make shed > batches and underflow the served count below.
 	shed := c.cm.shedBatches.Load()
 	batches := c.cm.batches.Load()
+	wire := &c.cm.wire
 	st := Status{
 		UptimeSeconds: uptime,
 		Shards:        len(c.shards),
@@ -515,6 +456,7 @@ func (c *Cluster) Status() Status {
 		Lookups:       lookups,
 		Batches:       batches,
 		ShedBatches:   shed,
+		Fanout:        c.cm.fanout.Load(),
 		DeltaSwaps:    c.cm.deltaSwaps.Load(),
 		ResplitShards: c.cm.resplitShards.Load(),
 		QPSWindow:     window,
@@ -523,13 +465,60 @@ func (c *Cluster) Status() Status {
 		LatencyP99Ns:  int64(merged.Quantile(0.99)),
 		Methods:       methods,
 		ShardStats:    stats,
-		Snapshot:      c.snapshotInfo(v.snap),
+		Wire: WireStatus{
+			BatchFrames:  wire.batchFrames.Value(),
+			StreamFrames: wire.streamFrames.Value(),
+			ErrorFrames:  wire.errFrames.Value(),
+			RxBytes:      wire.rxBytes.Value(),
+			TxBytes:      wire.txBytes.Value(),
+			EpochChanges: wire.epochChanges.Value(),
+		},
+		Snapshot: c.snapshotInfo(v.snap),
 	}
 	if batches > shed {
-		st.AvgFanout = float64(c.cm.fanout.Load()) / float64(batches-shed)
+		st.AvgFanout = float64(st.Fanout) / float64(batches-shed)
 	}
 	if uptime > 0 {
 		st.QPSLifetime = float64(lookups) / uptime
 	}
 	return st
+}
+
+// Collect is the cluster's collector: one Status, emitted.
+func (c *Cluster) Collect(e *obs.Emitter) { c.Status().Emit(e) }
+
+// Emit renders the status as the cluster's /metrics families:
+// coordinator totals, batch and wire counters, and a per-shard section
+// (latency histogram, lookups, sheds, in-flight) labeled by shard
+// index. Series order is fixed (mapper-major, method-minor, zeros
+// included) so the exposition — and the golden pinning it — is
+// deterministic.
+func (st Status) Emit(e *obs.Emitter) {
+	e.Counter("geoserve_requests_total", "Lookups served across all mappers.", nil, st.Lookups)
+	for _, mapper := range st.Snapshot.Mappers[:min(len(st.Snapshot.Mappers), maxMappers)] {
+		for code := method(0); code < numMethods; code++ {
+			labels := obs.Labels{{Key: "mapper", Value: mapper}, {Key: "method", Value: methodKey(code)}}
+			e.Counter("geoserve_lookups_total", "Lookups by mapper and resolution method.", labels, st.Methods[mapper][methodKey(code)])
+		}
+	}
+	e.Gauge("geoserve_window_qps", "Lookups per second over the trailing complete-seconds window.", nil, st.QPSWindow)
+	e.Counter("geoserve_snapshot_swaps_total", "Snapshot hot-swaps since the serving metrics were created.", nil, st.Snapshot.Swaps)
+	e.Counter("geoserve_cluster_batches_total", "Batch requests.", nil, st.Batches)
+	e.Counter("geoserve_cluster_shed_batches_total", "Batches rejected whole because an owning shard was at budget.", nil, st.ShedBatches)
+	e.Counter("geoserve_cluster_fanout_total", "Shard ranges touched by served batches.", nil, st.Fanout)
+	e.Counter("geoserve_cluster_delta_swaps_total", "Epoch swaps published as incremental delta-compiled snapshots.", nil, st.DeltaSwaps)
+	e.Counter("geoserve_cluster_resplit_shards_total", "Shards whose content a delta swap actually moved.", nil, st.ResplitShards)
+	for _, sh := range st.ShardStats {
+		labels := obs.Labels{{Key: "shard", Value: strconv.Itoa(sh.ID)}}
+		e.Histogram("geoserve_lookup_latency_seconds", "Per-lookup serving latency.", labels, sh.Latency)
+		e.Counter("geoserve_shard_lookups_total", "Lookups served by shard.", labels, sh.Lookups)
+		e.Counter("geoserve_shard_shed_total", "Batches this shard's budget shed.", labels, sh.ShedBatches)
+		e.Gauge("geoserve_shard_inflight", "In-flight batch tasks on this shard.", labels, float64(sh.Inflight))
+	}
+	e.Counter("geoserve_wire_batch_frames_total", "Binary batch responses served.", nil, st.Wire.BatchFrames)
+	e.Counter("geoserve_wire_stream_frames_total", "Streaming answer frames served.", nil, st.Wire.StreamFrames)
+	e.Counter("geoserve_wire_error_frames_total", "In-band wire error frames written.", nil, st.Wire.ErrorFrames)
+	e.Counter("geoserve_wire_rx_bytes_total", "Wire-protocol request bytes read.", nil, st.Wire.RxBytes)
+	e.Counter("geoserve_wire_tx_bytes_total", "Wire-protocol response bytes written.", nil, st.Wire.TxBytes)
+	e.Counter("geoserve_wire_epoch_changes_total", "Epoch tag changes observed between frames of one stream.", nil, st.Wire.EpochChanges)
 }

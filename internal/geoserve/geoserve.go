@@ -80,10 +80,12 @@
 // (TestLookupCountsExact) — while single-lookup latency and the
 // windowed QPS come from one timed lookup in 64 per stripe, weighted
 // by the lookups it stands for; a batch is timed once, as a whole.
-// See metrics.go and DESIGN.md § Observability. NewHandler mints a
-// fresh obs bundle per handler; NewObservedHandler accepts a
-// caller-owned bundle so a replica re-registering per installed epoch
-// keeps one continuous scrape.
+// Cluster.Status is the one computation of all of it: /statusz is its
+// JSON and /metrics is Status.Emit of the same struct. See metrics.go
+// and DESIGN.md § Observability. NewHandler mints a fresh obs bundle
+// with the cluster's collector on it; NewObservedHandler accepts a
+// caller-owned bundle, so a replica building a handler per installed
+// epoch registers one collector, once, and keeps one continuous scrape.
 package geoserve
 
 import (

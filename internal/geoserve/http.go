@@ -39,10 +39,12 @@ const maxBatchBodyBytes = 1 << 20
 // the admin endpoints.
 //
 // The handler also mounts GET /metrics and GET /debug/tracez from a
-// fresh observability bundle; use NewObservedHandler to supply one
-// (required to keep scrape continuity across epoch hot-swaps).
+// fresh observability bundle the cluster's collector is registered on;
+// use NewObservedHandler to supply a bundle.
 func NewHandler(c *Cluster) http.Handler {
-	return NewObservedHandler(c, obs.NewObservability("cluster"))
+	o := obs.NewObservability("cluster")
+	o.Metrics.Collect(c.Collect)
+	return NewObservedHandler(c, o)
 }
 
 // NewClusterHandler is NewHandler under the name the frozen bench/
@@ -50,37 +52,13 @@ func NewHandler(c *Cluster) http.Handler {
 // surface the harness calls"); it exists only for it.
 func NewClusterHandler(c *Cluster) http.Handler { return NewHandler(c) }
 
-// apiHandler is the HTTP serving surface over a cluster plus its
-// observability state: the wire-protocol traffic counters live here
-// because the wire endpoints are an HTTP-layer concern, not a serving
-// one.
+// apiHandler is the HTTP serving surface over a cluster: its routes
+// and the trace ring traced requests record into.
 type apiHandler struct {
-	c   *Cluster
-	obs *obs.Observability
-	mux *http.ServeMux
-
-	wireBatchFrames  obs.Counter // /v1/locate/bin responses
-	wireStreamFrames obs.Counter // stream answer frames
-	wireErrFrames    obs.Counter // in-band error frames
-	wireRxBytes      obs.Counter // wire request bytes read
-	wireTxBytes      obs.Counter // wire response bytes written
-	wireEpochChanges obs.Counter // epoch tag changes mid-stream
-}
-
-func (h *apiHandler) registerWireMetrics(reg *obs.Registry) {
-	reg.RegisterCounter("geoserve_wire_batch_frames_total",
-		"Binary batch responses served.", nil, &h.wireBatchFrames)
-	reg.RegisterCounter("geoserve_wire_stream_frames_total",
-		"Streaming answer frames served.", nil, &h.wireStreamFrames)
-	reg.RegisterCounter("geoserve_wire_error_frames_total",
-		"In-band wire error frames written.", nil, &h.wireErrFrames)
-	reg.RegisterCounter("geoserve_wire_rx_bytes_total",
-		"Wire-protocol request bytes read.", nil, &h.wireRxBytes)
-	reg.RegisterCounter("geoserve_wire_tx_bytes_total",
-		"Wire-protocol response bytes written.", nil, &h.wireTxBytes)
-	reg.RegisterCounter("geoserve_wire_epoch_changes_total",
-		"Epoch tag changes observed between frames of one stream.", nil,
-		&h.wireEpochChanges)
+	c    *Cluster
+	wire *wireCounters
+	obs  *obs.Observability
+	mux  *http.ServeMux
 }
 
 func (h *apiHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -99,14 +77,13 @@ func (h *apiHandler) trace(w http.ResponseWriter, r *http.Request) *obs.Trace {
 }
 
 // NewObservedHandler is NewHandler bound to a caller-owned
-// observability bundle: the cluster's families register onto o.Metrics
-// (replacing in place on re-registration, so an epoch swap that
-// rebuilds the handler keeps one continuous scrape), and traced
-// requests record spans into o.Traces.
+// observability bundle: o's /metrics and /debug/tracez are mounted and
+// traced requests record spans into o.Traces. It registers nothing —
+// the bundle's owner registers a collector once (Cluster.Collect, or
+// one that follows the cluster of the current epoch), however many
+// handlers are built over the bundle.
 func NewObservedHandler(c *Cluster, o *obs.Observability) http.Handler {
-	h := &apiHandler{c: c, obs: o}
-	c.registerMetrics(o.Metrics)
-	h.registerWireMetrics(o.Metrics)
+	h := &apiHandler{c: c, wire: &c.cm.wire, obs: o}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/locate", func(w http.ResponseWriter, r *http.Request) {
@@ -255,7 +232,7 @@ func NewObservedHandler(c *Cluster, o *obs.Observability) http.Handler {
 		writeJSON(w, struct {
 			Status   string       `json:"status"`
 			Snapshot SnapshotInfo `json:"snapshot"`
-		}{"ok", c.snapshotInfo(c.Snapshot())})
+		}{"ok", c.SnapshotInfo()})
 	})
 
 	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {

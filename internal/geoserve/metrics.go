@@ -8,17 +8,6 @@ import (
 	"geonet/internal/obs"
 )
 
-// Histogram is the shared serving latency histogram — obs.Histogram,
-// re-exported so cmd/geoload and the status structs keep their
-// spelling. Recording is lock-free and allocation-free (one atomic add
-// after a small binary search over a fixed geometric ladder).
-type Histogram = obs.Histogram
-
-// HistogramBounds re-exports the histogram's coarse export-bucket
-// upper bounds (ns, last bucket overflow); pairs with
-// Histogram.Export for full-distribution reporting.
-func HistogramBounds() []uint64 { return obs.ExportBounds() }
-
 // maxMappers bounds the per-mapper method counters; snapshots compile
 // two mappers today, lookups under further ones are counted but not
 // attributed.
@@ -61,7 +50,7 @@ type metrics struct {
 	// the counters are atomic, so that is slower, never wrong.
 	free sync.Pool
 	next atomic.Uint32
-	lat  Histogram
+	lat  obs.Histogram
 	// ring cells hold unix second<<32 | lookups in that second, one
 	// word so a second boundary cannot separate the two.
 	ring [ringSeconds]atomic.Uint64
@@ -137,32 +126,31 @@ func (m *metrics) total() uint64 {
 	return n
 }
 
-// methodCount folds one mapper × method counter from the stripes.
-func (m *metrics) methodCount(mapper int, code method) uint64 {
-	var n uint64
-	for i := range m.stripes {
-		n += m.stripes[i].methods[mapper][code].Load()
+// methodKey is the name a method's count is reported under; misses are
+// keyed "unmapped".
+func methodKey(code method) string {
+	if code == methodNone {
+		return "unmapped"
 	}
-	return n
+	return methodNames[code]
 }
 
-// addMethodCounts folds the non-zero mapper × method counters into dst
-// under the given mapper names.
+// addMethodCounts folds the non-zero mapper × method counters from the
+// stripes into dst under the given mapper names.
 func (m *metrics) addMethodCounts(dst MethodCounts, mappers []string) {
 	for mi, name := range mappers[:min(len(mappers), maxMappers)] {
 		for code := method(0); code < numMethods; code++ {
-			n := m.methodCount(mi, code)
+			var n uint64
+			for i := range m.stripes {
+				n += m.stripes[i].methods[mi][code].Load()
+			}
 			if n == 0 {
 				continue
-			}
-			key := methodNames[code]
-			if code == methodNone {
-				key = "unmapped"
 			}
 			if dst[name] == nil {
 				dst[name] = map[string]uint64{}
 			}
-			dst[name][key] += n
+			dst[name][methodKey(code)] += n
 		}
 	}
 }
@@ -219,6 +207,9 @@ type SnapshotInfo struct {
 	Swaps uint64 `json:"swaps"`
 }
 
+// SnapshotInfo summarises the currently published snapshot.
+func (c *Cluster) SnapshotInfo() SnapshotInfo { return c.snapshotInfo(c.Snapshot()) }
+
 func (c *Cluster) snapshotInfo(snap *Snapshot) SnapshotInfo {
 	return SnapshotInfo{
 		Digest:     snap.Digest(),
@@ -244,6 +235,9 @@ type ShardStatus struct {
 	QPSWindow    float64 `json:"qps_window"`
 	LatencyP50Ns int64   `json:"latency_p50_ns"`
 	LatencyP99Ns int64   `json:"latency_p99_ns"`
+	// Latency is the copy of the range's histogram the quantiles above
+	// were read from; /metrics exports it whole.
+	Latency *obs.Histogram `json:"-"`
 	// ShedBatches counts batches rejected because this shard's
 	// in-flight queue was at budget.
 	ShedBatches uint64 `json:"shed_batches"`
@@ -259,10 +253,11 @@ type Status struct {
 	QueueBudget   int     `json:"queue_budget"`
 	Lookups       uint64  `json:"lookups"`
 	// Batches counts batch requests; ShedBatches the ones rejected
-	// whole under load (HTTP 429); AvgFanout the mean number of shard
-	// ranges a served batch touched.
+	// whole under load (HTTP 429); Fanout the shard ranges served
+	// batches touched, and AvgFanout its mean per served batch.
 	Batches     uint64 `json:"batches"`
 	ShedBatches uint64 `json:"shed_batches"`
+	Fanout      uint64 `json:"fanout"`
 	// DeltaSwaps counts epoch swaps published as incremental
 	// delta-compiled snapshots; ResplitShards accumulates, across
 	// those, the shards each delta actually moved.
@@ -279,5 +274,18 @@ type Status struct {
 	LatencyP99Ns int64         `json:"latency_p99_ns"`
 	Methods      MethodCounts  `json:"methods"`
 	ShardStats   []ShardStatus `json:"shard_stats"`
+	Wire         WireStatus    `json:"wire"`
 	Snapshot     SnapshotInfo  `json:"snapshot"`
+}
+
+// WireStatus counts the binary endpoints' traffic (/v1/locate/bin and
+// /v1/locate/stream): frames by kind, bytes each way, and epoch tag
+// changes seen between two frames of one stream.
+type WireStatus struct {
+	BatchFrames  uint64 `json:"batch_frames"`
+	StreamFrames uint64 `json:"stream_frames"`
+	ErrorFrames  uint64 `json:"error_frames"`
+	RxBytes      uint64 `json:"rx_bytes"`
+	TxBytes      uint64 `json:"tx_bytes"`
+	EpochChanges uint64 `json:"epoch_changes"`
 }

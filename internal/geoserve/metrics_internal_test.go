@@ -92,6 +92,9 @@ func TestLookupCountsExact(t *testing.T) {
 				handler.Store(&h)
 			}
 			install(tc.start())
+			// One collector for the run, as a replica registers: it
+			// follows whichever cluster is current.
+			o.Metrics.Collect(func(e *obs.Emitter) { cur.Load().Collect(e) })
 			// snapA and snapB share one index, so every epoch here cuts
 			// the shard ranges at the same addresses.
 			starts := cur.Load().view.Load().starts

@@ -4,13 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"geonet/internal/faultinject"
 	"geonet/internal/geoserve"
 	"geonet/internal/obs"
 )
@@ -97,6 +101,25 @@ func scrapeFamilies(tb testing.TB, body string) []string {
 	return fams
 }
 
+// scrapeSamples parses a Prometheus text exposition into its samples,
+// keyed by the series as written (name plus rendered labels).
+func scrapeSamples(tb testing.TB, body string) map[string]float64 {
+	tb.Helper()
+	samples := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if i < 0 || err != nil {
+			tb.Fatalf("unparsable sample %q: %v", line, err)
+		}
+		samples[line[:i]] = v
+	}
+	return samples
+}
+
 // tracezBody is the /debug/tracez response shape.
 type tracezBody struct {
 	Component string `json:"component"`
@@ -109,12 +132,13 @@ type tracezBody struct {
 // shardedFleet is a publisher + n replicas serving through 2-shard
 // clusters + a router, wired over in-memory transports — the smallest
 // deployment in which a traced batch crosses all three hop kinds
-// (router → replica → cluster).
-func shardedFleet(tb testing.TB, n int, snap *geoserve.Snapshot) *fleet {
+// (router → replica → cluster). decide injects faults, as in newFleet.
+func shardedFleet(tb testing.TB, n int, snap *geoserve.Snapshot, decide faultinject.Decider) *fleet {
 	tb.Helper()
 	f := &fleet{pub: NewPublisher()}
 	mux := fleetMux{"builder": f.pub.Handler()}
-	f.client, f.tr = localClient(mux, nil)
+	f.mux = mux
+	f.client, f.tr = localClient(mux, decide)
 	for i := 0; i < n; i++ {
 		rep := New(Config{BuilderURL: "http://builder", Client: f.client, Shards: 2})
 		f.replicas = append(f.replicas, rep)
@@ -142,7 +166,7 @@ func shardedFleet(tb testing.TB, n int, snap *geoserve.Snapshot) *fleet {
 // families.
 func TestFleetObservability(t *testing.T) {
 	snap := makeSnapshot(t, 7, 32, 8)
-	f := shardedFleet(t, 2, snap)
+	f := shardedFleet(t, 2, snap, nil)
 
 	resp, body := postBatch(t, f.client, "http://router", "alpha", batchIPs(64))
 	if resp.StatusCode != http.StatusOK {
@@ -295,7 +319,7 @@ func TestGoldenMetricsFamilies(t *testing.T) {
 	}
 	section("cluster", scrape(geoserve.NewHandler(cluster)))
 
-	f := shardedFleet(t, 2, snap)
+	f := shardedFleet(t, 2, snap, nil)
 	_, body := get(t, f.client, "http://rep0/metrics")
 	section("replica", body)
 	_, body = get(t, f.client, "http://router/metrics")
@@ -313,5 +337,281 @@ func TestGoldenMetricsFamilies(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Fatalf("metric families changed; diff against %s and re-run with -update if deliberate.\ngot:\n%s", golden, got.String())
+	}
+}
+
+// The *Fields tables map every scalar family a component emits to the
+// /statusz key it renders, by dotted path — the test's own statement of
+// the mapping, independent of the collectors'. A replica's serving
+// families are the cluster's, read from its "serving" section.
+var clusterFields = map[string]string{
+	"geoserve_requests_total":               "lookups",
+	"geoserve_window_qps":                   "qps_window",
+	"geoserve_snapshot_swaps_total":         "snapshot.swaps",
+	"geoserve_cluster_batches_total":        "batches",
+	"geoserve_cluster_shed_batches_total":   "shed_batches",
+	"geoserve_cluster_fanout_total":         "fanout",
+	"geoserve_cluster_delta_swaps_total":    "delta_swaps",
+	"geoserve_cluster_resplit_shards_total": "resplit_shards",
+	"geoserve_wire_batch_frames_total":      "wire.batch_frames",
+	"geoserve_wire_stream_frames_total":     "wire.stream_frames",
+	"geoserve_wire_error_frames_total":      "wire.error_frames",
+	"geoserve_wire_rx_bytes_total":          "wire.rx_bytes",
+	"geoserve_wire_tx_bytes_total":          "wire.tx_bytes",
+	"geoserve_wire_epoch_changes_total":     "wire.epoch_changes",
+}
+
+var shardFields = map[string]string{
+	"geoserve_shard_lookups_total": "lookups",
+	"geoserve_shard_shed_total":    "shed_batches",
+	"geoserve_shard_inflight":      "inflight",
+}
+
+var replicaFields = map[string]string{
+	"geoserve_replication_epoch":                 "epoch",
+	"geoserve_replication_epoch_age_seconds":     "epoch_age_seconds",
+	"geoserve_replication_seconds_since_contact": "seconds_since_contact",
+	"geoserve_replication_stale":                 "stale_epoch",
+	"geoserve_replication_fetches_total":         "fetches",
+	"geoserve_replication_fetch_failures_total":  "fetch_failures",
+	"geoserve_replication_resumes_total":         "resumes",
+	"geoserve_replication_swaps_total":           "swaps",
+	"geoserve_replication_delta_syncs_total":     "delta_syncs",
+	"geoserve_replication_delta_fallbacks_total": "delta_fallbacks",
+	"geoserve_replication_epoch_gone_total":      "epoch_gone_races",
+	"geoserve_replication_warmup_failures_total": "warmup_failures",
+	"geoserve_replication_warmup_failed":         "warmup_failed",
+	"geoserve_replication_draining":              "state",
+	"geoserve_replication_inflight":              "in_flight",
+}
+
+var routerFields = map[string]string{
+	"geoserve_router_requests_total":      "requests",
+	"geoserve_router_retries_total":       "retries",
+	"geoserve_router_sheds_total":         "sheds",
+	"geoserve_router_budget_denied_total": "budget_denied",
+	"geoserve_router_retry_budget":        "retry_budget",
+	"geoserve_router_plan_epoch":          "epoch",
+	"geoserve_router_healthy_replicas":    "healthy_replicas",
+	"geoserve_router_draining":            "draining",
+	"geoserve_router_inflight":            "in_flight",
+}
+
+var memberFields = map[string]string{
+	"geoserve_router_replica_healthy":             "healthy",
+	"geoserve_router_replica_inflight":            "in_flight",
+	"geoserve_router_replica_latency_ewma_ms":     "latency_ms_ewma",
+	"geoserve_router_replica_breaker_state":       "breaker_state",
+	"geoserve_router_replica_epoch":               "epoch",
+	"geoserve_router_replica_requests_total":      "requests",
+	"geoserve_router_replica_failures_total":      "failures",
+	"geoserve_router_replica_ejections_total":     "ejections",
+	"geoserve_router_replica_readmissions_total":  "readmissions",
+	"geoserve_router_replica_breaker_trips_total": "breaker_trips",
+}
+
+// statuszDoc is a decoded /statusz body.
+type statuszDoc map[string]any
+
+// at walks a dotted path. A key /statusz omits (omitempty) reads as 0.
+func (d statuszDoc) at(tb testing.TB, path string) any {
+	tb.Helper()
+	var v any = map[string]any(d)
+	for _, key := range strings.Split(path, ".") {
+		m, ok := v.(map[string]any)
+		if !ok {
+			tb.Fatalf("statusz path %q: %q is not an object", path, key)
+		}
+		if v, ok = m[key]; !ok {
+			return 0.0
+		}
+	}
+	return v
+}
+
+// sampleValue is a /statusz value as /metrics writes it: numbers as
+// they are, flags as 0/1, and the two string-valued fields by their
+// documented encodings.
+func sampleValue(tb testing.TB, v any) float64 {
+	tb.Helper()
+	switch v := v.(type) {
+	case float64:
+		return v
+	case bool:
+		return b2f(v)
+	case string:
+		switch v {
+		case "closed", "serving", "empty":
+			return 0
+		case "half-open", "draining":
+			return 1
+		case "open":
+			return 2
+		}
+	}
+	tb.Fatalf("statusz value %v (%T) has no sample encoding", v, v)
+	return 0
+}
+
+// expectedSamples derives, from one /statusz document, every scalar
+// sample the same node's /metrics must carry: the scalars, and for each
+// element of the items list the perItem families labeled label = the
+// element's idKey.
+func expectedSamples(tb testing.TB, doc statuszDoc, scalars, perItem map[string]string, items, idKey, label string) map[string]float64 {
+	tb.Helper()
+	want := map[string]float64{}
+	for fam, path := range scalars {
+		want[fam] = sampleValue(tb, doc.at(tb, path))
+	}
+	list, _ := doc.at(tb, items).([]any)
+	for _, it := range list {
+		item := statuszDoc(it.(map[string]any))
+		id := item.at(tb, idKey)
+		if f, ok := id.(float64); ok {
+			id = strconv.Itoa(int(f))
+		}
+		for fam, path := range perItem {
+			want[fmt.Sprintf("%s{%s=%q}", fam, label, id)] = sampleValue(tb, item.at(tb, path))
+		}
+	}
+	return want
+}
+
+// clusterSamples is expectedSamples for a cluster's status document,
+// plus one geoserve_lookups_total series for every mapper × method,
+// zeros included.
+func clusterSamples(tb testing.TB, doc statuszDoc) map[string]float64 {
+	tb.Helper()
+	want := expectedSamples(tb, doc, clusterFields, shardFields, "shard_stats", "id", "shard")
+	for _, mapper := range doc.at(tb, "snapshot.mappers").([]any) {
+		for _, method := range []string{"unmapped", "feed", "hostname", "loc", "whois"} {
+			key := fmt.Sprintf("geoserve_lookups_total{mapper=%q,method=%q}", mapper, method)
+			want[key] = sampleValue(tb, doc.at(tb, fmt.Sprintf("methods.%s.%s", mapper, method)))
+		}
+	}
+	return want
+}
+
+// TestMetricsAgreeWithStatusz pins the one-status-surface invariant on
+// all three components: after mixed traffic (single lookups, JSON
+// batches, binary frames, a retried request and a shed one) and with
+// the fleet quiet, every scalar sample a node's /metrics carries equals
+// the /statusz field it renders — every {mapper,method} series (zeros
+// included), every {shard} and every {replica} series — and /metrics
+// carries nothing else but the bundle's own two families and the
+// latency histograms. Clock-driven gauges must lie between a /statusz
+// read before the scrape and one after it.
+func TestMetricsAgreeWithStatusz(t *testing.T) {
+	snap := makeSnapshot(t, 7, 32, 8)
+	var dropNext atomic.Int32 // fail this many router → replica forwards
+	f := shardedFleet(t, 2, snap, func(_ int, req *http.Request) faultinject.Fault {
+		if strings.HasPrefix(req.URL.Host, "rep") && req.URL.Path != "/healthz" && dropNext.Add(-1) >= 0 {
+			return faultinject.Fault{Drop: true, FlipBit: -1}
+		}
+		return faultinject.Clean
+	})
+	cluster, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.mux["cluster"] = geoserve.NewHandler(cluster)
+	traffic := func(host string, wantCode int) {
+		t.Helper()
+		for _, ip := range batchIPs(9) {
+			if code, body := get(t, f.client, host+"/v1/locate?mapper=beta&ip="+ip); code != wantCode {
+				t.Fatalf("GET %s single: status %d: %s", host, code, body)
+			}
+		}
+		if resp, body := postBatch(t, f.client, host, "alpha", batchIPs(64)); resp.StatusCode != wantCode {
+			t.Fatalf("POST %s batch: status %d: %s", host, resp.StatusCode, body)
+		}
+		if code, _ := postWireBin(t, f.client, host, 1, wireIPs(t, 64)); code != wantCode {
+			t.Fatalf("POST %s bin: status %d", host, code)
+		}
+	}
+	traffic("http://cluster", http.StatusOK)
+	traffic("http://rep0", http.StatusOK)
+	traffic("http://router", http.StatusOK)
+	// One forward fails and is retried on the other replica; then both
+	// fail, so the request is shed and both members are ejected until
+	// the next probe readmits them.
+	dropNext.Store(1)
+	if code, body := get(t, f.client, "http://router/v1/locate?ip=10.1.0.1"); code != http.StatusOK {
+		t.Fatalf("retried request: status %d: %s", code, body)
+	}
+	f.router.ProbeOnce(context.Background())
+	dropNext.Store(2)
+	if code, body := get(t, f.client, "http://router/v1/locate?ip=10.1.0.1"); code != http.StatusServiceUnavailable {
+		t.Fatalf("request with every replica failing: status %d: %s", code, body)
+	}
+	dropNext.Store(0)
+	f.router.ProbeOnce(context.Background())
+	traffic("http://router", http.StatusOK)
+
+	statusz := func(host string) statuszDoc {
+		t.Helper()
+		code, body := get(t, f.client, host+"/statusz")
+		var doc statuszDoc
+		if err := json.Unmarshal([]byte(body), &doc); code != http.StatusOK || err != nil {
+			t.Fatalf("%s/statusz: status %d: %v", host, code, err)
+		}
+		return doc
+	}
+	nodes := []struct {
+		host    string
+		samples func(statuszDoc) map[string]float64
+		// nonzero names samples the traffic above must have moved, so
+		// the comparison is not of zeros with zeros.
+		nonzero []string
+	}{
+		{"http://cluster", func(d statuszDoc) map[string]float64 { return clusterSamples(t, d) },
+			[]string{"geoserve_requests_total", "geoserve_cluster_batches_total", "geoserve_wire_batch_frames_total",
+				`geoserve_shard_lookups_total{shard="0"}`, `geoserve_lookups_total{mapper="beta",method="unmapped"}`}},
+		{"http://rep0", func(d statuszDoc) map[string]float64 {
+			want := expectedSamples(t, d, replicaFields, nil, "", "", "")
+			maps.Copy(want, clusterSamples(t, statuszDoc(d.at(t, "serving").(map[string]any))))
+			return want
+		}, []string{"geoserve_replication_epoch", "geoserve_replication_swaps_total", "geoserve_requests_total",
+			"geoserve_wire_tx_bytes_total", `geoserve_lookups_total{mapper="alpha",method="unmapped"}`}},
+		{"http://router", func(d statuszDoc) map[string]float64 {
+			return expectedSamples(t, d, routerFields, memberFields, "replicas", "url", "replica")
+		}, []string{"geoserve_router_requests_total", "geoserve_router_retries_total", "geoserve_router_sheds_total",
+			"geoserve_router_plan_epoch", `geoserve_router_replica_readmissions_total{replica="http://rep1"}`,
+			`geoserve_router_replica_failures_total{replica="http://rep0"}`, `geoserve_router_replica_healthy{replica="http://rep0"}`}},
+	}
+	for _, node := range nodes {
+		t.Run(strings.TrimPrefix(node.host, "http://"), func(t *testing.T) {
+			before := node.samples(statusz(node.host))
+			code, body := get(t, f.client, node.host+"/metrics")
+			if code != http.StatusOK {
+				t.Fatalf("scrape status %d: %s", code, body)
+			}
+			after := node.samples(statusz(node.host))
+			got := scrapeSamples(t, body)
+			for key, v := range got {
+				fam, _, _ := strings.Cut(key, "{")
+				if fam == "geoserve_component_info" || fam == "geoserve_trace_spans_total" ||
+					strings.HasPrefix(fam, "geoserve_lookup_latency_seconds_") {
+					continue
+				}
+				lo, ok := before[key]
+				hi := after[key]
+				if !ok {
+					t.Errorf("/metrics sample %s = %v renders no /statusz field", key, v)
+				} else if v < min(lo, hi) || v > max(lo, hi) {
+					t.Errorf("/metrics %s = %v, /statusz says %v before the scrape and %v after", key, v, lo, hi)
+				}
+			}
+			for key := range before {
+				if _, ok := got[key]; !ok {
+					t.Errorf("/statusz field behind %s is missing from /metrics", key)
+				}
+			}
+			for _, key := range node.nonzero {
+				if got[key] == 0 {
+					t.Errorf("%s = 0 after the traffic: the comparison proves nothing for it", key)
+				}
+			}
+		})
 	}
 }

@@ -135,7 +135,6 @@ type Replica struct {
 	warmupFailed   atomic.Bool // the most recent install attempt failed warm-up
 	draining       atomic.Bool
 	inflight       atomic.Int64
-	start          time.Time
 	now            func() time.Time
 	obs            *obs.Observability
 	// warmupFn gates the swap; tests stub it to force failures.
@@ -148,12 +147,11 @@ func New(cfg Config) *Replica {
 	r := &Replica{
 		cfg:     cfg,
 		backoff: NewBackoff(cfg.Backoff, cfg.Seed),
-		start:   time.Now(),
 		now:     time.Now,
 		obs:     obs.NewObservability("replica"),
 	}
 	r.warmupFn = r.selfProbe
-	r.registerMetrics()
+	r.obs.Metrics.Collect(r.collect)
 	return r
 }
 
@@ -161,78 +159,31 @@ func New(cfg Config) *Replica {
 // mount the same registry and trace ring on a debug listener.
 func (r *Replica) Obs() *obs.Observability { return r.obs }
 
-// registerMetrics exposes the replication families: how current the
-// served epoch is, how syncing is going, and the gates (warm-up,
-// drain) a fleet operator alerts on. All readers load atomics or take
-// only short internal locks at scrape time.
-func (r *Replica) registerMetrics() {
-	reg := r.obs.Metrics
-	reg.GaugeFunc("geoserve_replication_epoch",
-		"Served snapshot epoch (0 before the first sync).", nil,
-		func() float64 { return float64(r.Epoch()) })
-	reg.GaugeFunc("geoserve_replication_epoch_age_seconds",
-		"Seconds since the served epoch was installed (0 before the first sync).", nil,
-		func() float64 {
-			if cur := r.cur.Load(); cur != nil {
-				return r.now().Sub(cur.since).Seconds()
-			}
-			return 0
-		})
-	reg.GaugeFunc("geoserve_replication_seconds_since_contact",
-		"Seconds since the last successful manifest read (-1 before the first).", nil,
-		func() float64 {
-			if last := r.lastContact.Load(); last > 0 {
-				return r.now().Sub(time.Unix(0, last)).Seconds()
-			}
-			return -1
-		})
-	reg.GaugeFunc("geoserve_replication_stale",
-		"1 when serving an epoch without builder contact within StaleAfter.", nil,
-		func() float64 {
-			if r.cur.Load() == nil {
-				return 0
-			}
-			last := r.lastContact.Load()
-			if last == 0 || r.now().Sub(time.Unix(0, last)) > r.cfg.StaleAfter {
-				return 1
-			}
-			return 0
-		})
-	reg.CounterFunc("geoserve_replication_fetches_total",
-		"Full snapshot files fetched.", nil, r.fetches.Load)
-	reg.CounterFunc("geoserve_replication_fetch_failures_total",
-		"Sync attempts that failed.", nil, r.failures.Load)
-	reg.CounterFunc("geoserve_replication_resumes_total",
-		"Interrupted downloads resumed with a Range request.", nil, r.resumes.Load)
-	reg.CounterFunc("geoserve_replication_swaps_total",
-		"Verified epochs swapped into serving.", nil, r.swaps.Load)
-	reg.CounterFunc("geoserve_replication_delta_syncs_total",
-		"Epochs reached by applying a delta.", nil, r.deltaSyncs.Load)
-	reg.CounterFunc("geoserve_replication_delta_fallbacks_total",
-		"Delta attempts demoted to a full fetch.", nil, r.deltaFallbacks.Load)
-	reg.CounterFunc("geoserve_replication_epoch_gone_total",
-		"Retention-window races (requested epoch pruned mid-poll) recovered by re-reading the manifest.", nil, r.epochGone.Load)
-	reg.CounterFunc("geoserve_replication_warmup_failures_total",
-		"Install attempts rejected by the warm-up self-probe.", nil, r.warmupFails.Load)
-	reg.GaugeFunc("geoserve_replication_warmup_failed",
-		"1 while the most recent install attempt failed warm-up.", nil,
-		func() float64 {
-			if r.warmupFailed.Load() {
-				return 1
-			}
-			return 0
-		})
-	reg.GaugeFunc("geoserve_replication_draining",
-		"1 after Drain is called.", nil,
-		func() float64 {
-			if r.draining.Load() {
-				return 1
-			}
-			return 0
-		})
-	reg.GaugeFunc("geoserve_replication_inflight",
-		"Query requests currently being served.", nil,
-		func() float64 { return float64(r.inflight.Load()) })
+// collect is the replica's collector: one Status, emitted as the
+// replication families — how current the served epoch is, how syncing
+// is going, and the gates (warm-up, drain) a fleet operator alerts on —
+// followed by the serving families of the cluster that status named, so
+// one scrape stays continuous however many epochs are installed.
+func (r *Replica) collect(e *obs.Emitter) {
+	st := r.Status()
+	e.Gauge("geoserve_replication_epoch", "Served snapshot epoch (0 before the first sync).", nil, float64(st.Epoch))
+	e.Gauge("geoserve_replication_epoch_age_seconds", "Seconds since the served epoch was installed (0 before the first sync).", nil, st.EpochAgeSeconds)
+	e.Gauge("geoserve_replication_seconds_since_contact", "Seconds since the last successful manifest read (-1 before the first).", nil, st.SecondsSinceContact)
+	e.Gauge("geoserve_replication_stale", "1 when serving an epoch without builder contact within StaleAfter.", nil, b2f(st.StaleEpoch))
+	e.Counter("geoserve_replication_fetches_total", "Full snapshot files fetched.", nil, st.Fetches)
+	e.Counter("geoserve_replication_fetch_failures_total", "Sync attempts that failed.", nil, st.FetchFailures)
+	e.Counter("geoserve_replication_resumes_total", "Interrupted downloads resumed with a Range request.", nil, st.Resumes)
+	e.Counter("geoserve_replication_swaps_total", "Verified epochs swapped into serving.", nil, st.Swaps)
+	e.Counter("geoserve_replication_delta_syncs_total", "Epochs reached by applying a delta.", nil, st.DeltaSyncs)
+	e.Counter("geoserve_replication_delta_fallbacks_total", "Delta attempts demoted to a full fetch.", nil, st.DeltaFallbacks)
+	e.Counter("geoserve_replication_epoch_gone_total", "Retention-window races (requested epoch pruned mid-poll) recovered by re-reading the manifest.", nil, st.EpochGoneRaces)
+	e.Counter("geoserve_replication_warmup_failures_total", "Install attempts rejected by the warm-up self-probe.", nil, st.WarmupFailures)
+	e.Gauge("geoserve_replication_warmup_failed", "1 while the most recent install attempt failed warm-up.", nil, b2f(st.WarmupFailed))
+	e.Gauge("geoserve_replication_draining", "1 after Drain is called.", nil, b2f(st.State == "draining"))
+	e.Gauge("geoserve_replication_inflight", "Query requests currently being served.", nil, float64(st.InFlight))
+	if st.Serving != nil {
+		st.Serving.Emit(e)
+	}
 }
 
 // Epoch reports the served epoch (0 before the first sync).
@@ -435,12 +386,12 @@ func (r *Replica) fetchDelta(ctx context.Context, cur *served, m Manifest) (*geo
 // atomically. A warm-up failure keeps the last-good epoch serving and
 // surfaces as warmup_failed in /statusz.
 //
-// The handler is rebuilt against the replica's one observability
-// bundle: re-registration replaces series in place, so /metrics keeps
-// a single continuous scrape across epochs. NewClusterFrom carries the
-// serving counters across the swap, so lookup totals, latency history
-// and the swap count are monotone whether an epoch arrived as a full
-// fetch or a delta apply.
+// The handler is rebuilt over the replica's one observability bundle
+// and nothing is registered: the collector New registered reads
+// whichever cluster is current. NewClusterFrom carries the serving
+// counters across the swap, so lookup totals, wire traffic, latency
+// history and the swap count are monotone whether an epoch arrived as
+// a full fetch or a delta apply.
 func (r *Replica) install(snap *geoserve.Snapshot, m Manifest) error {
 	clu, err := geoserve.NewClusterFrom(snap, geoserve.ClusterConfig{
 		Shards:      max(r.cfg.Shards, 1),
@@ -644,6 +595,9 @@ type Status struct {
 	// has not been reached within StaleAfter — the replica keeps
 	// serving, degraded and saying so.
 	StaleEpoch bool `json:"stale_epoch"`
+	// EpochAgeSeconds is time since the served epoch was installed (0
+	// before the first).
+	EpochAgeSeconds float64 `json:"epoch_age_seconds"`
 	// SecondsSinceContact is time since the last successful manifest
 	// read (-1 before the first).
 	SecondsSinceContact float64 `json:"seconds_since_contact"`
@@ -693,16 +647,16 @@ func (r *Replica) Status() Status {
 	r.mu.Lock()
 	st.LastError = r.lastErr
 	r.mu.Unlock()
-	sinceContact := time.Duration(-1)
-	if last := r.lastContact.Load(); last > 0 {
-		sinceContact = r.now().Sub(time.Unix(0, last))
+	sinceContact, stale := r.contact()
+	if sinceContact >= 0 {
 		st.SecondsSinceContact = sinceContact.Seconds()
 	}
 	if cur != nil {
 		st.State = "serving"
 		st.Epoch = cur.epoch
 		st.Digest = cur.digest
-		st.StaleEpoch = sinceContact < 0 || sinceContact > r.cfg.StaleAfter
+		st.StaleEpoch = stale
+		st.EpochAgeSeconds = r.now().Sub(cur.since).Seconds()
 		cs := cur.cluster.Status()
 		st.Serving = &cs
 	}
@@ -710,6 +664,18 @@ func (r *Replica) Status() Status {
 		st.State = "draining"
 	}
 	return st
+}
+
+// contact reports how long ago the builder last answered a manifest
+// read (-1 if it never has) and whether that is too long ago for a
+// served epoch to count as fresh.
+func (r *Replica) contact() (since time.Duration, stale bool) {
+	last := r.lastContact.Load()
+	if last <= 0 {
+		return -1, true
+	}
+	since = r.now().Sub(time.Unix(0, last))
+	return since, since > r.cfg.StaleAfter
 }
 
 // Handler serves the full geoserve HTTP API from the current epoch,
@@ -764,12 +730,16 @@ type healthzBody struct {
 	Snapshot   geoserve.SnapshotInfo `json:"snapshot,omitzero"`
 }
 
+// serveHealthz answers from one load of the served epoch, so the epoch,
+// its digest and the snapshot summary always name the same one, and a
+// probe costs no status build.
 func (r *Replica) serveHealthz(w http.ResponseWriter) {
-	st := r.Status()
-	body := healthzBody{Status: "ok", Epoch: st.Epoch, Digest: st.Digest, StaleEpoch: st.StaleEpoch}
+	body := healthzBody{Status: "ok"}
 	cur := r.cur.Load()
 	if cur != nil {
-		body.Snapshot = cur.cluster.Status().Snapshot
+		body.Epoch, body.Digest = cur.epoch, cur.digest
+		_, body.StaleEpoch = r.contact()
+		body.Snapshot = cur.cluster.SnapshotInfo()
 	}
 	switch {
 	case r.draining.Load():

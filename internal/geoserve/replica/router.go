@@ -168,7 +168,7 @@ func NewRouter(cfg RouterConfig) *Router {
 	for _, u := range cfg.Replicas {
 		r.members = append(r.members, &member{url: u})
 	}
-	r.registerMetrics()
+	r.obs.Metrics.Collect(r.collect)
 	return r
 }
 
@@ -176,102 +176,37 @@ func NewRouter(cfg RouterConfig) *Router {
 // mount the same registry and trace ring on a debug listener.
 func (r *Router) Obs() *obs.Observability { return r.obs }
 
-// registerMetrics exposes the router's fleet-view families: request
-// and retry-budget counters, the plan (epoch, healthy members), and a
-// per-member section labeled by replica URL. The per-member readers
-// take r.mu briefly at scrape time; nothing ever calls back into the
-// registry under that lock, so lock order stays registry → router.
-func (r *Router) registerMetrics() {
-	reg := r.obs.Metrics
-	reg.CounterFunc("geoserve_router_requests_total",
-		"Requests forwarded (single lookups and misc paths).", nil, r.requests.Load)
-	reg.CounterFunc("geoserve_router_retries_total",
-		"Retry tokens spent.", nil, r.retries.Load)
-	reg.CounterFunc("geoserve_router_sheds_total",
-		"Requests shed with 503 because no plan existed.", nil, r.sheds.Load)
-	reg.CounterFunc("geoserve_router_budget_denied_total",
-		"Retries refused because the token budget ran dry.", nil, r.budgetDenied.Load)
-	reg.GaugeFunc("geoserve_router_retry_budget",
-		"Retry tokens left in the global pool.", nil,
-		func() float64 { return float64(r.budgetTenths.Load()) / 10 })
-	reg.GaugeFunc("geoserve_router_plan_epoch",
-		"The epoch the router currently routes to (0 = no plan).", nil,
-		func() float64 { epoch, _ := r.plan(); return float64(epoch) })
-	reg.GaugeFunc("geoserve_router_healthy_replicas",
-		"Routable members holding the plan epoch.", nil,
-		func() float64 { _, ms := r.plan(); return float64(len(ms)) })
-	reg.GaugeFunc("geoserve_router_draining",
-		"1 after Drain is called.", nil,
-		func() float64 {
-			if r.draining.Load() {
-				return 1
-			}
-			return 0
-		})
-	reg.GaugeFunc("geoserve_router_inflight",
-		"Requests the router is currently serving.", nil,
-		func() float64 { return float64(r.inflight.Load()) })
-	for _, m := range r.members {
-		labels := obs.Labels{{Key: "replica", Value: m.url}}
-		reg.GaugeFunc("geoserve_router_replica_healthy",
-			"1 while the member passes health probes.", labels,
-			r.memberGauge(m, func(m *member) float64 {
-				if m.healthy {
-					return 1
-				}
-				return 0
-			}))
-		reg.GaugeFunc("geoserve_router_replica_inflight",
-			"Forwards currently outstanding against the member.", labels,
-			r.memberGauge(m, func(m *member) float64 { return float64(m.inflight) }))
-		reg.GaugeFunc("geoserve_router_replica_latency_ewma_ms",
-			"Smoothed observed response latency.", labels,
-			r.memberGauge(m, func(m *member) float64 { return m.ewmaMs }))
-		reg.GaugeFunc("geoserve_router_replica_breaker_state",
-			"Circuit breaker state: 0 closed, 1 half-open, 2 open.", labels,
-			r.memberGauge(m, func(m *member) float64 {
-				switch r.breakerStateLocked(m) {
-				case "open":
-					return 2
-				case "half-open":
-					return 1
-				}
-				return 0
-			}))
-		reg.GaugeFunc("geoserve_router_replica_epoch",
-			"The epoch the member last reported.", labels,
-			r.memberGauge(m, func(m *member) float64 { return float64(m.epoch) }))
-		reg.CounterFunc("geoserve_router_replica_requests_total",
-			"Requests the member served.", labels,
-			r.memberCounter(m, func(m *member) uint64 { return m.requests }))
-		reg.CounterFunc("geoserve_router_replica_failures_total",
-			"Probe and request failures against the member.", labels,
-			r.memberCounter(m, func(m *member) uint64 { return m.failures }))
-		reg.CounterFunc("geoserve_router_replica_ejections_total",
-			"Times the member was ejected from the plan.", labels,
-			r.memberCounter(m, func(m *member) uint64 { return m.ejections }))
-		reg.CounterFunc("geoserve_router_replica_readmissions_total",
-			"Times the member recovered into the plan.", labels,
-			r.memberCounter(m, func(m *member) uint64 { return m.readmissions }))
-		reg.CounterFunc("geoserve_router_replica_breaker_trips_total",
-			"Times the member's circuit breaker opened.", labels,
-			r.memberCounter(m, func(m *member) uint64 { return m.breakerTrips }))
-	}
-}
+// breakerGauge is geoserve_router_replica_breaker_state's encoding of
+// RouterReplica.BreakerState.
+var breakerGauge = map[string]float64{"closed": 0, "half-open": 1, "open": 2}
 
-func (r *Router) memberGauge(m *member, read func(*member) float64) func() float64 {
-	return func() float64 {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return read(m)
-	}
-}
-
-func (r *Router) memberCounter(m *member, read func(*member) uint64) func() uint64 {
-	return func() uint64 {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return read(m)
+// collect is the router's collector: one Status — one r.mu acquisition
+// — emitted as the fleet-view families: request and retry-budget
+// counters, the plan (epoch, healthy members), and a per-member section
+// labeled by replica URL.
+func (r *Router) collect(e *obs.Emitter) {
+	st := r.Status()
+	e.Counter("geoserve_router_requests_total", "Requests forwarded (single lookups and misc paths).", nil, st.Requests)
+	e.Counter("geoserve_router_retries_total", "Retry tokens spent.", nil, st.Retries)
+	e.Counter("geoserve_router_sheds_total", "Requests shed with 503 because no plan existed.", nil, st.Sheds)
+	e.Counter("geoserve_router_budget_denied_total", "Retries refused because the token budget ran dry.", nil, st.BudgetDenied)
+	e.Gauge("geoserve_router_retry_budget", "Retry tokens left in the global pool.", nil, st.RetryBudget)
+	e.Gauge("geoserve_router_plan_epoch", "The epoch the router currently routes to (0 = no plan).", nil, float64(st.Epoch))
+	e.Gauge("geoserve_router_healthy_replicas", "Routable members holding the plan epoch.", nil, float64(st.HealthyReplicas))
+	e.Gauge("geoserve_router_draining", "1 after Drain is called.", nil, b2f(st.Draining))
+	e.Gauge("geoserve_router_inflight", "Requests the router is currently serving.", nil, float64(st.InFlight))
+	for _, m := range st.Replicas {
+		labels := obs.Labels{{Key: "replica", Value: m.URL}}
+		e.Gauge("geoserve_router_replica_healthy", "1 while the member passes health probes.", labels, b2f(m.Healthy))
+		e.Gauge("geoserve_router_replica_inflight", "Forwards currently outstanding against the member.", labels, float64(m.InFlight))
+		e.Gauge("geoserve_router_replica_latency_ewma_ms", "Smoothed observed response latency.", labels, m.LatencyMsEWMA)
+		e.Gauge("geoserve_router_replica_breaker_state", "Circuit breaker state: 0 closed, 1 half-open, 2 open.", labels, breakerGauge[m.BreakerState])
+		e.Gauge("geoserve_router_replica_epoch", "The epoch the member last reported.", labels, float64(m.Epoch))
+		e.Counter("geoserve_router_replica_requests_total", "Requests the member served.", labels, m.Requests)
+		e.Counter("geoserve_router_replica_failures_total", "Probe and request failures against the member.", labels, m.Failures)
+		e.Counter("geoserve_router_replica_ejections_total", "Times the member was ejected from the plan.", labels, m.Ejections)
+		e.Counter("geoserve_router_replica_readmissions_total", "Times the member recovered into the plan.", labels, m.Readmissions)
+		e.Counter("geoserve_router_replica_breaker_trips_total", "Times the member's circuit breaker opened.", labels, m.BreakerTrips)
 	}
 }
 
@@ -481,6 +416,10 @@ func (r *Router) routableLocked(m *member) bool {
 func (r *Router) plan() (uint64, []*member) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.planLocked()
+}
+
+func (r *Router) planLocked() (uint64, []*member) {
 	var epoch uint64
 	for _, m := range r.members {
 		if r.routableLocked(m) && m.epoch > epoch {
@@ -789,7 +728,9 @@ type RouterStatus struct {
 
 // Status snapshots the router's fleet view and counters.
 func (r *Router) Status() RouterStatus {
-	epoch, ms := r.plan()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	epoch, ms := r.planLocked()
 	st := RouterStatus{
 		UptimeSeconds:   time.Since(r.start).Seconds(),
 		Epoch:           epoch,
@@ -802,8 +743,6 @@ func (r *Router) Status() RouterStatus {
 		RetryBudget:     float64(r.budgetTenths.Load()) / 10,
 		BudgetDenied:    r.budgetDenied.Load(),
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, m := range r.members {
 		st.Replicas = append(st.Replicas, RouterReplica{
 			URL:           m.url,

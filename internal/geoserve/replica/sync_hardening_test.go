@@ -1,11 +1,14 @@
 package replica
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"geonet/internal/geoserve"
@@ -268,17 +271,34 @@ func TestPublishIdenticalSnapshotNoEpochChurn(t *testing.T) {
 // TestReplicaClusterCountersCarryAcrossDeltaSwap pins serving-counter
 // continuity: when an epoch arrives by delta apply the installed
 // cluster must carry the previous epoch's lookup totals, batch counts,
-// per-shard counters and swap count forward.
+// per-shard counters, swap count and wire-protocol counters forward,
+// in Status and in the scrape. (The wire counters used to live in the
+// per-epoch HTTP handler and read 0 after every install.)
 func TestReplicaClusterCountersCarryAcrossDeltaSwap(t *testing.T) {
 	pub := NewPublisher()
 	s1, s2 := makeSnapshot(t, 31, 32, 8), makeSnapshot(t, 32, 32, 8)
 	if _, err := pub.Publish(s1); err != nil {
 		t.Fatal(err)
 	}
-	client, _ := localClient(fleetMux{"builder": pub.Handler()}, nil)
+	mux := fleetMux{"builder": pub.Handler()}
+	client, _ := localClient(mux, nil)
 	rep := New(Config{BuilderURL: "http://builder", Client: client, Shards: 2})
+	mux["rep"] = rep.Handler()
 	if _, err := rep.SyncOnce(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	wireFrames := func() (scraped float64, status uint64) {
+		_, body := get(t, client, "http://rep/metrics")
+		return scrapeSamples(t, body)["geoserve_wire_batch_frames_total"], rep.Status().Serving.Wire.BatchFrames
+	}
+	for i := 0; i < 3; i++ {
+		if code, _ := postWireBin(t, client, "http://rep", 0, wireIPs(t, 8)); code != http.StatusOK {
+			t.Fatalf("bin post %d: status %d", i, code)
+		}
+	}
+	scrapedBefore, wireBefore := wireFrames()
+	if scrapedBefore != 3 || wireBefore != 3 {
+		t.Fatalf("3 bin posts read as %v scraped, %d in Status", scrapedBefore, wireBefore)
 	}
 
 	clu := rep.Cluster()
@@ -318,6 +338,10 @@ func TestReplicaClusterCountersCarryAcrossDeltaSwap(t *testing.T) {
 	if after.Snapshot.Swaps != 1 {
 		t.Fatalf("swap count %d after one hot swap, want 1", after.Snapshot.Swaps)
 	}
+	if scraped, wire := wireFrames(); scraped < scrapedBefore || wire < wireBefore {
+		t.Fatalf("wire batch frames reset across delta swap: scraped %v -> %v, Status %d -> %d",
+			scrapedBefore, scraped, wireBefore, wire)
+	}
 	var shardBefore, shardAfter uint64
 	for _, s := range before.ShardStats {
 		shardBefore += s.Lookups
@@ -327,5 +351,82 @@ func TestReplicaClusterCountersCarryAcrossDeltaSwap(t *testing.T) {
 	}
 	if shardAfter < shardBefore {
 		t.Fatalf("per-shard lookup totals reset across delta swap: %d -> %d", shardBefore, shardAfter)
+	}
+}
+
+// TestReplicaHealthzNamesOneEpoch pins what a router probe reads. On a
+// quiet replica the body is, byte for byte, the five fields of Status
+// it always was. While epochs are being installed, every body's epoch,
+// digest and snapshot.digest name one published epoch — the body is
+// built from one load of the served epoch, not from two status builds
+// with a swap between them. Run under -race in CI.
+func TestReplicaHealthzNamesOneEpoch(t *testing.T) {
+	pub := NewPublisher()
+	snap := makeSnapshot(t, 41, 32, 8)
+	m, err := pub.Publish(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := fleetMux{"builder": pub.Handler()}
+	client, _ := localClient(mux, nil)
+	rep := New(Config{BuilderURL: "http://builder", Client: client, Shards: 2})
+	mux["rep"] = rep.Handler()
+	if _, err := rep.SyncOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	st := rep.Status()
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(healthzBody{
+		Status: "ok", Epoch: st.Epoch, Digest: st.Digest, StaleEpoch: st.StaleEpoch, Snapshot: st.Serving.Snapshot,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := get(t, client, "http://rep/healthz"); code != http.StatusOK || body != want.String() {
+		t.Fatalf("quiet healthz: status %d\n got %s want %s", code, body, want.String())
+	}
+
+	var digests sync.Map // epoch → digest, stored before the epoch can be served
+	digests.Store(m.Epoch, m.Digest)
+	const epochs = 12
+	var next []*geoserve.Snapshot
+	for step := 1; step <= epochs; step++ {
+		snap = churn(t, snap, step)
+		next = append(next, snap)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, snap := range next {
+			m, err := pub.Publish(snap)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			digests.Store(m.Epoch, m.Digest)
+			if _, err := rep.SyncOnce(context.Background()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for probing := true; probing; {
+		select {
+		case <-done:
+			probing = false // one more probe, of the final epoch
+		default:
+		}
+		code, body := get(t, client, "http://rep/healthz")
+		var hb healthzBody
+		if err := json.Unmarshal([]byte(body), &hb); code != http.StatusOK || err != nil {
+			t.Fatalf("healthz during installs: status %d: %v", code, err)
+		}
+		if d, _ := digests.Load(hb.Epoch); d != hb.Digest || hb.Snapshot.Digest != hb.Digest {
+			t.Fatalf("healthz pairs epoch %d (published digest %v) with digest %s and snapshot %s",
+				hb.Epoch, d, hb.Digest, hb.Snapshot.Digest)
+		}
+	}
+	if rep.Epoch() != m.Epoch+epochs {
+		t.Fatalf("replica ended on epoch %d, want %d", rep.Epoch(), m.Epoch+epochs)
 	}
 }

@@ -21,3 +21,11 @@ func httpJSONError(w http.ResponseWriter, code int, format string, args ...any) 
 		Error string `json:"error"`
 	}{fmt.Sprintf(format, args...)})
 }
+
+// b2f is a flag as a gauge value.
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -60,7 +60,7 @@ func (h *apiHandler) serveWireBatch(w http.ResponseWriter, r *http.Request) {
 	defer wireScratchPool.Put(sc)
 	body, err := ReadAllInto(sc.body[:0], http.MaxBytesReader(w, r.Body, wireMaxBatchBody))
 	sc.body = body[:0]
-	h.wireRxBytes.Add(uint64(len(body)))
+	h.wire.rxBytes.Add(uint64(len(body)))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -105,8 +105,8 @@ func (h *apiHandler) serveWireBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", WireContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
 	w.Write(resp)
-	h.wireBatchFrames.Inc()
-	h.wireTxBytes.Add(uint64(len(resp)))
+	h.wire.batchFrames.Inc()
+	h.wire.txBytes.Add(uint64(len(resp)))
 }
 
 // serveWireStreamHTTP answers POST /v1/locate/stream: after the stream
@@ -131,7 +131,7 @@ func (h *apiHandler) serveWireStream(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "reading stream header: %v", err)
 		return
 	}
-	h.wireRxBytes.Add(wireHeaderSize)
+	h.wire.rxBytes.Add(wireHeaderSize)
 	kind, mapperID, err := parseWireHeader(hdr[:])
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -171,12 +171,12 @@ func (h *apiHandler) serveWireStream(w http.ResponseWriter, r *http.Request) {
 			// left to tell.
 			return
 		}
-		h.wireRxBytes.Add(4)
+		h.wire.rxBytes.Add(4)
 		n := binary.LittleEndian.Uint32(cnt[:])
 		if n == 0 {
 			// Clean end of stream: echo the terminator frame.
 			w.Write(cnt[:])
-			h.wireTxBytes.Add(4)
+			h.wire.txBytes.Add(4)
 			rc.Flush()
 			return
 		}
@@ -193,7 +193,7 @@ func (h *apiHandler) serveWireStream(w http.ResponseWriter, r *http.Request) {
 		if _, err := io.ReadFull(r.Body, buf); err != nil {
 			return
 		}
-		h.wireRxBytes.Add(uint64(need))
+		h.wire.rxBytes.Add(uint64(need))
 		ips := sc.ips[:0]
 		for i := 0; i < int(n); i++ {
 			ips = append(ips, binary.LittleEndian.Uint32(buf[i*4:]))
@@ -229,7 +229,7 @@ func (h *apiHandler) serveWireStream(w http.ResponseWriter, r *http.Request) {
 		if lastTag != 0 && tag != lastTag {
 			// A hot-swap landed between chunks: the stream's answer
 			// frames now carry a different epoch tag.
-			h.wireEpochChanges.Inc()
+			h.wire.epochChanges.Inc()
 		}
 		lastTag = tag
 		binary.LittleEndian.PutUint32(frame, n)
@@ -238,8 +238,8 @@ func (h *apiHandler) serveWireStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		chunks++
-		h.wireStreamFrames.Inc()
-		h.wireTxBytes.Add(uint64(frameLen))
+		h.wire.streamFrames.Inc()
+		h.wire.txBytes.Add(uint64(frameLen))
 		rc.Flush()
 	}
 }
@@ -252,11 +252,11 @@ func (h *apiHandler) serveWireStream(w http.ResponseWriter, r *http.Request) {
 // earlier protocol versions.
 func (h *apiHandler) writeErrFrame(w io.Writer, code uint32, tr *obs.Trace) {
 	writeWireErrFrame(w, code, uint64(tr.TraceID()))
-	h.wireErrFrames.Inc()
+	h.wire.errFrames.Inc()
 	if tr.TraceID() != 0 {
-		h.wireTxBytes.Add(16)
+		h.wire.txBytes.Add(16)
 	} else {
-		h.wireTxBytes.Add(8)
+		h.wire.txBytes.Add(8)
 	}
 }
 

@@ -11,15 +11,14 @@ import (
 
 	"geonet/internal/geoserve"
 	"geonet/internal/geoserve/snapfile"
-	"geonet/internal/obs"
 )
 
 // TestLookupZeroAlloc pins that the serving hot paths allocate nothing
-// per lookup with the full observability layer attached: metrics
-// registered on a live registry and tracing enabled but no trace header
+// per lookup with the full observability layer attached: the
+// collector on a live registry and tracing enabled but no trace header
 // present (the production steady state). A regression here is exactly
-// the kind of slow leak the 0 allocs/op bar on
-// BenchmarkServeLookupParallel exists to catch, caught at test time.
+// the kind of slow leak the ladder's engine_lookup_allocs rung exists
+// to catch, caught at test time.
 func TestLookupZeroAlloc(t *testing.T) {
 	p, snap := fixture(t)
 	hits := publicIfaceIPs(p)
@@ -30,9 +29,9 @@ func TestLookupZeroAlloc(t *testing.T) {
 	mappers := snap.Mappers()
 
 	e := geoserve.NewEngine(snap)
-	// Registering on a handler attaches the engine's metrics to a live
-	// registry, same as production serving.
-	geoserve.NewObservedHandler(e, obs.NewObservability("engine"))
+	// A handler puts the engine's collector on a live registry, same as
+	// production serving.
+	geoserve.NewHandler(e)
 	i := 0
 	if n := testing.AllocsPerRun(1000, func() {
 		a := e.Lookup(i&1, hits[i%len(hits)])
@@ -57,7 +56,7 @@ func TestLookupZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	geoserve.NewObservedHandler(c, obs.NewObservability("cluster"))
+	geoserve.NewHandler(c)
 	i = 0
 	if n := testing.AllocsPerRun(1000, func() {
 		a := c.Lookup(i&1, hits[i%len(hits)])
@@ -129,7 +128,7 @@ func TestLookupBatchZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := geoserve.NewObservedHandler(c, obs.NewObservability("cluster"))
+			h := geoserve.NewHandler(c)
 			if n := testing.AllocsPerRun(100, func() {
 				if _, err := c.LookupBatch(0, batch, out); err != nil {
 					t.Fatal(err)

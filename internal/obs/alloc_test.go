@@ -9,9 +9,9 @@ import (
 // TestHotPathZeroAlloc pins that the primitives the serving hot path
 // touches on every request — counter increments, histogram records,
 // and the trace probe on an untraced request — allocate nothing. The
-// serving benchmarks (BenchmarkServeLookupParallel, BenchmarkWireBatch)
-// hold the end-to-end line; this test localizes a regression to the
-// obs layer itself.
+// bench/ ladder's allocation rungs and geoserve's zeroalloc tests hold
+// the end-to-end line; this test localizes a regression to the obs
+// layer itself.
 func TestHotPathZeroAlloc(t *testing.T) {
 	var c Counter
 	if n := testing.AllocsPerRun(1000, func() { c.Inc(); c.Add(3) }); n != 0 {

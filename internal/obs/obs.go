@@ -6,31 +6,35 @@
 //
 // Design constraints, in order:
 //
-//   - The hot path stays allocation-free. Metrics are recorded through
-//     pre-registered handles (plain atomics); the registry is only
-//     walked at scrape time, when gauge/counter funcs read the live
-//     values. Nothing on a lookup's path ever touches a map.
+//   - The hot path stays allocation-free. Metrics are recorded on
+//     plain atomics the component owns; the registry only runs at
+//     scrape time, when each component's collector reads its status
+//     once and emits every sample from it. Nothing on a lookup's path
+//     ever touches a map.
+//   - One status surface: every /metrics sample is a field of the
+//     component's Status(), the struct /statusz encodes, so the two
+//     cannot disagree.
 //   - Exposition is deterministic: families sort by name, series keep
-//     registration order, histogram bucket ladders are fixed — so a
-//     golden test can pin every family, label set and bucket layout.
+//     emission order, histogram bucket ladders are fixed — so a golden
+//     test can pin every family, label set and bucket layout.
 //   - Tracing is strictly opt-in per request: a request without an
 //     X-Geo-Trace header records nothing and costs one header lookup.
 //     Traced requests record per-hop spans into a fixed ring with a
 //     slow-request retention bias (see Recorder).
 //
 // An Observability bundles one component's Registry and Recorder so a
-// serving handler can mount GET /metrics and GET /debug/tracez, and so
-// epoch hot-swaps can rebuild handlers against the same registry
-// without resetting counters (re-registering a family replaces its
-// readers in place).
+// serving handler can mount GET /metrics and GET /debug/tracez. A
+// component registers one collector when it is built; an epoch
+// hot-swap that rebuilds its handler registers nothing.
 package obs
 
 import "net/http"
 
 // Observability bundles one component's metrics registry and trace
 // recorder. Components that hot-swap serving state (the replica's
-// per-epoch handler rebuild) create one bundle up front and thread it
-// through every rebuild, so scrape continuity survives the swap.
+// per-epoch handler rebuild) create one bundle up front, register one
+// collector that follows the current epoch, and thread the bundle
+// through every rebuild for its trace ring.
 type Observability struct {
 	// Component names the process role ("cluster", "replica", "router",
 	// ...); it labels tracez output and the component info
@@ -47,12 +51,10 @@ func NewObservability(component string) *Observability {
 		Metrics:   NewRegistry(),
 		Traces:    NewRecorder(component),
 	}
-	o.Metrics.GaugeFunc("geoserve_component_info",
-		"Always 1; the component label identifies the process role.",
-		Labels{{"component", component}}, func() float64 { return 1 })
-	o.Metrics.CounterFunc("geoserve_trace_spans_total",
-		"Trace spans recorded into the tracez ring.",
-		nil, o.Traces.Recorded)
+	o.Metrics.Collect(func(e *Emitter) {
+		e.Gauge("geoserve_component_info", "Always 1; the component label identifies the process role.", Labels{{"component", component}}, 1)
+		e.Counter("geoserve_trace_spans_total", "Trace spans recorded into the tracez ring.", nil, o.Traces.Recorded())
+	})
 	return o
 }
 

@@ -80,14 +80,19 @@ func TestRegistryExpositionDeterministic(t *testing.T) {
 		r := NewRegistry()
 		var c Counter
 		c.Add(42)
-		r.RegisterCounter("zeta_total", "Last alphabetically.", nil, &c)
-		r.CounterFunc("alpha_total", "First alphabetically.", Labels{{"shard", "0"}}, func() uint64 { return 7 })
-		r.CounterFunc("alpha_total", "First alphabetically.", Labels{{"shard", "1"}}, func() uint64 { return 9 })
-		r.GaugeFunc("mid_gauge", "A gauge.", nil, func() float64 { return 1.5 })
 		h := &Histogram{}
 		h.Record(100 * time.Nanosecond)
 		h.Record(time.Millisecond)
-		r.RegisterHistogram("lat_seconds", "A histogram.", Labels{{"kind", "x"}}, h)
+		r.Collect(func(e *Emitter) {
+			e.Counter("zeta_total", "Last alphabetically.", nil, c.Value())
+			e.Counter("alpha_total", "First alphabetically.", Labels{{"shard", "0"}}, 7)
+		})
+		// A second collector adds to a family the first began.
+		r.Collect(func(e *Emitter) {
+			e.Counter("alpha_total", "First alphabetically.", Labels{{"shard", "1"}}, 9)
+			e.Gauge("mid_gauge", "A gauge.", nil, 1.5)
+			e.Histogram("lat_seconds", "A histogram.", Labels{{"kind", "x"}}, h)
+		})
 		return r
 	}
 	var a, b strings.Builder
@@ -101,14 +106,13 @@ func TestRegistryExpositionDeterministic(t *testing.T) {
 		t.Fatalf("two identical registries rendered differently:\n%s\n---\n%s", a.String(), b.String())
 	}
 	out := a.String()
-	// Families sorted by name.
+	// Families sorted by name, series in emission order.
 	ia, im, iz := strings.Index(out, "# HELP alpha_total"), strings.Index(out, "# HELP mid_gauge"), strings.Index(out, "# HELP zeta_total")
 	if !(ia >= 0 && ia < im && im < iz) {
 		t.Fatalf("families not sorted:\n%s", out)
 	}
 	for _, want := range []string{
-		`alpha_total{shard="0"} 7`,
-		`alpha_total{shard="1"} 9`,
+		"alpha_total{shard=\"0\"} 7\nalpha_total{shard=\"1\"} 9\n",
 		"mid_gauge 1.5",
 		"zeta_total 42",
 		`lat_seconds_bucket{kind="x",le="+Inf"} 2`,
@@ -120,42 +124,52 @@ func TestRegistryExpositionDeterministic(t *testing.T) {
 	}
 }
 
-func TestRegistryReplaceOnReregister(t *testing.T) {
-	r := NewRegistry()
-	r.CounterFunc("x_total", "X.", nil, func() uint64 { return 1 })
-	r.CounterFunc("x_total", "X.", nil, func() uint64 { return 2 })
-	var b strings.Builder
-	r.WritePrometheus(&b)
-	if strings.Count(b.String(), "\nx_total ") != 1 {
-		t.Fatalf("re-registration duplicated the series:\n%s", b.String())
+// TestRegistryRejectsBadScrape pins that a sample emitted twice, or a
+// name emitted under two kinds, within one scrape is an error and an
+// HTTP 500 with nothing of the exposition written — not a silent
+// overwrite — and that the next scrape is judged afresh.
+func TestRegistryRejectsBadScrape(t *testing.T) {
+	for name, second := range map[string]func(*Emitter){
+		"duplicate sample": func(e *Emitter) { e.Counter("x_total", "X.", Labels{{"k", "v"}}, 2) },
+		"kind mismatch":    func(e *Emitter) { e.Gauge("x_total", "X.", nil, 2) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := NewRegistry()
+			bad := true
+			r.Collect(func(e *Emitter) {
+				e.Counter("x_total", "X.", Labels{{"k", "v"}}, 1)
+				if bad {
+					second(e)
+				}
+			})
+			var b strings.Builder
+			if err := r.WritePrometheus(&b); err == nil || !strings.Contains(err.Error(), "x_total") || b.Len() != 0 {
+				t.Fatalf("bad scrape: err = %v, wrote %q; want an error naming x_total and no output", err, b.String())
+			}
+			w := httptest.NewRecorder()
+			r.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+			if w.Code != 500 || strings.Contains(w.Body.String(), "# TYPE") {
+				t.Fatalf("bad scrape over HTTP: status %d, body %q; want 500 and no exposition", w.Code, w.Body.String())
+			}
+			bad = false
+			if err := r.WritePrometheus(&b); err != nil || !strings.Contains(b.String(), "x_total{k=\"v\"} 1\n") {
+				t.Fatalf("scrape after the fault cleared: err = %v, wrote %q", err, b.String())
+			}
+		})
 	}
-	if !strings.Contains(b.String(), "x_total 2") {
-		t.Fatalf("re-registration did not replace the reader:\n%s", b.String())
-	}
-}
-
-func TestRegistryKindMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("registering one name as counter and gauge did not panic")
-		}
-	}()
-	r := NewRegistry()
-	r.CounterFunc("x_total", "X.", nil, func() uint64 { return 1 })
-	r.GaugeFunc("x_total", "X.", nil, func() float64 { return 1 })
 }
 
 // TestRegistryConcurrentScrape races recording handles and histogram
-// records against scrapes and re-registrations; run under -race this
-// is the registry's thread-safety proof.
+// records against concurrent scrapes and collector registrations; run
+// under -race this is the registry's thread-safety proof.
 func TestRegistryConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	var c Counter
-	var g Gauge
 	h := &Histogram{}
-	r.RegisterCounter("req_total", "Requests.", nil, &c)
-	r.RegisterGauge("inflight", "In flight.", nil, &g)
-	r.RegisterHistogram("lat_seconds", "Latency.", nil, h)
+	r.Collect(func(e *Emitter) {
+		e.Counter("req_total", "Requests.", nil, c.Value())
+		e.Histogram("lat_seconds", "Latency.", nil, h)
+	})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -169,7 +183,6 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				g.Set(int64(i % 10))
 				h.Record(time.Duration(i%1000) * time.Microsecond)
 			}
 		}(w)
@@ -178,18 +191,27 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			r.CounterFunc("swap_total", "Re-registered mid-scrape.", nil, c.Value)
+			name := fmt.Sprintf("late_%d_total", i)
+			r.Collect(func(e *Emitter) { e.Counter(name, "Registered mid-scrape.", nil, c.Value()) })
 		}
 	}()
-	for i := 0; i < 100; i++ {
-		var b strings.Builder
-		if err := r.WritePrometheus(&b); err != nil {
-			t.Errorf("scrape %d: %v", i, err)
-		}
-		if !strings.Contains(b.String(), "req_total") {
-			t.Errorf("scrape %d lost a family", i)
-		}
+	var scrapers sync.WaitGroup
+	for s := 0; s < 2; s++ {
+		scrapers.Add(1)
+		go func() {
+			defer scrapers.Done()
+			for i := 0; i < 100; i++ {
+				var b strings.Builder
+				if err := r.WritePrometheus(&b); err != nil {
+					t.Errorf("scrape %d: %v", i, err)
+				}
+				if !strings.Contains(b.String(), "req_total") {
+					t.Errorf("scrape %d lost a family", i)
+				}
+			}
+		}()
 	}
+	scrapers.Wait()
 	close(stop)
 	wg.Wait()
 }

@@ -2,10 +2,12 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,8 +15,8 @@ import (
 )
 
 // Counter is a monotonically increasing metric handle. It is a plain
-// atomic, so recording is lock-free and allocation-free; register it
-// once and Add/Inc forever.
+// atomic, so recording is lock-free and allocation-free; a component's
+// status reads it with Value and its collector emits that.
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
@@ -26,21 +28,9 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a settable integer metric handle backed by one atomic.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value reads the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Label is one metric label pair. Labels render in the order given at
-// registration, so a fixed registration order makes exposition (and
-// the golden that pins it) deterministic.
+// emission, so a fixed emission order makes exposition (and the golden
+// that pins it) deterministic.
 type Label struct{ Key, Value string }
 
 // Labels is an ordered label set.
@@ -52,100 +42,87 @@ const (
 	kindHistogram = "histogram"
 )
 
-// series is one labeled member of a family: either a scalar read func
-// or a histogram.
+// series is one labeled member of a family: either a scalar sample or
+// a histogram.
 type series struct {
 	labels string // rendered {k="v",...} or ""
-	value  func() float64
+	value  float64
 	hist   *Histogram
 }
 
 // family is one metric name: help text, a type, and its series in
-// registration order.
+// emission order.
 type family struct {
 	name, help, kind string
-	series           []*series
-	index            map[string]*series
+	series           []series
 }
 
-// Registry holds a component's metric families and renders them in
-// Prometheus text exposition format. Registration takes a mutex and
-// may allocate; recording never goes through the registry at all — it
-// happens on the handles (atomics) the readers close over. Scrapes
-// read live values, so two scrapes under traffic differ in values but
-// never in families, labels or ordering.
-//
-// Re-registering a (name, labels) pair replaces that series' reader in
-// place. Hot-swap paths lean on this: a replica rebuilding its serving
-// handler for a new epoch re-registers the serving families against the
-// same registry, and the scrape keeps its family set without
-// duplicates.
+// Registry holds a component's collectors and renders what they emit
+// in Prometheus text exposition format. A collector is registered once,
+// for the life of the process, and runs once per scrape: it reads the
+// component's status and emits every sample from it, so a scrape and
+// /statusz cannot disagree and nothing is registered again when the
+// serving state behind a collector is replaced. Recording never goes
+// through the registry at all — it happens on the atomics the status
+// reads. Two scrapes under traffic differ in values but never in
+// families, labels or ordering.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
-	names    []string // sorted family names
+	mu         sync.Mutex
+	collectors []func(*Emitter)
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{families: map[string]*family{}}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
-// CounterFunc registers a counter series read from fn at scrape time —
-// the bridge onto counters that already live as atomics elsewhere.
-func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint64) {
-	r.register(name, kindCounter, help, labels, func() float64 { return float64(fn()) }, nil)
-}
-
-// RegisterCounter registers a Counter handle as a series of name.
-func (r *Registry) RegisterCounter(name, help string, labels Labels, c *Counter) {
-	r.CounterFunc(name, help, labels, c.Value)
-}
-
-// GaugeFunc registers a gauge series computed by fn at scrape time.
-// fn may take locks (scrapes are rare); it must not call back into the
-// registry.
-func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	r.register(name, kindGauge, help, labels, fn, nil)
-}
-
-// RegisterGauge registers a Gauge handle as a series of name.
-func (r *Registry) RegisterGauge(name, help string, labels Labels, g *Gauge) {
-	r.GaugeFunc(name, help, labels, func() float64 { return float64(g.Value()) })
-}
-
-// RegisterHistogram registers a Histogram as a series of name. It is
-// exposed on the fixed export ladder (see ExportBounds) with exact
-// cumulative bucket counts, a bucket-estimated _sum, and _count.
-func (r *Registry) RegisterHistogram(name, help string, labels Labels, h *Histogram) {
-	r.register(name, kindHistogram, help, labels, nil, h)
-}
-
-func (r *Registry) register(name, kind, help string, labels Labels, value func() float64, hist *Histogram) {
-	ls := renderLabels(labels)
+// Collect adds a collector. fn runs on the scraping goroutine with no
+// registry lock held and may take the component's own locks.
+func (r *Registry) Collect(fn func(*Emitter)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.families[name]
+	r.collectors = append(r.collectors, fn)
+}
+
+// Emitter gathers one scrape's samples. Emitting one name under two
+// kinds, or one (name, labels) pair twice, fails the scrape.
+type Emitter struct {
+	families map[string]*family
+	err      error
+}
+
+// Counter emits one counter sample.
+func (e *Emitter) Counter(name, help string, labels Labels, v uint64) {
+	e.add(name, kindCounter, help, labels, float64(v), nil)
+}
+
+// Gauge emits one gauge sample.
+func (e *Emitter) Gauge(name, help string, labels Labels, v float64) {
+	e.add(name, kindGauge, help, labels, v, nil)
+}
+
+// Histogram emits h as one histogram series, exposed on the fixed
+// export ladder (see ExportBounds) with exact cumulative bucket counts,
+// a bucket-estimated _sum, and _count. h is read when the scrape is
+// written.
+func (e *Emitter) Histogram(name, help string, labels Labels, h *Histogram) {
+	e.add(name, kindHistogram, help, labels, 0, h)
+}
+
+func (e *Emitter) add(name, kind, help string, labels Labels, value float64, hist *Histogram) {
+	ls := renderLabels(labels)
+	f := e.families[name]
 	if f == nil {
-		f = &family{name: name, help: help, kind: kind, index: map[string]*series{}}
-		r.families[name] = f
-		i := sort.SearchStrings(r.names, name)
-		r.names = append(r.names, "")
-		copy(r.names[i+1:], r.names[i:])
-		r.names[i] = name
+		f = &family{name: name, help: help, kind: kind}
+		e.families[name] = f
 	}
-	if f.kind != kind {
-		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, f.kind, kind))
+	dup := slices.ContainsFunc(f.series, func(s series) bool { return s.labels == ls })
+	switch {
+	case e.err != nil: // the first error is the one reported
+	case f.kind != kind:
+		e.err = fmt.Errorf("obs: metric %q emitted as %s and %s", name, f.kind, kind)
+	case dup:
+		e.err = fmt.Errorf("obs: sample %s%s emitted twice in one scrape", name, ls)
 	}
-	if s := f.index[ls]; s != nil {
-		// Replace in place: an epoch hot-swap re-registers the family
-		// against fresh serving state without resetting the scrape shape.
-		s.value, s.hist = value, hist
-		return
-	}
-	s := &series{labels: ls, value: value, hist: hist}
-	f.series = append(f.series, s)
-	f.index[ls] = s
+	f.series = append(f.series, series{labels: ls, value: value, hist: hist})
 }
 
 // renderLabels renders an ordered label set as {k="v",...} with
@@ -189,23 +166,33 @@ func buildExportLE() []string {
 	return le
 }
 
-// WritePrometheus renders every family in Prometheus text exposition
-// format: families sorted by name, series in registration order,
-// histograms on the fixed export ladder.
+// WritePrometheus runs every collector once and renders what they
+// emitted in Prometheus text exposition format: families sorted by
+// name, series in emission order, histograms on the fixed export
+// ladder. A scrape a collector failed (see Emitter) writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, name := range r.names {
-		f := r.families[name]
+	collectors := r.collectors
+	r.mu.Unlock()
+	e := &Emitter{families: map[string]*family{}}
+	for _, collect := range collectors {
+		collect(e)
+	}
+	if e.err != nil {
+		return e.err
+	}
+	bw := bufio.NewWriter(w)
+	for _, name := range slices.Sorted(maps.Keys(e.families)) {
+		f := e.families[name]
 		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range f.series {
+		for i := range f.series {
+			s := &f.series[i]
 			if f.kind == kindHistogram {
 				writeHistogram(bw, f.name, s)
 				continue
 			}
-			fmt.Fprintf(bw, "%s%s %s\n", f.name, s.labels, formatValue(s.value()))
+			fmt.Fprintf(bw, "%s%s %s\n", f.name, s.labels, formatValue(s.value))
 		}
 	}
 	return bw.Flush()
@@ -239,20 +226,16 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// FamilyNames returns the registered family names, sorted — what the
-// fleet CI gate diffs against its allowlist.
-func (r *Registry) FamilyNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.names))
-	copy(out, r.names)
-	return out
-}
-
-// Handler serves GET /metrics.
+// Handler serves GET /metrics; a failed scrape answers 500 with the
+// collector's error.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		var b bytes.Buffer
+		if err := r.WritePrometheus(&b); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
+		w.Write(b.Bytes())
 	})
 }
