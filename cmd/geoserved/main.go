@@ -71,24 +71,22 @@
 //	geoserved -router http://r1:8081,http://r2:8082            router: health-checked
 //	                                                           fan-out over replicas
 //
-// A -publish builder publishes a new epoch after every successful
-// rebuild, retains a window of recent epochs, and serves deltas
-// between retained epochs (/v1/replication/delta/{from}/{to}) so
-// replicas already near the head move only the changed /24 intervals.
-// Replicas verify every fetched file or applied delta (whole-file hash
-// + recomputed content digest; any delta failure falls back to the
-// full fetch), warm a fresh snapshot up against a seeded self-probe
-// set before the atomic swap, keep serving their last-good epoch
-// through builder outages (reporting stale_epoch on /statusz), and
-// resume interrupted downloads. The router plans by least outstanding
-// requests with per-replica latency EWMAs, runs every attempt under a
-// deadline with a global retry budget and a per-replica circuit
-// breaker, ejects unhealthy replicas, readmits them when probes
-// recover, forwards every request — a JSON batch like a single lookup
-// or a binary frame — whole to one replica at the plan epoch (so no
-// answer set blends two epochs, and validation is the replica's), and
-// sheds with 503 + Retry-After only when no healthy replica holds a
-// complete epoch.
+// A -publish builder publishes every epoch it installs — a rebuild's
+// or a churn step's, swapped in and published as one step — retains a
+// window of recent epochs, and serves deltas between retained epochs
+// (/v1/replication/delta/{from}/{to}) so replicas near the head move
+// only the changed /24 intervals. Replicas verify every fetched file
+// or applied delta (any delta failure falls back to the full fetch),
+// warm a fresh snapshot up before the atomic swap, keep serving their
+// last-good epoch through builder outages (stale_epoch on /statusz)
+// and resume interrupted downloads. The router forwards every request
+// — a JSON batch like a single lookup or a binary frame — whole to one
+// replica at the plan epoch (so no answer set blends two epochs, and
+// validation is the replica's): the one with the fewest requests
+// outstanding, under a deadline, a global retry budget and a
+// per-replica circuit breaker. It sheds with 503 + Retry-After only
+// when no routable replica holds a complete epoch. DESIGN.md
+// § "Replicated serving" has the mechanisms.
 //
 // The binary endpoints speak the geoserve wire protocol (see the wire
 // protocol section of DESIGN.md): length-prefixed batches of IPv4
@@ -120,6 +118,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -147,71 +146,116 @@ import (
 	"geonet/internal/obs"
 )
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address (empty: exit after -write-snapshot)")
-	seed := flag.Int64("seed", 1, "world seed")
-	scale := flag.Float64("scale", 0.1, "world scale relative to the paper's Skitter snapshot")
-	workers := flag.Int("workers", 0, "pipeline/compile workers (0 = one per CPU); also pins GOMAXPROCS")
-	cacheBudget := flag.Int("cachebudget", 0, "netsim route-cache budget override (0 = default)")
-	shards := flag.Int("shards", 1, "prefix-range shards: ranges for per-shard accounting and shedding, not parallelism (1 = unsharded)")
-	queueBudget := flag.Int("queuebudget", 0, "per-shard in-flight batch budget before shedding (0 = default)")
-	snapshotPath := flag.String("snapshot", "", "cold start: load this snapshot file instead of running the pipeline")
-	writeSnapshot := flag.String("write-snapshot", "", "write the serving snapshot to this file (then exit if -addr is empty)")
-	publish := flag.Bool("publish", false, "serve /v1/replication/* so replicas can follow this builder")
-	churnOn := flag.Bool("churn", false, "continuously evolve the world: apply one churn step every -churn-interval")
-	churnInterval := flag.Duration("churn-interval", 5*time.Second, "delay between background churn steps (-churn)")
-	churnSeed := flag.Int64("churn-seed", 0, "churn event stream seed (0 = the world seed)")
-	churnEvents := flag.Int("churn-events", 8, "topology events applied per churn step")
-	replicaOf := flag.String("replica-of", "", "run as a replica of this builder URL (no pipeline)")
-	router := flag.String("router", "", "run as a router over these comma-separated replica URLs (no pipeline)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests on SIGTERM/SIGINT")
-	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof plus /metrics and /debug/tracez (empty: observability rides on -addr only)")
-	quiet := flag.Bool("quiet", false, "suppress build progress")
-	flag.DurationVar(&timeouts.readHeader, "read-header-timeout", 10*time.Second, "max wait for a request's headers (0 = unbounded; guards drain against stalled clients)")
-	flag.DurationVar(&timeouts.read, "read-timeout", 5*time.Minute, "max lifetime of one request read, including streaming bodies (0 = unbounded)")
-	flag.DurationVar(&timeouts.idle, "idle-timeout", 2*time.Minute, "max keep-alive idle time per connection (0 = unbounded)")
-	flag.Parse()
+// options holds every flag's value. validate checks the set as a
+// whole; the mode it selects (runReplica, runRouter, runBuilder) reads
+// what applies to it.
+type options struct {
+	addr          string
+	seed          int64
+	scale         float64
+	workers       int
+	cacheBudget   int
+	shards        int
+	queueBudget   int
+	snapshotPath  string
+	writeSnapshot string
+	publish       bool
+	churn         bool
+	churnInterval time.Duration
+	churnSeed     int64
+	churnEvents   int
+	replicaOf     string
+	router        string
+	drainTimeout  time.Duration
+	debugAddr     string
+	quiet         bool
+	timeouts      httpTimeouts
+}
 
-	if *workers > 0 {
-		runtime.GOMAXPROCS(*workers)
-	}
-	if *shards < 1 {
-		log.Fatal("geoserved: -shards must be >= 1")
-	}
-	if *replicaOf != "" && *router != "" {
-		log.Fatal("geoserved: -replica-of and -router are mutually exclusive")
-	}
-	if (*replicaOf != "" || *router != "") && (*snapshotPath != "" || *writeSnapshot != "" || *publish || *churnOn) {
-		log.Fatal("geoserved: snapshot/publish/churn flags only apply to builder mode")
-	}
-	if *churnOn && *snapshotPath != "" {
-		log.Fatal("geoserved: -churn needs the pipeline's world; it cannot run from a -snapshot cold start")
-	}
-	if *churnOn && *churnInterval <= 0 {
-		log.Fatal("geoserved: -churn-interval must be positive")
-	}
-	if *churnEvents < 1 {
-		log.Fatal("geoserved: -churn-events must be >= 1")
-	}
-	if *router != "" && *shards != 1 {
-		log.Fatal("geoserved: -shards applies to builder and replica modes, not the router")
-	}
+// bindFlags declares geoserved's flags on fs; after fs.Parse the
+// returned options hold their values.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := new(options)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address (empty: exit after -write-snapshot)")
+	fs.Int64Var(&o.seed, "seed", 1, "world seed")
+	fs.Float64Var(&o.scale, "scale", 0.1, "world scale relative to the paper's Skitter snapshot")
+	fs.IntVar(&o.workers, "workers", 0, "pipeline/compile workers (0 = one per CPU); also pins GOMAXPROCS")
+	fs.IntVar(&o.cacheBudget, "cachebudget", 0, "netsim route-cache budget override (0 = default)")
+	fs.IntVar(&o.shards, "shards", 1, "prefix-range shards: ranges for per-shard accounting and shedding, not parallelism (1 = unsharded)")
+	fs.IntVar(&o.queueBudget, "queuebudget", 0, "per-shard in-flight batch budget before shedding (0 = default)")
+	fs.StringVar(&o.snapshotPath, "snapshot", "", "cold start: load this snapshot file instead of running the pipeline")
+	fs.StringVar(&o.writeSnapshot, "write-snapshot", "", "write the serving snapshot to this file (then exit if -addr is empty)")
+	fs.BoolVar(&o.publish, "publish", false, "serve /v1/replication/* so replicas can follow this builder")
+	fs.BoolVar(&o.churn, "churn", false, "continuously evolve the world: apply one churn step every -churn-interval")
+	fs.DurationVar(&o.churnInterval, "churn-interval", 5*time.Second, "delay between background churn steps (-churn)")
+	fs.Int64Var(&o.churnSeed, "churn-seed", 0, "churn event stream seed (0 = the world seed)")
+	fs.IntVar(&o.churnEvents, "churn-events", 8, "topology events applied per churn step")
+	fs.StringVar(&o.replicaOf, "replica-of", "", "run as a replica of this builder URL (no pipeline)")
+	fs.StringVar(&o.router, "router", "", "run as a router over these comma-separated replica URLs (no pipeline)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "max wait for in-flight requests on SIGTERM/SIGINT")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listener for net/http/pprof plus /metrics and /debug/tracez (empty: observability rides on -addr only)")
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress build progress")
+	fs.DurationVar(&o.timeouts.readHeader, "read-header-timeout", 10*time.Second, "max wait for a request's headers (0 = unbounded; guards drain against stalled clients)")
+	fs.DurationVar(&o.timeouts.read, "read-timeout", 5*time.Minute, "max lifetime of one request read, including streaming bodies (0 = unbounded)")
+	fs.DurationVar(&o.timeouts.idle, "idle-timeout", 2*time.Minute, "max keep-alive idle time per connection (0 = unbounded)")
+	return o
+}
 
+// validate rejects flag sets that name no mode or mix two, before
+// anything is built or bound.
+func validate(o *options) error {
+	replicaOrRouter := o.replicaOf != "" || o.router != ""
 	switch {
-	case *replicaOf != "":
-		runReplica(*addr, *replicaOf, *shards, *queueBudget, *drainTimeout, *debugAddr)
-	case *router != "":
-		runRouter(*addr, *router, *drainTimeout, *debugAddr)
+	case o.shards < 1:
+		return errors.New("geoserved: -shards must be >= 1")
+	case o.replicaOf != "" && o.router != "":
+		return errors.New("geoserved: -replica-of and -router are mutually exclusive")
+	case replicaOrRouter && (o.snapshotPath != "" || o.writeSnapshot != "" || o.publish || o.churn):
+		return errors.New("geoserved: snapshot/publish/churn flags only apply to builder mode")
+	case o.churn && o.snapshotPath != "":
+		return errors.New("geoserved: -churn needs the pipeline's world; it cannot run from a -snapshot cold start")
+	case o.churn && o.churnInterval <= 0:
+		return errors.New("geoserved: -churn-interval must be positive")
+	case o.churnEvents < 1:
+		return errors.New("geoserved: -churn-events must be >= 1")
+	case o.router != "" && o.shards != 1:
+		return errors.New("geoserved: -shards applies to builder and replica modes, not the router")
+	case o.router != "" && len(routerURLs(o.router)) == 0:
+		return errors.New("geoserved: -router needs at least one replica URL")
+	case !replicaOrRouter && o.addr == "" && o.writeSnapshot == "":
+		return errors.New("geoserved: empty -addr without -write-snapshot serves nothing")
+	}
+	return nil
+}
+
+// routerURLs splits -router's comma-separated list into base URLs,
+// dropping blanks and trailing slashes.
+func routerURLs(targets string) []string {
+	var urls []string
+	for _, u := range strings.Split(targets, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, strings.TrimRight(u, "/"))
+		}
+	}
+	return urls
+}
+
+func main() {
+	o := bindFlags(flag.CommandLine)
+	flag.Parse()
+	if err := validate(o); err != nil {
+		log.Fatal(err)
+	}
+	if o.workers > 0 {
+		runtime.GOMAXPROCS(o.workers)
+	}
+	switch {
+	case o.replicaOf != "":
+		runReplica(o)
+	case o.router != "":
+		runRouter(o)
 	default:
-		runBuilder(builderOpts{
-			addr: *addr, seed: *seed, scale: *scale, workers: *workers,
-			cacheBudget: *cacheBudget, shards: *shards, queueBudget: *queueBudget,
-			snapshotPath: *snapshotPath, writeSnapshot: *writeSnapshot,
-			publish: *publish, quiet: *quiet, drainTimeout: *drainTimeout,
-			debugAddr: *debugAddr,
-			churn:     *churnOn, churnInterval: *churnInterval,
-			churnSeed: *churnSeed, churnEvents: *churnEvents,
-		})
+		runBuilder(o)
 	}
 }
 
@@ -248,8 +292,6 @@ type httpTimeouts struct {
 	idle       time.Duration
 }
 
-var timeouts httpTimeouts
-
 // newHTTPServer builds the server every mode listens on. Connections
 // that never finish their headers die at readHeader, slow-loris bodies
 // at read, and idle keep-alives at idle — which is what lets
@@ -265,23 +307,25 @@ func newHTTPServer(addr string, h http.Handler, t httpTimeouts) *http.Server {
 	}
 }
 
-// serve runs the handler until SIGTERM/SIGINT, then drains: drain (when
+// serve runs the handler (and, with -debug-addr, the mode's bundle on
+// the debug listener) until SIGTERM/SIGINT, then drains: drain (when
 // set) flips /healthz to failing so load balancers steer new work away,
 // and http.Server.Shutdown waits for in-flight requests under the
 // deadline. A rolling restart therefore loses zero answers.
-func serve(addr string, h http.Handler, drain func(), timeout time.Duration) {
-	srv := newHTTPServer(addr, h, timeouts)
+func serve(o *options, h http.Handler, bundle *obs.Observability, drain func()) {
+	startDebugServer(o.debugAddr, bundle)
+	srv := newHTTPServer(o.addr, h, o.timeouts)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		s := <-sig
-		log.Printf("caught %s: draining (deadline %s)", s, timeout)
+		log.Printf("caught %s: draining (deadline %s)", s, o.drainTimeout)
 		if drain != nil {
 			drain()
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Printf("drain deadline passed with requests still in flight: %v", err)
@@ -289,7 +333,7 @@ func serve(addr string, h http.Handler, drain func(), timeout time.Duration) {
 		}
 		log.Printf("drained clean: all in-flight requests finished")
 	}()
-	log.Printf("listening on %s", addr)
+	log.Printf("listening on %s", o.addr)
 	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
@@ -300,58 +344,28 @@ func serve(addr string, h http.Handler, drain func(), timeout time.Duration) {
 // until the first verified epoch, then last-good-epoch serving through
 // any builder outage. Each installed epoch serves from a cluster of
 // the given shard count.
-func runReplica(addr, builderURL string, shards, queueBudget int, drainTimeout time.Duration, debugAddr string) {
-	rep := replica.New(replica.Config{BuilderURL: builderURL, Shards: shards, QueueBudget: queueBudget})
-	startDebugServer(debugAddr, rep.Obs())
+func runReplica(o *options) {
+	rep := replica.New(replica.Config{BuilderURL: o.replicaOf, Shards: o.shards, QueueBudget: o.queueBudget})
 	go func() {
 		if err := rep.Run(context.Background()); err != nil {
 			log.Printf("replica sync loop stopped: %v", err)
 		}
 	}()
-	log.Printf("replica of %s; serving 503 until the first verified epoch", builderURL)
-	serve(addr, rep.Handler(), rep.Drain, drainTimeout)
+	log.Printf("replica of %s; serving 503 until the first verified epoch", o.replicaOf)
+	serve(o, rep.Handler(), rep.Obs(), rep.Drain)
 }
 
 // runRouter fans lookups over a replica fleet with health-checked
 // ejection/readmission and epoch-consistent batches.
-func runRouter(addr, targets string, drainTimeout time.Duration, debugAddr string) {
-	var urls []string
-	for _, u := range strings.Split(targets, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, strings.TrimRight(u, "/"))
-		}
-	}
-	if len(urls) == 0 {
-		log.Fatal("geoserved: -router needs at least one replica URL")
-	}
+func runRouter(o *options) {
+	urls := routerURLs(o.router)
 	rt := replica.NewRouter(replica.RouterConfig{Replicas: urls})
-	startDebugServer(debugAddr, rt.Obs())
 	go rt.Run(context.Background())
 	log.Printf("routing over %d replicas: %s", len(urls), strings.Join(urls, ", "))
-	serve(addr, rt.Handler(), rt.Drain, drainTimeout)
+	serve(o, rt.Handler(), rt.Obs(), rt.Drain)
 }
 
-type builderOpts struct {
-	addr          string
-	seed          int64
-	scale         float64
-	workers       int
-	cacheBudget   int
-	shards        int
-	queueBudget   int
-	snapshotPath  string
-	writeSnapshot string
-	publish       bool
-	quiet         bool
-	drainTimeout  time.Duration
-	debugAddr     string
-	churn         bool
-	churnInterval time.Duration
-	churnSeed     int64
-	churnEvents   int
-}
-
-func runBuilder(o builderOpts) {
+func runBuilder(o *options) {
 	start := time.Now()
 	var (
 		snap *geoserve.Snapshot
@@ -384,9 +398,6 @@ func runBuilder(o builderOpts) {
 			return
 		}
 	}
-	if o.addr == "" {
-		log.Fatal("geoserved: empty -addr without -write-snapshot serves nothing")
-	}
 
 	cluster, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{
 		Shards:      o.shards,
@@ -400,7 +411,6 @@ func runBuilder(o builderOpts) {
 	handler := geoserve.NewObservedHandler(cluster, bundle)
 	log.Printf("serving from %d prefix-range shards, queue budget %d",
 		cluster.NumShards(), cluster.QueueBudget())
-	startDebugServer(o.debugAddr, bundle)
 	log.Printf("serving snapshot %s: %d /24s, %d exact addresses, %d AS footprints",
 		snap.Digest()[:12], snap.NumPrefixes(), snap.NumExactIPs(), snap.NumFootprints())
 
@@ -418,24 +428,22 @@ func runBuilder(o builderOpts) {
 		log.Printf("publishing replication epoch %d (%d bytes)", m.Epoch, m.SizeBytes)
 	}
 
-	// Churn: one step = draw events, delta-compile, hot-swap, publish.
-	// Available on demand via POST /v1/admin/churn whenever the
-	// pipeline ran; -churn additionally drives it on a timer.
+	// Every later epoch — a churn step's or a rebuild's — goes through
+	// b.install.
+	b := &builder{cluster: cluster, pub: pub}
+
+	// Churn: one step = draw events, delta-compile, install. Available
+	// on demand via POST /v1/admin/churn whenever the pipeline ran;
+	// -churn additionally drives it on a timer.
 	if pipe != nil {
-		seed := o.churnSeed
-		if seed == 0 {
-			seed = o.seed
-		}
+		seed := cmp.Or(o.churnSeed, o.seed)
 		ch, err := pipe.Churner(core.ServeOptions{}, seed)
 		if err != nil {
 			log.Fatalf("geoserved: churn: %v", err)
 		}
-		cr := &churnRunner{
-			pipe: pipe, ch: ch, prev: snap, events: o.churnEvents,
-			cluster: cluster, pub: pub,
-		}
+		b.pipe, b.ch, b.prev, b.events = pipe, ch, snap, o.churnEvents
 		mux.HandleFunc("POST /v1/admin/churn", func(w http.ResponseWriter, r *http.Request) {
-			res, err := cr.step()
+			res, err := b.step()
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
@@ -448,7 +456,7 @@ func runBuilder(o builderOpts) {
 				tick := time.NewTicker(o.churnInterval)
 				defer tick.Stop()
 				for range tick.C {
-					res, err := cr.step()
+					res, err := b.step()
 					if err != nil {
 						log.Printf("churn step failed: %v", err)
 						continue
@@ -488,8 +496,9 @@ func runBuilder(o builderOpts) {
 		go func() {
 			defer rebuilding.Store(false)
 			_, fresh, err := build(newSeed, newScale, o.workers, o.cacheBudget, o.quiet)
+			var m replica.Manifest
 			if err == nil {
-				_, err = cluster.Swap(fresh)
+				_, m, err = b.install(fresh, nil)
 			}
 			if err != nil {
 				log.Printf("rebuild(seed %d, scale %g) failed: %v", newSeed, newScale, err)
@@ -498,11 +507,6 @@ func runBuilder(o builderOpts) {
 			log.Printf("hot-swapped to snapshot %s (seed %d, scale %g)",
 				fresh.Digest()[:12], newSeed, newScale)
 			if pub != nil {
-				m, err := pub.Publish(fresh)
-				if err != nil {
-					log.Printf("publish after rebuild failed: %v", err)
-					return
-				}
 				log.Printf("published replication epoch %d (%d bytes)", m.Epoch, m.SizeBytes)
 			}
 		}()
@@ -510,23 +514,56 @@ func runBuilder(o builderOpts) {
 		fmt.Fprintf(w, `{"status":"rebuilding","seed":%d,"scale":%g}`+"\n", newSeed, newScale)
 	})
 
-	serve(o.addr, mux, nil, o.drainTimeout)
+	serve(o, mux, bundle, nil)
 }
 
-// churnRunner serializes churn steps: each step draws the next batch
-// of topology events, delta-compiles the serving snapshot (only dirty
-// /24 intervals recomputed), hot-swaps it in and publishes the new
-// epoch when replication is on. The mutex keeps the chain linear:
-// steps from the background ticker and from POST /v1/admin/churn
-// interleave but never race.
-type churnRunner struct {
+// builder is how a snapshot becomes the builder's epoch. Installing
+// one — swap it into the serving cluster, then publish it to the
+// replicas — is one critical section on mu, whoever brings it: were a
+// rebuild's swap and publish to interleave with a churn step's, the
+// builder would serve one snapshot while replicas were sent the other
+// until the next install. Which of the two lands last still wins. mu
+// also keeps the churn chain linear: a step holds it from drawing its
+// events to installing their epoch, so steps from the background
+// ticker and from POST /v1/admin/churn interleave but never race.
+type builder struct {
 	mu      sync.Mutex
-	pipe    *core.Pipeline
-	ch      *churn.Churner
-	prev    *geoserve.Snapshot
-	events  int
 	cluster *geoserve.Cluster
-	pub     *replica.Publisher
+	pub     *replica.Publisher // nil without -publish
+
+	// The churn chain; ch is nil when no pipeline ran (-snapshot).
+	pipe   *core.Pipeline
+	ch     *churn.Churner
+	prev   *geoserve.Snapshot
+	events int
+}
+
+// install makes snap the serving and published epoch. delta is the
+// compile's stats when snap was delta-compiled (the swap then reports
+// how many shards it re-split), nil for a whole new snapshot. A
+// "publish:" error leaves snap serving here and unpublished.
+func (b *builder) install(snap *geoserve.Snapshot, delta *geoserve.DeltaStats) (resplit int, m replica.Manifest, err error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.installLocked(snap, delta)
+}
+
+func (b *builder) installLocked(snap *geoserve.Snapshot, delta *geoserve.DeltaStats) (resplit int, m replica.Manifest, err error) {
+	if delta != nil {
+		_, resplit, err = b.cluster.SwapDelta(snap, delta.Touched)
+	} else {
+		_, err = b.cluster.Swap(snap)
+	}
+	if err != nil {
+		return 0, m, fmt.Errorf("swap: %w", err)
+	}
+	if b.pub != nil {
+		// Identical content dedupes inside Publish (no epoch bump).
+		if m, err = b.pub.Publish(snap); err != nil {
+			return resplit, m, fmt.Errorf("publish: %w", err)
+		}
+	}
+	return resplit, m, nil
 }
 
 // churnResult is the JSON answer of one applied churn step.
@@ -539,35 +576,29 @@ type churnResult struct {
 	Epoch   uint64              `json:"epoch,omitempty"` // published replication epoch
 }
 
-func (cr *churnRunner) step() (churnResult, error) {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	step, err := cr.ch.Next(cr.events)
+// step draws the next batch of topology events, delta-compiles the
+// chain's last snapshot (only dirty /24 intervals recomputed) and
+// installs the result.
+func (b *builder) step() (churnResult, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	step, err := b.ch.Next(b.events)
 	if err != nil {
 		return churnResult{}, fmt.Errorf("churn step: %w", err)
 	}
-	next, stats, err := cr.pipe.ServeDelta(cr.prev, step)
+	next, stats, err := b.pipe.ServeDelta(b.prev, step)
 	if err != nil {
 		return churnResult{}, fmt.Errorf("churn step %d: delta compile: %w", step.N, err)
 	}
-	_, resplit, err := cr.cluster.SwapDelta(next, stats.Touched)
+	resplit, m, err := b.installLocked(next, &stats)
 	if err != nil {
-		return churnResult{}, fmt.Errorf("churn step %d: swap: %w", step.N, err)
+		return churnResult{}, fmt.Errorf("churn step %d: %w", step.N, err)
 	}
-	res := churnResult{
+	b.prev = next
+	return churnResult{
 		Step: step.N, Events: len(step.Events),
-		Digest: next.Digest(), Stats: stats, Resplit: resplit,
-	}
-	if cr.pub != nil {
-		// Identical-content steps dedupe inside Publish (no epoch bump).
-		m, err := cr.pub.Publish(next)
-		if err != nil {
-			return churnResult{}, fmt.Errorf("churn step %d: publish: %w", step.N, err)
-		}
-		res.Epoch = m.Epoch
-	}
-	cr.prev = next
-	return res, nil
+		Digest: next.Digest(), Stats: stats, Resplit: resplit, Epoch: m.Epoch,
+	}, nil
 }
 
 // build runs a pipeline and compiles its serving snapshot.

@@ -56,11 +56,6 @@ type Fault struct {
 	StallPause time.Duration
 }
 
-func (f Fault) clean() bool {
-	return !f.Drop && f.Latency == 0 && f.TruncateAt == 0 && f.ResetAt == 0 && f.FlipBit < 0 &&
-		f.StallAt == 0 && f.StallPause == 0
-}
-
 // Clean is the no-fault value (FlipBit's zero value would flip bit 0;
 // use Clean or set FlipBit -1 when building Faults by hand).
 var Clean = Fault{FlipBit: -1}

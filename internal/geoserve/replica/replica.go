@@ -208,23 +208,16 @@ func (r *Replica) Cluster() *geoserve.Cluster {
 // jittered backoff and success rearms it.
 func (r *Replica) Run(ctx context.Context) error {
 	for {
-		_, err := r.SyncOnce(ctx)
-		var d time.Duration
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
+		d := r.cfg.PollInterval
+		if _, err := r.SyncOnce(ctx); err != nil {
 			d = r.backoff.Next()
 		} else {
 			r.backoff.Reset()
-			d = r.cfg.PollInterval
 		}
-		timer := time.NewTimer(d)
 		select {
 		case <-ctx.Done():
-			timer.Stop()
 			return ctx.Err()
-		case <-timer.C:
+		case <-time.After(d):
 		}
 	}
 }
@@ -261,19 +254,15 @@ func (r *Replica) SyncOnce(ctx context.Context) (swapped bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	r.lastContact.Store(r.now().UnixNano())
-	for attempt := 0; ; attempt++ {
-		swapped, err = r.syncToManifest(ctx, m)
-		if errors.Is(err, ErrEpochGone) && attempt == 0 {
-			r.epochGone.Add(1)
-			if m, err = r.fetchManifest(ctx); err != nil {
-				return false, err
-			}
-			r.lastContact.Store(r.now().UnixNano())
-			continue
+	swapped, err = r.syncToManifest(ctx, m)
+	if errors.Is(err, ErrEpochGone) {
+		r.epochGone.Add(1)
+		if m, err = r.fetchManifest(ctx); err != nil {
+			return false, err
 		}
-		return swapped, err
+		swapped, err = r.syncToManifest(ctx, m)
 	}
+	return swapped, err
 }
 
 // syncToManifest brings the replica up to one specific manifest: no-op
@@ -348,22 +337,11 @@ func (r *Replica) trySyncDelta(ctx context.Context, cur *served, m Manifest) (*g
 }
 
 func (r *Replica) fetchDelta(ctx context.Context, cur *served, m Manifest) (*geoserve.Snapshot, error) {
-	url := fmt.Sprintf("%s/v1/replication/delta/%d/%d", r.cfg.BuilderURL, cur.epoch, m.Epoch)
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
+	resp, err := r.get(ctx, fmt.Sprintf("/v1/replication/delta/%d/%d", cur.epoch, m.Epoch), 0)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := r.cfg.Client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("replica: delta fetch: %w", err)
-	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode == http.StatusNotFound && resp.Header.Get(goneHeader) != "" {
-			return nil, fmt.Errorf("%w: delta base %d pruned", ErrEpochGone, cur.epoch)
-		}
-		return nil, fmt.Errorf("replica: delta fetch: status %d", resp.StatusCode)
-	}
 	// A delta bigger than the full file plus slack is either damage or
 	// not worth applying; the limit turns it into an Apply failure.
 	blob, err := io.ReadAll(io.LimitReader(resp.Body, m.SizeBytes+(1<<20)))
@@ -467,19 +445,39 @@ func (r *Replica) selfProbe(clu *geoserve.Cluster, epoch uint64) error {
 	return nil
 }
 
-func (r *Replica) fetchManifest(ctx context.Context) (Manifest, error) {
-	req, err := http.NewRequestWithContext(ctx, "GET", r.cfg.BuilderURL+"/v1/replication/manifest", nil)
+// get is the one replication GET: it asks the builder for path — from
+// byte rangeFrom on when that is positive — and returns the open
+// response for a 200, or for the 206 a ranged request may get. Anything
+// else is an error, a 404 marked X-Geo-Gone the typed ErrEpochGone (the
+// epoch left the retention window; a fresh manifest cures it).
+func (r *Replica) get(ctx context.Context, path string, rangeFrom int) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, "GET", r.cfg.BuilderURL+path, nil)
 	if err != nil {
-		return Manifest{}, err
+		return nil, err
+	}
+	if rangeFrom > 0 {
+		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", rangeFrom))
 	}
 	resp, err := r.cfg.Client.Do(req)
 	if err != nil {
-		return Manifest{}, fmt.Errorf("replica: manifest fetch: %w", err)
+		return nil, fmt.Errorf("replica: GET %s: %w", path, err)
+	}
+	if resp.StatusCode == http.StatusOK || rangeFrom > 0 && resp.StatusCode == http.StatusPartialContent {
+		return resp, nil
+	}
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound && resp.Header.Get(goneHeader) != "" {
+		return nil, fmt.Errorf("%w: GET %s", ErrEpochGone, path)
+	}
+	return nil, fmt.Errorf("replica: GET %s: status %d", path, resp.StatusCode)
+}
+
+func (r *Replica) fetchManifest(ctx context.Context) (Manifest, error) {
+	resp, err := r.get(ctx, "/v1/replication/manifest", 0)
+	if err != nil {
+		return Manifest{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Manifest{}, fmt.Errorf("replica: manifest fetch: status %d", resp.StatusCode)
-	}
 	var m Manifest
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&m); err != nil {
 		return Manifest{}, fmt.Errorf("replica: manifest decode: %w", err)
@@ -487,6 +485,7 @@ func (r *Replica) fetchManifest(ctx context.Context) (Manifest, error) {
 	if m.Epoch == 0 || m.SizeBytes <= 0 {
 		return Manifest{}, fmt.Errorf("replica: manifest names epoch %d size %d", m.Epoch, m.SizeBytes)
 	}
+	r.lastContact.Store(r.now().UnixNano())
 	return m, nil
 }
 
@@ -502,30 +501,19 @@ func (r *Replica) fetchBlob(ctx context.Context, m Manifest) ([]byte, error) {
 	buf := r.partial
 	r.mu.Unlock()
 
-	url := fmt.Sprintf("%s/v1/replication/snapshot/%d", r.cfg.BuilderURL, m.Epoch)
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
+	rangeFrom := 0
+	if int64(len(buf)) < m.SizeBytes {
+		rangeFrom = len(buf)
+	}
+	resp, err := r.get(ctx, fmt.Sprintf("/v1/replication/snapshot/%d", m.Epoch), rangeFrom)
 	if err != nil {
 		return nil, err
 	}
-	resuming := len(buf) > 0 && int64(len(buf)) < m.SizeBytes
-	if resuming {
-		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", len(buf)))
-	}
-	resp, err := r.cfg.Client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("replica: snapshot fetch: %w", err)
-	}
 	defer resp.Body.Close()
-	switch {
-	case resuming && resp.StatusCode == http.StatusPartialContent:
+	if resp.StatusCode == http.StatusPartialContent {
 		r.resumes.Add(1)
-	case resp.StatusCode == http.StatusOK:
+	} else {
 		buf = buf[:0] // full body (server ignored or was not sent Range)
-	default:
-		if resp.StatusCode == http.StatusNotFound && resp.Header.Get(goneHeader) != "" {
-			return nil, fmt.Errorf("%w: snapshot epoch %d pruned", ErrEpochGone, m.Epoch)
-		}
-		return nil, fmt.Errorf("replica: snapshot fetch: status %d", resp.StatusCode)
 	}
 
 	// Read at most what the manifest promised (+1 to detect overruns);

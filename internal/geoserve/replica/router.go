@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,31 +19,24 @@ import (
 	"geonet/internal/obs"
 )
 
-// RouterConfig shapes the fan-out tier.
+// RouterConfig names the fleet and the tunables of the request path.
 type RouterConfig struct {
 	// Replicas are the replica base URLs (no trailing slash).
 	Replicas []string
 	// Client performs probes and forwards; nil means http.DefaultClient.
 	Client *http.Client
-	// ProbeInterval is the health-probe cadence under Run (default 1s).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe (default 2s).
-	ProbeTimeout time.Duration
 	// FailThreshold is how many consecutive failures eject a replica
 	// (default 2). Ejected replicas are probed and readmitted on the
 	// first healthy answer.
 	FailThreshold int
-	// RetryAfter is the Retry-After hint on shed (503) responses
-	// (default 1s).
-	RetryAfter time.Duration
 	// RequestTimeout bounds one forwarded attempt — a replica that
 	// stalls past it is treated as failed and the request moves on
 	// (default 5s).
 	RequestTimeout time.Duration
-	// RetryBudget caps the global retry token pool (default 16). Every
-	// retry spends a whole token, every success earns a tenth back, so
-	// under sustained failure at most ~10% of traffic is retried and a
-	// retry storm can't amplify an outage.
+	// RetryBudget caps the global retry token pool (default 16; negative
+	// means none). Every retry spends a whole token, every success earns
+	// a tenth back, so under sustained failure at most ~10% of traffic
+	// is retried and a retry storm can't amplify an outage.
 	RetryBudget int
 	// BreakerThreshold is how many consecutive request failures open a
 	// member's circuit breaker (default 3); while open the member gets
@@ -59,17 +52,8 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.Client == nil {
 		c.Client = http.DefaultClient
 	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 2
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
@@ -77,9 +61,7 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.RetryBudget == 0 {
 		c.RetryBudget = 16
 	}
-	if c.RetryBudget < 0 {
-		c.RetryBudget = 0
-	}
+	c.RetryBudget = max(c.RetryBudget, 0)
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
 	}
@@ -89,8 +71,16 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	return c
 }
 
-// member is the router's view of one replica. All mutable fields are
-// guarded by Router.mu.
+// probeInterval is the health-probe cadence under Run; probeTimeout
+// bounds one probe. Like a shed's Retry-After of 1 s they are not
+// options: no deployment or test needs another value.
+const (
+	probeInterval = time.Second
+	probeTimeout  = 2 * time.Second
+)
+
+// member is the router's view of one replica. Every field but url is
+// guarded by Router.mu; probed, pick and settle are the only writers.
 type member struct {
 	url     string
 	healthy bool
@@ -104,9 +94,9 @@ type member struct {
 	failures     uint64
 	ejections    uint64
 	readmissions uint64
-	// inflight and ewmaMs feed least-outstanding-requests planning:
-	// inflight counts forwards this router currently has open against
-	// the member, ewmaMs smooths its observed response latency.
+	// inflight and ewmaMs are what pick chooses by: inflight counts the
+	// attempts pick has handed out against the member and settle has not
+	// yet taken back, ewmaMs smooths its served replies' latency.
 	inflight int
 	ewmaMs   float64
 	ewmaSet  bool
@@ -118,41 +108,44 @@ type member struct {
 	breakerTrips     uint64
 }
 
-// Router fans geoserve lookups over a fleet of replicas. It probes
-// each replica's /healthz, ejects members after FailThreshold
-// consecutive failures and readmits them on the next healthy probe,
-// and sends every request whole — a single lookup, a JSON batch, a
-// binary frame — to one replica at the agreed epoch. That replica
-// answers it from one snapshot and its X-Geo-Epoch is relayed, so no
-// answer set can blend snapshots. When no healthy replica holds a
-// complete epoch the router sheds with 503 + Retry-After rather than
-// degrade silently.
+// Router fans geoserve lookups over a fleet of replicas. It sends
+// every request whole — a single lookup, a JSON batch, a binary frame —
+// to one replica at the plan epoch (the highest epoch a routable member
+// holds). That replica answers it from one snapshot and its X-Geo-Epoch
+// is relayed, so no answer set can blend snapshots. When no routable
+// replica holds a complete epoch the router sheds with 503 +
+// Retry-After rather than degrade silently.
 //
-// Within the plan, traffic goes to the member with the fewest
-// outstanding requests (latency EWMA breaking ties, round-robin after
-// that), each attempt runs under RequestTimeout, retries draw from a
-// global token budget, and a per-member circuit breaker sits on top of
-// probe-driven ejection so a replica that answers probes but fails
-// requests still loses its traffic.
+// One forwarded attempt is two critical sections on mu: pick decides
+// where it goes (plan epoch, member, retry token, outstanding count)
+// and settle, once it has run under RequestTimeout, records what it
+// showed (latency, breaker, ejection, budget refund, epoch). Each being
+// one step, a half-open member has at most one request outstanding and
+// a retry token is spent in the same step that chooses the retry's
+// member. probed, the third writer, applies a /healthz result: probes
+// alone readmit an ejected member, while the per-member breaker takes
+// traffic from a replica that answers probes but fails requests.
 //
 // Members start unprobed (unhealthy); call Run or ProbeOnce before
 // serving.
 type Router struct {
 	cfg     RouterConfig
 	members []*member
-	mu      sync.Mutex
-	rr      atomic.Uint64
 
+	// mu guards every member's fields and the four below.
+	mu sync.Mutex
+	// rr rotates pick's starting point among equally loaded members.
+	rr uint64
 	// budgetTenths holds the retry budget in tenths of a token; it
 	// starts full so a cold router retries freely.
-	budgetTenths atomic.Int64
-	budgetDenied atomic.Uint64
+	budgetTenths int64
+	budgetDenied uint64
+	retries      uint64
 
 	draining atomic.Bool
 	inflight atomic.Int64
 
 	requests atomic.Uint64
-	retries  atomic.Uint64
 	sheds    atomic.Uint64
 	start    time.Time
 	// now is stubbed in tests (breaker cooldowns).
@@ -163,8 +156,8 @@ type Router struct {
 // NewRouter builds a router over the configured replica URLs.
 func NewRouter(cfg RouterConfig) *Router {
 	cfg = cfg.withDefaults()
-	r := &Router{cfg: cfg, start: time.Now(), now: time.Now, obs: obs.NewObservability("router")}
-	r.budgetTenths.Store(int64(cfg.RetryBudget) * 10)
+	r := &Router{cfg: cfg, start: time.Now(), now: time.Now, obs: obs.NewObservability("router"),
+		budgetTenths: int64(cfg.RetryBudget) * 10}
 	for _, u := range cfg.Replicas {
 		r.members = append(r.members, &member{url: u})
 	}
@@ -227,17 +220,11 @@ func (r *Router) ensureTrace(req *http.Request) *obs.Trace {
 // already here (or racing in) are still served normally.
 func (r *Router) Drain() { r.draining.Store(true) }
 
-// Draining reports whether Drain has been called.
-func (r *Router) Draining() bool { return r.draining.Load() }
-
-// InFlight is the number of requests the router is currently serving.
-func (r *Router) InFlight() int64 { return r.inflight.Load() }
-
-// Run probes the fleet once immediately, then on every ProbeInterval
+// Run probes the fleet once immediately, then on every probeInterval
 // tick, until ctx ends.
 func (r *Router) Run(ctx context.Context) error {
 	r.ProbeOnce(ctx)
-	ticker := time.NewTicker(r.cfg.ProbeInterval)
+	ticker := time.NewTicker(probeInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -255,58 +242,40 @@ func (r *Router) ProbeOnce(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, m := range r.members {
 		wg.Add(1)
-		go func(m *member) {
+		go func() {
 			defer wg.Done()
 			r.probe(ctx, m)
-		}(m)
+		}()
 	}
 	wg.Wait()
 }
 
 func (r *Router) probe(ctx context.Context, m *member) {
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", m.url+"/healthz", nil)
-	if err != nil {
-		r.noteFailure(m)
-		return
-	}
-	resp, err := r.cfg.Client.Do(req)
-	if err != nil {
-		r.noteFailure(m)
-		return
-	}
-	defer resp.Body.Close()
 	var body healthzBody
-	if resp.StatusCode != http.StatusOK ||
-		json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body) != nil ||
-		body.Epoch == 0 {
-		r.noteFailure(m)
+	ok := false
+	if req, err := http.NewRequestWithContext(ctx, "GET", m.url+"/healthz", nil); err == nil {
+		if resp, err := r.cfg.Client.Do(req); err == nil {
+			ok = resp.StatusCode == http.StatusOK &&
+				json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body) == nil &&
+				body.Epoch != 0
+			resp.Body.Close()
+		}
+	}
+	r.probed(m, body.Epoch, body.Digest, ok)
+}
+
+// probed applies one probe result. A healthy one refreshes the epoch
+// and is the only thing that readmits an ejected member; a failed one
+// counts toward ejection.
+func (r *Router) probed(m *member, epoch uint64, digest string, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !ok {
+		r.failedLocked(m)
 		return
 	}
-	r.noteHealthy(m, body.Epoch, body.Digest)
-}
-
-// noteFailure records a failed probe or request and applies ejection.
-func (r *Router) noteFailure(m *member) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.noteFailureLocked(m)
-}
-
-func (r *Router) noteFailureLocked(m *member) {
-	m.failures++
-	m.consecFails++
-	if m.healthy && m.consecFails >= r.cfg.FailThreshold {
-		m.healthy = false
-		m.ejections++
-	}
-}
-
-// noteHealthy records a healthy probe: epoch refresh + readmission.
-func (r *Router) noteHealthy(m *member, epoch uint64, digest string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	m.consecFails = 0
 	m.epoch = epoch
 	if digest != "" {
@@ -321,64 +290,15 @@ func (r *Router) noteHealthy(m *member, epoch uint64, digest string) {
 	m.admitted = true
 }
 
-// noteServed records a successful forwarded request and advances the
-// member's observed epoch from the response headers (it does not
-// readmit — only probes do that, so one lucky response can't bounce a
-// flapping member back in ahead of its health check). It never lowers
-// the epoch: a reply the replica gave just before its swap can arrive
-// after the probe that saw the new epoch, and noting the old one would
-// starve the replica of traffic until the next probe.
-func (r *Router) noteServed(m *member, resp *http.Response) {
-	epoch, _ := strconv.ParseUint(resp.Header.Get("X-Geo-Epoch"), 10, 64)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m.requests++
-	m.consecFails = 0
-	if epoch > 0 && epoch >= m.epoch {
-		m.epoch = epoch
-		if d := resp.Header.Get("X-Geo-Digest"); d != "" {
-			m.digest = d
-		}
+// failedLocked counts a failed probe or attempt and ejects the member
+// at FailThreshold consecutive ones.
+func (r *Router) failedLocked(m *member) {
+	m.failures++
+	m.consecFails++
+	if m.healthy && m.consecFails >= r.cfg.FailThreshold {
+		m.healthy = false
+		m.ejections++
 	}
-}
-
-// startCall marks one outstanding request against the member.
-func (r *Router) startCall(m *member) {
-	r.mu.Lock()
-	m.inflight++
-	r.mu.Unlock()
-}
-
-// finishCall settles one outstanding request: a success folds its
-// latency into the EWMA and closes the breaker, a failure advances the
-// breaker (tripping it at BreakerThreshold, or re-arming the cooldown
-// when a half-open trial fails) and applies ejection.
-func (r *Router) finishCall(m *member, d time.Duration, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m.inflight--
-	if ok {
-		ms := float64(d) / float64(time.Millisecond)
-		if !m.ewmaSet {
-			m.ewmaMs, m.ewmaSet = ms, true
-		} else {
-			m.ewmaMs = 0.8*m.ewmaMs + 0.2*ms
-		}
-		m.breakerFails = 0
-		m.breakerOpenSince = time.Time{}
-		return
-	}
-	m.breakerFails++
-	if m.breakerOpenSince.IsZero() {
-		if m.breakerFails >= r.cfg.BreakerThreshold {
-			m.breakerOpenSince = r.now()
-			m.breakerTrips++
-		}
-	} else {
-		// A failed half-open trial re-arms the cooldown in full.
-		m.breakerOpenSince = r.now()
-	}
-	r.noteFailureLocked(m)
 }
 
 // breakerStateLocked derives the member's breaker state from its
@@ -401,90 +321,126 @@ func (r *Router) routableLocked(m *member) bool {
 	if !m.healthy {
 		return false
 	}
-	switch r.breakerStateLocked(m) {
-	case "open":
-		return false
-	case "half-open":
-		return m.inflight == 0
-	}
-	return true
+	state := r.breakerStateLocked(m)
+	return state == "closed" || state == "half-open" && m.inflight == 0
 }
 
-// plan picks the serving epoch — the highest epoch any routable member
-// holds — and the routable members holding it. An empty slice means
-// the router must shed.
-func (r *Router) plan() (uint64, []*member) {
+// planLocked is the serving epoch — the highest epoch any routable
+// member holds — and how many routable members hold it. Zero members
+// means the router must shed.
+func (r *Router) planLocked() (epoch uint64, n int) {
+	for _, m := range r.members {
+		switch {
+		case m.epoch == 0 || m.epoch < epoch || !r.routableLocked(m):
+		case m.epoch > epoch:
+			epoch, n = m.epoch, 1
+		default:
+			n++
+		}
+	}
+	return epoch, n
+}
+
+// pick chooses the attempt's member and counts the call outstanding
+// against it in one step, so the next pick sees this one — a half-open
+// member's single trial and least-outstanding's counts are exact. Of
+// the plan's members this request has not tried it takes the fewest
+// outstanding, then the lowest latency EWMA, then the first after a
+// rotating starting point, so equally loaded members share traffic
+// round-robin instead of piling onto the first. A retry (tried
+// non-empty) spends one budget token, and only once there is a member
+// to retry on. nil means shed: no plan, nobody left to try, or a dry
+// budget — the caller must give up rather than amplify.
+func (r *Router) pick(tried []*member) *member {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.planLocked()
+	epoch, n := r.planLocked()
+	if n == 0 {
+		return nil
+	}
+	// A member's rank is how far past the rotation's starting point it
+	// sits among the plan's members.
+	start, pos := int(r.rr%uint64(n)), 0
+	r.rr++
+	var best *member
+	var bestRank int
+	for _, m := range r.members {
+		if m.epoch != epoch || !r.routableLocked(m) {
+			continue
+		}
+		rank := (pos - start + n) % n
+		pos++
+		if !slices.Contains(tried, m) && (best == nil || cmp.Or(
+			cmp.Compare(m.inflight, best.inflight), cmp.Compare(m.ewmaMs, best.ewmaMs), rank-bestRank) < 0) {
+			best, bestRank = m, rank
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	if len(tried) > 0 {
+		if r.budgetTenths < 10 {
+			r.budgetDenied++
+			return nil
+		}
+		r.budgetTenths -= 10
+		r.retries++
+	}
+	best.inflight++
+	return best
 }
 
-func (r *Router) planLocked() (uint64, []*member) {
+// settle takes the call back and records what the attempt showed.
+// resp is the served reply, nil for a failed attempt, which advances
+// the breaker (tripping it at BreakerThreshold, or re-arming the
+// cooldown when a half-open trial fails) and counts toward ejection.
+//
+// A served reply folds its latency into the EWMA, closes the breaker,
+// refunds a tenth of a retry token and advances the member's epoch
+// from the reply's headers. It does not readmit — only probes do that,
+// so one lucky response can't bounce a flapping member back in ahead of
+// its health check. It never lowers the epoch: a reply the replica
+// gave just before its swap can arrive after the probe that saw the
+// new epoch, and noting the old one would starve the replica of
+// traffic until the next probe.
+func (r *Router) settle(m *member, d time.Duration, resp *http.Response) {
 	var epoch uint64
-	for _, m := range r.members {
-		if r.routableLocked(m) && m.epoch > epoch {
-			epoch = m.epoch
-		}
-	}
-	if epoch == 0 {
-		return 0, nil
-	}
-	var ms []*member
-	for _, m := range r.members {
-		if r.routableLocked(m) && m.epoch == epoch {
-			ms = append(ms, m)
-		}
-	}
-	return epoch, ms
-}
-
-// orderByLoad returns the plan's members cheapest-first: fewest
-// outstanding requests, then lowest latency EWMA, with a rotating
-// starting point so equally-loaded members share traffic round-robin
-// instead of piling onto the first.
-func (r *Router) orderByLoad(ms []*member) []*member {
-	out := make([]*member, len(ms))
-	rot := int(r.rr.Add(1)-1) % len(ms)
-	for i := range ms {
-		out[i] = ms[(i+rot)%len(ms)]
+	if resp != nil {
+		epoch, _ = strconv.ParseUint(resp.Header.Get("X-Geo-Epoch"), 10, 64)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].inflight != out[j].inflight {
-			return out[i].inflight < out[j].inflight
+	m.inflight--
+	if resp == nil {
+		m.breakerFails++
+		if m.breakerOpenSince.IsZero() {
+			if m.breakerFails >= r.cfg.BreakerThreshold {
+				m.breakerOpenSince = r.now()
+				m.breakerTrips++
+			}
+		} else {
+			// A failed half-open trial re-arms the cooldown in full.
+			m.breakerOpenSince = r.now()
 		}
-		return out[i].ewmaMs < out[j].ewmaMs
-	})
-	return out
-}
-
-// allowRetry spends one retry token; false means the global budget is
-// exhausted and the caller must give up rather than amplify.
-func (r *Router) allowRetry() bool {
-	for {
-		cur := r.budgetTenths.Load()
-		if cur < 10 {
-			r.budgetDenied.Add(1)
-			return false
-		}
-		if r.budgetTenths.CompareAndSwap(cur, cur-10) {
-			r.retries.Add(1)
-			return true
-		}
+		r.failedLocked(m)
+		return
 	}
-}
-
-// earnBudget refunds a tenth of a retry token on a served request.
-func (r *Router) earnBudget() {
-	max := int64(r.cfg.RetryBudget) * 10
-	for {
-		cur := r.budgetTenths.Load()
-		if cur >= max {
-			return
-		}
-		if r.budgetTenths.CompareAndSwap(cur, cur+1) {
-			return
+	if ms := float64(d) / float64(time.Millisecond); m.ewmaSet {
+		m.ewmaMs = 0.8*m.ewmaMs + 0.2*ms
+	} else {
+		m.ewmaMs, m.ewmaSet = ms, true
+	}
+	m.breakerFails = 0
+	m.breakerOpenSince = time.Time{}
+	m.requests++
+	m.consecFails = 0
+	if r.budgetTenths < int64(r.cfg.RetryBudget)*10 {
+		r.budgetTenths++
+	}
+	if epoch > 0 && epoch >= m.epoch {
+		m.epoch = epoch
+		if d := resp.Header.Get("X-Geo-Digest"); d != "" {
+			m.digest = d
 		}
 	}
 }
@@ -494,7 +450,7 @@ func (r *Router) earnBudget() {
 // request to look up in /debug/tracez.
 func (r *Router) shed(w http.ResponseWriter, tr *obs.Trace) {
 	r.sheds.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(int((r.cfg.RetryAfter+time.Second-1)/time.Second)))
+	w.Header().Set("Retry-After", "1")
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	body := struct {
@@ -517,17 +473,17 @@ func (r *Router) Handler() http.Handler {
 		writeJSON(w, r.Status())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
-		epoch, ms := r.plan()
+		st := r.Status()
 		body := struct {
 			Status          string `json:"status"`
 			Epoch           uint64 `json:"epoch"`
 			HealthyReplicas int    `json:"healthy_replicas"`
-		}{"ok", epoch, len(ms)}
+		}{"ok", st.Epoch, st.HealthyReplicas}
 		switch {
-		case r.draining.Load():
+		case st.Draining:
 			body.Status = "draining"
 			w.WriteHeader(http.StatusServiceUnavailable)
-		case len(ms) == 0:
+		case st.HealthyReplicas == 0:
 			body.Status = "degraded"
 			w.Header().Set("Retry-After", "1")
 			w.WriteHeader(http.StatusServiceUnavailable)
@@ -582,11 +538,11 @@ func readReply(buf []byte, method string, resp *http.Response) ([]byte, error) {
 	return body, err
 }
 
-// forward proxies one request to the least-loaded replica at the plan
-// epoch, trying each other one at most once on transport failure,
-// timeout, replica-side 5xx or a short body as long as the retry budget
-// holds. A request that cannot be read whole is refused before any
-// replica is contacted.
+// forward proxies one request to the replica pick chooses, and on
+// transport failure, timeout, replica-side 5xx or a short body to the
+// next one it chooses — each member at most once, for as long as the
+// retry budget holds. A request that cannot be read whole is refused
+// before any replica is contacted.
 func (r *Router) forward(w http.ResponseWriter, req *http.Request, tr *obs.Trace) {
 	r.requests.Add(1)
 	// Sized once but never reused: the transport may still be reading
@@ -605,56 +561,47 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, tr *obs.Trace
 		}
 	}
 	// A member that failed this request is not asked again: one failure
-	// leaves it routable, and a low latency EWMA would sort it first.
-	var failed []*member
-	for len(failed) < len(r.members) {
-		_, ms := r.plan()
-		if len(failed) > 0 {
-			ms = slices.DeleteFunc(ms, func(m *member) bool { return slices.Contains(failed, m) })
-		}
-		if len(ms) == 0 || len(failed) > 0 && !r.allowRetry() {
-			break
-		}
-		m := r.orderByLoad(ms)[0]
-		done, err := r.forwardOnce(w, req, m, body, tr)
-		if err != nil {
-			httpJSONError(w, http.StatusInternalServerError, "%v", err)
+	// leaves it routable, and a low latency EWMA would rank it first.
+	// Every pass adds one, so the loop ends within len(r.members).
+	var tried []*member
+	for m := r.pick(tried); m != nil; m = r.pick(tried) {
+		if r.forwardOnce(w, req, m, body, tr) {
 			return
 		}
-		if done {
-			return
-		}
-		failed = append(failed, m)
+		tried = append(tried, m)
 	}
 	r.shed(w, tr)
 }
 
-// forwardOnce runs one attempt against m under the per-request
-// deadline. done=false means "retry elsewhere"; a non-nil error is a
-// local request-construction failure worth a 500.
-func (r *Router) forwardOnce(w http.ResponseWriter, req *http.Request, m *member, body []byte, tr *obs.Trace) (done bool, err error) {
+// forwardOnce runs the attempt pick counted against m under the
+// per-request deadline and settles it, exactly once on every path.
+// false means "retry elsewhere".
+func (r *Router) forwardOnce(w http.ResponseWriter, req *http.Request, m *member, body []byte, tr *obs.Trace) bool {
 	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
 	defer cancel()
+	t0 := time.Now()
 	out, err := http.NewRequestWithContext(ctx, req.Method, m.url+req.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
-		return false, err
+		// Only the member's URL differs between attempts, so a request
+		// that cannot be built for it is this member's failure.
+		r.settle(m, 0, nil)
+		tr.Span("router.forward", t0, obs.A("replica", m.url), obs.A("outcome", "bad-url"))
+		return false
 	}
 	// The clone carries X-Geo-Trace: ensureTrace stamped it onto the
 	// incoming request, so the replica joins the same trace.
 	out.Header = req.Header.Clone()
-	r.startCall(m)
-	t0 := time.Now()
 	resp, err := r.cfg.Client.Do(out)
 	if err != nil {
-		r.finishCall(m, 0, false)
+		r.settle(m, 0, nil)
 		tr.Span("router.forward", t0, obs.A("replica", m.url), obs.A("outcome", "transport-error"))
-		return false, nil
+		return false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 500 {
-		r.finishCall(m, 0, false)
+		r.settle(m, 0, nil)
 		tr.Span("router.forward", t0, obs.A("replica", m.url), obs.AInt("status", resp.StatusCode), obs.A("outcome", "retry"))
-		return false, nil
+		return false
 	}
 	// Buffer the whole body before declaring success: a replica that
 	// returned headers and then stalled, reset or ended mid-body is a
@@ -667,16 +614,14 @@ func (r *Router) forwardOnce(w http.ResponseWriter, req *http.Request, m *member
 		defer replyPool.Put(buf)
 	}
 	if err != nil {
-		r.finishCall(m, 0, false)
+		r.settle(m, 0, nil)
 		tr.Span("router.forward", t0, obs.A("replica", m.url), obs.A("outcome", "truncated"))
-		return false, nil
+		return false
 	}
-	r.finishCall(m, time.Since(t0), true)
-	r.earnBudget()
-	r.noteServed(m, resp)
+	r.settle(m, time.Since(t0), resp)
 	tr.Span("router.forward", t0, obs.A("replica", m.url), obs.AInt("status", resp.StatusCode))
 	copyResponse(w, resp, respBody)
-	return true, nil
+	return true
 }
 
 func copyResponse(w http.ResponseWriter, resp *http.Response, body []byte) {
@@ -730,18 +675,18 @@ type RouterStatus struct {
 func (r *Router) Status() RouterStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	epoch, ms := r.planLocked()
+	epoch, n := r.planLocked()
 	st := RouterStatus{
 		UptimeSeconds:   time.Since(r.start).Seconds(),
 		Epoch:           epoch,
-		HealthyReplicas: len(ms),
+		HealthyReplicas: n,
 		Draining:        r.draining.Load(),
 		InFlight:        r.inflight.Load(),
 		Requests:        r.requests.Load(),
-		Retries:         r.retries.Load(),
+		Retries:         r.retries,
 		Sheds:           r.sheds.Load(),
-		RetryBudget:     float64(r.budgetTenths.Load()) / 10,
-		BudgetDenied:    r.budgetDenied.Load(),
+		RetryBudget:     float64(r.budgetTenths) / 10,
+		BudgetDenied:    r.budgetDenied,
 	}
 	for _, m := range r.members {
 		st.Replicas = append(st.Replicas, RouterReplica{

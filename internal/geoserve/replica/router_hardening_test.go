@@ -327,3 +327,109 @@ func TestRouterLateReplyKeepsProbedEpoch(t *testing.T) {
 			st.Epoch, got.Epoch, got.Digest, snap2.Digest())
 	}
 }
+
+// TestRouterHalfOpenAdmitsOneTrial pins the breaker's single-trial
+// rule: when a cooldown ends under load, exactly one request reaches
+// the half-open member and every other one is shed until the trial
+// settles. The replica holds the trial until all 31 others have
+// returned, so a second request let through — which takes choosing the
+// member and counting the call outstanding to be two critical sections
+// — shows as a peak of 2, never as a hang: the hold counts whoever got
+// in.
+func TestRouterHalfOpenAdmitsOneTrial(t *testing.T) {
+	const clients, rounds = 32, 100
+	snap := makeSnapshot(t, 26, 20, 6)
+	var broken atomic.Bool
+	decide := func(_ int, req *http.Request) faultinject.Fault {
+		if broken.Load() && req.URL.Host == "rep0" && req.URL.Path != "/healthz" {
+			return faultinject.Fault{Drop: true, FlipBit: -1}
+		}
+		return faultinject.Clean
+	}
+	f := newFleetWith(t, 1, snap, decide, RouterConfig{
+		FailThreshold:    1 << 20, // ejection out of reach: breaker only
+		BreakerThreshold: 2,
+		BreakerCooldown:  time.Minute,
+	})
+	var clock atomic.Int64
+	start := time.Now()
+	f.router.now = func() time.Time { return start.Add(time.Duration(clock.Load())) }
+
+	// The wrapper counts concurrent queries on rep0 and holds each one
+	// until the round's release.
+	var cur, peak atomic.Int64
+	entered := make(chan struct{}, clients)
+	var release chan struct{}
+	rep0 := f.mux["rep0"]
+	f.mux["rep0"] = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/healthz" {
+			rep0.ServeHTTP(w, req)
+			return
+		}
+		n := cur.Add(1)
+		defer cur.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		entered <- struct{}{}
+		<-release
+		rep0.ServeHTTP(w, req)
+	})
+
+	for round := 0; round < rounds; round++ {
+		// Trip the breaker: the only member fails twice, each a shed.
+		broken.Store(true)
+		for i := 0; i < 2; i++ {
+			if code, _ := get(t, f.client, "http://router/v1/locate?ip=10.1.0.1"); code != http.StatusServiceUnavailable {
+				t.Fatalf("round %d: tripping request %d: status %d", round, i, code)
+			}
+		}
+		if st := f.router.Status().Replicas[0]; st.BreakerState != "open" {
+			t.Fatalf("round %d: breaker %q after two failures, want open", round, st.BreakerState)
+		}
+		broken.Store(false)
+		clock.Add(int64(2 * time.Minute))
+
+		release = make(chan struct{})
+		gate := make(chan struct{})
+		codes := make(chan int, clients)
+		for i := 0; i < clients; i++ {
+			go func() {
+				<-gate
+				resp, err := f.client.Get("http://router/v1/locate?ip=10.1.0.1")
+				if err != nil {
+					codes <- -1
+					return
+				}
+				resp.Body.Close()
+				codes <- resp.StatusCode
+			}()
+		}
+		close(gate)
+		// Hold the trial(s) until every other request has returned.
+		var shed, served, inside int
+		for shed+inside < clients {
+			select {
+			case code := <-codes:
+				if code != http.StatusServiceUnavailable {
+					t.Fatalf("round %d: status %d while the trial was still held", round, code)
+				}
+				shed++
+			case <-entered:
+				inside++
+			}
+		}
+		close(release)
+		for i := 0; i < inside; i++ {
+			if code := <-codes; code == http.StatusOK {
+				served++
+			}
+		}
+		if p := peak.Load(); p != 1 || inside != 1 || shed != clients-1 || served != 1 {
+			t.Fatalf("round %d: %d requests reached the half-open member (peak %d concurrent), %d shed, %d served; want 1 trial, %d shed",
+				round, inside, p, shed, served, clients-1)
+		}
+		if st := f.router.Status().Replicas[0]; st.BreakerState != "closed" || st.InFlight != 0 {
+			t.Fatalf("round %d: after the trial succeeded: breaker %q, %d in flight", round, st.BreakerState, st.InFlight)
+		}
+	}
+}

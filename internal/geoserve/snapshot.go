@@ -231,11 +231,6 @@ func (w *hashWriter) grow(n int) {
 	}
 }
 
-func (w *hashWriter) u8(v uint8) {
-	w.grow(1)
-	w.buf = append(w.buf, v)
-}
-
 func (w *hashWriter) u32(v uint32) {
 	w.grow(4)
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)

@@ -252,9 +252,6 @@ func NewWireReader(r io.Reader) (*WireReader, error) {
 	return &WireReader{r: r, mapper: mapper}, nil
 }
 
-// Mapper reports the resolved mapper index echoed by the server.
-func (wr *WireReader) Mapper() uint16 { return wr.mapper }
-
 // Next reads one answer frame, appending its answers to out. It
 // returns io.EOF at a clean end of the response (a stream terminator
 // frame, or the end of a batch reply); a stream error frame surfaces

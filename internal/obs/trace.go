@@ -155,9 +155,6 @@ func NewRecorder(component string) *Recorder {
 // SetSlowThreshold overrides the slow-ring admission threshold.
 func (r *Recorder) SetSlowThreshold(d time.Duration) { r.slowNs = int64(d) }
 
-// Component names the recorder's process role.
-func (r *Recorder) Component() string { return r.component }
-
 // Recorded counts spans ever recorded (including ones since evicted).
 func (r *Recorder) Recorded() uint64 { return r.recorded.Load() }
 
