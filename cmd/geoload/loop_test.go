@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"maps"
 	"net/http"
@@ -15,11 +16,12 @@ import (
 
 	"geonet/internal/analysis"
 	"geonet/internal/geoserve"
+	"geonet/internal/geoserve/replica"
 )
 
-// testHandler serves a 16-prefix world where every other /24 has an
+// testSnapshot is a 16-prefix world where every other /24 has an
 // answer, under mapper "ixmapper".
-func testHandler(t *testing.T) http.Handler {
+func testSnapshot(t *testing.T) *geoserve.Snapshot {
 	t.Helper()
 	tb := geoserve.Tables{
 		Build:      geoserve.BuildInfo{Seed: 1, Scale: 0.5, Label: "geoload-test"},
@@ -43,7 +45,7 @@ func testHandler(t *testing.T) http.Handler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return geoserve.NewHandler(geoserve.NewEngine(snap))
+	return snap
 }
 
 // node starts one fleet member answering under the given epoch; an
@@ -69,7 +71,8 @@ func node(t *testing.T, h http.Handler, epoch string) string {
 // against two where the first throttles, and against two on different
 // epochs, over both request encodings a router also serves.
 func TestLoopOverFleet(t *testing.T) {
-	h := testHandler(t)
+	snap := testSnapshot(t)
+	h := geoserve.NewHandler(geoserve.NewEngine(snap))
 	cases := []struct {
 		name   string
 		epochs []string // per node; "" = always 503 + Retry-After
@@ -209,6 +212,50 @@ func TestLoopOverFleet(t *testing.T) {
 			})
 		}
 	}
+
+	// Through a real router over real replicas, run as main runs it:
+	// with the default -mapper, both encodings answer every lookup (a
+	// router's /healthz lists no mappers to resolve a name against).
+	routerURL := testRouter(t, snap)
+	for _, wire := range []string{"json", "bin"} {
+		t.Run(wire+"/through a router", func(t *testing.T) {
+			var out strings.Builder
+			args := []string{"-target", routerURL, "-wire", wire, "-wirebatch", "8", "-concurrency", "2", "-duration", "100ms"}
+			if err := run(args, &out); err != nil {
+				t.Fatalf("geoload %v: %v\n%s", args, err, out.String())
+			}
+			if !strings.Contains(out.String(), " errors=0 ") {
+				t.Errorf("lookups failed through the router:\n%s", out.String())
+			}
+		})
+	}
+}
+
+// testRouter publishes snap to two replicas behind a router and returns
+// the router's URL once it plans on them.
+func testRouter(t *testing.T, snap *geoserve.Snapshot) string {
+	t.Helper()
+	pub := replica.NewPublisher()
+	if _, err := pub.Publish(snap); err != nil {
+		t.Fatal(err)
+	}
+	builder := httptest.NewServer(pub.Handler())
+	t.Cleanup(builder.Close)
+	var urls []string
+	for range 2 {
+		r := replica.New(replica.Config{BuilderURL: builder.URL, WarmupProbes: -1})
+		if _, err := r.SyncOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(r.Handler())
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	router := replica.NewRouter(replica.RouterConfig{Replicas: urls})
+	router.ProbeOnce(context.Background())
+	srv := httptest.NewServer(router.Handler())
+	t.Cleanup(srv.Close)
+	return srv.URL
 }
 
 // fixedTarget answers every round trip the same way, at once.

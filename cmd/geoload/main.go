@@ -58,24 +58,33 @@ import (
 )
 
 func main() {
-	targets := flag.String("target", "", "comma-separated base URLs of the geoserved nodes to drive")
-	mapper := flag.String("mapper", "ixmapper", "mapper to query")
-	concurrency := flag.Int("concurrency", 4, "closed-loop workers")
-	duration := flag.Duration("duration", 5*time.Second, "measurement duration")
-	mixName := flag.String("mix", "uniform", "address mix: uniform, zipf or unmappable")
-	zipfTheta := flag.Float64("zipftheta", 1.2, "Zipf exponent for -mix zipf")
-	loadSeed := flag.Int64("loadseed", 1, "seed for the address draw streams")
-	jsonOut := flag.String("json", "", "write the run as JSON to this file ('-' = stdout)")
-	wire := flag.String("wire", "json", "request encoding: json (GET /v1/locate), bin (binary batches to /v1/locate/bin) or stream (full-duplex /v1/locate/stream)")
-	wireBatch := flag.Int("wirebatch", 256, "addresses per binary batch or stream chunk (-wire bin|stream)")
-	churnEvery := flag.Duration("churn-every", 0, "fire POST /v1/admin/churn on the first target at this interval during the run (0 = off), measuring sustained QPS through continuous rebuilds")
-	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("geoload: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command over args; any error, including lookups
+// that failed for good, makes the exit status 1.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("geoload", flag.ExitOnError)
+	targets := fs.String("target", "", "comma-separated base URLs of the geoserved nodes to drive")
+	mapper := fs.String("mapper", "", "mapper to query (default: the served snapshot's first)")
+	concurrency := fs.Int("concurrency", 4, "closed-loop workers")
+	duration := fs.Duration("duration", 5*time.Second, "measurement duration")
+	mixName := fs.String("mix", "uniform", "address mix: uniform, zipf or unmappable")
+	zipfTheta := fs.Float64("zipftheta", 1.2, "Zipf exponent for -mix zipf")
+	loadSeed := fs.Int64("loadseed", 1, "seed for the address draw streams")
+	jsonOut := fs.String("json", "", "write the run as JSON to this file ('-' = stdout)")
+	wire := fs.String("wire", "json", "request encoding: json (GET /v1/locate), bin (binary batches to /v1/locate/bin) or stream (full-duplex /v1/locate/stream)")
+	wireBatch := fs.Int("wirebatch", 256, "addresses per binary batch or stream chunk (-wire bin|stream)")
+	churnEvery := fs.Duration("churn-every", 0, "fire POST /v1/admin/churn on the first target at this interval during the run (0 = off), measuring sustained QPS through continuous rebuilds")
+	fs.Parse(args)
 
 	mix, err := parseMix(*mixName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var urls []string
 	for _, u := range strings.Split(*targets, ",") {
@@ -85,15 +94,15 @@ func main() {
 	}
 	switch {
 	case len(urls) == 0:
-		log.Fatal("-target names no URL (the in-process rungs are bench/'s: go run -C bench . -workload inproc-lookup)")
+		return fmt.Errorf("-target names no URL (the in-process rungs are bench/'s: go run -C bench . -workload inproc-lookup)")
 	case *concurrency < 1:
-		log.Fatal("-concurrency must be >= 1")
+		return fmt.Errorf("-concurrency must be >= 1")
 	case !slices.Contains([]string{"json", "bin", "stream"}, *wire):
-		log.Fatalf("unknown -wire %q (json, bin or stream)", *wire)
+		return fmt.Errorf("unknown -wire %q (json, bin or stream)", *wire)
 	case *wireBatch < 1 || *wireBatch > geoserve.MaxBatch:
-		log.Fatalf("-wirebatch must be in [1, %d]", geoserve.MaxBatch)
+		return fmt.Errorf("-wirebatch must be in [1, %d]", geoserve.MaxBatch)
 	case *churnEvery < 0:
-		log.Fatal("-churn-every must be >= 0")
+		return fmt.Errorf("-churn-every must be >= 0")
 	}
 
 	client := &http.Client{Transport: &http.Transport{
@@ -102,7 +111,7 @@ func main() {
 	}}
 	prefixes, served, err := bootstrap(client, urls)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	l := &loop{
 		urls: urls, prefixes: prefixes, mix: mix, theta: *zipfTheta, loadSeed: *loadSeed,
@@ -112,7 +121,7 @@ func main() {
 	if *wire != "json" {
 		l.batch = *wireBatch
 		if mapperID, err = served.wireID(*mapper); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	for _, u := range urls {
@@ -140,15 +149,16 @@ func main() {
 	rep.GOMAXPROCS, rep.NumCPU = runtime.GOMAXPROCS(0), runtime.NumCPU()
 	rep.WorldScale, rep.Wire, rep.Mapper = served.Snapshot.Build.Scale, *wire, *mapper
 	rep.ChurnEveryNs, rep.ChurnSteps, rep.ChurnFailed = int64(*churnEvery), steps, failed
-	fmt.Print(rep.text())
+	fmt.Fprint(stdout, rep.text())
 	if *jsonOut != "" {
 		if err := rep.writeJSON(*jsonOut); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if rep.Total.Errors > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d lookups failed", rep.Total.Errors)
 	}
+	return nil
 }
 
 // fetchJSON decodes a 200 reply to GET url into v.
@@ -175,7 +185,9 @@ type healthz struct {
 }
 
 // wireID resolves a mapper name to its wire id: its index in the served
-// snapshot's mapper list.
+// snapshot's mapper list. The empty name is WireMapperDefault (the
+// first mapper) and needs no list, so it is the one that works through
+// a router.
 func (h *healthz) wireID(mapper string) (uint16, error) {
 	if mapper == "" {
 		return geoserve.WireMapperDefault, nil

@@ -17,8 +17,12 @@
 //
 // Entry points: internal/core.Run builds the pipeline;
 // internal/core.Experiments regenerates the paper's tables and figures;
-// cmd/paperrepro is the command-line driver; bench_test.go holds one
-// benchmark per table and figure.
+// cmd/paperrepro is the command-line driver, whose subcommands locate
+// (addresses on stdin answered exactly as GET /v1/locate would) and
+// topogen (waxman, er, ba and geogen test topologies) replace the old
+// single-purpose tools; the Example functions of internal/core and
+// internal/topogen are the runnable walkthroughs; bench_test.go holds
+// one benchmark per table and figure.
 //
 // # Parallelism
 //

@@ -1,10 +1,8 @@
 package bgp
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"geonet/internal/netgen"
 	"geonet/internal/population"
@@ -140,32 +138,6 @@ func TestTrieWalkOrdered(t *testing.T) {
 	}
 }
 
-func TestParsePrefix(t *testing.T) {
-	addr, l, err := ParsePrefix("10.1.2.0/24")
-	if err != nil || addr != 0x0A010200 || l != 24 {
-		t.Errorf("ParsePrefix = %x/%d, %v", addr, l, err)
-	}
-	for _, bad := range []string{"10.1.2.0", "10.1.2/24", "300.1.1.0/8", "10.1.2.0/33", "a.b.c.d/8", "10.1.2.0/"} {
-		if _, _, err := ParsePrefix(bad); err == nil {
-			t.Errorf("ParsePrefix(%q) should fail", bad)
-		}
-	}
-	// Round trip through Route.Prefix.
-	f := func(a uint32, l8 uint8) bool {
-		l := int(l8 % 33)
-		mask := uint32(0)
-		if l > 0 {
-			mask = ^uint32(0) << (32 - uint(l))
-		}
-		r := Route{Addr: a & mask, Len: l}
-		pa, pl, err := ParsePrefix(r.Prefix())
-		return err == nil && pa == r.Addr && pl == r.Len
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestAssembleAgainstGroundTruth(t *testing.T) {
 	world := population.Build(population.DefaultConfig(), rng.New(1))
 	gcfg := netgen.DefaultConfig()
@@ -207,50 +179,5 @@ func TestAssembleAgainstGroundTruth(t *testing.T) {
 	}
 	if float64(correct)/float64(total) < 0.9 {
 		t.Errorf("correct fraction = %v, want > 90%%", float64(correct)/float64(total))
-	}
-}
-
-func TestTableSerialiseRoundTrip(t *testing.T) {
-	var table Table
-	table.Insert(Route{Addr: 0x04000000, Len: 14, Origin: 64})
-	table.Insert(Route{Addr: 0x04040000, Len: 24, Origin: 65})
-	table.Insert(Route{Addr: 0xC0A80000, Len: 16, Origin: 99})
-
-	var buf bytes.Buffer
-	if _, err := table.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != table.Len() {
-		t.Fatalf("round trip lost routes: %d vs %d", back.Len(), table.Len())
-	}
-	for _, ip := range []uint32{0x04000001, 0x04040001, 0xC0A80101} {
-		a, aok := table.OriginAS(ip)
-		b, bok := back.OriginAS(ip)
-		if a != b || aok != bok {
-			t.Errorf("lookup %x differs after round trip", ip)
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		"10.0.0.0/8",           // missing origin
-		"10.0.0.0/8|x",         // non-numeric origin
-		"10.0.0.0|8|1",         // wrong separators
-		"10.0.0.0/40|12",       // bad length
-		"10.0.0.0/8|1|toomany", // extra field
-	} {
-		if _, err := Read(bytes.NewBufferString(bad + "\n")); err == nil {
-			t.Errorf("Read(%q) should fail", bad)
-		}
-	}
-	// Comments and blanks are fine.
-	table, err := Read(bytes.NewBufferString("# comment\n\n10.0.0.0/8|5\n"))
-	if err != nil || table.Len() != 1 {
-		t.Errorf("comment handling broken: %v, len=%d", err, table.Len())
 	}
 }

@@ -1,12 +1,6 @@
 package bgp
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
-
 	"geonet/internal/netgen"
 	"geonet/internal/rng"
 )
@@ -87,60 +81,8 @@ func (t *Table) OriginAS(ip uint32) (int, bool) {
 // Len reports the number of routes.
 func (t *Table) Len() int { return t.trie.Len() }
 
-// Insert adds a route directly (tests and file loading).
+// Insert adds a route directly (tests and churn).
 func (t *Table) Insert(r Route) { t.trie.Insert(r) }
 
 // Walk visits all routes in canonical order.
 func (t *Table) Walk(fn func(Route)) { t.trie.Walk(fn) }
-
-// WriteTo serialises the table in the pipe-separated text form used by
-// common RouteViews post-processing scripts: "prefix|origin_as".
-func (t *Table) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	var err error
-	t.Walk(func(r Route) {
-		if err != nil {
-			return
-		}
-		var k int
-		k, err = fmt.Fprintf(bw, "%s|%d\n", r.Prefix(), r.Origin)
-		n += int64(k)
-	})
-	if err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
-}
-
-// Read parses a table previously written by WriteTo (blank lines and
-// '#' comments are skipped).
-func Read(r io.Reader) (*Table, error) {
-	t := &Table{}
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		parts := strings.Split(text, "|")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("bgp: line %d: want prefix|origin, got %q", line, text)
-		}
-		addr, length, err := ParsePrefix(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("bgp: line %d: %v", line, err)
-		}
-		origin, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, fmt.Errorf("bgp: line %d: bad origin %q", line, parts[1])
-		}
-		t.Insert(Route{Addr: addr, Len: length, Origin: origin})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}

@@ -9,7 +9,6 @@ package bgp
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Route associates a prefix with its originating AS number.
@@ -17,12 +16,6 @@ type Route struct {
 	Addr   uint32
 	Len    int
 	Origin int // origin AS number
-}
-
-// Prefix renders the route's prefix in CIDR notation.
-func (r Route) Prefix() string {
-	return fmt.Sprintf("%d.%d.%d.%d/%d",
-		r.Addr>>24, (r.Addr>>16)&0xff, (r.Addr>>8)&0xff, r.Addr&0xff, r.Len)
 }
 
 // Trie is a binary (one bit per level) prefix trie supporting
@@ -115,46 +108,4 @@ func (t *Trie) Walk(fn func(Route)) {
 	for _, r := range routes {
 		fn(r)
 	}
-}
-
-// ParsePrefix parses "a.b.c.d/len" CIDR notation.
-func ParsePrefix(s string) (addr uint32, length int, err error) {
-	slash := strings.IndexByte(s, '/')
-	if slash < 0 {
-		return 0, 0, fmt.Errorf("bgp: missing / in prefix %q", s)
-	}
-	octets := strings.Split(s[:slash], ".")
-	if len(octets) != 4 {
-		return 0, 0, fmt.Errorf("bgp: bad address in %q", s)
-	}
-	for _, o := range octets {
-		v := 0
-		if o == "" {
-			return 0, 0, fmt.Errorf("bgp: empty octet in %q", s)
-		}
-		for _, c := range o {
-			if c < '0' || c > '9' {
-				return 0, 0, fmt.Errorf("bgp: bad octet %q", o)
-			}
-			v = v*10 + int(c-'0')
-		}
-		if v > 255 {
-			return 0, 0, fmt.Errorf("bgp: octet out of range in %q", s)
-		}
-		addr = addr<<8 | uint32(v)
-	}
-	if slash+1 >= len(s) {
-		return 0, 0, fmt.Errorf("bgp: missing length in %q", s)
-	}
-	l := 0
-	for _, c := range s[slash+1:] {
-		if c < '0' || c > '9' {
-			return 0, 0, fmt.Errorf("bgp: bad length in %q", s)
-		}
-		l = l*10 + int(c-'0')
-	}
-	if l > 32 {
-		return 0, 0, fmt.Errorf("bgp: length out of range in %q", s)
-	}
-	return addr, l, nil
 }

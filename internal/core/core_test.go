@@ -6,19 +6,28 @@ import (
 	"testing"
 )
 
-// The pipeline is expensive; run it once for the whole package.
+// The pipeline is expensive; run it once for the whole package,
+// examples included (see export_test.go).
 var testPipe *Pipeline
 
 func pipeline(tb testing.TB) *Pipeline {
 	tb.Helper()
+	p, err := sharedPipeline()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+func sharedPipeline() (*Pipeline, error) {
 	if testPipe == nil {
 		p, err := Run(TestConfig())
 		if err != nil {
-			tb.Fatal(err)
+			return nil, err
 		}
 		testPipe = p
 	}
-	return testPipe
+	return testPipe, nil
 }
 
 func TestPipelineProducesFourDatasets(t *testing.T) {

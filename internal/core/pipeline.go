@@ -116,6 +116,7 @@ func Run(cfg Config) (*Pipeline, error) {
 
 	say("building world population model")
 	p.World = population.Build(population.DefaultConfig(), root.Split("world"))
+	say("  %d places, %.0fM people", len(p.World.Places), p.World.Raster.Total()/1e6)
 
 	say("generating ground-truth internet (scale %.3f, %d workers)", cfg.Scale, workers)
 	gcfg := netgen.DefaultConfig()
@@ -128,9 +129,15 @@ func Run(cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("core: generator config: %w", err)
 	}
 	p.Internet = netgen.Build(gcfg, p.World)
-	say("  %d ASes, %d routers, %d interfaces, %d links",
+	inter := 0
+	for _, l := range p.Internet.Links {
+		if l.Inter {
+			inter++
+		}
+	}
+	say("  %d ASes, %d routers, %d interfaces, %d links (%d interdomain)",
 		len(p.Internet.ASes), len(p.Internet.Routers),
-		len(p.Internet.Ifaces), len(p.Internet.Links))
+		len(p.Internet.Ifaces), len(p.Internet.Links), inter)
 
 	say("compiling forwarding fabric")
 	p.Network = netsim.Compile(p.Internet)
@@ -181,10 +188,15 @@ func Run(cfg Config) (*Pipeline, error) {
 		func() { p.RawSkitter = skitter.Collect(p.Network, skCfg, root.Split("skitter")) },
 		func() { p.RawMercator = mercator.Collect(p.Network, mcCfg, root.Split("mercator")) },
 	)
-	say("  skitter: %d traces, %d interfaces, %d links",
-		p.RawSkitter.Stats.Traces, len(p.RawSkitter.Nodes), len(p.RawSkitter.Links))
-	say("  mercator: %d traces, %d interfaces -> %d routers",
-		p.RawMercator.Stats.Traces, len(p.RawMercator.IfaceNodes), len(p.RawMercator.RouterNodes))
+	sk, mc := p.RawSkitter, p.RawMercator
+	say("  skitter: %d monitors, %d traces (%d failed), %d interfaces, %d links, %d destinations",
+		sk.Stats.Monitors, sk.Stats.Traces, sk.Stats.TracesFailed,
+		len(sk.Nodes), len(sk.Links), len(sk.DestIPs))
+	say("  mercator: %d traces (%d source-routed), %d alias probes, %d aliases resolved",
+		mc.Stats.Traces, mc.Stats.LSRTraces, mc.Stats.AliasProbes, mc.Stats.AliasResolved)
+	say("  mercator: %d interfaces -> %d routers (%.1f%% collapse; paper: 268,382 -> 228,263 = 15%%)",
+		len(mc.IfaceNodes), len(mc.RouterNodes),
+		100*(1-float64(len(mc.RouterNodes))/float64(len(mc.IfaceNodes))))
 
 	say("processing datasets (Table I pipeline)")
 	combos := TableICombos()

@@ -40,13 +40,6 @@ func (d *DB) LOCLookup(name string) (LOC, bool) {
 func (d *DB) NumPTR() int { return len(d.ptr) }
 func (d *DB) NumLOC() int { return len(d.loc) }
 
-// ReverseName renders the in-addr.arpa owner name for an address — the
-// name a real PTR query would use.
-func ReverseName(ip uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d.in-addr.arpa.",
-		ip&0xff, (ip>>8)&0xff, (ip>>16)&0xff, ip>>24)
-}
-
 // FromInternet builds the world's DNS from ground truth: every named
 // interface gets a PTR record; ASes that publish LOC get a LOC record
 // per hostname carrying the router's true coordinates (wire-encoded and

@@ -150,12 +150,6 @@ func TestDBPTRAndLOC(t *testing.T) {
 	}
 }
 
-func TestReverseName(t *testing.T) {
-	if got := ReverseName(0x04010203); got != "3.2.1.4.in-addr.arpa." {
-		t.Errorf("ReverseName = %q", got)
-	}
-}
-
 func TestFromInternet(t *testing.T) {
 	world := population.Build(population.DefaultConfig(), rng.New(1))
 	cfg := netgen.DefaultConfig()

@@ -95,12 +95,5 @@ func (m *EdgeScape) Locate(ip uint32) (geo.Point, bool) {
 	return p, ok
 }
 
-// Method reports which technique located an address ("feed",
-// "hostname", "loc", "whois" or "").
-func (m *EdgeScape) Method(ip uint32) string {
-	_, method, _ := m.LocateMethod(ip)
-	return method
-}
-
 // FeedSize reports the number of /24s in the ISP feed (diagnostics).
 func (m *EdgeScape) FeedSize() int { return len(m.feed) }

@@ -42,7 +42,7 @@ const (
 
 // MethodMapper is a Mapper that also attributes each answer to the
 // technique that produced it. LocateMethod is the single resolution
-// path: Locate and per-tool Method diagnostics are derived from it, so
+// path: Locate is derived from it, so
 // attribution can never disagree with mappability (the invariant
 // TestMethodLocateAgreeEveryInterface locks in). The serving layer
 // (internal/geoserve) compiles snapshots through this interface.

@@ -200,7 +200,8 @@ func TestIxMapperFallbackChain(t *testing.T) {
 		if ifc.Private || ifc.IP == 0 {
 			continue
 		}
-		counts[m.Method(ifc.IP)]++
+		_, method, _ := m.LocateMethod(ifc.IP)
+		counts[method]++
 	}
 	if counts["hostname"] == 0 || counts["loc"] == 0 || counts["whois"] == 0 {
 		t.Errorf("fallback chain not fully exercised: %v", counts)
@@ -214,9 +215,8 @@ func TestIxMapperFallbackChain(t *testing.T) {
 
 // TestMethodLocateAgreeEveryInterface locks in the single-path
 // invariant: for every interface in the test-scale internet and for
-// both tools, Method(ip) is non-empty exactly when Locate(ip)
-// succeeds, and LocateMethod agrees with both on location and
-// attribution.
+// every tool, LocateMethod's method is non-empty exactly when
+// Locate(ip) succeeds, and the two agree on location.
 func TestMethodLocateAgreeEveryInterface(t *testing.T) {
 	f := setup(t)
 	mappers := []MethodMapper{
@@ -234,14 +234,6 @@ func TestMethodLocateAgreeEveryInterface(t *testing.T) {
 			if (method != "") != ok {
 				t.Fatalf("%s: method %q but ok=%v for iface %d", m.Name(), method, ok, ifc.ID)
 			}
-		}
-	}
-	// The Method diagnostic (where provided) is the same attribution.
-	ix := NewIxMapper(f.res)
-	for _, ifc := range f.in.Ifaces {
-		_, method, _ := ix.LocateMethod(ifc.IP)
-		if got := ix.Method(ifc.IP); got != method {
-			t.Fatalf("ixmapper: Method %q != LocateMethod %q for iface %d", got, method, ifc.ID)
 		}
 	}
 }

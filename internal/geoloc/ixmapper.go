@@ -51,13 +51,6 @@ func (m *IxMapper) Locate(ip uint32) (geo.Point, bool) {
 	return p, ok
 }
 
-// Method reports which technique located an address, for diagnostics
-// and the ablation benches ("hostname", "loc", "whois" or "").
-func (m *IxMapper) Method(ip uint32) string {
-	_, method, _ := m.LocateMethod(ip)
-	return method
-}
-
 // HostnameOnly is the ablation variant that uses hostname mapping
 // alone, with no LOC or whois fallback.
 type HostnameOnly struct {

@@ -30,8 +30,6 @@ import (
 
 // Config controls a Mercator run.
 type Config struct {
-	// ProbeBudget is the total number of traceroute probes.
-	ProbeBudget int
 	// LSRFraction is the share of probes sent with loose source
 	// routing through an already-discovered router.
 	LSRFraction float64
@@ -58,7 +56,6 @@ type Config struct {
 // smaller graph than Skitter, as in the paper (268k vs 704k interfaces).
 func DefaultConfig() Config {
 	return Config{
-		ProbeBudget:        0, // 0 = auto: 6 probes per allocated /24
 		LSRFraction:        0.25,
 		NeighborExpandProb: 0.6,
 		SeedBlocks:         8,
@@ -144,10 +141,8 @@ func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *Result {
 		addBlock(allBlocks[s.Intn(len(allBlocks))])
 	}
 
-	budget := cfg.ProbeBudget
-	if budget <= 0 {
-		budget = 6 * len(allBlocks)
-	}
+	// The probe budget: 6 traceroutes per allocated /24.
+	budget := 6 * len(allBlocks)
 
 	// Discovered router candidates for LSR vias.
 	var discovered []uint32
