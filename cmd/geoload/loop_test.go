@@ -41,7 +41,7 @@ func testSnapshot(t *testing.T) *geoserve.Snapshot {
 		}
 	}
 	tb.Records = [][]byte{slab}
-	snap, err := geoserve.FromTables(tb)
+	snap, err := geoserve.FromTables(tb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"geonet/internal/churn"
 	"geonet/internal/core"
 	"geonet/internal/geoserve"
+	"geonet/internal/geoserve/snapfile"
 	"geonet/internal/rng"
 )
 
@@ -197,6 +198,51 @@ func TestGoldenChurnCorpus(t *testing.T) {
 				"churn or compile output changed; if intentional, rerun with -update and review the diff",
 				got[i].N, got[i].Digest, want[i].Digest)
 		}
+	}
+}
+
+// TestIncrementalDigestMatchesFromScratch pins the leaf reuse end to
+// end: over 24 steps of the seeded churn stream, the digest CompileDelta
+// reaches against the builder's previous epoch, and the one Apply
+// reaches against a replica's, each equal the digest FromTables
+// computes from scratch over the same tables.
+func TestIncrementalDigestMatchesFromScratch(t *testing.T) {
+	p, full0 := fixture(t)
+	ch, err := churn.New(p.ServeSource(core.ServeOptions{}), corpusSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, rep := full0, full0
+	for i := uint64(1); i <= 24; i++ {
+		step, err := ch.Next(corpusEvents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, _, err := p.ServeDelta(prev, step)
+		if err != nil {
+			t.Fatalf("step %d: delta compile: %v", step.N, err)
+		}
+		delta, err := snapfile.Diff(prev, snap, i, i+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied, _, err := snapfile.Apply(rep, delta)
+		if err != nil {
+			t.Fatalf("step %d: apply: %v", step.N, err)
+		}
+		for _, c := range []struct {
+			path string
+			snap *geoserve.Snapshot
+		}{{"CompileDelta", snap}, {"Apply", applied}} {
+			scratch, err := geoserve.FromTables(c.snap.Tables(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.snap.Digest() != scratch.Digest() {
+				t.Fatalf("step %d: %s digest %.16s, from scratch %.16s", step.N, c.path, c.snap.Digest(), scratch.Digest())
+			}
+		}
+		prev, rep = snap, applied
 	}
 }
 

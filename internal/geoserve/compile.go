@@ -79,7 +79,7 @@ func Compile(src Source) (*Snapshot, error) {
 		return nil, firstErr.err
 	}
 
-	s.seal()
+	s.seal(nil)
 	return s, nil
 }
 
@@ -127,22 +127,22 @@ func skeleton(src Source) (s *Snapshot, byASN []map[int]analysis.ASFootprint, er
 			}
 		}
 	}
-	slices.Sort(s.prefixes)
+	radixSort(s.prefixes)
 	s.prefixes = slices.Compact(s.prefixes)
 
 	// Exact answers for every public interface address.
+	s.ips = make([]uint32, 0, len(in.Ifaces))
 	for i := range in.Ifaces {
 		if ifc := &in.Ifaces[i]; ifc.IP != 0 && !ifc.Private {
 			s.ips = append(s.ips, ifc.IP)
 		}
 	}
-	slices.Sort(s.ips)
+	radixSort(s.ips)
 	s.ips = slices.Compact(s.ips)
 
 	// Footprint tables: union of ASNs across mappers, ascending; a
 	// zero-ASN footprint marks absence under one mapper.
 	byASN = make([]map[int]analysis.ASFootprint, len(src.Mappers))
-	asnSet := map[int32]struct{}{}
 	for m, nm := range src.Mappers {
 		byASN[m] = make(map[int]analysis.ASFootprint, len(nm.Footprints))
 		for _, fp := range nm.Footprints {
@@ -150,13 +150,11 @@ func skeleton(src Source) (s *Snapshot, byASN []map[int]analysis.ASFootprint, er
 				return nil, nil, fmt.Errorf("geoserve: footprint with non-positive ASN %d", fp.ASN)
 			}
 			byASN[m][fp.ASN] = fp
-			asnSet[int32(fp.ASN)] = struct{}{}
+			s.asns = append(s.asns, int32(fp.ASN))
 		}
 	}
-	for asn := range asnSet {
-		s.asns = append(s.asns, asn)
-	}
 	slices.Sort(s.asns)
+	s.asns = slices.Compact(s.asns)
 	s.footprints = make([][]analysis.ASFootprint, len(src.Mappers))
 	for m := range src.Mappers {
 		s.footprints[m] = make([]analysis.ASFootprint, len(s.asns))
@@ -165,6 +163,44 @@ func skeleton(src Source) (s *Snapshot, byASN []map[int]analysis.ASFootprint, er
 		}
 	}
 	return s, byASN, nil
+}
+
+// radixSort sorts xs ascending, exactly as slices.Sort does, in four
+// LSD passes of one byte each (a pass whose byte is the same in every
+// element is skipped): linear in len(xs), where a comparison sort of an
+// epoch's tens of thousands of interface addresses costs milliseconds.
+func radixSort(xs []uint32) {
+	if slices.IsSorted(xs) { // the /24s usually arrive in order
+		return
+	}
+	var counts [4][256]int
+	for _, v := range xs {
+		counts[0][v&0xff]++
+		counts[1][v>>8&0xff]++
+		counts[2][v>>16&0xff]++
+		counts[3][v>>24]++
+	}
+	src, dst := xs, make([]uint32, len(xs))
+	for pass := range counts {
+		c, shift := &counts[pass], uint(8*pass)
+		if c[src[0]>>shift&0xff] == len(xs) {
+			continue
+		}
+		at := 0
+		for b, n := range c {
+			c[b] = at
+			at += n
+		}
+		for _, v := range src {
+			b := v >> shift & 0xff
+			dst[c[b]] = v
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &xs[0] {
+		copy(xs, src)
+	}
 }
 
 // genericHost picks the representative address of the /24 at base (see

@@ -107,29 +107,31 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 		}
 	}
 
-	// The dirty set, normalized to /24 bases. Interface churn joins it
+	// The dirty set, as ascending /24 bases. Interface churn joins it
 	// here: an address appearing in or leaving the exact index can
 	// shift its block's representative generic-host address, so the
 	// whole /24 recompiles.
-	dirtySet := make(map[uint32]struct{}, len(dirty))
+	dirtyBases := make([]uint32, 0, len(dirty))
 	for _, d := range dirty {
-		dirtySet[d&^0xff] = struct{}{}
+		dirtyBases = append(dirtyBases, d&^0xff)
 	}
 	{
 		i, j := 0, 0
 		for i < len(prev.ips) || j < len(s.ips) {
 			switch {
 			case j >= len(s.ips) || (i < len(prev.ips) && prev.ips[i] < s.ips[j]):
-				dirtySet[prev.ips[i]&^0xff] = struct{}{}
+				dirtyBases = append(dirtyBases, prev.ips[i]&^0xff)
 				i++
 			case i >= len(prev.ips) || s.ips[j] < prev.ips[i]:
-				dirtySet[s.ips[j]&^0xff] = struct{}{}
+				dirtyBases = append(dirtyBases, s.ips[j]&^0xff)
 				j++
 			default:
 				i, j = i+1, j+1
 			}
 		}
 	}
+	slices.Sort(dirtyBases)
+	dirtyBases = slices.Compact(dirtyBases)
 
 	touched := map[uint32]struct{}{}
 
@@ -143,6 +145,7 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 	prevRow := make([]int32, rows)
 	classify := func(prevKeys, newKeys []uint32, prevOff, newOff int) {
 		j := 0
+		d := 0 // the keys ascend, so their /24s walk dirtyBases once
 		for i, k := range newKeys {
 			for ; j < len(prevKeys) && prevKeys[j] < k; j++ {
 				st.Deleted++
@@ -151,7 +154,10 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 			row := newOff + i
 			if j < len(prevKeys) && prevKeys[j] == k {
 				prevRow[row] = int32(prevOff + j)
-				if _, d := dirtySet[k&^0xff]; d {
+				for d < len(dirtyBases) && dirtyBases[d] < k&^0xff {
+					d++
+				}
+				if d < len(dirtyBases) && dirtyBases[d] == k&^0xff {
 					ops[row] = opRecompute
 				} else if changedASN[recordASN(prev.record(0, prevOff+j))] {
 					ops[row] = opPatch
@@ -194,18 +200,32 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 		}
 	})
 
+	// A slab is runs of rows carried over from consecutive prev rows,
+	// with a placeholder record for each row to recompile; bytes.Join
+	// writes each row once into a slab no zeroing pass touched first.
+	var placeholder [RecordSize]byte
 	var firstErr compileErr
 	for m, nm := range src.Mappers {
-		slab := make([]byte, rows*RecordSize)
-		for row, op := range ops {
-			if op == opRecompute {
+		var runs [][]byte
+		for row := 0; row < rows; {
+			if ops[row] == opRecompute {
+				runs = append(runs, placeholder[:])
+				row++
 				continue
 			}
-			rec := slab[row*RecordSize:][:RecordSize]
-			copy(rec, prev.record(m, int(prevRow[row])))
+			end := row + 1
+			for end < rows && ops[end] != opRecompute && prevRow[end] == prevRow[end-1]+1 {
+				end++
+			}
+			runs = append(runs, prev.records[m][int(prevRow[row])*RecordSize:int(prevRow[end-1]+1)*RecordSize])
+			row = end
+		}
+		slab := bytes.Join(runs, nil)
+		for row, op := range ops {
 			if op == opPatch {
-				// The one field a footprint change moves; every
-				// other byte of the record stands.
+				// The one field a footprint change moves; every other
+				// byte of the record stands.
+				rec := slab[row*RecordSize:][:RecordSize]
 				radius := 0.0
 				if fp, ok := byASN[m][int(recordASN(rec))]; ok {
 					radius = fp.RadiusMi
@@ -249,9 +269,10 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 	}
 	slices.Sort(st.Touched)
 
-	// Identity is content identity: the digest hashes every table in
-	// full, so a delta compile that drifted from the from-scratch
-	// result is caught by any digest comparison downstream.
-	s.seal()
+	// Identity is content identity: the digest covers every table, and
+	// only the leaves of groups proven byte-equal to prev's are reused,
+	// so a delta compile that drifted from the from-scratch result is
+	// caught by any digest comparison downstream.
+	s.seal(prev)
 	return s, st, nil
 }

@@ -61,3 +61,15 @@ func DirectorySize(s *Snapshot) (blocks, slots, bytes int) {
 		cap(d.slots)*int(unsafe.Sizeof(d.slots[0]))
 	return len(d.blocks), len(d.slots), bytes
 }
+
+// Seal recomputes s's content digest on a copy of s, against prev (nil:
+// from scratch): the seal every constructor ends with, on its own.
+func Seal(s, prev *Snapshot) string {
+	c := &Snapshot{mappers: s.mappers, prefixes: s.prefixes, ips: s.ips,
+		records: s.records, asns: s.asns, footprints: s.footprints, dir: s.dir}
+	c.seal(prev)
+	return c.digest
+}
+
+// RadixSort is the sort skeleton orders the indexes with.
+var RadixSort = radixSort

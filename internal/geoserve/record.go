@@ -143,14 +143,17 @@ func (s *Snapshot) Tables() Tables {
 
 // FromTables assembles a Snapshot over t, validating every structural
 // invariant a lookup relies on — lengths, sort order, alignment,
-// canonical records — and computing the content digest from scratch
-// (it is never trusted from the caller). The tables are retained, so
-// callers must not mutate them afterwards. The tables may be bytes a
-// decoder read off the network, and the lookup directory is built from
-// them here: whatever they hold it takes 256 KB, 1 KB per distinct /16
-// (at most 64 MB, reached by 65 536 rows of 36 B each) and 40 B per
-// distinct /24 (TestDirectoryBound).
-func FromTables(t Tables) (*Snapshot, error) {
+// canonical records — and computing the content digest (it is never
+// trusted from the caller). prev, when non-nil, is a snapshot t was
+// derived from — a delta's base: the digest reuses its leaf hashes for
+// the groups whose rows compare byte-equal (see seal), and nil hashes
+// everything. The tables are retained, so callers must not mutate them
+// afterwards. The tables may be bytes a decoder read off the network,
+// and the lookup directory is built from them here: whatever they hold
+// it takes 256 KB, 1 KB per distinct /16 (at most 64 MB, reached by
+// 65 536 rows of 36 B each) and 40 B per distinct /24
+// (TestDirectoryBound).
+func FromTables(t Tables, prev *Snapshot) (*Snapshot, error) {
 	if len(t.Mappers) == 0 {
 		return nil, fmt.Errorf("geoserve: tables with no mappers")
 	}
@@ -226,6 +229,6 @@ func FromTables(t Tables) (*Snapshot, error) {
 		records:    t.Records,
 		footprints: t.Footprints,
 	}
-	s.seal()
+	s.seal(prev)
 	return s, nil
 }

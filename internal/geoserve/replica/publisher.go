@@ -26,7 +26,8 @@ const DefaultRetain = 4
 
 // Manifest describes the builder's current epoch: what a replica
 // decides from and verifies against. Digest is the snapshot content
-// digest the fetched file must reassemble to. Retained lists every
+// digest the fetched file must reassemble to, and SizeBytes that
+// file's exact length. Retained lists every
 // epoch the builder can still diff from, newest last; a replica whose
 // current epoch appears in it (other than the newest) may ask for a
 // delta instead of the whole file.
@@ -41,18 +42,46 @@ type Manifest struct {
 	Retained      []uint64 `json:"retained,omitempty"`
 }
 
-// pubEpoch is one retained epoch: its manifest, its encoded snapfile,
-// and the decoded snapshot deltas are diffed from.
+// pubEpoch is one retained epoch: its manifest, the snapshot deltas
+// are diffed from, and its snapfile, encoded on the first GET.
 type pubEpoch struct {
 	manifest Manifest
-	blob     []byte
 	snap     *geoserve.Snapshot
+	file     *artifact
 }
 
 type deltaKey struct{ from, to uint64 }
 
+// artifact is one replication blob — an epoch's snapfile or a delta
+// between two epochs — built by the first request that needs it,
+// outside Publisher.mu: concurrent requests for the same artifact wait
+// for that one build, and nothing else waits at all.
+type artifact struct {
+	once  sync.Once
+	build func() ([]byte, error) // dropped once run
+	blob  []byte
+	err   error
+}
+
+func (a *artifact) bytes() ([]byte, error) {
+	a.once.Do(func() {
+		a.blob, a.err = a.build()
+		a.build = nil
+	})
+	return a.blob, a.err
+}
+
+// buildArtifact makes an artifact's bytes: target's snapfile at epoch
+// to when base is nil, else the delta from base at epoch from.
+func buildArtifact(base, target *geoserve.Snapshot, from, to uint64) ([]byte, error) {
+	if base == nil {
+		return snapfile.Encode(target, to)
+	}
+	return snapfile.Diff(base, target, from, to)
+}
+
 // Publisher is the builder-side replication surface: it retains the
-// encoded snapfiles of the last few epochs and serves
+// snapshots of the last few epochs and serves
 //
 //	GET /v1/replication/manifest             the current Manifest
 //	GET /v1/replication/snapshot/{epoch}     the epoch's snapfile bytes
@@ -61,23 +90,29 @@ type deltaKey struct{ from, to uint64 }
 //	GET /v1/replication/delta/{from}/{to}    a .snapdelta upgrading a
 //	                                         retained epoch to a newer one
 //
-// Publish is cheap relative to a pipeline run (one snapfile encode);
-// epochs are dense integers from 1. Deltas are diffed lazily on first
-// request and cached until either endpoint epoch is pruned.
+// Publish costs no encoding: the manifest names the file's size
+// (snapfile.EncodedSize), and epochs are dense integers from 1. A file
+// is encoded on its first GET, and a delta diffed on its first request,
+// each once and outside the publisher's lock; both are cached until
+// their epoch (either endpoint, for a delta) is pruned. An epoch that
+// replicas only ever reach by delta is never encoded at all.
 type Publisher struct {
 	mu     sync.RWMutex
 	epochs []pubEpoch // ascending by epoch; last is current
 	retain int
-	deltas map[deltaKey][]byte
+	deltas map[deltaKey]*artifact
 	// now is stubbed in tests.
 	now func() time.Time
+	// build makes every artifact's bytes (buildArtifact); tests
+	// substitute it to count and hold builds.
+	build func(base, target *geoserve.Snapshot, from, to uint64) ([]byte, error)
 }
 
 // NewPublisher starts with no epoch; the manifest endpoint answers 503
 // until the first Publish. The retention window starts at
 // DefaultRetain.
 func NewPublisher() *Publisher {
-	return &Publisher{now: time.Now, retain: DefaultRetain, deltas: map[deltaKey][]byte{}}
+	return &Publisher{now: time.Now, retain: DefaultRetain, deltas: map[deltaKey]*artifact{}, build: buildArtifact}
 }
 
 // SetRetain resizes the retention window (minimum 1, the current
@@ -92,10 +127,10 @@ func (p *Publisher) SetRetain(k int) {
 	p.pruneLocked()
 }
 
-// Publish encodes the snapshot as the next epoch and makes it the one
-// the manifest advertises; epochs older than the retention window drop
-// out along with any cached deltas touching them. Returns the new
-// manifest.
+// Publish makes the snapshot the next epoch, the one the manifest
+// advertises; epochs older than the retention window drop out along
+// with their files and any cached deltas touching them. Returns the
+// new manifest.
 //
 // Publishes dedupe by content digest: a snapshot identical to the
 // current epoch's (a churn step that recompiled to the same answers)
@@ -112,21 +147,17 @@ func (p *Publisher) Publish(snap *geoserve.Snapshot) (Manifest, error) {
 		}
 		epoch = p.epochs[n-1].manifest.Epoch + 1
 	}
-	blob, err := snapfile.Encode(snap, epoch)
-	if err != nil {
-		return Manifest{}, err
-	}
 	p.epochs = append(p.epochs, pubEpoch{
 		manifest: Manifest{
 			Epoch:         epoch,
 			Digest:        snap.Digest(),
-			SizeBytes:     int64(len(blob)),
+			SizeBytes:     int64(snapfile.EncodedSize(snap)),
 			FormatVersion: snapfile.FormatVersion,
 			Build:         snap.Build(),
 			PublishedUnix: p.now().Unix(),
 		},
-		blob: blob,
 		snap: snap,
+		file: p.newArtifact(nil, snap, 0, epoch),
 	})
 	p.pruneLocked()
 	return p.manifestLocked(), nil
@@ -186,34 +217,33 @@ var errDeltaGone = errors.New("delta endpoints not retained")
 // circuit breaker.
 const goneHeader = "X-Geo-Gone"
 
+// newArtifact returns an unbuilt artifact whose bytes p.build makes.
+func (p *Publisher) newArtifact(base, target *geoserve.Snapshot, from, to uint64) *artifact {
+	return &artifact{build: func() ([]byte, error) { return p.build(base, target, from, to) }}
+}
+
 // delta returns (and caches) the .snapdelta from one retained epoch to
-// a newer retained one.
+// a newer retained one. Only finding or adding its cache entry holds
+// p.mu; the diff runs after.
 func (p *Publisher) delta(from, to uint64) ([]byte, error) {
 	if from >= to {
 		return nil, errDeltaGone
 	}
-	p.mu.RLock()
-	cached, ok := p.deltas[deltaKey{from, to}]
-	p.mu.RUnlock()
-	if ok {
-		return cached, nil
-	}
+	k := deltaKey{from, to}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if cached, ok := p.deltas[deltaKey{from, to}]; ok {
-		return cached, nil
+	a, ok := p.deltas[k]
+	if !ok {
+		base, okF := p.epochLocked(from)
+		target, okT := p.epochLocked(to)
+		if !okF || !okT {
+			p.mu.Unlock()
+			return nil, errDeltaGone
+		}
+		a = p.newArtifact(base.snap, target.snap, from, to)
+		p.deltas[k] = a
 	}
-	base, okF := p.epochLocked(from)
-	target, okT := p.epochLocked(to)
-	if !okF || !okT {
-		return nil, errDeltaGone
-	}
-	blob, err := snapfile.Diff(base.snap, target.snap, from, to)
-	if err != nil {
-		return nil, err
-	}
-	p.deltas[deltaKey{from, to}] = blob
-	return blob, nil
+	p.mu.Unlock()
+	return a.bytes()
 }
 
 // Handler serves the replication endpoints. Mount it on the builder's
@@ -253,13 +283,18 @@ func (p *Publisher) Handler() http.Handler {
 			httpJSONError(w, http.StatusNotFound, "epoch %d gone (current %d)", epoch, current)
 			return
 		}
+		blob, err := e.file.bytes()
+		if err != nil {
+			httpJSONError(w, http.StatusInternalServerError, "epoch %d: %v", epoch, err)
+			return
+		}
 		m := e.manifest
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("X-Geo-Epoch", strconv.FormatUint(m.Epoch, 10))
 		w.Header().Set("X-Geo-Digest", m.Digest)
 		// ServeContent supplies Range handling, so interrupted
 		// downloads resume instead of restarting.
-		http.ServeContent(w, r, "snapshot.snap", time.Unix(m.PublishedUnix, 0), bytes.NewReader(e.blob))
+		http.ServeContent(w, r, "snapshot.snap", time.Unix(m.PublishedUnix, 0), bytes.NewReader(blob))
 	})
 	mux.HandleFunc("GET /v1/replication/delta/{from}/{to}", func(w http.ResponseWriter, r *http.Request) {
 		from, errF := strconv.ParseUint(r.PathValue("from"), 10, 64)

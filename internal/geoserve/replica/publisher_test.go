@@ -1,12 +1,18 @@
 package replica
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"geonet/internal/geoserve"
 	"geonet/internal/geoserve/snapfile"
 )
 
@@ -128,5 +134,121 @@ func TestPublisherShrinkRetain(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m.Retained, []uint64{4}) {
 		t.Fatalf("retained %v after shrink, want [4]", m.Retained)
+	}
+}
+
+// TestPublisherBuildsOnceOutsideLock pins the publisher's lazy builds:
+// Publish encodes nothing; eight concurrent first GETs of one epoch's
+// file (half of them ranged) and eight of one delta build each artifact
+// exactly once and all get the same bytes; and while those builds are
+// held, Manifest still answers — no build runs under the publisher's
+// lock. CI runs it under -race.
+func TestPublisherBuildsOnceOutsideLock(t *testing.T) {
+	pub := NewPublisher()
+	s1, s2 := makeSnapshot(t, 1, 20, 6), makeSnapshot(t, 2, 20, 6)
+	var (
+		mu     sync.Mutex
+		builds = map[deltaKey]int{}
+		// One slot per request below, so a build a regression starts
+		// twice never blocks on announcing itself.
+		entered = make(chan struct{}, 16)
+		release = make(chan struct{})
+	)
+	pub.build = func(base, target *geoserve.Snapshot, from, to uint64) ([]byte, error) {
+		mu.Lock()
+		builds[deltaKey{from, to}]++
+		mu.Unlock()
+		entered <- struct{}{}
+		<-release
+		return buildArtifact(base, target, from, to)
+	}
+	for _, s := range []*geoserve.Snapshot{s1, s2} {
+		if _, err := pub.Publish(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(builds) != 0 {
+		t.Fatalf("Publish built %v", builds)
+	}
+	wantFile, err := snapfile.Encode(s2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDelta, err := snapfile.Diff(s1, s2, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 8
+	h := pub.Handler()
+	type got struct {
+		path string
+		code int
+		body []byte
+		want []byte
+	}
+	results := make(chan got, 2*n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		for _, path := range []string{"/v1/replication/snapshot/2", "/v1/replication/delta/1/2"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				req := httptest.NewRequest("GET", path, nil)
+				want := wantDelta
+				if strings.Contains(path, "snapshot") {
+					want = wantFile
+					if i%2 == 1 {
+						req.Header.Set("Range", "bytes=100-")
+						want = wantFile[100:]
+					}
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				results <- got{path, rec.Code, rec.Body.Bytes(), want}
+			}()
+		}
+	}
+
+	// Both builds start and are held (a build under the lock would stop
+	// the other at the lock); the manifest must not wait for either.
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+	for range 2 {
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the file and delta builds did not both start")
+		}
+	}
+	answered := make(chan bool, 1)
+	go func() {
+		_, ok := pub.Manifest()
+		answered <- ok
+	}()
+	select {
+	case ok := <-answered:
+		if !ok {
+			t.Fatal("no manifest while builds are held")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Manifest blocked behind a held build")
+	}
+	close(release)
+	wg.Wait()
+	close(results)
+
+	for r := range results {
+		if r.code != http.StatusOK && r.code != http.StatusPartialContent || !bytes.Equal(r.body, r.want) {
+			t.Fatalf("GET %s: status %d, %d bytes; want %d bytes", r.path, r.code, len(r.body), len(r.want))
+		}
+	}
+	if want := map[deltaKey]int{{0, 2}: 1, {1, 2}: 1}; !reflect.DeepEqual(builds, want) {
+		t.Fatalf("builds %v, want each artifact built once: %v", builds, want)
 	}
 }

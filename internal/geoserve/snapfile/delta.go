@@ -13,7 +13,7 @@ import (
 
 // DeltaFormatVersion is the snapshot delta format this package writes
 // and the only one it applies.
-const DeltaFormatVersion = 2
+const DeltaFormatVersion = 3
 
 // deltaMagic identifies a snapshot delta file; it never changes across
 // versions.
@@ -57,32 +57,41 @@ type ival struct {
 	ipHi     int
 }
 
-// intervals groups a snapshot's row space by /24. Both indexes are
-// ascending, so one merge pass yields the intervals in key order.
-func intervals(t geoserve.Tables) []ival {
-	out := make([]ival, 0, len(t.Prefixes))
-	pi, ii := 0, 0
-	for pi < len(t.Prefixes) || ii < len(t.IPs) {
+// intervals appends to dst, in key order, the /24 intervals of t's row
+// space inside the leaf group at base (see geoserve.LeafBase). Both
+// indexes are ascending, so one merge pass from the group's first rows
+// yields them.
+func intervals(dst []ival, t geoserve.Tables, base uint32) []ival {
+	pi, _ := slices.BinarySearch(t.Prefixes, base)
+	ii, _ := slices.BinarySearch(t.IPs, base)
+	pEnd, iEnd := pi, ii
+	for pEnd < len(t.Prefixes) && geoserve.LeafBase(t.Prefixes[pEnd]) == base {
+		pEnd++
+	}
+	for iEnd < len(t.IPs) && geoserve.LeafBase(t.IPs[iEnd]) == base {
+		iEnd++
+	}
+	for pi < pEnd || ii < iEnd {
 		var key uint32
 		switch {
-		case pi >= len(t.Prefixes):
+		case pi >= pEnd:
 			key = t.IPs[ii] &^ 0xff
-		case ii >= len(t.IPs):
+		case ii >= iEnd:
 			key = t.Prefixes[pi]
 		default:
 			key = min(t.Prefixes[pi], t.IPs[ii]&^0xff)
 		}
 		v := ival{key: key, pLo: pi, ipLo: ii}
-		if pi < len(t.Prefixes) && t.Prefixes[pi] == key {
+		if pi < pEnd && t.Prefixes[pi] == key {
 			pi++
 		}
-		for ii < len(t.IPs) && t.IPs[ii]&^0xff == key {
+		for ii < iEnd && t.IPs[ii]&^0xff == key {
 			ii++
 		}
 		v.pHi, v.ipHi = pi, ii
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	return out
+	return dst
 }
 
 // recs returns rows [lo, hi) of a slab of records.
@@ -109,7 +118,11 @@ func ivalEqual(ot, nt geoserve.Tables, ov, nv ival) bool {
 
 // Diff computes the deterministic per-/24-interval delta that turns
 // old into new: unchanged intervals are omitted, changed or added ones
-// travel whole, removed ones as tombstones. Mapper sets must match
+// travel whole, removed ones as tombstones. Only the leaf groups whose
+// leaf hashes differ (see geoserve.Snapshot.Leaves) are compared
+// interval by interval; an equal leaf means an unchanged group, and
+// Apply's to-digest check would catch any interval this missed.
+// Mapper sets must match
 // (a delta rewrites interval rows in mapper order; a world that gained
 // or lost a mapper must travel as a full snapshot instead). The
 // encoding carries the same dual-digest trailer discipline as full
@@ -142,31 +155,52 @@ func Diff(old, new *geoserve.Snapshot, fromEpoch, toEpoch uint64) ([]byte, error
 	buf = appendASNs(buf, nt.ASNs)
 	buf = appendFootprints(buf, nt.Footprints)
 
-	// Ops: one merge pass over both interval lists, ascending by key.
-	ovs, nvs := intervals(ot), intervals(nt)
+	// Ops, ascending by key: one merge pass over both leaf lists, and
+	// inside each group whose leaves differ one over both interval lists.
+	ol, nl := old.Leaves(), new.Leaves()
+	var ovs, nvs []ival
 	buf = appendSection(buf, func(b []byte) []byte {
 		at := len(b)
 		b = binary.LittleEndian.AppendUint32(b, 0)
 		nOps := 0
-		oi, ni := 0, 0
-		for oi < len(ovs) || ni < len(nvs) {
+		for gi, gj := 0, 0; gi < len(ol) || gj < len(nl); {
+			var base uint32
 			switch {
-			case ni >= len(nvs) || (oi < len(ovs) && ovs[oi].key < nvs[ni].key):
-				b = binary.LittleEndian.AppendUint32(b, ovs[oi].key)
-				b = append(b, opDel)
-				nOps++
-				oi++
-			case oi >= len(ovs) || nvs[ni].key < ovs[oi].key:
-				b = appendPutOp(b, nt, nvs[ni])
-				nOps++
-				ni++
+			case gj >= len(nl) || (gi < len(ol) && ol[gi].Base < nl[gj].Base):
+				base = ol[gi].Base
+				gi++
+			case gi >= len(ol) || nl[gj].Base < ol[gi].Base:
+				base = nl[gj].Base
+				gj++
 			default:
-				if !ivalEqual(ot, nt, ovs[oi], nvs[ni]) {
+				base = nl[gj].Base
+				same := ol[gi].Sum == nl[gj].Sum
+				gi, gj = gi+1, gj+1
+				if same {
+					continue
+				}
+			}
+			ovs, nvs = intervals(ovs[:0], ot, base), intervals(nvs[:0], nt, base)
+			oi, ni := 0, 0
+			for oi < len(ovs) || ni < len(nvs) {
+				switch {
+				case ni >= len(nvs) || (oi < len(ovs) && ovs[oi].key < nvs[ni].key):
+					b = binary.LittleEndian.AppendUint32(b, ovs[oi].key)
+					b = append(b, opDel)
+					nOps++
+					oi++
+				case oi >= len(ovs) || nvs[ni].key < ovs[oi].key:
 					b = appendPutOp(b, nt, nvs[ni])
 					nOps++
+					ni++
+				default:
+					if !ivalEqual(ot, nt, ovs[oi], nvs[ni]) {
+						b = appendPutOp(b, nt, nvs[ni])
+						nOps++
+					}
+					oi++
+					ni++
 				}
-				oi++
-				ni++
 			}
 		}
 		binary.LittleEndian.PutUint32(b[at:], uint32(nOps))
@@ -207,7 +241,9 @@ type deltaOp struct {
 // digest must equal the delta's from-digest, and the reassembled
 // snapshot's recomputed digest must equal the to-digest trailer — an
 // applied delta can never yield a snapshot the builder did not
-// publish. The result retains neither data nor base's memory.
+// publish. That digest reuses base's leaf hashes only for the groups
+// whose rows compare byte-equal to base's. The result retains neither
+// data nor base's memory.
 func Apply(base *geoserve.Snapshot, data []byte) (*geoserve.Snapshot, DeltaInfo, error) {
 	info := DeltaInfo{SizeBytes: int64(len(data))}
 	d, version, err := openEnvelope(data, deltaMagic, DeltaFormatVersion)
@@ -275,7 +311,7 @@ func Apply(base *geoserve.Snapshot, data []byte) (*geoserve.Snapshot, DeltaInfo,
 		return nil, info, err
 	}
 	nt.Build, nt.Mappers, nt.ASNs, nt.Footprints = info.Build, mappers, asns, footprints
-	snap, err := assemble(nt, info.ToDigest)
+	snap, err := assemble(nt, info.ToDigest, base)
 	return snap, info, err
 }
 
@@ -355,30 +391,30 @@ func decodeOps(d *decoder, nMappers int) ([]deltaOp, error) {
 // applyOps rebuilds the target's index and slabs: base's rows copy
 // through in runs between ops, an op's /24 is dropped from base, and a
 // put op's rows take its place (or extend the index where base had no
-// such /24). The records themselves are only checked afterwards, by
+// such /24). A target slab is the list of those record runs, prefix
+// runs first and exact runs after; bytes.Join sizes the slab from them
+// and writes every row once, with no zeroing or side buffer before it.
+// The records themselves are only checked afterwards, by
 // geoserve.FromTables.
 func applyOps(base geoserve.Tables, ops []deltaOp) (geoserve.Tables, error) {
-	putBytes := 0
-	for _, op := range ops {
-		putBytes += len(op.recs)
-	}
-	// A slab's exact rows follow its prefix rows, whose number is only
-	// known at the end: the exact rows collect on the side and join
-	// their slab last.
-	var out geoserve.Tables
 	nbp := len(base.Prefixes)
-	exact := make([][]byte, len(base.Records))
-	for m, slab := range base.Records {
-		out.Records = append(out.Records, make([]byte, 0, len(slab)+putBytes))
-		exact[m] = make([]byte, 0, len(slab)-nbp*geoserve.RecordSize+putBytes)
+	putIPs := 0
+	for _, op := range ops {
+		putIPs += len(op.ips)
 	}
+	out := geoserve.Tables{
+		Prefixes: make([]uint32, 0, nbp+len(ops)),
+		IPs:      make([]uint32, 0, len(base.IPs)+putIPs),
+	}
+	pRuns := make([][][]byte, len(base.Records))
+	iRuns := make([][][]byte, len(base.Records))
 	pCur, iCur := 0, 0
 	copyBase := func(pEnd, iEnd int) {
 		out.Prefixes = append(out.Prefixes, base.Prefixes[pCur:pEnd]...)
 		out.IPs = append(out.IPs, base.IPs[iCur:iEnd]...)
 		for m, slab := range base.Records {
-			out.Records[m] = append(out.Records[m], recs(slab, pCur, pEnd)...)
-			exact[m] = append(exact[m], recs(slab, nbp+iCur, nbp+iEnd)...)
+			pRuns[m] = append(pRuns[m], recs(slab, pCur, pEnd))
+			iRuns[m] = append(iRuns[m], recs(slab, nbp+iCur, nbp+iEnd))
 		}
 	}
 	for _, op := range ops {
@@ -403,14 +439,14 @@ func applyOps(base geoserve.Tables, ops []deltaOp) (geoserve.Tables, error) {
 		}
 		out.IPs = append(out.IPs, op.ips...)
 		rows := op.prefix + len(op.ips)
-		for m := range out.Records {
-			out.Records[m] = append(out.Records[m], recs(op.recs, m*rows, m*rows+op.prefix)...)
-			exact[m] = append(exact[m], recs(op.recs, m*rows+op.prefix, (m+1)*rows)...)
+		for m := range pRuns {
+			pRuns[m] = append(pRuns[m], recs(op.recs, m*rows, m*rows+op.prefix))
+			iRuns[m] = append(iRuns[m], recs(op.recs, m*rows+op.prefix, (m+1)*rows))
 		}
 	}
 	copyBase(nbp, len(base.IPs))
-	for m := range out.Records {
-		out.Records[m] = append(out.Records[m], exact[m]...)
+	for m := range pRuns {
+		out.Records = append(out.Records, bytes.Join(append(pRuns[m], iRuns[m]...), nil))
 	}
 	return out, nil
 }

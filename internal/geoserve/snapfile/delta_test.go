@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -78,7 +79,7 @@ func buildWorld(tb testing.TB, seed int64, keys []uint32, salts map[uint32]int64
 		}
 		c.Footprints = append(c.Footprints, fps)
 	}
-	snap, err := geoserve.FromTables(c)
+	snap, err := geoserve.FromTables(c, nil)
 	if err != nil {
 		tb.Fatalf("FromTables: %v", err)
 	}
@@ -206,7 +207,7 @@ func TestDiffRejectsMapperMismatch(t *testing.T) {
 	other := makeSnapshot(t, 4, 8, 4)
 	c := other.Tables()
 	c.Mappers = []string{"alpha", "gamma"}
-	renamed, err := geoserve.FromTables(c)
+	renamed, err := geoserve.FromTables(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,6 +310,88 @@ func TestApplyRejectsForgedToDigest(t *testing.T) {
 	reseal(forged)
 	if _, _, err := Apply(old, forged); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forged to-digest applied with err %v, want ErrCorrupt", err)
+	}
+}
+
+// TestIncrementalDigestProvesEquality pins that a leaf is reused only
+// where the rows are proven unchanged, never where they are merely
+// expected to be: one flipped byte in a group no churn touched changes
+// the digest computed against the predecessor exactly as it changes the
+// one computed from scratch, and a delta that smuggles that byte in
+// under the honest target's digest fails.
+func TestIncrementalDigestProvesEquality(t *testing.T) {
+	keys := worldKeys(64) // four leaf groups of 16 /24s
+	old := buildWorld(t, 1, keys, nil)
+	new := buildWorld(t, 1, keys, map[uint32]int64{keys[3]: 9}) // only the first group changes
+	if old.Digest() == new.Digest() {
+		t.Fatal("test is vacuous: the churn changed nothing")
+	}
+
+	tabs := new.Tables()
+	tabs.Records = [][]byte{bytes.Clone(tabs.Records[0]), bytes.Clone(tabs.Records[1])}
+	tabs.Records[1][50*geoserve.RecordSize] ^= 1 // keys[50]'s prefix row, in the last group
+	flipped, err := geoserve.FromTables(tabs, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := geoserve.FromTables(tabs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flipped.Digest() == new.Digest() || flipped.Digest() != scratch.Digest() {
+		t.Fatalf("flipped row: digest against the predecessor %.16s, from scratch %.16s, unflipped %.16s",
+			flipped.Digest(), scratch.Digest(), new.Digest())
+	}
+
+	delta, err := Diff(old, flipped, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest, err := rawDigest(new.Digest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(delta[len(delta)-64:], honest)
+	reseal(delta)
+	if s, _, err := Apply(old, delta); !errors.Is(err, ErrCorrupt) || s != nil {
+		t.Fatalf("delta carrying a flipped row under the honest digest: snapshot %v, err %v; want ErrCorrupt", s != nil, err)
+	}
+}
+
+// TestLeavesNeverTravel pins that a snapshot's leaf hashes appear in
+// neither its file nor a delta to it, and that the reader's own leaves
+// equal the writer's: a loaded or applied snapshot computed its leaves
+// itself, so a reused leaf is always one the reader hashed.
+func TestLeavesNeverTravel(t *testing.T) {
+	keys := worldKeys(40)
+	old := buildWorld(t, 1, keys, nil)
+	newKeys, salts := churnedKeys(keys, 1)
+	new := buildWorld(t, 1, newKeys, salts)
+	file, err := Encode(new, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := Diff(old, new, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, snap := range []*geoserve.Snapshot{old, new} {
+		for _, leaf := range snap.Leaves() {
+			if bytes.Contains(file, leaf.Sum[:]) || bytes.Contains(delta, leaf.Sum[:]) {
+				t.Fatalf("leaf %s/20 travels in the encoded bytes", geoserve.FormatIPv4(leaf.Base))
+			}
+		}
+	}
+	decoded, _, err := Decode(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied, _, err := Apply(old, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(decoded.Leaves(), new.Leaves()) || !slices.Equal(applied.Leaves(), new.Leaves()) {
+		t.Fatal("a reader's leaves differ from the writer's")
 	}
 }
 

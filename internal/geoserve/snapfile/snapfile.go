@@ -3,7 +3,7 @@
 // replicas, and the cold-start path that makes geoserved startup
 // O(snapshot size) instead of O(pipeline).
 //
-// Snapshot file layout, format 2 (all integers little-endian):
+// Snapshot file layout, format 3 (all integers little-endian):
 //
 //	magic   [8]byte "geosnapf"
 //	version u32     (= FormatVersion)
@@ -24,7 +24,7 @@
 //	trailer [32]byte content digest (= Snapshot.Digest(), raw)
 //	        [32]byte SHA-256 over every preceding byte of the file
 //
-// Snapshot delta layout, format 2 (magic "geosnapd", DeltaFormatVersion;
+// Snapshot delta layout, format 3 (magic "geosnapd", DeltaFormatVersion;
 // see Diff and Apply): the same envelope around a header (from epoch,
 // to epoch, the base's content digest, build), the target's mappers,
 // asns and footprints sections whole, and one ops section —
@@ -36,10 +36,14 @@
 //	        the slab: the prefix record if any, then the exact records
 //
 // — closed by the target's content digest and the whole-file hash.
-// Format 1 of both (30-byte rows, column-major in the file and
-// row-major in the delta) has no reader: one binary runs a fleet and
-// every snapshot is recompiled from the pipeline, so an old file gets
-// ErrVersion.
+// Format 3 lays out its bytes exactly as format 2 did; what changed is
+// the content digest the trailers carry, which is two-level since
+// format 3 (see geoserve.Snapshot.Digest). The leaf hashes never
+// travel: a reader recomputes every leaf it does not prove equal to
+// its own base's. Formats 1 (30-byte rows, column-major in the file and
+// row-major in the delta) and 2 have no reader: one binary runs a fleet
+// and every snapshot is recompiled from the pipeline, so an old file
+// gets ErrVersion.
 //
 // Load and Apply never trust their bytes: magic and version gate
 // first, every section length and count is bounds-checked against the
@@ -47,7 +51,8 @@
 // match, geoserve.FromTables revalidates the structural invariants
 // lookups rely on (sort order, /24 alignment, lengths, footprint ASN
 // agreement), and the content digest is recomputed from the
-// reassembled snapshot and compared against the trailer. Records
+// reassembled snapshot (Apply reusing only the leaf hashes of its
+// base's byte-equal groups) and compared against the trailer. Records
 // arrive as the bytes that will be served, so FromTables also holds
 // each to the canonical form: known flag bits only, method code in
 // range, found set exactly when there is a method, zero reserved
@@ -78,7 +83,7 @@ import (
 
 // FormatVersion is the snapshot file format this package writes and
 // the only one it loads.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // magic identifies a snapshot file; it never changes across versions.
 const magic = "geosnapf"
@@ -125,7 +130,7 @@ func Encode(snap *geoserve.Snapshot, epoch uint64) ([]byte, error) {
 		return nil, err
 	}
 	t := snap.Tables()
-	buf := make([]byte, 0, encodedSize(t))
+	buf := make([]byte, 0, EncodedSize(snap))
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
 	buf = appendSection(buf, func(b []byte) []byte {
@@ -247,7 +252,7 @@ func Decode(data []byte) (*geoserve.Snapshot, FileInfo, error) {
 	if err := closeEnvelope(data, d); err != nil {
 		return nil, info, err
 	}
-	snap, err := assemble(t, trailerDigest(data))
+	snap, err := assemble(t, trailerDigest(data), nil)
 	if err != nil {
 		return nil, info, err
 	}
@@ -291,9 +296,11 @@ func closeEnvelope(data []byte, d *decoder) error {
 // geoserve.FromTables revalidates every invariant a lookup relies on,
 // and the content digest it recomputes must equal the one the file's
 // trailer names, so a loaded snapshot can never carry a digest its
-// content does not hash to.
-func assemble(t geoserve.Tables, wantDigest string) (*geoserve.Snapshot, error) {
-	snap, err := geoserve.FromTables(t)
+// content does not hash to. base is the snapshot a delta applies to
+// (nil for a file): the digest reuses its leaf hashes only where the
+// rows compare byte-equal.
+func assemble(t geoserve.Tables, wantDigest string, base *geoserve.Snapshot) (*geoserve.Snapshot, error) {
+	snap, err := geoserve.FromTables(t, base)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
@@ -308,7 +315,11 @@ func trailerDigest(data []byte) string {
 	return hex.EncodeToString(data[len(data)-trailerBytes : len(data)-32])
 }
 
-func encodedSize(t geoserve.Tables) int {
+// EncodedSize is len(Encode(snap, epoch)) for any epoch, computed
+// without encoding: a publisher advertises the size of a file it has
+// not built yet.
+func EncodedSize(snap *geoserve.Snapshot) int {
+	t := snap.Tables()
 	n := len(magic) + 4
 	n += 8 + 8 + 8 + 8 + 4 + len(t.Build.Label) // header
 	n += 8 + 4                                  // mappers

@@ -3,8 +3,10 @@ package snapfile
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"geonet/internal/analysis"
@@ -69,7 +71,7 @@ func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Sna
 		}
 		c.Footprints = append(c.Footprints, fps)
 	}
-	snap, err := geoserve.FromTables(c)
+	snap, err := geoserve.FromTables(c, nil)
 	if err != nil {
 		tb.Fatalf("FromTables: %v", err)
 	}
@@ -293,24 +295,64 @@ func TestLoadRejectsNoncanonicalRecord(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsV1 pins that the retired version-1 layouts get the
-// typed version error, not a parse attempt.
-func TestLoadRejectsV1(t *testing.T) {
+// TestLoadRejectsRetiredVersions pins that the retired formats get the
+// typed version error, not a parse attempt: version 1 (the old record
+// layouts) and version 2 (the same bytes as version 3, but trailers
+// naming the one-level content digest).
+func TestLoadRejectsRetiredVersions(t *testing.T) {
 	snap := makeSnapshot(t, 5, 12, 4)
-	blob, err := Encode(snap, 1)
-	if err != nil {
-		t.Fatal(err)
+	for _, version := range []byte{1, 2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			blob, err := Encode(snap, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta, err := Diff(snap, makeSnapshot(t, 6, 12, 4), 1, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob[len(magic)], delta[len(deltaMagic)] = version, version
+			if _, info, err := Decode(blob); !errors.Is(err, ErrVersion) || info.FormatVersion != uint32(version) {
+				t.Fatalf("file: err %v, info %+v; want ErrVersion naming version %d", err, info, version)
+			}
+			if _, info, err := Apply(snap, delta); !errors.Is(err, ErrVersion) || info.FormatVersion != uint32(version) {
+				t.Fatalf("delta: err %v, info %+v; want ErrVersion naming version %d", err, info, version)
+			}
+		})
 	}
-	delta, err := Diff(snap, makeSnapshot(t, 6, 12, 4), 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(magic)], delta[len(deltaMagic)] = 1, 1
-	if _, info, err := Decode(blob); !errors.Is(err, ErrVersion) || info.FormatVersion != 1 {
-		t.Fatalf("v1 file: err %v, info %+v; want ErrVersion naming version 1", err, info)
-	}
-	if _, info, err := Apply(snap, delta); !errors.Is(err, ErrVersion) || info.FormatVersion != 1 {
-		t.Fatalf("v1 delta: err %v, info %+v; want ErrVersion naming version 1", err, info)
+}
+
+// TestEncodedSizeExact pins the size a publisher advertises before it
+// encodes anything to the length of the file it later serves.
+func TestEncodedSizeExact(t *testing.T) {
+	base := makeSnapshot(t, 3, 10, 4)
+	for _, tc := range []struct {
+		name         string
+		label        string
+		noFootprints bool
+	}{
+		{"empty label", "", false},
+		{"long label", strings.Repeat("label/", 1000), false},
+		{"no footprints", "synthetic", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tabs := base.Tables()
+			tabs.Build.Label = tc.label
+			if tc.noFootprints {
+				tabs.ASNs, tabs.Footprints = nil, make([][]analysis.ASFootprint, len(tabs.Mappers))
+			}
+			snap, err := geoserve.FromTables(tabs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := Encode(snap, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := EncodedSize(snap); got != len(blob) {
+				t.Fatalf("EncodedSize %d, Encode wrote %d bytes", got, len(blob))
+			}
+		})
 	}
 }
 

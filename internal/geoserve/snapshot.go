@@ -1,6 +1,7 @@
 package geoserve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -66,9 +67,12 @@ type Snapshot struct {
 	footprints [][]analysis.ASFootprint
 
 	// digest is the content digest and tag its first 8 bytes, the
-	// epoch tag of the wire protocol; seal sets both.
+	// epoch tag of the wire protocol; leaves are the digest's leaf
+	// hashes, one per leaf group holding a row, ascending. seal sets
+	// all three.
 	digest string
 	tag    uint64
+	leaves []Leaf
 
 	// dir locates an address's row (see directory). seal derives it
 	// from prefixes and ips; like tails it is not content.
@@ -136,13 +140,34 @@ func (s *Snapshot) ExactIPs() []uint32 {
 	return out
 }
 
-// Digest is a SHA-256 over the snapshot's complete content (mapper
-// names, interval index, every precomputed answer and footprint), in
-// a fixed serialisation order. Two snapshots with equal digests serve
-// byte-identical answers, the same discipline core.Digest applies to
-// reports — so golden tests pin it across worker counts and across
-// hot-swaps to identical rebuilds.
+// Digest is a two-level SHA-256 over the snapshot's complete content
+// (mapper names, interval index, every precomputed answer and
+// footprint), in a fixed serialisation order (see seal). Two snapshots
+// with equal digests serve byte-identical answers, the same discipline
+// core.Digest applies to reports — so golden tests pin it across worker
+// counts and across hot-swaps to identical rebuilds.
 func (s *Snapshot) Digest() string { return s.digest }
+
+// leafBits is the address span of one leaf group: a leaf covers one
+// /20, the rows of up to 16 /24 intervals.
+const leafBits = 12
+
+// LeafBase returns the first address of the leaf group holding addr.
+func LeafBase(addr uint32) uint32 { return addr &^ (1<<leafBits - 1) }
+
+// Leaf is one leaf group's hash inside the content digest.
+type Leaf struct {
+	// Base is the group's first address (LeafBase of each of its rows).
+	Base uint32
+	// Sum is the SHA-256 over the group's rows (see seal).
+	Sum [32]byte
+}
+
+// Leaves returns the digest's leaf hashes, ascending by Base: one per
+// leaf group that holds a row. Equal Sums at one Base mean the group's
+// /24 intervals are identical in both snapshots, which is what lets
+// snapfile.Diff skip them. The slice is shared and read-only.
+func (s *Snapshot) Leaves() []Leaf { return s.leaves }
 
 // search32 finds v in the ascending slice xs: the index of the first
 // element not below v, and whether that element is v.
@@ -273,36 +298,155 @@ func (w *hashWriter) str(s string) {
 // a digest — and every golden pinning one — stable across changes of
 // the stored layout. The exact flag (implied by row position) and the
 // reserved bytes are therefore not in it; FromTables pins those.
+//
+// Like u32s it fills the buffer a chunk at a time, and it moves each
+// record's fields as whole words: this loop is most of a seal's cost
+// besides SHA-256 itself.
 func (w *hashWriter) records(slab []byte) {
-	for ; len(slab) >= RecordSize; slab = slab[RecordSize:] {
+	le := binary.LittleEndian
+	for len(slab) >= RecordSize {
 		w.grow(30)
-		w.buf = append(w.buf, slab[:recOffFlags]...)
-		w.buf = append(w.buf, slab[recOffMethod], slab[recOffFlags]&recFlagFound)
+		n := min((cap(w.buf)-len(w.buf))/30, len(slab)/RecordSize)
+		off := len(w.buf)
+		w.buf = w.buf[:off+n*30]
+		for i := range n {
+			rec, d := slab[i*RecordSize:][:RecordSize], w.buf[off+i*30:][:30]
+			le.PutUint64(d[0:], le.Uint64(rec[recOffLat:]))
+			le.PutUint64(d[8:], le.Uint64(rec[recOffLon:]))
+			le.PutUint64(d[16:], le.Uint64(rec[recOffRadius:]))
+			le.PutUint32(d[24:], le.Uint32(rec[recOffASN:]))
+			d[28], d[29] = rec[recOffMethod], rec[recOffFlags]&recFlagFound
+		}
+		slab = slab[n*RecordSize:]
 	}
 }
 
-// seal computes the content digest, hashing every content table in a
-// fixed order (BuildInfo is deliberately excluded, see Digest), and
-// the epoch tag, and builds the directory unless the snapshot already
-// shares one (CompileDelta over an unchanged index). Every constructor
-// of a Snapshot ends here, so none serves without a directory and no
-// lookup ever builds one.
-func (s *Snapshot) seal() {
+// group is one leaf group's rows: prefix rows [pLo, pHi) and the exact
+// addresses ips[iLo:iHi], whose slab rows follow all prefix rows.
+type group struct {
+	base               uint32
+	pLo, pHi, iLo, iHi int
+}
+
+// groups splits an index (both slices ascending) into its leaf groups,
+// ascending: one per /20 that holds a row.
+func groups(prefixes, ips []uint32) []group {
+	var gs []group
+	for pi, ii := 0, 0; pi < len(prefixes) || ii < len(ips); {
+		var base uint32
+		switch {
+		case pi >= len(prefixes):
+			base = LeafBase(ips[ii])
+		case ii >= len(ips):
+			base = LeafBase(prefixes[pi])
+		default:
+			base = LeafBase(min(prefixes[pi], ips[ii]))
+		}
+		g := group{base: base, pLo: pi, iLo: ii}
+		for pi < len(prefixes) && LeafBase(prefixes[pi]) == base {
+			pi++
+		}
+		for ii < len(ips) && LeafBase(ips[ii]) == base {
+			ii++
+		}
+		g.pHi, g.iHi = pi, ii
+		gs = append(gs, g)
+	}
+	return gs
+}
+
+// prefixRecs and exactRecs return a group's records in mapper m's slab.
+func (s *Snapshot) prefixRecs(m int, g group) []byte {
+	return s.records[m][g.pLo*RecordSize : g.pHi*RecordSize]
+}
+
+func (s *Snapshot) exactRecs(m int, g group) []byte {
+	np := len(s.prefixes)
+	return s.records[m][(np+g.iLo)*RecordSize : (np+g.iHi)*RecordSize]
+}
+
+// sameRows reports whether group g of s and group pg of prev hold
+// byte-identical rows: the same /24s, the same exact addresses and the
+// same records under every mapper.
+func sameRows(s *Snapshot, g group, prev *Snapshot, pg group) bool {
+	if len(s.records) != len(prev.records) ||
+		!slices.Equal(s.prefixes[g.pLo:g.pHi], prev.prefixes[pg.pLo:pg.pHi]) ||
+		!slices.Equal(s.ips[g.iLo:g.iHi], prev.ips[pg.iLo:pg.iHi]) {
+		return false
+	}
+	for m := range s.records {
+		if !bytes.Equal(s.prefixRecs(m, g), prev.prefixRecs(m, pg)) ||
+			!bytes.Equal(s.exactRecs(m, g), prev.exactRecs(m, pg)) {
+			return false
+		}
+	}
+	return true
+}
+
+// seal computes the content digest and the epoch tag, and builds the
+// directory unless the snapshot already shares one (CompileDelta over
+// an unchanged index). Every constructor of a Snapshot ends here, so
+// none serves without a directory and no lookup ever builds one.
+//
+// The digest is two-level. Each leaf group (one /20, see LeafBase)
+// holding a row gets a leaf: a SHA-256 over its /24s and exact
+// addresses (each a u32 count, then the values) and, per mapper, the
+// records of its prefix rows then of its exact rows. The root is a
+// SHA-256 over the mapper names, the row counts, every leaf's base and
+// hash, the ASNs and the footprints; BuildInfo is deliberately
+// excluded (see Digest). prev, when non-nil, is the snapshot s was
+// derived from: a group whose rows bytes.Equal proves identical to the
+// same group's rows in prev takes prev's leaf instead of hashing them
+// again. prev's leaves were computed by its own seal, never read from
+// outside bytes, so a reused leaf is exactly what hashing would give.
+func (s *Snapshot) seal(prev *Snapshot) {
 	if s.dir == nil {
 		s.dir = buildDirectory(s.prefixes, s.ips)
 	}
 	w := &hashWriter{h: sha256.New(), buf: make([]byte, 0, 1<<16)}
-	w.str("geoserve-snapshot-v1")
+	gs := groups(s.prefixes, s.ips)
+	var pgs []group // prev's groups, one per leaf of prev
+	if prev != nil {
+		pgs = groups(prev.prefixes, prev.ips)
+	}
+	s.leaves = make([]Leaf, len(gs))
+	k := 0
+	for i, g := range gs {
+		leaf := &s.leaves[i]
+		leaf.Base = g.base
+		for k < len(pgs) && pgs[k].base < g.base {
+			k++
+		}
+		if k < len(pgs) && pgs[k].base == g.base && sameRows(s, g, prev, pgs[k]) {
+			leaf.Sum = prev.leaves[k].Sum
+			continue
+		}
+		w.h.Reset()
+		w.u32(uint32(g.pHi - g.pLo))
+		w.u32s(s.prefixes[g.pLo:g.pHi])
+		w.u32(uint32(g.iHi - g.iLo))
+		w.u32s(s.ips[g.iLo:g.iHi])
+		for m := range s.records {
+			w.records(s.prefixRecs(m, g))
+			w.records(s.exactRecs(m, g))
+		}
+		w.flush()
+		w.h.Sum(leaf.Sum[:0])
+	}
+
+	w.h.Reset()
+	w.str("geoserve-snapshot-v2")
 	w.u32(uint32(len(s.mappers)))
 	for _, name := range s.mappers {
 		w.str(name)
 	}
 	w.u32(uint32(len(s.prefixes)))
-	w.u32s(s.prefixes)
 	w.u32(uint32(len(s.ips)))
-	w.u32s(s.ips)
-	for _, slab := range s.records {
-		w.records(slab)
+	w.u32(uint32(len(s.leaves)))
+	for i := range s.leaves {
+		w.u32(s.leaves[i].Base)
+		w.grow(32)
+		w.buf = append(w.buf, s.leaves[i].Sum[:]...)
 	}
 	w.u32(uint32(len(s.asns)))
 	for _, asn := range s.asns {
