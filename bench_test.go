@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -109,8 +110,8 @@ func BenchmarkFractalDimension(b *testing.B) { benchExperiment(b, "fractal") }
 
 // ---- Pipeline stages (where the wall-clock goes) ----
 
-// BenchmarkPipelineFull runs with one worker per CPU;
-// BenchmarkPipelineFullSerial pins Workers to 1. Their ratio on a
+// BenchmarkPipelineFull runs at the default GOMAXPROCS;
+// BenchmarkPipelineFullSerial pins GOMAXPROCS to 1. Their ratio on a
 // multi-core machine is the pipeline's parallel speedup — the outputs
 // are byte-identical either way (see core.TestWorkersDeterminism).
 func BenchmarkPipelineFull(b *testing.B) {
@@ -122,8 +123,9 @@ func BenchmarkPipelineFull(b *testing.B) {
 }
 
 func BenchmarkPipelineFullSerial(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(core.Config{Seed: 1, Scale: 0.02, Workers: 1}); err != nil {
+		if _, err := core.Run(core.Config{Seed: 1, Scale: 0.02}); err != nil {
 			b.Fatal(err)
 		}
 	}

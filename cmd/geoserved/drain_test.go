@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"geonet/internal/obs"
 )
 
 // TestDrainCompletesUnderStalledClient pins the drain guarantee the
@@ -61,6 +63,41 @@ func TestDrainCompletesUnderStalledClient(t *testing.T) {
 	}
 	if err := <-serveErr; err != http.ErrServerClosed {
 		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+}
+
+// TestDebugListenerReapsStalledClient pins that the -debug-addr
+// listener bounds connection phases like the serving one: a client
+// that sends half a request line to the pprof/metrics port has its
+// connection closed at the read-header timeout instead of pinning it
+// forever.
+func TestDebugListenerReapsStalledClient(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := debugServer("", obs.NewObservability("test"),
+		httpTimeouts{readHeader: 200 * time.Millisecond, read: time.Minute, idle: time.Minute})
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /metr")); err != nil {
+		t.Fatal(err)
+	}
+	// The server answers the timed-out request (or not) and closes the
+	// connection; reading to EOF must end well before the 5s deadline.
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("stalled connection not closed by the server: %v", err)
+	}
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Fatalf("stalled connection closed after %v; want about the 200ms read-header timeout", waited)
 	}
 }
 

@@ -21,6 +21,8 @@
 //	POST /v1/admin/rebuild[?seed=N&scale=F]
 //	POST /v1/admin/churn           apply one churn step (builder mode)
 //
+// -workers caps GOMAXPROCS, the one parallelism bound (0 = one per CPU).
+//
 // Every mode that serves lookups serves them from one geoserve.Cluster
 // of -shards N prefix-range shards (default 1). Shards are ranges for
 // accounting and shedding, not parallelism: a lookup is counted on the
@@ -154,7 +156,6 @@ type options struct {
 	seed          int64
 	scale         float64
 	workers       int
-	cacheBudget   int
 	shards        int
 	queueBudget   int
 	snapshotPath  string
@@ -179,8 +180,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address (empty: exit after -write-snapshot)")
 	fs.Int64Var(&o.seed, "seed", 1, "world seed")
 	fs.Float64Var(&o.scale, "scale", 0.1, "world scale relative to the paper's Skitter snapshot")
-	fs.IntVar(&o.workers, "workers", 0, "pipeline/compile workers (0 = one per CPU); also pins GOMAXPROCS")
-	fs.IntVar(&o.cacheBudget, "cachebudget", 0, "netsim route-cache budget override (0 = default)")
+	fs.IntVar(&o.workers, "workers", 0, "GOMAXPROCS cap: bounds pipeline, compile and serving parallelism (0 = one per CPU)")
 	fs.IntVar(&o.shards, "shards", 1, "prefix-range shards: ranges for per-shard accounting and shedding, not parallelism (1 = unsharded)")
 	fs.IntVar(&o.queueBudget, "queuebudget", 0, "per-shard in-flight batch budget before shedding (0 = default)")
 	fs.StringVar(&o.snapshotPath, "snapshot", "", "cold start: load this snapshot file instead of running the pipeline")
@@ -206,6 +206,8 @@ func bindFlags(fs *flag.FlagSet) *options {
 func validate(o *options) error {
 	replicaOrRouter := o.replicaOf != "" || o.router != ""
 	switch {
+	case o.workers < 0:
+		return errors.New("geoserved: -workers must be >= 0")
 	case o.shards < 1:
 		return errors.New("geoserved: -shards must be >= 1")
 	case o.replicaOf != "" && o.router != "":
@@ -246,9 +248,7 @@ func main() {
 	if err := validate(o); err != nil {
 		log.Fatal(err)
 	}
-	if o.workers > 0 {
-		runtime.GOMAXPROCS(o.workers)
-	}
+	runtime.GOMAXPROCS(o.workers) // 0 leaves it at one per CPU
 	switch {
 	case o.replicaOf != "":
 		runReplica(o)
@@ -259,28 +259,21 @@ func main() {
 	}
 }
 
-// startDebugServer runs the runtime-introspection listener: the full
+// debugServer builds the runtime-introspection listener: the full
 // net/http/pprof suite plus the same /metrics and /debug/tracez the
 // serving listener mounts, on a separate address so profiling and
 // scraping never compete with query traffic (and can be firewalled
-// separately). Empty addr means no debug listener.
-func startDebugServer(addr string, o *obs.Observability) {
-	if addr == "" {
-		return
-	}
+// separately). It bounds connection phases like every other listener
+// (TestDebugListenerReapsStalledClient).
+func debugServer(addr string, bundle *obs.Observability, t httpTimeouts) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	o.Mount(mux)
-	go func() {
-		log.Printf("debug listener on %s (pprof, /metrics, /debug/tracez)", addr)
-		if err := http.ListenAndServe(addr, mux); !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("debug listener stopped: %v", err)
-		}
-	}()
+	bundle.Mount(mux)
+	return newHTTPServer(addr, mux, t)
 }
 
 // httpTimeouts bounds every server-side connection phase, so one
@@ -313,7 +306,11 @@ func newHTTPServer(addr string, h http.Handler, t httpTimeouts) *http.Server {
 // and http.Server.Shutdown waits for in-flight requests under the
 // deadline. A rolling restart therefore loses zero answers.
 func serve(o *options, h http.Handler, bundle *obs.Observability, drain func()) {
-	startDebugServer(o.debugAddr, bundle)
+	if o.debugAddr != "" {
+		dbg := debugServer(o.debugAddr, bundle, o.timeouts)
+		log.Printf("debug listener on %s (pprof, /metrics, /debug/tracez)", o.debugAddr)
+		go func() { log.Printf("debug listener stopped: %v", dbg.ListenAndServe()) }()
+	}
 	srv := newHTTPServer(o.addr, h, o.timeouts)
 	done := make(chan struct{})
 	go func() {
@@ -381,7 +378,7 @@ func runBuilder(o *options) {
 		log.Printf("cold start: loaded snapshot %s (epoch %d, %d bytes) from %s in %s",
 			info.Digest[:12], info.Epoch, info.SizeBytes, o.snapshotPath, time.Since(start).Round(time.Millisecond))
 	} else {
-		p, built, err := build(o.seed, o.scale, o.workers, o.cacheBudget, o.quiet)
+		p, built, err := build(o.seed, o.scale, o.quiet)
 		if err != nil {
 			log.Fatalf("geoserved: %v", err)
 		}
@@ -495,7 +492,7 @@ func runBuilder(o *options) {
 		}
 		go func() {
 			defer rebuilding.Store(false)
-			_, fresh, err := build(newSeed, newScale, o.workers, o.cacheBudget, o.quiet)
+			_, fresh, err := build(newSeed, newScale, o.quiet)
 			var m replica.Manifest
 			if err == nil {
 				_, m, err = b.install(fresh, nil)
@@ -602,8 +599,8 @@ func (b *builder) step() (churnResult, error) {
 }
 
 // build runs a pipeline and compiles its serving snapshot.
-func build(seed int64, scale float64, workers, cacheBudget int, quiet bool) (*core.Pipeline, *geoserve.Snapshot, error) {
-	cfg := core.Config{Seed: seed, Scale: scale, Workers: workers, RouteCacheBudget: cacheBudget}
+func build(seed int64, scale float64, quiet bool) (*core.Pipeline, *geoserve.Snapshot, error) {
+	cfg := core.Config{Seed: seed, Scale: scale}
 	if !quiet {
 		cfg.Progress = os.Stderr
 	}

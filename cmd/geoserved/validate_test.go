@@ -24,6 +24,8 @@ func TestValidate(t *testing.T) {
 		{"router", []string{"-router", "http://r1:8081/, http://r2:8082"}, ""},
 		{"replica with no listen address", []string{"-replica-of", "http://builder:8080", "-addr", ""}, ""},
 
+		{"negative workers", []string{"-workers", "-1"},
+			"geoserved: -workers must be >= 0"},
 		{"zero shards", []string{"-shards", "0"},
 			"geoserved: -shards must be >= 1"},
 		{"replica and router", []string{"-replica-of", "http://b", "-router", "http://r"},

@@ -10,9 +10,9 @@
 //
 // -scale 0.1 (default) builds a ~60k-interface world; -scale 1.0
 // approximates the paper's full 563k-interface Skitter snapshot (slow).
-// -workers bounds the pipeline's parallelism (0 = one per CPU); it
-// also pins GOMAXPROCS so the analysis phase respects the same cap.
-// Output is byte-identical for any value. -data writes every figure's
+// -workers caps GOMAXPROCS, the one bound on the pipeline's and the
+// analysis kernels' parallelism (0 = leave it at one per CPU). Output
+// is byte-identical for any value. -data writes every figure's
 // data series as gnuplot-style .dat files. Progress — including the
 // world's inventory and both collections' statistics — goes to stderr.
 //
@@ -59,7 +59,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	seed := fs.Int64("seed", 1, "world seed")
 	scale := fs.Float64("scale", 0.1, "world scale relative to the paper's Skitter snapshot")
-	workers := fs.Int("workers", 0, "parallel workers (0 = one per CPU); results are identical for any value")
+	workers := fs.Int("workers", 0, "GOMAXPROCS cap (0 = one per CPU); results are identical for any value")
 	only := fs.String("only", "", "comma-separated experiment ids (default: all)")
 	dataDir := fs.String("data", "", "directory to write figure data series (.dat files)")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
@@ -68,13 +68,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *workers > 0 {
-		// Hard-cap CPU use everywhere, including the experiment
-		// analysis kernels that fan out to GOMAXPROCS rather than
-		// reading Config.Workers.
-		runtime.GOMAXPROCS(*workers)
+	if *workers < 0 {
+		return fail(stderr, 2, fmt.Errorf("-workers must be >= 0"))
 	}
-	cfg := core.Config{Seed: *seed, Scale: *scale, Workers: *workers, Progress: stderr}
+	runtime.GOMAXPROCS(*workers) // 0 leaves it at one per CPU
+	cfg := core.Config{Seed: *seed, Scale: *scale, Progress: stderr}
 	if *quiet {
 		cfg.Progress = nil
 	}

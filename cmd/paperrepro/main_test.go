@@ -125,3 +125,15 @@ func TestTopogen(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeWorkersIsUsageError pins that -workers, the GOMAXPROCS
+// cap, refuses a negative value instead of silently ignoring it.
+func TestNegativeWorkersIsUsageError(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run([]string{"-workers", "-1", "-list"}, nil, io.Discard, &stderr); code != 2 {
+		t.Errorf("-workers -1: exit %d, want 2", code)
+	}
+	if got, want := stderr.String(), "paperrepro: -workers must be >= 0\n"; got != want {
+		t.Errorf("-workers -1: stderr %q, want %q", got, want)
+	}
+}

@@ -1,7 +1,6 @@
 // Command sweep runs many reproduction pipelines as one workload: a
 // spec matrix expands into scenarios (seed × scale × netgen
-// ablations), the scenarios run concurrently under one global worker
-// budget, and the output is per-scenario report digests plus
+// ablations), the scenarios run concurrently, and the output is per-scenario report digests plus
 // cross-scenario sensitivity tables — how Table-I mapper agreement and
 // the Section V distance-preference exponent move along each axis.
 //
@@ -13,10 +12,9 @@
 //
 // Matrix axes come from comma-separated flags, or -spec names a JSON
 // file holding either a scenario.Matrix object or a bare array of
-// specs. -workers is the global budget shared by all concurrently
-// running pipelines (0 = one per CPU); like paperrepro, it also pins
-// GOMAXPROCS so the per-scenario analysis kernels respect the same
-// cap. -json emits the full report as JSON instead of tables.
+// specs. -workers caps GOMAXPROCS, the one bound on how many pipelines
+// run at once and on every goroutine inside them (0 = one per CPU).
+// -json emits the full report as JSON instead of tables.
 package main
 
 import (
@@ -40,30 +38,27 @@ func main() {
 	extraLinks := flag.String("extralinks", "", "mean extra links per router axis")
 	distIndep := flag.String("distindep", "", "distance-independent link fraction axis")
 	placement := flag.String("placement", "", "placement axis: population,uniform")
-	cacheBudgets := flag.String("cachebudgets", "", "route cache budget axis")
 	specFile := flag.String("spec", "", "JSON file: a matrix object or an array of specs")
-	workers := flag.Int("workers", 0, "global worker budget shared by all pipelines (0 = one per CPU)")
+	workers := flag.Int("workers", 0, "GOMAXPROCS cap shared by all pipelines (0 = one per CPU)")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON")
 	verbose := flag.Bool("v", false, "forward per-pipeline stage progress")
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	flag.Parse()
 
-	if *workers > 0 {
-		// Hard-cap CPU use everywhere: the sweep splits this budget
-		// across pipelines, and the digest-phase analysis kernels fan
-		// out to GOMAXPROCS rather than reading a workers knob.
-		runtime.GOMAXPROCS(*workers)
+	if *workers < 0 {
+		fmt.Fprintln(os.Stderr, "sweep: -workers must be >= 0")
+		os.Exit(2)
 	}
+	runtime.GOMAXPROCS(*workers) // 0 leaves it at one per CPU
 
 	specs, err := specsFromFlags(*specFile, axisFlags{
-		Seeds:        *seeds,
-		Scales:       *scales,
-		Monitors:     *monitors,
-		ASCount:      *asFactors,
-		ExtraLinks:   *extraLinks,
-		DistIndep:    *distIndep,
-		Placement:    *placement,
-		CacheBudgets: *cacheBudgets,
+		Seeds:      *seeds,
+		Scales:     *scales,
+		Monitors:   *monitors,
+		ASCount:    *asFactors,
+		ExtraLinks: *extraLinks,
+		DistIndep:  *distIndep,
+		Placement:  *placement,
 	})
 	if err != nil {
 		fail(err)
@@ -74,9 +69,8 @@ func main() {
 		progress = nil
 	}
 	rep, err := scenario.Sweep(specs, scenario.Options{
-		TotalWorkers: *workers,
-		Progress:     progress,
-		Verbose:      *verbose,
+		Progress: progress,
+		Verbose:  *verbose,
 	})
 	if err != nil {
 		fail(err)
@@ -96,14 +90,13 @@ func main() {
 
 // axisFlags carries the raw comma-separated matrix axis flag values.
 type axisFlags struct {
-	Seeds        string
-	Scales       string
-	Monitors     string
-	ASCount      string
-	ExtraLinks   string
-	DistIndep    string
-	Placement    string
-	CacheBudgets string
+	Seeds      string
+	Scales     string
+	Monitors   string
+	ASCount    string
+	ExtraLinks string
+	DistIndep  string
+	Placement  string
 }
 
 // specsFromFlags resolves the spec list from either the JSON file or
@@ -147,9 +140,6 @@ func (f axisFlags) matrix() (scenario.Matrix, error) {
 	}
 	if f.Placement != "" {
 		m.Placement = splitList(f.Placement)
-	}
-	if m.RouteCacheBudgets, err = parseInts(f.CacheBudgets); err != nil {
-		return m, fmt.Errorf("-cachebudgets: %w", err)
 	}
 	return m, nil
 }

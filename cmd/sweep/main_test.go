@@ -26,7 +26,7 @@ func TestSpecsFromFlagsMatrix(t *testing.T) {
 			name: "all axes",
 			flags: axisFlags{Seeds: "1", Scales: "0.02", Monitors: "9,19",
 				ASCount: "1,2", ExtraLinks: "0.55", DistIndep: "0.08",
-				Placement: "population,uniform", CacheBudgets: "64"},
+				Placement: "population,uniform"},
 			want: 8,
 		},
 		{
@@ -73,11 +73,6 @@ func TestSpecsFromFlagsMatrix(t *testing.T) {
 			name:    "bad dist-indep fraction",
 			flags:   axisFlags{Seeds: "1", Scales: "0.02", DistIndep: "8%"},
 			wantErr: `-distindep: bad value "8%"`,
-		},
-		{
-			name:    "bad cache budget",
-			flags:   axisFlags{Seeds: "1", Scales: "0.02", CacheBudgets: "lots"},
-			wantErr: `-cachebudgets: bad value "lots"`,
 		},
 		{
 			name:    "unknown placement rejected by matrix",

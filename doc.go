@@ -26,37 +26,36 @@
 //
 // # Parallelism
 //
-// The pipeline fans out across cores: core.Config.Workers bounds the
-// pipeline's stage fan-out (<= 0 means one worker per CPU).
-// Independent stages run concurrently — the two BGP epoch assemblies,
-// the Skitter and Mercator collections, and the four Table-I
-// dataset-mapper combinations — and the hot kernels inside them fan
-// out too: Skitter probes per-monitor, Mercator traces in fixed-size
-// batches, and the Section V pairwise-distance histogram runs over
-// triangle-strided chunks with a latitude-band prune. The analysis
-// kernels, which also run standalone from experiments and benches,
-// parallelize up to GOMAXPROCS instead of reading Config.Workers; cap
-// GOMAXPROCS (as paperrepro's -workers flag does) to bound them too.
-// All of it is
-// built on internal/parallel (bounded worker pools, chunked ForEach,
-// and a map-reduce whose per-chunk accumulators merge in a fixed
-// order), so a (seed, scale) pair produces byte-identical reports at
-// any worker count — the property core.TestWorkersDeterminism locks in.
+// The pipeline fans out across cores, and GOMAXPROCS is the one bound
+// on all of it; the -workers flag of paperrepro, sweep and geoserved
+// sets it (0 leaves it at one per CPU). Independent stages run
+// concurrently — the two BGP epoch assemblies, the Skitter and
+// Mercator collections, and the four Table-I dataset-mapper
+// combinations — and the hot kernels inside them fan out too: Skitter
+// probes per-monitor, Mercator traces in fixed-size batches, the
+// serving compile per row, and the Section V pairwise-distance
+// histogram over triangle-strided chunks with a latitude-band prune.
+// All of it is built on internal/parallel (bounded task groups,
+// chunked ForEach, and a map-reduce whose per-chunk accumulators merge
+// in a fixed order), whose every primitive runs at most GOMAXPROCS
+// goroutines at once, so a (seed, scale) pair produces byte-identical
+// reports at any GOMAXPROCS — the property core.TestWorkersDeterminism
+// locks in by running pipeline and experiments at 1 and at 8.
 //
 // # Scenario sweeps and the golden regression corpus
 //
 // The paper's findings are claims about one synthetic world; the
 // scenario engine asks how they move across many. internal/scenario
 // runs whole pipelines as one declarative workload: a scenario.Spec
-// names a variant (seed, scale, workers, route-cache budget, plus the
-// netgen ablations — skitter monitor count, AS count factor,
-// extra-link density, distance-independent link fraction, and uniform
-// "Waxman" placement), a scenario.Matrix expands axis lists into the
-// cross product in a fixed order, and scenario.Sweep executes the
-// specs concurrently — shared-nothing pipelines under one global
-// worker budget, split by parallel.NestedBudget so N pipelines times M
-// inner workers never oversubscribes — then reduces results in spec
-// order. Each scenario yields a core.Digest (a SHA-256 over every
+// names a variant (seed and scale, plus the netgen ablations —
+// skitter monitor count, AS count factor, extra-link density,
+// distance-independent link fraction, and uniform "Waxman" placement —
+// and an optional churn phase), a scenario.Matrix expands axis lists
+// into the cross product in a fixed order, and scenario.Sweep executes
+// the specs concurrently — shared-nothing pipelines, at most
+// GOMAXPROCS at once, whose goroutines share the same GOMAXPROCS
+// threads — then reduces results in spec order. Every axis changes the
+// world; none only changes run time. Each scenario yields a core.Digest (a SHA-256 over every
 // experiment's rendered tables and figure data) and headline metrics;
 // the report's sensitivity tables show how Table-I mapper agreement
 // and the Section V distance-preference exponent move along each axis.
@@ -106,7 +105,7 @@
 // that brought it, from the one snapshot a rebuild publishes with a
 // single pointer store. Snapshot digests follow the same determinism discipline as
 // report digests; geoserve's golden tests pin them byte-for-byte
-// across worker counts, hot-swaps and — the shard-count invariance —
+// across GOMAXPROCS settings, hot-swaps and — the shard-count invariance —
 // across cluster topologies {1, 2, 3, 8}, each checked against
 // Snapshot.Lookup.
 //

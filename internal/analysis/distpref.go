@@ -107,7 +107,6 @@ func pairHistogram(locs []geo.Point, counts []float64, bins []float64, binMiles,
 		weight[i] = counts[j]
 	}
 
-	workers := parallel.Workers(0)
 	numChunks := 64
 	if numChunks > n {
 		numChunks = n
@@ -126,7 +125,7 @@ func pairHistogram(locs []geo.Point, counts []float64, bins []float64, binMiles,
 			}
 		}
 	}
-	merged := parallel.Reduce(workers, numChunks,
+	merged := parallel.Reduce(numChunks,
 		func(c int) []float64 {
 			local := make([]float64, len(bins))
 			rowRange(c, local)

@@ -41,7 +41,7 @@ type ASFootprint struct {
 func Footprints(infos []topo.ASInfo) []ASFootprint {
 	proj := geo.WorldAlbers()
 	out := make([]ASFootprint, len(infos))
-	parallel.ForEach(parallel.Workers(0), len(infos), func(i int) {
+	parallel.ForEach(len(infos), func(i int) {
 		info := infos[i]
 		fp := ASFootprint{
 			ASN:        info.ASN,

@@ -328,7 +328,6 @@ func (c *Churner) materialize() (geoserve.Source, error) {
 		Internet: &in,
 		Table:    table,
 		Mappers:  mappers,
-		Workers:  c.base.Workers,
 		Build:    c.base.Build,
 	}, nil
 }

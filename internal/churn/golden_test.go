@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -119,15 +120,15 @@ func TestGoldenChurnCorpus(t *testing.T) {
 		}
 
 		if i == 0 {
-			// Worker-count independence holds on the delta path too.
-			src3 := step.Source
-			src3.Workers = 3
-			alt, _, err := geoserve.CompileDelta(prev, src3, step.Dirty)
+			// GOMAXPROCS independence holds on the delta path too.
+			procs := runtime.GOMAXPROCS(3)
+			alt, _, err := geoserve.CompileDelta(prev, step.Source, step.Dirty)
+			runtime.GOMAXPROCS(procs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if alt.Digest() != delta.Digest() {
-				t.Fatalf("step %d: digest depends on worker count", step.N)
+				t.Fatalf("step %d: digest depends on GOMAXPROCS", step.N)
 			}
 		}
 

@@ -5,12 +5,13 @@
 // experiments.go regenerates every table and figure of the paper from
 // a Pipeline's results.
 //
-// Independent stages run concurrently, bounded by Config.Workers: the
-// two BGP epoch assemblies, the two collections (each internally
-// parallel), and the four Table-I dataset-mapper combinations. Every
+// Independent stages run concurrently: the two BGP epoch assemblies,
+// the two collections (each internally parallel), and the four
+// Table-I dataset-mapper combinations. GOMAXPROCS is the one bound on
+// that fan-out and on the analysis kernels the experiments run. Every
 // stochastic stage draws from its own named split of the root stream
 // and every parallel reduction merges in a fixed order, so a (seed,
-// scale) pair produces byte-identical reports at any worker count.
+// scale) pair produces byte-identical reports at any GOMAXPROCS.
 package core
 
 import (
@@ -35,18 +36,6 @@ import (
 type Config struct {
 	Seed  int64
 	Scale float64
-	// Workers bounds the pipeline's stage fan-out (collections, BGP
-	// epochs, Table-I processing); <= 0 means one worker per CPU.
-	// Analysis kernels invoked from experiments parallelize up to
-	// GOMAXPROCS instead — cap that to bound them. Reports are
-	// byte-identical for any value of either knob.
-	Workers int
-	// RouteCacheBudget overrides netsim's routing-table cache budget
-	// (<= 0 keeps the compiled default). Routing tables are pure
-	// functions of the topology, so the budget trades memory for
-	// recomputation without affecting reports — see
-	// TestCacheBudgetDeterminism.
-	RouteCacheBudget int
 	// Progress, when non-nil, receives stage announcements.
 	Progress io.Writer
 	// Gen overrides the netgen configuration (ablations); nil uses the
@@ -101,11 +90,10 @@ func TableICombos() []Combo {
 // Run executes the full pipeline.
 func Run(cfg Config) (*Pipeline, error) {
 	if cfg.Scale <= 0 {
-		// Default only the scale; the caller's seed, workers and
-		// overrides stand.
+		// Default only the scale; the caller's seed and overrides
+		// stand.
 		cfg.Scale = DefaultConfig().Scale
 	}
-	workers := parallel.Workers(cfg.Workers)
 	p := &Pipeline{Config: cfg, Datasets: map[Combo]*topo.Dataset{}}
 	say := func(format string, args ...interface{}) {
 		if cfg.Progress != nil {
@@ -118,7 +106,7 @@ func Run(cfg Config) (*Pipeline, error) {
 	p.World = population.Build(population.DefaultConfig(), root.Split("world"))
 	say("  %d places, %.0fM people", len(p.World.Places), p.World.Raster.Total()/1e6)
 
-	say("generating ground-truth internet (scale %.3f, %d workers)", cfg.Scale, workers)
+	say("generating ground-truth internet (scale %.3f)", cfg.Scale)
 	gcfg := netgen.DefaultConfig()
 	if cfg.Gen != nil {
 		gcfg = *cfg.Gen
@@ -141,13 +129,10 @@ func Run(cfg Config) (*Pipeline, error) {
 
 	say("compiling forwarding fabric")
 	p.Network = netsim.Compile(p.Internet)
-	if cfg.RouteCacheBudget > 0 {
-		p.Network.CacheBudget = cfg.RouteCacheBudget
-	}
 
 	say("publishing DNS, whois and ISP geography")
 	var dnsErr error
-	parallel.Do(workers,
+	parallel.Do(
 		func() { p.DNS, dnsErr = dnsdb.FromInternet(p.Internet) },
 		func() { p.Whois = whois.FromInternet(p.Internet) },
 	)
@@ -160,7 +145,7 @@ func Run(cfg Config) (*Pipeline, error) {
 		geoloc.DefaultEdgeScapeConfig(), root.Split("edgescape"))
 
 	say("assembling RouteViews tables (two epochs)")
-	parallel.Do(workers,
+	parallel.Do(
 		func() {
 			skitterEpoch := bgp.DefaultAssembleConfig() // Jan 2002: 1.5% unmapped
 			p.SkitterTable = bgp.Assemble(p.Internet, skitterEpoch, root.Split("bgp-2002"))
@@ -173,20 +158,9 @@ func Run(cfg Config) (*Pipeline, error) {
 	)
 
 	say("running skitter (19 monitors) and mercator collections")
-	// The two collectors run concurrently and each fans out
-	// internally, so they split the worker budget between them
-	// (workers=1 serializes the collectors entirely via Do).
-	colWorkers := workers / 2
-	if colWorkers < 1 {
-		colWorkers = 1
-	}
-	skCfg := skitter.DefaultConfig()
-	skCfg.Workers = colWorkers
-	mcCfg := mercator.DefaultConfig()
-	mcCfg.Workers = colWorkers
-	parallel.Do(workers,
-		func() { p.RawSkitter = skitter.Collect(p.Network, skCfg, root.Split("skitter")) },
-		func() { p.RawMercator = mercator.Collect(p.Network, mcCfg, root.Split("mercator")) },
+	parallel.Do(
+		func() { p.RawSkitter = skitter.Collect(p.Network, skitter.DefaultConfig(), root.Split("skitter")) },
+		func() { p.RawMercator = mercator.Collect(p.Network, mercator.DefaultConfig(), root.Split("mercator")) },
 	)
 	sk, mc := p.RawSkitter, p.RawMercator
 	say("  skitter: %d monitors, %d traces (%d failed), %d interfaces, %d links, %d destinations",
@@ -204,7 +178,7 @@ func Run(cfg Config) (*Pipeline, error) {
 		p.IxMapper.Name():  p.IxMapper,
 		p.EdgeScape.Name(): p.EdgeScape,
 	}
-	built := parallel.Map(workers, len(combos), func(i int) *topo.Dataset {
+	built := parallel.Map(len(combos), func(i int) *topo.Dataset {
 		c := combos[i]
 		if c.Dataset == "skitter" {
 			return topo.FromSkitter(p.RawSkitter, mappers[c.Mapper], p.SkitterTable)

@@ -9,10 +9,6 @@ import (
 // ServeOptions tunes how a finished pipeline compiles into a serving
 // snapshot. The zero value matches Serve.
 type ServeOptions struct {
-	// Workers overrides the compile fan-out (0 = the pipeline's own
-	// Workers setting). The compiled snapshot is byte-identical at any
-	// value.
-	Workers int
 	// Label names the build in /healthz and /statusz
 	// ("seed1/scale0.02/..."); it is excluded from the snapshot digest.
 	Label string
@@ -25,7 +21,7 @@ type ServeOptions struct {
 // two), and confidence radii from each mapper's per-AS footprints
 // measured over its Skitter dataset (the larger collection). The
 // snapshot's digest follows the same determinism discipline as Digest:
-// byte-identical at any Workers setting.
+// byte-identical at any GOMAXPROCS.
 func (p *Pipeline) Serve() (*geoserve.Snapshot, error) {
 	return p.ServeWith(ServeOptions{})
 }
@@ -39,10 +35,6 @@ func (p *Pipeline) ServeWith(opts ServeOptions) (*geoserve.Snapshot, error) {
 // compiling it — the handle continuous-churn drivers (internal/churn)
 // start from and the input both Compile and CompileDelta consume.
 func (p *Pipeline) ServeSource(opts ServeOptions) geoserve.Source {
-	workers := p.Config.Workers
-	if opts.Workers != 0 {
-		workers = opts.Workers
-	}
 	return geoserve.Source{
 		Internet: p.Internet,
 		Table:    p.SkitterTable,
@@ -56,7 +48,6 @@ func (p *Pipeline) ServeSource(opts ServeOptions) geoserve.Source {
 				Footprints: analysis.Footprints(p.Dataset("skitter", "edgescape").ASAggregate()),
 			},
 		},
-		Workers: workers,
 		Build: geoserve.BuildInfo{
 			Seed:  p.Config.Seed,
 			Scale: p.Config.Scale,

@@ -4,101 +4,128 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"geonet/internal/geoloc"
+	"geonet/internal/netsim"
+	"geonet/internal/probe/mercator"
+	"geonet/internal/probe/skitter"
+	"geonet/internal/rng"
+	"geonet/internal/topo"
 )
 
-// TestWorkersDeterminism is the contract behind Config.Workers: the
-// same (seed, scale) must regenerate every table and figure
-// byte-identically whether the pipeline runs serially or fanned out.
-// GOMAXPROCS is raised so the parallel paths genuinely interleave even
-// on a single-CPU machine.
+// TestWorkersDeterminism is the contract behind GOMAXPROCS, the one
+// parallelism bound: the same (seed, scale) must regenerate every
+// table and figure byte-identically whether the pipeline and the
+// analysis kernels run serially (GOMAXPROCS 1) or fanned out
+// (GOMAXPROCS 8, so the parallel paths genuinely interleave even on a
+// single-CPU machine).
 func TestWorkersDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the pipeline twice")
 	}
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
-	run := func(workers int) *Pipeline {
-		cfg := TestConfig()
-		cfg.Workers = workers
-		p, err := Run(cfg)
+	// run builds the pipeline and every report at the given GOMAXPROCS.
+	run := func(procs int) (*Pipeline, []Report) {
+		runtime.GOMAXPROCS(procs)
+		p, err := Run(TestConfig())
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		return p
+		var reps []Report
+		for _, e := range Experiments() {
+			reps = append(reps, e.Run(p))
+		}
+		return p, reps
 	}
-	p1 := run(1)
-	p8 := run(8)
+	p1, r1 := run(1)
+	p8, r8 := run(8)
 
 	// The raw artefacts must already agree, so a report mismatch can
 	// be localised to analysis rather than collection.
 	if !reflect.DeepEqual(p1.RawSkitter, p8.RawSkitter) {
-		t.Error("skitter raw graphs differ between worker counts")
+		t.Error("skitter raw graphs differ between GOMAXPROCS 1 and 8")
 	}
 	if !reflect.DeepEqual(p1.RawMercator, p8.RawMercator) {
-		t.Error("mercator results differ between worker counts")
+		t.Error("mercator results differ between GOMAXPROCS 1 and 8")
 	}
 
-	for _, e := range Experiments() {
-		r1 := e.Run(p1)
-		r8 := e.Run(p8)
-		if !reflect.DeepEqual(r1, r8) {
-			t.Errorf("experiment %q differs between Workers=1 and Workers=8", e.ID)
-			if f1, f8 := r1.Format(), r8.Format(); f1 != f8 {
-				t.Logf("Workers=1:\n%s\nWorkers=8:\n%s", f1, f8)
+	for i, e := range Experiments() {
+		if !reflect.DeepEqual(r1[i], r8[i]) {
+			t.Errorf("experiment %q differs between GOMAXPROCS 1 and 8", e.ID)
+			if f1, f8 := r1[i].Format(), r8[i].Format(); f1 != f8 {
+				t.Logf("GOMAXPROCS=1:\n%s\nGOMAXPROCS=8:\n%s", f1, f8)
 			}
 		}
 	}
 }
 
 // TestCacheBudgetDeterminism proves routing-table cache pressure is
-// invisible in results: a pipeline forced to evict constantly (a
-// budget of a handful of tables) produces the same Table I as one
-// whose cache never fills. Tables are pure functions of the topology,
-// so eviction may only cost time, never change a trace.
+// invisible in results: both collections re-run over a fabric forced
+// to evict constantly (a budget of a handful of tables) produce the
+// same raw data and the same Table I as the pipeline, whose cache
+// never fills. Tables are pure functions of the topology, so eviction
+// may only cost time, never change a trace.
 func TestCacheBudgetDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the pipeline twice")
+		t.Skip("runs the collections twice")
 	}
-	run := func(budget int) *Pipeline {
-		cfg := TestConfig()
-		cfg.Workers = 4
-		cfg.RouteCacheBudget = budget
-		p, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("budget=%d: %v", budget, err)
-		}
-		return p
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const budget = 6
+	p, err := Run(TestConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	tiny := run(6)
-	big := run(0)
-	if !reflect.DeepEqual(tiny.RawSkitter, big.RawSkitter) {
+	if held := p.Network.CachedTables(); held <= budget {
+		t.Fatalf("pipeline fabric holds %d tables; a budget of %d would not force eviction", held, budget)
+	}
+
+	tiny := netsim.Compile(p.Internet)
+	tiny.CacheBudget = budget
+	// Run draws each collector from a named split of the seed's root
+	// stream; a split is a pure hash of seed and name.
+	root := rng.New(p.Config.Seed)
+	q := *p
+	q.Network = tiny
+	q.RawSkitter = skitter.Collect(tiny, skitter.DefaultConfig(), root.Split("skitter"))
+	q.RawMercator = mercator.Collect(tiny, mercator.DefaultConfig(), root.Split("mercator"))
+	if !reflect.DeepEqual(q.RawSkitter, p.RawSkitter) {
 		t.Error("skitter raw graphs differ under cache eviction pressure")
 	}
-	if !reflect.DeepEqual(tiny.RawMercator, big.RawMercator) {
+	if !reflect.DeepEqual(q.RawMercator, p.RawMercator) {
 		t.Error("mercator results differ under cache eviction pressure")
 	}
-	r1, _ := RunExperiment(tiny, "table1")
-	r2, _ := RunExperiment(big, "table1")
+
+	// Table I re-processed from the re-collected raw data.
+	mappers := map[string]geoloc.Mapper{p.IxMapper.Name(): p.IxMapper, p.EdgeScape.Name(): p.EdgeScape}
+	q.Datasets = map[Combo]*topo.Dataset{}
+	for _, c := range TableICombos() {
+		if c.Dataset == "skitter" {
+			q.Datasets[c] = topo.FromSkitter(q.RawSkitter, mappers[c.Mapper], p.SkitterTable)
+		} else {
+			q.Datasets[c] = topo.FromMercator(q.RawMercator, mappers[c.Mapper], p.MercatorTable)
+		}
+	}
+	r1, _ := RunExperiment(&q, "table1")
+	r2, _ := RunExperiment(p, "table1")
 	if !reflect.DeepEqual(r1, r2) {
 		t.Error("Table I differs under cache eviction pressure")
 	}
 }
 
 // TestRepeatedRunsIdentical guards the weaker (pre-existing) property
-// that two runs at the same worker count agree, so a determinism break
-// in the collectors themselves cannot hide behind the workers knob.
+// that two runs at the same GOMAXPROCS agree, so a determinism break
+// in the collectors themselves cannot hide behind a serial run.
 func TestRepeatedRunsIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the pipeline twice")
 	}
-	cfg := TestConfig()
-	cfg.Workers = 4
-	a, err := Run(cfg)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	a, err := Run(TestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := Run(TestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

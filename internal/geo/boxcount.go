@@ -35,7 +35,7 @@ func BoxCountDimension(pts []Point, region Region, scales int) BoxCountResult {
 		size     float64
 		occupied int
 	}
-	perScale := parallel.Map(parallel.Workers(0), scales, func(s int) scaleCount {
+	perScale := parallel.Map(scales, func(s int) scaleCount {
 		size := base / math.Pow(2, float64(s+1))
 		occupied := map[[2]int]struct{}{}
 		for _, p := range pts {

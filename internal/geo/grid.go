@@ -82,7 +82,7 @@ func (g *PatchGrid) Tally(points []Point) []float64 {
 		return counts
 	}
 	chunks := parallel.Chunks(len(points), 64)
-	return parallel.Reduce(parallel.Workers(0), len(chunks),
+	return parallel.Reduce(len(chunks),
 		func(c int) []float64 {
 			counts := make([]float64, g.Cells())
 			g.tallyRange(points[chunks[c][0]:chunks[c][1]], counts)

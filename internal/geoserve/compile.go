@@ -23,9 +23,6 @@ type Source struct {
 	// Mappers are compiled in order; Lookup's mapper index and the
 	// HTTP API's mapper names follow it.
 	Mappers []NamedMapper
-	// Workers bounds the compile fan-out (<= 0: one per CPU). The
-	// compiled snapshot is byte-identical at any value.
-	Workers int
 	// Build identifies the pipeline for /healthz and /statusz.
 	Build BuildInfo
 }
@@ -43,14 +40,13 @@ type NamedMapper struct {
 // sorted /24 interval index over the allocated space, exact answers
 // for every known interface address, prefix-level answers for generic
 // hosts, and per-AS footprints. Compilation parallelizes over
-// per-index slots under Workers, so the result (and its Digest) is
-// identical at any worker count.
+// per-index slots (up to GOMAXPROCS), so the result (and its Digest)
+// is identical at any parallelism.
 func Compile(src Source) (*Snapshot, error) {
 	s, byASN, err := skeleton(src)
 	if err != nil {
 		return nil, err
 	}
-	workers := parallel.Workers(src.Workers)
 	in := src.Internet
 
 	// addrs[row] is the address a slab row is answered for: an exact
@@ -61,7 +57,7 @@ func Compile(src Source) (*Snapshot, error) {
 	// EdgeScape feed by /24).
 	rows := len(s.prefixes) + len(s.ips)
 	addrs := make([]uint32, rows)
-	parallel.ForEach(workers, len(s.prefixes), func(i int) {
+	parallel.ForEach(len(s.prefixes), func(i int) {
 		addrs[i] = genericHost(in, s.prefixes[i])
 	})
 	copy(addrs[len(s.prefixes):], s.ips)
@@ -70,7 +66,7 @@ func Compile(src Source) (*Snapshot, error) {
 	var firstErr compileErr
 	for m, nm := range src.Mappers {
 		slab := make([]byte, rows*RecordSize)
-		parallel.ForEach(workers, rows, func(row int) {
+		parallel.ForEach(rows, func(row int) {
 			firstErr.set(compileRecord(slab[row*RecordSize:], nm.Mapper, src.Table, byASN[m], addrs[row], row >= len(s.prefixes)))
 		})
 		s.records = append(s.records, slab)

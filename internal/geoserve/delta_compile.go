@@ -70,7 +70,6 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 	if !slices.Equal(s.mappers, prev.mappers) {
 		return nil, st, fmt.Errorf("geoserve: delta compile: mappers %q, previous snapshot has %q", s.mappers, prev.mappers)
 	}
-	workers := parallel.Workers(src.Workers)
 	in := src.Internet
 
 	// The common churn step moves answers, not the index: it then
@@ -193,7 +192,7 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 		return s.ips[row-len(s.prefixes)]
 	}
 	addrs := make([]uint32, len(recomp))
-	parallel.ForEach(workers, len(recomp), func(k int) {
+	parallel.ForEach(len(recomp), func(k int) {
 		addrs[k] = rowKey(recomp[k])
 		if recomp[k] < len(s.prefixes) {
 			addrs[k] = genericHost(in, addrs[k])
@@ -233,7 +232,7 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 				binary.LittleEndian.PutUint64(rec[recOffRadius:], math.Float64bits(radius))
 			}
 		}
-		parallel.ForEach(workers, len(recomp), func(k int) {
+		parallel.ForEach(len(recomp), func(k int) {
 			row := recomp[k]
 			firstErr.set(compileRecord(slab[row*RecordSize:], nm.Mapper, src.Table, byASN[m], addrs[k], row >= len(s.prefixes)))
 		})

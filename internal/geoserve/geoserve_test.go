@@ -1,6 +1,7 @@
 package geoserve_test
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -219,20 +220,18 @@ func TestLookupHitPathZeroAllocs(t *testing.T) {
 }
 
 // TestCompileDeterministicAcrossWorkers compiles the same pipeline at
-// several worker counts; digests must be identical.
+// several GOMAXPROCS settings; digests must be identical.
 func TestCompileDeterministicAcrossWorkers(t *testing.T) {
 	p, snap := fixture(t)
-	for _, workers := range []int{1, 3, 8} {
-		cfg := p.Config
-		cfg.Workers = workers
-		q := *p
-		q.Config = cfg
-		snap2, err := q.Serve()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		snap2, err := p.Serve()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if snap2.Digest() != snap.Digest() {
-			t.Fatalf("digest drifts at workers=%d: %s != %s", workers, snap2.Digest(), snap.Digest())
+			t.Fatalf("digest drifts at GOMAXPROCS=%d: %s != %s", procs, snap2.Digest(), snap.Digest())
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -65,28 +66,28 @@ func goldenTranscript(snap *geoserve.Snapshot, h http.Handler, p *core.Pipeline)
 }
 
 // TestGoldenServing pins the snapshot digest and a fixed set of lookup
-// responses byte-for-byte: across Workers settings (compile and
+// responses byte-for-byte: across GOMAXPROCS settings (compile and
 // pipeline parallelism must not move a single byte) and across a
 // hot-swap to an identical rebuild. Regenerate with
 //
 //	go test ./internal/geoserve -run TestGoldenServing -update
 func TestGoldenServing(t *testing.T) {
-	p, snap1 := fixture(t) // TestConfig: seed 1, scale 0.02, default workers
+	p, snap1 := fixture(t) // TestConfig: seed 1, scale 0.02, default GOMAXPROCS
 
-	// An independent pipeline run at a different worker count must
-	// compile to the identical snapshot.
-	cfg := core.TestConfig()
-	cfg.Workers = 3
-	p3, err := core.Run(cfg)
+	// An independent pipeline run and compile at a different GOMAXPROCS
+	// must produce the identical snapshot.
+	prev := runtime.GOMAXPROCS(3)
+	p3, err := core.Run(core.TestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap3, err := p3.Serve()
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap3.Digest() != snap1.Digest() {
-		t.Fatalf("digest drifts across Workers: %s != %s", snap3.Digest(), snap1.Digest())
+		t.Fatalf("digest drifts across GOMAXPROCS: %s != %s", snap3.Digest(), snap1.Digest())
 	}
 
 	e := geoserve.NewEngine(snap1)

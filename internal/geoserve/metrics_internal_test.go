@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"geonet/internal/geoloc"
 	"geonet/internal/obs"
 )
 
@@ -245,6 +246,29 @@ func TestRingAddSecondBoundary(t *testing.T) {
 		want := float64(goroutines * adds)
 		if got := m.windowQPS(time.Unix(first+seconds, 0), seconds); got != want {
 			t.Fatalf("lap %d: ring averages %v lookups a second over its %d seconds, want %v", lap, got, seconds, want)
+		}
+	}
+}
+
+// TestMethodCodesMatchGeoloc pins the stored method codes to geoloc's
+// method names in both directions: methodNames must stay aligned with
+// the method constants, or a record would decode to another method.
+func TestMethodCodesMatchGeoloc(t *testing.T) {
+	for _, c := range []struct {
+		code method
+		name string
+	}{
+		{methodNone, ""},
+		{methodFeed, geoloc.MethodFeed},
+		{methodHostname, geoloc.MethodHostname},
+		{methodLOC, geoloc.MethodLOC},
+		{methodWhois, geoloc.MethodWhois},
+	} {
+		if got := methodNames[c.code]; got != c.name {
+			t.Errorf("methodNames[%d] = %q, want %q", c.code, got, c.name)
+		}
+		if got, ok := methodCode(c.name); !ok || got != c.code {
+			t.Errorf("methodCode(%q) = %d, %v; want %d", c.name, got, ok, c.code)
 		}
 	}
 }

@@ -1,15 +1,17 @@
 // Package parallel provides the bounded fan-out primitives the
-// pipeline's hot paths share: a worker-count knob resolver, a bounded
-// concurrent task group, chunked index loops, and a map-reduce with
-// per-chunk accumulators merged in chunk order.
+// pipeline's hot paths share: a bounded concurrent task group, chunked
+// index loops, and a map-reduce with per-chunk accumulators merged in
+// chunk order. Every primitive runs at most GOMAXPROCS goroutines at
+// once; GOMAXPROCS is the one parallelism bound (the commands' -workers
+// flag sets it).
 //
 // Determinism discipline: every reduction merges partial results in a
 // fixed (chunk-index) order, and callers pick chunk counts independent
-// of the worker count. Integer tallies are exact under any grouping;
-// float accumulations stay bit-identical because neither the partition
-// nor the merge order ever changes — only how many chunks run at once
-// does. This is what lets core.Run promise byte-identical reports for
-// any Config.Workers.
+// of GOMAXPROCS. Integer tallies are exact under any grouping; float
+// accumulations stay bit-identical because neither the partition nor
+// the merge order ever changes — only how many chunks run at once
+// does. This is what lets core.Run promise byte-identical reports at
+// any GOMAXPROCS.
 package parallel
 
 import (
@@ -18,41 +20,10 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a worker-count knob: values <= 0 mean one worker
-// per available CPU (GOMAXPROCS).
-func Workers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// NestedBudget splits one global worker budget across a two-level
-// fan-out: tasks pipelines run at once (outer), each allowed inner
-// workers internally, with outer*inner <= max(total, tasks) so N
-// concurrent pipelines times M inner workers never oversubscribes the
-// budget. total <= 0 means one worker per CPU. outer and inner are
-// both at least 1.
-func NestedBudget(total, tasks int) (outer, inner int) {
-	total = Workers(total)
-	if tasks < 1 {
-		tasks = 1
-	}
-	outer = total
-	if outer > tasks {
-		outer = tasks
-	}
-	inner = total / outer
-	if inner < 1 {
-		inner = 1
-	}
-	return outer, inner
-}
-
-// Do runs the functions with at most workers in flight at once and
-// waits for all of them; workers <= 1 degenerates to a serial loop.
-func Do(workers int, fns ...func()) {
-	workers = Workers(workers)
+// Do runs the functions with at most GOMAXPROCS in flight at once and
+// waits for all of them; GOMAXPROCS 1 degenerates to a serial loop.
+func Do(fns ...func()) {
+	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 || len(fns) <= 1 {
 		for _, fn := range fns {
 			fn()
@@ -73,11 +44,11 @@ func Do(workers int, fns ...func()) {
 }
 
 // ForEach invokes fn(i) for every i in [0, n), fanning out across at
-// most workers goroutines. Items are handed out in ascending chunks
+// most GOMAXPROCS goroutines. Items are handed out in ascending chunks
 // for locality, but fn must not depend on cross-item order and must be
 // safe to call concurrently.
-func ForEach(workers, n int, fn func(i int)) {
-	workers = Workers(workers)
+func ForEach(n int, fn func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
@@ -118,23 +89,23 @@ func ForEach(workers, n int, fn func(i int)) {
 // Map computes fn(i) for every i in [0, n) concurrently and returns
 // the results in index order regardless of scheduling — the ordered
 // half of a map-reduce.
-func Map[T any](workers, n int, fn func(i int) T) []T {
+func Map[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	ForEach(workers, n, func(i int) { out[i] = fn(i) })
+	ForEach(n, func(i int) { out[i] = fn(i) })
 	return out
 }
 
 // Reduce runs a map-reduce with per-chunk accumulators and an ordered
 // merge: work(c) builds chunk c's partial result, then merge folds the
 // partials in ascending chunk order into the first one. Pick chunks
-// independently of workers and float reductions stay bit-identical at
-// any parallelism.
-func Reduce[A any](workers, chunks int, work func(chunk int) A, merge func(into, from A) A) A {
+// independently of GOMAXPROCS and float reductions stay bit-identical
+// at any parallelism.
+func Reduce[A any](chunks int, work func(chunk int) A, merge func(into, from A) A) A {
 	var acc A
 	if chunks <= 0 {
 		return acc
 	}
-	parts := Map(workers, chunks, work)
+	parts := Map(chunks, work)
 	acc = parts[0]
 	for _, p := range parts[1:] {
 		acc = merge(acc, p)

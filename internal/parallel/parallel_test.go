@@ -3,42 +3,41 @@ package parallel
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
-func TestWorkersResolution(t *testing.T) {
-	if Workers(4) != 4 {
-		t.Error("explicit worker count not honoured")
-	}
-	if Workers(0) < 1 || Workers(-3) < 1 {
-		t.Error("auto worker count must be positive")
-	}
+// atProcs runs fn with GOMAXPROCS set to n, the one bound every
+// primitive here reads, and restores the previous value.
+func atProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
 }
 
 func TestDoRunsEverything(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
+	for _, procs := range []int{1, 3, 16} {
 		var n atomic.Int64
 		fns := make([]func(), 10)
 		for i := range fns {
 			fns[i] = func() { n.Add(1) }
 		}
-		Do(workers, fns...)
+		atProcs(procs, func() { Do(fns...) })
 		if n.Load() != 10 {
-			t.Errorf("workers=%d: ran %d of 10 fns", workers, n.Load())
+			t.Errorf("GOMAXPROCS=%d: ran %d of 10 fns", procs, n.Load())
 		}
 	}
 }
 
 func TestForEachCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 7} {
+	for _, procs := range []int{1, 2, 7} {
 		for _, n := range []int{0, 1, 5, 1000} {
 			seen := make([]atomic.Int32, n)
-			ForEach(workers, n, func(i int) { seen[i].Add(1) })
+			atProcs(procs, func() { ForEach(n, func(i int) { seen[i].Add(1) }) })
 			for i := range seen {
 				if seen[i].Load() != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times",
-						workers, n, i, seen[i].Load())
+					t.Fatalf("GOMAXPROCS=%d n=%d: index %d visited %d times",
+						procs, n, i, seen[i].Load())
 				}
 			}
 		}
@@ -46,7 +45,8 @@ func TestForEachCoversAllIndices(t *testing.T) {
 }
 
 func TestMapPreservesOrder(t *testing.T) {
-	got := Map(8, 100, func(i int) int { return i * i })
+	var got []int
+	atProcs(8, func() { got = Map(100, func(i int) int { return i * i }) })
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("index %d: got %d", i, v)
@@ -56,39 +56,37 @@ func TestMapPreservesOrder(t *testing.T) {
 
 func TestReduceIsDeterministicAcrossWorkers(t *testing.T) {
 	// Float accumulation: same fixed chunking must give bit-identical
-	// results at every worker count (the package's core promise).
+	// results at every GOMAXPROCS (the package's core promise).
 	const n, chunks = 10000, 64
 	xs := make([]float64, n)
 	for i := range xs {
 		xs[i] = math.Sin(float64(i)) * 1e-3
 	}
-	sum := func(workers int) []float64 {
-		return Reduce(workers, chunks,
-			func(c int) []float64 {
-				lo, hi := c*n/chunks, (c+1)*n/chunks
-				acc := make([]float64, 4)
-				for i := lo; i < hi; i++ {
-					acc[i%4] += xs[i]
-				}
-				return acc
-			},
-			func(into, from []float64) []float64 {
-				for i := range into {
-					into[i] += from[i]
-				}
-				return into
-			})
+	sum := func(procs int) (out []float64) {
+		atProcs(procs, func() {
+			out = Reduce(chunks,
+				func(c int) []float64 {
+					lo, hi := c*n/chunks, (c+1)*n/chunks
+					acc := make([]float64, 4)
+					for i := lo; i < hi; i++ {
+						acc[i%4] += xs[i]
+					}
+					return acc
+				},
+				SumFloats)
+		})
+		return out
 	}
 	want := sum(1)
-	for _, w := range []int{2, 4, 13} {
-		if got := sum(w); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: reduce differed from serial", w)
+	for _, p := range []int{2, 4, 13} {
+		if got := sum(p); !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS=%d: reduce differed from serial", p)
 		}
 	}
 }
 
 func TestReduceEmpty(t *testing.T) {
-	got := Reduce(4, 0,
+	got := Reduce(0,
 		func(int) int { return 1 },
 		func(a, b int) int { return a + b })
 	if got != 0 {
@@ -111,38 +109,5 @@ func TestChunksPartition(t *testing.T) {
 		if next != tc.n {
 			t.Fatalf("Chunks(%d,%d) covers [0,%d)", tc.n, tc.parts, next)
 		}
-	}
-}
-
-func TestNestedBudget(t *testing.T) {
-	cases := []struct {
-		total, tasks         int
-		wantOuter, wantInner int
-	}{
-		{8, 4, 4, 2},   // budget split evenly across pipelines
-		{8, 3, 3, 2},   // remainder stays unused rather than oversubscribing
-		{4, 16, 4, 1},  // more tasks than budget: serial inner stages
-		{1, 10, 1, 1},  // single worker degenerates fully
-		{16, 1, 1, 16}, // one task gets the whole budget
-		{5, 0, 1, 5},   // no tasks clamps to one
-	}
-	for _, c := range cases {
-		outer, inner := NestedBudget(c.total, c.tasks)
-		if outer != c.wantOuter || inner != c.wantInner {
-			t.Errorf("NestedBudget(%d, %d) = (%d, %d), want (%d, %d)",
-				c.total, c.tasks, outer, inner, c.wantOuter, c.wantInner)
-		}
-		if outer < 1 || inner < 1 {
-			t.Errorf("NestedBudget(%d, %d) produced a zero bound", c.total, c.tasks)
-		}
-		if c.total >= c.tasks && c.tasks > 0 && outer*inner > c.total {
-			t.Errorf("NestedBudget(%d, %d) oversubscribes: %d*%d > %d",
-				c.total, c.tasks, outer, inner, c.total)
-		}
-	}
-	// total <= 0 resolves to GOMAXPROCS like Workers does.
-	outer, inner := NestedBudget(0, 2)
-	if outer < 1 || inner < 1 {
-		t.Errorf("NestedBudget(0, 2) = (%d, %d), want positive bounds", outer, inner)
 	}
 }

@@ -397,7 +397,7 @@ func (r *Raster) Total() float64 {
 // parallelism.
 func (r *Raster) TallyPatches(g *geo.PatchGrid) []float64 {
 	bands := parallel.Chunks(r.rows, 64)
-	out := parallel.Reduce(parallel.Workers(0), len(bands),
+	out := parallel.Reduce(len(bands),
 		func(b int) []float64 {
 			local := make([]float64, g.Cells())
 			for row := bands[b][0]; row < bands[b][1]; row++ {

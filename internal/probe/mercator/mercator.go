@@ -9,7 +9,7 @@
 // serially from the control stream, the traces themselves run
 // concurrently on per-probe split streams, and observations are
 // ingested in probe order. Because the batch size is a configuration
-// constant — not a function of the worker count — the discovered map
+// constant — not a function of GOMAXPROCS — the discovered map
 // is bit-identical at any parallelism. Within a batch, traces execute
 // in destination-address order — which groups them by destination AS,
 // since address allocation is CIDR-contiguous per AS — so probes
@@ -43,13 +43,10 @@ type Config struct {
 	SeedBlocks int
 	// BatchProbes is the number of probes planned per round; frontier
 	// and LSR-candidate updates land between rounds. The batch size is
-	// part of the random-walk definition, so it must not depend on the
-	// worker count.
+	// part of the random-walk definition, so it must not depend on
+	// GOMAXPROCS, which bounds the in-batch trace fan-out.
 	BatchProbes int
-	// Workers bounds the in-batch trace fan-out; <= 0 means one worker
-	// per CPU. Results are identical for any value.
-	Workers int
-	Tracer  tracer.Options
+	Tracer      tracer.Options
 }
 
 // DefaultConfig sizes the run so Mercator discovers a substantially
@@ -109,7 +106,6 @@ func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *Result {
 	if host == netgen.None {
 		return res
 	}
-	workers := parallel.Workers(cfg.Workers)
 	batchSize := cfg.BatchProbes
 	if batchSize <= 0 {
 		batchSize = DefaultConfig().BatchProbes
@@ -225,7 +221,7 @@ func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *Result {
 			order = append(order, i)
 		}
 		sort.SliceStable(order, func(a, b int) bool { return plans[order[a]].dst < plans[order[b]].dst })
-		parallel.ForEach(workers, len(plans), func(j int) {
+		parallel.ForEach(len(plans), func(j int) {
 			i := order[j]
 			p := plans[i]
 			sc := &scratches[i]
@@ -249,7 +245,7 @@ func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *Result {
 		}
 	}
 
-	resolveAliases(net, res, workers)
+	resolveAliases(net, res)
 	collapse(res)
 	return res
 }
@@ -258,7 +254,7 @@ func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *Result {
 // ICMP Port Unreachable source address groups interfaces by router.
 // Probes fan out over chunks of the sorted interface list; replies are
 // pure topology lookups, so the table is the same at any parallelism.
-func resolveAliases(net *netsim.Network, res *Result, workers int) {
+func resolveAliases(net *netsim.Network, res *Result) {
 	ips := make([]uint32, 0, len(res.IfaceNodes))
 	for ip := range res.IfaceNodes {
 		ips = append(ips, ip)
@@ -270,7 +266,7 @@ func resolveAliases(net *netsim.Network, res *Result, workers int) {
 		resolved int
 	}
 	chunks := parallel.Chunks(len(ips), 64)
-	merged := parallel.Reduce(workers, len(chunks),
+	merged := parallel.Reduce(len(chunks),
 		func(c int) chunkResult {
 			cr := chunkResult{alias: make(map[uint32]uint32)}
 			for _, ip := range ips[chunks[c][0]:chunks[c][1]] {

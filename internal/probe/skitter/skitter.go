@@ -21,11 +21,6 @@ type Config struct {
 	// list each monitor probes ("each probing a destination list of
 	// varying size").
 	CoverageMin, CoverageMax float64
-	// Workers bounds the per-monitor fan-out; <= 0 means one worker
-	// per CPU. Each monitor draws from an independent split stream and
-	// the union is a set, so the merged graph is identical for any
-	// worker count.
-	Workers int
 	// Probe behaviour.
 	Tracer tracer.Options
 }
@@ -67,8 +62,9 @@ type monitorGraph struct {
 }
 
 // Collect runs the full multi-monitor collection. Monitors probe
-// concurrently (bounded by cfg.Workers); each draws from its own
-// numbered split of s, so the union is the same at any parallelism.
+// concurrently (bounded by GOMAXPROCS); each draws from its own
+// numbered split of s and the union is a set, so the merged graph is
+// the same at any parallelism.
 func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *RawGraph {
 	in := net.In
 	raw := &RawGraph{
@@ -87,7 +83,7 @@ func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *RawGraph {
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
 
 	raw.Stats.Monitors = len(in.SkitterMonitors)
-	partials := parallel.Map(parallel.Workers(cfg.Workers), len(in.SkitterMonitors),
+	partials := parallel.Map(len(in.SkitterMonitors),
 		func(mi int) *monitorGraph {
 			return collectMonitor(net, cfg, blocks, in.SkitterMonitors[mi], s.SplitN("monitor", mi))
 		})

@@ -61,7 +61,6 @@ func axes() []axis {
 			}
 			return "population"
 		}},
-		{"route_cache_budget", func(s Spec) string { return defaultable(s.RouteCacheBudget > 0, fmt.Sprintf("%d", s.RouteCacheBudget)) }},
 	}
 }
 

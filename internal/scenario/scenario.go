@@ -2,19 +2,17 @@
 // reproduction pipelines as one workload and reduces them into a
 // cross-scenario report.
 //
-// A Spec names one pipeline variant — seed, scale, worker and
-// route-cache knobs, plus the netgen ablations (skitter monitor
-// count, AS count factor, extra-link density, distance-independent
-// link fraction, uniform "Waxman" placement). A Matrix expands axis
-// value lists into the cross product of Specs in a fixed, documented
-// order. Sweep executes the specs concurrently — shared-nothing
-// pipelines under one global worker budget split by
-// parallel.NestedBudget, so N pipelines times M inner stage workers
-// never oversubscribes the budget (analysis kernels follow GOMAXPROCS;
-// see Options.TotalWorkers) — and reduces results in spec order into a
-// Report:
-// per-scenario report digests (core.Digest) plus sensitivity tables
-// showing how the paper's headline metrics move along each axis.
+// A Spec names one pipeline variant — seed and scale, plus the netgen
+// ablations (skitter monitor count, AS count factor, extra-link
+// density, distance-independent link fraction, uniform "Waxman"
+// placement) and an optional churn phase. A Matrix expands axis value
+// lists into the cross product of Specs in a fixed, documented order.
+// Sweep executes the specs concurrently as shared-nothing pipelines —
+// GOMAXPROCS bounds how many run at once and, as everywhere, the
+// goroutines inside them — and reduces results in spec order into a
+// Report: per-scenario report digests (core.Digest) plus sensitivity
+// tables showing how the paper's headline metrics move along each
+// axis.
 //
 // The digests double as the regression net: testdata/golden holds the
 // digest and metrics for a fixed spec set, pinned by TestGoldenCorpus.
@@ -35,20 +33,14 @@ import (
 )
 
 // Spec names one pipeline variant. The zero value of every optional
-// field means "pipeline default": Workers/RouteCacheBudget/Monitors
-// and ASCountFactor treat <= 0 as default, and the two fractional
-// ablations use nil. Seed and Scale are required.
+// field means "pipeline default": Monitors and ASCountFactor treat
+// <= 0 as default, and the two fractional ablations use nil. Seed and
+// Scale are required.
 type Spec struct {
 	// Name overrides the derived Label in output and golden filenames.
 	Name  string  `json:"name,omitempty"`
 	Seed  int64   `json:"seed"`
 	Scale float64 `json:"scale"`
-
-	// Workers bounds this pipeline's internal fan-out; Sweep fills it
-	// from the global budget when 0.
-	Workers int `json:"workers,omitempty"`
-	// RouteCacheBudget overrides netsim's routing-table cache budget.
-	RouteCacheBudget int `json:"route_cache_budget,omitempty"`
 
 	// Netgen ablations.
 	Monitors      int     `json:"monitors,omitempty"`        // skitter monitor count
@@ -100,9 +92,6 @@ func (s Spec) Label() string {
 	if s.UniformPlacement {
 		b.WriteString("-uniform")
 	}
-	if s.RouteCacheBudget > 0 {
-		fmt.Fprintf(&b, "-rcb%d", s.RouteCacheBudget)
-	}
 	if s.ChurnSteps > 0 {
 		fmt.Fprintf(&b, "-churn%d", s.ChurnSteps)
 		if s.ChurnEvents > 0 {
@@ -133,12 +122,7 @@ func (s Spec) CoreConfig() (core.Config, error) {
 	if s.ChurnSteps < 0 || s.ChurnEvents < 0 {
 		return core.Config{}, fmt.Errorf("scenario: %s: churn steps and events must be >= 0", s.Label())
 	}
-	cfg := core.Config{
-		Seed:             s.Seed,
-		Scale:            s.Scale,
-		Workers:          s.Workers,
-		RouteCacheBudget: s.RouteCacheBudget,
-	}
+	cfg := core.Config{Seed: s.Seed, Scale: s.Scale}
 	if s.ablated() {
 		g := netgen.DefaultConfig()
 		if s.Monitors > 0 {
@@ -181,10 +165,6 @@ type Matrix struct {
 	// "uniform".
 	Placement []string `json:"placement,omitempty"`
 
-	// RouteCacheBudgets optionally varies netsim's cache budget —
-	// useful for proving an axis does NOT move results.
-	RouteCacheBudgets []int `json:"route_cache_budgets,omitempty"`
-
 	// ChurnSteps optionally varies the continuous-churn phase length
 	// (0 = no churn phase).
 	ChurnSteps []int `json:"churn_steps,omitempty"`
@@ -221,10 +201,6 @@ func (m Matrix) Specs() ([]Spec, error) {
 	if len(asFactors) == 0 {
 		asFactors = []float64{0}
 	}
-	budgets := m.RouteCacheBudgets
-	if len(budgets) == 0 {
-		budgets = []int{0}
-	}
 	churn := m.ChurnSteps
 	if len(churn) == 0 {
 		churn = []int{0}
@@ -238,20 +214,17 @@ func (m Matrix) Specs() ([]Spec, error) {
 					for _, xl := range orDefault(m.ExtraLinks) {
 						for _, di := range orDefault(m.DistIndepFracs) {
 							for _, uni := range uniform {
-								for _, rcb := range budgets {
-									for _, cs := range churn {
-										specs = append(specs, Spec{
-											Seed:             seed,
-											Scale:            scale,
-											Monitors:         mon,
-											ASCountFactor:    asf,
-											ExtraLinks:       xl,
-											DistIndepFrac:    di,
-											UniformPlacement: uni,
-											RouteCacheBudget: rcb,
-											ChurnSteps:       cs,
-										})
-									}
+								for _, cs := range churn {
+									specs = append(specs, Spec{
+										Seed:             seed,
+										Scale:            scale,
+										Monitors:         mon,
+										ASCountFactor:    asf,
+										ExtraLinks:       xl,
+										DistIndepFrac:    di,
+										UniformPlacement: uni,
+										ChurnSteps:       cs,
+									})
 								}
 							}
 						}

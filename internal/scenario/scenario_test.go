@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -68,7 +69,6 @@ func TestSpecLabelsDistinguishKnobs(t *testing.T) {
 		{Seed: 1, Scale: 0.02, ExtraLinks: &zero},
 		{Seed: 1, Scale: 0.02, DistIndepFrac: &zero},
 		{Seed: 1, Scale: 0.02, UniformPlacement: true},
-		{Seed: 1, Scale: 0.02, RouteCacheBudget: 8},
 	}
 	seen := map[string]bool{}
 	for _, s := range specs {
@@ -146,8 +146,10 @@ func TestSweepRunsAndReduces(t *testing.T) {
 		{Seed: 1, Scale: 0.01},
 		{Seed: 2, Scale: 0.01},
 	}
+	// Two pipelines in flight at once, whatever the machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	var progress bytes.Buffer
-	rep, err := Sweep(specs, Options{TotalWorkers: 2, Progress: &progress})
+	rep, err := Sweep(specs, Options{Progress: &progress})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,15 +73,6 @@ type Report struct {
 
 // Options controls sweep execution.
 type Options struct {
-	// TotalWorkers is the global worker budget shared by every
-	// concurrently running pipeline (<= 0 means one per CPU). It is
-	// split by parallel.NestedBudget: N pipelines at once, each
-	// allowed budget/N internal workers. The budget bounds the
-	// pipelines' stage fan-out; the analysis kernels inside the digest
-	// phase follow GOMAXPROCS instead (the same caveat as
-	// core.Config.Workers), so cap GOMAXPROCS — as cmd/sweep's
-	// -workers flag does — to bound those too.
-	TotalWorkers int
 	// Progress, when non-nil, receives one start and one finish line
 	// per scenario as the sweep streams along.
 	Progress io.Writer
@@ -90,8 +81,8 @@ type Options struct {
 	Verbose bool
 }
 
-// Sweep runs every spec as a shared-nothing pipeline, bounded by the
-// global worker budget, and reduces the results in spec order. All
+// Sweep runs every spec as a shared-nothing pipeline, at most
+// GOMAXPROCS at once, and reduces the results in spec order. All
 // specs are validated before anything runs; pipeline errors abort the
 // sweep (joined, one per failed scenario).
 func Sweep(specs []Spec, opt Options) (*Report, error) {
@@ -115,7 +106,6 @@ func Sweep(specs []Spec, opt Options) (*Report, error) {
 		cfgs[i] = cfg
 	}
 
-	outer, inner := parallel.NestedBudget(opt.TotalWorkers, len(specs))
 	var mu sync.Mutex
 	say := func(format string, args ...interface{}) {
 		if opt.Progress == nil {
@@ -128,13 +118,10 @@ func Sweep(specs []Spec, opt Options) (*Report, error) {
 
 	report := &Report{Results: make([]Result, len(specs))}
 	errs := make([]error, len(specs))
-	say("sweep: %d scenarios, %d at once, %d workers each", len(specs), outer, inner)
-	parallel.ForEach(outer, len(specs), func(i int) {
+	say("sweep: %d scenarios", len(specs))
+	parallel.ForEach(len(specs), func(i int) {
 		spec := specs[i]
 		cfg := cfgs[i]
-		if cfg.Workers <= 0 {
-			cfg.Workers = inner
-		}
 		if opt.Verbose && opt.Progress != nil {
 			cfg.Progress = &prefixWriter{w: opt.Progress, mu: &mu, prefix: "  [" + spec.Label() + "] "}
 		}
