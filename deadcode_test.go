@@ -15,16 +15,6 @@ import (
 	"testing"
 )
 
-// deadCodeDirs are the packages TestNoDeadCode audits: the serving
-// stack whose size CI reports, plus the packages the parallelism and
-// sweep code lives in.
-var deadCodeDirs = []string{
-	"internal/geoserve", "internal/geoserve/replica", "internal/geoserve/snapfile",
-	"internal/obs", "internal/churn", "internal/faultinject",
-	"cmd/geoserved", "cmd/geoload",
-	"internal/parallel", "internal/core", "internal/scenario",
-}
-
 // benchPinned is the surface the bench/ module calls, as listed in
 // bench/README.md § "The surface the harness calls". bench/ is a module
 // of its own, so its references are not seen here; these names may
@@ -54,8 +44,8 @@ var benchPinned = []string{
 }
 
 // TestNoDeadCode fails on any package-level func, method, type, const
-// or var in deadCodeDirs that nothing in the module references outside
-// its own declaration. It type-checks every package of the module with
+// or var of any package of the module that nothing in the module
+// references outside its own declaration. It type-checks every package of the module with
 // its tests (references from test files count) using only the standard
 // library's go/parser and go/types, with the "source" importer for the
 // standard library. Exempt are main and init, the names bench/ pins,
@@ -71,11 +61,7 @@ func TestNoDeadCode(t *testing.T) {
 		pinned[n] = true
 	}
 	var dead []string
-	for _, dir := range deadCodeDirs {
-		pkg := m.prodPkgs["geonet/"+dir]
-		if pkg == nil {
-			t.Fatalf("%s: not loaded", dir)
-		}
+	for _, pkg := range m.prodPkgs {
 		for _, obj := range declared(pkg) {
 			name := qualified(obj)
 			switch obj.Name() {

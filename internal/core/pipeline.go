@@ -5,6 +5,9 @@
 // experiments.go regenerates every table and figure of the paper from
 // a Pipeline's results.
 //
+// The forwarding fabric (netsim.Network) lives only for the collection
+// stage: nothing holds it once both collectors return.
+//
 // Independent stages run concurrently: the two BGP epoch assemblies,
 // the two collections (each internally parallel), and the four
 // Table-I dataset-mapper combinations. GOMAXPROCS is the one bound on
@@ -55,12 +58,12 @@ type Combo struct {
 	Mapper  string // "ixmapper" or "edgescape"
 }
 
-// Pipeline holds every artefact of a reproduction run.
+// Pipeline holds every artefact of a reproduction run except the
+// forwarding fabric, which lives only while the collectors run.
 type Pipeline struct {
 	Config   Config
 	World    *population.World
 	Internet *netgen.Internet
-	Network  *netsim.Network
 
 	DNS       *dnsdb.DB
 	Whois     *whois.Registry
@@ -128,7 +131,7 @@ func Run(cfg Config) (*Pipeline, error) {
 		len(p.Internet.Ifaces), len(p.Internet.Links), inter)
 
 	say("compiling forwarding fabric")
-	p.Network = netsim.Compile(p.Internet)
+	fabric := netsim.Compile(p.Internet)
 
 	say("publishing DNS, whois and ISP geography")
 	var dnsErr error
@@ -159,8 +162,8 @@ func Run(cfg Config) (*Pipeline, error) {
 
 	say("running skitter (19 monitors) and mercator collections")
 	parallel.Do(
-		func() { p.RawSkitter = skitter.Collect(p.Network, skitter.DefaultConfig(), root.Split("skitter")) },
-		func() { p.RawMercator = mercator.Collect(p.Network, mercator.DefaultConfig(), root.Split("mercator")) },
+		func() { p.RawSkitter = skitter.Collect(fabric, skitter.DefaultConfig(), root.Split("skitter")) },
+		func() { p.RawMercator = mercator.Collect(fabric, mercator.DefaultConfig(), root.Split("mercator")) },
 	)
 	sk, mc := p.RawSkitter, p.RawMercator
 	say("  skitter: %d monitors, %d traces (%d failed), %d interfaces, %d links, %d destinations",

@@ -63,12 +63,14 @@ func TestWorkersDeterminism(t *testing.T) {
 // TestCacheBudgetDeterminism proves routing-table cache pressure is
 // invisible in results: both collections re-run over a fabric forced
 // to evict constantly (a budget of a handful of tables) produce the
-// same raw data and the same Table I as the pipeline, whose cache
-// never fills. Tables are pure functions of the topology, so eviction
-// may only cost time, never change a trace.
+// same raw data and the same Table I as the pipeline. A fabric at the
+// default budget re-collects the same data too, and its cache holds
+// more than the tiny budget allows, so the tiny one must evict. Tables
+// are pure functions of the topology, so eviction may only cost time,
+// never change a trace.
 func TestCacheBudgetDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the collections twice")
+		t.Skip("runs the collections three times")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const budget = 6
@@ -76,17 +78,23 @@ func TestCacheBudgetDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if held := p.Network.CachedTables(); held <= budget {
-		t.Fatalf("pipeline fabric holds %d tables; a budget of %d would not force eviction", held, budget)
+	// Run draws each collector from a named split of the seed's root
+	// stream; a split is a pure hash of seed and name.
+	root := rng.New(p.Config.Seed)
+	full := netsim.Compile(p.Internet)
+	if sk := skitter.Collect(full, skitter.DefaultConfig(), root.Split("skitter")); !reflect.DeepEqual(sk, p.RawSkitter) {
+		t.Error("skitter raw graphs differ on a fresh default-budget fabric")
+	}
+	if mc := mercator.Collect(full, mercator.DefaultConfig(), root.Split("mercator")); !reflect.DeepEqual(mc, p.RawMercator) {
+		t.Error("mercator results differ on a fresh default-budget fabric")
+	}
+	if held := full.CachedTables(); held <= budget {
+		t.Fatalf("default-budget fabric holds %d tables; a budget of %d would not force eviction", held, budget)
 	}
 
 	tiny := netsim.Compile(p.Internet)
 	tiny.CacheBudget = budget
-	// Run draws each collector from a named split of the seed's root
-	// stream; a split is a pure hash of seed and name.
-	root := rng.New(p.Config.Seed)
 	q := *p
-	q.Network = tiny
 	q.RawSkitter = skitter.Collect(tiny, skitter.DefaultConfig(), root.Split("skitter"))
 	q.RawMercator = mercator.Collect(tiny, mercator.DefaultConfig(), root.Split("mercator"))
 	if !reflect.DeepEqual(q.RawSkitter, p.RawSkitter) {

@@ -19,11 +19,6 @@ func (r Region) Contains(p Point) bool {
 	return p.Lat >= r.South && p.Lat < r.North && p.Lon >= r.West && p.Lon < r.East
 }
 
-// Center returns the centre of the box.
-func (r Region) Center() Point {
-	return Point{Lat: (r.North + r.South) / 2, Lon: (r.East + r.West) / 2}
-}
-
 // WidthDeg and HeightDeg return the longitudinal and latitudinal extent
 // in degrees.
 func (r Region) WidthDeg() float64  { return r.East - r.West }

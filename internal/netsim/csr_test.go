@@ -190,3 +190,75 @@ func TestSingleFlight(t *testing.T) {
 		t.Fatalf("cached %d tables after single-flight race, want 1", got)
 	}
 }
+
+// TestNextASMatchesReference checks the next AS of every AS pair
+// against the reference's dense all-pairs matrix: on a fresh fabric, on
+// one whose budget of 4 tables evicts each row between reads of it, and
+// from 8 goroutines reading one fabric at once (race-checked in CI).
+func TestNextASMatchesReference(t *testing.T) {
+	in, _ := compileSmall(t)
+	ref := refCompile(in, nil)
+	numAS := len(in.ASes)
+	check := func(t *testing.T, net *Network, a, b int) bool {
+		got, want := net.NextAS(netgen.ASID(a), netgen.ASID(b)), ref.nextAS(netgen.ASID(a), netgen.ASID(b))
+		if got != want {
+			t.Errorf("NextAS(%d, %d) = %d, reference %d", a, b, got, want)
+		}
+		return got == want
+	}
+	t.Run("fresh", func(t *testing.T) {
+		net := Compile(in)
+		for a := 0; a < numAS; a++ {
+			for b := 0; b < numAS; b++ {
+				if !check(t, net, a, b) {
+					return
+				}
+			}
+		}
+	})
+	t.Run("budget4", func(t *testing.T) {
+		net := Compile(in)
+		net.CacheBudget = 4
+		// A block of 64 destinations at a time, every source per block:
+		// at most 4 of the numAS rows read in one block survive it, so
+		// each row is evicted and recomputed between its reads.
+		const block = 64
+		maxHeld := 0
+		for b0 := 0; b0 < numAS; b0 += block {
+			for a := 0; a < numAS; a++ {
+				for b := b0; b < min(b0+block, numAS); b++ {
+					if !check(t, net, a, b) {
+						return
+					}
+				}
+				maxHeld = max(maxHeld, net.CachedTables())
+			}
+		}
+		if numAS <= 2*block || maxHeld > net.CacheBudget {
+			t.Errorf("%d ASes, at most %d rows held: budget %d did not force recomputation",
+				numAS, maxHeld, net.CacheBudget)
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		net := Compile(in)
+		const workers = 8
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				defer wg.Done()
+				// Each worker starts at its own source AS and wraps
+				// round, so workers race to compute the same rows.
+				for i := 0; i < numAS; i++ {
+					a := (i + w*numAS/workers) % numAS
+					for b := 0; b < numAS; b++ {
+						if !check(t, net, a, b) {
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	})
+}

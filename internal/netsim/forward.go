@@ -154,18 +154,8 @@ func (n *Network) LookupDest(ip uint32) (netgen.RouterID, bool) {
 	return netgen.None, false
 }
 
-// PathToIP routes from a source router toward an arbitrary destination
-// address.
-func (n *Network) PathToIP(src netgen.RouterID, dstIP uint32) ([]Hop, netgen.RouterID, bool) {
-	dst, ok := n.LookupDest(dstIP)
-	if !ok {
-		return nil, netgen.None, false
-	}
-	path, ok := n.Path(src, dst)
-	return path, dst, ok
-}
-
-// AppendPathToIP is PathToIP with caller-owned storage (see
+// AppendPathToIP routes from a source router toward an arbitrary
+// destination address, appending to caller-owned storage (see
 // AppendPath). The returned slice is path regrown, even on failure.
 func (n *Network) AppendPathToIP(path []Hop, src netgen.RouterID, dstIP uint32) ([]Hop, netgen.RouterID, bool) {
 	dst, ok := n.LookupDest(dstIP)
@@ -217,9 +207,4 @@ func (n *Network) AliasReply(ip uint32) (uint32, bool) {
 		return ip, true
 	}
 	return r.CanonicalIP, true
-}
-
-// Degree returns a router's physical degree (diagnostics and tests).
-func (n *Network) Degree(r netgen.RouterID) int {
-	return int(n.estart[int(r)+1] - n.estart[r])
 }

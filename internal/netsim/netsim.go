@@ -34,22 +34,27 @@
 //
 // # Routing-table caches
 //
-// Routing state is computed lazily and memoised: per-destination
-// shortest-path next-hops inside the destination's AS, and per
-// (AS, next-AS) hot-potato next-hops toward the nearest border router.
-// The memos are sharded per AS. A cache hit is one atomic pointer load
-// — no lock — so concurrent probes never contend on a global mutex; a
-// miss computes the table under a per-shard single-flight guard, so
-// many probes racing toward one destination compute its table once.
-// When the total number of cached tables exceeds CacheBudget, shards
-// are evicted round-robin until half the budget is free, instead of
-// dropping every table at once. Every table is a pure function of the
-// immutable topology, so cache timing never changes forwarding results.
+// All routing state is one kind of table, computed on first use and
+// memoised in the shard of the AS it belongs to. There are three table
+// kinds: the intra-AS next-hop table toward each router (shortest path
+// inside the destination's AS), the hot-potato table of each (AS,
+// next-AS) pair (toward the nearest border router into the next AS),
+// and each AS's next-hop row (the next AS on a shortest AS path toward
+// every other AS, by a breadth-first search rooted at that AS). One
+// memo path serves all three: a hit is one atomic pointer load — no
+// lock — so concurrent probes never contend on a global mutex; a miss
+// computes the table under the shard's single-flight guard, so many
+// probes racing toward one table compute it once. When the total number
+// of cached tables exceeds CacheBudget, shards are evicted round-robin
+// until half the budget is free, instead of dropping every table at
+// once. Every table is a pure function of the immutable topology, so
+// cache timing never changes forwarding results, and no state grows
+// with the square of the AS count: only the rows the probes read exist.
 package netsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -74,10 +79,9 @@ type Network struct {
 	// minus the base.
 	asBase []int32
 
-	// asNext[a*numAS+b] is the next AS on a shortest AS path a->b
-	// (netgen.None when unreachable).
-	asNext []int32
-	numAS  int
+	// asNbrs[a] lists AS a's declared neighbours in ascending order,
+	// the order the AS-path search visits them in.
+	asNbrs [][]netgen.ASID
 
 	// borders[a][b] lists routers of AS a having a direct link to AS b,
 	// in first-appearance (Links) order.
@@ -109,21 +113,21 @@ type csrEdge struct {
 
 // routeShard is one AS's routing-table cache. Table reads are lock-free
 // atomic pointer loads; misses coordinate through mu and the
-// single-flight maps so a table is computed once no matter how many
+// single-flight map so a table is computed once no matter how many
 // probes race toward it.
 type routeShard struct {
 	mu    sync.Mutex
 	count int32 // cached tables in this shard (guarded by mu)
 
-	// intra[i] caches the next-hop table toward the router with in-AS
-	// index i; egress[j] caches the hot-potato table toward
-	// egressPeers[j] (sorted at compile time).
-	intra       []atomic.Pointer[[]int32]
+	// tables[i] for i below the AS's router count caches the next-hop
+	// table toward the router with in-AS index i; the slot at the
+	// router count caches the AS's next-hop row; the slots after it
+	// cache the hot-potato tables toward egressPeers (sorted at compile
+	// time), in order.
+	tables      []atomic.Pointer[[]int32]
 	egressPeers []netgen.ASID
-	egress      []atomic.Pointer[[]int32]
 
-	flIntra  map[int32]*flight       // guarded by mu
-	flEgress map[netgen.ASID]*flight // guarded by mu
+	flights map[int32]*flight // by slot, guarded by mu
 }
 
 // flight is one in-progress table computation other probes can wait on.
@@ -141,13 +145,15 @@ func Compile(in *netgen.Internet) *Network {
 		In:          in,
 		borders:     make(map[[2]netgen.ASID][]netgen.RouterID),
 		CacheBudget: 60000,
-		numAS:       len(in.ASes),
 	}
 	n.asBase = make([]int32, len(in.ASes))
+	n.asNbrs = make([][]netgen.ASID, len(in.ASes))
 	for ai := range in.ASes {
 		if rs := in.ASes[ai].Routers; len(rs) > 0 {
 			n.asBase[ai] = int32(rs[0])
 		}
+		n.asNbrs[ai] = slices.Clone(in.ASes[ai].Neighbors)
+		slices.Sort(n.asNbrs[ai])
 	}
 
 	// CSR construction: count per-router intra/inter degrees, prefix-sum
@@ -227,16 +233,13 @@ func Compile(in *netgen.Internet) *Network {
 	n.shards = make([]routeShard, len(in.ASes))
 	for ai := range in.ASes {
 		sh := &n.shards[ai]
-		sh.intra = make([]atomic.Pointer[[]int32], len(in.ASes[ai].Routers))
 		sh.egressPeers = make([]netgen.ASID, 0, len(peerSets[ai]))
 		for p := range peerSets[ai] {
 			sh.egressPeers = append(sh.egressPeers, p)
 		}
-		sort.Slice(sh.egressPeers, func(a, b int) bool { return sh.egressPeers[a] < sh.egressPeers[b] })
-		sh.egress = make([]atomic.Pointer[[]int32], len(sh.egressPeers))
+		slices.Sort(sh.egressPeers)
+		sh.tables = make([]atomic.Pointer[[]int32], len(in.ASes[ai].Routers)+1+len(sh.egressPeers))
 	}
-
-	n.computeASNext()
 	return n
 }
 
@@ -254,62 +257,39 @@ func (n *Network) addBorder(seen map[[3]int32]struct{}, from, to netgen.ASID, r 
 	n.borders[key] = append(n.borders[key], r)
 }
 
-// computeASNext runs a BFS from every AS over the AS adjacency graph,
-// recording the next hop toward each destination AS. Ties break toward
-// the lowest AS ID, keeping forwarding deterministic.
-func (n *Network) computeASNext() {
-	numAS := n.numAS
-	n.asNext = make([]int32, numAS*numAS)
-	for i := range n.asNext {
-		n.asNext[i] = netgen.None
-	}
-	// Sorted neighbour lists for deterministic tie-breaking.
-	neighbors := make([][]netgen.ASID, numAS)
-	for i := range n.In.ASes {
-		ns := append([]netgen.ASID{}, n.In.ASes[i].Neighbors...)
-		for a := 1; a < len(ns); a++ {
-			for b := a; b > 0 && ns[b] < ns[b-1]; b-- {
-				ns[b], ns[b-1] = ns[b-1], ns[b]
-			}
-		}
-		neighbors[i] = ns
-	}
-	dist := make([]int32, numAS)
-	queue := make([]netgen.ASID, 0, numAS)
-	for src := 0; src < numAS; src++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		queue = queue[:0]
-		dist[src] = 0
-		queue = append(queue, netgen.ASID(src))
-		// firstHop[x] = neighbour of src that the path to x leaves by.
-		base := src * numAS
-		n.asNext[base+src] = int32(src)
-		for qi := 0; qi < len(queue); qi++ {
-			cur := queue[qi]
-			for _, nb := range neighbors[cur] {
-				if dist[nb] != -1 {
-					continue
-				}
-				dist[nb] = dist[cur] + 1
-				if cur == netgen.ASID(src) {
-					n.asNext[base+int(nb)] = int32(nb)
-				} else {
-					n.asNext[base+int(nb)] = n.asNext[base+int(cur)]
-				}
-				queue = append(queue, nb)
-			}
-		}
-	}
-}
-
 // NextAS returns the next AS on the path from a to b, or None.
 func (n *Network) NextAS(a, b netgen.ASID) netgen.ASID {
-	if a == b {
-		return a
+	return netgen.ASID(n.table(a, int32(len(n.In.ASes[a].Routers)))[b])
+}
+
+// asNextRow runs a BFS from AS src over the AS adjacency graph and
+// returns src's next-hop row: row[b] is the next AS on a shortest AS
+// path src->b, src itself for b == src and None when b is unreachable.
+// Ties break toward the lowest AS ID, keeping forwarding deterministic.
+func (n *Network) asNextRow(src netgen.ASID) []int32 {
+	row := make([]int32, len(n.asNbrs))
+	for i := range row {
+		row[i] = netgen.None
 	}
-	return netgen.ASID(n.asNext[int(a)*n.numAS+int(b)])
+	row[src] = int32(src)
+	// A visited AS has a next hop; the queue holds each AS once.
+	queue := make([]netgen.ASID, 1, len(n.asNbrs))
+	queue[0] = src
+	for qi := 0; qi < len(queue); qi++ {
+		cur := queue[qi]
+		for _, nb := range n.asNbrs[cur] {
+			if row[nb] != netgen.None {
+				continue
+			}
+			if cur == src {
+				row[nb] = int32(nb)
+			} else {
+				row[nb] = row[cur]
+			}
+			queue = append(queue, nb)
+		}
+	}
+	return row
 }
 
 // ---- Dijkstra machinery over one AS's subgraph ----
@@ -419,100 +399,66 @@ func (n *Network) spfToSources(as *netgen.AS, sources []netgen.RouterID) []int32
 	return next
 }
 
-// intraNext returns the next-hop table toward dst within dst's AS. A
-// hit is a single atomic load; a miss computes the table under the
-// shard's single-flight guard.
+// intraNext returns the next-hop table toward dst within dst's AS.
 func (n *Network) intraNext(dst netgen.RouterID) []int32 {
 	r := &n.In.Routers[dst]
-	sh := &n.shards[r.AS]
-	if p := sh.intra[r.ASIndex].Load(); p != nil {
-		return *p
-	}
-	return n.computeIntra(sh, r.AS, r.ASIndex, dst)
-}
-
-func (n *Network) computeIntra(sh *routeShard, as netgen.ASID, idx int32, dst netgen.RouterID) []int32 {
-	sh.mu.Lock()
-	if p := sh.intra[idx].Load(); p != nil {
-		sh.mu.Unlock()
-		return *p
-	}
-	if fl, ok := sh.flIntra[idx]; ok {
-		sh.mu.Unlock()
-		<-fl.done
-		return fl.table
-	}
-	if sh.flIntra == nil {
-		sh.flIntra = make(map[int32]*flight)
-	}
-	fl := &flight{done: make(chan struct{})}
-	sh.flIntra[idx] = fl
-	sh.mu.Unlock()
-
-	src := [1]netgen.RouterID{dst}
-	t := n.spfToSources(&n.In.ASes[as], src[:])
-	fl.table = t
-	close(fl.done)
-
-	sh.mu.Lock()
-	delete(sh.flIntra, idx)
-	sh.intra[idx].Store(&t)
-	sh.count++
-	sh.mu.Unlock()
-	n.cached.Add(1)
-	n.maybeEvict()
-	return t
+	return n.table(r.AS, r.ASIndex)
 }
 
 // egressNext returns the hot-potato next-hop table within AS a toward
 // its nearest border with AS b.
 func (n *Network) egressNext(a, b netgen.ASID) []int32 {
-	sh := &n.shards[a]
-	slot := sh.egressSlot(b)
-	if slot < 0 {
+	i, ok := slices.BinarySearch(n.shards[a].egressPeers, b)
+	if !ok {
 		// Not a compiled peer (anomalous topology): compute without
 		// caching rather than fail.
 		return n.spfToSources(&n.In.ASes[a], n.borders[[2]netgen.ASID{a, b}])
 	}
-	if p := sh.egress[slot].Load(); p != nil {
+	return n.table(a, int32(len(n.In.ASes[a].Routers)+1+i))
+}
+
+// table returns the table in slot of AS a's shard (see routeShard). A
+// hit is a single atomic load; a miss computes the table under the
+// shard's single-flight guard and counts it against CacheBudget.
+func (n *Network) table(a netgen.ASID, slot int32) []int32 {
+	sh := &n.shards[a]
+	if p := sh.tables[slot].Load(); p != nil {
 		return *p
 	}
-	return n.computeEgress(sh, a, b, slot)
-}
-
-func (sh *routeShard) egressSlot(b netgen.ASID) int {
-	i := sort.Search(len(sh.egressPeers), func(k int) bool { return sh.egressPeers[k] >= b })
-	if i < len(sh.egressPeers) && sh.egressPeers[i] == b {
-		return i
-	}
-	return -1
-}
-
-func (n *Network) computeEgress(sh *routeShard, a, b netgen.ASID, slot int) []int32 {
 	sh.mu.Lock()
-	if p := sh.egress[slot].Load(); p != nil {
+	if p := sh.tables[slot].Load(); p != nil {
 		sh.mu.Unlock()
 		return *p
 	}
-	if fl, ok := sh.flEgress[b]; ok {
+	if fl, ok := sh.flights[slot]; ok {
 		sh.mu.Unlock()
 		<-fl.done
 		return fl.table
 	}
-	if sh.flEgress == nil {
-		sh.flEgress = make(map[netgen.ASID]*flight)
+	if sh.flights == nil {
+		sh.flights = make(map[int32]*flight)
 	}
 	fl := &flight{done: make(chan struct{})}
-	sh.flEgress[b] = fl
+	sh.flights[slot] = fl
 	sh.mu.Unlock()
 
-	t := n.spfToSources(&n.In.ASes[a], n.borders[[2]netgen.ASID{a, b}])
+	as := &n.In.ASes[a]
+	var t []int32
+	switch nr := int32(len(as.Routers)); {
+	case slot < nr:
+		src := [1]netgen.RouterID{netgen.RouterID(n.asBase[a] + slot)}
+		t = n.spfToSources(as, src[:])
+	case slot == nr:
+		t = n.asNextRow(a)
+	default:
+		t = n.spfToSources(as, n.borders[[2]netgen.ASID{a, sh.egressPeers[slot-nr-1]}])
+	}
 	fl.table = t
 	close(fl.done)
 
 	sh.mu.Lock()
-	delete(sh.flEgress, b)
-	sh.egress[slot].Store(&t)
+	delete(sh.flights, slot)
+	sh.tables[slot].Store(&t)
 	sh.count++
 	sh.mu.Unlock()
 	n.cached.Add(1)
@@ -542,11 +488,8 @@ func (n *Network) maybeEvict() {
 		sh.mu.Lock()
 		freed := int64(sh.count)
 		if freed > 0 {
-			for i := range sh.intra {
-				sh.intra[i].Store(nil)
-			}
-			for i := range sh.egress {
-				sh.egress[i].Store(nil)
+			for i := range sh.tables {
+				sh.tables[i].Store(nil)
 			}
 			sh.count = 0
 		}

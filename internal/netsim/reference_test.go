@@ -2,10 +2,12 @@ package netsim
 
 // The seed implementation of the routing core, preserved verbatim (per
 // -router adjacency lists, container/heap priority queue, global
-// RWMutex caches) as a golden reference: TestCSRMatchesReference proves
-// the CSR forwarding fabric reproduces its paths hop for hop, including
-// equal-cost tie-breaks, which is what lets the rewrite claim
-// byte-identical reports rather than merely plausible ones.
+// RWMutex caches, the dense all-pairs AS next-hop matrix) as a golden
+// reference: TestCSRMatchesReference proves the CSR forwarding fabric
+// reproduces its paths hop for hop, including equal-cost tie-breaks,
+// and TestNextASMatchesReference that its memoised AS rows equal the
+// matrix, which is what lets the rewrites claim byte-identical reports
+// rather than merely plausible ones.
 
 import (
 	"container/heap"
@@ -24,9 +26,10 @@ type refNetwork struct {
 	intraCache  map[netgen.RouterID][]int32
 	egressCache map[[2]netgen.ASID][]int32
 
-	// The AS-path table is topology-only and identical by construction;
-	// the reference borrows it from the compiled network under test.
-	net *Network
+	// asNext[a*numAS+b] is the next AS on a shortest AS path a->b
+	// (netgen.None when unreachable).
+	asNext []int32
+	numAS  int
 }
 
 type refHalfEdge struct {
@@ -41,7 +44,9 @@ type refInterEdge struct {
 	edge   refHalfEdge
 }
 
-func refCompile(in *netgen.Internet, net *Network) *refNetwork {
+// refCompile builds the reference from in alone; the compiled fabric
+// its callers pass is not consulted.
+func refCompile(in *netgen.Internet, _ *Network) *refNetwork {
 	n := &refNetwork{
 		in:          in,
 		adj:         make([][]refHalfEdge, len(in.Routers)),
@@ -49,7 +54,7 @@ func refCompile(in *netgen.Internet, net *Network) *refNetwork {
 		borders:     make(map[[2]netgen.ASID][]netgen.RouterID),
 		intraCache:  make(map[netgen.RouterID][]int32),
 		egressCache: make(map[[2]netgen.ASID][]int32),
-		net:         net,
+		numAS:       len(in.ASes),
 	}
 	for _, l := range in.Links {
 		a, b := in.Ifaces[l.A], in.Ifaces[l.B]
@@ -68,7 +73,66 @@ func refCompile(in *netgen.Internet, net *Network) *refNetwork {
 			n.refAddBorder(asB, asA, b.Router)
 		}
 	}
+	n.computeASNext()
 	return n
+}
+
+// computeASNext runs a BFS from every AS over the AS adjacency graph,
+// recording the next hop toward each destination AS. Ties break toward
+// the lowest AS ID, keeping forwarding deterministic.
+func (n *refNetwork) computeASNext() {
+	numAS := n.numAS
+	n.asNext = make([]int32, numAS*numAS)
+	for i := range n.asNext {
+		n.asNext[i] = netgen.None
+	}
+	// Sorted neighbour lists for deterministic tie-breaking.
+	neighbors := make([][]netgen.ASID, numAS)
+	for i := range n.in.ASes {
+		ns := append([]netgen.ASID{}, n.in.ASes[i].Neighbors...)
+		for a := 1; a < len(ns); a++ {
+			for b := a; b > 0 && ns[b] < ns[b-1]; b-- {
+				ns[b], ns[b-1] = ns[b-1], ns[b]
+			}
+		}
+		neighbors[i] = ns
+	}
+	dist := make([]int32, numAS)
+	queue := make([]netgen.ASID, 0, numAS)
+	for src := 0; src < numAS; src++ {
+		for i := range dist {
+			dist[i] = -1
+		}
+		queue = queue[:0]
+		dist[src] = 0
+		queue = append(queue, netgen.ASID(src))
+		// firstHop[x] = neighbour of src that the path to x leaves by.
+		base := src * numAS
+		n.asNext[base+src] = int32(src)
+		for qi := 0; qi < len(queue); qi++ {
+			cur := queue[qi]
+			for _, nb := range neighbors[cur] {
+				if dist[nb] != -1 {
+					continue
+				}
+				dist[nb] = dist[cur] + 1
+				if cur == netgen.ASID(src) {
+					n.asNext[base+int(nb)] = int32(nb)
+				} else {
+					n.asNext[base+int(nb)] = n.asNext[base+int(cur)]
+				}
+				queue = append(queue, nb)
+			}
+		}
+	}
+}
+
+// nextAS returns the next AS on the path from a to b, or None.
+func (n *refNetwork) nextAS(a, b netgen.ASID) netgen.ASID {
+	if a == b {
+		return a
+	}
+	return netgen.ASID(n.asNext[int(a)*n.numAS+int(b)])
 }
 
 // refAddBorder keeps the seed's O(n²) linear-scan dedup: it IS the
@@ -195,7 +259,7 @@ func (n *refNetwork) path(src, dst netgen.RouterID) ([]Hop, bool) {
 			}
 			edge, found = n.findEdge(cur, netgen.RouterID(nh))
 		} else {
-			nextAS := n.net.NextAS(curAS, dstAS)
+			nextAS := n.nextAS(curAS, dstAS)
 			if nextAS == netgen.None {
 				return path, false
 			}

@@ -54,14 +54,6 @@ type Link struct {
 	LengthMi float64
 }
 
-// Inter reports whether the link crosses AS boundaries, given the
-// dataset's nodes. Links touching an AS-unmapped node are not counted
-// as interdomain (the sentinel AS is excluded from AS analysis).
-func (l Link) Inter(nodes []Node) bool {
-	a, b := nodes[l.A], nodes[l.B]
-	return a.ASN != 0 && b.ASN != 0 && a.ASN != b.ASN
-}
-
 // Stats records the processing pipeline's discards.
 type Stats struct {
 	RawNodes          int
