@@ -8,9 +8,10 @@
 // The forwarding fabric (netsim.Network) lives only for the collection
 // stage: nothing holds it once both collectors return.
 //
-// Independent stages run concurrently: the two BGP epoch assemblies,
-// the two collections (each internally parallel), and the four
-// Table-I dataset-mapper combinations. GOMAXPROCS is the one bound on
+// Independent stages run concurrently: the per-AS intra-AS link
+// draws of the generator, the two BGP epoch assemblies, the two
+// collections (each internally parallel), and the four Table-I
+// dataset-mapper combinations. GOMAXPROCS is the one bound on
 // that fan-out and on the analysis kernels the experiments run. Every
 // stochastic stage draws from its own named split of the root stream
 // and every parallel reduction merges in a fixed order, so a (seed,

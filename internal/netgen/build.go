@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"geonet/internal/geo"
+	"geonet/internal/parallel"
 	"geonet/internal/population"
 	"geonet/internal/rng"
 )
@@ -345,62 +346,78 @@ func (b *builder) choosePlaces(s *rng.Stream, as *AS, size int,
 // intraLinks builds each AS's internal topology: a distance-preferring
 // spanning attachment (so the AS is connected) plus extra links, most
 // chosen by an exponentially decaying distance kernel and a small
-// fraction chosen uniformly (distance-independent long hauls).
+// fraction chosen uniformly (distance-independent long hauls). The
+// O(n²) candidate draws fan out per AS — each AS draws from its own
+// SplitN("as", ai) stream and reads only router locations — and the
+// links are then added serially in AS order, so link and interface IDs
+// are the same at any GOMAXPROCS.
 func (b *builder) intraLinks(s *rng.Stream) {
-	for ai := range b.in.ASes {
-		as := &b.in.ASes[ai]
-		rs := s.SplitN("as", ai)
-		routers := as.Routers
-		if len(routers) < 2 {
-			continue
-		}
-		decay := b.cfg.DecayMiles[as.Econ]
-		if decay <= 0 {
-			decay = 120
-		}
-
-		order := make([]RouterID, len(routers))
-		copy(order, routers)
-		rs.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-
-		// Spanning attachment.
-		weights := make([]float64, 0, len(order))
-		for i := 1; i < len(order); i++ {
-			weights = weights[:0]
-			loc := b.in.Routers[order[i]].Loc
-			for j := 0; j < i; j++ {
-				d := geo.DistanceMiles(loc, b.in.Routers[order[j]].Loc)
-				weights = append(weights, math.Exp(-d/decay)+1e-12)
-			}
-			j := rs.WeightedIndex(weights)
-			b.addLink(order[i], order[j], false)
-		}
-
-		// Extra links.
-		extra := int(b.cfg.MeanExtraLinksPerRouter * float64(len(routers)))
-		for e := 0; e < extra; e++ {
-			a := routers[rs.Intn(len(routers))]
-			var partner RouterID = None
-			if rs.Bool(b.cfg.DistanceIndependentFraction) {
-				partner = routers[rs.Intn(len(routers))]
-			} else {
-				weights = weights[:0]
-				loc := b.in.Routers[a].Loc
-				for _, r := range routers {
-					if r == a {
-						weights = append(weights, 0)
-						continue
-					}
-					d := geo.DistanceMiles(loc, b.in.Routers[r].Loc)
-					weights = append(weights, math.Exp(-d/decay)+1e-12)
-				}
-				partner = routers[rs.WeightedIndex(weights)]
-			}
-			if partner != a {
-				b.addLink(a, partner, false)
-			}
+	pairs := parallel.Map(len(b.in.ASes), func(ai int) [][2]RouterID {
+		return b.intraPairs(&b.in.ASes[ai], s.SplitN("as", ai))
+	})
+	for _, ps := range pairs {
+		for _, p := range ps {
+			b.addLink(p[0], p[1], false)
 		}
 	}
+}
+
+// intraPairs returns one AS's candidate intra-AS links in the order
+// they are added: the spanning attachments, then the extra links.
+func (b *builder) intraPairs(as *AS, rs *rng.Stream) [][2]RouterID {
+	routers := as.Routers
+	if len(routers) < 2 {
+		return nil
+	}
+	decay := b.cfg.DecayMiles[as.Econ]
+	if decay <= 0 {
+		decay = 120
+	}
+
+	order := make([]RouterID, len(routers))
+	copy(order, routers)
+	rs.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+
+	extra := int(b.cfg.MeanExtraLinksPerRouter * float64(len(routers)))
+	pairs := make([][2]RouterID, 0, len(order)-1+extra)
+
+	// Spanning attachment.
+	weights := make([]float64, 0, len(order))
+	for i := 1; i < len(order); i++ {
+		weights = weights[:0]
+		loc := b.in.Routers[order[i]].Loc
+		for j := 0; j < i; j++ {
+			d := geo.DistanceMiles(loc, b.in.Routers[order[j]].Loc)
+			weights = append(weights, math.Exp(-d/decay)+1e-12)
+		}
+		j := rs.WeightedIndex(weights)
+		pairs = append(pairs, [2]RouterID{order[i], order[j]})
+	}
+
+	// Extra links.
+	for e := 0; e < extra; e++ {
+		a := routers[rs.Intn(len(routers))]
+		var partner RouterID = None
+		if rs.Bool(b.cfg.DistanceIndependentFraction) {
+			partner = routers[rs.Intn(len(routers))]
+		} else {
+			weights = weights[:0]
+			loc := b.in.Routers[a].Loc
+			for _, r := range routers {
+				if r == a {
+					weights = append(weights, 0)
+					continue
+				}
+				d := geo.DistanceMiles(loc, b.in.Routers[r].Loc)
+				weights = append(weights, math.Exp(-d/decay)+1e-12)
+			}
+			partner = routers[rs.WeightedIndex(weights)]
+		}
+		if partner != a {
+			pairs = append(pairs, [2]RouterID{a, partner})
+		}
+	}
+	return pairs
 }
 
 // interLinks wires the AS graph: stubs buy transit from providers,

@@ -2,6 +2,8 @@ package netgen
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,6 +40,43 @@ func TestBuildDeterministic(t *testing.T) {
 	for i := range a.Ifaces {
 		if a.Ifaces[i].IP != b.Ifaces[i].IP || a.Ifaces[i].Hostname != b.Ifaces[i].Hostname {
 			t.Fatalf("iface %d differs between identical builds", i)
+		}
+	}
+}
+
+// TestBuildParallelismInvariant pins that the per-AS fan-out of the
+// intra-AS link draws changes nothing GOMAXPROCS could reorder: every
+// link, interface and router interface list is equal at 1 and at 4.
+func TestBuildParallelismInvariant(t *testing.T) {
+	world := population.Build(population.DefaultConfig(), rng.New(1))
+	cfg := DefaultConfig()
+	cfg.Scale = 0.02
+	build := func(procs int) *Internet {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return Build(cfg, world)
+	}
+	a, b := build(1), build(4)
+	if len(a.Links) != len(b.Links) || len(a.Ifaces) != len(b.Ifaces) || len(a.Routers) != len(b.Routers) {
+		t.Fatalf("sizes differ: %d/%d/%d vs %d/%d/%d",
+			len(a.Links), len(a.Ifaces), len(a.Routers),
+			len(b.Links), len(b.Ifaces), len(b.Routers))
+	}
+	for i, la := range a.Links {
+		lb := b.Links[i]
+		if la.A != lb.A || la.B != lb.B || la.Inter != lb.Inter ||
+			math.Float64bits(la.LengthMi) != math.Float64bits(lb.LengthMi) {
+			t.Fatalf("link %d: %+v at GOMAXPROCS 1, %+v at 4", i, la, lb)
+		}
+	}
+	for i, ia := range a.Ifaces {
+		ib := b.Ifaces[i]
+		if ia.Router != ib.Router || ia.Link != ib.Link || ia.IP != ib.IP || ia.Hostname != ib.Hostname {
+			t.Fatalf("iface %d: %+v at GOMAXPROCS 1, %+v at 4", i, ia, ib)
+		}
+	}
+	for i := range a.Routers {
+		if !slices.Equal(a.Routers[i].Ifaces, b.Routers[i].Ifaces) {
+			t.Fatalf("router %d: ifaces %v at GOMAXPROCS 1, %v at 4", i, a.Routers[i].Ifaces, b.Routers[i].Ifaces)
 		}
 	}
 }

@@ -82,11 +82,12 @@ func (s *Stream) SplitN(name string, n int) *Stream {
 }
 
 // SplitNInto is SplitN with state reuse: when dst is non-nil its
-// generator is re-seeded in place — no allocation — and dst is
-// returned; when dst is nil a fresh stream is created. Either way the
-// resulting stream's draw sequence is identical to SplitN(name, n)'s,
-// so tight loops (one child stream per probe) can recycle a single
-// Stream without perturbing results.
+// generator is re-seeded in place and dst is returned; when dst is nil
+// a fresh stream is created. Either way the resulting stream's draw
+// sequence is identical to SplitN(name, n)'s, so tight loops (one
+// child stream per probe) can recycle a single Stream without
+// perturbing results. Seeding is lazy either way (see source), so
+// reuse saves only the ~5KB state allocation.
 func (s *Stream) SplitNInto(dst *Stream, name string, n int) *Stream {
 	seed := splitSeedN(s.seed, name, n)
 	if dst == nil {

@@ -3,26 +3,39 @@ package rng
 import "math/rand"
 
 // source is a bit-exact replica of math/rand's additive lagged-Fibonacci
-// generator with a fast seeding path. Seeding dominates stream creation
-// cost: the pipeline derives a short-lived child stream per probe, and
-// math/rand's Seed runs 1841 steps of a Lehmer LCG using Schrage
-// division. This replica computes the identical recurrence
+// generator with lazy seeding. Seeding dominates stream creation cost:
+// the pipeline derives a short-lived child stream per probe, and
+// math/rand's Seed runs 1841 steps of a Lehmer LCG
 //
 //	x' = 48271·x mod 2³¹−1
 //
-// with a widening multiply and a Mersenne fold (2³¹ ≡ 1 mod 2³¹−1), no
-// division at all, making re-seeding several times cheaper. Because the
-// state transition and output function are the stdlib's own, every
-// stream — and therefore every generated world and report — is
-// bit-identical to one built on rand.NewSource. TestSourceMatchesStdlib
-// pins that equivalence.
+// to fill all 607 state words, of which a 16-draw trace reads ~30.
+// Here Seed is O(1): it keeps the effective Lehmer seed x0 and leaves
+// the state lazy. State word i is cooked[i] XOR the three chain values
+// x₂₁₊₃ᵢ, x₂₂₊₃ᵢ, x₂₃₊₃ᵢ, and xₙ = x0·48271ⁿ, so a word is computed
+// on its own by one jump-ahead multiply (the power comes from a table
+// built at init) and two Lehmer steps, all with a widening multiply
+// and a Mersenne fold (2³¹ ≡ 1 mod 2³¹−1) instead of division. A word
+// is filled the first time a draw reads it: the feed words 333…0 over
+// the first 334 draws and the tap words 606…334 over the first 273.
+// From draw 335 on every word has been filled (or overwritten) and
+// Uint64 is the stdlib recurrence. The state transition and output
+// function are the stdlib's own, so every stream — and therefore every
+// generated world and report — is bit-identical to one built on
+// rand.NewSource. TestSourceMatchesStdlib and TestLazySeedMatchesStdlib
+// pin that equivalence.
 //
 // Unlike rand.NewSource, a source can also be re-seeded in place
 // (SplitNInto), so per-probe streams reuse one ~5KB state array instead
-// of allocating a fresh one per trace.
+// of allocating a fresh one per trace. The struct is exactly 4 864
+// bytes, a malloc size class (TestSourceSize): the stdlib's tap index
+// is not stored, since it is always feed+273 mod 607.
 type source struct {
-	vec       [rngLen]int64
-	tap, feed int32
+	vec  [rngLen]int64
+	feed int32
+	// x0 is the effective Lehmer seed the state words derive from
+	// while some are unfilled, and 0 (never an effective seed) after.
+	x0 uint32
 }
 
 const (
@@ -45,6 +58,10 @@ const (
 // output), and the initial state is the seed-derived XOR stream XORed
 // with the cooked table.
 var cooked [rngLen]uint64
+
+// jump[i] is 48271^(21+3i) mod 2³¹−1: the multiplier that takes a seed
+// x0 to the first of the three chain values state word i XORs in.
+var jump [rngLen]uint64
 
 func init() {
 	const seed = 1
@@ -74,28 +91,30 @@ func init() {
 	for s := 1; s <= 273; s++ {
 		vec0[334-s] = out[s-1] - vec0[rngLen-s]
 	}
-	// vec0[i] = seedXOR_i ^ cooked[i]; replay the seed's Lehmer chain
-	// to strip the XOR stream.
-	x := uint64(seed)
-	for i := 0; i < 20; i++ {
+	// vec0[i] = seedXOR(seed, i) ^ cooked[i].
+	x := uint64(1)
+	for n := 0; n < 21; n++ {
 		x = lehmerStep(x)
 	}
-	for i := 0; i < rngLen; i++ {
-		x = lehmerStep(x)
-		u := x << 40
-		x = lehmerStep(x)
-		u ^= x << 20
-		x = lehmerStep(x)
-		u ^= x
-		cooked[i] = vec0[i] ^ u
+	for i := range jump {
+		jump[i] = x
+		x = lehmerStep(lehmerStep(lehmerStep(x)))
+	}
+	for i := range cooked {
+		cooked[i] = vec0[i] ^ seedXOR(seed, int32(i))
 	}
 }
 
-// lehmerStep advances x = 48271·x mod 2³¹−1 for x in [0, 2³¹−1) using a
-// Mersenne fold instead of division: p = q·2³¹ + r ≡ q + r (mod 2³¹−1).
-func lehmerStep(x uint64) uint64 {
-	p := lehmerA * x // < 2⁴⁷
-	x = (p >> 31) + (p & int32max)
+// lehmerStep advances x = 48271·x mod 2³¹−1 for x in [0, 2³¹−1).
+func lehmerStep(x uint64) uint64 { return mulMod(lehmerA, x) }
+
+// mulMod returns a·b mod 2³¹−1 for a, b in [0, 2³¹−1) using a Mersenne
+// fold instead of division: p = q·2³¹ + r ≡ q + r (mod 2³¹−1). One fold
+// leaves a value under 2³², a second one under 2³¹.
+func mulMod(a, b uint64) uint64 {
+	p := a * b // < 2⁶²
+	x := (p >> 31) + (p & int32max)
+	x = (x >> 31) + (x & int32max)
 	if x >= int32max {
 		x -= int32max
 	}
@@ -103,9 +122,8 @@ func lehmerStep(x uint64) uint64 {
 }
 
 // Seed resets the generator to the exact state rand.NewSource(seed)
-// would have. It reuses the receiver's state array, allocating nothing.
+// would have, lazily: no state word is computed until a draw reads it.
 func (s *source) Seed(seed int64) {
-	s.tap = 0
 	s.feed = rngLen - rngTap
 	seed %= int32max
 	if seed < 0 {
@@ -114,32 +132,51 @@ func (s *source) Seed(seed int64) {
 	if seed == 0 {
 		seed = seedZero
 	}
-	x := uint64(seed)
-	for i := 0; i < 20; i++ {
-		x = lehmerStep(x)
+	s.x0 = uint32(seed)
+}
+
+// seedXOR is the seed-derived half of state word i: the Lehmer chain
+// values x₂₁₊₃ᵢ, x₂₂₊₃ᵢ, x₂₃₊₃ᵢ from x0, jumped to directly.
+func seedXOR(x0 uint64, i int32) uint64 {
+	x := mulMod(x0, jump[i])
+	u := x << 40
+	x = lehmerStep(x)
+	u ^= x << 20
+	return u ^ lehmerStep(x)
+}
+
+// word computes state word i of a fresh rand.NewSource seeded to x0.
+func (s *source) word(i int32) int64 { return int64(seedXOR(uint64(s.x0), i) ^ cooked[i]) }
+
+// fill computes the words a lazy draw reads for the first time. The
+// feed word of each of the first 334 draws (333…0) has not been read
+// yet; the tap word has not while it is at or above 334, which holds
+// for the first 273 draws. Every later read hits a word an earlier draw
+// filled or wrote, so the draw whose feed word is 0 ends the lazy phase.
+func (s *source) fill(tap int32) {
+	s.vec[s.feed] = s.word(s.feed)
+	if tap >= rngLen-rngTap {
+		s.vec[tap] = s.word(tap)
 	}
-	for i := 0; i < rngLen; i++ {
-		x = lehmerStep(x)
-		u := x << 40
-		x = lehmerStep(x)
-		u ^= x << 20
-		x = lehmerStep(x)
-		u ^= x
-		s.vec[i] = int64(u ^ cooked[i])
+	if s.feed == 0 {
+		s.x0 = 0
 	}
 }
 
 // Uint64 mirrors math/rand's rngSource.Uint64.
 func (s *source) Uint64() uint64 {
-	s.tap--
-	if s.tap < 0 {
-		s.tap += rngLen
-	}
 	s.feed--
 	if s.feed < 0 {
 		s.feed += rngLen
 	}
-	x := s.vec[s.feed] + s.vec[s.tap]
+	tap := s.feed + rngTap
+	if tap >= rngLen {
+		tap -= rngLen
+	}
+	if s.x0 != 0 {
+		s.fill(tap)
+	}
+	x := s.vec[s.feed] + s.vec[tap]
 	s.vec[s.feed] = x
 	return uint64(x)
 }

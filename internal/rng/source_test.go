@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestSourceMatchesStdlib pins the bit-exact equivalence between the
@@ -72,5 +73,82 @@ func TestSplitNInto(t *testing.T) {
 	}
 	if got := parent.SplitNInto(nil, "probe", 3); got == nil {
 		t.Fatal("SplitNInto(nil, ...) returned nil")
+	}
+}
+
+// TestLazySeedMatchesStdlib pins lazy seeding against math/rand when a
+// source is re-seeded in place after k draws, for every k from 0 past
+// full materialisation (the tap words are all filled after 273 draws,
+// the feed words after 334): stale words left by the previous seed, at
+// any point of its lazy phase, must never leak into the new stream.
+func TestLazySeedMatchesStdlib(t *testing.T) {
+	replica := &source{}
+	for k := 0; k <= 700; k++ {
+		seeds := []int64{0, 1, -1, math.MinInt64, 89482311, int64(k) * 7919}
+		for _, seed := range seeds {
+			replica.Seed(int64(k) ^ seed) // a different stream to draw k from
+			for j := 0; j < k; j++ {
+				replica.Uint64()
+			}
+			replica.Seed(seed)
+			want := rand.NewSource(seed).(rand.Source64)
+			for j := 0; j < 1300; j++ {
+				if g, w := replica.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("k=%d seed %d draw %d: Uint64 = %d, stdlib %d", k, seed, j, g, w)
+				}
+			}
+		}
+	}
+
+	// The Stream level: a child re-seeded into a stream that has drawn
+	// k values equals a fresh SplitN child on every method the pipeline
+	// draws through.
+	parent := New(5)
+	for _, k := range []int{0, 1, 272, 273, 274, 333, 334, 335, 606, 607, 700} {
+		dst := parent.SplitN("scratch", k)
+		for j := 0; j < k; j++ {
+			dst.Uint64()
+		}
+		reused := parent.SplitNInto(dst, "trace", k)
+		fresh := parent.SplitN("trace", k)
+		for j := 0; j < 400; j++ {
+			if g, w := reused.Bool(0.3), fresh.Bool(0.3); g != w {
+				t.Fatalf("k=%d draw %d: Bool = %v, SplitN %v", k, j, g, w)
+			}
+			if g, w := reused.Intn(1000), fresh.Intn(1000); g != w {
+				t.Fatalf("k=%d draw %d: Intn = %v, SplitN %v", k, j, g, w)
+			}
+			if g, w := reused.Float64(), fresh.Float64(); g != w {
+				t.Fatalf("k=%d draw %d: Float64 = %v, SplitN %v", k, j, g, w)
+			}
+		}
+	}
+}
+
+// TestSourceSize pins the source to its malloc size class: one field
+// more and every stream rounds up to the next class, 512 bytes more.
+func TestSourceSize(t *testing.T) {
+	if n := unsafe.Sizeof(source{}); n != 4864 {
+		t.Fatalf("source is %d bytes, want 4864", n)
+	}
+}
+
+// BenchmarkSplitNIntoTrace is mercator's per-trace pattern: re-seed one
+// recycled child stream, then draw about one Bool per hop.
+func BenchmarkSplitNIntoTrace(b *testing.B) {
+	parent := New(1)
+	child := parent.SplitN("trace", 0)
+	hits := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		child = parent.SplitNInto(child, "trace", i)
+		for h := 0; h < 16; h++ {
+			if child.Bool(0.5) {
+				hits++
+			}
+		}
+	}
+	if hits < 0 {
+		b.Fatal(hits)
 	}
 }
