@@ -148,12 +148,12 @@ func BenchmarkDistancePreference(b *testing.B) {
 
 func BenchmarkWorldBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		population.Build(population.DefaultConfig(), rng.New(1))
+		population.Build(rng.New(1))
 	}
 }
 
 func BenchmarkNetgenBuild(b *testing.B) {
-	world := population.Build(population.DefaultConfig(), rng.New(1))
+	world := population.Build(rng.New(1))
 	cfg := netgen.DefaultConfig()
 	cfg.Scale = 0.02
 	b.ResetTimer()
@@ -169,7 +169,7 @@ func BenchmarkNetgenBuild(b *testing.B) {
 // refutes) and re-measures the Figure 2 density slope; it should
 // collapse toward zero, versus the superlinear slope of the default.
 func BenchmarkAblationUniformPlacement(b *testing.B) {
-	world := population.Build(population.DefaultConfig(), rng.New(1))
+	world := population.Build(rng.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := rng.New(9)
@@ -185,7 +185,7 @@ func BenchmarkAblationUniformPlacement(b *testing.B) {
 // without the distance kernel and verifies the measured f(d) separates
 // them (the Section V methodology check).
 func BenchmarkAblationDistanceIndependentLinks(b *testing.B) {
-	world := population.Build(population.DefaultConfig(), rng.New(1))
+	world := population.Build(rng.New(1))
 	cfg := topogen.DefaultGeoGenConfig()
 	cfg.Nodes = 1500
 	b.ResetTimer()

@@ -204,6 +204,9 @@ func bindFlags(fs *flag.FlagSet) *options {
 // validate rejects flag sets that name no mode or mix two, before
 // anything is built or bound.
 func validate(o *options) error {
+	if err := (core.Config{Scale: o.scale}).Validate(); err != nil {
+		return fmt.Errorf("geoserved: -scale: %w", err)
+	}
 	replicaOrRouter := o.replicaOf != "" || o.router != ""
 	switch {
 	case o.workers < 0:
@@ -467,49 +470,7 @@ func runBuilder(o *options) {
 		}
 	}
 
-	var rebuilding atomic.Bool
-	mux.HandleFunc("POST /v1/admin/rebuild", func(w http.ResponseWriter, r *http.Request) {
-		newSeed, newScale := o.seed, o.scale
-		if s := r.URL.Query().Get("seed"); s != "" {
-			v, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				http.Error(w, "bad seed", http.StatusBadRequest)
-				return
-			}
-			newSeed = v
-		}
-		if s := r.URL.Query().Get("scale"); s != "" {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil || v <= 0 {
-				http.Error(w, "bad scale", http.StatusBadRequest)
-				return
-			}
-			newScale = v
-		}
-		if !rebuilding.CompareAndSwap(false, true) {
-			http.Error(w, "rebuild already in flight", http.StatusConflict)
-			return
-		}
-		go func() {
-			defer rebuilding.Store(false)
-			_, fresh, err := build(newSeed, newScale, o.quiet)
-			var m replica.Manifest
-			if err == nil {
-				_, m, err = b.install(fresh, nil)
-			}
-			if err != nil {
-				log.Printf("rebuild(seed %d, scale %g) failed: %v", newSeed, newScale, err)
-				return
-			}
-			log.Printf("hot-swapped to snapshot %s (seed %d, scale %g)",
-				fresh.Digest()[:12], newSeed, newScale)
-			if pub != nil {
-				log.Printf("published replication epoch %d (%d bytes)", m.Epoch, m.SizeBytes)
-			}
-		}()
-		w.WriteHeader(http.StatusAccepted)
-		fmt.Fprintf(w, `{"status":"rebuilding","seed":%d,"scale":%g}`+"\n", newSeed, newScale)
-	})
+	mux.HandleFunc("POST /v1/admin/rebuild", b.rebuildHandler(o))
 
 	serve(o, mux, bundle, nil)
 }
@@ -533,6 +494,56 @@ type builder struct {
 	ch     *churn.Churner
 	prev   *geoserve.Snapshot
 	events int
+
+	rebuilding atomic.Bool // a POST /v1/admin/rebuild is building
+}
+
+// rebuildHandler serves POST /v1/admin/rebuild[?seed=N&scale=F]: it
+// rejects a seed or scale core.Run would refuse with 400, then builds
+// the new world in the background and installs it.
+func (b *builder) rebuildHandler(o *options) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		newSeed, newScale := o.seed, o.scale
+		if s := r.URL.Query().Get("seed"); s != "" {
+			v, err := strconv.ParseInt(s, 10, 64)
+			if err != nil {
+				http.Error(w, "bad seed", http.StatusBadRequest)
+				return
+			}
+			newSeed = v
+		}
+		if s := r.URL.Query().Get("scale"); s != "" {
+			v, err := strconv.ParseFloat(s, 64)
+			if err != nil || (core.Config{Scale: v}).Validate() != nil {
+				http.Error(w, "bad scale", http.StatusBadRequest)
+				return
+			}
+			newScale = v
+		}
+		if !b.rebuilding.CompareAndSwap(false, true) {
+			http.Error(w, "rebuild already in flight", http.StatusConflict)
+			return
+		}
+		go func() {
+			defer b.rebuilding.Store(false)
+			_, fresh, err := build(newSeed, newScale, o.quiet)
+			var m replica.Manifest
+			if err == nil {
+				_, m, err = b.install(fresh, nil)
+			}
+			if err != nil {
+				log.Printf("rebuild(seed %d, scale %g) failed: %v", newSeed, newScale, err)
+				return
+			}
+			log.Printf("hot-swapped to snapshot %s (seed %d, scale %g)",
+				fresh.Digest()[:12], newSeed, newScale)
+			if b.pub != nil {
+				log.Printf("published replication epoch %d (%d bytes)", m.Epoch, m.SizeBytes)
+			}
+		}()
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprintf(w, `{"status":"rebuilding","seed":%d,"scale":%g}`+"\n", newSeed, newScale)
+	}
 }
 
 // install makes snap the serving and published epoch. delta is the

@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -24,6 +26,14 @@ func TestValidate(t *testing.T) {
 		{"router", []string{"-router", "http://r1:8081/, http://r2:8082"}, ""},
 		{"replica with no listen address", []string{"-replica-of", "http://builder:8080", "-addr", ""}, ""},
 
+		{"zero scale", []string{"-scale", "0"},
+			"geoserved: -scale: core: generator config: netgen: scale must be finite and positive, got 0"},
+		{"negative scale", []string{"-scale", "-1"},
+			"geoserved: -scale: core: generator config: netgen: scale must be finite and positive, got -1"},
+		{"NaN scale", []string{"-scale", "NaN"},
+			"geoserved: -scale: core: generator config: netgen: scale must be finite and positive, got NaN"},
+		{"infinite scale", []string{"-scale", "+Inf"},
+			"geoserved: -scale: core: generator config: netgen: scale must be finite and positive, got +Inf"},
 		{"negative workers", []string{"-workers", "-1"},
 			"geoserved: -workers must be >= 0"},
 		{"zero shards", []string{"-shards", "0"},
@@ -73,5 +83,19 @@ func TestRouterURLs(t *testing.T) {
 	got := routerURLs(" http://r1:8081/ ,,http://r2:8082 ")
 	if len(got) != 2 || got[0] != "http://r1:8081" || got[1] != "http://r2:8082" {
 		t.Errorf("routerURLs = %q", got)
+	}
+}
+
+// TestRebuildRejectsInvalidScale pins that POST /v1/admin/rebuild
+// answers 400 to a scale core.Run would refuse, and starts no build.
+func TestRebuildRejectsInvalidScale(t *testing.T) {
+	b := new(builder)
+	h := b.rebuildHandler(&options{seed: 1, scale: 0.1})
+	for _, scale := range []string{"NaN", "0", "-1", "Inf", "%2BInf", "x"} {
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest("POST", "/v1/admin/rebuild?scale="+scale, nil))
+		if rec.Code != http.StatusBadRequest || b.rebuilding.Load() {
+			t.Errorf("?scale=%s: status %d, rebuilding %v; want 400 and no build", scale, rec.Code, b.rebuilding.Load())
+		}
 	}
 }

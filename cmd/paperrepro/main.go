@@ -73,6 +73,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	runtime.GOMAXPROCS(*workers) // 0 leaves it at one per CPU
 	cfg := core.Config{Seed: *seed, Scale: *scale, Progress: stderr}
+	if err := cfg.Validate(); err != nil {
+		return fail(stderr, 2, err)
+	}
 	if *quiet {
 		cfg.Progress = nil
 	}
@@ -190,7 +193,7 @@ func genTopology(cfg core.Config, args []string, stdout, stderr io.Writer) int {
 	case "ba":
 		g = topogen.BarabasiAlbert(*n, 2, region, s)
 	case "geogen":
-		world := population.Build(population.DefaultConfig(), s.Split("world"))
+		world := population.Build(s.Split("world"))
 		gcfg := topogen.DefaultGeoGenConfig()
 		gcfg.Nodes = *n
 		g = topogen.GeoGen(gcfg, world, region, s.Split("gen"))

@@ -137,3 +137,19 @@ func TestNegativeWorkersIsUsageError(t *testing.T) {
 		t.Errorf("-workers -1: stderr %q, want %q", got, want)
 	}
 }
+
+// TestInvalidScaleIsUsageError pins that a -scale that is not finite
+// and positive exits 2 before any world is built, instead of being
+// replaced by a default (0, -1) or building an empty world (NaN).
+func TestInvalidScaleIsUsageError(t *testing.T) {
+	for _, scale := range []string{"0", "-1", "NaN", "+Inf"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-scale", scale, "-quiet", "-only", "table1"}, nil, &stdout, &stderr)
+		if code != 2 || stdout.Len() != 0 {
+			t.Errorf("-scale %s: exit %d with %d bytes of report, want exit 2 and none", scale, code, stdout.Len())
+		}
+		if !strings.Contains(stderr.String(), "scale must be finite and positive") {
+			t.Errorf("-scale %s: stderr %q does not name the scale", scale, stderr.String())
+		}
+	}
+}

@@ -63,7 +63,7 @@ func TestPatchDensitySkipsUnpopulatedPatches(t *testing.T) {
 }
 
 func TestRegionDensityRows(t *testing.T) {
-	world := population.Build(population.DefaultConfig(), rng.New(1))
+	world := population.Build(rng.New(1))
 	d := &topo.Dataset{Name: "uniform"}
 	// Put one node at each of the world's top 500 places.
 	for i, p := range world.TopPlaces(500) {

@@ -139,12 +139,12 @@ func TestTrieWalkOrdered(t *testing.T) {
 }
 
 func TestAssembleAgainstGroundTruth(t *testing.T) {
-	world := population.Build(population.DefaultConfig(), rng.New(1))
+	world := population.Build(rng.New(1))
 	gcfg := netgen.DefaultConfig()
 	gcfg.Scale = 0.01
 	in := netgen.Build(gcfg, world)
 
-	table := Assemble(in, DefaultAssembleConfig(), rng.New(2))
+	table := Assemble(in, 0.02, rng.New(2))
 	if table.Len() == 0 {
 		t.Fatal("empty table")
 	}

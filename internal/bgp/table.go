@@ -11,50 +11,40 @@ type Table struct {
 	trie Trie
 }
 
-// AssembleConfig controls how the synthetic RouteViews table is built
-// from ground truth.
-type AssembleConfig struct {
-	// MissingASProb drops all announcements of an AS (a vantage-point
-	// coverage gap). The paper found 1.5% (Skitter epoch) to 2.8%
-	// (Mercator epoch) of addresses unmappable; small ASes missing
-	// from the table union reproduce that.
-	MissingASProb float64
-	// MoreSpecificProb announces a random /24 more-specific alongside
+// Route leakage in the synthetic RouteViews table. Typed, so their
+// quotient is taken between float64 values, as at run time.
+const (
+	// moreSpecificProb announces a random /24 more-specific alongside
 	// an AS's aggregate (multihoming/traffic engineering leakage),
 	// exercising true longest-prefix-match behaviour.
-	MoreSpecificProb float64
-	// StaleOriginProb re-originates a more-specific from a *different*
+	moreSpecificProb float64 = 0.10
+	// staleOriginProb re-originates a more-specific from a *different*
 	// AS (a stale or hijacked route), a real-world mapping error source.
-	StaleOriginProb float64
-}
+	staleOriginProb float64 = 0.003
+)
 
-// DefaultAssembleConfig mirrors the Skitter-epoch table quality.
-func DefaultAssembleConfig() AssembleConfig {
-	return AssembleConfig{
-		MissingASProb:    0.02,
-		MoreSpecificProb: 0.10,
-		StaleOriginProb:  0.003,
-	}
-}
-
-// Assemble builds the table from the ground-truth allocation. Only
-// stub and small transit ASes can fall into coverage gaps — every
-// vantage point sees the big backbones, exactly as with RouteViews.
-func Assemble(in *netgen.Internet, cfg AssembleConfig, s *rng.Stream) *Table {
+// Assemble builds the table from the ground-truth allocation.
+// missingASProb drops all announcements of an AS (a vantage-point
+// coverage gap): the paper found 1.5% (Skitter epoch) to 2.8%
+// (Mercator epoch) of addresses unmappable, and small ASes missing
+// from the table union reproduce that. Only stub ASes can fall into
+// coverage gaps — every vantage point sees the big backbones, exactly
+// as with RouteViews.
+func Assemble(in *netgen.Internet, missingASProb float64, s *rng.Stream) *Table {
 	t := &Table{}
 	for _, as := range in.ASes {
-		missing := as.Type == netgen.Stub && s.Bool(cfg.MissingASProb)
+		missing := as.Type == netgen.Stub && s.Bool(missingASProb)
 		for _, p := range as.Prefixes {
 			if missing {
 				continue
 			}
 			t.trie.Insert(Route{Addr: p.Addr, Len: p.Len, Origin: as.Number})
-			if s.Bool(cfg.MoreSpecificProb) && p.Len < 24 {
+			if s.Bool(moreSpecificProb) && p.Len < 24 {
 				// Announce one covered /24 as a more-specific.
 				span := uint32(1) << (24 - uint(p.Len))
 				sub := p.Addr + (uint32(s.Intn(int(span))) << 8)
 				origin := as.Number
-				if s.Bool(cfg.StaleOriginProb / cfg.MoreSpecificProb) {
+				if s.Bool(staleOriginProb / moreSpecificProb) {
 					// Stale origin: some other AS.
 					other := in.ASes[s.Intn(len(in.ASes))]
 					origin = other.Number

@@ -138,13 +138,7 @@ func New(src geoserve.Source, seed int64) (*Churner, error) {
 	src.Table.Walk(func(rt bgp.Route) { c.baseRoutes = append(c.baseRoutes, rt) })
 	for ai := range src.Internet.ASes {
 		for _, p := range src.Internet.ASes[ai].Prefixes {
-			size := uint32(1)
-			if p.Len < 32 {
-				size = uint32(1) << (32 - uint(p.Len))
-			}
-			for base := p.Addr; base < p.Addr+size; base += 256 {
-				c.alloc24 = append(c.alloc24, base)
-			}
+			c.alloc24 = slices.AppendSeq(c.alloc24, p.Blocks24())
 		}
 	}
 	if len(c.alloc24) == 0 {

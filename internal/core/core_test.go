@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -151,4 +152,16 @@ func cellFloat(t *testing.T, s string) float64 {
 		t.Fatalf("bad numeric cell %q: %v", s, err)
 	}
 	return v
+}
+
+// TestRunRejectsInvalidScale pins that Run refuses a scale that is not
+// finite and positive — the zero value included — instead of building
+// a default-scale world or an empty one in its place.
+func TestRunRejectsInvalidScale(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		p, err := Run(Config{Seed: 1, Scale: scale})
+		if err == nil || p != nil {
+			t.Errorf("Run(scale %g) = %v, %v; want an error and no pipeline", scale, p, err)
+		}
+	}
 }

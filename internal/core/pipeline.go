@@ -8,6 +8,13 @@
 // The forwarding fabric (netsim.Network) lives only for the collection
 // stage: nothing holds it once both collectors return.
 //
+// Config is the only input: a seed, a scale and optional generator
+// ablations. The instruments are the paper's, so the world model, both
+// collectors (skitter.Collect(net, s), mercator.Collect(net, s)) and
+// EdgeScape's feed (geoloc.NewEdgeScape(res, in, s)) run on package
+// constants; the one per-run value below the generator is each BGP
+// epoch's missing-AS probability, bgp.Assemble's argument.
+//
 // Independent stages run concurrently: the per-AS intra-AS link
 // draws of the generator, the two BGP epoch assemblies, the two
 // collections (each internally parallel), and the four Table-I
@@ -36,7 +43,8 @@ import (
 	"geonet/internal/whois"
 )
 
-// Config selects the world size and seed.
+// Config selects the world size and seed. The zero value is not
+// valid: Scale must be finite and positive (see Validate).
 type Config struct {
 	Seed  int64
 	Scale float64
@@ -46,9 +54,6 @@ type Config struct {
 	// default at the configured scale.
 	Gen *netgen.Config
 }
-
-// DefaultConfig runs the full-size (scale 0.1) reproduction.
-func DefaultConfig() Config { return Config{Seed: 1, Scale: 0.1} }
 
 // TestConfig is a fast small-world configuration for tests.
 func TestConfig() Config { return Config{Seed: 1, Scale: 0.02} }
@@ -91,12 +96,34 @@ func TableICombos() []Combo {
 	}
 }
 
-// Run executes the full pipeline.
+// generator is the netgen configuration Run builds the Internet from:
+// the Gen override or the default, at cfg's scale, validated.
+func (cfg Config) generator() (netgen.Config, error) {
+	g := netgen.DefaultConfig()
+	if cfg.Gen != nil {
+		g = *cfg.Gen
+	}
+	g.Scale = cfg.Scale
+	if err := g.Validate(); err != nil {
+		return g, fmt.Errorf("core: generator config: %w", err)
+	}
+	return g, nil
+}
+
+// Validate returns the error Run would return for cfg before it builds
+// anything: netgen.Config.Validate's verdict on the generator
+// configuration, so a scale that is not finite and positive fails.
+func (cfg Config) Validate() error {
+	_, err := cfg.generator()
+	return err
+}
+
+// Run executes the full pipeline. It returns Validate's error, before
+// building anything, for a Config Validate refuses.
 func Run(cfg Config) (*Pipeline, error) {
-	if cfg.Scale <= 0 {
-		// Default only the scale; the caller's seed and overrides
-		// stand.
-		cfg.Scale = DefaultConfig().Scale
+	gcfg, err := cfg.generator()
+	if err != nil {
+		return nil, err
 	}
 	p := &Pipeline{Config: cfg, Datasets: map[Combo]*topo.Dataset{}}
 	say := func(format string, args ...interface{}) {
@@ -107,19 +134,11 @@ func Run(cfg Config) (*Pipeline, error) {
 	root := rng.New(cfg.Seed)
 
 	say("building world population model")
-	p.World = population.Build(population.DefaultConfig(), root.Split("world"))
+	p.World = population.Build(root.Split("world"))
 	say("  %d places, %.0fM people", len(p.World.Places), p.World.Raster.Total()/1e6)
 
 	say("generating ground-truth internet (scale %.3f)", cfg.Scale)
-	gcfg := netgen.DefaultConfig()
-	if cfg.Gen != nil {
-		gcfg = *cfg.Gen
-	}
 	gcfg.Seed = root.Split("netgen").Seed()
-	gcfg.Scale = cfg.Scale
-	if err := gcfg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: generator config: %w", err)
-	}
 	p.Internet = netgen.Build(gcfg, p.World)
 	inter := 0
 	for _, l := range p.Internet.Links {
@@ -145,26 +164,19 @@ func Run(cfg Config) (*Pipeline, error) {
 	}
 	res := geoloc.Resources{DNS: p.DNS, Whois: p.Whois, Dict: p.World.CodeDictionary()}
 	p.IxMapper = geoloc.NewIxMapper(res)
-	p.EdgeScape = geoloc.NewEdgeScape(res, p.Internet,
-		geoloc.DefaultEdgeScapeConfig(), root.Split("edgescape"))
+	p.EdgeScape = geoloc.NewEdgeScape(res, p.Internet, root.Split("edgescape"))
 
 	say("assembling RouteViews tables (two epochs)")
+	// An epoch's missing-AS probability sets its unmapped share.
 	parallel.Do(
-		func() {
-			skitterEpoch := bgp.DefaultAssembleConfig() // Jan 2002: 1.5% unmapped
-			p.SkitterTable = bgp.Assemble(p.Internet, skitterEpoch, root.Split("bgp-2002"))
-		},
-		func() {
-			mercatorEpoch := bgp.DefaultAssembleConfig()
-			mercatorEpoch.MissingASProb = 0.035 // Aug 1999: 2.8% unmapped
-			p.MercatorTable = bgp.Assemble(p.Internet, mercatorEpoch, root.Split("bgp-1999"))
-		},
+		func() { p.SkitterTable = bgp.Assemble(p.Internet, 0.02, root.Split("bgp-2002")) },   // Jan 2002: 1.5% unmapped
+		func() { p.MercatorTable = bgp.Assemble(p.Internet, 0.035, root.Split("bgp-1999")) }, // Aug 1999: 2.8% unmapped
 	)
 
 	say("running skitter (19 monitors) and mercator collections")
 	parallel.Do(
-		func() { p.RawSkitter = skitter.Collect(fabric, skitter.DefaultConfig(), root.Split("skitter")) },
-		func() { p.RawMercator = mercator.Collect(fabric, mercator.DefaultConfig(), root.Split("mercator")) },
+		func() { p.RawSkitter = skitter.Collect(fabric, root.Split("skitter")) },
+		func() { p.RawMercator = mercator.Collect(fabric, root.Split("mercator")) },
 	)
 	sk, mc := p.RawSkitter, p.RawMercator
 	say("  skitter: %d monitors, %d traces (%d failed), %d interfaces, %d links, %d destinations",

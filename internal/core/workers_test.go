@@ -82,10 +82,10 @@ func TestCacheBudgetDeterminism(t *testing.T) {
 	// stream; a split is a pure hash of seed and name.
 	root := rng.New(p.Config.Seed)
 	full := netsim.Compile(p.Internet)
-	if sk := skitter.Collect(full, skitter.DefaultConfig(), root.Split("skitter")); !reflect.DeepEqual(sk, p.RawSkitter) {
+	if sk := skitter.Collect(full, root.Split("skitter")); !reflect.DeepEqual(sk, p.RawSkitter) {
 		t.Error("skitter raw graphs differ on a fresh default-budget fabric")
 	}
-	if mc := mercator.Collect(full, mercator.DefaultConfig(), root.Split("mercator")); !reflect.DeepEqual(mc, p.RawMercator) {
+	if mc := mercator.Collect(full, root.Split("mercator")); !reflect.DeepEqual(mc, p.RawMercator) {
 		t.Error("mercator results differ on a fresh default-budget fabric")
 	}
 	if held := full.CachedTables(); held <= budget {
@@ -95,8 +95,8 @@ func TestCacheBudgetDeterminism(t *testing.T) {
 	tiny := netsim.Compile(p.Internet)
 	tiny.CacheBudget = budget
 	q := *p
-	q.RawSkitter = skitter.Collect(tiny, skitter.DefaultConfig(), root.Split("skitter"))
-	q.RawMercator = mercator.Collect(tiny, mercator.DefaultConfig(), root.Split("mercator"))
+	q.RawSkitter = skitter.Collect(tiny, root.Split("skitter"))
+	q.RawMercator = mercator.Collect(tiny, root.Split("mercator"))
 	if !reflect.DeepEqual(q.RawSkitter, p.RawSkitter) {
 		t.Error("skitter raw graphs differ under cache eviction pressure")
 	}

@@ -151,7 +151,7 @@ func TestDBPTRAndLOC(t *testing.T) {
 }
 
 func TestFromInternet(t *testing.T) {
-	world := population.Build(population.DefaultConfig(), rng.New(1))
+	world := population.Build(rng.New(1))
 	cfg := netgen.DefaultConfig()
 	cfg.Scale = 0.01
 	in := netgen.Build(cfg, world)

@@ -16,41 +16,32 @@ type EdgeScape struct {
 	feed map[uint32]geo.Point // /24 base address -> city centre
 }
 
-// EdgeScapeConfig tunes the feed synthesis.
-type EdgeScapeConfig struct {
-	// ParticipationProb is the chance an AS contributes its geography.
-	ParticipationProb float64
-	// FeedErrorProb is the chance a contributed /24 is attributed to a
-	// different city of the same AS (stale or aggregated ISP data).
-	FeedErrorProb float64
-}
-
-// DefaultEdgeScapeConfig reflects the tool's paper-era accuracy:
+// The feed's error model reflects the tool's paper-era accuracy:
 // unmapped rates of 0.3-0.6% versus IxMapper's 1-1.5%.
-func DefaultEdgeScapeConfig() EdgeScapeConfig {
-	return EdgeScapeConfig{ParticipationProb: 0.88, FeedErrorProb: 0.03}
-}
+const (
+	// participationProb is the chance an AS contributes its geography.
+	participationProb = 0.88
+	// feedErrorProb is the chance a contributed /24 is attributed to a
+	// different city of the same AS (stale or aggregated ISP data).
+	feedErrorProb = 0.03
+)
 
 // NewEdgeScape synthesises the ISP feed from ground truth and wraps it
 // with the hostname and whois fallbacks.
-func NewEdgeScape(res Resources, in *netgen.Internet, cfg EdgeScapeConfig, s *rng.Stream) *EdgeScape {
+func NewEdgeScape(res Resources, in *netgen.Internet, s *rng.Stream) *EdgeScape {
 	es := &EdgeScape{res: res, feed: make(map[uint32]geo.Point)}
 	for _, as := range in.ASes {
-		if !s.Bool(cfg.ParticipationProb) {
+		if !s.Bool(participationProb) {
 			continue
 		}
 		for _, p := range as.Prefixes {
-			size := uint32(1)
-			if p.Len < 32 {
-				size = uint32(1) << (32 - uint(p.Len))
-			}
-			for base := p.Addr; base < p.Addr+size; base += 256 {
+			for base := range p.Blocks24() {
 				rid, ok := in.Prefix24Router[base]
 				if !ok {
 					continue
 				}
 				place := in.Routers[rid].Place
-				if s.Bool(cfg.FeedErrorProb) && len(as.Places) > 1 {
+				if s.Bool(feedErrorProb) && len(as.Places) > 1 {
 					place = as.Places[s.Intn(len(as.Places))]
 				}
 				es.feed[base] = in.World.Places[place].Loc

@@ -23,7 +23,7 @@ func setup(tb testing.TB) *fixture {
 	if shared != nil {
 		return shared
 	}
-	world := population.Build(population.DefaultConfig(), rng.New(1))
+	world := population.Build(rng.New(1))
 	cfg := netgen.DefaultConfig()
 	cfg.Scale = 0.02
 	in := netgen.Build(cfg, world)
@@ -145,7 +145,7 @@ func TestIxMapperCoverageAndAccuracy(t *testing.T) {
 func TestEdgeScapeBeatsIxMapperCoverage(t *testing.T) {
 	f := setup(t)
 	ix := NewIxMapper(f.res)
-	es := NewEdgeScape(f.res, f.in, DefaultEdgeScapeConfig(), rng.New(5))
+	es := NewEdgeScape(f.res, f.in, rng.New(5))
 	if es.FeedSize() == 0 {
 		t.Fatal("empty EdgeScape feed")
 	}
@@ -172,7 +172,7 @@ func TestEdgeScapeBeatsIxMapperCoverage(t *testing.T) {
 
 func TestEdgeScapeAccuracy(t *testing.T) {
 	f := setup(t)
-	es := NewEdgeScape(f.res, f.in, DefaultEdgeScapeConfig(), rng.New(5))
+	es := NewEdgeScape(f.res, f.in, rng.New(5))
 	var mapped, within50 int
 	for _, ifc := range f.in.Ifaces {
 		if ifc.Private || ifc.IP == 0 {
@@ -221,7 +221,7 @@ func TestMethodLocateAgreeEveryInterface(t *testing.T) {
 	f := setup(t)
 	mappers := []MethodMapper{
 		NewIxMapper(f.res),
-		NewEdgeScape(f.res, f.in, DefaultEdgeScapeConfig(), rng.New(5)),
+		NewEdgeScape(f.res, f.in, rng.New(5)),
 		NewHostnameOnly(f.res),
 	}
 	for _, m := range mappers {

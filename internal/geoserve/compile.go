@@ -114,13 +114,7 @@ func skeleton(src Source) (s *Snapshot, byASN []map[int]analysis.ASFootprint, er
 	// dedup only guards degenerate inputs.
 	for ai := range in.ASes {
 		for _, p := range in.ASes[ai].Prefixes {
-			size := uint32(1)
-			if p.Len < 32 {
-				size = uint32(1) << (32 - uint(p.Len))
-			}
-			for base := p.Addr; base < p.Addr+size; base += 256 {
-				s.prefixes = append(s.prefixes, base)
-			}
+			s.prefixes = slices.AppendSeq(s.prefixes, p.Blocks24())
 		}
 	}
 	radixSort(s.prefixes)

@@ -124,24 +124,32 @@ func intLog2(n int) int {
 	return l
 }
 
+// Behavioural fault rates applyFaults draws; interfaces without
+// reverse DNS are drawn at hostname time (noPTRProb).
+const (
+	unresponsiveRouterProb = 0.03  // router never answers traceroute
+	brokenAliasProb        = 0.08  // router defeats alias resolution
+	privateAddrProb        = 0.004 // interface leaks RFC1918 address
+)
+
 // applyFaults injects the misbehaviours real measurement tools contend
 // with: unresponsive routers, routers that defeat alias resolution,
 // interfaces leaking private addresses, and interfaces without reverse
-// DNS (handled at hostname time via the same probabilities).
+// DNS (handled at hostname time).
 func (b *builder) applyFaults(s *rng.Stream) {
 	privNext := uint32(10) << 24
 	for ri := range b.in.Routers {
 		r := &b.in.Routers[ri]
-		if s.Bool(b.cfg.UnresponsiveRouterProb) {
+		if s.Bool(unresponsiveRouterProb) {
 			r.Unresponsive = true
 		}
-		if s.Bool(b.cfg.BrokenAliasProb) {
+		if s.Bool(brokenAliasProb) {
 			r.BrokenAlias = true
 		}
 	}
 	for ii := range b.in.Ifaces {
 		ifc := &b.in.Ifaces[ii]
-		if s.Bool(b.cfg.PrivateAddrProb) {
+		if s.Bool(privateAddrProb) {
 			delete(b.in.ByIP, ifc.IP)
 			privNext++
 			if privNext>>24 != 10 {

@@ -10,11 +10,9 @@ import (
 	"geonet/internal/rng"
 )
 
-// Build generates a complete ground-truth Internet over the given world.
+// Build generates a complete ground-truth Internet over the given world
+// from a configuration Validate accepts.
 func Build(cfg Config, world *population.World) *Internet {
-	if cfg.Scale <= 0 {
-		cfg = DefaultConfig()
-	}
 	s := rng.New(cfg.Seed)
 	b := &builder{
 		cfg:   cfg,

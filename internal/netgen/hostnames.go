@@ -20,6 +20,14 @@ var (
 	}
 )
 
+// Behavioural fault rates of ISP naming and registration.
+const (
+	noPTRProb        = 0.05 // interface has no hostname
+	opaqueNamingProb = 0.15 // AS uses geography-free names
+	locPublishProb   = 0.10 // AS publishes DNS LOC
+	idsBlockProb     = 0.15 // AS drops alias probes
+)
+
 // econTLDs gives plausible top-level domains per economic region.
 func econTLDs(econ int) []string {
 	switch econ {
@@ -74,13 +82,13 @@ func (b *builder) assignHostnames(s *rng.Stream) {
 		}
 
 		// Naming scheme.
-		if rs.Bool(b.cfg.OpaqueNamingProb) {
+		if rs.Bool(opaqueNamingProb) {
 			as.Scheme = SchemeOpaque
 		} else {
 			as.Scheme = NamingScheme(rs.Intn(4))
 		}
-		as.PublishesLOC = rs.Bool(b.cfg.LOCPublishProb)
-		as.IDSBlocks = rs.Bool(b.cfg.IDSBlockProb)
+		as.PublishesLOC = rs.Bool(locPublishProb)
+		as.IDSBlocks = rs.Bool(idsBlockProb)
 
 		// Per-city-token router sequence numbers give the "nyc8" style
 		// disambiguators. Keying by token (not place) keeps names
@@ -102,7 +110,7 @@ func (b *builder) assignHostnames(s *rng.Stream) {
 				role = coreRoles[rs.Intn(len(coreRoles))]
 			}
 			for slot, ifid := range r.Ifaces {
-				if rs.Bool(b.cfg.NoPTRProb) {
+				if rs.Bool(noPTRProb) {
 					continue // no reverse DNS for this interface
 				}
 				var name string

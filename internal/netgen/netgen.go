@@ -15,6 +15,8 @@ package netgen
 
 import (
 	"fmt"
+	"iter"
+	"math"
 
 	"geonet/internal/geo"
 	"geonet/internal/population"
@@ -56,6 +58,26 @@ func (t ASType) String() string {
 type Prefix struct {
 	Addr uint32
 	Len  int
+}
+
+// Size is the number of addresses the prefix covers.
+func (p Prefix) Size() uint32 {
+	if p.Len >= 32 {
+		return 1
+	}
+	return uint32(1) << (32 - uint(p.Len))
+}
+
+// Blocks24 yields the base address of every /24 the prefix covers, in
+// ascending order. A prefix longer than /24 yields only its own base.
+func (p Prefix) Blocks24() iter.Seq[uint32] {
+	return func(yield func(uint32) bool) {
+		for base, end := p.Addr, p.Addr+p.Size(); base < end; base += 256 {
+			if !yield(base) {
+				return
+			}
+		}
+	}
 }
 
 // Contains reports whether ip falls inside the prefix.
@@ -269,15 +291,6 @@ type Config struct {
 	// length for intra-AS link formation.
 	DecayMiles map[population.EconRegion]float64
 
-	// Behavioural fault rates.
-	UnresponsiveRouterProb float64 // router never answers traceroute
-	BrokenAliasProb        float64 // router defeats alias resolution
-	PrivateAddrProb        float64 // interface leaks RFC1918 address
-	NoPTRProb              float64 // interface has no hostname
-	OpaqueNamingProb       float64 // AS uses geography-free names
-	LOCPublishProb         float64 // AS publishes DNS LOC
-	IDSBlockProb           float64 // AS drops alias probes
-
 	// NumSkitterMonitors is how many Skitter monitors to place (the
 	// paper's dataset unions 19).
 	NumSkitterMonitors int
@@ -301,47 +314,26 @@ func DefaultConfig() Config {
 			population.EconAustralia:     130,
 			population.EconRestOfWorld:   110,
 		},
-		UnresponsiveRouterProb: 0.03,
-		BrokenAliasProb:        0.08,
-		PrivateAddrProb:        0.004,
-		NoPTRProb:              0.05,
-		OpaqueNamingProb:       0.15,
-		LOCPublishProb:         0.10,
-		IDSBlockProb:           0.15,
-		NumSkitterMonitors:     19,
+		NumSkitterMonitors: 19,
 	}
 }
 
 // Validate checks a configuration for values that would generate a
-// nonsensical world (zero scale, probabilities outside [0, 1],
-// non-positive decay lengths). The scenario sweep calls it once per
-// spec before launching pipelines, and core.Run calls it for explicit
-// generator overrides, so a bad ablation axis fails fast instead of
-// producing a silently degenerate topology.
+// nonsensical world (a scale that is not finite and positive, a
+// fraction outside [0, 1], non-positive decay lengths). It is the one
+// check on a world's configuration: core.Run calls it before building
+// anything, and so do the commands and the scenario sweep for every
+// scale they accept, so a bad value fails fast instead of producing a
+// silently degenerate topology. Build expects a valid Config.
 func (c Config) Validate() error {
-	if c.Scale <= 0 {
-		return fmt.Errorf("netgen: scale must be positive, got %g", c.Scale)
+	if !(c.Scale > 0) || math.IsInf(c.Scale, 1) {
+		return fmt.Errorf("netgen: scale must be finite and positive, got %g", c.Scale)
 	}
 	if c.MeanExtraLinksPerRouter < 0 {
 		return fmt.Errorf("netgen: mean extra links per router must be >= 0, got %g", c.MeanExtraLinksPerRouter)
 	}
-	probs := []struct {
-		name string
-		v    float64
-	}{
-		{"distance-independent fraction", c.DistanceIndependentFraction},
-		{"unresponsive router prob", c.UnresponsiveRouterProb},
-		{"broken alias prob", c.BrokenAliasProb},
-		{"private addr prob", c.PrivateAddrProb},
-		{"no-PTR prob", c.NoPTRProb},
-		{"opaque naming prob", c.OpaqueNamingProb},
-		{"LOC publish prob", c.LOCPublishProb},
-		{"IDS block prob", c.IDSBlockProb},
-	}
-	for _, p := range probs {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("netgen: %s must be in [0, 1], got %g", p.name, p.v)
-		}
+	if f := c.DistanceIndependentFraction; f < 0 || f > 1 {
+		return fmt.Errorf("netgen: distance-independent fraction must be in [0, 1], got %g", f)
 	}
 	for econ, d := range c.DecayMiles {
 		if d <= 0 {

@@ -18,7 +18,7 @@ var testNet *Internet
 func buildSmall(tb testing.TB) *Internet {
 	tb.Helper()
 	if testNet == nil {
-		world := population.Build(population.DefaultConfig(), rng.New(1))
+		world := population.Build(rng.New(1))
 		cfg := DefaultConfig()
 		cfg.Scale = 0.02
 		testNet = Build(cfg, world)
@@ -27,7 +27,7 @@ func buildSmall(tb testing.TB) *Internet {
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	world := population.Build(population.DefaultConfig(), rng.New(1))
+	world := population.Build(rng.New(1))
 	cfg := DefaultConfig()
 	cfg.Scale = 0.005
 	a := Build(cfg, world)
@@ -48,7 +48,7 @@ func TestBuildDeterministic(t *testing.T) {
 // intra-AS link draws changes nothing GOMAXPROCS could reorder: every
 // link, interface and router interface list is equal at 1 and at 4.
 func TestBuildParallelismInvariant(t *testing.T) {
-	world := population.Build(population.DefaultConfig(), rng.New(1))
+	world := population.Build(rng.New(1))
 	cfg := DefaultConfig()
 	cfg.Scale = 0.02
 	build := func(procs int) *Internet {
@@ -287,7 +287,7 @@ func TestHostnameConventionsCarryGeography(t *testing.T) {
 	}
 	nameFrac := float64(named) / float64(len(in.Ifaces))
 	if nameFrac < 0.85 {
-		t.Errorf("only %.0f%% of interfaces named; NoPTRProb too aggressive", nameFrac*100)
+		t.Errorf("only %.0f%% of interfaces named; noPTRProb too aggressive", nameFrac*100)
 	}
 }
 
@@ -380,12 +380,41 @@ func TestMonitorsPlaced(t *testing.T) {
 	}
 }
 
+// TestBlocks24 pins the /24 enumerator every consumer of originated
+// prefixes shares: a /22 yields its four /24 bases in order, a /24
+// itself, and a prefix longer than /24 only its own base.
+func TestBlocks24(t *testing.T) {
+	const base = 4<<24 | 8<<8 // 4.0.8.0
+	for _, tc := range []struct {
+		p    Prefix
+		size uint32
+		want []uint32
+	}{
+		{Prefix{base, 22}, 1024, []uint32{base, base + 256, base + 512, base + 768}},
+		{Prefix{base, 24}, 256, []uint32{base}},
+		{Prefix{base + 64, 26}, 64, []uint32{base + 64}},
+	} {
+		if got := slices.Collect(tc.p.Blocks24()); !slices.Equal(got, tc.want) {
+			t.Errorf("/%d Blocks24 = %v, want %v", tc.p.Len, got, tc.want)
+		}
+		if got := tc.p.Size(); got != tc.size {
+			t.Errorf("/%d Size = %d, want %d", tc.p.Len, got, tc.size)
+		}
+	}
+	// Breaking out of the range stops the walk.
+	for b := range (Prefix{base, 22}).Blocks24() {
+		if b != base {
+			t.Fatalf("first block %d, want %d", b, base)
+		}
+		break
+	}
+}
+
 func TestPrefix24RouterCoversAllocatedSpace(t *testing.T) {
 	in := buildSmall(t)
 	for _, as := range in.ASes {
 		for _, p := range as.Prefixes {
-			size := uint32(1) << (32 - uint(p.Len))
-			for base := p.Addr; base < p.Addr+size; base += 256 {
+			for base := range p.Blocks24() {
 				if _, ok := in.Prefix24Router[base]; !ok {
 					t.Fatalf("/24 at %d of AS %d has no home router", base, as.Number)
 				}
@@ -442,9 +471,10 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	bad("zero scale", func(c *Config) { c.Scale = 0 })
+	bad("NaN scale", func(c *Config) { c.Scale = math.NaN() })
+	bad("infinite scale", func(c *Config) { c.Scale = math.Inf(1) })
 	bad("negative extra links", func(c *Config) { c.MeanExtraLinksPerRouter = -1 })
 	bad("fraction above 1", func(c *Config) { c.DistanceIndependentFraction = 1.5 })
-	bad("negative fault prob", func(c *Config) { c.BrokenAliasProb = -0.1 })
 	bad("zero decay", func(c *Config) { c.DecayMiles[population.EconUSA] = 0 })
 	bad("negative monitors", func(c *Config) { c.NumSkitterMonitors = -3 })
 	bad("negative AS factor", func(c *Config) { c.ASCountFactor = -2 })
@@ -462,7 +492,7 @@ func TestValidate(t *testing.T) {
 // shared baseline config.
 func ablationWorld(tb testing.TB, mutate func(*Config)) *Internet {
 	tb.Helper()
-	world := population.Build(population.DefaultConfig(), rng.New(1))
+	world := population.Build(rng.New(1))
 	cfg := DefaultConfig()
 	cfg.Scale = 0.02
 	if mutate != nil {

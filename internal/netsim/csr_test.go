@@ -22,7 +22,7 @@ func TestCSRMatchesReference(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		src := netgen.RouterID(s.Intn(len(in.Routers)))
 		dst := netgen.RouterID(s.Intn(len(in.Routers)))
-		got, gotOK := net.Path(src, dst)
+		got, gotOK := net.AppendPath(nil, src, dst)
 		want, wantOK := ref.path(src, dst)
 		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
 			t.Fatalf("path %d->%d diverges from reference:\n got %v ok=%v\nwant %v ok=%v",
@@ -33,7 +33,7 @@ func TestCSRMatchesReference(t *testing.T) {
 		src := netgen.RouterID(s.Intn(len(in.Routers)))
 		via := netgen.RouterID(s.Intn(len(in.Routers)))
 		dst := netgen.RouterID(s.Intn(len(in.Routers)))
-		got, gotOK := net.PathVia(src, via, dst)
+		got, gotOK := net.AppendPathVia(nil, src, via, dst)
 		want, wantOK := ref.pathVia(src, via, dst)
 		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
 			t.Fatalf("source-routed path %d->%d->%d diverges from reference",
@@ -82,7 +82,7 @@ func TestConcurrentProbingTinyBudget(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				src := netgen.RouterID(s.Intn(len(in.Routers)))
 				dst := netgen.RouterID(s.Intn(len(in.Routers)))
-				p, ok := net.Path(src, dst)
+				p, ok := net.AppendPath(nil, src, dst)
 				if !ok {
 					p = nil
 				}
@@ -96,7 +96,7 @@ func TestConcurrentProbingTinyBudget(t *testing.T) {
 	serial := Compile(in)
 	for w := 0; w < workers; w++ {
 		for i, pr := range results[w] {
-			want, ok := serial.Path(pr.src, pr.dst)
+			want, ok := serial.AppendPath(nil, pr.src, pr.dst)
 			if !ok {
 				want = nil
 			}
@@ -121,7 +121,7 @@ func TestCacheEvictionBounds(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		src := netgen.RouterID(s.Intn(len(in.Routers)))
 		dst := netgen.RouterID(s.Intn(len(in.Routers)))
-		path, ok := net.Path(src, dst)
+		path, ok := net.AppendPath(nil, src, dst)
 		if ok && path[len(path)-1].Router != dst {
 			t.Fatal("path wrong under eviction pressure")
 		}
@@ -144,8 +144,8 @@ func TestCacheEvictionBounds(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		src := netgen.RouterID(s.Intn(len(in.Routers)))
 		dst := netgen.RouterID(s.Intn(len(in.Routers)))
-		p1, ok1 := net.Path(src, dst)
-		p2, ok2 := fresh.Path(src, dst)
+		p1, ok1 := net.AppendPath(nil, src, dst)
+		p2, ok2 := fresh.AppendPath(nil, src, dst)
 		if ok1 != ok2 || !reflect.DeepEqual(p1, p2) {
 			t.Fatalf("post-eviction path %d->%d differs from fresh network", src, dst)
 		}

@@ -15,17 +15,12 @@ type Hop struct {
 // routing loop and the walk is reported as failed.
 const maxSteps = 96
 
-// Path computes the router-level forwarding path from src to dst. The
-// first hop is src itself (InIface None). ok is false when no route
-// exists or a loop guard triggers.
-func (n *Network) Path(src, dst netgen.RouterID) ([]Hop, bool) {
-	return n.AppendPath(make([]Hop, 0, 16), src, dst)
-}
-
-// AppendPath is Path with caller-owned storage: hops are appended to
-// path (which may be nil or a recycled buffer sliced to length 0) and
-// the possibly-regrown slice is returned, so tight probe loops reuse
-// one buffer instead of allocating per trace.
+// AppendPath appends the router-level forwarding path from src to dst
+// to path (which may be nil or a recycled buffer sliced to length 0)
+// and returns the possibly-regrown slice, so tight probe loops reuse
+// one buffer instead of allocating per trace. The first hop is src
+// itself (InIface None). ok is false when no route exists or a loop
+// guard triggers.
 func (n *Network) AppendPath(path []Hop, src, dst netgen.RouterID) ([]Hop, bool) {
 	return n.walk(path, src, dst, false)
 }
@@ -166,15 +161,11 @@ func (n *Network) AppendPathToIP(path []Hop, src netgen.RouterID, dstIP uint32) 
 	return path, dst, ok
 }
 
-// PathVia implements loose source routing: route to the via router
-// first, then on to the destination. The via router appears once. This
-// is Mercator's mechanism for discovering lateral links that plain
+// AppendPathVia implements loose source routing: route to the via
+// router first, then on to the destination, appending to caller-owned
+// storage (see AppendPath). The via router appears once. This is
+// Mercator's mechanism for discovering lateral links that plain
 // single-source probing misses.
-func (n *Network) PathVia(src, via, dst netgen.RouterID) ([]Hop, bool) {
-	return n.AppendPathVia(make([]Hop, 0, 16), src, via, dst)
-}
-
-// AppendPathVia is PathVia with caller-owned storage (see AppendPath).
 func (n *Network) AppendPathVia(path []Hop, src, via, dst netgen.RouterID) ([]Hop, bool) {
 	path, ok := n.walk(path, src, via, false)
 	if !ok {

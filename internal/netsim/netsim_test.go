@@ -17,7 +17,7 @@ var (
 func compileSmall(tb testing.TB) (*netgen.Internet, *Network) {
 	tb.Helper()
 	if !testOnce {
-		world := population.Build(population.DefaultConfig(), rng.New(1))
+		world := population.Build(rng.New(1))
 		cfg := netgen.DefaultConfig()
 		cfg.Scale = 0.02
 		testGen = netgen.Build(cfg, world)
@@ -34,7 +34,7 @@ func TestPathReachesDestination(t *testing.T) {
 	for i := 0; i < total; i++ {
 		src := netgen.RouterID(s.Intn(len(in.Routers)))
 		dst := netgen.RouterID(s.Intn(len(in.Routers)))
-		path, ok := net.Path(src, dst)
+		path, ok := net.AppendPath(nil, src, dst)
 		if !ok {
 			continue
 		}
@@ -58,7 +58,7 @@ func TestPathHopsAreAdjacent(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		src := netgen.RouterID(s.Intn(len(in.Routers)))
 		dst := netgen.RouterID(s.Intn(len(in.Routers)))
-		path, ok := net.Path(src, dst)
+		path, ok := net.AppendPath(nil, src, dst)
 		if !ok {
 			continue
 		}
@@ -85,8 +85,8 @@ func TestPathDeterministic(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		src := netgen.RouterID(s.Intn(len(in.Routers)))
 		dst := netgen.RouterID(s.Intn(len(in.Routers)))
-		p1, ok1 := net.Path(src, dst)
-		p2, ok2 := net.Path(src, dst)
+		p1, ok1 := net.AppendPath(nil, src, dst)
+		p2, ok2 := net.AppendPath(nil, src, dst)
 		if ok1 != ok2 || len(p1) != len(p2) {
 			t.Fatalf("non-deterministic path for %d->%d", src, dst)
 		}
@@ -101,7 +101,7 @@ func TestPathDeterministic(t *testing.T) {
 func TestPathSelfIsTrivial(t *testing.T) {
 	in, net := compileSmall(t)
 	r := netgen.RouterID(len(in.Routers) / 2)
-	path, ok := net.Path(r, r)
+	path, ok := net.AppendPath(nil, r, r)
 	if !ok || len(path) != 1 || path[0].Router != r {
 		t.Errorf("self path = %v ok=%v", path, ok)
 	}
@@ -117,7 +117,7 @@ func TestIntraASPathStaysInside(t *testing.T) {
 			continue
 		}
 		src, dst := as.Routers[0], as.Routers[len(as.Routers)-1]
-		path, ok := net.Path(src, dst)
+		path, ok := net.AppendPath(nil, src, dst)
 		if !ok {
 			t.Fatalf("no intra-AS path in AS %d", as.Number)
 		}
@@ -141,7 +141,7 @@ func TestInterASPathCrossesSensibly(t *testing.T) {
 		if in.Routers[src].AS == in.Routers[dst].AS {
 			continue
 		}
-		path, ok := net.Path(src, dst)
+		path, ok := net.AppendPath(nil, src, dst)
 		if !ok {
 			continue
 		}
@@ -215,7 +215,7 @@ func TestPathVia(t *testing.T) {
 		src := netgen.RouterID(s.Intn(len(in.Routers)))
 		via := netgen.RouterID(s.Intn(len(in.Routers)))
 		dst := netgen.RouterID(s.Intn(len(in.Routers)))
-		path, ok := net.PathVia(src, via, dst)
+		path, ok := net.AppendPathVia(nil, src, via, dst)
 		if !ok {
 			continue
 		}
@@ -284,7 +284,7 @@ func TestCacheEviction(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		src := netgen.RouterID(s.Intn(len(in.Routers)))
 		dst := netgen.RouterID(s.Intn(len(in.Routers)))
-		path, ok := net2.Path(src, dst)
+		path, ok := net2.AppendPath(nil, src, dst)
 		if ok && path[len(path)-1].Router != dst {
 			t.Fatal("path wrong after cache eviction")
 		}

@@ -23,22 +23,16 @@ type Place struct {
 	IsCity bool // true for embedded major cities
 }
 
-// Config controls world synthesis.
-type Config struct {
-	// RuralChunks is the number of diffuse rural population deposits
+// World synthesis constants.
+const (
+	// ruralChunks is the number of diffuse rural population deposits
 	// per economic region.
-	RuralChunks int
-	// RasterArcMin is the population raster resolution.
-	RasterArcMin float64
-	// MaxTownsPerRegion caps synthetic town generation.
-	MaxTownsPerRegion int
-}
-
-// DefaultConfig returns the configuration used by the reproduction
-// pipeline.
-func DefaultConfig() Config {
-	return Config{RuralChunks: 1500, RasterArcMin: 15, MaxTownsPerRegion: 4000}
-}
+	ruralChunks = 1500
+	// rasterArcMin is the population raster resolution.
+	rasterArcMin = 15
+	// maxTownsPerRegion caps synthetic town generation.
+	maxTownsPerRegion = 4000
+)
 
 // World is the demographic substrate: places where people (and online
 // users) live, plus a gridded population raster standing in for the
@@ -51,12 +45,9 @@ type World struct {
 }
 
 // Build synthesises a world. All randomness comes from the supplied
-// stream, so a given (seed, Config) pair is fully reproducible.
-func Build(cfg Config, s *rng.Stream) *World {
-	if cfg.RasterArcMin <= 0 {
-		cfg = DefaultConfig()
-	}
-	w := &World{Raster: NewRaster(cfg.RasterArcMin)}
+// stream, so a given seed is fully reproducible.
+func Build(s *rng.Stream) *World {
+	w := &World{Raster: NewRaster(rasterArcMin)}
 
 	stats := Stats()
 	// 1. Embedded major cities, with population in persons.
@@ -80,7 +71,7 @@ func Build(cfg Config, s *rng.Stream) *World {
 		townStream := s.Split("towns-" + st.Region.String())
 		anchors := w.cityAnchors(st.Region)
 		placed := 0.0
-		for i := 0; placed < townBudget && i < cfg.MaxTownsPerRegion; i++ {
+		for i := 0; placed < townBudget && i < maxTownsPerRegion; i++ {
 			pop := townStream.BoundedPareto(st.TownMinM*1e6, st.TownMaxM*1e6, 1.1)
 			if pop > townBudget-placed {
 				pop = townBudget - placed
@@ -97,12 +88,8 @@ func Build(cfg Config, s *rng.Stream) *World {
 		// raster (no Place entries — no routers live there).
 		ruralM := gapM*(1-st.TownShare)*1e6 + (townBudget - placed)
 		ruralStream := s.Split("rural-" + st.Region.String())
-		chunks := cfg.RuralChunks
-		if chunks < 1 {
-			chunks = 1
-		}
-		per := ruralM / float64(chunks)
-		for i := 0; i < chunks; i++ {
+		per := ruralM / ruralChunks
+		for i := 0; i < ruralChunks; i++ {
 			loc := randomInLand(ruralStream, st.Land)
 			w.Raster.Deposit(loc, per)
 		}

@@ -10,12 +10,12 @@ import (
 
 func buildTestWorld(t *testing.T) *World {
 	t.Helper()
-	return Build(DefaultConfig(), rng.New(1))
+	return Build(rng.New(1))
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	a := Build(DefaultConfig(), rng.New(7))
-	b := Build(DefaultConfig(), rng.New(7))
+	a := Build(rng.New(7))
+	b := Build(rng.New(7))
 	if len(a.Places) != len(b.Places) {
 		t.Fatalf("place counts differ: %d vs %d", len(a.Places), len(b.Places))
 	}

@@ -8,7 +8,7 @@
 // (frontier block, destination address, LSR decision) are drawn
 // serially from the control stream, the traces themselves run
 // concurrently on per-probe split streams, and observations are
-// ingested in probe order. Because the batch size is a configuration
+// ingested in probe order. Because the batch size is a package
 // constant — not a function of GOMAXPROCS — the discovered map
 // is bit-identical at any parallelism. Within a batch, traces execute
 // in destination-address order — which groups them by destination AS,
@@ -28,38 +28,26 @@ import (
 	"geonet/internal/rng"
 )
 
-// Config controls a Mercator run.
-type Config struct {
-	// LSRFraction is the share of probes sent with loose source
+// The run is sized so Mercator discovers a substantially smaller graph
+// than Skitter, as in the paper (268k vs 704k interfaces).
+const (
+	// lsrFraction is the share of probes sent with loose source
 	// routing through an already-discovered router.
-	LSRFraction float64
-	// NeighborExpandProb adds the /24s adjacent to a newly discovered
+	lsrFraction = 0.25
+	// neighborExpandProb adds the /24s adjacent to a newly discovered
 	// one to the probe frontier (the "informed" part of informed
 	// random address probing).
-	NeighborExpandProb float64
-	// SeedBlocks primes the frontier with this many random allocated
+	neighborExpandProb = 0.6
+	// seedBlocks primes the frontier with this many random allocated
 	// /24s (Mercator started from its own host's neighbourhood; a few
 	// seeds keep the walk from stalling in a stub corner).
-	SeedBlocks int
-	// BatchProbes is the number of probes planned per round; frontier
+	seedBlocks = 8
+	// batchProbes is the number of probes planned per round; frontier
 	// and LSR-candidate updates land between rounds. The batch size is
 	// part of the random-walk definition, so it must not depend on
 	// GOMAXPROCS, which bounds the in-batch trace fan-out.
-	BatchProbes int
-	Tracer      tracer.Options
-}
-
-// DefaultConfig sizes the run so Mercator discovers a substantially
-// smaller graph than Skitter, as in the paper (268k vs 704k interfaces).
-func DefaultConfig() Config {
-	return Config{
-		LSRFraction:        0.25,
-		NeighborExpandProb: 0.6,
-		SeedBlocks:         8,
-		BatchProbes:        64,
-		Tracer:             tracer.DefaultOptions(),
-	}
-}
+	batchProbes = 64
+)
 
 // Result is the discovered map, before and after alias resolution.
 type Result struct {
@@ -92,8 +80,9 @@ type probePlan struct {
 	s   *rng.Stream
 }
 
-// Collect runs discovery from the Internet's Mercator host.
-func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *Result {
+// Collect runs discovery from the Internet's Mercator host with the
+// package's fixed walk constants and tracer.DefaultOptions.
+func Collect(net *netsim.Network, s *rng.Stream) *Result {
 	in := net.In
 	res := &Result{
 		IfaceNodes:  make(map[uint32]struct{}),
@@ -106,10 +95,7 @@ func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *Result {
 	if host == netgen.None {
 		return res
 	}
-	batchSize := cfg.BatchProbes
-	if batchSize <= 0 {
-		batchSize = DefaultConfig().BatchProbes
-	}
+	opts := tracer.DefaultOptions()
 
 	// Frontier of known /24 blocks.
 	known := make(map[uint32]struct{})
@@ -133,7 +119,7 @@ func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *Result {
 		allBlocks = append(allBlocks, b)
 	}
 	sort.Slice(allBlocks, func(i, j int) bool { return allBlocks[i] < allBlocks[j] })
-	for i := 0; i < cfg.SeedBlocks && len(allBlocks) > 0; i++ {
+	for i := 0; i < seedBlocks && len(allBlocks) > 0; i++ {
 		addBlock(allBlocks[s.Intn(len(allBlocks))])
 	}
 
@@ -143,7 +129,7 @@ func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *Result {
 	// Discovered router candidates for LSR vias.
 	var discovered []uint32
 
-	ingest := func(obs []tracer.Observation, dst uint32) {
+	ingest := func(sc *tracer.Scratch, obs []tracer.Observation, dst uint32) {
 		// Mercator maps routers: the destination's own reply (an end
 		// host, or the probed address itself) is not an intermediate
 		// hop and is excluded from the map.
@@ -161,32 +147,33 @@ func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *Result {
 				// sometimes, its neighbours.
 				b := o.IP &^ 0xff
 				addBlock(b)
-				if s.Bool(cfg.NeighborExpandProb) {
+				if s.Bool(neighborExpandProb) {
 					addBlock(b + 256)
 				}
-				if s.Bool(cfg.NeighborExpandProb) {
+				if s.Bool(neighborExpandProb) {
 					addBlock(b - 256)
 				}
 			}
 		}
-		for _, l := range tracer.Links(obs) {
+		for _, l := range sc.Links(obs) {
 			res.IfaceLinks[l] = struct{}{}
 		}
 	}
 
 	// Batch working state, allocated once and recycled every round:
 	// per-slot trace streams (re-seeded in place, never reallocated),
-	// per-slot tracer scratch buffers, the AS-sorted execution order
-	// and the observation cut-outs the ingest pass reads.
-	plans := make([]probePlan, 0, batchSize)
-	slotStreams := make([]*rng.Stream, batchSize)
-	scratches := make([]tracer.Scratch, batchSize)
-	observations := make([][]tracer.Observation, batchSize)
-	order := make([]int, 0, batchSize)
+	// per-slot tracer scratch buffers (the ingest pass also extracts
+	// each probe's links into its slot's), the AS-sorted execution
+	// order and the observation cut-outs the ingest pass reads.
+	plans := make([]probePlan, 0, batchProbes)
+	slotStreams := make([]*rng.Stream, batchProbes)
+	scratches := make([]tracer.Scratch, batchProbes)
+	observations := make([][]tracer.Observation, batchProbes)
+	order := make([]int, 0, batchProbes)
 	for probe := 0; probe < budget && len(frontier) > 0; probe += len(plans) {
 		// Plan the batch serially against the current frontier and
 		// discovery state.
-		n := batchSize
+		n := batchProbes
 		if rem := budget - probe; rem < n {
 			n = rem
 		}
@@ -199,7 +186,7 @@ func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *Result {
 				via: netgen.None,
 				s:   slotStreams[k],
 			}
-			if len(discovered) > 0 && s.Bool(cfg.LSRFraction) {
+			if len(discovered) > 0 && s.Bool(lsrFraction) {
 				viaIP := discovered[s.Intn(len(discovered))]
 				if ifid, ok := in.ByIP[viaIP]; ok {
 					plan.via = in.Ifaces[ifid].Router
@@ -226,12 +213,12 @@ func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *Result {
 			p := plans[i]
 			sc := &scratches[i]
 			if p.via != netgen.None {
-				if obs, _ := sc.TraceVia(net, host, p.via, p.dst, cfg.Tracer, p.s); obs != nil {
+				if obs, _ := sc.TraceVia(net, host, p.via, p.dst, opts, p.s); obs != nil {
 					observations[i] = obs
 					return
 				}
 			}
-			obs, _ := sc.Trace(net, host, p.dst, cfg.Tracer, p.s)
+			obs, _ := sc.Trace(net, host, p.dst, opts, p.s)
 			observations[i] = obs
 		})
 
@@ -241,7 +228,7 @@ func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *Result {
 			if plans[i].via != netgen.None {
 				res.Stats.LSRTraces++
 			}
-			ingest(observations[i], plans[i].dst)
+			ingest(&scratches[i], observations[i], plans[i].dst)
 		}
 	}
 

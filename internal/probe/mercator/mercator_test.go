@@ -18,12 +18,12 @@ var (
 func fixture(tb testing.TB) (*netgen.Internet, *Result) {
 	tb.Helper()
 	if mRes == nil {
-		world := population.Build(population.DefaultConfig(), rng.New(1))
+		world := population.Build(rng.New(1))
 		cfg := netgen.DefaultConfig()
 		cfg.Scale = 0.02
 		mIn = netgen.Build(cfg, world)
 		mNet = netsim.Compile(mIn)
-		mRes = Collect(mNet, DefaultConfig(), rng.New(21))
+		mRes = Collect(mNet, rng.New(21))
 	}
 	return mIn, mRes
 }
@@ -121,8 +121,8 @@ func TestMercatorSmallerThanGroundTruth(t *testing.T) {
 
 func TestCollectDeterministic(t *testing.T) {
 	fixture(t)
-	a := Collect(mNet, DefaultConfig(), rng.New(5))
-	b := Collect(mNet, DefaultConfig(), rng.New(5))
+	a := Collect(mNet, rng.New(5))
+	b := Collect(mNet, rng.New(5))
 	if len(a.IfaceNodes) != len(b.IfaceNodes) || len(a.RouterLinks) != len(b.RouterLinks) {
 		t.Error("same seed produced different discoveries")
 	}

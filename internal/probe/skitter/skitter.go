@@ -15,20 +15,15 @@ import (
 	"geonet/internal/rng"
 )
 
-// Config controls a collection run.
-type Config struct {
-	// CoverageMin/CoverageMax bound the fraction of the global /24
-	// list each monitor probes ("each probing a destination list of
-	// varying size").
-	CoverageMin, CoverageMax float64
-	// Probe behaviour.
-	Tracer tracer.Options
-}
-
-// DefaultConfig mirrors the paper's collection.
-func DefaultConfig() Config {
-	return Config{CoverageMin: 0.55, CoverageMax: 1.0, Tracer: tracer.DefaultOptions()}
-}
+// coverageMin and coverageMax bound the fraction of the global /24
+// list each monitor probes ("each probing a destination list of
+// varying size"). They are typed so each is rounded to float64 before
+// their difference is taken; untyped, the difference would fold to
+// exactly 0.45, one ulp above the float64 difference.
+const (
+	coverageMin float64 = 0.55
+	coverageMax float64 = 1.0
+)
 
 // RawGraph is the union of all monitors' traces, before the dataset
 // processing of Section III (which topo applies).
@@ -61,11 +56,12 @@ type monitorGraph struct {
 	stats   Stats
 }
 
-// Collect runs the full multi-monitor collection. Monitors probe
+// Collect runs the full multi-monitor collection with the paper's
+// fixed coverage range and tracer.DefaultOptions. Monitors probe
 // concurrently (bounded by GOMAXPROCS); each draws from its own
 // numbered split of s and the union is a set, so the merged graph is
 // the same at any parallelism.
-func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *RawGraph {
+func Collect(net *netsim.Network, s *rng.Stream) *RawGraph {
 	in := net.In
 	raw := &RawGraph{
 		Nodes:   make(map[uint32]struct{}),
@@ -85,7 +81,7 @@ func Collect(net *netsim.Network, cfg Config, s *rng.Stream) *RawGraph {
 	raw.Stats.Monitors = len(in.SkitterMonitors)
 	partials := parallel.Map(len(in.SkitterMonitors),
 		func(mi int) *monitorGraph {
-			return collectMonitor(net, cfg, blocks, in.SkitterMonitors[mi], s.SplitN("monitor", mi))
+			return collectMonitor(net, blocks, in.SkitterMonitors[mi], s.SplitN("monitor", mi))
 		})
 	// Merge in monitor order. The maps are sets and the counters sum,
 	// so the merged content is order-independent; the fixed order keeps
@@ -126,7 +122,7 @@ func blockDest(block uint32) uint32 {
 // from a hot cache. One tracer.Scratch serves the whole sweep, so the
 // per-trace path/observation/link buffers are allocated once per
 // monitor rather than once per probe.
-func collectMonitor(net *netsim.Network, cfg Config, blocks []uint32,
+func collectMonitor(net *netsim.Network, blocks []uint32,
 	monitor netgen.RouterID, ms *rng.Stream) *monitorGraph {
 
 	mg := &monitorGraph{
@@ -135,7 +131,8 @@ func collectMonitor(net *netsim.Network, cfg Config, blocks []uint32,
 		destIPs: make(map[uint32]struct{}),
 	}
 	var sc tracer.Scratch
-	coverage := cfg.CoverageMin + ms.Float64()*(cfg.CoverageMax-cfg.CoverageMin)
+	opts := tracer.DefaultOptions()
+	coverage := coverageMin + ms.Float64()*(coverageMax-coverageMin)
 	for _, block := range blocks {
 		if !ms.Bool(coverage) {
 			continue
@@ -146,7 +143,7 @@ func collectMonitor(net *netsim.Network, cfg Config, blocks []uint32,
 			dst = block | uint32(1+ms.Intn(253))
 		}
 		mg.destIPs[dst] = struct{}{}
-		obs, _ := sc.Trace(net, monitor, dst, cfg.Tracer, ms)
+		obs, _ := sc.Trace(net, monitor, dst, opts, ms)
 		mg.stats.Traces++
 		if obs == nil {
 			mg.stats.TracesFailed++

@@ -18,12 +18,12 @@ var (
 func fixture(tb testing.TB) (*netgen.Internet, *RawGraph) {
 	tb.Helper()
 	if sRaw == nil {
-		world := population.Build(population.DefaultConfig(), rng.New(1))
+		world := population.Build(rng.New(1))
 		cfg := netgen.DefaultConfig()
 		cfg.Scale = 0.02
 		sIn = netgen.Build(cfg, world)
 		sNet = netsim.Compile(sIn)
-		sRaw = Collect(sNet, DefaultConfig(), rng.New(11))
+		sRaw = Collect(sNet, rng.New(11))
 	}
 	return sIn, sRaw
 }
@@ -120,8 +120,8 @@ func TestDestListTracked(t *testing.T) {
 
 func TestCollectDeterministic(t *testing.T) {
 	in, _ := fixture(t)
-	a := Collect(sNet, DefaultConfig(), rng.New(42))
-	b := Collect(sNet, DefaultConfig(), rng.New(42))
+	a := Collect(sNet, rng.New(42))
+	b := Collect(sNet, rng.New(42))
 	if len(a.Nodes) != len(b.Nodes) || len(a.Links) != len(b.Links) {
 		t.Errorf("same seed produced different graphs: %d/%d vs %d/%d",
 			len(a.Nodes), len(a.Links), len(b.Nodes), len(b.Links))

@@ -51,11 +51,6 @@ type Scratch struct {
 // gateway (src itself, seen via its host-facing stub interface); the
 // last, when the destination answers, is the destination address
 // itself. reached reports whether forwarding got all the way there.
-func Trace(net *netsim.Network, src netgen.RouterID, dstIP uint32, opts Options, s *rng.Stream) (obs []Observation, reached bool) {
-	return new(Scratch).Trace(net, src, dstIP, opts, s)
-}
-
-// Trace is the scratch-reusing form of the package-level Trace.
 func (sc *Scratch) Trace(net *netsim.Network, src netgen.RouterID, dstIP uint32, opts Options, s *rng.Stream) (obs []Observation, reached bool) {
 	path, dstRouter, ok := net.AppendPathToIP(sc.path[:0], src, dstIP)
 	sc.path = path
@@ -66,11 +61,6 @@ func (sc *Scratch) Trace(net *netsim.Network, src netgen.RouterID, dstIP uint32,
 }
 
 // TraceVia runs a loose-source-routed probe through the via router.
-func TraceVia(net *netsim.Network, src, via netgen.RouterID, dstIP uint32, opts Options, s *rng.Stream) (obs []Observation, reached bool) {
-	return new(Scratch).TraceVia(net, src, via, dstIP, opts, s)
-}
-
-// TraceVia is the scratch-reusing form of the package-level TraceVia.
 func (sc *Scratch) TraceVia(net *netsim.Network, src, via netgen.RouterID, dstIP uint32, opts Options, s *rng.Stream) (obs []Observation, reached bool) {
 	dstRouter, ok := net.LookupDest(dstIP)
 	if !ok {
@@ -150,17 +140,8 @@ func stubIfaceIP(in *netgen.Internet, r netgen.RouterID) uint32 {
 // one trace: consecutive responding observations. Gaps ("*") break the
 // chain, and self-pairs (identical addresses back to back) are
 // discarded as anomalies, per Section III-A.
-func Links(obs []Observation) [][2]uint32 {
-	return appendLinks(nil, obs)
-}
-
-// Links is the scratch-reusing form of the package-level Links.
 func (sc *Scratch) Links(obs []Observation) [][2]uint32 {
-	sc.links = appendLinks(sc.links[:0], obs)
-	return sc.links
-}
-
-func appendLinks(out [][2]uint32, obs []Observation) [][2]uint32 {
+	out := sc.links[:0]
 	for i := 1; i < len(obs); i++ {
 		a, b := obs[i-1], obs[i]
 		if !a.Responded || !b.Responded {
@@ -171,6 +152,7 @@ func appendLinks(out [][2]uint32, obs []Observation) [][2]uint32 {
 		}
 		out = append(out, orderPair(a.IP, b.IP))
 	}
+	sc.links = out
 	return out
 }
 

@@ -17,7 +17,7 @@ var (
 func fixture(tb testing.TB) (*netgen.Internet, *netsim.Network) {
 	tb.Helper()
 	if tIn == nil {
-		world := population.Build(population.DefaultConfig(), rng.New(1))
+		world := population.Build(rng.New(1))
 		cfg := netgen.DefaultConfig()
 		cfg.Scale = 0.02
 		tIn = netgen.Build(cfg, world)
@@ -47,6 +47,7 @@ func anyIfaceIP(in *netgen.Internet, skip int) uint32 {
 func TestTraceReachesInterfaceDestination(t *testing.T) {
 	in, net := fixture(t)
 	s := rng.New(2)
+	var sc Scratch
 	opts := DefaultOptions()
 	opts.HopLossProb = 0 // deterministic for this test
 	reachedCount := 0
@@ -55,7 +56,7 @@ func TestTraceReachesInterfaceDestination(t *testing.T) {
 		if dst == 0 {
 			continue
 		}
-		obs, reached := Trace(net, in.SkitterMonitors[0], dst, opts, s)
+		obs, reached := sc.Trace(net, in.SkitterMonitors[0], dst, opts, s)
 		if !reached {
 			continue
 		}
@@ -76,9 +77,10 @@ func TestTraceReachesInterfaceDestination(t *testing.T) {
 func TestTraceFirstHopIsMonitorGateway(t *testing.T) {
 	in, net := fixture(t)
 	s := rng.New(3)
+	var sc Scratch
 	monitor := in.SkitterMonitors[0]
 	dst := anyIfaceIP(in, 500)
-	obs, _ := Trace(net, monitor, dst, DefaultOptions(), s)
+	obs, _ := sc.Trace(net, monitor, dst, DefaultOptions(), s)
 	if len(obs) == 0 {
 		t.Skip("trace failed")
 	}
@@ -99,11 +101,12 @@ func TestTraceFirstHopIsMonitorGateway(t *testing.T) {
 func TestTraceObservesInboundInterfaces(t *testing.T) {
 	in, net := fixture(t)
 	s := rng.New(4)
+	var sc Scratch
 	opts := DefaultOptions()
 	opts.HopLossProb = 0
 	opts.HostRespondProb = 1
 	dst := anyIfaceIP(in, 1200)
-	obs, reached := Trace(net, in.SkitterMonitors[1], dst, opts, s)
+	obs, reached := sc.Trace(net, in.SkitterMonitors[1], dst, opts, s)
 	if !reached || len(obs) < 3 {
 		t.Skip("need a multi-hop reached trace")
 	}
@@ -127,12 +130,13 @@ func TestTraceObservesInboundInterfaces(t *testing.T) {
 func TestUnresponsiveRoutersProduceGaps(t *testing.T) {
 	in, net := fixture(t)
 	s := rng.New(5)
+	var sc Scratch
 	opts := DefaultOptions()
 	opts.HopLossProb = 0
 	sawGap := false
 	for i := 0; i < 400 && !sawGap; i++ {
 		dst := anyIfaceIP(in, i*13)
-		obs, _ := Trace(net, in.SkitterMonitors[i%len(in.SkitterMonitors)], dst, opts, s)
+		obs, _ := sc.Trace(net, in.SkitterMonitors[i%len(in.SkitterMonitors)], dst, opts, s)
 		for _, o := range obs {
 			if !o.Responded {
 				sawGap = true
@@ -154,7 +158,7 @@ func TestLinksSkipGapsAndSelfLoops(t *testing.T) {
 		{IP: 4, Responded: true}, // self-loop anomaly
 		{IP: 5, Responded: true},
 	}
-	links := Links(obs)
+	links := new(Scratch).Links(obs)
 	want := map[[2]uint32]bool{{1, 2}: true, {4, 5}: true}
 	if len(links) != len(want) {
 		t.Fatalf("links = %v, want 2 links", links)
@@ -171,7 +175,7 @@ func TestLinksCanonicalOrder(t *testing.T) {
 		{IP: 9, Responded: true},
 		{IP: 2, Responded: true},
 	}
-	links := Links(obs)
+	links := new(Scratch).Links(obs)
 	if len(links) != 1 || links[0] != [2]uint32{2, 9} {
 		t.Errorf("links = %v, want [[2 9]]", links)
 	}
@@ -180,12 +184,13 @@ func TestLinksCanonicalOrder(t *testing.T) {
 func TestTraceVia(t *testing.T) {
 	in, net := fixture(t)
 	s := rng.New(6)
+	var sc Scratch
 	opts := DefaultOptions()
 	opts.HopLossProb = 0
 	host := in.MercatorHost
 	via := netgen.RouterID(len(in.Routers) / 3)
 	dst := anyIfaceIP(in, 2000)
-	obs, reached := TraceVia(net, host, via, dst, opts, s)
+	obs, reached := sc.TraceVia(net, host, via, dst, opts, s)
 	if !reached {
 		t.Skip("LSR trace failed")
 	}
@@ -200,7 +205,8 @@ func TestTraceVia(t *testing.T) {
 func TestTraceUnallocatedDestination(t *testing.T) {
 	_, net := fixture(t)
 	s := rng.New(7)
-	obs, reached := Trace(net, tIn.SkitterMonitors[0], 0xDF000001, DefaultOptions(), s)
+	var sc Scratch
+	obs, reached := sc.Trace(net, tIn.SkitterMonitors[0], 0xDF000001, DefaultOptions(), s)
 	if obs != nil || reached {
 		t.Error("unallocated destination should yield no trace")
 	}
@@ -209,10 +215,11 @@ func TestTraceUnallocatedDestination(t *testing.T) {
 func TestMaxTTLTruncates(t *testing.T) {
 	in, net := fixture(t)
 	s := rng.New(8)
+	var sc Scratch
 	opts := DefaultOptions()
 	opts.MaxTTL = 2
 	dst := anyIfaceIP(in, 3000)
-	obs, reached := Trace(net, in.SkitterMonitors[0], dst, opts, s)
+	obs, reached := sc.Trace(net, in.SkitterMonitors[0], dst, opts, s)
 	if len(obs) > 2 {
 		t.Errorf("trace exceeded MaxTTL: %d hops", len(obs))
 	}

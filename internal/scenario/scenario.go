@@ -105,12 +105,9 @@ func (s Spec) Label() string {
 }
 
 // CoreConfig translates the spec into a pipeline configuration,
-// validating any generator ablations once up front so a bad axis fails
-// before the sweep launches anything.
+// validating its scale and any generator ablations once up front so a
+// bad axis fails before the sweep launches anything.
 func (s Spec) CoreConfig() (core.Config, error) {
-	if s.Scale <= 0 {
-		return core.Config{}, fmt.Errorf("scenario: %s: scale must be positive", s.Label())
-	}
 	// Only zero means "default" for these knobs; negatives are spec
 	// errors, not sentinels.
 	if s.Monitors < 0 {
@@ -138,11 +135,10 @@ func (s Spec) CoreConfig() (core.Config, error) {
 			g.DistanceIndependentFraction = *s.DistIndepFrac
 		}
 		g.UniformPlacement = s.UniformPlacement
-		g.Scale = s.Scale // so Validate sees the effective value
-		if err := g.Validate(); err != nil {
-			return core.Config{}, fmt.Errorf("scenario: %s: %w", s.Label(), err)
-		}
 		cfg.Gen = &g
+	}
+	if err := cfg.Validate(); err != nil {
+		return core.Config{}, fmt.Errorf("scenario: %s: %w", s.Label(), err)
 	}
 	return cfg, nil
 }

@@ -31,7 +31,7 @@ func setup(tb testing.TB) *fixture {
 	if shared != nil {
 		return shared
 	}
-	world := population.Build(population.DefaultConfig(), rng.New(1))
+	world := population.Build(rng.New(1))
 	cfg := netgen.DefaultConfig()
 	cfg.Scale = 0.02
 	in := netgen.Build(cfg, world)
@@ -42,10 +42,10 @@ func setup(tb testing.TB) *fixture {
 	}
 	res := geoloc.Resources{DNS: dns, Whois: whois.FromInternet(in), Dict: world.CodeDictionary()}
 	ix := geoloc.NewIxMapper(res)
-	table := bgp.Assemble(in, bgp.DefaultAssembleConfig(), rng.New(2))
+	table := bgp.Assemble(in, 0.02, rng.New(2))
 
-	raw := skitter.Collect(net, skitter.DefaultConfig(), rng.New(3))
-	merc := mercator.Collect(net, mercator.DefaultConfig(), rng.New(4))
+	raw := skitter.Collect(net, rng.New(3))
+	merc := mercator.Collect(net, rng.New(4))
 
 	shared = &fixture{
 		in:    in,
@@ -263,7 +263,7 @@ var rawCache *skitter.RawGraph
 func reconstructRaw(f *fixture) *skitter.RawGraph {
 	if rawCache == nil {
 		net := netsim.Compile(f.in)
-		rawCache = skitter.Collect(net, skitter.DefaultConfig(), rng.New(3))
+		rawCache = skitter.Collect(net, rng.New(3))
 	}
 	return rawCache
 }

@@ -19,7 +19,7 @@ import (
 // (Table VI).
 func ExampleGeoGen_asLabels() {
 	s := rng.New(7)
-	world := population.Build(population.DefaultConfig(), s.Split("world"))
+	world := population.Build(s.Split("world"))
 	cfg := topogen.DefaultGeoGenConfig()
 	cfg.Nodes = 3000
 	cfg.ASCount = 80
@@ -62,7 +62,7 @@ func ExampleGeoGen_asLabels() {
 // topology's are whatever random placement yields.
 func ExampleGeoGen_latency() {
 	s := rng.New(42)
-	world := population.Build(population.DefaultConfig(), s.Split("world"))
+	world := population.Build(s.Split("world"))
 	cfg := topogen.DefaultGeoGenConfig()
 	cfg.Nodes = 2000
 	gg := topogen.GeoGen(cfg, world, geo.US, s.Split("geogen"))

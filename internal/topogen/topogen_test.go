@@ -97,7 +97,7 @@ func TestBarabasiAlbertDegreeTail(t *testing.T) {
 }
 
 func TestGeoGenReproducesPaperShapes(t *testing.T) {
-	world := population.Build(population.DefaultConfig(), rng.New(1))
+	world := population.Build(rng.New(1))
 	cfg := DefaultGeoGenConfig()
 	cfg.Nodes = 2500
 	g := GeoGen(cfg, world, geo.US, rng.New(5))
@@ -165,7 +165,7 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	if len(a.Links) != len(b.Links) {
 		t.Error("Waxman not deterministic")
 	}
-	world := population.Build(population.DefaultConfig(), rng.New(1))
+	world := population.Build(rng.New(1))
 	cfg := DefaultGeoGenConfig()
 	cfg.Nodes = 300
 	g1 := GeoGen(cfg, world, geo.Europe, rng.New(9))

@@ -64,11 +64,7 @@ func (r *Registry) buildIndex() {
 	var spans []span
 	for i, rec := range r.records {
 		for _, p := range rec.Ranges {
-			size := uint32(1)
-			if p.Len < 32 {
-				size = uint32(1) << (32 - uint(p.Len))
-			}
-			spans = append(spans, span{p.Addr, p.Addr + size - 1, i})
+			spans = append(spans, span{p.Addr, p.Addr + p.Size() - 1, i})
 		}
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].start < spans[j].start })

@@ -12,7 +12,7 @@ import (
 
 func buildRegistry(t *testing.T) (*netgen.Internet, *Registry) {
 	t.Helper()
-	world := population.Build(population.DefaultConfig(), rng.New(1))
+	world := population.Build(rng.New(1))
 	cfg := netgen.DefaultConfig()
 	cfg.Scale = 0.01
 	in := netgen.Build(cfg, world)
