@@ -1,13 +1,17 @@
 // Package churn makes continuous topology churn a first-class,
-// reproducible scenario: a Churner owns a copy-on-write view of a
-// compiled serving source (ground-truth allocation, BGP table, per-AS
-// footprints) and emits deterministic seeded streams of churn events —
-// BGP announces and withdraws of /24 more-specifics, allocation
-// growth, interface appearance, monitor loss degrading footprints.
-// Each step materialises a complete geoserve.Source plus the dirty /24
-// set the events touched, ready for either a from-scratch
-// geoserve.Compile or an incremental geoserve.CompileDelta; the golden
-// churn corpus pins the two byte-identical at every step.
+// reproducible scenario: a Churner owns overlays over a compiled
+// serving source (the allocated /24s, the public interface addresses,
+// the BGP table, per-AS footprints) and emits deterministic seeded
+// streams of churn events — BGP announces and withdraws of /24
+// more-specifics, allocation growth, interface appearance, monitor
+// loss degrading footprints. Each step materialises a complete
+// geoserve.Source plus the dirty /24 set the events touched, ready for
+// either a from-scratch geoserve.Compile or an incremental
+// geoserve.CompileDelta; the golden churn corpus pins the two
+// byte-identical at every step. A step costs what the source's two
+// address sets, its BGP table and its footprint lists cost to copy:
+// the ground truth (*netgen.Internet) is read once, at New, for the AS
+// numbers events draw, and never copied.
 //
 // Determinism discipline matches the rest of the repo: all randomness
 // flows from one rng.Stream seeded at construction, no wall-clock
@@ -17,7 +21,6 @@ package churn
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"geonet/internal/analysis"
@@ -95,8 +98,12 @@ type Step struct {
 // concurrent use; each Next mutates internal overlay state and
 // materialises an independent Source (safe to keep and compile later).
 type Churner struct {
-	r    *rng.Stream
-	base geoserve.Source
+	r       *rng.Stream
+	mappers []geoserve.NamedMapper
+	build   geoserve.BuildInfo
+	// asns are the AS numbers in netgen's AS order: the origins that
+	// announce and grow events draw from.
+	asns []int
 
 	// Route overlay: the base table's routes captured once, plus
 	// origination for grown allocations, plus announced more-specifics
@@ -106,47 +113,68 @@ type Churner struct {
 	extras      map[uint32]int
 	extraOrder  []uint32
 
-	// Allocation overlay: grown prefixes per AS index, added
-	// interfaces, and the set of addresses they occupy.
-	grown      map[int][]netgen.Prefix
-	added      []netgen.Iface
-	addedTaken map[uint32]bool
-
 	// Footprint overlay: current per-mapper footprint lists.
 	footprints [][]analysis.ASFootprint
 
-	// alloc24 is every allocated /24 base, ascending at construction,
-	// grown blocks appended; event targets are drawn from it.
+	// alloc24 is every allocated /24 base, ascending: the source's,
+	// then grown blocks appended above them. Event targets are drawn
+	// from it. ips is every public interface address, ascending, with
+	// added interfaces inserted in place.
 	alloc24   []uint32
+	ips       []uint32
 	nextAlloc uint32
 	step      int
 }
 
-// New builds a Churner over src (typically core.Pipeline.ServeSource).
-// src itself is never mutated; all churn applies to overlays.
-func New(src geoserve.Source, seed int64) (*Churner, error) {
-	if src.Internet == nil || src.Table == nil || len(src.Mappers) == 0 {
-		return nil, fmt.Errorf("churn: source missing internet, table or mappers")
-	}
-	c := &Churner{
-		r:          rng.New(seed).Split("churn"),
-		base:       src,
-		extras:     map[uint32]int{},
-		grown:      map[int][]netgen.Prefix{},
-		addedTaken: map[uint32]bool{},
-	}
-	src.Table.Walk(func(rt bgp.Route) { c.baseRoutes = append(c.baseRoutes, rt) })
-	for ai := range src.Internet.ASes {
-		for _, p := range src.Internet.ASes[ai].Prefixes {
-			c.alloc24 = slices.AppendSeq(c.alloc24, p.Blocks24())
+// Growth stops at the start of class D (multicast) and E space, and
+// skips the blocks no registry allocates: netgen's private pool 10/8
+// and the other RFC 1918 blocks, and loopback. reserved is ascending.
+const spaceEnd = 224 << 24
+
+var reserved = [...]netgen.Prefix{
+	{Addr: 10 << 24, Len: 8},
+	{Addr: 127 << 24, Len: 8},
+	{Addr: 172<<24 | 16<<16, Len: 12},
+	{Addr: 192<<24 | 168<<16, Len: 16},
+}
+
+// usable returns the first /24 base at or above a that no reserved
+// block covers.
+func usable(a uint32) uint32 {
+	for _, r := range reserved {
+		if r.Contains(a) {
+			a = r.Addr + r.Size()
 		}
 	}
-	if len(c.alloc24) == 0 {
+	return a
+}
+
+// New builds a Churner over src (typically core.Pipeline.ServeSource,
+// whose ground truth in is read only for its AS numbers). Neither is
+// mutated; all churn applies to overlays.
+func New(in *netgen.Internet, src geoserve.Source, seed int64) (*Churner, error) {
+	if in == nil || len(in.ASes) == 0 || src.Table == nil || len(src.Mappers) == 0 {
+		return nil, fmt.Errorf("churn: missing ASes, table or mappers")
+	}
+	if len(src.Prefixes) == 0 {
 		return nil, fmt.Errorf("churn: source allocates no /24s")
 	}
-	slices.Sort(c.alloc24)
-	c.alloc24 = slices.Compact(c.alloc24)
-	c.nextAlloc = c.alloc24[len(c.alloc24)-1] + 256
+	c := &Churner{
+		r:       rng.New(seed).Split("churn"),
+		mappers: src.Mappers,
+		build:   src.Build,
+		asns:    make([]int, len(in.ASes)),
+		extras:  map[uint32]int{},
+		alloc24: slices.Clone(src.Prefixes),
+		ips:     slices.Clone(src.IPs),
+	}
+	for ai := range in.ASes {
+		c.asns[ai] = in.ASes[ai].Number
+	}
+	src.Table.Walk(func(rt bgp.Route) { c.baseRoutes = append(c.baseRoutes, rt) })
+	// The min keeps a source that already ends at the top of the space
+	// from wrapping the cursor round to 0.0.0.0.
+	c.nextAlloc = usable(min(c.alloc24[len(c.alloc24)-1], spaceEnd-256) + 256)
 	c.footprints = make([][]analysis.ASFootprint, len(src.Mappers))
 	for m, nm := range src.Mappers {
 		c.footprints[m] = slices.Clone(nm.Footprints)
@@ -187,11 +215,10 @@ func (c *Churner) Next(events int) (Step, error) {
 // applyOne draws one event kind and applies it to the overlays,
 // returning the event and the /24 bases to mark dirty.
 func (c *Churner) applyOne() (Event, []uint32, bool) {
-	in := c.base.Internet
 	switch k := c.drawKind(); k {
 	case Announce:
 		base := c.alloc24[c.r.Intn(len(c.alloc24))]
-		origin := in.ASes[c.r.Intn(len(in.ASes))].Number
+		origin := c.asns[c.r.Intn(len(c.asns))]
 		if _, seen := c.extras[base]; !seen {
 			c.extraOrder = append(c.extraOrder, base)
 		}
@@ -202,7 +229,7 @@ func (c *Churner) applyOne() (Event, []uint32, bool) {
 			// Nothing announced yet: announce instead, so early steps
 			// still carry the drawn number of events.
 			base := c.alloc24[c.r.Intn(len(c.alloc24))]
-			origin := in.ASes[c.r.Intn(len(in.ASes))].Number
+			origin := c.asns[c.r.Intn(len(c.asns))]
 			c.extraOrder = append(c.extraOrder, base)
 			c.extras[base] = origin
 			return Event{Kind: Announce, Base: base, Origin: origin}, []uint32{base}, true
@@ -213,28 +240,28 @@ func (c *Churner) applyOne() (Event, []uint32, bool) {
 		delete(c.extras, base)
 		return Event{Kind: Withdraw, Base: base}, []uint32{base}, true
 	case Grow:
-		if c.nextAlloc < 256 { // wrapped the address space
+		if c.nextAlloc >= spaceEnd { // the unicast space is used up
 			return Event{}, nil, false
 		}
-		ai := c.r.Intn(len(in.ASes))
+		origin := c.asns[c.r.Intn(len(c.asns))]
 		base := c.nextAlloc
-		c.nextAlloc += 256
-		c.grown[ai] = append(c.grown[ai], netgen.Prefix{Addr: base, Len: 24})
-		c.grownRoutes = append(c.grownRoutes, bgp.Route{Addr: base, Len: 24, Origin: in.ASes[ai].Number})
+		c.nextAlloc = usable(base + 256)
+		c.grownRoutes = append(c.grownRoutes, bgp.Route{Addr: base, Len: 24, Origin: origin})
 		c.alloc24 = append(c.alloc24, base)
-		return Event{Kind: Grow, Base: base, Origin: in.ASes[ai].Number}, []uint32{base}, true
+		return Event{Kind: Grow, Base: base, Origin: origin}, []uint32{base}, true
 	case IfaceAdd:
 		base := c.alloc24[c.r.Intn(len(c.alloc24))]
-		addr, ok := c.highestFree(base)
-		if !ok {
+		// The block's representative generic host, so occupying it
+		// forces the representative to shift.
+		addr := geoserve.GenericHost(c.ips, base)
+		i, taken := slices.BinarySearch(c.ips, addr)
+		if taken { // every address in the block is an interface's
 			return Event{}, nil, false
 		}
-		id := netgen.IfaceID(len(in.Ifaces) + len(c.added))
-		c.added = append(c.added, netgen.Iface{ID: id, IP: addr})
-		c.addedTaken[addr] = true
+		c.ips = slices.Insert(c.ips, i, addr)
 		// Dirty stays empty on purpose: CompileDelta must notice the
 		// new exact address (and the shifted representative host) from
-		// the interface tables alone.
+		// the address sets alone.
 		return Event{Kind: IfaceAdd, Base: base, Addr: addr}, nil, true
 	case MonitorLoss:
 		m := c.r.Intn(len(c.footprints))
@@ -269,40 +296,11 @@ func (c *Churner) drawKind() Kind {
 	}
 }
 
-// highestFree finds the highest unoccupied address in the /24 — the
-// block's current representative generic-host address, so occupying it
-// forces the representative to shift.
-func (c *Churner) highestFree(base uint32) (uint32, bool) {
-	for off := uint32(255); ; off-- {
-		addr := base + off
-		_, taken := c.base.Internet.ByIP[addr]
-		if !taken && !c.addedTaken[addr] {
-			return addr, true
-		}
-		if off == 0 {
-			return 0, false
-		}
-	}
-}
-
-// materialize assembles an independent Source from the base plus the
-// overlays. The returned Internet shares immutable ground truth
-// (routers, links, world) with the base but owns its AS, interface and
-// address tables, so later steps never mutate an issued Step.
+// materialize assembles an independent Source from the overlays. It
+// owns copies of the two address sets and a fresh BGP table, so later
+// steps, which insert into and append to the overlays, never change an
+// issued Step.
 func (c *Churner) materialize() (geoserve.Source, error) {
-	base := c.base.Internet
-	in := *base
-	in.ASes = slices.Clone(base.ASes)
-	for ai, ps := range c.grown {
-		as := &in.ASes[ai]
-		as.Prefixes = append(slices.Clone(as.Prefixes), ps...)
-	}
-	in.Ifaces = append(slices.Clone(base.Ifaces), c.added...)
-	in.ByIP = maps.Clone(base.ByIP)
-	for _, ifc := range c.added {
-		in.ByIP[ifc.IP] = ifc.ID
-	}
-
 	table := &bgp.Table{}
 	for _, rt := range c.baseRoutes {
 		table.Insert(rt)
@@ -314,14 +312,15 @@ func (c *Churner) materialize() (geoserve.Source, error) {
 		table.Insert(bgp.Route{Addr: b, Len: 24, Origin: c.extras[b]})
 	}
 
-	mappers := make([]geoserve.NamedMapper, len(c.base.Mappers))
-	for m, nm := range c.base.Mappers {
+	mappers := make([]geoserve.NamedMapper, len(c.mappers))
+	for m, nm := range c.mappers {
 		mappers[m] = geoserve.NamedMapper{Mapper: nm.Mapper, Footprints: slices.Clone(c.footprints[m])}
 	}
 	return geoserve.Source{
-		Internet: &in,
+		Prefixes: slices.Clone(c.alloc24),
+		IPs:      slices.Clone(c.ips),
 		Table:    table,
 		Mappers:  mappers,
-		Build:    c.base.Build,
+		Build:    c.build,
 	}, nil
 }

@@ -72,8 +72,7 @@ func corpusPath() string { return filepath.Join("testdata", "churn_corpus.golden
 //	go test ./internal/churn -run TestGoldenChurnCorpus -update
 func TestGoldenChurnCorpus(t *testing.T) {
 	p, full0 := fixture(t)
-	src := p.ServeSource(core.ServeOptions{})
-	ch, err := churn.New(src, corpusSeed)
+	ch, err := p.Churner(core.ServeOptions{}, corpusSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +208,7 @@ func TestGoldenChurnCorpus(t *testing.T) {
 // computes from scratch over the same tables.
 func TestIncrementalDigestMatchesFromScratch(t *testing.T) {
 	p, full0 := fixture(t)
-	ch, err := churn.New(p.ServeSource(core.ServeOptions{}), corpusSeed)
+	ch, err := p.Churner(core.ServeOptions{}, corpusSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +251,10 @@ func TestIncrementalDigestMatchesFromScratch(t *testing.T) {
 // different seed diverges.
 func TestChurnDeterministic(t *testing.T) {
 	p, _ := fixture(t)
-	src := p.ServeSource(core.ServeOptions{})
 
 	digests := func(seed int64) []string {
 		t.Helper()
-		ch, err := churn.New(src, seed)
+		ch, err := p.Churner(core.ServeOptions{}, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

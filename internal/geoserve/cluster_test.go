@@ -5,11 +5,12 @@ package geoserve_test
 // hot-swaps (run under -race in CI).
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"geonet/internal/analysis"
+	"geonet/internal/core"
 	"geonet/internal/geoserve"
 )
 
@@ -50,21 +51,12 @@ func TestClusterLookupZeroAllocs(t *testing.T) {
 func reversedSnapshot(tb testing.TB) *geoserve.Snapshot {
 	tb.Helper()
 	p, _ := fixture(tb)
-	snap, err := geoserve.Compile(geoserve.Source{
-		Internet: p.Internet,
-		Table:    p.SkitterTable,
-		Mappers: []geoserve.NamedMapper{
-			{
-				Mapper:     p.EdgeScape,
-				Footprints: analysis.Footprints(p.Dataset("skitter", "edgescape").ASAggregate()),
-			},
-			{
-				Mapper:     p.IxMapper,
-				Footprints: analysis.Footprints(p.Dataset("skitter", "ixmapper").ASAggregate()),
-			},
-		},
-		Build: geoserve.BuildInfo{Seed: p.Config.Seed, Scale: p.Config.Scale, Label: "reversed"},
-	})
+	src, err := p.ServeSource(core.ServeOptions{Label: "reversed"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	slices.Reverse(src.Mappers)
+	snap, err := geoserve.Compile(src)
 	if err != nil {
 		tb.Fatal(err)
 	}

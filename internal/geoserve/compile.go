@@ -8,16 +8,22 @@ import (
 	"geonet/internal/analysis"
 	"geonet/internal/bgp"
 	"geonet/internal/geoloc"
-	"geonet/internal/netgen"
 	"geonet/internal/parallel"
 )
 
 // Source bundles everything Compile reads from a finished pipeline.
-// core.Pipeline.Serve constructs it; tests can assemble one by hand.
+// core.Pipeline.ServeSource constructs it, and each churn step
+// materialises one. Compile and CompileDelta keep Prefixes and IPs as
+// the snapshot's indexes, so neither may change once compiled.
 type Source struct {
-	// Internet supplies the allocated address space (the /24 interval
-	// index) and the known interface addresses.
-	Internet *netgen.Internet
+	// Prefixes is the allocated address space: the base address of
+	// every allocated /24, strictly ascending.
+	Prefixes []uint32
+	// IPs is every public interface address, strictly ascending. Inside
+	// an allocated /24 it must be every address a host is known at:
+	// each gets an exact answer, and the /24's generic host is the
+	// highest address not among them.
+	IPs []uint32
 	// Table is the BGP epoch answers are AS-attributed against.
 	Table *bgp.Table
 	// Mappers are compiled in order; Lookup's mapper index and the
@@ -47,7 +53,6 @@ func Compile(src Source) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := src.Internet
 
 	// addrs[row] is the address a slab row is answered for: an exact
 	// row's own address, and per /24 a representative "generic host"
@@ -58,7 +63,7 @@ func Compile(src Source) (*Snapshot, error) {
 	rows := len(s.prefixes) + len(s.ips)
 	addrs := make([]uint32, rows)
 	parallel.ForEach(len(s.prefixes), func(i int) {
-		addrs[i] = genericHost(in, s.prefixes[i])
+		addrs[i] = GenericHost(s.ips, s.prefixes[i])
 	})
 	copy(addrs[len(s.prefixes):], s.ips)
 
@@ -86,8 +91,16 @@ func Compile(src Source) (*Snapshot, error) {
 // and CompileDelta both start here, which is what guarantees the two
 // enumerate and order the indexes identically.
 func skeleton(src Source) (s *Snapshot, byASN []map[int]analysis.ASFootprint, err error) {
-	if src.Internet == nil {
-		return nil, nil, fmt.Errorf("geoserve: nil Internet")
+	if err := checkAscending("Prefixes", src.Prefixes); err != nil {
+		return nil, nil, err
+	}
+	if err := checkAscending("IPs", src.IPs); err != nil {
+		return nil, nil, err
+	}
+	for _, p := range src.Prefixes {
+		if p&0xff != 0 {
+			return nil, nil, fmt.Errorf("geoserve: Prefixes holds %s, not a /24 base", FormatIPv4(p))
+		}
 	}
 	if src.Table == nil {
 		return nil, nil, fmt.Errorf("geoserve: nil BGP table")
@@ -95,9 +108,8 @@ func skeleton(src Source) (s *Snapshot, byASN []map[int]analysis.ASFootprint, er
 	if len(src.Mappers) == 0 {
 		return nil, nil, fmt.Errorf("geoserve: no mappers")
 	}
-	in := src.Internet
 
-	s = &Snapshot{build: src.Build}
+	s = &Snapshot{build: src.Build, prefixes: src.Prefixes, ips: src.IPs}
 	for _, nm := range src.Mappers {
 		if nm.Mapper == nil {
 			return nil, nil, fmt.Errorf("geoserve: nil mapper")
@@ -108,28 +120,6 @@ func skeleton(src Source) (s *Snapshot, byASN []map[int]analysis.ASFootprint, er
 		}
 		s.mappers = append(s.mappers, name)
 	}
-
-	// The /24 interval index: every /24 of every AS's originated
-	// prefixes, ascending. Prefixes are disjoint across ASes, so the
-	// dedup only guards degenerate inputs.
-	for ai := range in.ASes {
-		for _, p := range in.ASes[ai].Prefixes {
-			s.prefixes = slices.AppendSeq(s.prefixes, p.Blocks24())
-		}
-	}
-	radixSort(s.prefixes)
-	s.prefixes = slices.Compact(s.prefixes)
-
-	// Exact answers for every public interface address.
-	s.ips = make([]uint32, 0, len(in.Ifaces))
-	for i := range in.Ifaces {
-		if ifc := &in.Ifaces[i]; ifc.IP != 0 && !ifc.Private {
-			s.ips = append(s.ips, ifc.IP)
-		}
-	}
-	radixSort(s.ips)
-	s.ips = slices.Compact(s.ips)
-
 	// Footprint tables: union of ASNs across mappers, ascending; a
 	// zero-ASN footprint marks absence under one mapper.
 	byASN = make([]map[int]analysis.ASFootprint, len(src.Mappers))
@@ -155,54 +145,35 @@ func skeleton(src Source) (s *Snapshot, byASN []map[int]analysis.ASFootprint, er
 	return s, byASN, nil
 }
 
-// radixSort sorts xs ascending, exactly as slices.Sort does, in four
-// LSD passes of one byte each (a pass whose byte is the same in every
-// element is skipped): linear in len(xs), where a comparison sort of an
-// epoch's tens of thousands of interface addresses costs milliseconds.
-func radixSort(xs []uint32) {
-	if slices.IsSorted(xs) { // the /24s usually arrive in order
-		return
+// checkAscending rejects an empty or not strictly ascending address
+// set: the indexes are searched, merged and sealed as sorted sets.
+func checkAscending(name string, xs []uint32) error {
+	if len(xs) == 0 {
+		return fmt.Errorf("geoserve: empty %s", name)
 	}
-	var counts [4][256]int
-	for _, v := range xs {
-		counts[0][v&0xff]++
-		counts[1][v>>8&0xff]++
-		counts[2][v>>16&0xff]++
-		counts[3][v>>24]++
-	}
-	src, dst := xs, make([]uint32, len(xs))
-	for pass := range counts {
-		c, shift := &counts[pass], uint(8*pass)
-		if c[src[0]>>shift&0xff] == len(xs) {
-			continue
+	for i := 1; i < len(xs); i++ {
+		if xs[i] <= xs[i-1] {
+			return fmt.Errorf("geoserve: %s not strictly ascending at %d (%s after %s)",
+				name, i, FormatIPv4(xs[i]), FormatIPv4(xs[i-1]))
 		}
-		at := 0
-		for b, n := range c {
-			c[b] = at
-			at += n
-		}
-		for _, v := range src {
-			b := v >> shift & 0xff
-			dst[c[b]] = v
-			c[b]++
-		}
-		src, dst = dst, src
 	}
-	if &src[0] != &xs[0] {
-		copy(xs, src)
-	}
+	return nil
 }
 
-// genericHost picks the representative address of the /24 at base (see
-// Compile): the highest one that is not a known interface, or base
-// itself when all 256 are.
-func genericHost(in *netgen.Internet, base uint32) uint32 {
-	for off := uint32(255); off > 0; off-- {
-		if _, taken := in.ByIP[base+off]; !taken {
-			return base + off
-		}
+// GenericHost is the address Compile answers the /24 at base's
+// prefix-level rows for, its representative generic host: the highest
+// address in the block not in ips (ascending), or base itself when
+// every host address .1–.255 is. It walks down from .255 through the
+// run of taken addresses that ends the block.
+func GenericHost(ips []uint32, base uint32) uint32 {
+	host := base + 255
+	i, taken := slices.BinarySearch(ips, host)
+	for taken && host > base {
+		host--
+		i--
+		taken = i >= 0 && ips[i] == host
 	}
-	return base
+	return host
 }
 
 // compileErr keeps the first error of a parallel compile pass.

@@ -70,7 +70,6 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 	if !slices.Equal(s.mappers, prev.mappers) {
 		return nil, st, fmt.Errorf("geoserve: delta compile: mappers %q, previous snapshot has %q", s.mappers, prev.mappers)
 	}
-	in := src.Internet
 
 	// The common churn step moves answers, not the index: it then
 	// shares prev's index and the directory derived from it.
@@ -177,7 +176,7 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 
 	// The address each recompiled row is answered for: the exact
 	// address, or the /24's representative generic host (selecting it
-	// walks the interface map — skipped for copied rows, whose
+	// searches the exact addresses — skipped for copied rows, whose
 	// representatives cannot have moved).
 	var recomp []int
 	for row, op := range ops {
@@ -195,7 +194,7 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 	parallel.ForEach(len(recomp), func(k int) {
 		addrs[k] = rowKey(recomp[k])
 		if recomp[k] < len(s.prefixes) {
-			addrs[k] = genericHost(in, addrs[k])
+			addrs[k] = GenericHost(s.ips, addrs[k])
 		}
 	})
 

@@ -70,6 +70,3 @@ func Seal(s, prev *Snapshot) string {
 	c.seal(prev)
 	return c.digest
 }
-
-// RadixSort is the sort skeleton orders the indexes with.
-var RadixSort = radixSort

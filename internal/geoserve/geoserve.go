@@ -3,7 +3,9 @@
 // both Section III-B mappers, the whois registry, DNS LOC, the BGP
 // origin table and the per-AS footprints of Section VI — into one
 // immutable, flat Snapshot, and answers lookups over it at memory
-// speed.
+// speed. What it compiles is a Source: the mappers, the BGP table and
+// two ascending address sets (the allocated /24s and the public
+// interface addresses). It never reads the simulated ground truth.
 //
 // A Snapshot is a sorted /24 interval index over the allocated address
 // space. Every known interface address carries an exact precomputed

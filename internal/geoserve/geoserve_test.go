@@ -360,28 +360,99 @@ func TestConcurrentLookupsDuringHotSwap(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsBadSource covers the compile error paths.
+// TestCompileRejectsBadSource covers the compile error paths: each
+// row breaks one part of a valid source.
 func TestCompileRejectsBadSource(t *testing.T) {
 	p, _ := fixture(t)
-	if _, err := geoserve.Compile(geoserve.Source{Table: p.SkitterTable,
-		Mappers: []geoserve.NamedMapper{{Mapper: p.IxMapper}}}); err == nil {
-		t.Error("nil Internet should fail")
+	valid, err := p.ServeSource(core.ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := geoserve.Compile(geoserve.Source{Internet: p.Internet,
-		Mappers: []geoserve.NamedMapper{{Mapper: p.IxMapper}}}); err == nil {
-		t.Error("nil table should fail")
+	ix := []geoserve.NamedMapper{{Mapper: p.IxMapper}}
+	swapped := func(xs []uint32) []uint32 {
+		xs = slices.Clone(xs)
+		xs[0], xs[1] = xs[1], xs[0]
+		return xs
 	}
-	if _, err := geoserve.Compile(geoserve.Source{Internet: p.Internet, Table: p.SkitterTable}); err == nil {
-		t.Error("no mappers should fail")
+	for _, c := range []struct {
+		name string
+		edit func(*geoserve.Source)
+	}{
+		{"empty Prefixes", func(s *geoserve.Source) { s.Prefixes = nil }},
+		{"empty IPs", func(s *geoserve.Source) { s.IPs = nil }},
+		{"unsorted Prefixes", func(s *geoserve.Source) { s.Prefixes = swapped(s.Prefixes) }},
+		{"unsorted IPs", func(s *geoserve.Source) { s.IPs = swapped(s.IPs) }},
+		{"duplicate in IPs", func(s *geoserve.Source) { s.IPs = append([]uint32{s.IPs[0]}, s.IPs...) }},
+		{"Prefixes not /24 bases", func(s *geoserve.Source) {
+			s.Prefixes = append(slices.Clone(s.Prefixes), s.Prefixes[len(s.Prefixes)-1]+300)
+		}},
+		{"nil table", func(s *geoserve.Source) { s.Table = nil }},
+		{"no mappers", func(s *geoserve.Source) { s.Mappers = nil }},
+		{"nil mapper", func(s *geoserve.Source) { s.Mappers = []geoserve.NamedMapper{{}} }},
+		{"duplicate mapper", func(s *geoserve.Source) { s.Mappers = append(ix, ix...) }},
+		{"bad footprint ASN", func(s *geoserve.Source) {
+			s.Mappers = []geoserve.NamedMapper{{Mapper: p.IxMapper, Footprints: []analysis.ASFootprint{{ASN: -1}}}}
+		}},
+	} {
+		src := valid
+		c.edit(&src)
+		if _, err := geoserve.Compile(src); err == nil {
+			t.Errorf("%s should fail", c.name)
+		}
 	}
-	if _, err := geoserve.Compile(geoserve.Source{Internet: p.Internet, Table: p.SkitterTable,
-		Mappers: []geoserve.NamedMapper{{Mapper: p.IxMapper}, {Mapper: p.IxMapper}}}); err == nil {
-		t.Error("duplicate mapper should fail")
+	if _, err := geoserve.Compile(valid); err != nil {
+		t.Fatalf("the unedited source should compile: %v", err)
 	}
-	if _, err := geoserve.Compile(geoserve.Source{Internet: p.Internet, Table: p.SkitterTable,
-		Mappers: []geoserve.NamedMapper{{Mapper: p.IxMapper,
-			Footprints: []analysis.ASFootprint{{ASN: -1}}}}}); err == nil {
-		t.Error("bad footprint ASN should fail")
+}
+
+// TestGenericHostMatchesByIPWalk checks the representative address of
+// every allocated /24 at test scale against the walk Compile used to
+// make: down from .255 through the ground truth's address map, to the
+// first address no interface holds (base when .1–.255 all are). Two
+// synthetic blocks cover what the test world lacks: every host address
+// taken, and a taken .255.
+func TestGenericHostMatchesByIPWalk(t *testing.T) {
+	p, _ := fixture(t)
+	src, err := p.ServeSource(core.ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := func(base uint32) uint32 {
+		for off := uint32(255); off > 0; off-- {
+			if _, taken := p.Internet.ByIP[base+off]; !taken {
+				return base + off
+			}
+		}
+		return base
+	}
+	for _, base := range src.Prefixes {
+		if got, want := geoserve.GenericHost(src.IPs, base), oracle(base); got != want {
+			t.Fatalf("/24 %s: generic host %s, ByIP walk %s", geoserve.FormatIPv4(base),
+				geoserve.FormatIPv4(got), geoserve.FormatIPv4(want))
+		}
+	}
+
+	const base = 4<<24 | 7<<8
+	var full []uint32
+	for off := uint32(1); off < 256; off++ {
+		full = append(full, base+off)
+	}
+	for _, c := range []struct {
+		name string
+		ips  []uint32
+		want uint32
+	}{
+		{"every host taken", full, base},
+		{"every address taken", append([]uint32{base}, full...), base},
+		{"every host but .1 taken", full[1:], base + 1},
+		{".255 taken", []uint32{base - 1, base + 255, base + 256}, base + 254},
+		{".253 to .255 taken", []uint32{base + 10, base + 253, base + 254, base + 255}, base + 252},
+		{"nothing taken", []uint32{base - 1, base + 256}, base + 255},
+		{"no addresses", nil, base + 255},
+	} {
+		if got := geoserve.GenericHost(c.ips, base); got != c.want {
+			t.Errorf("%s: generic host %s, want %s", c.name, geoserve.FormatIPv4(got), geoserve.FormatIPv4(c.want))
+		}
 	}
 }
 

@@ -1,37 +1,11 @@
 package geoserve_test
 
 import (
-	"slices"
 	"testing"
 
 	"geonet/internal/core"
 	"geonet/internal/geoserve"
-	"geonet/internal/rng"
 )
-
-// TestRadixSortMatchesSort pins the index sort to slices.Sort: random
-// inputs with duplicates, inputs sharing all but one byte (the skipped
-// passes), and the short and sorted edge cases.
-func TestRadixSortMatchesSort(t *testing.T) {
-	r := rng.New(3)
-	inputs := [][]uint32{nil, {7}, {2, 1}, {1, 2, 3}}
-	for _, n := range []int{10, 1000, 70000} {
-		random, narrow := make([]uint32, n), make([]uint32, n)
-		for i := range random {
-			random[i] = uint32(r.Int63())
-			narrow[i] = 10<<24 | uint32(r.Intn(256))<<8
-		}
-		inputs = append(inputs, random, narrow, random[:n/2:n/2])
-	}
-	for _, in := range inputs {
-		got, want := slices.Clone(in), slices.Clone(in)
-		geoserve.RadixSort(got)
-		slices.Sort(want)
-		if !slices.Equal(got, want) {
-			t.Fatalf("radix sort of %d values differs from slices.Sort", len(in))
-		}
-	}
-}
 
 // BenchmarkSeal seals the second snapshot of one test-scale churn pair
 // twice: from scratch, and against its predecessor, which reuses the
