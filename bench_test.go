@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -67,12 +68,14 @@ func pipeline(b *testing.B) *core.Pipeline {
 
 func benchExperiment(b *testing.B, id string) {
 	p := pipeline(b)
+	all := core.Experiments()
+	k := slices.IndexFunc(all, func(e core.Experiment) bool { return e.ID == id })
+	if k < 0 {
+		b.Fatalf("unknown experiment %q", id)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := core.RunExperiment(p, id)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := all[k].Run(p)
 		if len(rep.Tables) == 0 && len(rep.Series) == 0 {
 			b.Fatalf("experiment %s produced nothing", id)
 		}

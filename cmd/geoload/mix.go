@@ -71,14 +71,3 @@ func (g *addrGen) next() uint32 {
 		return g.prefixes[g.s.Intn(len(g.prefixes))] | uint32(g.s.Intn(256))
 	}
 }
-
-// draw returns the first n addresses a worker with the given stream
-// would issue — the testable surface mix_test.go pins.
-func draw(mix mixKind, prefixes []uint32, theta float64, s *rng.Stream, n int) []uint32 {
-	g := newAddrGen(mix, prefixes, theta, s)
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = g.next()
-	}
-	return out
-}

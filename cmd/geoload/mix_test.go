@@ -133,3 +133,14 @@ func TestDrawReplayAndWorkerIndependence(t *testing.T) {
 		t.Fatalf("worker streams correlate: %d/%d equal draws", same, len(a))
 	}
 }
+
+// draw returns the first n addresses a worker with the given stream
+// would issue — the surface these tests pin.
+func draw(mix mixKind, prefixes []uint32, theta float64, s *rng.Stream, n int) []uint32 {
+	g := newAddrGen(mix, prefixes, theta, s)
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = g.next()
+	}
+	return out
+}

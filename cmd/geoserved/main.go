@@ -116,7 +116,8 @@
 // -drain-timeout (default 10s) before the process exits — a rolling
 // restart loses zero answers. Every mode's listener bounds connection
 // phases (-read-header-timeout, -read-timeout, -idle-timeout) so a
-// stalled client cannot pin a connection or hold a drain hostage.
+// stalled client cannot pin a connection or hold a drain hostage; a
+// negative bound, or a -drain-timeout that is not positive, is refused.
 package main
 
 import (
@@ -213,6 +214,16 @@ func validate(o *options) error {
 		return errors.New("geoserved: -workers must be >= 0")
 	case o.shards < 1:
 		return errors.New("geoserved: -shards must be >= 1")
+	case o.queueBudget < 0:
+		return errors.New("geoserved: -queuebudget must be >= 0 (0 = default)")
+	case o.timeouts.readHeader < 0:
+		return errors.New("geoserved: -read-header-timeout must be >= 0 (0 = unbounded)")
+	case o.timeouts.read < 0:
+		return errors.New("geoserved: -read-timeout must be >= 0 (0 = unbounded)")
+	case o.timeouts.idle < 0:
+		return errors.New("geoserved: -idle-timeout must be >= 0 (0 = unbounded)")
+	case o.drainTimeout <= 0:
+		return errors.New("geoserved: -drain-timeout must be positive")
 	case o.replicaOf != "" && o.router != "":
 		return errors.New("geoserved: -replica-of and -router are mutually exclusive")
 	case replicaOrRouter && (o.snapshotPath != "" || o.writeSnapshot != "" || o.publish || o.churn):

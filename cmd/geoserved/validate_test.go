@@ -38,6 +38,18 @@ func TestValidate(t *testing.T) {
 			"geoserved: -workers must be >= 0"},
 		{"zero shards", []string{"-shards", "0"},
 			"geoserved: -shards must be >= 1"},
+		{"negative queue budget", []string{"-queuebudget", "-1"},
+			"geoserved: -queuebudget must be >= 0 (0 = default)"},
+		{"negative read-header timeout", []string{"-read-header-timeout", "-1s"},
+			"geoserved: -read-header-timeout must be >= 0 (0 = unbounded)"},
+		{"negative read timeout", []string{"-read-timeout", "-1s"},
+			"geoserved: -read-timeout must be >= 0 (0 = unbounded)"},
+		{"negative idle timeout", []string{"-idle-timeout", "-1s"},
+			"geoserved: -idle-timeout must be >= 0 (0 = unbounded)"},
+		{"zero drain timeout", []string{"-drain-timeout", "0s"},
+			"geoserved: -drain-timeout must be positive"},
+		{"negative drain timeout", []string{"-drain-timeout", "-5s"},
+			"geoserved: -drain-timeout must be positive"},
 		{"replica and router", []string{"-replica-of", "http://b", "-router", "http://r"},
 			"geoserved: -replica-of and -router are mutually exclusive"},
 		{"replica with -snapshot", []string{"-replica-of", "http://b", "-snapshot", "f"},

@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"geonet/internal/geo"
@@ -66,8 +68,9 @@ func TestRegionDensityRows(t *testing.T) {
 	world := population.Build(rng.New(1))
 	d := &topo.Dataset{Name: "uniform"}
 	// Put one node at each of the world's top 500 places.
-	for i, p := range world.TopPlaces(500) {
-		_ = i
+	top := slices.Clone(world.Places)
+	slices.SortFunc(top, func(a, b population.Place) int { return cmp.Compare(b.Pop, a.Pop) })
+	for _, p := range top[:500] {
 		d.Nodes = append(d.Nodes, topo.Node{Loc: p.Loc, ASN: 1})
 	}
 	rows := make([]RegionDensityRow, 0)

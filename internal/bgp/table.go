@@ -68,9 +68,6 @@ func (t *Table) OriginAS(ip uint32) (int, bool) {
 	return r.Origin, true
 }
 
-// Len reports the number of routes.
-func (t *Table) Len() int { return t.trie.Len() }
-
 // Insert adds a route directly (tests and churn).
 func (t *Table) Insert(r Route) { t.trie.Insert(r) }
 

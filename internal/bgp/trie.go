@@ -22,7 +22,6 @@ type Route struct {
 // longest-prefix-match. The zero value is an empty trie ready to use.
 type Trie struct {
 	root *trieNode
-	size int
 }
 
 type trieNode struct {
@@ -50,9 +49,6 @@ func (t *Trie) Insert(r Route) {
 		}
 		node = node.children[bit]
 	}
-	if node.route == nil {
-		t.size++
-	}
 	rr := r
 	node.route = &rr
 }
@@ -79,9 +75,6 @@ func (t *Trie) Lookup(ip uint32) (Route, bool) {
 	}
 	return *best, true
 }
-
-// Len reports the number of routes stored.
-func (t *Trie) Len() int { return t.size }
 
 // Walk visits every route in address order (then by ascending prefix
 // length, i.e. less-specifics first).

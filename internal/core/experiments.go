@@ -60,16 +60,6 @@ func Experiments() []Experiment {
 	}
 }
 
-// RunExperiment runs one experiment by ID.
-func RunExperiment(p *Pipeline, id string) (Report, error) {
-	for _, e := range Experiments() {
-		if e.ID == id {
-			return e.Run(p), nil
-		}
-	}
-	return Report{}, fmt.Errorf("core: unknown experiment %q", id)
-}
-
 func f(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
 func d(v int) string      { return fmt.Sprintf("%d", v) }

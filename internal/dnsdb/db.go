@@ -36,10 +36,6 @@ func (d *DB) LOCLookup(name string) (LOC, bool) {
 	return l, ok
 }
 
-// NumPTR and NumLOC report record counts.
-func (d *DB) NumPTR() int { return len(d.ptr) }
-func (d *DB) NumLOC() int { return len(d.loc) }
-
 // FromInternet builds the world's DNS from ground truth: every named
 // interface gets a PTR record; ASes that publish LOC get a LOC record
 // per hostname carrying the router's true coordinates (wire-encoded and

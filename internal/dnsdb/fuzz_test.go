@@ -6,41 +6,6 @@ import (
 	"geonet/internal/geo"
 )
 
-// FuzzParseText drives the RFC 1876 master-file parser with arbitrary
-// text: it must never panic, and any record it accepts must render
-// (String) and re-parse to the same coordinates — the codec's
-// round-trip contract.
-func FuzzParseText(f *testing.F) {
-	f.Add(NewLOC(geo.Pt(42.365, -71.105)).String())
-	f.Add("42 21 54.000 N 71 06 18.000 W -24.00m 1m 10000m 10m")
-	f.Add("0 N 0 E")
-	f.Add("90 S 180 W 0m")
-	f.Add("42 N")                 // truncated: missing longitude
-	f.Add("42 21 54 Q 71 6 18 W") // bad hemisphere
-	f.Add("9999999999999 N 0 E")  // degree overflow
-	f.Add("42 60 99.999 N 0 E")   // out-of-range minutes/seconds
-	f.Add("42 N 71 W bogusm")
-	f.Add("42 N 71 W 10m 0m 0m 0m")
-	f.Add("-5 N 3 E")
-	f.Add("")
-	f.Add("N E")
-
-	f.Fuzz(func(t *testing.T, input string) {
-		l, err := ParseText(input)
-		if err != nil {
-			return
-		}
-		text := l.String()
-		l2, err := ParseText(text)
-		if err != nil {
-			t.Fatalf("String output failed to re-parse: %v\ninput: %q\nrendered: %q", err, input, text)
-		}
-		if l2.Latitude != l.Latitude || l2.Longitude != l.Longitude {
-			t.Fatalf("round trip moved the point: %v vs %v\ninput: %q", l.Point(), l2.Point(), input)
-		}
-	})
-}
-
 // FuzzParseWire drives the 16-octet RDATA decoder: arbitrary bytes
 // must never panic, and accepted records must re-encode to the exact
 // input bytes (every field is captured).

@@ -5,16 +5,14 @@
 // ("DNS LOC records, while accurate, are not required and are therefore
 // not always available", Section III-B).
 //
-// The LOC codec implements the actual RFC 1876 formats: the 16-octet
-// wire form and the master-file text form, both round-trippable.
+// The LOC codec implements the RFC 1876 16-octet wire form, which
+// FromInternet round-trips every published record through.
 package dnsdb
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"geonet/internal/geo"
 )
@@ -38,13 +36,12 @@ type LOC struct {
 }
 
 const (
-	locEquator    = uint32(1) << 31
-	locMasPerDeg  = 3600_000 // thousandths of a second per degree
-	locAltBase    = 10_000_000
-	defaultSize   = 0x12 // 1 m
-	defaultHoriz  = 0x16 // 10 km
-	defaultVert   = 0x13 // 10 m
-	centiPerMeter = 100
+	locEquator   = uint32(1) << 31
+	locMasPerDeg = 3600_000 // thousandths of a second per degree
+	locAltBase   = 10_000_000
+	defaultSize  = 0x12 // 1 m
+	defaultHoriz = 0x16 // 10 km
+	defaultVert  = 0x13 // 10 m
 )
 
 // NewLOC builds a record from a geographic point with the RFC's default
@@ -98,154 +95,5 @@ func ParseWire(b []byte) (LOC, error) {
 	l.Latitude = binary.BigEndian.Uint32(b[4:8])
 	l.Longitude = binary.BigEndian.Uint32(b[8:12])
 	l.Altitude = binary.BigEndian.Uint32(b[12:16])
-	return l, nil
-}
-
-// String renders the master-file text form, e.g.
-// "42 21 54.000 N 71 06 18.000 W -24.00m 1m 10000m 10m".
-func (l LOC) String() string {
-	latMas := int64(l.Latitude) - int64(locEquator)
-	lonMas := int64(l.Longitude) - int64(locEquator)
-	ns, ew := "N", "E"
-	if latMas < 0 {
-		ns = "S"
-		latMas = -latMas
-	}
-	if lonMas < 0 {
-		ew = "W"
-		lonMas = -lonMas
-	}
-	fm := func(mas int64) (d, m int64, s float64) {
-		d = mas / locMasPerDeg
-		rem := mas % locMasPerDeg
-		m = rem / 60000
-		s = float64(rem%60000) / 1000
-		return
-	}
-	latD, latM, latS := fm(latMas)
-	lonD, lonM, lonS := fm(lonMas)
-	altM := (float64(l.Altitude) - locAltBase) / centiPerMeter
-	return fmt.Sprintf("%d %d %.3f %s %d %d %.3f %s %.2fm %s %s %s",
-		latD, latM, latS, ns, lonD, lonM, lonS, ew, altM,
-		precString(l.Size), precString(l.HorizPre), precString(l.VertPre))
-}
-
-// precString renders a base/exponent precision octet as metres.
-func precString(p uint8) string {
-	base := int64(p >> 4)
-	exp := int(p & 0x0f)
-	cm := base
-	for i := 0; i < exp; i++ {
-		cm *= 10
-	}
-	if cm%100 == 0 {
-		return fmt.Sprintf("%dm", cm/100)
-	}
-	return fmt.Sprintf("%.2fm", float64(cm)/100)
-}
-
-// parsePrec parses a "<n>m" precision into the base/exponent octet.
-func parsePrec(s string) (uint8, error) {
-	s = strings.TrimSuffix(s, "m")
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("dnsdb: bad precision %q", s)
-	}
-	cm := int64(math.Round(v * centiPerMeter))
-	if cm == 0 {
-		return 0, nil
-	}
-	exp := uint8(0)
-	for cm >= 10 && cm%10 == 0 {
-		cm /= 10
-		exp++
-	}
-	for cm > 9 { // round up mantissa overflow
-		cm = (cm + 9) / 10
-		exp++
-	}
-	return uint8(cm)<<4 | (exp & 0x0f), nil
-}
-
-// ParseText parses the master-file text form produced by String. The
-// trailing altitude and precision fields are optional, as in the RFC.
-func ParseText(s string) (LOC, error) {
-	fields := strings.Fields(s)
-	// Minimum: "d N d E" — but we require at least degrees and
-	// hemisphere for both axes.
-	parseAxis := func(fs []string, hemi1, hemi2 string) (mas int64, used int, err error) {
-		var d, m int64
-		var sec float64
-		if len(fs) < 2 {
-			return 0, 0, fmt.Errorf("dnsdb: truncated LOC text")
-		}
-		d, err = strconv.ParseInt(fs[0], 10, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("dnsdb: bad degrees %q", fs[0])
-		}
-		used = 1
-		if len(fs) > used {
-			if v, e := strconv.ParseInt(fs[used], 10, 64); e == nil {
-				m = v
-				used++
-				if len(fs) > used {
-					if v2, e2 := strconv.ParseFloat(fs[used], 64); e2 == nil {
-						sec = v2
-						used++
-					}
-				}
-			}
-		}
-		if len(fs) <= used {
-			return 0, 0, fmt.Errorf("dnsdb: missing hemisphere")
-		}
-		hemi := fs[used]
-		used++
-		mas = d*locMasPerDeg + m*60000 + int64(math.Round(sec*1000))
-		switch hemi {
-		case hemi1:
-		case hemi2:
-			mas = -mas
-		default:
-			return 0, 0, fmt.Errorf("dnsdb: bad hemisphere %q", hemi)
-		}
-		return mas, used, nil
-	}
-
-	latMas, n, err := parseAxis(fields, "N", "S")
-	if err != nil {
-		return LOC{}, err
-	}
-	fields = fields[n:]
-	lonMas, n, err := parseAxis(fields, "E", "W")
-	if err != nil {
-		return LOC{}, err
-	}
-	fields = fields[n:]
-
-	l := LOC{
-		Size:      defaultSize,
-		HorizPre:  defaultHoriz,
-		VertPre:   defaultVert,
-		Latitude:  uint32(int64(locEquator) + latMas),
-		Longitude: uint32(int64(locEquator) + lonMas),
-		Altitude:  locAltBase,
-	}
-	if len(fields) > 0 {
-		alt, err := strconv.ParseFloat(strings.TrimSuffix(fields[0], "m"), 64)
-		if err != nil {
-			return LOC{}, fmt.Errorf("dnsdb: bad altitude %q", fields[0])
-		}
-		l.Altitude = uint32(locAltBase + int64(math.Round(alt*centiPerMeter)))
-		fields = fields[1:]
-	}
-	precs := []*uint8{&l.Size, &l.HorizPre, &l.VertPre}
-	for i := 0; i < len(precs) && i < len(fields); i++ {
-		p, err := parsePrec(fields[i])
-		if err != nil {
-			return LOC{}, err
-		}
-		*precs[i] = p
-	}
 	return l, nil
 }

@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"sort"
 
 	"geonet/internal/parallel"
 )
@@ -89,29 +88,4 @@ func DistinctLocations(pts []Point) int {
 		seen[p.Key()] = struct{}{}
 	}
 	return len(seen)
-}
-
-// UniqueLocations returns the distinct quantised locations themselves,
-// in a deterministic (sorted) order.
-func UniqueLocations(pts []Point) []Point {
-	seen := make(map[LocKey]struct{}, len(pts))
-	var keys []LocKey
-	for _, p := range pts {
-		k := p.Key()
-		if _, ok := seen[k]; !ok {
-			seen[k] = struct{}{}
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Lat != keys[j].Lat {
-			return keys[i].Lat < keys[j].Lat
-		}
-		return keys[i].Lon < keys[j].Lon
-	})
-	out := make([]Point, len(keys))
-	for i, k := range keys {
-		out[i] = k.Point()
-	}
-	return out
 }

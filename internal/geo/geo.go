@@ -57,11 +57,6 @@ type LocKey struct {
 	Lon int32
 }
 
-// Point returns the centre of the quantised cell.
-func (k LocKey) Point() Point {
-	return Point{Lat: float64(k.Lat) / 100, Lon: float64(k.Lon) / 100}
-}
-
 func deg2rad(d float64) float64 { return d * math.Pi / 180 }
 func rad2deg(r float64) float64 { return r * 180 / math.Pi }
 
@@ -100,20 +95,4 @@ func Destination(p Point, bearingDeg, dist float64) Point {
 	// Normalise longitude to [-180, 180).
 	lonDeg := math.Mod(rad2deg(lon2)+540, 360) - 180
 	return Point{Lat: rad2deg(lat2), Lon: lonDeg}
-}
-
-// Midpoint returns the great-circle midpoint of a and b.
-func Midpoint(a, b Point) Point {
-	lat1 := deg2rad(a.Lat)
-	lon1 := deg2rad(a.Lon)
-	lat2 := deg2rad(b.Lat)
-	dLon := deg2rad(b.Lon - a.Lon)
-
-	bx := math.Cos(lat2) * math.Cos(dLon)
-	by := math.Cos(lat2) * math.Sin(dLon)
-	lat3 := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon3 := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-	lonDeg := math.Mod(rad2deg(lon3)+540, 360) - 180
-	return Point{Lat: rad2deg(lat3), Lon: lonDeg}
 }

@@ -86,15 +86,6 @@ func TestDestinationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMidpoint(t *testing.T) {
-	m := Midpoint(nyc, la)
-	d1 := DistanceMiles(nyc, m)
-	d2 := DistanceMiles(m, la)
-	if math.Abs(d1-d2) > 1 {
-		t.Errorf("midpoint not equidistant: %f vs %f", d1, d2)
-	}
-}
-
 func TestPointKeyQuantisation(t *testing.T) {
 	a := Pt(40.71284, -74.00601)
 	b := Pt(40.71280, -74.00597) // same 1/100-degree cell

@@ -35,10 +35,6 @@ func NewPatchGrid(region Region, arcMin float64) *PatchGrid {
 // Cells returns the total number of patches in the grid.
 func (g *PatchGrid) Cells() int { return g.cols * g.rows }
 
-// Cols and Rows return the grid dimensions.
-func (g *PatchGrid) Cols() int { return g.cols }
-func (g *PatchGrid) Rows() int { return g.rows }
-
 // Index returns the patch index for a point, or -1 if the point lies
 // outside the region.
 func (g *PatchGrid) Index(p Point) int {
@@ -97,18 +93,4 @@ func (g *PatchGrid) tallyRange(points []Point, counts []float64) {
 			counts[i]++
 		}
 	}
-}
-
-// TallyWeighted accumulates weights per patch.
-func (g *PatchGrid) TallyWeighted(points []Point, weights []float64) []float64 {
-	if len(points) != len(weights) {
-		panic("geo: points/weights length mismatch")
-	}
-	counts := make([]float64, g.Cells())
-	for i, p := range points {
-		if idx := g.Index(p); idx >= 0 {
-			counts[idx] += weights[i]
-		}
-	}
-	return counts
 }

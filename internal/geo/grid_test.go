@@ -8,10 +8,10 @@ import (
 func TestPatchGridDimensions(t *testing.T) {
 	g := NewPatchGrid(US, 75)
 	// US box is 105 degrees wide, 25 tall; 75 arcmin = 1.25 degrees.
-	if g.Cols() != 85 || g.Rows() != 21 {
-		t.Errorf("US 75' grid = %dx%d, want 85x21", g.Cols(), g.Rows())
+	if g.cols != 85 || g.rows != 21 {
+		t.Errorf("US 75' grid = %dx%d, want 85x21", g.cols, g.rows)
 	}
-	if g.Cells() != g.Cols()*g.Rows() {
+	if g.Cells() != g.cols*g.rows {
 		t.Errorf("Cells() inconsistent")
 	}
 }
@@ -79,19 +79,6 @@ func TestPatchGridTallyConservation(t *testing.T) {
 	}
 	if int(total) != inside {
 		t.Errorf("tally total = %v, want %d (points inside region)", total, inside)
-	}
-}
-
-func TestPatchGridTallyWeighted(t *testing.T) {
-	g := NewPatchGrid(US, 75)
-	pts := []Point{Pt(40, -100), Pt(40, -100), Pt(35, -90)}
-	w := []float64{2.5, 1.5, 3}
-	counts := g.TallyWeighted(pts, w)
-	if got := counts[g.Index(Pt(40, -100))]; got != 4 {
-		t.Errorf("weighted tally = %v, want 4", got)
-	}
-	if got := counts[g.Index(Pt(35, -90))]; got != 3 {
-		t.Errorf("weighted tally = %v, want 3", got)
 	}
 }
 

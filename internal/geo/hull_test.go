@@ -237,8 +237,4 @@ func TestDistinctLocations(t *testing.T) {
 	if got := DistinctLocations(pts); got != 3 {
 		t.Errorf("DistinctLocations = %d, want 3", got)
 	}
-	uniq := UniqueLocations(pts)
-	if len(uniq) != 3 {
-		t.Errorf("UniqueLocations = %d entries, want 3", len(uniq))
-	}
 }

@@ -85,6 +85,3 @@ func (m *EdgeScape) Locate(ip uint32) (geo.Point, bool) {
 	p, _, ok := m.LocateMethod(ip)
 	return p, ok
 }
-
-// FeedSize reports the number of /24s in the ISP feed (diagnostics).
-func (m *EdgeScape) FeedSize() int { return len(m.feed) }

@@ -146,7 +146,7 @@ func TestEdgeScapeBeatsIxMapperCoverage(t *testing.T) {
 	f := setup(t)
 	ix := NewIxMapper(f.res)
 	es := NewEdgeScape(f.res, f.in, rng.New(5))
-	if es.FeedSize() == 0 {
+	if len(es.feed) == 0 {
 		t.Fatal("empty EdgeScape feed")
 	}
 	var ixUn, esUn, total int
@@ -222,7 +222,6 @@ func TestMethodLocateAgreeEveryInterface(t *testing.T) {
 	mappers := []MethodMapper{
 		NewIxMapper(f.res),
 		NewEdgeScape(f.res, f.in, rng.New(5)),
-		NewHostnameOnly(f.res),
 	}
 	for _, m := range mappers {
 		for _, ifc := range f.in.Ifaces {
@@ -305,27 +304,6 @@ func TestLOCBeatsWhoisForPublishingASes(t *testing.T) {
 		}
 	}
 	t.Skip("no LOC-publishing opaque AS found")
-}
-
-func TestHostnameOnlyAblation(t *testing.T) {
-	f := setup(t)
-	full := NewIxMapper(f.res)
-	bare := NewHostnameOnly(f.res)
-	var fullMapped, bareMapped int
-	for _, ifc := range f.in.Ifaces {
-		if ifc.Private || ifc.IP == 0 {
-			continue
-		}
-		if _, ok := full.Locate(ifc.IP); ok {
-			fullMapped++
-		}
-		if _, ok := bare.Locate(ifc.IP); ok {
-			bareMapped++
-		}
-	}
-	if bareMapped >= fullMapped {
-		t.Errorf("hostname-only (%d) should map fewer than full chain (%d)", bareMapped, fullMapped)
-	}
 }
 
 func TestPrivateAddressesUnmapped(t *testing.T) {

@@ -50,34 +50,3 @@ func (m *IxMapper) Locate(ip uint32) (geo.Point, bool) {
 	p, _, ok := m.LocateMethod(ip)
 	return p, ok
 }
-
-// HostnameOnly is the ablation variant that uses hostname mapping
-// alone, with no LOC or whois fallback.
-type HostnameOnly struct {
-	res Resources
-}
-
-// NewHostnameOnly builds the ablation mapper.
-func NewHostnameOnly(res Resources) *HostnameOnly { return &HostnameOnly{res: res} }
-
-// Name implements Mapper.
-func (m *HostnameOnly) Name() string { return "hostname-only" }
-
-// LocateMethod implements MethodMapper.
-func (m *HostnameOnly) LocateMethod(ip uint32) (geo.Point, string, bool) {
-	host, ok := m.res.DNS.PTR(ip)
-	if !ok {
-		return geo.Point{}, "", false
-	}
-	p, ok := hostnameLookup(m.res.Dict, host)
-	if !ok {
-		return geo.Point{}, "", false
-	}
-	return p, MethodHostname, true
-}
-
-// Locate implements Mapper.
-func (m *HostnameOnly) Locate(ip uint32) (geo.Point, bool) {
-	p, _, ok := m.LocateMethod(ip)
-	return p, ok
-}

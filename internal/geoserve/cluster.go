@@ -235,25 +235,8 @@ func (c *Cluster) Lookup(mapper int, ip uint32) Answer {
 	return a
 }
 
-// Locate resolves a mapper by name and answers (empty name selects the
-// first mapper); ok=false for an unknown mapper. Resolution, routing
-// and lookup all use one view load, so a concurrent swap cannot split
-// them.
-func (c *Cluster) Locate(mapperName string, ip uint32) (Answer, bool) {
-	v := c.view.Load()
-	idx, ok := v.snap.mapperByName(mapperName)
-	if !ok {
-		return Answer{IP: ip}, false
-	}
-	m := &c.shards[shardIndexOf(v.starts, ip)].m
-	t := m.begin()
-	a, code := v.snap.lookup(idx, ip)
-	m.end(t, idx, code)
-	return a, true
-}
-
 // locateTail is the preserialized JSON single-lookup path: it
-// resolves the mapper by name, counts the lookup exactly like Locate
+// resolves the mapper by name, counts the lookup exactly like Lookup
 // and returns the snapshot's cached response tail for ip's answer row.
 // The snapshot returned is the one that resolved and answered; ok=false
 // means the mapper is unknown on it.

@@ -213,7 +213,10 @@ func TestLookupHitPathZeroAllocs(t *testing.T) {
 				t.Errorf("%s: mapper %d lookup allocates %v per op, want 0", path.name, m, n)
 			}
 		}
-		if n := testing.AllocsPerRun(1000, func() { e.Locate("edgescape", path.ip) }); n != 0 {
+		if n := testing.AllocsPerRun(1000, func() {
+			idx, _ := e.Snapshot().MapperIndex("edgescape")
+			e.Lookup(idx, path.ip)
+		}); n != 0 {
 			t.Errorf("%s: named lookup allocates %v per op, want 0", path.name, n)
 		}
 	}
@@ -338,7 +341,7 @@ func TestConcurrentLookupsDuringHotSwap(t *testing.T) {
 					t.Errorf("answer for wrong ip")
 					return
 				}
-				if _, ok := e.Locate("ixmapper", ip); !ok {
+				if _, ok := e.Snapshot().MapperIndex("ixmapper"); !ok {
 					t.Errorf("ixmapper vanished")
 					return
 				}

@@ -99,7 +99,7 @@ func NewObservedHandler(c *Cluster, o *obs.Observability) http.Handler {
 		// The hot path: the response body is the queried address
 		// spliced into the snapshot's preserialized tail for the
 		// answer row — no per-request JSON encoding. Byte-identical to
-		// encoding answerJSON(c.Locate(...)) (the goldens pin it).
+		// encoding answerJSON(c.Lookup(...)) (the goldens pin it).
 		// A 400 lists the mappers of the snapshot that refused the name.
 		snap, tail, ok := c.locateTail(mapper, ip)
 		if !ok {

@@ -46,11 +46,11 @@ func scrapeSums(t *testing.T, h http.Handler, names ...string) []uint64 {
 	return sums
 }
 
-// TestLookupCountsExact runs G goroutines × N single lookups (Lookup,
-// Locate and the JSON tail path by turns), a wire batch every 64th
-// lookup, concurrent /metrics scrapes, hot swaps and one carry-over to
-// a replacement cluster, over one shard and four. The
-// counters must come out exact — in total, by method, and per shard
+// TestLookupCountsExact runs G goroutines × N single lookups (Lookup
+// and the JSON tail path, by name and by default, by turns), a wire
+// batch every 64th lookup, concurrent /metrics scrapes, hot swaps and
+// one carry-over to a replacement cluster, over one shard and four.
+// The counters must come out exact — in total, by method, and per shard
 // range (each lookup, single or in a batch, on the range owning its
 // address) — and the sampled latency histogram may trail them by less
 // than one sample period per stripe. Run under -race in CI.
@@ -129,8 +129,8 @@ func TestLookupCountsExact(t *testing.T) {
 						case 0:
 							b.Lookup(i&1, ip)
 						case 1:
-							if _, ok := b.Locate("m1", ip); !ok {
-								t.Error("Locate: mapper m1 unknown")
+							if _, _, ok := b.locateTail("m1", ip); !ok {
+								t.Error("locateTail: mapper m1 unknown")
 							}
 						default:
 							if _, _, ok := b.locateTail("", ip); !ok {

@@ -55,9 +55,6 @@ func NewBackoff(policy BackoffPolicy, seed int64) *Backoff {
 	return &Backoff{policy: policy.withDefaults(), rng: rng.New(seed)}
 }
 
-// Fails reports consecutive failures since the last Reset.
-func (b *Backoff) Fails() int { return b.fails }
-
 // Next records a failure and returns the delay before the next try.
 func (b *Backoff) Next() time.Duration {
 	d := b.policy.Base

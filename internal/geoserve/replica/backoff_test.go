@@ -191,12 +191,12 @@ func TestBackoffReset(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.Next()
 	}
-	if b.Fails() != 4 {
-		t.Fatalf("fails %d, want 4", b.Fails())
+	if b.fails != 4 {
+		t.Fatalf("fails %d, want 4", b.fails)
 	}
 	b.Reset()
-	if b.Fails() != 0 {
-		t.Fatalf("fails after reset %d", b.Fails())
+	if b.fails != 0 {
+		t.Fatalf("fails after reset %d", b.fails)
 	}
 	if d := b.Next(); d != 100*time.Millisecond {
 		t.Fatalf("first delay after reset %v, want base", d)

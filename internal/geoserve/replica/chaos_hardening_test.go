@@ -344,8 +344,8 @@ func TestChaosRollingDrainZeroLoss(t *testing.T) {
 		serveSome(fmt.Sprintf("rep%d draining, router unaware", i))
 		f.router.ProbeOnce(context.Background())
 		serveSome(fmt.Sprintf("rep%d drained out", i))
-		if f.replicas[i].InFlight() != 0 {
-			t.Fatalf("rep%d still has %d in flight; drain would not complete", i, f.replicas[i].InFlight())
+		if n := f.replicas[i].Status().InFlight; n != 0 {
+			t.Fatalf("rep%d still has %d in flight; drain would not complete", i, n)
 		}
 		// Restart: a fresh process takes over the same address and
 		// syncs before the router readmits it.

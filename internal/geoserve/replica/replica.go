@@ -560,15 +560,10 @@ func (r *Replica) dropPartial() {
 // Drain flips the replica into its draining state: /healthz starts
 // failing (so routers stop planning new work here), queries already in
 // flight — and any that race in before the routers notice — are still
-// answered from the current epoch. The process exits once InFlight
-// reaches zero (cmd/geoserved couples this to http.Server.Shutdown).
+// answered from the current epoch. The process exits once
+// Status().InFlight reaches zero (cmd/geoserved couples this to
+// http.Server.Shutdown).
 func (r *Replica) Drain() { r.draining.Store(true) }
-
-// Draining reports whether Drain has been called.
-func (r *Replica) Draining() bool { return r.draining.Load() }
-
-// InFlight is the number of query requests currently being served.
-func (r *Replica) InFlight() int64 { return r.inflight.Load() }
 
 // Status is the replica's /statusz shape: replication state plus the
 // serving cluster's own metrics when an epoch is loaded.

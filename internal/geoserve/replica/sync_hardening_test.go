@@ -146,8 +146,8 @@ func TestReplicaDrain(t *testing.T) {
 		t.Fatalf("healthz before drain: %d", status)
 	}
 	rep.Drain()
-	if !rep.Draining() {
-		t.Fatal("Draining() false after Drain")
+	if st := rep.Status(); st.State != "draining" {
+		t.Fatalf("Status().State %q after Drain", st.State)
 	}
 	status, body := get(t, dc, "http://rep/healthz")
 	if status != http.StatusServiceUnavailable || !strings.Contains(body, `"draining"`) {
@@ -166,8 +166,8 @@ func TestReplicaDrain(t *testing.T) {
 	if rec.Code != http.StatusOK || rec.Header().Get("X-Geo-Epoch") != "1" {
 		t.Fatalf("query during drain: %d epoch %q body %s", rec.Code, rec.Header().Get("X-Geo-Epoch"), rec.Body)
 	}
-	if rep.InFlight() != 0 {
-		t.Fatalf("in-flight %d after the response finished", rep.InFlight())
+	if n := rep.Status().InFlight; n != 0 {
+		t.Fatalf("in-flight %d after the response finished", n)
 	}
 }
 

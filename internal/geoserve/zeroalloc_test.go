@@ -43,13 +43,13 @@ func TestLookupZeroAlloc(t *testing.T) {
 		t.Errorf("Engine.Lookup: %v allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		a, ok := e.Locate(mappers[i&1], hits[i%len(hits)])
-		if !ok || a.IP == 0 {
+		idx, ok := snap.MapperIndex(mappers[i&1])
+		if a := e.Lookup(idx, hits[i%len(hits)]); !ok || a.IP == 0 {
 			t.Fatal("bad answer")
 		}
 		i++
 	}); n != 0 {
-		t.Errorf("Engine.Locate: %v allocs/op, want 0", n)
+		t.Errorf("Engine.Lookup by name: %v allocs/op, want 0", n)
 	}
 
 	c, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: 4})
@@ -68,13 +68,13 @@ func TestLookupZeroAlloc(t *testing.T) {
 		t.Errorf("Cluster.Lookup: %v allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		a, ok := c.Locate(mappers[i&1], hits[i%len(hits)])
-		if !ok || a.IP == 0 {
+		idx, ok := snap.MapperIndex(mappers[i&1])
+		if a := c.Lookup(idx, hits[i%len(hits)]); !ok || a.IP == 0 {
 			t.Fatal("bad answer")
 		}
 		i++
 	}); n != 0 {
-		t.Errorf("Cluster.Locate: %v allocs/op, want 0", n)
+		t.Errorf("Cluster.Lookup by name: %v allocs/op, want 0", n)
 	}
 
 	// The pools above are interface addresses, all exact hits; the
@@ -91,12 +91,13 @@ func TestLookupZeroAlloc(t *testing.T) {
 				t.Errorf("%s.Lookup, %s: %v allocs/op, want 0", name, path.name, n)
 			}
 			if n := testing.AllocsPerRun(1000, func() {
-				if a, ok := c.Locate(mappers[i&1], path.ip); !ok || a.Exact != path.exact {
+				idx, ok := snap.MapperIndex(mappers[i&1])
+				if a := c.Lookup(idx, path.ip); !ok || a.Exact != path.exact {
 					t.Fatal("bad answer")
 				}
 				i++
 			}); n != 0 {
-				t.Errorf("%s.Locate, %s: %v allocs/op, want 0", name, path.name, n)
+				t.Errorf("%s.Lookup by name, %s: %v allocs/op, want 0", name, path.name, n)
 			}
 		}
 	}

@@ -240,9 +240,6 @@ func (in *Internet) CheckASPartition() error {
 // RouterOf returns the router owning an interface.
 func (in *Internet) RouterOf(i IfaceID) *Router { return &in.Routers[in.Ifaces[i].Router] }
 
-// ASOf returns the AS owning a router.
-func (in *Internet) ASOf(r RouterID) *AS { return &in.ASes[in.Routers[r].AS] }
-
 // PeerIface returns the interface at the other end of an interface's
 // link, or None for stub interfaces.
 func (in *Internet) PeerIface(i IfaceID) IfaceID {

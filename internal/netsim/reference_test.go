@@ -215,7 +215,7 @@ func (n *refNetwork) intraNext(dst netgen.RouterID) []int32 {
 	if ok {
 		return t
 	}
-	as := n.in.ASOf(dst)
+	as := &n.in.ASes[n.in.Routers[dst].AS]
 	t = n.spfToSources(as, []netgen.RouterID{dst})
 	n.mu.Lock()
 	n.intraCache[dst] = t

@@ -19,7 +19,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	}
 
 	var h Histogram
-	if n := testing.AllocsPerRun(1000, func() { h.Record(123 * time.Microsecond) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { h.RecordN(123*time.Microsecond, 1) }); n != 0 {
 		t.Errorf("Histogram.Record: %v allocs/op, want 0", n)
 	}
 

@@ -45,9 +45,6 @@ func latBucket(ns uint64) int {
 	return lo - 1
 }
 
-// Record adds one observation.
-func (h *Histogram) Record(d time.Duration) { h.RecordN(d, 1) }
-
 // RecordN adds n observations of the same duration — how batch serving
 // folds a sub-batch into the histogram at its per-lookup average
 // without a clock read per address.

@@ -45,7 +45,7 @@ func TestHistogramExportExact(t *testing.T) {
 	h := &Histogram{}
 	// One observation per fine bucket boundary value.
 	for _, ns := range []uint64{1, 31, 32, 100, 1 << 20, 1 << 35, 1 << 40} {
-		h.Record(time.Duration(ns))
+		h.RecordN(time.Duration(ns), 1)
 	}
 	counts := h.Export()
 	if len(counts) != len(ExportBounds())+1 {
@@ -81,8 +81,8 @@ func TestRegistryExpositionDeterministic(t *testing.T) {
 		var c Counter
 		c.Add(42)
 		h := &Histogram{}
-		h.Record(100 * time.Nanosecond)
-		h.Record(time.Millisecond)
+		h.RecordN(100*time.Nanosecond, 1)
+		h.RecordN(time.Millisecond, 1)
 		r.Collect(func(e *Emitter) {
 			e.Counter("zeta_total", "Last alphabetically.", nil, c.Value())
 			e.Counter("alpha_total", "First alphabetically.", Labels{{"shard", "0"}}, 7)
@@ -183,7 +183,7 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				h.Record(time.Duration(i%1000) * time.Microsecond)
+				h.RecordN(time.Duration(i%1000)*time.Microsecond, 1)
 			}
 		}(w)
 	}
@@ -218,7 +218,7 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 
 func TestRecorderSlowBias(t *testing.T) {
 	rec := NewRecorder("test")
-	rec.SetSlowThreshold(time.Millisecond)
+	rec.slowNs = int64(time.Millisecond)
 	slow := Span{Trace: 0x51, Name: "slow", Duration: 5 * time.Millisecond}
 	rec.Record(slow)
 	// Flood the recent ring with fast spans.

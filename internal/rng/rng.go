@@ -114,17 +114,6 @@ func (s *Stream) Exp(mean float64) float64 {
 	return s.ExpFloat64() * mean
 }
 
-// Pareto samples a Pareto distribution with scale xm (minimum value)
-// and shape alpha. Small alpha (~1) gives the long tails the paper
-// observes in AS size distributions (Figure 7).
-func (s *Stream) Pareto(xm, alpha float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // BoundedPareto samples a Pareto(xm, alpha) truncated to [xm, max] by
 // inversion, so the tail mass is redistributed rather than clipped
 // (clipping would create an atom at max).
@@ -227,12 +216,4 @@ func (c *Cumulative) Sample(s *Stream) int {
 		}
 	}
 	return lo
-}
-
-// Total returns the total weight.
-func (c *Cumulative) Total() float64 {
-	if len(c.cum) == 0 {
-		return 0
-	}
-	return c.cum[len(c.cum)-1]
 }

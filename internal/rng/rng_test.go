@@ -95,30 +95,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestParetoTail(t *testing.T) {
-	s := New(4)
-	n := 100000
-	over10 := 0
-	under1 := 0
-	for i := 0; i < n; i++ {
-		v := s.Pareto(1, 1.2)
-		if v < 1 {
-			under1++
-		}
-		if v > 10 {
-			over10++
-		}
-	}
-	if under1 > 0 {
-		t.Errorf("%d Pareto samples below scale", under1)
-	}
-	// P[X > 10] = 10^-1.2 ~= 0.063.
-	p := float64(over10) / float64(n)
-	if p < 0.055 || p > 0.072 {
-		t.Errorf("Pareto tail mass = %v, want ~0.063", p)
-	}
-}
-
 func TestBoundedParetoRange(t *testing.T) {
 	s := New(5)
 	for i := 0; i < 20000; i++ {
@@ -183,8 +159,8 @@ func TestCumulativeMatchesWeightedIndex(t *testing.T) {
 			t.Errorf("index %d frequency = %v, want %v", i, got, want)
 		}
 	}
-	if c.Total() != 15 {
-		t.Errorf("Total = %v, want 15", c.Total())
+	if total := c.cum[len(c.cum)-1]; total != 15 {
+		t.Errorf("total weight = %v, want 15", total)
 	}
 }
 

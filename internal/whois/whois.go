@@ -96,20 +96,3 @@ func (r *Registry) Lookup(ip uint32) (Record, bool) {
 	}
 	return r.records[r.recIdx[i]], true
 }
-
-// NumRecords reports the registry size.
-func (r *Registry) NumRecords() int { return len(r.records) }
-
-// Format renders a record in classic whois text output.
-func (rec Record) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "OrgId:      %s\n", rec.OrgID)
-	fmt.Fprintf(&b, "OrgName:    %s\n", rec.OrgName)
-	fmt.Fprintf(&b, "City:       %s\n", rec.City)
-	fmt.Fprintf(&b, "OriginAS:   AS%d\n", rec.ASNumber)
-	for _, p := range rec.Ranges {
-		fmt.Fprintf(&b, "CIDR:       %d.%d.%d.%d/%d\n",
-			p.Addr>>24, (p.Addr>>16)&0xff, (p.Addr>>8)&0xff, p.Addr&0xff, p.Len)
-	}
-	return b.String()
-}

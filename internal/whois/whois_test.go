@@ -1,7 +1,6 @@
 package whois
 
 import (
-	"strings"
 	"testing"
 
 	"geonet/internal/geo"
@@ -21,8 +20,8 @@ func buildRegistry(t *testing.T) (*netgen.Internet, *Registry) {
 
 func TestLookupEveryInterface(t *testing.T) {
 	in, reg := buildRegistry(t)
-	if reg.NumRecords() != len(in.ASes) {
-		t.Fatalf("records = %d, want %d", reg.NumRecords(), len(in.ASes))
+	if len(reg.records) != len(in.ASes) {
+		t.Fatalf("records = %d, want %d", len(reg.records), len(in.ASes))
 	}
 	for _, ifc := range in.Ifaces {
 		if ifc.Private || ifc.IP == 0 {
@@ -89,19 +88,5 @@ func TestLookupMisses(t *testing.T) {
 	}
 	if _, ok := reg.Lookup(0xFF000001); ok {
 		t.Error("address above all allocations resolved")
-	}
-}
-
-func TestFormat(t *testing.T) {
-	rec := Record{
-		OrgID: "ORG-77", OrgName: "EXAMPLENET", ASNumber: 77,
-		City: "denver", Loc: geo.Pt(39.7, -105),
-		Ranges: []netgen.Prefix{{Addr: 0x04000000, Len: 22}},
-	}
-	out := rec.Format()
-	for _, want := range []string{"ORG-77", "EXAMPLENET", "denver", "AS77", "4.0.0.0/22"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Format output missing %q:\n%s", want, out)
-		}
 	}
 }
