@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -11,6 +14,7 @@ import (
 
 	"geonet/internal/core"
 	"geonet/internal/geoserve"
+	"geonet/internal/scenario"
 )
 
 func TestSelectExperiments(t *testing.T) {
@@ -152,4 +156,253 @@ func TestInvalidScaleIsUsageError(t *testing.T) {
 			t.Errorf("-scale %s: stderr %q does not name the scale", scale, stderr.String())
 		}
 	}
+}
+
+// runSweep runs paperrepro quietly with args, which hold the sweep
+// subcommand, adds -json, and decodes the report it prints.
+func runSweep(t *testing.T, args ...string) (rep scenario.Report, code int, stderr string) {
+	t.Helper()
+	var stdout, errb bytes.Buffer
+	code = run(append(append([]string{"-quiet"}, args...), "-json"), nil, &stdout, &errb)
+	if code == 0 {
+		if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+			t.Fatalf("%v: report is not JSON: %v", args, err)
+		}
+	} else if stdout.Len() != 0 {
+		t.Errorf("%v: exit %d with %d bytes of report", args, code, stdout.Len())
+	}
+	return rep, code, errb.String()
+}
+
+// labels lists the report's scenario labels in order.
+func labels(rep scenario.Report) []string {
+	out := make([]string, len(rep.Results))
+	for i, r := range rep.Results {
+		out[i] = r.Label
+	}
+	return out
+}
+
+// TestSpecsFromFlagsMatrix pins how the axis flags expand into
+// scenarios, that an omitted -seeds or -scales is the top-level -seed
+// or -scale, and that every bad axis value is a usage error (exit 2)
+// reported before any pipeline runs.
+func TestSpecsFromFlagsMatrix(t *testing.T) {
+	cases := []struct {
+		name    string
+		args    []string
+		want    int    // expected scenario count (when wantErr == "")
+		first   string // expected label of the first scenario, if set
+		wantErr string // substring of the expected error
+	}{
+		{
+			name: "seeds x scales",
+			args: []string{"sweep", "-seeds", "1,2,3", "-scales", "0.01,0.02"},
+			want: 6,
+		},
+		{
+			name: "all axes",
+			args: []string{"sweep", "-seeds", "1", "-scales", "0.01", "-monitors", "9,19",
+				"-ascount", "1,2", "-extralinks", "0.55", "-distindep", "0.08",
+				"-placement", "population,uniform"},
+			want:  8,
+			first: "seed1-scale0.01-mon9-asx1-xl0.55-di0.08",
+		},
+		{
+			name: "whitespace tolerated",
+			args: []string{"sweep", "-seeds", " 1 , 2 ", "-scales", "0.01"},
+			want: 2,
+		},
+		{
+			name:  "missing seeds",
+			args:  []string{"-seed", "3", "sweep", "-scales", "0.01"},
+			want:  1,
+			first: "seed3-scale0.01",
+		},
+		{
+			name:  "missing scales",
+			args:  []string{"-scale", "0.01", "sweep", "-seeds", "1"},
+			want:  1,
+			first: "seed1-scale0.01",
+		},
+		{
+			name:    "bad seed",
+			args:    []string{"sweep", "-seeds", "1,x", "-scales", "0.02"},
+			wantErr: `-seeds: bad value "x"`,
+		},
+		{
+			name:    "bad scale",
+			args:    []string{"sweep", "-seeds", "1", "-scales", "0.02,huge"},
+			wantErr: `-scales: bad value "huge"`,
+		},
+		{
+			name:    "bad monitor count",
+			args:    []string{"sweep", "-seeds", "1", "-scales", "0.02", "-monitors", "9.5"},
+			wantErr: `-monitors: bad value "9.5"`,
+		},
+		{
+			name:    "bad AS count factor",
+			args:    []string{"sweep", "-seeds", "1", "-scales", "0.02", "-ascount", "two"},
+			wantErr: `-ascount: bad value "two"`,
+		},
+		{
+			name:    "bad extra links",
+			args:    []string{"sweep", "-seeds", "1", "-scales", "0.02", "-extralinks", "-"},
+			wantErr: `-extralinks: bad value "-"`,
+		},
+		{
+			name:    "bad dist-indep fraction",
+			args:    []string{"sweep", "-seeds", "1", "-scales", "0.02", "-distindep", "8%"},
+			wantErr: `-distindep: bad value "8%"`,
+		},
+		{
+			name:    "unknown placement rejected by matrix",
+			args:    []string{"sweep", "-seeds", "1", "-scales", "0.02", "-placement", "waxman"},
+			wantErr: `unknown placement "waxman"`,
+		},
+		{
+			name:    "duplicate axis value rejected by matrix",
+			args:    []string{"sweep", "-seeds", "1,1", "-scales", "0.02"},
+			wantErr: "duplicate",
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rep, code, stderr := runSweep(t, c.args...)
+			if c.wantErr != "" {
+				if code != 2 || !strings.Contains(stderr, c.wantErr) {
+					t.Fatalf("exit %d, stderr %q; want exit 2 and an error containing %q", code, stderr, c.wantErr)
+				}
+				return
+			}
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			if len(rep.Results) != c.want {
+				t.Fatalf("got %d scenarios %v, want %d", len(rep.Results), labels(rep), c.want)
+			}
+			if c.first != "" && rep.Results[0].Label != c.first {
+				t.Fatalf("first scenario %q, want %q", rep.Results[0].Label, c.first)
+			}
+		})
+	}
+}
+
+func TestSpecsFromFlagsAxisOrdering(t *testing.T) {
+	rep, code, stderr := runSweep(t, "sweep", "-seeds", "1,2", "-scales", "0.01,0.02")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	// Seeds vary slowest (the Matrix contract the sweep report relies
+	// on for stable spec ordering).
+	want := []string{"seed1-scale0.01", "seed1-scale0.02", "seed2-scale0.01", "seed2-scale0.02"}
+	if got := labels(rep); !slices.Equal(got, want) {
+		t.Fatalf("scenarios %v, want %v", got, want)
+	}
+}
+
+// TestSpecFileWithAxisFlagsIsUsageError pins that -spec names the
+// whole sweep: an axis flag beside it, valid or not, is refused rather
+// than silently dropped.
+func TestSpecFileWithAxisFlagsIsUsageError(t *testing.T) {
+	path := writeFile(t, `{"seeds": [7], "scales": [0.01]}`)
+	for _, axis := range [][]string{{"-seeds", "1"}, {"-monitors", "9"}, {"-placement", "uniform"}} {
+		_, code, stderr := runSweep(t, append([]string{"sweep", "-spec", path}, axis...)...)
+		if code != 2 || !strings.Contains(stderr, axis[0]+" cannot be given with it") {
+			t.Errorf("-spec with %v: exit %d, stderr %q; want exit 2 naming %s", axis, code, stderr, axis[0])
+		}
+	}
+}
+
+func TestLoadSpecFileMatrixObject(t *testing.T) {
+	path := writeFile(t, `{"seeds": [1, 2], "scales": [0.01], "monitors": [9, 19]}`)
+	rep, code, stderr := runSweep(t, "sweep", "-spec", path)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if len(rep.Results) != 4 {
+		t.Fatalf("got %d scenarios, want 4", len(rep.Results))
+	}
+}
+
+func TestLoadSpecFileBareArrayRoundTrip(t *testing.T) {
+	orig := []scenario.Spec{
+		{Seed: 1, Scale: 0.01},
+		{Seed: 2, Scale: 0.01, Monitors: 9, UniformPlacement: true},
+	}
+	data, err := json.Marshal(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, code, stderr := runSweep(t, "sweep", "-spec", writeFile(t, string(data)))
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if len(rep.Results) != len(orig) {
+		t.Fatalf("got %d scenarios, want %d", len(rep.Results), len(orig))
+	}
+	for i, res := range rep.Results {
+		if got := res.Spec; got.Seed != orig[i].Seed || got.Scale != orig[i].Scale ||
+			got.Monitors != orig[i].Monitors || got.UniformPlacement != orig[i].UniformPlacement {
+			t.Fatalf("spec[%d] = %+v, want %+v", i, got, orig[i])
+		}
+	}
+}
+
+// TestLoadSpecFileErrors pins that a -spec file that cannot be read,
+// parsed or expanded into a valid, duplicate-free spec list is a usage
+// error (exit 2). A key neither form has, such as the typo "monitor",
+// is one too, not a silently default axis.
+func TestLoadSpecFileErrors(t *testing.T) {
+	for _, c := range []struct{ name, path, wantErr string }{
+		{"missing file", filepath.Join(t.TempDir(), "missing.json"), "no such file"},
+		{"malformed matrix JSON", writeFile(t, `{"seeds": [1,`), "unexpected EOF"},
+		{"malformed array JSON", writeFile(t, `[{"seed": 1,`), "unexpected EOF"},
+		{"unknown matrix key", writeFile(t, `{"seeds": [1], "scales": [0.02], "monitor": [9]}`), `unknown field "monitor"`},
+		{"unknown spec key", writeFile(t, `[{"seed": 1, "scale": 0.02, "monitor": 9}]`), `unknown field "monitor"`},
+		{"data after the value", writeFile(t, `{"seeds": [1], "scales": [0.01]} {}`), "data after the JSON value"},
+		// A matrix file without scales fails Matrix validation.
+		{"matrix without scales", writeFile(t, `{"seeds": [1]}`), "at least one scale"},
+		{"empty array", writeFile(t, `[]`), "empty sweep"},
+		{"duplicate spec", writeFile(t, `[{"seed": 1, "scale": 0.01}, {"seed": 1, "scale": 0.01}]`), "duplicate spec"},
+		{"invalid scale", writeFile(t, `[{"seed": 1, "scale": -1}]`), "scale must be finite and positive"},
+	} {
+		if _, code, stderr := runSweep(t, "sweep", "-spec", c.path); code != 2 || !strings.Contains(stderr, c.wantErr) {
+			t.Errorf("%s: exit %d, stderr %q; want exit 2 and %q", c.name, code, stderr, c.wantErr)
+		}
+	}
+}
+
+// TestSweepMatchesGoldenCorpus runs the sweep end to end and pins each
+// scenario's digest and metrics to the scenario package's golden corpus.
+func TestSweepMatchesGoldenCorpus(t *testing.T) {
+	rep, code, stderr := runSweep(t, "sweep", "-seeds", "1,2", "-scales", "0.02")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if got, want := labels(rep), []string{"seed1-scale0.02", "seed2-scale0.02"}; !slices.Equal(got, want) {
+		t.Fatalf("scenarios %v, want %v", got, want)
+	}
+	for _, res := range rep.Results {
+		data, err := os.ReadFile(filepath.Join("..", "..", "internal", "scenario", "testdata", "golden", res.Label+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want scenario.Result
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+		if res.Digest != want.Digest || res.Metrics != want.Metrics {
+			t.Errorf("%s: digest %s metrics %+v, golden %s %+v", res.Label, res.Digest, res.Metrics, want.Digest, want.Metrics)
+		}
+	}
+}
+
+func writeFile(t *testing.T, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

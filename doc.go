@@ -18,17 +18,18 @@
 // Entry points: internal/core.Run builds the pipeline;
 // internal/core.Experiments regenerates the paper's tables and figures;
 // cmd/paperrepro is the command-line driver, whose subcommands locate
-// (addresses on stdin answered exactly as GET /v1/locate would) and
-// topogen (waxman, er, ba and geogen test topologies) replace the old
-// single-purpose tools; the Example functions of internal/core and
+// (addresses on stdin answered exactly as GET /v1/locate would),
+// topogen (waxman, er, ba and geogen test topologies) and sweep (many
+// pipelines as one workload, below) replace the old single-purpose
+// tools; the Example functions of internal/core and
 // internal/topogen are the runnable walkthroughs; bench_test.go holds
 // one benchmark per table and figure.
 //
 // # Parallelism
 //
 // The pipeline fans out across cores, and GOMAXPROCS is the one bound
-// on all of it; the -workers flag of paperrepro, sweep and geoserved
-// sets it (0 leaves it at one per CPU). Independent stages run
+// on all of it; the -workers flag of paperrepro (for every subcommand,
+// sweep included) and geoserved sets it (0 leaves it at one per CPU). Independent stages run
 // concurrently — the two BGP epoch assemblies, the Skitter and
 // Mercator collections, and the four Table-I dataset-mapper
 // combinations — and the hot kernels inside them fan out too: Skitter
@@ -49,9 +50,9 @@
 // runs whole pipelines as one declarative workload: a scenario.Spec
 // names a variant (seed and scale, plus the netgen ablations —
 // skitter monitor count, AS count factor, extra-link density,
-// distance-independent link fraction, and uniform "Waxman" placement —
-// and an optional churn phase), a scenario.Matrix expands axis lists
-// into the cross product in a fixed order, and scenario.Sweep executes
+// distance-independent link fraction, and uniform "Waxman" placement),
+// a scenario.Matrix expands axis lists into the cross product in a
+// fixed order, and scenario.Sweep executes
 // the specs concurrently — shared-nothing pipelines, at most
 // GOMAXPROCS at once, whose goroutines share the same GOMAXPROCS
 // threads — then reduces results in spec order. Every axis changes the
@@ -60,10 +61,15 @@
 // the report's sensitivity tables show how Table-I mapper agreement
 // and the Section V distance-preference exponent move along each axis.
 //
-// cmd/sweep is the driver:
+// The driver is paperrepro's sweep subcommand, which shares the
+// top-level -seed, -scale, -workers and -quiet:
 //
-//	go run ./cmd/sweep -seeds 1,2,3 -scales 0.02,0.05
-//	go run ./cmd/sweep -spec specs.json -json
+//	go run ./cmd/paperrepro sweep -seeds 1,2,3 -scales 0.02,0.05
+//	go run ./cmd/paperrepro -scale 0.02 sweep -seeds 1,2 -placement population,uniform
+//	go run ./cmd/paperrepro sweep -spec specs.json -json
+//
+// A sweep re-measures the paper; it runs no churn. Delta compiles
+// across churn steps are pinned by internal/churn's golden corpus.
 //
 // The digests double as the permanent regression net. The files under
 // internal/scenario/testdata/golden pin the digest and metrics of a

@@ -79,17 +79,19 @@ func transcript(tb testing.TB, h http.Handler, snap *geoserve.Snapshot) string {
 }
 
 // TestGoldenDeltaChurnByteIdentity drives two replicas — one syncing
-// by delta, one forced to full fetches — through a 3-epoch churn
-// sequence and pins, at every step, that the delta-synced state is
-// byte-identical to the full-fetch state: same content digest, same
-// re-encoded snapfile bytes, same served transcript. The per-epoch
-// digests and transcript hashes are additionally pinned in
+// by delta, one from a builder that retains only its current epoch and
+// so always fetches in full — through a 3-epoch churn sequence and
+// pins, at every step, that the delta-synced state is byte-identical
+// to the full-fetch state: same content digest, same re-encoded
+// snapfile bytes, same served transcript. The per-epoch digests and
+// transcript hashes are additionally pinned in
 // testdata/golden_delta_churn.txt (refresh with -update).
 func TestGoldenDeltaChurnByteIdentity(t *testing.T) {
-	pub := NewPublisher()
-	client, _ := localClient(fleetMux{"builder": pub.Handler()}, nil)
+	pub, fullPub := NewPublisher(), NewPublisher()
+	fullPub.SetRetain(1)
+	client, _ := localClient(fleetMux{"builder": pub.Handler(), "fullbuilder": fullPub.Handler()}, nil)
 	deltaRep := New(Config{BuilderURL: "http://builder", Client: client})
-	fullRep := New(Config{BuilderURL: "http://builder", Client: client, NoDelta: true})
+	fullRep := New(Config{BuilderURL: "http://fullbuilder", Client: client})
 
 	var golden strings.Builder
 	snap := makeSnapshot(t, 41, 40, 10)
@@ -97,8 +99,10 @@ func TestGoldenDeltaChurnByteIdentity(t *testing.T) {
 		if epoch > 1 {
 			snap = churn(t, snap, int(epoch))
 		}
-		if _, err := pub.Publish(snap); err != nil {
-			t.Fatal(err)
+		for _, p := range []*Publisher{pub, fullPub} {
+			if _, err := p.Publish(snap); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for i, rep := range []*Replica{deltaRep, fullRep} {
 			if swapped, err := rep.SyncOnce(context.Background()); err != nil || !swapped {

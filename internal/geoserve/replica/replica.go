@@ -57,9 +57,6 @@ type Config struct {
 	// a freshly verified snapshot must answer before the swap; 0 means
 	// the default of 16, negative disables the gate.
 	WarmupProbes int
-	// NoDelta forces full-snapshot fetches even when the builder
-	// retains our current epoch.
-	NoDelta bool
 	// Shards is how many prefix-range shards the geoserve.Cluster of
 	// each installed epoch has: ranges that are counted and shed
 	// separately, not workers. 0 or 1 means one shard.
@@ -321,7 +318,7 @@ func (r *Replica) syncToManifest(ctx context.Context, m Manifest) (bool, error) 
 // delta can demote us to the full path but never into serving wrong
 // bytes.
 func (r *Replica) trySyncDelta(ctx context.Context, cur *served, m Manifest) (*geoserve.Snapshot, bool) {
-	if r.cfg.NoDelta || cur == nil || cur.snap == nil || cur.epoch >= m.Epoch ||
+	if cur == nil || cur.snap == nil || cur.epoch >= m.Epoch ||
 		!slices.Contains(m.Retained, cur.epoch) {
 		return nil, false
 	}

@@ -145,7 +145,12 @@ func TestReplicaResumesTruncatedFetch(t *testing.T) {
 func TestReplicaVerifyRejectsCorruptFetch(t *testing.T) {
 	snap1 := makeSnapshot(t, 4, 30, 8)
 	snap2 := makeSnapshot(t, 5, 32, 8)
+	// A builder that retains only its current epoch offers no delta,
+	// which pins the full-fetch verify arm; the delta path's own
+	// corruption handling (fall back, never serve wrong bytes) is
+	// covered by TestChaosDeltaCorruptionFallsBack.
 	pub := NewPublisher()
+	pub.SetRetain(1)
 	if _, err := pub.Publish(snap1); err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +160,7 @@ func TestReplicaVerifyRejectsCorruptFetch(t *testing.T) {
 		faultinject.Clean, faultinject.Clean,
 		faultinject.Clean, faultinject.Fault{FlipBit: 8 * 500},
 	))
-	// NoDelta pins the full-fetch verify arm; the delta path's own
-	// corruption handling (fall back, never serve wrong bytes) is
-	// covered by TestChaosDeltaCorruptionFallsBack.
-	rep := New(Config{BuilderURL: "http://builder", Client: client, NoDelta: true})
+	rep := New(Config{BuilderURL: "http://builder", Client: client})
 	if _, err := rep.SyncOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,8 @@
 // A Spec names one pipeline variant — seed and scale, plus the netgen
 // ablations (skitter monitor count, AS count factor, extra-link
 // density, distance-independent link fraction, uniform "Waxman"
-// placement) and an optional churn phase. A Matrix expands axis value
-// lists into the cross product of Specs in a fixed, documented order.
+// placement). A Matrix expands axis value lists into the cross product
+// of Specs in a fixed, documented order.
 // Sweep executes the specs concurrently as shared-nothing pipelines —
 // GOMAXPROCS bounds how many run at once and, as everywhere, the
 // goroutines inside them — and reduces results in spec order into a
@@ -50,16 +50,6 @@ type Spec struct {
 	ExtraLinks       *float64 `json:"extra_links,omitempty"`     // mean extra links per router
 	DistIndepFrac    *float64 `json:"dist_indep_frac,omitempty"` // distance-independent link fraction
 	UniformPlacement bool     `json:"uniform_placement,omitempty"`
-
-	// Churn axis: ChurnSteps > 0 appends a continuous-churn phase to
-	// the scenario. After the pipeline runs, a seeded churn stream
-	// (internal/churn) applies ChurnEvents events per step (<= 0 means
-	// 8) for ChurnSteps steps; each step is delta-compiled from the
-	// previous snapshot, verified byte-identical to a from-scratch
-	// compile, and its content digest recorded in the result.
-	ChurnSteps  int   `json:"churn_steps,omitempty"`
-	ChurnEvents int   `json:"churn_events,omitempty"`
-	ChurnSeed   int64 `json:"churn_seed,omitempty"` // 0 means the spec seed
 }
 
 // ablated reports whether any generator knob differs from the default.
@@ -92,15 +82,6 @@ func (s Spec) Label() string {
 	if s.UniformPlacement {
 		b.WriteString("-uniform")
 	}
-	if s.ChurnSteps > 0 {
-		fmt.Fprintf(&b, "-churn%d", s.ChurnSteps)
-		if s.ChurnEvents > 0 {
-			fmt.Fprintf(&b, "x%d", s.ChurnEvents)
-		}
-		if s.ChurnSeed != 0 {
-			fmt.Fprintf(&b, "cs%d", s.ChurnSeed)
-		}
-	}
 	return b.String()
 }
 
@@ -115,9 +96,6 @@ func (s Spec) CoreConfig() (core.Config, error) {
 	}
 	if s.ASCountFactor < 0 {
 		return core.Config{}, fmt.Errorf("scenario: %s: AS count factor must be >= 0", s.Label())
-	}
-	if s.ChurnSteps < 0 || s.ChurnEvents < 0 {
-		return core.Config{}, fmt.Errorf("scenario: %s: churn steps and events must be >= 0", s.Label())
 	}
 	cfg := core.Config{Seed: s.Seed, Scale: s.Scale}
 	if s.ablated() {
@@ -160,10 +138,6 @@ type Matrix struct {
 	// Placement lists placement modes: "population" (default) and/or
 	// "uniform".
 	Placement []string `json:"placement,omitempty"`
-
-	// ChurnSteps optionally varies the continuous-churn phase length
-	// (0 = no churn phase).
-	ChurnSteps []int `json:"churn_steps,omitempty"`
 }
 
 // Specs expands the matrix. It errors on an empty required axis or an
@@ -197,10 +171,6 @@ func (m Matrix) Specs() ([]Spec, error) {
 	if len(asFactors) == 0 {
 		asFactors = []float64{0}
 	}
-	churn := m.ChurnSteps
-	if len(churn) == 0 {
-		churn = []int{0}
-	}
 
 	var specs []Spec
 	for _, seed := range m.Seeds {
@@ -210,18 +180,15 @@ func (m Matrix) Specs() ([]Spec, error) {
 					for _, xl := range orDefault(m.ExtraLinks) {
 						for _, di := range orDefault(m.DistIndepFracs) {
 							for _, uni := range uniform {
-								for _, cs := range churn {
-									specs = append(specs, Spec{
-										Seed:             seed,
-										Scale:            scale,
-										Monitors:         mon,
-										ASCountFactor:    asf,
-										ExtraLinks:       xl,
-										DistIndepFrac:    di,
-										UniformPlacement: uni,
-										ChurnSteps:       cs,
-									})
-								}
+								specs = append(specs, Spec{
+									Seed:             seed,
+									Scale:            scale,
+									Monitors:         mon,
+									ASCountFactor:    asf,
+									ExtraLinks:       xl,
+									DistIndepFrac:    di,
+									UniformPlacement: uni,
+								})
 							}
 						}
 					}

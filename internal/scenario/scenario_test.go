@@ -120,8 +120,9 @@ func TestSweepFailsFastOnBadSpec(t *testing.T) {
 }
 
 func TestSweepRejectsDuplicateSpecs(t *testing.T) {
-	// Spec lists can bypass Matrix.Specs (cmd/sweep's JSON array
-	// input), so Sweep itself must refuse to run a scenario twice.
+	// Spec lists can bypass Matrix.Specs (a JSON spec array given to
+	// paperrepro sweep -spec), so Sweep itself must refuse to run a
+	// scenario twice.
 	dup := []Spec{{Seed: 1, Scale: 0.02}, {Seed: 1, Scale: 0.02}}
 	if _, err := Sweep(dup, Options{}); err == nil {
 		t.Error("duplicate specs must abort the sweep")
@@ -200,48 +201,5 @@ func TestPrefixWriterSplitsLines(t *testing.T) {
 	want := "[x] hello world\n[x] partial\n"
 	if out.String() != want {
 		t.Errorf("got %q, want %q", out.String(), want)
-	}
-}
-
-// TestChurnAxis covers the churn scenario axis end to end: matrix
-// expansion, label uniqueness, validation, and a real sweep whose
-// churn phase produces deterministic per-step digests (each already
-// verified byte-identical to a from-scratch compile inside runChurn).
-func TestChurnAxis(t *testing.T) {
-	m := Matrix{Seeds: []int64{1}, Scales: []float64{0.02}, ChurnSteps: []int{0, 2}}
-	specs, err := m.Specs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 2 || specs[0].ChurnSteps != 0 || specs[1].ChurnSteps != 2 {
-		t.Fatalf("churn axis expanded wrong: %+v", specs)
-	}
-	if specs[0].Label() == specs[1].Label() {
-		t.Fatalf("churn knob invisible in label %q", specs[0].Label())
-	}
-	if _, err := (Spec{Seed: 1, Scale: 0.02, ChurnSteps: -1}).CoreConfig(); err == nil {
-		t.Error("negative churn steps should fail validation")
-	}
-
-	run := func() *Report {
-		t.Helper()
-		rep, err := Sweep([]Spec{{Seed: 1, Scale: 0.02, ChurnSteps: 2, ChurnEvents: 4}}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	a, b := run(), run()
-	da, db := a.Results[0].ChurnDigests, b.Results[0].ChurnDigests
-	if len(da) != 2 {
-		t.Fatalf("churn phase produced %d digests, want 2", len(da))
-	}
-	for i := range da {
-		if da[i] != db[i] {
-			t.Fatalf("churn step %d digest not deterministic: %s vs %s", i+1, da[i], db[i])
-		}
-	}
-	if da[0] == da[1] {
-		t.Error("consecutive churn steps produced identical digests — events had no effect")
 	}
 }

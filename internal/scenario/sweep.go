@@ -10,7 +10,6 @@ import (
 	"geonet/internal/analysis"
 	"geonet/internal/core"
 	"geonet/internal/geo"
-	"geonet/internal/geoserve"
 	"geonet/internal/parallel"
 )
 
@@ -56,11 +55,6 @@ type Result struct {
 	Spec    Spec    `json:"spec"`
 	Digest  string  `json:"digest"` // core.Digest over every experiment
 	Metrics Metrics `json:"metrics"`
-	// ChurnDigests are the per-step snapshot content digests of the
-	// spec's churn phase (present only when Spec.ChurnSteps > 0); each
-	// delta-compiled step was verified byte-identical to a
-	// from-scratch compile before its digest was recorded.
-	ChurnDigests []string `json:"churn_digests,omitempty"`
 	// ElapsedMs is wall-clock run time; it is informational and
 	// excluded from golden comparisons.
 	ElapsedMs int64 `json:"elapsed_ms,omitempty"`
@@ -81,29 +75,34 @@ type Options struct {
 	Verbose bool
 }
 
-// Sweep runs every spec as a shared-nothing pipeline, at most
-// GOMAXPROCS at once, and reduces the results in spec order. All
-// specs are validated before anything runs; pipeline errors abort the
-// sweep (joined, one per failed scenario).
-func Sweep(specs []Spec, opt Options) (*Report, error) {
+// Validate checks a spec list before anything runs: it must be
+// non-empty, every spec's scale and ablations must pass CoreConfig, and
+// no two specs may share a label, so a list that bypassed Matrix.Specs
+// (a JSON spec array) cannot run the same scenario twice.
+func Validate(specs []Spec) error {
 	if len(specs) == 0 {
-		return nil, fmt.Errorf("scenario: empty sweep")
+		return fmt.Errorf("scenario: empty sweep")
 	}
-	// Validate every spec — including label uniqueness, so spec lists
-	// that bypassed Matrix.Specs (a JSON spec array) cannot silently
-	// run the same scenario twice — before launching anything.
 	seen := make(map[string]struct{}, len(specs))
-	cfgs := make([]core.Config, len(specs))
-	for i, s := range specs {
+	for _, s := range specs {
 		if _, dup := seen[s.Label()]; dup {
-			return nil, fmt.Errorf("scenario: duplicate spec %q", s.Label())
+			return fmt.Errorf("scenario: duplicate spec %q", s.Label())
 		}
 		seen[s.Label()] = struct{}{}
-		cfg, err := s.CoreConfig()
-		if err != nil {
-			return nil, err
+		if _, err := s.CoreConfig(); err != nil {
+			return err
 		}
-		cfgs[i] = cfg
+	}
+	return nil
+}
+
+// Sweep runs every spec as a shared-nothing pipeline, at most
+// GOMAXPROCS at once, and reduces the results in spec order. The specs
+// are validated before anything runs; pipeline errors abort the sweep
+// (joined, one per failed scenario).
+func Sweep(specs []Spec, opt Options) (*Report, error) {
+	if err := Validate(specs); err != nil {
+		return nil, err
 	}
 
 	var mu sync.Mutex
@@ -121,7 +120,7 @@ func Sweep(specs []Spec, opt Options) (*Report, error) {
 	say("sweep: %d scenarios", len(specs))
 	parallel.ForEach(len(specs), func(i int) {
 		spec := specs[i]
-		cfg := cfgs[i]
+		cfg, _ := spec.CoreConfig() // Validate accepted it
 		if opt.Verbose && opt.Progress != nil {
 			cfg.Progress = &prefixWriter{w: opt.Progress, mu: &mu, prefix: "  [" + spec.Label() + "] "}
 		}
@@ -134,20 +133,12 @@ func Sweep(specs []Spec, opt Options) (*Report, error) {
 			return
 		}
 		res := Result{
-			Label:   spec.Label(),
-			Spec:    spec,
-			Digest:  core.Digest(p),
-			Metrics: extractMetrics(p),
+			Label:     spec.Label(),
+			Spec:      spec,
+			Digest:    core.Digest(p),
+			Metrics:   extractMetrics(p),
+			ElapsedMs: time.Since(start).Milliseconds(),
 		}
-		if spec.ChurnSteps > 0 {
-			res.ChurnDigests, err = runChurn(p, spec)
-			if err != nil {
-				errs[i] = fmt.Errorf("scenario %s: %w", spec.Label(), err)
-				say("[%d/%d] %s: FAILED: %v", i+1, len(specs), spec.Label(), err)
-				return
-			}
-		}
-		res.ElapsedMs = time.Since(start).Milliseconds()
 		report.Results[i] = res
 		say("[%d/%d] %s: done in %.1fs  digest=%s", i+1, len(specs), spec.Label(),
 			float64(res.ElapsedMs)/1000, res.Digest[:12])
@@ -156,51 +147,6 @@ func Sweep(specs []Spec, opt Options) (*Report, error) {
 		return nil, err
 	}
 	return report, nil
-}
-
-// runChurn drives a spec's continuous-churn phase: a seeded event
-// stream over the finished pipeline's serving source, delta-compiled
-// step by step, with every step verified byte-identical to a
-// from-scratch compile before its digest is recorded.
-func runChurn(p *core.Pipeline, s Spec) ([]string, error) {
-	seed := s.ChurnSeed
-	if seed == 0 {
-		seed = s.Seed
-	}
-	events := s.ChurnEvents
-	if events <= 0 {
-		events = 8
-	}
-	prev, err := p.Serve()
-	if err != nil {
-		return nil, err
-	}
-	ch, err := p.Churner(core.ServeOptions{}, seed)
-	if err != nil {
-		return nil, err
-	}
-	digests := make([]string, 0, s.ChurnSteps)
-	for i := 0; i < s.ChurnSteps; i++ {
-		step, err := ch.Next(events)
-		if err != nil {
-			return nil, err
-		}
-		next, _, err := p.ServeDelta(prev, step)
-		if err != nil {
-			return nil, fmt.Errorf("churn step %d: %w", step.N, err)
-		}
-		full, err := geoserve.Compile(step.Source)
-		if err != nil {
-			return nil, fmt.Errorf("churn step %d: full compile: %w", step.N, err)
-		}
-		if next.Digest() != full.Digest() {
-			return nil, fmt.Errorf("churn step %d: delta digest %s diverged from from-scratch %s",
-				step.N, next.Digest(), full.Digest())
-		}
-		digests = append(digests, next.Digest())
-		prev = next
-	}
-	return digests, nil
 }
 
 // prefixWriter forwards writes line-by-line with a prefix, sharing the
