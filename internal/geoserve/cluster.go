@@ -235,23 +235,20 @@ func (c *Cluster) Lookup(mapper int, ip uint32) Answer {
 	return a
 }
 
-// locateTail is the preserialized JSON single-lookup path: it
-// resolves the mapper by name, counts the lookup exactly like Lookup
-// and returns the snapshot's cached response tail for ip's answer row.
-// The snapshot returned is the one that resolved and answered; ok=false
-// means the mapper is unknown on it.
-func (c *Cluster) locateTail(mapperName string, ip uint32) (snap *Snapshot, tail []byte, ok bool) {
+// locate is the JSON single-lookup path: Lookup with the mapper
+// resolved by name (empty selects the first), counted exactly like
+// Lookup. It returns the snapshot that resolved and answered and the
+// mapper index on it; ok=false means the name is unknown there.
+func (c *Cluster) locate(mapperName string, ip uint32) (snap *Snapshot, mapper int, a Answer, ok bool) {
 	v := c.view.Load()
-	idx, ok := v.snap.mapperByName(mapperName)
-	if !ok {
-		return v.snap, nil, false
+	if mapper, ok = v.snap.mapperByName(mapperName); !ok {
+		return v.snap, 0, Answer{}, false
 	}
 	m := &c.shards[shardIndexOf(v.starts, ip)].m
 	t := m.begin()
-	row := v.snap.lookupRow(ip)
-	tail = v.snap.jsonTail(idx, row)
-	m.end(t, idx, v.snap.rowMethod(idx, row))
-	return v.snap, tail, true
+	a, code := v.snap.lookup(mapper, ip)
+	m.end(t, mapper, code)
+	return v.snap, mapper, a, true
 }
 
 // LookupBatch answers ips[i] into out[i] under the mapper with the

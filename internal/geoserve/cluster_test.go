@@ -5,10 +5,12 @@ package geoserve_test
 // hot-swaps (run under -race in CI).
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"geonet/internal/core"
 	"geonet/internal/geoserve"
@@ -131,14 +133,16 @@ func TestClusterChaosBatchDuringSwaps(t *testing.T) {
 					}
 				}
 				batches.Add(1)
+				runtime.Gosched()
 			}
 		}(g % 2)
 	}
-	// Keep swapping until the readers have verified a few hundred
-	// batches against live swaps (bounded so a wedged reader can't
-	// spin forever).
+	// Keep swapping until the readers have verified 200 batches across
+	// at least 100 swaps. Both sides yield after each swap or batch, so
+	// neither can run its whole share while the other waits for a CPU;
+	// 10 s of wall clock bounds a reader that still starves.
 	swaps := 0
-	for ; swaps < 100 || (batches.Load() < 200 && swaps < 100000); swaps++ {
+	for deadline := time.Now().Add(10 * time.Second); (swaps < 100 || batches.Load() < 200) && time.Now().Before(deadline); swaps++ {
 		next := snapB
 		if swaps%2 == 0 {
 			next = snapA
@@ -146,14 +150,15 @@ func TestClusterChaosBatchDuringSwaps(t *testing.T) {
 		if _, err := c.Swap(next); err != nil {
 			t.Fatal(err)
 		}
+		runtime.Gosched()
 	}
 	close(stop)
 	wg.Wait()
 	if got := c.Status().Snapshot.Swaps; got != uint64(swaps) {
 		t.Fatalf("swaps = %d, want %d", got, swaps)
 	}
-	if batches.Load() == 0 {
-		t.Fatal("no batches verified")
+	if n := batches.Load(); swaps < 100 || n < 200 {
+		t.Fatalf("%d batches verified across %d swaps in 10 s, want ≥ 200 across ≥ 100", n, swaps)
 	}
 }
 

@@ -115,6 +115,9 @@ func skeleton(src Source) (s *Snapshot, byASN []map[int]analysis.ASFootprint, er
 			return nil, nil, fmt.Errorf("geoserve: nil mapper")
 		}
 		name := nm.Mapper.Name()
+		if err := checkMapperName(name); err != nil {
+			return nil, nil, err
+		}
 		if slices.Contains(s.mappers, name) {
 			return nil, nil, fmt.Errorf("geoserve: duplicate mapper %q", name)
 		}

@@ -13,9 +13,8 @@ import "math/bits"
 // no prefix row and no exact hosts — so a miss walks the same three
 // loads as a hit and no level branches.
 //
-// The directory is derived from prefixes and ips alone (like the JSON
-// tails it is not content: the digest and both file formats never see
-// it), and the collector scans none of it: blocks and slots hold no
+// The directory is derived from prefixes and ips alone (it is not
+// content: the digest and both file formats never see it), and the collector scans none of it: blocks and slots hold no
 // pointers and l1 lies after the last pointer of its struct. Its size
 // is bounded whatever the tables hold: 256 KB of l1, 1 KB per distinct
 // /16 (at most 64 MB) and one 40-byte slot per distinct /24

@@ -1,6 +1,7 @@
 package geoserve_test
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"geonet/internal/analysis"
 	"geonet/internal/core"
+	"geonet/internal/geo"
 	"geonet/internal/geoloc"
 	"geonet/internal/geoserve"
 )
@@ -363,6 +365,14 @@ func TestConcurrentLookupsDuringHotSwap(t *testing.T) {
 	}
 }
 
+// renamedMapper is a mapper answering under another name.
+type renamedMapper struct {
+	geoloc.MethodMapper
+	name string
+}
+
+func (m renamedMapper) Name() string { return m.name }
+
 // TestCompileRejectsBadSource covers the compile error paths: each
 // row breaks one part of a valid source.
 func TestCompileRejectsBadSource(t *testing.T) {
@@ -393,6 +403,9 @@ func TestCompileRejectsBadSource(t *testing.T) {
 		{"no mappers", func(s *geoserve.Source) { s.Mappers = nil }},
 		{"nil mapper", func(s *geoserve.Source) { s.Mappers = []geoserve.NamedMapper{{}} }},
 		{"duplicate mapper", func(s *geoserve.Source) { s.Mappers = append(ix, ix...) }},
+		{"mapper name outside [a-z0-9._-]", func(s *geoserve.Source) {
+			s.Mappers = []geoserve.NamedMapper{{Mapper: renamedMapper{p.IxMapper, `ix"<m`}}}
+		}},
 		{"bad footprint ASN", func(s *geoserve.Source) {
 			s.Mappers = []geoserve.NamedMapper{{Mapper: p.IxMapper, Footprints: []analysis.ASFootprint{{ASN: -1}}}}
 		}},
@@ -405,6 +418,34 @@ func TestCompileRejectsBadSource(t *testing.T) {
 	}
 	if _, err := geoserve.Compile(valid); err != nil {
 		t.Fatalf("the unedited source should compile: %v", err)
+	}
+}
+
+// TestPutRecordRefusesBadAnswer pins that PutRecord writes no record
+// FromTables would refuse to load: a place off the globe, a radius not
+// finite and ≥ 0, or Found disagreeing with having a method.
+func TestPutRecordRefusesBadAnswer(t *testing.T) {
+	good := geoserve.Answer{Found: true, Method: "feed", Loc: geo.Pt(-90, 180), RadiusMi: 0}
+	var rec [geoserve.RecordSize]byte
+	if err := geoserve.PutRecord(rec[:], good); err != nil {
+		t.Fatalf("%+v refused: %v", good, err)
+	}
+	for _, edit := range []func(*geoserve.Answer){
+		func(a *geoserve.Answer) { a.Loc.Lat = math.NaN() },
+		func(a *geoserve.Answer) { a.Loc.Lat = -90.5 },
+		func(a *geoserve.Answer) { a.Loc.Lon = 181 },
+		func(a *geoserve.Answer) { a.RadiusMi = -1 },
+		func(a *geoserve.Answer) { a.RadiusMi = math.Inf(1) },
+		func(a *geoserve.Answer) { a.RadiusMi = math.NaN() },
+		func(a *geoserve.Answer) { a.Method = "" },
+		func(a *geoserve.Answer) { a.Found = false },
+		func(a *geoserve.Answer) { a.Method = "gps" },
+	} {
+		a := good
+		edit(&a)
+		if err := geoserve.PutRecord(rec[:], a); err == nil {
+			t.Errorf("PutRecord accepted %+v", a)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -96,17 +97,14 @@ func NewObservedHandler(c *Cluster, o *obs.Observability) http.Handler {
 			return
 		}
 		mapper := r.URL.Query().Get("mapper")
-		// The hot path: the response body is the queried address
-		// spliced into the snapshot's preserialized tail for the
-		// answer row — no per-request JSON encoding. Byte-identical to
-		// encoding answerJSON(c.Lookup(...)) (the goldens pin it).
 		// A 400 lists the mappers of the snapshot that refused the name.
-		snap, tail, ok := c.locateTail(mapper, ip)
+		snap, idx, a, ok := c.locate(mapper, ip)
 		if !ok {
 			httpError(w, http.StatusBadRequest, "unknown mapper %q (have %v)", mapper, snap.Mappers())
 			return
 		}
-		writeLocate(w, ip, tail)
+		bp := jsonBufPool.Get().(*[]byte)
+		sendJSON(w, bp, append(appendAnswerJSON((*bp)[:0], a, snap.mappers[idx]), '\n'))
 	})
 
 	mux.HandleFunc("POST /v1/locate/batch", func(w http.ResponseWriter, r *http.Request) {
@@ -174,15 +172,13 @@ func NewObservedHandler(c *Cluster, o *obs.Observability) http.Handler {
 			httpError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		mapperName := snap.mappers[mapper]
-		results := make([]locateJSON, len(out))
-		for i, a := range out {
-			results[i] = answerJSON(a, mapperName)
+		name := snap.mappers[mapper]
+		bp := jsonBufPool.Get().(*[]byte)
+		b := append(append(append((*bp)[:0], `{"mapper":"`...), name...), `","results":[`...)
+		for _, a := range out {
+			b = append(appendAnswerJSON(b, a, name), ',')
 		}
-		writeJSON(w, struct {
-			Mapper  string       `json:"mapper"`
-			Results []locateJSON `json:"results"`
-		}{mapperName, results})
+		sendJSON(w, bp, append(b[:len(b)-1], "]}\n"...)) // out is never empty
 	})
 
 	mux.HandleFunc("GET /v1/as/{asn}/footprint", func(w http.ResponseWriter, r *http.Request) {
@@ -247,37 +243,68 @@ func NewObservedHandler(c *Cluster, o *obs.Observability) http.Handler {
 	return h
 }
 
-// locateBufPool recycles the response-assembly buffers of the JSON
-// single-lookup hot path.
-var locateBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
+// jsonBufPool recycles the buffers the JSON lookups assemble their
+// responses in.
+var jsonBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
-// writeLocate assembles a /v1/locate response from the queried address
-// and the snapshot's preserialized tail, in one buffered write.
-func writeLocate(w http.ResponseWriter, ip uint32, tail []byte) {
+// sendJSON writes b, assembled in the pooled buffer *bp, as the whole
+// response body in one Write and returns the buffer to the pool.
+func sendJSON(w http.ResponseWriter, bp *[]byte, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	bp := locateBufPool.Get().(*[]byte)
-	b := append((*bp)[:0], `{"ip":"`...)
-	b = appendIPv4(b, ip)
-	b = append(b, tail...)
 	w.Write(b)
 	*bp = b[:0]
-	locateBufPool.Put(bp)
+	jsonBufPool.Put(bp)
 }
 
-// locateJSON is the wire form of an Answer. Field order is fixed so
-// responses are byte-stable for the golden tests.
-type locateJSON struct {
-	IP     string   `json:"ip"`
-	Mapper string   `json:"mapper"`
-	Found  bool     `json:"found"`
-	Exact  bool     `json:"exact,omitempty"`
-	Lat    *float64 `json:"lat,omitempty"`
-	Lon    *float64 `json:"lon,omitempty"`
-	Method string   `json:"method,omitempty"`
-	ASN    int      `json:"asn,omitempty"`
-	// RadiusMi is the confidence-style radius from the origin AS's
-	// footprint under this mapper.
-	RadiusMi float64 `json:"radius_mi,omitempty"`
+// MarshalAnswerJSON renders an Answer exactly as GET /v1/locate does
+// (compact JSON, fixed field order, trailing newline). The wire golden
+// uses it to pin that decoded binary answers are byte-equivalent to
+// the JSON API's.
+func MarshalAnswerJSON(a Answer, mapperName string) []byte {
+	return append(appendAnswerJSON(nil, a, mapperName), '\n')
+}
+
+// appendAnswerJSON appends the JSON form of an answer, the one writer
+// of it: ip, mapper and found always; exact, method, asn and radius_mi
+// when not zero; lat and lon when found. Its bytes are encoding/json's
+// for the same object (TestAnswerJSONMatchesEncodingJSON). The mapper
+// name is written unescaped: FromTables admits only [a-z0-9._-] names.
+func appendAnswerJSON(b []byte, a Answer, mapper string) []byte {
+	b = appendIPv4(append(b, `{"ip":"`...), a.IP)
+	b = append(append(b, `","mapper":"`...), mapper...)
+	b = strconv.AppendBool(append(b, `","found":`...), a.Found)
+	if a.Exact {
+		b = append(b, `,"exact":true`...)
+	}
+	if a.Found {
+		b = appendFloatJSON(append(b, `,"lat":`...), a.Loc.Lat)
+		b = appendFloatJSON(append(b, `,"lon":`...), a.Loc.Lon)
+	}
+	if a.Method != "" {
+		b = append(append(append(b, `,"method":"`...), a.Method...), '"')
+	}
+	if a.ASN != 0 {
+		b = strconv.AppendInt(append(b, `,"asn":`...), int64(a.ASN), 10)
+	}
+	if a.RadiusMi != 0 {
+		b = appendFloatJSON(append(b, `,"radius_mi":`...), a.RadiusMi)
+	}
+	return append(b, '}')
+}
+
+// appendFloatJSON appends a finite f as encoding/json writes a
+// float64: the shortest form, in exponent notation outside
+// [1e-6, 1e21), with a one-digit negative exponent unpadded (1e-7).
+func appendFloatJSON(b []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		b = strconv.AppendFloat(b, f, 'e', -1, 64)
+		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+		return b
+	}
+	return strconv.AppendFloat(b, f, 'f', -1, 64)
 }
 
 type footprintJSON struct {
@@ -288,23 +315,6 @@ type footprintJSON struct {
 	CentroidLon float64 `json:"centroid_lon"`
 	AreaSqMi    float64 `json:"area_sq_mi"`
 	RadiusMi    float64 `json:"radius_mi"`
-}
-
-func answerJSON(a Answer, mapperName string) locateJSON {
-	out := locateJSON{
-		IP:       FormatIPv4(a.IP),
-		Mapper:   mapperName,
-		Found:    a.Found,
-		Exact:    a.Exact,
-		Method:   a.Method,
-		ASN:      a.ASN,
-		RadiusMi: a.RadiusMi,
-	}
-	if a.Found {
-		lat, lon := a.Loc.Lat, a.Loc.Lon
-		out.Lat, out.Lon = &lat, &lon
-	}
-	return out
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -47,7 +47,7 @@ func scrapeSums(t *testing.T, h http.Handler, names ...string) []uint64 {
 }
 
 // TestLookupCountsExact runs G goroutines × N single lookups (Lookup
-// and the JSON tail path, by name and by default, by turns), a wire
+// and the JSON locate path, by name and by default, by turns), a wire
 // batch every 64th lookup, concurrent /metrics scrapes, hot swaps and
 // one carry-over to a replacement cluster, over one shard and four.
 // The counters must come out exact — in total, by method, and per shard
@@ -129,12 +129,12 @@ func TestLookupCountsExact(t *testing.T) {
 						case 0:
 							b.Lookup(i&1, ip)
 						case 1:
-							if _, _, ok := b.locateTail("m1", ip); !ok {
-								t.Error("locateTail: mapper m1 unknown")
+							if _, _, _, ok := b.locate("m1", ip); !ok {
+								t.Error("locate: mapper m1 unknown")
 							}
 						default:
-							if _, _, ok := b.locateTail("", ip); !ok {
-								t.Error("locateTail: default mapper unknown")
+							if _, _, _, ok := b.locate("", ip); !ok {
+								t.Error("locate: default mapper unknown")
 							}
 						}
 						if i%batchEvery == 0 {

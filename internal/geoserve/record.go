@@ -33,13 +33,15 @@ const (
 
 // PutRecord writes a's record at dst[:RecordSize]; a.IP is not part of
 // a record. It is the only function that lays a record out (a delta
-// compile's radius patch rewrites that one field of a copied record).
-// An answer whose method is not one of geoloc's, or whose Found
-// disagrees with having a method, has no record.
+// compile's radius patch rewrites that one field of a copied record),
+// and it holds what it wrote to checkRecord: an answer whose method is
+// not one of geoloc's, or that checkRecord refuses (Found disagreeing
+// with having a method, a place off the globe, a bad radius), has no
+// record, and dst's bytes are then unspecified.
 func PutRecord(dst []byte, a Answer) error {
 	code, ok := methodCode(a.Method)
-	if !ok || a.Found != (code != methodNone) {
-		return fmt.Errorf("geoserve: no record for an answer with found=%v and method %q", a.Found, a.Method)
+	if !ok {
+		return fmt.Errorf("geoserve: no record for an answer with method %q", a.Method)
 	}
 	dst = dst[:RecordSize]
 	binary.LittleEndian.PutUint64(dst[recOffLat:], math.Float64bits(a.Loc.Lat))
@@ -56,6 +58,9 @@ func PutRecord(dst []byte, a Answer) error {
 	dst[recOffFlags] = flags
 	dst[recOffMethod] = uint8(code)
 	dst[recOffZero], dst[recOffZero+1] = 0, 0
+	if err := checkRecord(dst); err != nil {
+		return fmt.Errorf("geoserve: no record for %+v: %v", a, err)
+	}
 	return nil
 }
 
@@ -86,12 +91,19 @@ func recordASN(rec []byte) int32 {
 }
 
 // checkRecord reports what keeps rec[:RecordSize] from being a record
-// PutRecord could have written. Digest does not cover the exact flag
+// PutRecord could have written; PutRecord holds its own output to it,
+// so the two cannot drift apart. Digest does not cover the exact flag
 // or the reserved bytes, so every loader of outside bytes must run
 // this (and FromTables the exact-flag check) for equal digests to keep
 // meaning byte-identical answers.
 func checkRecord(rec []byte) error {
 	flags, code := rec[recOffFlags], rec[recOffMethod]
+	le := binary.LittleEndian
+	loc := geo.Point{
+		Lat: math.Float64frombits(le.Uint64(rec[recOffLat:])),
+		Lon: math.Float64frombits(le.Uint64(rec[recOffLon:])),
+	}
+	radius := math.Float64frombits(le.Uint64(rec[recOffRadius:]))
 	switch {
 	case flags&^(recFlagFound|recFlagExact) != 0:
 		return fmt.Errorf("unknown answer flags %#x", flags)
@@ -101,6 +113,10 @@ func checkRecord(rec []byte) error {
 		return fmt.Errorf("nonzero reserved bytes")
 	case (flags&recFlagFound != 0) != (code != uint8(methodNone)):
 		return fmt.Errorf("found flag %d with method code %d", flags&recFlagFound, code)
+	case !loc.Valid():
+		return fmt.Errorf("location %v off the globe", loc)
+	case !(radius >= 0 && radius <= math.MaxFloat64):
+		return fmt.Errorf("radius %v not finite and ≥ 0", radius)
 	}
 	return nil
 }
@@ -143,23 +159,24 @@ func (s *Snapshot) Tables() Tables {
 
 // FromTables assembles a Snapshot over t, validating every structural
 // invariant a lookup relies on — lengths, sort order, alignment,
-// canonical records — and computing the content digest (it is never
-// trusted from the caller). prev, when non-nil, is a snapshot t was
-// derived from — a delta's base: the digest reuses its leaf hashes for
-// the groups whose rows compare byte-equal (see seal), and nil hashes
-// everything. The tables are retained, so callers must not mutate them
-// afterwards. The tables may be bytes a decoder read off the network,
-// and the lookup directory is built from them here: whatever they hold
-// it takes 256 KB, 1 KB per distinct /16 (at most 64 MB, reached by
-// 65 536 rows of 36 B each) and 40 B per distinct /24
-// (TestDirectoryBound).
+// mapper names of [a-z0-9._-] only, canonical records, each with its
+// location on the globe (no NaN) and its radius finite and ≥ 0 — and
+// computing the content digest (it is never trusted from the caller).
+// prev, when non-nil, is a snapshot t was derived from — a delta's
+// base: the digest reuses its leaf hashes for the groups whose rows
+// compare byte-equal (see seal), and nil hashes everything. The tables
+// are retained, so callers must not mutate them afterwards. The tables
+// may be bytes a decoder read off the network, and the lookup
+// directory is built from them here: whatever they hold it takes
+// 256 KB, 1 KB per distinct /16 (at most 64 MB, reached by 65 536 rows
+// of 36 B each) and 40 B per distinct /24 (TestDirectoryBound).
 func FromTables(t Tables, prev *Snapshot) (*Snapshot, error) {
 	if len(t.Mappers) == 0 {
 		return nil, fmt.Errorf("geoserve: tables with no mappers")
 	}
 	for i, name := range t.Mappers {
-		if name == "" {
-			return nil, fmt.Errorf("geoserve: empty mapper name")
+		if err := checkMapperName(name); err != nil {
+			return nil, err
 		}
 		for _, seen := range t.Mappers[:i] {
 			if seen == name {
@@ -231,4 +248,18 @@ func FromTables(t Tables, prev *Snapshot) (*Snapshot, error) {
 	}
 	s.seal(prev)
 	return s, nil
+}
+
+// checkMapperName admits only names of [a-z0-9._-]+: a name goes into
+// JSON answers unescaped, into metric labels and into URL queries.
+func checkMapperName(name string) error {
+	if name == "" {
+		return fmt.Errorf("geoserve: empty mapper name")
+	}
+	for _, c := range []byte(name) {
+		if !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-') {
+			return fmt.Errorf("geoserve: mapper name %q is not [a-z0-9._-]+", name)
+		}
+	}
+	return nil
 }

@@ -55,8 +55,10 @@
 // base's byte-equal groups) and compared against the trailer. Records
 // arrive as the bytes that will be served, so FromTables also holds
 // each to the canonical form: known flag bits only, method code in
-// range, found set exactly when there is a method, zero reserved
-// bytes, and the exact flag set exactly on the exact rows. The last
+// range, found set exactly when there is a method, a location on the
+// globe (no NaN), a radius finite and ≥ 0, zero reserved bytes, and
+// the exact flag set exactly on the exact rows; and mapper names, which
+// JSON answers carry unescaped, to [a-z0-9._-]+. The last
 // two are not redundant with the digest — Snapshot.Digest hashes the
 // fields of an answer, which cover neither the exact flag (implied by
 // row position) nor the reserved bytes — and without them two files

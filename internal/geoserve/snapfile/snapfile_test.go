@@ -2,8 +2,10 @@ package snapfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -190,6 +192,13 @@ func TestLoadRejectsDamage(t *testing.T) {
 		{"bit flip in content digest", func(b []byte) []byte { b[len(b)-40] ^= 0x01; return b }, ErrCorrupt},
 		{"bit flip in file hash", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, ErrCorrupt},
 		{"trailing garbage", func(b []byte) []byte { return append(b, 1, 2, 3) }, ErrFormat},
+		// JSON answers carry the name unescaped; a resealed file must
+		// not smuggle a quote into them.
+		{"mapper name outside [a-z0-9._-]", func(b []byte) []byte {
+			copy(b[bytes.Index(b, []byte("alpha")):], `a"<ph`)
+			reseal(b)
+			return b
+		}, ErrFormat},
 	}
 	for _, tc := range damage {
 		t.Run(tc.name, func(t *testing.T) {
@@ -236,6 +245,8 @@ func TestLoadRejectsDigestSwap(t *testing.T) {
 // untouched (it covers neither the exact flag nor the reserved bytes),
 // so only the loader's canonical-record checks stand between them and
 // a snapshot that serves different bytes under the published digest.
+// The last four are places no answer may carry: a JSON answer cannot
+// even spell a NaN.
 var noncanonical = []struct {
 	name     string
 	exactRow bool
@@ -247,7 +258,13 @@ var noncanonical = []struct {
 	{"non-zero reserved byte", true, func(rec []byte) { rec[31] = 1 }},
 	{"method code out of range", false, func(rec []byte) { rec[29] = 9 }},
 	{"found without a method", true, func(rec []byte) { rec[29] = 0 }},
+	{"latitude NaN", false, func(rec []byte) { putFloat(rec[0:], math.NaN()) }},
+	{"longitude 181", true, func(rec []byte) { putFloat(rec[8:], 181) }},
+	{"radius -1", false, func(rec []byte) { putFloat(rec[16:], -1) }},
+	{"radius +Inf", true, func(rec []byte) { putFloat(rec[16:], math.Inf(1)) }},
 }
+
+func putFloat(b []byte, f float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(f)) }
 
 // findRecord returns the offset inside blob of a found record of
 // snap's first mapper — a prefix row's, or an exact row's — so a test

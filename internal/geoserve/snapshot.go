@@ -8,8 +8,6 @@ import (
 	"hash"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"geonet/internal/analysis"
 )
@@ -75,14 +73,8 @@ type Snapshot struct {
 	leaves []Leaf
 
 	// dir locates an address's row (see directory). seal derives it
-	// from prefixes and ips; like tails it is not content.
+	// from prefixes and ips; it is not content.
 	dir *directory
-
-	// tails is the lazily allocated cache of preserialized JSON
-	// response tails (see jsonTail). It is derived, not content: the
-	// digest never sees it.
-	tailsOnce sync.Once
-	tails     []atomic.Pointer[[]byte]
 }
 
 // Build reports the pipeline identity the snapshot was compiled from.

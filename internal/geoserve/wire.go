@@ -2,11 +2,9 @@ package geoserve
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
 )
 
 // The binary wire protocol: a compact length-prefixed framing for bulk
@@ -360,18 +358,6 @@ func (r *sliceReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// MarshalAnswerJSON renders an Answer exactly as GET /v1/locate does
-// (compact JSON, fixed field order, trailing newline). The wire golden
-// uses it to pin that decoded binary answers are byte-equivalent to
-// the JSON API's.
-func MarshalAnswerJSON(a Answer, mapperName string) []byte {
-	b, err := json.Marshal(answerJSON(a, mapperName))
-	if err != nil {
-		return nil
-	}
-	return append(b, '\n')
-}
-
 // --- Serving from the snapshot's records ---
 
 var zeroRecord [RecordSize]byte
@@ -392,15 +378,6 @@ func (s *Snapshot) wireMapperIndex(id uint16) (int, bool) {
 	return 0, false
 }
 
-// rowMethod reports the stored method code of (mapper, row) for the
-// metrics path; misses and out-of-range mappers count as methodNone.
-func (s *Snapshot) rowMethod(mapper, row int) method {
-	if rec := s.record(mapper, row); rec != nil {
-		return method(rec[recOffMethod])
-	}
-	return methodNone
-}
-
 // wireAnswer writes ip's 36-byte wire answer under mapper at dst and
 // returns the answer's method code. The record bytes are one copy out
 // of the snapshot; a miss copies the static zero record.
@@ -412,47 +389,4 @@ func (s *Snapshot) wireAnswer(mapper int, ip uint32, dst []byte) method {
 	}
 	copy(dst[4:WireAnswerSize], rec)
 	return method(rec[recOffMethod])
-}
-
-// jsonTail returns the preserialized /v1/locate response tail for
-// (mapper, row): every byte of the response after the queried address
-// string. Tails are built on first use and cached on the snapshot;
-// row -1 is the mapper's miss tail.
-func (s *Snapshot) jsonTail(mapper, row int) []byte {
-	if mapper < 0 || mapper >= len(s.mappers) {
-		// No real snapshot serves zero mappers; keep the degenerate
-		// case correct without a cache slot.
-		return buildJSONTail(Answer{}, "")
-	}
-	// tails[m*(rows+1)+row+1] caches the tail for row under mapper m;
-	// slot m*(rows+1) is the mapper's miss tail.
-	rows := len(s.prefixes) + len(s.ips)
-	s.tailsOnce.Do(func() {
-		s.tails = make([]atomic.Pointer[[]byte], len(s.mappers)*(rows+1))
-	})
-	slot := &s.tails[mapper*(rows+1)+row+1]
-	if p := slot.Load(); p != nil {
-		return *p
-	}
-	a := Answer{}
-	if rec := s.record(mapper, row); rec != nil {
-		a = recordAnswer(0, rec)
-	}
-	tail := buildJSONTail(a, s.mappers[mapper])
-	slot.Store(&tail)
-	return tail
-}
-
-// buildJSONTail marshals the full /v1/locate response for a with a
-// zero address, then cuts everything after the ip string — the cached
-// tail is address-independent, so one slot serves every address that
-// resolves to the row.
-func buildJSONTail(a Answer, mapperName string) []byte {
-	a.IP = 0 // renders as "0.0.0.0", length 7
-	full := MarshalAnswerJSON(a, mapperName)
-	const cut = len(`{"ip":"`) + len("0.0.0.0")
-	if len(full) < cut {
-		return nil
-	}
-	return full[cut:]
 }
