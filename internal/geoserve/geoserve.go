@@ -49,23 +49,26 @@
 // snapshots. For any shard count the cluster's answers equal
 // Snapshot.Lookup's (TestGoldenShardInvariance).
 //
-// Determinism discipline: Compile parallelizes over per-index result
+// Determinism discipline: compiling parallelizes over per-row result
 // slots only, so a snapshot's content — pinned by Digest, a SHA-256
 // over every table in the layout — is byte-identical at any worker
 // count, and identical rebuilds of the same pipeline swap in with the
 // same digest (TestGoldenServing).
 //
-// Under continuous topology churn (internal/churn) the compile path
-// is resumable: CompileDelta recomputes only the /24 intervals whose
-// mapper answers could have changed — the step's dirty routes and
-// allocations, auto-detected interface churn, footprint radius
-// patches — and copies every other row from the previous snapshot,
-// producing a snapshot byte-identical (same Digest) to a from-scratch
-// Compile of the same source; Cluster.SwapDelta then publishes it
-// under the same epoch guard and reports how many shards owned a
-// touched interval. The golden churn corpus
+// There is one compile path, and under continuous topology churn
+// (internal/churn) it resumes from the previous snapshot: CompileDelta
+// recomputes only the /24 intervals whose mapper answers could have
+// changed — the step's dirty routes and allocations, auto-detected
+// interface churn, footprint radius patches — and copies every other
+// row from it; Compile is the same path with no previous snapshot, so
+// every row is recomputed. A delta-compiled snapshot is byte-identical
+// (same Digest) to Compile of the same source; Cluster.SwapDelta then
+// publishes it under the same epoch guard and reports how many shards
+// owned a touched interval. The golden churn corpus
 // (churn.TestGoldenChurnCorpus) pins the identity at every step, and
 // TestChurnWireChaos races wire batches against a live churn stream.
+// Compiled and loaded snapshots meet one content check: a Source goes
+// through the rules FromTables holds outside bytes to.
 //
 // Every handler carries the internal/obs observability layer: serving,
 // shard, wire-protocol and epoch-swap metrics exposed in Prometheus
@@ -134,7 +137,9 @@ type BuildInfo struct {
 	Label string `json:"label,omitempty"`
 }
 
-// ParseIPv4 parses a dotted-quad IPv4 address.
+// ParseIPv4 parses a dotted-quad IPv4 address the way net/netip
+// does: four decimal octets, none with a leading zero (some parsers
+// read 010 as octal 8, so "010.1.2.3" is refused, not guessed at).
 func ParseIPv4(s string) (uint32, error) {
 	var ip uint32
 	part, digits, dots := uint32(0), 0, 0
@@ -143,7 +148,7 @@ func ParseIPv4(s string) (uint32, error) {
 		case c >= '0' && c <= '9':
 			part = part*10 + uint32(c-'0')
 			digits++
-			if digits > 3 || part > 255 {
+			if part > 255 || digits == 2 && part < 10 {
 				return 0, fmt.Errorf("bad IPv4 address %q", s)
 			}
 		case c == '.':
@@ -164,9 +169,7 @@ func ParseIPv4(s string) (uint32, error) {
 }
 
 // FormatIPv4 renders an address in dotted-quad form.
-func FormatIPv4(ip uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", ip>>24, (ip>>16)&0xff, (ip>>8)&0xff, ip&0xff)
-}
+func FormatIPv4(ip uint32) string { return string(appendIPv4(nil, ip)) }
 
 // appendIPv4 appends the dotted-quad form of ip, allocation-free when
 // b has capacity (the JSON single-lookup hot path).

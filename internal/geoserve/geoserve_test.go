@@ -1,7 +1,9 @@
 package geoserve_test
 
 import (
+	"encoding/binary"
 	"math"
+	"net/netip"
 	"runtime"
 	"slices"
 	"sync"
@@ -409,6 +411,12 @@ func TestCompileRejectsBadSource(t *testing.T) {
 		{"bad footprint ASN", func(s *geoserve.Source) {
 			s.Mappers = []geoserve.NamedMapper{{Mapper: p.IxMapper, Footprints: []analysis.ASFootprint{{ASN: -1}}}}
 		}},
+		{"footprint radius NaN", func(s *geoserve.Source) {
+			fps := slices.Clone(s.Mappers[0].Footprints)
+			fps[0].RadiusMi = math.NaN()
+			s.Mappers = []geoserve.NamedMapper{{Mapper: p.IxMapper, Footprints: fps}}
+		}},
+		{"build scale +Inf", func(s *geoserve.Source) { s.Build.Scale = math.Inf(1) }},
 	} {
 		src := valid
 		c.edit(&src)
@@ -514,4 +522,23 @@ func TestParseFormatIPv4(t *testing.T) {
 			t.Errorf("ParseIPv4(%q) should fail", s)
 		}
 	}
+}
+
+// FuzzParseIPv4 holds ParseIPv4 to net/netip: it accepts exactly the
+// strings netip.ParseAddr reads as a plain IPv4 address, leading-zero
+// octets refused, and yields the same value. The seeds run in plain
+// go test.
+func FuzzParseIPv4(f *testing.F) {
+	for _, s := range []string{"01.2.3.4", "0.0.0.0", "255.255.255.255", "::ffff:1.2.3.4"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := geoserve.ParseIPv4(s)
+		want, werr := netip.ParseAddr(s)
+		if ok := werr == nil && want.Is4(); ok != (err == nil) {
+			t.Fatalf("ParseIPv4(%q) = %v, %v; netip: %v, %v", s, got, err, want, werr)
+		} else if ok && got != binary.BigEndian.Uint32(want.AsSlice()) {
+			t.Fatalf("ParseIPv4(%q) = %s, netip reads %v", s, geoserve.FormatIPv4(got), want)
+		}
+	})
 }

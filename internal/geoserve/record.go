@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"geonet/internal/analysis"
 	"geonet/internal/geo"
@@ -115,7 +117,7 @@ func checkRecord(rec []byte) error {
 		return fmt.Errorf("found flag %d with method code %d", flags&recFlagFound, code)
 	case !loc.Valid():
 		return fmt.Errorf("location %v off the globe", loc)
-	case !(radius >= 0 && radius <= math.MaxFloat64):
+	case !finiteNonNeg(radius):
 		return fmt.Errorf("radius %v not finite and ≥ 0", radius)
 	}
 	return nil
@@ -158,85 +160,21 @@ func (s *Snapshot) Tables() Tables {
 }
 
 // FromTables assembles a Snapshot over t, validating every structural
-// invariant a lookup relies on — lengths, sort order, alignment,
-// mapper names of [a-z0-9._-] only, canonical records, each with its
-// location on the globe (no NaN) and its radius finite and ≥ 0 — and
-// computing the content digest (it is never trusted from the caller).
-// prev, when non-nil, is a snapshot t was derived from — a delta's
-// base: the digest reuses its leaf hashes for the groups whose rows
-// compare byte-equal (see seal), and nil hashes everything. The tables
-// are retained, so callers must not mutate them afterwards. The tables
-// may be bytes a decoder read off the network, and the lookup
-// directory is built from them here: whatever they hold it takes
-// 256 KB, 1 KB per distinct /16 (at most 64 MB, reached by 65 536 rows
-// of 36 B each) and 40 B per distinct /24 (TestDirectoryBound).
+// invariant a lookup relies on and computing the content digest (it is
+// never trusted from the caller). check holds the names, indexes,
+// footprints and build scale to the rules a compiled Source meets;
+// FromTables adds the lengths and canonical records — each with its
+// location on the globe (no NaN) and its radius finite and ≥ 0, and
+// the exact flag set exactly on the exact rows. prev, when non-nil, is
+// a snapshot t was derived from — a delta's base: the digest reuses its
+// leaf hashes for the groups whose rows compare byte-equal (see seal),
+// and nil hashes everything. The tables are retained, so callers must
+// not mutate them afterwards. The tables may be bytes a decoder read
+// off the network, and the lookup directory is built from them here:
+// whatever they hold it takes 256 KB, 1 KB per distinct /16 (at most
+// 64 MB, reached by 65 536 rows of 36 B each) and 40 B per distinct
+// /24 (TestDirectoryBound).
 func FromTables(t Tables, prev *Snapshot) (*Snapshot, error) {
-	if len(t.Mappers) == 0 {
-		return nil, fmt.Errorf("geoserve: tables with no mappers")
-	}
-	for i, name := range t.Mappers {
-		if err := checkMapperName(name); err != nil {
-			return nil, err
-		}
-		for _, seen := range t.Mappers[:i] {
-			if seen == name {
-				return nil, fmt.Errorf("geoserve: duplicate mapper %q", name)
-			}
-		}
-	}
-	if len(t.Records) != len(t.Mappers) || len(t.Footprints) != len(t.Mappers) {
-		return nil, fmt.Errorf("geoserve: %d mappers but %d record slabs, %d footprint tables",
-			len(t.Mappers), len(t.Records), len(t.Footprints))
-	}
-	for i, p := range t.Prefixes {
-		if p&0xff != 0 {
-			return nil, fmt.Errorf("geoserve: prefix %d not /24-aligned", p)
-		}
-		if i > 0 && t.Prefixes[i-1] >= p {
-			return nil, fmt.Errorf("geoserve: prefix index not strictly ascending at %d", i)
-		}
-	}
-	for i := 1; i < len(t.IPs); i++ {
-		if t.IPs[i-1] >= t.IPs[i] {
-			return nil, fmt.Errorf("geoserve: exact-address index not strictly ascending at %d", i)
-		}
-	}
-	for i, asn := range t.ASNs {
-		if asn <= 0 {
-			return nil, fmt.Errorf("geoserve: non-positive footprint ASN %d", asn)
-		}
-		if i > 0 && t.ASNs[i-1] >= asn {
-			return nil, fmt.Errorf("geoserve: ASN index not strictly ascending at %d", i)
-		}
-	}
-	rows := len(t.Prefixes) + len(t.IPs)
-	if rows > math.MaxInt32 {
-		return nil, fmt.Errorf("geoserve: %d rows exceed the directory's int32 row numbers", rows)
-	}
-	for m := range t.Mappers {
-		if len(t.Records[m]) != rows*RecordSize {
-			return nil, fmt.Errorf("geoserve: mapper %d slab is %d bytes, want %d rows × %d", m, len(t.Records[m]), rows, RecordSize)
-		}
-		if len(t.Footprints[m]) != len(t.ASNs) {
-			return nil, fmt.Errorf("geoserve: mapper %d has %d footprints for %d ASNs",
-				m, len(t.Footprints[m]), len(t.ASNs))
-		}
-		for i, fp := range t.Footprints[m] {
-			if fp.ASN != 0 && int32(fp.ASN) != t.ASNs[i] {
-				return nil, fmt.Errorf("geoserve: mapper %d footprint %d has ASN %d, want 0 or %d",
-					m, i, fp.ASN, t.ASNs[i])
-			}
-		}
-		for row := 0; row < rows; row++ {
-			rec := t.Records[m][row*RecordSize:][:RecordSize]
-			if err := checkRecord(rec); err != nil {
-				return nil, fmt.Errorf("geoserve: mapper %d row %d: %v", m, row, err)
-			}
-			if exact := rec[recOffFlags]&recFlagExact != 0; exact != (row >= len(t.Prefixes)) {
-				return nil, fmt.Errorf("geoserve: mapper %d row %d of %d prefix rows has exact=%v", m, row, len(t.Prefixes), exact)
-			}
-		}
-	}
 	s := &Snapshot{
 		build:      t.Build,
 		mappers:    t.Mappers,
@@ -246,20 +184,113 @@ func FromTables(t Tables, prev *Snapshot) (*Snapshot, error) {
 		records:    t.Records,
 		footprints: t.Footprints,
 	}
+	if err := s.check(); err != nil {
+		return nil, err
+	}
+	rows := len(t.Prefixes) + len(t.IPs)
+	switch {
+	case len(t.Records) != len(t.Mappers):
+		return nil, fmt.Errorf("geoserve: %d mappers but %d record slabs", len(t.Mappers), len(t.Records))
+	case rows > math.MaxInt32:
+		return nil, fmt.Errorf("geoserve: %d rows exceed the directory's int32 row numbers", rows)
+	}
+	for m, slab := range t.Records {
+		if len(slab) != rows*RecordSize {
+			return nil, fmt.Errorf("geoserve: mapper %d slab is %d bytes, want %d rows × %d", m, len(slab), rows, RecordSize)
+		}
+		for row := 0; row < rows; row++ {
+			rec := slab[row*RecordSize:][:RecordSize]
+			if err := checkRecord(rec); err != nil {
+				return nil, fmt.Errorf("geoserve: mapper %d row %d: %v", m, row, err)
+			}
+			if exact := rec[recOffFlags]&recFlagExact != 0; exact != (row >= len(t.Prefixes)) {
+				return nil, fmt.Errorf("geoserve: mapper %d row %d of %d prefix rows has exact=%v", m, row, len(t.Prefixes), exact)
+			}
+		}
+	}
 	s.seal(prev)
 	return s, nil
 }
 
-// checkMapperName admits only names of [a-z0-9._-]+: a name goes into
-// JSON answers unescaped, into metric labels and into URL queries.
-func checkMapperName(name string) error {
-	if name == "" {
-		return fmt.Errorf("geoserve: empty mapper name")
+// check holds a snapshot's names, indexes, footprints and build scale
+// to the rules lookups and JSON bodies rely on, wherever they came
+// from: skeleton runs it on a compiled Source and FromTables on tables
+// that may be outside bytes. The rules: at least one mapper, each named
+// by [a-z0-9._-]+ (JSON answers, metric labels and URL queries carry
+// the name unescaped) and none twice; /24-aligned prefixes and exact
+// addresses, both strictly ascending; positive ASNs, strictly
+// ascending; per mapper one footprint row per ASN (checkFootprint); and
+// a finite build scale. encoding/json refuses NaN and ±Inf only after
+// a handler has committed its 200, so a float that breaks these rules
+// would be served as an empty body.
+func (s *Snapshot) check() error {
+	if len(s.mappers) == 0 {
+		return fmt.Errorf("geoserve: no mappers")
 	}
-	for _, c := range []byte(name) {
-		if !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-') {
+	for i, name := range s.mappers {
+		if name == "" || strings.Trim(name, "abcdefghijklmnopqrstuvwxyz0123456789._-") != "" {
 			return fmt.Errorf("geoserve: mapper name %q is not [a-z0-9._-]+", name)
 		}
+		if slices.Contains(s.mappers[:i], name) {
+			return fmt.Errorf("geoserve: duplicate mapper %q", name)
+		}
+	}
+	for i, p := range s.prefixes {
+		if p&0xff != 0 || i > 0 && p <= s.prefixes[i-1] {
+			return fmt.Errorf("geoserve: prefix %d (%s) is not a /24 base above its predecessor", i, FormatIPv4(p))
+		}
+	}
+	for i := 1; i < len(s.ips); i++ {
+		if s.ips[i] <= s.ips[i-1] {
+			return fmt.Errorf("geoserve: exact address %d (%s) is not above its predecessor", i, FormatIPv4(s.ips[i]))
+		}
+	}
+	for i, asn := range s.asns {
+		if asn <= 0 || i > 0 && asn <= s.asns[i-1] {
+			return fmt.Errorf("geoserve: footprint ASN %d (AS%d) is not positive and above its predecessor", i, asn)
+		}
+	}
+	if len(s.footprints) != len(s.mappers) {
+		return fmt.Errorf("geoserve: %d mappers but %d footprint tables", len(s.mappers), len(s.footprints))
+	}
+	for m, fps := range s.footprints {
+		if len(fps) != len(s.asns) {
+			return fmt.Errorf("geoserve: mapper %d has %d footprints for %d ASNs", m, len(fps), len(s.asns))
+		}
+		for i, fp := range fps {
+			if err := checkFootprint(fp, s.asns[i]); err != nil {
+				return fmt.Errorf("geoserve: mapper %d footprint %d: %v", m, i, err)
+			}
+		}
+	}
+	if math.IsNaN(s.build.Scale) || math.IsInf(s.build.Scale, 0) {
+		return fmt.Errorf("geoserve: build scale %v is not finite", s.build.Scale)
 	}
 	return nil
 }
+
+// checkFootprint holds one footprint row, the one at asn's index, to
+// what GET /v1/as/{asn}/footprint can render: absent (ASN 0) and all
+// zero, as skeleton leaves a mapper's missing ASN; or asn's, with its
+// centroid on the globe, its area and radius finite and ≥ 0 and its
+// counts ≥ 0.
+func checkFootprint(fp analysis.ASFootprint, asn int32) error {
+	switch {
+	case fp.ASN == 0 && fp != (analysis.ASFootprint{}):
+		return fmt.Errorf("absent (ASN 0) but not zero: %+v", fp)
+	case fp.ASN == 0:
+		return nil
+	case fp.ASN != int(asn):
+		return fmt.Errorf("ASN %d, want 0 or %d", fp.ASN, asn)
+	case !fp.Centroid.Valid():
+		return fmt.Errorf("centroid %v off the globe", fp.Centroid)
+	case !finiteNonNeg(fp.AreaSqMi) || !finiteNonNeg(fp.RadiusMi):
+		return fmt.Errorf("area %v or radius %v not finite and ≥ 0", fp.AreaSqMi, fp.RadiusMi)
+	case fp.Interfaces < 0 || fp.Locations < 0 || fp.Degree < 0:
+		return fmt.Errorf("negative counts %d/%d/%d", fp.Interfaces, fp.Locations, fp.Degree)
+	}
+	return nil
+}
+
+// finiteNonNeg reports whether f is finite and ≥ 0 (NaN is not).
+func finiteNonNeg(f float64) bool { return f >= 0 && f <= math.MaxFloat64 }

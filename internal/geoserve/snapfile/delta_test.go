@@ -270,6 +270,31 @@ func TestApplyRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestApplyRejectsBadFootprintOrScale runs badContent through Apply: a
+// delta carries the target's footprints whole and its build in the
+// header, and Apply takes both from it. Each damaged delta is resealed
+// and must fail as malformed.
+func TestApplyRejectsBadFootprintOrScale(t *testing.T) {
+	keys := worldKeys(16)
+	old := buildWorld(t, 5, keys, nil)
+	newKeys, salts := churnedKeys(keys, 3)
+	new := buildWorld(t, 5, newKeys, salts)
+	delta, err := Diff(old, new, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range badContent {
+		t.Run(tc.name, func(t *testing.T) {
+			forged := bytes.Clone(delta)
+			tc.mut(footprintRow(t, forged, new, 3, tc.present), forged[sectionPayload(forged, 0)+56:])
+			reseal(forged)
+			if s, _, err := Apply(old, forged); !errors.Is(err, ErrFormat) || s != nil {
+				t.Fatalf("snapshot %v, err %v; want no snapshot and ErrFormat", s != nil, err)
+			}
+		})
+	}
+}
+
 func TestApplyRejectsWrongBase(t *testing.T) {
 	keys := worldKeys(16)
 	old := buildWorld(t, 6, keys, nil)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -68,13 +70,45 @@ func checkLookups(t *testing.T, snap *geoserve.Snapshot) {
 	}
 }
 
+// checkRenders pins that what loads, renders: /healthz and /statusz
+// carry the snapshot's SnapshotInfo and GET /v1/as/{asn}/footprint its
+// present footprints, and encoding/json refuses a NaN or ±Inf only
+// after the handler committed its 200.
+func checkRenders(t *testing.T, snap *geoserve.Snapshot) {
+	t.Helper()
+	info := geoserve.SnapshotInfo{Digest: snap.Digest(), Build: snap.Build(), Mappers: snap.Mappers()}
+	if _, err := json.Marshal(info); err != nil {
+		t.Fatalf("SnapshotInfo does not render: %v", err)
+	}
+	for _, asn := range snap.Tables().ASNs {
+		for m := range snap.Mappers() {
+			if fp, ok := snap.Footprint(m, int(asn)); ok {
+				if _, err := json.Marshal(fp); err != nil {
+					t.Fatalf("mapper %d footprint of AS%d does not render: %v", m, asn, err)
+				}
+			}
+		}
+	}
+}
+
+// forgeScale returns data with the build scale in its header, at
+// offset off of the header payload, set to +Inf and the whole-file
+// hash resealed: the build header is outside the content digest.
+func forgeScale(data []byte, off int) []byte {
+	forged := bytes.Clone(data)
+	putFloat(forged[sectionPayload(forged, 0)+off:], math.Inf(1))
+	reseal(forged)
+	return forged
+}
+
 // FuzzSnapfileLoad feeds Decode arbitrary mutations of valid snapshot
-// files (seed corpus under testdata/fuzz/). Two properties: Decode
-// never panics whatever the bytes, and a load that succeeds always
-// returns a snapshot whose recomputed Digest() equals the file's
-// trailer digest — corruption can fail a load but can never smuggle
-// content in under the wrong digest — and which serves its own tables
-// (checkLookups).
+// files (seed corpus under testdata/fuzz/, plus one valid file with a
+// resealed +Inf header scale). Three properties: Decode never panics
+// whatever the bytes; a load that succeeds always returns a snapshot
+// whose recomputed Digest() equals the file's trailer digest —
+// corruption can fail a load but can never smuggle content in under
+// the wrong digest — and which serves its own tables (checkLookups);
+// and what loads, renders (checkRenders).
 func FuzzSnapfileLoad(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "*.snap"))
 	if err != nil {
@@ -83,12 +117,15 @@ func FuzzSnapfileLoad(f *testing.F) {
 	if len(seeds) == 0 {
 		f.Fatal("no seed corpus under testdata/fuzz (regenerate with TestWriteFuzzCorpus -update)")
 	}
-	for _, path := range seeds {
+	for i, path := range seeds {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
+		if i == 0 {
+			f.Add(forgeScale(data, 16))
+		}
 	}
 	f.Add([]byte(magic))
 	f.Add([]byte{})
@@ -108,6 +145,7 @@ func FuzzSnapfileLoad(f *testing.F) {
 			t.Fatalf("FileInfo digest %s != snapshot %s", info.Digest, snap.Digest())
 		}
 		checkLookups(t, snap)
+		checkRenders(t, snap)
 	})
 }
 
@@ -123,8 +161,9 @@ func fuzzDeltaBase(tb testing.TB) *geoserve.Snapshot {
 // the record checks behind the hash. The properties: Apply never
 // panics, every failure is one of the package's typed errors, no
 // snapshot comes back beside an error, and a success always hashes to
-// the to-digest the delta's trailer names and serves its own tables
-// (checkLookups).
+// the to-digest the delta's trailer names, serves its own tables
+// (checkLookups) and renders (checkRenders). One seed is a valid delta
+// with a resealed +Inf header scale.
 func FuzzSnapdeltaApply(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "*.snapdelta"))
 	if err != nil {
@@ -134,7 +173,7 @@ func FuzzSnapdeltaApply(f *testing.F) {
 		f.Fatal("no delta seed corpus under testdata/fuzz (regenerate with TestWriteFuzzCorpus -update)")
 	}
 	base := fuzzDeltaBase(f)
-	for _, path := range seeds {
+	for i, path := range seeds {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
@@ -143,6 +182,9 @@ func FuzzSnapdeltaApply(f *testing.F) {
 			f.Fatalf("seed %s no longer applies (regenerate with TestWriteFuzzCorpus -update): %v", path, err)
 		}
 		f.Add(data)
+		if i == 0 {
+			f.Add(forgeScale(data, 56))
+		}
 	}
 	f.Add([]byte(deltaMagic))
 	f.Add([]byte{})
@@ -168,6 +210,7 @@ func FuzzSnapdeltaApply(f *testing.F) {
 				t.Fatalf("applied digest %s, info %s, trailer %s", snap.Digest(), info.ToDigest, trailer)
 			}
 			checkLookups(t, snap)
+			checkRenders(t, snap)
 		}
 	})
 }

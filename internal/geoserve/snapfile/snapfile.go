@@ -48,24 +48,27 @@
 // Load and Apply never trust their bytes: magic and version gate
 // first, every section length and count is bounds-checked against the
 // remaining bytes before any allocation, the whole-file hash must
-// match, geoserve.FromTables revalidates the structural invariants
-// lookups rely on (sort order, /24 alignment, lengths, footprint ASN
-// agreement), and the content digest is recomputed from the
+// match, geoserve.FromTables revalidates everything lookups and JSON
+// bodies rely on, and the content digest is recomputed from the
 // reassembled snapshot (Apply reusing only the leaf hashes of its
-// base's byte-equal groups) and compared against the trailer. Records
-// arrive as the bytes that will be served, so FromTables also holds
-// each to the canonical form: known flag bits only, method code in
-// range, found set exactly when there is a method, a location on the
-// globe (no NaN), a radius finite and ≥ 0, zero reserved bytes, and
-// the exact flag set exactly on the exact rows; and mapper names, which
-// JSON answers carry unescaped, to [a-z0-9._-]+. The last
-// two are not redundant with the digest — Snapshot.Digest hashes the
-// fields of an answer, which cover neither the exact flag (implied by
-// row position) nor the reserved bytes — and without them two files
-// with one digest could serve different wire bytes. Truncated,
-// corrupt, non-canonical or version-skewed input is rejected with
-// typed errors — never a panic, and never a snapshot whose Digest()
-// differs from the trailer.
+// base's byte-equal groups) and compared against the trailer.
+// FromTables holds the tables to the rules a compiled Source meets:
+// mapper names of [a-z0-9._-]+ (JSON answers carry them unescaped);
+// sorted, /24-aligned indexes; positive ascending ASNs; footprint rows
+// either all zero or their ASN's, with a centroid on the globe and an
+// area and radius finite and ≥ 0; and a finite header scale (the
+// header is outside the content digest, and encoding/json cannot
+// render a NaN or ±Inf). Records arrive as the bytes that will be
+// served, so each must be canonical: known flag bits only, method code
+// in range, found set exactly when there is a method, a location on
+// the globe, a radius finite and ≥ 0, zero reserved bytes, and the
+// exact flag set exactly on the exact rows. The last two are not
+// redundant with the digest — Snapshot.Digest hashes the fields of an
+// answer, which cover neither the exact flag (implied by row position)
+// nor the reserved bytes — and without them two files with one digest
+// could serve different wire bytes. Truncated, corrupt, non-canonical
+// or version-skewed input is rejected with typed errors — never a
+// panic, and never a snapshot whose Digest() differs from the trailer.
 package snapfile
 
 import (

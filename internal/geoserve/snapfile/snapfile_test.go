@@ -312,6 +312,75 @@ func TestLoadRejectsNoncanonicalRecord(t *testing.T) {
 	}
 }
 
+// badContent lists the ways a file or delta can carry canonical records
+// beside a footprint row or build header that no JSON body can render
+// (encoding/json refuses NaN and ±Inf, after a handler committed its
+// 200) or that no compile writes. Each case damages the row (of a
+// present footprint, or of an absent one) or the header's scale.
+var badContent = []struct {
+	name    string
+	present bool
+	mut     func(row, scale []byte)
+}{
+	{"footprint radius NaN", true, func(row, _ []byte) { putFloat(row[40:], math.NaN()) }},
+	{"footprint area -5", true, func(row, _ []byte) { putFloat(row[32:], -5) }},
+	{"footprint centroid latitude 91", true, func(row, _ []byte) { putFloat(row[16:], 91) }},
+	{"absent footprint with a radius", false, func(row, _ []byte) { putFloat(row[40:], 1) }},
+	{"header scale +Inf", true, func(_, scale []byte) { putFloat(scale, math.Inf(1)) }},
+	{"header scale NaN", true, func(_, scale []byte) { putFloat(scale, math.NaN()) }},
+}
+
+// sectionPayload returns the offset of the n-th section's payload in an
+// encoded file or delta.
+func sectionPayload(b []byte, n int) int {
+	at := len(magic) + 4
+	for ; n > 0; n-- {
+		at += 8 + int(binary.LittleEndian.Uint64(b[at:]))
+	}
+	return at + 8
+}
+
+// footprintRow returns the encoded row inside blob of a present (or
+// absent) footprint of snap, whose first footprint section is section
+// first of blob.
+func footprintRow(tb testing.TB, blob []byte, snap *geoserve.Snapshot, first int, present bool) []byte {
+	tb.Helper()
+	for m, fps := range snap.Tables().Footprints {
+		for i, fp := range fps {
+			if (fp.ASN != 0) == present {
+				at := sectionPayload(blob, first+m) + i*footprintRowBytes
+				return blob[at : at+footprintRowBytes]
+			}
+		}
+	}
+	tb.Fatalf("the snapshot has no footprint row with present=%v", present)
+	return nil
+}
+
+// TestLoadRejectsBadFootprintOrScale damages one footprint row or the
+// header scale of an otherwise valid file and reseals the whole-file
+// hash: the file must fail as malformed. A footprint is in the content
+// digest, so unchecked it would fail only as a digest mismatch; the
+// build header is not, so an unchecked scale would load.
+func TestLoadRejectsBadFootprintOrScale(t *testing.T) {
+	snap := makeSnapshot(t, 5, 12, 8)
+	blob, err := Encode(snap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range badContent {
+		t.Run(tc.name, func(t *testing.T) {
+			forged := bytes.Clone(blob)
+			row := footprintRow(t, forged, snap, 5+len(snap.Mappers()), tc.present)
+			tc.mut(row, forged[sectionPayload(forged, 0)+16:])
+			reseal(forged)
+			if s, _, err := Decode(forged); !errors.Is(err, ErrFormat) || s != nil {
+				t.Fatalf("snapshot %v, err %v; want no snapshot and ErrFormat", s != nil, err)
+			}
+		})
+	}
+}
+
 // TestLoadRejectsRetiredVersions pins that the retired formats get the
 // typed version error, not a parse attempt: version 1 (the old record
 // layouts) and version 2 (the same bytes as version 3, but trailers

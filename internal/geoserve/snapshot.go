@@ -213,6 +213,14 @@ func (s *Snapshot) record(mapper, row int) []byte {
 	return s.records[mapper][row*RecordSize:][:RecordSize]
 }
 
+// rowKey is a row's index key: its /24 base or its exact address.
+func (s *Snapshot) rowKey(row int) uint32 {
+	if row < len(s.prefixes) {
+		return s.prefixes[row]
+	}
+	return s.ips[row-len(s.prefixes)]
+}
+
 // Footprint returns an AS's geographic footprint under the mapper with
 // the given index, or ok=false when the AS was not seen in that
 // mapper's dataset.
