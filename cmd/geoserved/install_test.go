@@ -1,8 +1,12 @@
 package main
 
 import (
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"geonet/internal/core"
 	"geonet/internal/geoserve"
@@ -16,22 +20,16 @@ import (
 // swap and a publish done outside the mutex interleave with a churn
 // step's, and the two disagree until the next install.
 func TestInstallKeepsServedAndPublishedTogether(t *testing.T) {
-	compile := func(cfg core.Config) (*core.Pipeline, *geoserve.Snapshot) {
+	build := func(seed int64) *world {
 		t.Helper()
-		p, err := core.Run(cfg)
+		w, err := newWorld(seed, core.TestConfig().Scale, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := p.ServeWith(core.ServeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p, snap
+		return w
 	}
-	pipe, snap := compile(core.TestConfig())
-	other := core.TestConfig()
-	other.Seed = 2
-	_, rebuilt := compile(other)
+	first, other := build(1), build(2)
+	snap := first.snap
 
 	cluster, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: 2})
 	if err != nil {
@@ -41,11 +39,7 @@ func TestInstallKeepsServedAndPublishedTogether(t *testing.T) {
 	if _, err := pub.Publish(snap); err != nil {
 		t.Fatal(err)
 	}
-	ch, err := pipe.Churner(core.ServeOptions{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &builder{cluster: cluster, pub: pub, pipe: pipe, ch: ch, prev: snap, events: 4}
+	b := &builder{cluster: cluster, pub: pub, world: first}
 
 	agree := func() {
 		t.Helper()
@@ -71,11 +65,15 @@ func TestInstallKeepsServedAndPublishedTogether(t *testing.T) {
 	}()
 	go func() {
 		defer installs.Done()
-		// A rebuild lands a snapshot from outside the churn chain; two
-		// alternate so every install changes the digest.
-		fresh := []*geoserve.Snapshot{rebuilt, snap}
+		// A rebuild installs another world, as the rebuild handler
+		// does; two alternate so every install changes the digest.
+		worlds := []*world{other, first}
 		for i := 0; i < rebuilds; i++ {
-			if _, _, err := b.install(fresh[i%2], nil); err != nil {
+			w := worlds[i%2]
+			b.mu.Lock()
+			_, _, err := b.install(w, w.snap, nil)
+			b.mu.Unlock()
+			if err != nil {
 				t.Errorf("rebuild install %d: %v", i, err)
 				return
 			}
@@ -93,5 +91,46 @@ func TestInstallKeepsServedAndPublishedTogether(t *testing.T) {
 	}
 	if st := cluster.Status(); st.Snapshot.Swaps != steps+rebuilds || st.DeltaSwaps != steps {
 		t.Errorf("%d swaps (%d delta) after %d steps and %d rebuilds", st.Snapshot.Swaps, st.DeltaSwaps, steps, rebuilds)
+	}
+}
+
+// TestRebuildReplacesChurnWorld pins that a rebuild is kept: once POST
+// /v1/admin/rebuild?seed=2 has installed its world, the next churn
+// step extends that world, so the served build still names seed 2 and
+// carries its label. A churn stream that continued the seed-1 chain
+// would put seed 1 back, and one compiled without the label would
+// drop it. A builder with no world refuses to step.
+func TestRebuildReplacesChurnWorld(t *testing.T) {
+	w, err := newWorld(1, 0.02, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := geoserve.NewCluster(w.snap, geoserve.ClusterConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&builder{cluster: cluster}).step(); !errors.Is(err, errNoWorld) {
+		t.Fatalf("step on a builder with no world: %v, want errNoWorld", err)
+	}
+	b := &builder{cluster: cluster, world: w}
+
+	rec := httptest.NewRecorder()
+	b.rebuildHandler(&options{seed: 1, scale: 0.02, quiet: true})(rec, httptest.NewRequest("POST", "/v1/admin/rebuild?seed=2", nil))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("rebuild: status %d: %s", rec.Code, rec.Body)
+	}
+	for deadline := time.Now().Add(time.Minute); b.rebuilding.Load(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("rebuild still running after a minute")
+		}
+	}
+	if got := cluster.Snapshot().Build(); got.Seed != 2 {
+		t.Fatalf("after the rebuild the builder serves seed %d, want 2", got.Seed)
+	}
+	if _, err := b.step(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cluster.Snapshot().Build(); got.Seed != 2 || got.Label != "seed2/scale0.02" {
+		t.Errorf("after a churn step the builder serves build %+v, want seed 2 labelled seed2/scale0.02", got)
 	}
 }

@@ -32,30 +32,28 @@
 // one section per shard. Answers are byte-identical at any shard
 // count.
 //
-// The rebuild endpoint runs a whole new pipeline (possibly a different
-// seed or scale) in the background and hot-swaps the serving snapshot
-// when it finishes — one pointer store, so no answer or batch mixes
-// two epochs; readers never pause. One rebuild runs at a time (409
-// while one is in flight).
+// # One world: rebuilds and continuous churn
 //
-// # Continuous topology churn
-//
-// A builder that ran the pipeline (not a -snapshot cold start) can
-// also evolve its world continuously instead of rebuilding it from
-// scratch: a deterministic churn stream (internal/churn) draws BGP
-// announces/withdraws, allocation growth, interface churn and monitor
-// loss, and each step is delta-compiled from the serving snapshot —
-// only the /24 intervals whose answers could have changed are
-// recomputed — then hot-swapped (Cluster.SwapDelta reports how many
-// shards own a touched interval) and, with -publish, published as a
-// delta-served replication epoch.
+// The builder holds one world: the pipeline it ran, the snapshot it
+// last installed and a deterministic churn stream (internal/churn,
+// seeded by the world's seed) drawing BGP announces/withdraws,
+// allocation growth, interface churn and monitor loss. A churn step
+// applies 8 events, delta-compiles the world's last snapshot (only the
+// /24 intervals whose answers could have changed are recomputed),
+// hot-swaps the result (Cluster.SwapDelta reports how many shards own
+// a touched interval) and, with -publish, publishes it as a
+// delta-served replication epoch. -churn steps on a timer, POST
+// /v1/admin/churn on demand:
 //
 //	geoserved -scale 0.1 -publish -churn -churn-interval 5s
 //
-// POST /v1/admin/churn applies one step on demand (also available
-// without -churn). Churn steps and /v1/admin/rebuild both hot-swap
-// the serving snapshot; the churn stream always continues from its
-// own chain, so mixing the two is last-writer-wins.
+// POST /v1/admin/rebuild builds a new world (possibly another seed or
+// scale) in the background, hot-swaps its snapshot in (one pointer
+// store: no answer or batch mixes two epochs, readers never pause) and
+// replaces the world the churn stream continues from. Every epoch
+// names its world's build (label seed%d/scale%g). One rebuild runs at
+// a time (409 while one is in flight). A -snapshot cold start has no
+// world until a rebuild, so /v1/admin/churn answers 409 until then.
 //
 // # Snapshot files and the replication fleet
 //
@@ -107,8 +105,6 @@
 // bias. With -debug-addr a second listener additionally serves the
 // net/http/pprof suite alongside /metrics and /debug/tracez, so
 // profiling and scraping can be firewalled away from query traffic.
-// Replica mode accepts -shards/-queuebudget too, for the cluster each
-// installed epoch serves from.
 //
 // All modes drain on SIGTERM/SIGINT: replicas and routers fail
 // /healthz with status "draining" so load balancers steer away, then
@@ -121,7 +117,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -129,6 +124,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -139,8 +135,6 @@ import (
 	"syscall"
 	"time"
 
-	"net/http/pprof"
-
 	"geonet/internal/churn"
 	"geonet/internal/core"
 	"geonet/internal/geoserve"
@@ -150,8 +144,7 @@ import (
 )
 
 // options holds every flag's value. validate checks the set as a
-// whole; the mode it selects (runReplica, runRouter, runBuilder) reads
-// what applies to it.
+// whole; the mode main selects reads what applies to it.
 type options struct {
 	addr          string
 	seed          int64
@@ -164,8 +157,6 @@ type options struct {
 	publish       bool
 	churn         bool
 	churnInterval time.Duration
-	churnSeed     int64
-	churnEvents   int
 	replicaOf     string
 	router        string
 	drainTimeout  time.Duration
@@ -189,8 +180,6 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.publish, "publish", false, "serve /v1/replication/* so replicas can follow this builder")
 	fs.BoolVar(&o.churn, "churn", false, "continuously evolve the world: apply one churn step every -churn-interval")
 	fs.DurationVar(&o.churnInterval, "churn-interval", 5*time.Second, "delay between background churn steps (-churn)")
-	fs.Int64Var(&o.churnSeed, "churn-seed", 0, "churn event stream seed (0 = the world seed)")
-	fs.IntVar(&o.churnEvents, "churn-events", 8, "topology events applied per churn step")
 	fs.StringVar(&o.replicaOf, "replica-of", "", "run as a replica of this builder URL (no pipeline)")
 	fs.StringVar(&o.router, "router", "", "run as a router over these comma-separated replica URLs (no pipeline)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "max wait for in-flight requests on SIGTERM/SIGINT")
@@ -232,8 +221,6 @@ func validate(o *options) error {
 		return errors.New("geoserved: -churn needs the pipeline's world; it cannot run from a -snapshot cold start")
 	case o.churn && o.churnInterval <= 0:
 		return errors.New("geoserved: -churn-interval must be positive")
-	case o.churnEvents < 1:
-		return errors.New("geoserved: -churn-events must be >= 1")
 	case o.router != "" && o.shards != 1:
 		return errors.New("geoserved: -shards applies to builder and replica modes, not the router")
 	case o.router != "" && len(routerURLs(o.router)) == 0:
@@ -265,9 +252,14 @@ func main() {
 	runtime.GOMAXPROCS(o.workers) // 0 leaves it at one per CPU
 	switch {
 	case o.replicaOf != "":
-		runReplica(o)
+		rep := replica.New(replica.Config{BuilderURL: o.replicaOf, Shards: o.shards, QueueBudget: o.queueBudget})
+		log.Printf("replica of %s; serving 503 until the first verified epoch", o.replicaOf)
+		serve(o, rep.Handler(), rep.Obs(), rep.Run, rep.Drain)
 	case o.router != "":
-		runRouter(o)
+		urls := routerURLs(o.router)
+		rt := replica.NewRouter(replica.RouterConfig{Replicas: urls})
+		log.Printf("routing over %d replicas: %s", len(urls), strings.Join(urls, ", "))
+		serve(o, rt.Handler(), rt.Obs(), rt.Run, rt.Drain)
 	default:
 		runBuilder(o)
 	}
@@ -314,12 +306,20 @@ func newHTTPServer(addr string, h http.Handler, t httpTimeouts) *http.Server {
 	}
 }
 
-// serve runs the handler (and, with -debug-addr, the mode's bundle on
-// the debug listener) until SIGTERM/SIGINT, then drains: drain (when
-// set) flips /healthz to failing so load balancers steer new work away,
-// and http.Server.Shutdown waits for in-flight requests under the
+// serve is every mode's lifecycle. It runs the mode's background loop
+// (a replica's sync loop, the router's probes, a -churn builder's
+// ticker; nil for none) until serve returns, and serves h (and, with
+// -debug-addr, the mode's bundle on the debug listener) until
+// SIGTERM/SIGINT. Then it drains: drain (when set) flips /healthz to
+// failing so load balancers steer new work away, and
+// http.Server.Shutdown waits for in-flight requests under the
 // deadline. A rolling restart therefore loses zero answers.
-func serve(o *options, h http.Handler, bundle *obs.Observability, drain func()) {
+func serve(o *options, h http.Handler, bundle *obs.Observability, run func(context.Context) error, drain func()) {
+	if run != nil {
+		ctx, stop := context.WithCancel(context.Background())
+		defer stop()
+		go run(ctx)
+	}
 	if o.debugAddr != "" {
 		dbg := debugServer(o.debugAddr, bundle, o.timeouts)
 		log.Printf("debug listener on %s (pprof, /metrics, /debug/tracez)", o.debugAddr)
@@ -351,37 +351,10 @@ func serve(o *options, h http.Handler, bundle *obs.Observability, drain func()) 
 	<-done
 }
 
-// runReplica serves the API from snapshots fetched off a builder: 503
-// until the first verified epoch, then last-good-epoch serving through
-// any builder outage. Each installed epoch serves from a cluster of
-// the given shard count.
-func runReplica(o *options) {
-	rep := replica.New(replica.Config{BuilderURL: o.replicaOf, Shards: o.shards, QueueBudget: o.queueBudget})
-	go func() {
-		if err := rep.Run(context.Background()); err != nil {
-			log.Printf("replica sync loop stopped: %v", err)
-		}
-	}()
-	log.Printf("replica of %s; serving 503 until the first verified epoch", o.replicaOf)
-	serve(o, rep.Handler(), rep.Obs(), rep.Drain)
-}
-
-// runRouter fans lookups over a replica fleet with health-checked
-// ejection/readmission and epoch-consistent batches.
-func runRouter(o *options) {
-	urls := routerURLs(o.router)
-	rt := replica.NewRouter(replica.RouterConfig{Replicas: urls})
-	go rt.Run(context.Background())
-	log.Printf("routing over %d replicas: %s", len(urls), strings.Join(urls, ", "))
-	serve(o, rt.Handler(), rt.Obs(), rt.Drain)
-}
-
 func runBuilder(o *options) {
 	start := time.Now()
-	var (
-		snap *geoserve.Snapshot
-		pipe *core.Pipeline // nil on a -snapshot cold start; churn needs it
-	)
+	b := new(builder)
+	var snap *geoserve.Snapshot
 	if o.snapshotPath != "" {
 		// Cold start: the pipeline never runs; load + verify the file.
 		loaded, info, err := snapfile.Load(o.snapshotPath)
@@ -392,11 +365,11 @@ func runBuilder(o *options) {
 		log.Printf("cold start: loaded snapshot %s (epoch %d, %d bytes) from %s in %s",
 			info.Digest[:12], info.Epoch, info.SizeBytes, o.snapshotPath, time.Since(start).Round(time.Millisecond))
 	} else {
-		p, built, err := build(o.seed, o.scale, o.quiet)
+		w, err := newWorld(o.seed, o.scale, o.quiet)
 		if err != nil {
 			log.Fatalf("geoserved: %v", err)
 		}
-		pipe, snap = p, built
+		b.world, snap = w, w.snap
 		log.Printf("pipeline build took %s", time.Since(start).Round(time.Millisecond))
 	}
 
@@ -417,6 +390,7 @@ func runBuilder(o *options) {
 	if err != nil {
 		log.Fatalf("geoserved: %v", err)
 	}
+	b.cluster = cluster
 	bundle := obs.NewObservability("cluster")
 	bundle.Metrics.Collect(cluster.Collect)
 	handler := geoserve.NewObservedHandler(cluster, bundle)
@@ -428,90 +402,117 @@ func runBuilder(o *options) {
 	mux := http.NewServeMux()
 	mux.Handle("/", handler)
 
-	var pub *replica.Publisher
 	if o.publish {
-		pub = replica.NewPublisher()
-		m, err := pub.Publish(snap)
+		b.pub = replica.NewPublisher()
+		m, err := b.pub.Publish(snap)
 		if err != nil {
 			log.Fatalf("geoserved: publish: %v", err)
 		}
-		mux.Handle("/v1/replication/", pub.Handler())
+		mux.Handle("/v1/replication/", b.pub.Handler())
 		log.Printf("publishing replication epoch %d (%d bytes)", m.Epoch, m.SizeBytes)
 	}
 
-	// Every later epoch — a churn step's or a rebuild's — goes through
-	// b.install.
-	b := &builder{cluster: cluster, pub: pub}
-
-	// Churn: one step = draw events, delta-compile, install. Available
-	// on demand via POST /v1/admin/churn whenever the pipeline ran;
-	// -churn additionally drives it on a timer.
-	if pipe != nil {
-		seed := cmp.Or(o.churnSeed, o.seed)
-		ch, err := pipe.Churner(core.ServeOptions{}, seed)
-		if err != nil {
-			log.Fatalf("geoserved: churn: %v", err)
-		}
-		b.pipe, b.ch, b.prev, b.events = pipe, ch, snap, o.churnEvents
-		mux.HandleFunc("POST /v1/admin/churn", func(w http.ResponseWriter, r *http.Request) {
-			res, err := b.step()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
+	mux.HandleFunc("POST /v1/admin/churn", func(w http.ResponseWriter, r *http.Request) {
+		res, err := b.step()
+		switch {
+		case errors.Is(err, errNoWorld):
+			http.Error(w, err.Error(), http.StatusConflict)
+		case err != nil:
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		default:
 			w.Header().Set("Content-Type", "application/json")
 			json.NewEncoder(w).Encode(res)
-		})
-		if o.churn {
-			go func() {
-				tick := time.NewTicker(o.churnInterval)
-				defer tick.Stop()
-				for range tick.C {
-					res, err := b.step()
-					if err != nil {
-						log.Printf("churn step failed: %v", err)
-						continue
-					}
-					log.Printf("churn step %d: %d events, %d/%d rows recompiled (+%d patched), %d shards re-split, snapshot %s",
-						res.Step, res.Events, res.Stats.Recompiled, res.Stats.Rows, res.Stats.Patched,
-						res.Resplit, res.Digest[:12])
-				}
-			}()
-			log.Printf("continuous churn: %d events every %s (seed %d)", o.churnEvents, o.churnInterval, seed)
 		}
-	}
-
+	})
 	mux.HandleFunc("POST /v1/admin/rebuild", b.rebuildHandler(o))
 
-	serve(o, mux, bundle, nil)
+	var churnLoop func(context.Context) error // nil: steps only on demand
+	if o.churn {
+		churnLoop = func(ctx context.Context) error {
+			tick := time.NewTicker(o.churnInterval)
+			defer tick.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return ctx.Err()
+				case <-tick.C:
+				}
+				res, err := b.step()
+				if err != nil {
+					log.Printf("churn step failed: %v", err)
+					continue
+				}
+				log.Printf("churn step %d: %d events, %d/%d rows recompiled (+%d patched), %d shards re-split, snapshot %s",
+					res.Step, res.Events, res.Stats.Recompiled, res.Stats.Rows, res.Stats.Patched,
+					res.Resplit, res.Digest[:12])
+			}
+		}
+		log.Printf("continuous churn: %d events every %s", churnEvents, o.churnInterval)
+	}
+	serve(o, mux, bundle, churnLoop, nil)
 }
 
-// builder is how a snapshot becomes the builder's epoch. Installing
-// one — swap it into the serving cluster, then publish it to the
-// replicas — is one critical section on mu, whoever brings it: were a
-// rebuild's swap and publish to interleave with a churn step's, the
-// builder would serve one snapshot while replicas were sent the other
-// until the next install. Which of the two lands last still wins. mu
-// also keeps the churn chain linear: a step holds it from drawing its
-// events to installing their epoch, so steps from the background
-// ticker and from POST /v1/admin/churn interleave but never race.
+// churnEvents is how many topology events one churn step applies.
+const churnEvents = 8
+
+// errNoWorld is a churn step's error on a -snapshot cold start before
+// any rebuild: there is no pipeline for the churn stream to extend.
+var errNoWorld = errors.New("no world to churn: a -snapshot cold start has none until POST /v1/admin/rebuild")
+
+// world is one build the builder serves and extends: a pipeline, the
+// snapshot it last installed and the churn stream continuing from it.
+type world struct {
+	pipe *core.Pipeline
+	snap *geoserve.Snapshot
+	ch   *churn.Churner
+}
+
+// newWorld runs a pipeline and compiles its snapshot and churn stream
+// under one ServeOptions, so every epoch of the world, churned or not,
+// names the build it came from. The stream is seeded by the world.
+func newWorld(seed int64, scale float64, quiet bool) (*world, error) {
+	cfg := core.Config{Seed: seed, Scale: scale}
+	if !quiet {
+		cfg.Progress = os.Stderr
+	}
+	p, err := core.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	opts := core.ServeOptions{Label: fmt.Sprintf("seed%d/scale%g", seed, scale)}
+	snap, err := p.ServeWith(opts)
+	if err != nil {
+		return nil, err
+	}
+	ch, err := p.Churner(opts, seed)
+	if err != nil {
+		return nil, fmt.Errorf("churn: %w", err)
+	}
+	return &world{pipe: p, snap: snap, ch: ch}, nil
+}
+
+// builder holds the epoch the builder serves and publishes, and the
+// world it came from. Every install — a rebuild's whole new world or a
+// churn step extending the current one — runs under mu: the swap and
+// the publish are one critical section (interleaved with another
+// install's, the builder would serve one snapshot while replicas were
+// sent the other), and a step holds mu from drawing its events to
+// installing their epoch, so steps from the ticker and from POST
+// /v1/admin/churn never race and a step never extends a world a
+// rebuild has replaced.
 type builder struct {
 	mu      sync.Mutex
 	cluster *geoserve.Cluster
 	pub     *replica.Publisher // nil without -publish
-
-	// The churn chain; ch is nil when no pipeline ran (-snapshot).
-	pipe   *core.Pipeline
-	ch     *churn.Churner
-	prev   *geoserve.Snapshot
-	events int
+	world   *world             // nil on a -snapshot cold start until a rebuild
 
 	rebuilding atomic.Bool // a POST /v1/admin/rebuild is building
 }
 
 // rebuildHandler serves POST /v1/admin/rebuild[?seed=N&scale=F]: it
 // rejects a seed or scale core.Run would refuse with 400, then builds
-// the new world in the background and installs it.
+// the new world in the background and installs it in place of the
+// current one.
 func (b *builder) rebuildHandler(o *options) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		newSeed, newScale := o.seed, o.scale
@@ -537,17 +538,19 @@ func (b *builder) rebuildHandler(o *options) http.HandlerFunc {
 		}
 		go func() {
 			defer b.rebuilding.Store(false)
-			_, fresh, err := build(newSeed, newScale, o.quiet)
+			fresh, err := newWorld(newSeed, newScale, o.quiet)
 			var m replica.Manifest
 			if err == nil {
-				_, m, err = b.install(fresh, nil)
+				b.mu.Lock() // held through the logs: a churn step moves fresh.snap on
+				defer b.mu.Unlock()
+				_, m, err = b.install(fresh, fresh.snap, nil)
 			}
 			if err != nil {
 				log.Printf("rebuild(seed %d, scale %g) failed: %v", newSeed, newScale, err)
 				return
 			}
 			log.Printf("hot-swapped to snapshot %s (seed %d, scale %g)",
-				fresh.Digest()[:12], newSeed, newScale)
+				fresh.snap.Digest()[:12], newSeed, newScale)
 			if b.pub != nil {
 				log.Printf("published replication epoch %d (%d bytes)", m.Epoch, m.SizeBytes)
 			}
@@ -557,17 +560,13 @@ func (b *builder) rebuildHandler(o *options) http.HandlerFunc {
 	}
 }
 
-// install makes snap the serving and published epoch. delta is the
-// compile's stats when snap was delta-compiled (the swap then reports
-// how many shards it re-split), nil for a whole new snapshot. A
-// "publish:" error leaves snap serving here and unpublished.
-func (b *builder) install(snap *geoserve.Snapshot, delta *geoserve.DeltaStats) (resplit int, m replica.Manifest, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.installLocked(snap, delta)
-}
-
-func (b *builder) installLocked(snap *geoserve.Snapshot, delta *geoserve.DeltaStats) (resplit int, m replica.Manifest, err error) {
+// install makes snap, an epoch of w, the serving and published epoch,
+// and w the world later churn steps extend from snap. delta is the
+// compile's stats when snap was delta-compiled from w's last snapshot
+// (the swap then reports how many shards it re-split), nil for a whole
+// new snapshot. A "publish:" error leaves snap serving here and
+// unpublished. The caller holds b.mu.
+func (b *builder) install(w *world, snap *geoserve.Snapshot, delta *geoserve.DeltaStats) (resplit int, m replica.Manifest, err error) {
 	if delta != nil {
 		_, resplit, err = b.cluster.SwapDelta(snap, delta.Touched)
 	} else {
@@ -576,6 +575,7 @@ func (b *builder) installLocked(snap *geoserve.Snapshot, delta *geoserve.DeltaSt
 	if err != nil {
 		return 0, m, fmt.Errorf("swap: %w", err)
 	}
+	w.snap, b.world = snap, w
 	if b.pub != nil {
 		// Identical content dedupes inside Publish (no epoch bump).
 		if m, err = b.pub.Publish(snap); err != nil {
@@ -595,46 +595,30 @@ type churnResult struct {
 	Epoch   uint64              `json:"epoch,omitempty"` // published replication epoch
 }
 
-// step draws the next batch of topology events, delta-compiles the
-// chain's last snapshot (only dirty /24 intervals recomputed) and
-// installs the result.
+// step draws the current world's next batch of topology events,
+// delta-compiles the snapshot that world last installed (only dirty
+// /24 intervals recomputed) and installs the result.
 func (b *builder) step() (churnResult, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	step, err := b.ch.Next(b.events)
+	w := b.world
+	if w == nil {
+		return churnResult{}, errNoWorld
+	}
+	step, err := w.ch.Next(churnEvents)
 	if err != nil {
 		return churnResult{}, fmt.Errorf("churn step: %w", err)
 	}
-	next, stats, err := b.pipe.ServeDelta(b.prev, step)
+	next, stats, err := w.pipe.ServeDelta(w.snap, step)
 	if err != nil {
 		return churnResult{}, fmt.Errorf("churn step %d: delta compile: %w", step.N, err)
 	}
-	resplit, m, err := b.installLocked(next, &stats)
+	resplit, m, err := b.install(w, next, &stats)
 	if err != nil {
 		return churnResult{}, fmt.Errorf("churn step %d: %w", step.N, err)
 	}
-	b.prev = next
 	return churnResult{
 		Step: step.N, Events: len(step.Events),
 		Digest: next.Digest(), Stats: stats, Resplit: resplit, Epoch: m.Epoch,
 	}, nil
-}
-
-// build runs a pipeline and compiles its serving snapshot.
-func build(seed int64, scale float64, quiet bool) (*core.Pipeline, *geoserve.Snapshot, error) {
-	cfg := core.Config{Seed: seed, Scale: scale}
-	if !quiet {
-		cfg.Progress = os.Stderr
-	}
-	p, err := core.Run(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	snap, err := p.ServeWith(core.ServeOptions{
-		Label: fmt.Sprintf("seed%d/scale%g", seed, scale),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, snap, nil
 }

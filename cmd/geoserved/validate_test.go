@@ -64,8 +64,6 @@ func TestValidate(t *testing.T) {
 			"geoserved: -churn needs the pipeline's world; it cannot run from a -snapshot cold start"},
 		{"churn with no interval", []string{"-churn", "-churn-interval", "0s"},
 			"geoserved: -churn-interval must be positive"},
-		{"no churn events", []string{"-churn-events", "0"},
-			"geoserved: -churn-events must be >= 1"},
 		{"sharded router", []string{"-router", "http://r", "-shards", "2"},
 			"geoserved: -shards applies to builder and replica modes, not the router"},
 		{"router over nothing", []string{"-router", " , "},

@@ -205,10 +205,7 @@ func (c *Churner) Next(events int) (Step, error) {
 		st.Dirty = append(st.Dirty, b)
 	}
 	slices.Sort(st.Dirty)
-	var err error
-	if st.Source, err = c.materialize(); err != nil {
-		return Step{}, err
-	}
+	st.Source = c.materialize()
 	return st, nil
 }
 
@@ -216,21 +213,15 @@ func (c *Churner) Next(events int) (Step, error) {
 // returning the event and the /24 bases to mark dirty.
 func (c *Churner) applyOne() (Event, []uint32, bool) {
 	switch k := c.drawKind(); k {
-	case Announce:
-		base := c.alloc24[c.r.Intn(len(c.alloc24))]
-		origin := c.asns[c.r.Intn(len(c.asns))]
-		if _, seen := c.extras[base]; !seen {
-			c.extraOrder = append(c.extraOrder, base)
-		}
-		c.extras[base] = origin
-		return Event{Kind: Announce, Base: base, Origin: origin}, []uint32{base}, true
-	case Withdraw:
-		if len(c.extraOrder) == 0 {
-			// Nothing announced yet: announce instead, so early steps
-			// still carry the drawn number of events.
+	case Announce, Withdraw:
+		if k == Announce || len(c.extraOrder) == 0 {
+			// A withdraw with nothing announced announces instead, so
+			// early steps still carry the drawn number of events.
 			base := c.alloc24[c.r.Intn(len(c.alloc24))]
 			origin := c.asns[c.r.Intn(len(c.asns))]
-			c.extraOrder = append(c.extraOrder, base)
+			if _, seen := c.extras[base]; !seen {
+				c.extraOrder = append(c.extraOrder, base)
+			}
 			c.extras[base] = origin
 			return Event{Kind: Announce, Base: base, Origin: origin}, []uint32{base}, true
 		}
@@ -300,7 +291,7 @@ func (c *Churner) drawKind() Kind {
 // owns copies of the two address sets and a fresh BGP table, so later
 // steps, which insert into and append to the overlays, never change an
 // issued Step.
-func (c *Churner) materialize() (geoserve.Source, error) {
+func (c *Churner) materialize() geoserve.Source {
 	table := &bgp.Table{}
 	for _, rt := range c.baseRoutes {
 		table.Insert(rt)
@@ -322,5 +313,5 @@ func (c *Churner) materialize() (geoserve.Source, error) {
 		Table:    table,
 		Mappers:  mappers,
 		Build:    c.build,
-	}, nil
+	}
 }

@@ -122,10 +122,9 @@ type routeShard struct {
 	// tables[i] for i below the AS's router count caches the next-hop
 	// table toward the router with in-AS index i; the slot at the
 	// router count caches the AS's next-hop row; the slots after it
-	// cache the hot-potato tables toward egressPeers (sorted at compile
-	// time), in order.
-	tables      []atomic.Pointer[[]int32]
-	egressPeers []netgen.ASID
+	// cache the hot-potato tables toward the AS's neighbours, in asNbrs
+	// order.
+	tables []atomic.Pointer[[]int32]
 
 	flights map[int32]*flight // by slot, guarded by mu
 }
@@ -215,30 +214,12 @@ func Compile(in *netgen.Internet) *Network {
 		}
 	}
 
-	// Egress slots cover every AS each one can hand packets to: its
-	// physical border peers plus its declared neighbours (the AS-path
-	// BFS runs over Neighbors, so a declared-but-unlinked neighbour
-	// still gets a — necessarily empty — table slot). One pass over
-	// the border keys keeps this linear in border pairs.
-	peerSets := make([]map[netgen.ASID]struct{}, len(in.ASes))
-	for ai := range in.ASes {
-		peerSets[ai] = make(map[netgen.ASID]struct{}, len(in.ASes[ai].Neighbors))
-		for _, nb := range in.ASes[ai].Neighbors {
-			peerSets[ai][nb] = struct{}{}
-		}
-	}
-	for key := range n.borders {
-		peerSets[key[0]][key[1]] = struct{}{}
-	}
+	// NextAS only ever answers with a declared neighbour, so those are
+	// the only ASes a packet is handed to: one egress slot each (a
+	// declared-but-unlinked neighbour gets a necessarily empty table).
 	n.shards = make([]routeShard, len(in.ASes))
 	for ai := range in.ASes {
-		sh := &n.shards[ai]
-		sh.egressPeers = make([]netgen.ASID, 0, len(peerSets[ai]))
-		for p := range peerSets[ai] {
-			sh.egressPeers = append(sh.egressPeers, p)
-		}
-		slices.Sort(sh.egressPeers)
-		sh.tables = make([]atomic.Pointer[[]int32], len(in.ASes[ai].Routers)+1+len(sh.egressPeers))
+		n.shards[ai].tables = make([]atomic.Pointer[[]int32], len(in.ASes[ai].Routers)+1+len(n.asNbrs[ai]))
 	}
 	return n
 }
@@ -406,13 +387,11 @@ func (n *Network) intraNext(dst netgen.RouterID) []int32 {
 }
 
 // egressNext returns the hot-potato next-hop table within AS a toward
-// its nearest border with AS b.
+// its nearest border with AS b, which must be one of a's neighbours.
 func (n *Network) egressNext(a, b netgen.ASID) []int32 {
-	i, ok := slices.BinarySearch(n.shards[a].egressPeers, b)
+	i, ok := slices.BinarySearch(n.asNbrs[a], b)
 	if !ok {
-		// Not a compiled peer (anomalous topology): compute without
-		// caching rather than fail.
-		return n.spfToSources(&n.In.ASes[a], n.borders[[2]netgen.ASID{a, b}])
+		panic(fmt.Sprintf("netsim: egress from AS %d toward AS %d, which is not its neighbour", a, b))
 	}
 	return n.table(a, int32(len(n.In.ASes[a].Routers)+1+i))
 }
@@ -451,7 +430,7 @@ func (n *Network) table(a netgen.ASID, slot int32) []int32 {
 	case slot == nr:
 		t = n.asNextRow(a)
 	default:
-		t = n.spfToSources(as, n.borders[[2]netgen.ASID{a, sh.egressPeers[slot-nr-1]}])
+		t = n.spfToSources(as, n.borders[[2]netgen.ASID{a, n.asNbrs[a][slot-nr-1]}])
 	}
 	fl.table = t
 	close(fl.done)
