@@ -92,7 +92,7 @@
 // protocol section of DESIGN.md): length-prefixed batches of IPv4
 // addresses answered by fixed-width records copied straight out of
 // the snapshot's record slabs, each frame tagged with the serving
-// snapshot's epoch. cmd/geoload drives them with -wire bin|stream.
+// snapshot's epoch (bench's fleet-bin workload drives them).
 //
 // # Observability
 //
@@ -468,8 +468,8 @@ type world struct {
 }
 
 // newWorld runs a pipeline and compiles its snapshot and churn stream
-// under one ServeOptions, so every epoch of the world, churned or not,
-// names the build it came from. The stream is seeded by the world.
+// from one Source, so every epoch of the world, churned or not, names
+// the build it came from. The stream is seeded by the world.
 func newWorld(seed int64, scale float64, quiet bool) (*world, error) {
 	cfg := core.Config{Seed: seed, Scale: scale}
 	if !quiet {
@@ -479,12 +479,15 @@ func newWorld(seed int64, scale float64, quiet bool) (*world, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := core.ServeOptions{Label: fmt.Sprintf("seed%d/scale%g", seed, scale)}
-	snap, err := p.ServeWith(opts)
+	src, err := p.ServeSource(core.ServeOptions{Label: fmt.Sprintf("seed%d/scale%g", seed, scale)})
 	if err != nil {
 		return nil, err
 	}
-	ch, err := p.Churner(opts, seed)
+	snap, err := geoserve.Compile(src)
+	if err != nil {
+		return nil, err
+	}
+	ch, err := churn.New(p.Internet, src, seed)
 	if err != nil {
 		return nil, fmt.Errorf("churn: %w", err)
 	}

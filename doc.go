@@ -101,9 +101,9 @@
 //
 //	go run ./cmd/geoserved -addr :8080 -scale 0.1
 //
-// and cmd/geoload drives running nodes closed-loop over HTTP (uniform,
-// Zipf-over-prefixes or unmappable-heavy address mixes; a text report
-// and the same report as JSON). A cluster has -shards N prefix-range shards (default
+// and the nested bench module (bench/, go run -C bench .) measures
+// running nodes end to end: in process, through a router over
+// replicas, and under churn. A cluster has -shards N prefix-range shards (default
 // one, the unsharded server): N contiguous cuts of the /24 interval
 // index, each an accounting range with its own metrics and
 // load-shedding budget (429 when a range a batch touches is at
@@ -135,9 +135,9 @@
 // one replica at the plan epoch (so no batch blends epochs), and
 // 503 + Retry-After only when no healthy replica holds a complete
 // epoch. geoserved grows the matching modes (-write-snapshot,
-// -snapshot cold start, -publish, -replica-of, -router) and geoload
-// takes a list of -target URLs (failover, honored Retry-After, one
-// report row per target); internal/faultinject is the
+// -snapshot cold start, -publish, -replica-of, -router), and
+// cmd/geoserved's TestFleetRealProcesses runs them as real processes;
+// internal/faultinject is the
 // deterministic chaos layer (seeded drops, truncations, bit-flips,
 // latency, mid-transfer resets over in-memory HTTP) whose suite proves
 // the degraded modes, and the replication golden pins that a replica

@@ -28,12 +28,7 @@ type ServeOptions struct {
 // snapshot's digest follows the same determinism discipline as Digest:
 // byte-identical at any GOMAXPROCS.
 func (p *Pipeline) Serve() (*geoserve.Snapshot, error) {
-	return p.ServeWith(ServeOptions{})
-}
-
-// ServeWith is Serve with explicit options.
-func (p *Pipeline) ServeWith(opts ServeOptions) (*geoserve.Snapshot, error) {
-	src, err := p.ServeSource(opts)
+	src, err := p.ServeSource(ServeOptions{})
 	if err != nil {
 		return nil, err
 	}

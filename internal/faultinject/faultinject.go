@@ -26,8 +26,9 @@ import (
 	"geonet/internal/rng"
 )
 
-// Fault describes what happens to one HTTP exchange. The zero value
-// passes the exchange through untouched.
+// Fault describes what happens to one HTTP exchange. Clean passes the
+// exchange through untouched; the zero value does not, because its
+// FlipBit of 0 flips bit 0 of the body.
 type Fault struct {
 	// Drop fails the exchange before any byte moves, like a refused or
 	// reset connection.

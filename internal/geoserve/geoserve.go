@@ -24,10 +24,9 @@
 // are lock-free and concurrent, and when a new pipeline (different
 // seed, scale or ablation) finishes building in the background the
 // Cluster hot-swaps to its snapshot without pausing readers.
-// NewHandler exposes the HTTP API that cmd/geoserved serves and
-// cmd/geoload drives: the JSON endpoints, plus the binary wire
-// protocol (/v1/locate/bin batches and /v1/locate/stream full-duplex
-// chunk streams, driven by geoload -wire bin|stream) whose
+// NewHandler exposes the HTTP API that cmd/geoserved serves: the JSON
+// endpoints, plus the binary wire protocol (/v1/locate/bin batches and
+// /v1/locate/stream full-duplex chunk streams) whose
 // epoch-tagged fixed-width answer frames are copied straight out of
 // the snapshot's record slabs — the 32-byte record is the one stored
 // form of an answer (record.go), shared with the snapfile formats; see

@@ -112,9 +112,14 @@ type member struct {
 // every request whole — a single lookup, a JSON batch, a binary frame —
 // to one replica at the plan epoch (the highest epoch a routable member
 // holds). That replica answers it from one snapshot and its X-Geo-Epoch
-// is relayed, so no answer set can blend snapshots. When no routable
-// replica holds a complete epoch the router sheds with 503 +
-// Retry-After rather than degrade silently.
+// is relayed, so no answer set can blend snapshots. A retry plans
+// again over the members the request has not tried, so when the only
+// member at the plan epoch fails, the retry steps back to the newest
+// epoch left, typically one behind. That is no weaker than ejection:
+// once the failed member is ejected every request plans at that epoch
+// anyway, and the retry still sends the request whole to one replica.
+// When no routable replica holds a complete epoch the router sheds
+// with 503 + Retry-After rather than degrade silently.
 //
 // One forwarded attempt is two critical sections on mu: pick decides
 // where it goes (plan epoch, member, retry token, outstanding count)
@@ -326,12 +331,12 @@ func (r *Router) routableLocked(m *member) bool {
 }
 
 // planLocked is the serving epoch — the highest epoch any routable
-// member holds — and how many routable members hold it. Zero members
-// means the router must shed.
-func (r *Router) planLocked() (epoch uint64, n int) {
+// member not in tried holds — and how many such members hold it. Zero
+// members means the router must shed.
+func (r *Router) planLocked(tried []*member) (epoch uint64, n int) {
 	for _, m := range r.members {
 		switch {
-		case m.epoch == 0 || m.epoch < epoch || !r.routableLocked(m):
+		case m.epoch == 0 || m.epoch < epoch || !r.routableLocked(m) || slices.Contains(tried, m):
 		case m.epoch > epoch:
 			epoch, n = m.epoch, 1
 		default:
@@ -343,18 +348,19 @@ func (r *Router) planLocked() (epoch uint64, n int) {
 
 // pick chooses the attempt's member and counts the call outstanding
 // against it in one step, so the next pick sees this one — a half-open
-// member's single trial and least-outstanding's counts are exact. Of
-// the plan's members this request has not tried it takes the fewest
-// outstanding, then the lowest latency EWMA, then the first after a
-// rotating starting point, so equally loaded members share traffic
-// round-robin instead of piling onto the first. A retry (tried
-// non-empty) spends one budget token, and only once there is a member
-// to retry on. nil means shed: no plan, nobody left to try, or a dry
-// budget — the caller must give up rather than amplify.
+// member's single trial and least-outstanding's counts are exact. It
+// plans over the members this request has not tried, and of those at
+// the plan epoch takes the fewest outstanding, then the lowest latency
+// EWMA, then the first after a rotating starting point, so equally
+// loaded members share traffic round-robin instead of piling onto the
+// first. A retry (tried non-empty) spends one budget token, and only
+// once there is a member to retry on. nil means shed: no plan, nobody
+// left to try, or a dry budget — the caller must give up rather than
+// amplify.
 func (r *Router) pick(tried []*member) *member {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	epoch, n := r.planLocked()
+	epoch, n := r.planLocked(tried)
 	if n == 0 {
 		return nil
 	}
@@ -365,18 +371,15 @@ func (r *Router) pick(tried []*member) *member {
 	var best *member
 	var bestRank int
 	for _, m := range r.members {
-		if m.epoch != epoch || !r.routableLocked(m) {
+		if m.epoch != epoch || !r.routableLocked(m) || slices.Contains(tried, m) {
 			continue
 		}
 		rank := (pos - start + n) % n
 		pos++
-		if !slices.Contains(tried, m) && (best == nil || cmp.Or(
-			cmp.Compare(m.inflight, best.inflight), cmp.Compare(m.ewmaMs, best.ewmaMs), rank-bestRank) < 0) {
+		if best == nil || cmp.Or(
+			cmp.Compare(m.inflight, best.inflight), cmp.Compare(m.ewmaMs, best.ewmaMs), rank-bestRank) < 0 {
 			best, bestRank = m, rank
 		}
-	}
-	if best == nil {
-		return nil
 	}
 	if len(tried) > 0 {
 		if r.budgetTenths < 10 {
@@ -675,7 +678,7 @@ type RouterStatus struct {
 func (r *Router) Status() RouterStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	epoch, n := r.planLocked()
+	epoch, n := r.planLocked(nil)
 	st := RouterStatus{
 		UptimeSeconds:   time.Since(r.start).Seconds(),
 		Epoch:           epoch,

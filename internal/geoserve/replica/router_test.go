@@ -324,3 +324,51 @@ func TestRouterBatchNeverBlendsEpochs(t *testing.T) {
 		t.Fatalf("converged status %+v", st)
 	}
 }
+
+// TestRouterRetryStepsBackAnEpoch pins the retry's plan under the
+// router defaults geoserved runs with (FailThreshold 2, so one failure
+// ejects nobody): when the only member at the newest epoch fails, the
+// retry goes to a healthy member one epoch behind instead of shedding.
+func TestRouterRetryStepsBackAnEpoch(t *testing.T) {
+	var down atomic.Bool
+	decide := func(_ int, req *http.Request) faultinject.Fault {
+		if down.Load() && req.URL.Host == "rep0" {
+			return faultinject.Fault{Drop: true, FlipBit: -1}
+		}
+		return faultinject.Clean
+	}
+	f := newFleetWith(t, 2, makeSnapshot(t, 13, 30, 8), decide, RouterConfig{})
+	// Epoch 2 (a churned snapshot) reaches rep0 only, and the router
+	// plans at it.
+	if _, err := f.pub.Publish(makeSnapshot(t, 14, 34, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.replicas[0].SyncOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	f.router.ProbeOnce(context.Background())
+	if st := f.router.Status(); st.Epoch != 2 || st.HealthyReplicas != 1 {
+		t.Fatalf("status before the outage %+v", st)
+	}
+
+	down.Store(true)
+	const q = "/v1/locate?ip=10.2.0.1"
+	wantCode, want := get(t, f.client, repURL(1)+q)
+	if wantCode != 200 {
+		t.Fatalf("rep1 direct: %d %q", wantCode, want)
+	}
+	resp, err := f.client.Get("http://router" + q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	body.ReadFrom(resp.Body)
+	if resp.StatusCode != 200 || body.String() != want || resp.Header.Get("X-Geo-Epoch") != "1" {
+		t.Fatalf("router: %d epoch %q %q, want rep1's 200 at epoch 1 %q",
+			resp.StatusCode, resp.Header.Get("X-Geo-Epoch"), body.String(), want)
+	}
+	if st := f.router.Status(); st.Retries != 1 || st.Sheds != 0 {
+		t.Fatalf("status after the retry %+v", st)
+	}
+}

@@ -140,24 +140,6 @@ func AppendWireBatchRequest(dst []byte, mapper uint16, ips []uint32) []byte {
 	return appendWireChunkBody(dst, ips)
 }
 
-// AppendWireStreamHeader encodes the opening header of a
-// /v1/locate/stream request; follow it with AppendWireChunk calls and
-// a final AppendWireStreamEnd.
-func AppendWireStreamHeader(dst []byte, mapper uint16) []byte {
-	return appendWireHeader(dst, wireKindStreamReq, mapper)
-}
-
-// AppendWireChunk encodes one address chunk of a stream request.
-func AppendWireChunk(dst []byte, ips []uint32) []byte {
-	return appendWireChunkBody(dst, ips)
-}
-
-// AppendWireStreamEnd encodes the zero-count chunk that cleanly
-// terminates a stream request.
-func AppendWireStreamEnd(dst []byte) []byte {
-	return binary.LittleEndian.AppendUint32(dst, 0)
-}
-
 func appendWireHeader(dst []byte, kind byte, mapper uint16) []byte {
 	var h [wireHeaderSize]byte
 	putWireHeader(h[:], kind, mapper)

@@ -9,6 +9,7 @@ package geoserve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -17,6 +18,25 @@ import (
 	"sync"
 	"testing"
 )
+
+// AppendWireStreamHeader encodes the opening header of a
+// /v1/locate/stream request; follow it with AppendWireChunk calls and
+// a final AppendWireStreamEnd. The stream encoders live here because
+// the stream route's tests are their only callers.
+func AppendWireStreamHeader(dst []byte, mapper uint16) []byte {
+	return appendWireHeader(dst, wireKindStreamReq, mapper)
+}
+
+// AppendWireChunk encodes one address chunk of a stream request.
+func AppendWireChunk(dst []byte, ips []uint32) []byte {
+	return appendWireChunkBody(dst, ips)
+}
+
+// AppendWireStreamEnd encodes the zero-count chunk that cleanly
+// terminates a stream request.
+func AppendWireStreamEnd(dst []byte) []byte {
+	return binary.LittleEndian.AppendUint32(dst, 0)
+}
 
 func wireProbeIPs(s *Snapshot) []uint32 {
 	return probeAddrs(s)

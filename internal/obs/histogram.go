@@ -99,8 +99,7 @@ func (h *Histogram) Merge(other *Histogram) {
 // every other power of two (factor 4 apart), from 32ns to ~34s. Each
 // bound is an exact edge of the fine recording ladder, so exported
 // cumulative counts are exact, not interpolated. The ladder is fixed so
-// /metrics bucket layouts and BENCH histogram exports are deterministic
-// and comparable across runs.
+// /metrics bucket layouts are deterministic and comparable across runs.
 var exportBounds = buildExportBounds()
 
 func buildExportBounds() []uint64 {
@@ -111,14 +110,9 @@ func buildExportBounds() []uint64 {
 	return b
 }
 
-// ExportBounds returns the upper bounds (in ns) of the coarse export
-// ladder shared by the Prometheus exposition and BENCH_*.json output.
-// The caller must not modify the returned slice.
-func ExportBounds() []uint64 { return exportBounds }
-
 // Export returns the histogram folded onto the export ladder:
 // counts[i] observations fell at or above the previous bound and below
-// ExportBounds()[i]; counts[len(bounds)] is the overflow bucket. The
+// exportBounds[i]; counts[len(exportBounds)] is the overflow bucket. The
 // fold is a sum of fine-bucket loads, so concurrent recording skews a
 // bucket by at most the in-flight writes.
 func (h *Histogram) Export() []uint64 {

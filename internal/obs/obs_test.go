@@ -48,8 +48,8 @@ func TestHistogramExportExact(t *testing.T) {
 		h.RecordN(time.Duration(ns), 1)
 	}
 	counts := h.Export()
-	if len(counts) != len(ExportBounds())+1 {
-		t.Fatalf("Export returned %d buckets, want %d", len(counts), len(ExportBounds())+1)
+	if len(counts) != len(exportBounds)+1 {
+		t.Fatalf("Export returned %d buckets, want %d", len(counts), len(exportBounds)+1)
 	}
 	var total uint64
 	for _, c := range counts {

@@ -100,7 +100,7 @@ func (e *Emitter) Gauge(name, help string, labels Labels, v float64) {
 }
 
 // Histogram emits h as one histogram series, exposed on the fixed
-// export ladder (see ExportBounds) with exact cumulative bucket counts,
+// export ladder (see exportBounds) with exact cumulative bucket counts,
 // a bucket-estimated _sum, and _count. h is read when the scrape is
 // written.
 func (e *Emitter) Histogram(name, help string, labels Labels, h *Histogram) {
