@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -202,10 +203,10 @@ func TestGoldenChurnCorpus(t *testing.T) {
 }
 
 // TestIncrementalDigestMatchesFromScratch pins the leaf reuse end to
-// end: over 24 steps of the seeded churn stream, the digest CompileDelta
-// reaches against the builder's previous epoch, and the one Apply
-// reaches against a replica's, each equal the digest FromTables
-// computes from scratch over the same tables.
+// end: over 24 steps of the seeded churn stream, the digest and leaves
+// CompileDelta reaches against the builder's previous epoch, and those
+// Apply reaches against a replica's, each equal the digest and leaves
+// FromTables computes from scratch over the same tables.
 func TestIncrementalDigestMatchesFromScratch(t *testing.T) {
 	p, full0 := fixture(t)
 	ch, err := p.Churner(core.ServeOptions{}, corpusSeed)
@@ -234,12 +235,13 @@ func TestIncrementalDigestMatchesFromScratch(t *testing.T) {
 			path string
 			snap *geoserve.Snapshot
 		}{{"CompileDelta", snap}, {"Apply", applied}} {
-			scratch, err := geoserve.FromTables(c.snap.Tables(), nil)
+			scratch, err := geoserve.FromTables(c.snap.Tables(), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.snap.Digest() != scratch.Digest() {
-				t.Fatalf("step %d: %s digest %.16s, from scratch %.16s", step.N, c.path, c.snap.Digest(), scratch.Digest())
+			if c.snap.Digest() != scratch.Digest() || !slices.Equal(c.snap.Leaves(), scratch.Leaves()) {
+				t.Fatalf("step %d: %s digest %.16s, from scratch %.16s (leaves equal: %v)", step.N, c.path,
+					c.snap.Digest(), scratch.Digest(), slices.Equal(c.snap.Leaves(), scratch.Leaves()))
 			}
 		}
 		prev, rep = snap, applied

@@ -64,7 +64,7 @@ func syntheticSnapshot(start uint32, nPrefixes, nMappers int, salt float64) *Sna
 		}
 		s.records = append(s.records, slab)
 	}
-	s.seal(nil)
+	s.seal(nil, nil)
 	return s
 }
 
@@ -149,7 +149,7 @@ func TestSplitErrors(t *testing.T) {
 	// One shard is the unsharded server: it takes any snapshot, an
 	// empty one included, and misses everywhere on it.
 	empty := &Snapshot{}
-	empty.seal(nil)
+	empty.seal(nil, nil)
 	c, err := NewCluster(empty, ClusterConfig{Shards: 1})
 	if err != nil {
 		t.Fatalf("NewCluster(empty, 1 shard): %v", err)
@@ -527,7 +527,7 @@ func TestJSONBatchOneViewAcrossSwap(t *testing.T) {
 	snapA := syntheticSnapshot(10<<24, 23, 2, 0)
 	snapB := syntheticSnapshot(10<<24, 23, 2, 2.5)
 	snapB.mappers = []string{"n0", "n1"}
-	snapB.seal(nil)
+	snapB.seal(nil, nil)
 	byMapper := map[string]*Snapshot{"m0": snapA, "n0": snapB}
 
 	var (

@@ -116,8 +116,9 @@ const (
 
 // compile is the one compile path: prev nil compiles src from scratch,
 // and otherwise rows are classified against prev (see CompileDelta).
-// Each mapper's slab is prev's carried runs, then the radius patches,
-// then one parallel pass that recomputes the remaining rows.
+// Each mapper's slab is prev's carried runs (every mapper's carried at
+// once), then the radius patches, then one parallel pass that
+// recomputes the remaining rows.
 func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats, error) {
 	var st DeltaStats
 	s, err := skeleton(src)
@@ -161,8 +162,9 @@ func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats,
 	})
 
 	var firstErr compileErr
+	slabs := parallel.Map(len(src.Mappers), func(m int) []byte { return carry(prev, m, ops, prevRow) })
 	for m, nm := range src.Mappers {
-		slab := carry(prev, m, ops, prevRow)
+		slab := slabs[m]
 		for row, op := range ops {
 			if op == opPatch {
 				// The one field a footprint change moves; every other
@@ -205,11 +207,13 @@ func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats,
 		st.Touched = slices.Sorted(maps.Keys(touched))
 	}
 
-	// Identity is content identity: the digest covers every table, and
-	// only the leaves of groups proven byte-equal to prev's are reused,
-	// so a delta compile that drifted from the from-scratch result is
-	// caught by any digest comparison downstream.
-	s.seal(prev)
+	// Identity is content identity: the digest covers every table. A
+	// row outside Touched was copied from prev or recomputed to prev's
+	// bytes (the compare above), so the leaf of every group Touched
+	// misses is prev's, and seal reuses it.
+	if _, err := s.seal(prev, st.Touched); err != nil {
+		return nil, st, err
+	}
 	return s, st, nil
 }
 

@@ -62,11 +62,12 @@ func DirectorySize(s *Snapshot) (blocks, slots, bytes int) {
 	return len(d.blocks), len(d.slots), bytes
 }
 
-// Seal recomputes s's content digest on a copy of s, against prev (nil:
-// from scratch): the seal every constructor ends with, on its own.
-func Seal(s, prev *Snapshot) string {
+// Seal recomputes s's content digest on a copy of s, against prev and
+// the /24s touched since it (prev nil: from scratch): the seal every
+// constructor ends with, on its own.
+func Seal(s, prev *Snapshot, touched []uint32) (string, error) {
 	c := &Snapshot{mappers: s.mappers, prefixes: s.prefixes, ips: s.ips,
 		records: s.records, asns: s.asns, footprints: s.footprints, dir: s.dir}
-	c.seal(prev)
-	return c.digest
+	_, err := c.seal(prev, touched)
+	return c.digest, err
 }

@@ -165,16 +165,22 @@ func (s *Snapshot) Tables() Tables {
 // footprints and build scale to the rules a compiled Source meets;
 // FromTables adds the lengths and canonical records — each with its
 // location on the globe (no NaN) and its radius finite and ≥ 0, and
-// the exact flag set exactly on the exact rows. prev, when non-nil, is
-// a snapshot t was derived from — a delta's base: the digest reuses its
-// leaf hashes for the groups whose rows compare byte-equal (see seal),
-// and nil hashes everything. The tables are retained, so callers must
-// not mutate them afterwards. The tables may be bytes a decoder read
-// off the network, and the lookup directory is built from them here:
-// whatever they hold it takes 256 KB, 1 KB per distinct /16 (at most
-// 64 MB, reached by 65 536 rows of 36 B each) and 40 B per distinct
-// /24 (TestDirectoryBound).
-func FromTables(t Tables, prev *Snapshot) (*Snapshot, error) {
+// the exact flag set exactly on the exact rows.
+//
+// prev, when non-nil, is a snapshot t was derived from — a delta's
+// base — and touched lists the /24 bases whose rows may differ from
+// prev's. The caller promises that every other row is prev's row at the
+// same key: a leaf group in which no touched /24 lies then takes prev's
+// leaf hash, and its records, which passed these checks when prev was
+// sealed, are not checked again (see seal). Such a group's keys must
+// equal prev's, or FromTables fails. With prev nil every row is checked
+// and hashed. The tables are retained, so callers must not mutate them
+// afterwards. The tables may be bytes a decoder read off the network,
+// and the lookup directory is built from them here: whatever they hold
+// it takes 256 KB, 1 KB per distinct /16 (at most 64 MB, reached by
+// 65 536 rows of 36 B each) and 40 B per distinct /24
+// (TestDirectoryBound).
+func FromTables(t Tables, prev *Snapshot, touched []uint32) (*Snapshot, error) {
 	s := &Snapshot{
 		build:      t.Build,
 		mappers:    t.Mappers,
@@ -198,17 +204,27 @@ func FromTables(t Tables, prev *Snapshot) (*Snapshot, error) {
 		if len(slab) != rows*RecordSize {
 			return nil, fmt.Errorf("geoserve: mapper %d slab is %d bytes, want %d rows × %d", m, len(slab), rows, RecordSize)
 		}
-		for row := 0; row < rows; row++ {
-			rec := slab[row*RecordSize:][:RecordSize]
-			if err := checkRecord(rec); err != nil {
-				return nil, fmt.Errorf("geoserve: mapper %d row %d: %v", m, row, err)
-			}
-			if exact := rec[recOffFlags]&recFlagExact != 0; exact != (row >= len(t.Prefixes)) {
-				return nil, fmt.Errorf("geoserve: mapper %d row %d of %d prefix rows has exact=%v", m, row, len(t.Prefixes), exact)
+	}
+	hashed, err := s.seal(prev, touched)
+	if err != nil {
+		return nil, err
+	}
+	np := len(t.Prefixes)
+	for _, g := range hashed {
+		for m, slab := range t.Records {
+			for _, span := range [2][2]int{{g.pLo, g.pHi}, {np + g.iLo, np + g.iHi}} {
+				for row := span[0]; row < span[1]; row++ {
+					rec := slab[row*RecordSize:][:RecordSize]
+					if err := checkRecord(rec); err != nil {
+						return nil, fmt.Errorf("geoserve: mapper %d row %d: %v", m, row, err)
+					}
+					if exact := rec[recOffFlags]&recFlagExact != 0; exact != (row >= np) {
+						return nil, fmt.Errorf("geoserve: mapper %d row %d of %d prefix rows has exact=%v", m, row, np, exact)
+					}
+				}
 			}
 		}
 	}
-	s.seal(prev)
 	return s, nil
 }
 

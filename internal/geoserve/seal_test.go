@@ -9,7 +9,7 @@ import (
 
 // BenchmarkSeal seals the second snapshot of one test-scale churn pair
 // twice: from scratch, and against its predecessor, which reuses the
-// leaf of every group whose rows are unchanged.
+// leaf of every group the step touched no /24 in.
 func BenchmarkSeal(b *testing.B) {
 	p, prev := fixture(b)
 	ch, err := p.Churner(core.ServeOptions{}, 1)
@@ -20,7 +20,7 @@ func BenchmarkSeal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	next, _, err := p.ServeDelta(prev, step)
+	next, st, err := p.ServeDelta(prev, step)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -31,8 +31,8 @@ func BenchmarkSeal(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if d := geoserve.Seal(next, bc.prev); d != next.Digest() {
-					b.Fatalf("sealed to %.16s, want %.16s", d, next.Digest())
+				if d, err := geoserve.Seal(next, bc.prev, st.Touched); err != nil || d != next.Digest() {
+					b.Fatalf("sealed to %.16s (%v), want %.16s", d, err, next.Digest())
 				}
 			}
 		})

@@ -150,8 +150,10 @@ func Diff(old, new *geoserve.Snapshot, fromEpoch, toEpoch uint64) ([]byte, error
 		return appendBuild(b, nt.Build)
 	})
 	buf = appendMappers(buf, nt.Mappers)
-	// ASNs and footprints are tiny next to the answer tables; they
-	// always travel whole, so footprint drift never needs interval ops.
+	// ASNs and footprints travel whole every epoch, so footprint drift
+	// never needs interval ops. They are most of a delta's bytes: 48
+	// bytes per ASN per mapper, 298 KB of a 303 KB churn-step delta at
+	// scale 0.1.
 	buf = appendASNs(buf, nt.ASNs)
 	buf = appendFootprints(buf, nt.Footprints)
 
@@ -241,9 +243,10 @@ type deltaOp struct {
 // digest must equal the delta's from-digest, and the reassembled
 // snapshot's recomputed digest must equal the to-digest trailer — an
 // applied delta can never yield a snapshot the builder did not
-// publish. That digest reuses base's leaf hashes only for the groups
-// whose rows compare byte-equal to base's. The result retains neither
-// data nor base's memory.
+// publish. Every row outside the ops' /24s is base's, so the digest
+// reuses base's leaf hash, and skips the record checks, for each leaf
+// group no op lies in (see geoserve.FromTables). The result retains
+// neither data nor base's memory.
 func Apply(base *geoserve.Snapshot, data []byte) (*geoserve.Snapshot, DeltaInfo, error) {
 	info := DeltaInfo{SizeBytes: int64(len(data))}
 	d, version, err := openEnvelope(data, deltaMagic, DeltaFormatVersion)
@@ -311,7 +314,11 @@ func Apply(base *geoserve.Snapshot, data []byte) (*geoserve.Snapshot, DeltaInfo,
 		return nil, info, err
 	}
 	nt.Build, nt.Mappers, nt.ASNs, nt.Footprints = info.Build, mappers, asns, footprints
-	snap, err := assemble(nt, info.ToDigest, base)
+	keys := make([]uint32, len(ops))
+	for i, op := range ops {
+		keys[i] = op.key
+	}
+	snap, err := assemble(nt, info.ToDigest, base, keys)
 	return snap, info, err
 }
 
@@ -394,8 +401,9 @@ func decodeOps(d *decoder, nMappers int) ([]deltaOp, error) {
 // such /24). A target slab is the list of those record runs, prefix
 // runs first and exact runs after; bytes.Join sizes the slab from them
 // and writes every row once, with no zeroing or side buffer before it.
-// The records themselves are only checked afterwards, by
-// geoserve.FromTables.
+// The records are only checked afterwards, by geoserve.FromTables, and
+// only in the leaf groups the ops touch: base's rows passed those
+// checks when base was sealed.
 func applyOps(base geoserve.Tables, ops []deltaOp) (geoserve.Tables, error) {
 	nbp := len(base.Prefixes)
 	putIPs := 0

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"geonet/internal/analysis"
@@ -79,7 +80,7 @@ func buildWorld(tb testing.TB, seed int64, keys []uint32, salts map[uint32]int64
 		}
 		c.Footprints = append(c.Footprints, fps)
 	}
-	snap, err := geoserve.FromTables(c, nil)
+	snap, err := geoserve.FromTables(c, nil, nil)
 	if err != nil {
 		tb.Fatalf("FromTables: %v", err)
 	}
@@ -207,7 +208,7 @@ func TestDiffRejectsMapperMismatch(t *testing.T) {
 	other := makeSnapshot(t, 4, 8, 4)
 	c := other.Tables()
 	c.Mappers = []string{"alpha", "gamma"}
-	renamed, err := geoserve.FromTables(c, nil)
+	renamed, err := geoserve.FromTables(c, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,13 +339,17 @@ func TestApplyRejectsForgedToDigest(t *testing.T) {
 	}
 }
 
-// TestIncrementalDigestProvesEquality pins that a leaf is reused only
-// where the rows are proven unchanged, never where they are merely
-// expected to be: one flipped byte in a group no churn touched changes
-// the digest computed against the predecessor exactly as it changes the
-// one computed from scratch, and a delta that smuggles that byte in
-// under the honest target's digest fails.
-func TestIncrementalDigestProvesEquality(t *testing.T) {
+// TestIncrementalDigestRehashesTouched pins what a digest computed
+// against a predecessor trusts and what it checks. It trusts that every
+// row outside the touched /24s is the predecessor's, and hashes the
+// rest: one flipped byte in a group no churn changed, with its /24
+// listed in touched, gives the digest and the leaves a from-scratch
+// seal gives. It checks the keys a reused leaf rests on: a touched set
+// that omits a /24 whose keys changed is refused, never sealed to a
+// wrong leaf, and so is a predecessor with other mappers. And Apply's
+// touched set is its own op keys, so a delta that smuggles the flipped
+// byte in under the honest target's digest fails ErrCorrupt.
+func TestIncrementalDigestRehashesTouched(t *testing.T) {
 	keys := worldKeys(64) // four leaf groups of 16 /24s
 	old := buildWorld(t, 1, keys, nil)
 	new := buildWorld(t, 1, keys, map[uint32]int64{keys[3]: 9}) // only the first group changes
@@ -355,17 +360,40 @@ func TestIncrementalDigestProvesEquality(t *testing.T) {
 	tabs := new.Tables()
 	tabs.Records = [][]byte{bytes.Clone(tabs.Records[0]), bytes.Clone(tabs.Records[1])}
 	tabs.Records[1][50*geoserve.RecordSize] ^= 1 // keys[50]'s prefix row, in the last group
-	flipped, err := geoserve.FromTables(tabs, old)
+	flipped, err := geoserve.FromTables(tabs, old, []uint32{keys[3], keys[50]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := geoserve.FromTables(tabs, nil)
+	scratch, err := geoserve.FromTables(tabs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flipped.Digest() == new.Digest() || flipped.Digest() != scratch.Digest() {
+	if flipped.Digest() == new.Digest() || flipped.Digest() != scratch.Digest() || !slices.Equal(flipped.Leaves(), scratch.Leaves()) {
 		t.Fatalf("flipped row: digest against the predecessor %.16s, from scratch %.16s, unflipped %.16s",
 			flipped.Digest(), scratch.Digest(), new.Digest())
+	}
+
+	holed := slices.Delete(slices.Clone(keys), 40, 41) // keys[40] is in the third group
+	for _, c := range []struct {
+		name     string
+		from, to []uint32
+		touched  []uint32
+	}{
+		{"a /24 left an untouched group", keys, holed, []uint32{keys[3]}},
+		{"a /24 joined an untouched group", holed, keys, nil},
+		{"a new group holds no touched /24", keys, append(slices.Clone(keys), keys[63]+1<<8), nil},
+	} {
+		from, to := buildWorld(t, 1, c.from, nil), buildWorld(t, 1, c.to, nil)
+		_, err := geoserve.FromTables(to.Tables(), from, c.touched)
+		if err == nil || !strings.Contains(err.Error(), "touched") {
+			t.Errorf("%s: sealed against the predecessor with touched %v: err %v, want the key guard's", c.name, c.touched, err)
+		}
+	}
+
+	renamed := new.Tables()
+	renamed.Mappers = []string{"alpha", "gamma"}
+	if _, err := geoserve.FromTables(renamed, old, []uint32{keys[3]}); err == nil {
+		t.Error("sealed against a predecessor with other mappers")
 	}
 
 	delta, err := Diff(old, flipped, 1, 2)

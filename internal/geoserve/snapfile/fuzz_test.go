@@ -161,7 +161,9 @@ func fuzzDeltaBase(tb testing.TB) *geoserve.Snapshot {
 // the record checks behind the hash. The properties: Apply never
 // panics, every failure is one of the package's typed errors, no
 // snapshot comes back beside an error, and a success always hashes to
-// the to-digest the delta's trailer names, serves its own tables
+// the to-digest the delta's trailer names, passes FromTables from
+// scratch with the same digest and leaves (the oracle for the leaves
+// and record checks Apply took from base), serves its own tables
 // (checkLookups) and renders (checkRenders). One seed is a valid delta
 // with a resealed +Inf header scale.
 func FuzzSnapdeltaApply(f *testing.F) {
@@ -208,6 +210,14 @@ func FuzzSnapdeltaApply(f *testing.F) {
 			trailer := hex.EncodeToString(data[len(data)-64 : len(data)-32])
 			if snap.Digest() != trailer || info.ToDigest != trailer {
 				t.Fatalf("applied digest %s, info %s, trailer %s", snap.Digest(), info.ToDigest, trailer)
+			}
+			scratch, err := geoserve.FromTables(snap.Tables(), nil, nil)
+			if err != nil {
+				t.Fatalf("applied, but its tables fail from scratch: %v", err)
+			}
+			if scratch.Digest() != snap.Digest() || !slices.Equal(scratch.Leaves(), snap.Leaves()) {
+				t.Fatalf("applied digest %.16s, from scratch %.16s (leaves equal: %v)",
+					snap.Digest(), scratch.Digest(), slices.Equal(scratch.Leaves(), snap.Leaves()))
 			}
 			checkLookups(t, snap)
 			checkRenders(t, snap)

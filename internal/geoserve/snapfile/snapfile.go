@@ -257,7 +257,7 @@ func Decode(data []byte) (*geoserve.Snapshot, FileInfo, error) {
 	if err := closeEnvelope(data, d); err != nil {
 		return nil, info, err
 	}
-	snap, err := assemble(t, trailerDigest(data), nil)
+	snap, err := assemble(t, trailerDigest(data), nil, nil)
 	if err != nil {
 		return nil, info, err
 	}
@@ -302,10 +302,11 @@ func closeEnvelope(data []byte, d *decoder) error {
 // and the content digest it recomputes must equal the one the file's
 // trailer names, so a loaded snapshot can never carry a digest its
 // content does not hash to. base is the snapshot a delta applies to
-// (nil for a file): the digest reuses its leaf hashes only where the
-// rows compare byte-equal.
-func assemble(t geoserve.Tables, wantDigest string, base *geoserve.Snapshot) (*geoserve.Snapshot, error) {
-	snap, err := geoserve.FromTables(t, base)
+// (nil for a file) and touched the /24s the delta's ops replaced or
+// removed: every other row was copied from base, so the digest reuses
+// base's leaf where a group holds none of them.
+func assemble(t geoserve.Tables, wantDigest string, base *geoserve.Snapshot, touched []uint32) (*geoserve.Snapshot, error) {
+	snap, err := geoserve.FromTables(t, base, touched)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}

@@ -1,15 +1,16 @@
 package geoserve
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"math"
 	"slices"
 
 	"geonet/internal/analysis"
+	"geonet/internal/parallel"
 )
 
 // method codes index methodNames; they are the compact stored form of
@@ -261,13 +262,6 @@ func (w *hashWriter) u32(v uint32) {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
 }
 
-func (w *hashWriter) u64(v uint64) {
-	w.grow(8)
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-
-func (w *hashWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-
 // u32s emits the same bytes as calling u32 per element, chunked
 // through the buffer.
 func (w *hashWriter) u32s(vs []uint32) {
@@ -365,28 +359,18 @@ func (s *Snapshot) exactRecs(m int, g group) []byte {
 	return s.records[m][(np+g.iLo)*RecordSize : (np+g.iHi)*RecordSize]
 }
 
-// sameRows reports whether group g of s and group pg of prev hold
-// byte-identical rows: the same /24s, the same exact addresses and the
-// same records under every mapper.
-func sameRows(s *Snapshot, g group, prev *Snapshot, pg group) bool {
-	if len(s.records) != len(prev.records) ||
-		!slices.Equal(s.prefixes[g.pLo:g.pHi], prev.prefixes[pg.pLo:pg.pHi]) ||
-		!slices.Equal(s.ips[g.iLo:g.iHi], prev.ips[pg.iLo:pg.iHi]) {
-		return false
-	}
-	for m := range s.records {
-		if !bytes.Equal(s.prefixRecs(m, g), prev.prefixRecs(m, pg)) ||
-			!bytes.Equal(s.exactRecs(m, g), prev.exactRecs(m, pg)) {
-			return false
-		}
-	}
-	return true
+// sameKeys reports whether group g of s and group pg of prev hold the
+// same /24s and the same exact addresses.
+func sameKeys(s *Snapshot, g group, prev *Snapshot, pg group) bool {
+	return slices.Equal(s.prefixes[g.pLo:g.pHi], prev.prefixes[pg.pLo:pg.pHi]) &&
+		slices.Equal(s.ips[g.iLo:g.iHi], prev.ips[pg.iLo:pg.iHi])
 }
 
 // seal computes the content digest and the epoch tag, and builds the
 // directory unless the snapshot already shares one (CompileDelta over
-// an unchanged index). Every constructor of a Snapshot ends here, so
-// none serves without a directory and no lookup ever builds one.
+// an unchanged index) while the leaves hash. Every constructor of a
+// Snapshot ends here, so none serves without a directory and no lookup
+// ever builds one.
 //
 // The digest is two-level. Each leaf group (one /20, see LeafBase)
 // holding a row gets a leaf: a SHA-256 over its /24s and exact
@@ -394,22 +378,50 @@ func sameRows(s *Snapshot, g group, prev *Snapshot, pg group) bool {
 // records of its prefix rows then of its exact rows. The root is a
 // SHA-256 over the mapper names, the row counts, every leaf's base and
 // hash, the ASNs and the footprints; BuildInfo is deliberately
-// excluded (see Digest). prev, when non-nil, is the snapshot s was
-// derived from: a group whose rows bytes.Equal proves identical to the
-// same group's rows in prev takes prev's leaf instead of hashing them
-// again. prev's leaves were computed by its own seal, never read from
-// outside bytes, so a reused leaf is exactly what hashing would give.
-func (s *Snapshot) seal(prev *Snapshot) {
-	if s.dir == nil {
-		s.dir = buildDirectory(s.prefixes, s.ips)
-	}
-	w := &hashWriter{h: sha256.New(), buf: make([]byte, 0, 1<<16)}
+// excluded (see Digest).
+//
+// prev, when non-nil, is the snapshot s was derived from, and touched
+// lists (in any order) the /24 bases whose rows may differ from prev's.
+// A group in which no touched /24 lies takes prev's leaf instead of
+// being hashed, so an epoch hashes what it changed. That rests on the
+// deriver's contract — every row outside a touched /24 is prev's row
+// at the same key, copied verbatim — which CompileDelta and
+// snapfile.Apply meet by construction. seal checks the keys half of it
+// cheaply: such a group's keys must equal those of prev's group at the
+// same base, so a touched set that misses a changed key is an error,
+// never a wrong leaf. prev's leaves were computed by its own seal,
+// never read from outside bytes. seal returns the groups it hashed.
+func (s *Snapshot) seal(prev *Snapshot, touched []uint32) ([]group, error) {
+	var (
+		hashed []group
+		err    error
+	)
+	parallel.Do(func() {
+		if s.dir == nil {
+			s.dir = buildDirectory(s.prefixes, s.ips)
+		}
+	}, func() { hashed, err = s.hash(prev, touched) })
+	return hashed, err
+}
+
+// hash sets the leaves, the digest and the tag for seal.
+func (s *Snapshot) hash(prev *Snapshot, touched []uint32) ([]group, error) {
 	gs := groups(s.prefixes, s.ips)
 	var pgs []group // prev's groups, one per leaf of prev
+	var bases []uint32
 	if prev != nil {
+		if !slices.Equal(s.mappers, prev.mappers) {
+			return nil, fmt.Errorf("geoserve: mappers %q, previous snapshot has %q", s.mappers, prev.mappers)
+		}
 		pgs = groups(prev.prefixes, prev.ips)
+		for _, t := range touched {
+			bases = append(bases, LeafBase(t))
+		}
+		slices.Sort(bases)
 	}
+	w := &hashWriter{h: sha256.New(), buf: make([]byte, 0, 1<<16)}
 	s.leaves = make([]Leaf, len(gs))
+	var hashed []group
 	k := 0
 	for i, g := range gs {
 		leaf := &s.leaves[i]
@@ -417,10 +429,14 @@ func (s *Snapshot) seal(prev *Snapshot) {
 		for k < len(pgs) && pgs[k].base < g.base {
 			k++
 		}
-		if k < len(pgs) && pgs[k].base == g.base && sameRows(s, g, prev, pgs[k]) {
+		if _, hit := slices.BinarySearch(bases, g.base); prev != nil && !hit {
+			if k == len(pgs) || pgs[k].base != g.base || !sameKeys(s, g, prev, pgs[k]) {
+				return nil, fmt.Errorf("geoserve: leaf group %s holds no touched /24 but its keys differ from the previous snapshot's", FormatIPv4(g.base))
+			}
 			leaf.Sum = prev.leaves[k].Sum
 			continue
 		}
+		hashed = append(hashed, g)
 		w.h.Reset()
 		w.u32(uint32(g.pHi - g.pLo))
 		w.u32s(s.prefixes[g.pLo:g.pHi])
@@ -452,21 +468,25 @@ func (s *Snapshot) seal(prev *Snapshot) {
 	for _, asn := range s.asns {
 		w.u32(uint32(asn))
 	}
+	// A footprint row is 48 bytes: four u32 counts, then four f64s.
+	le := binary.LittleEndian
 	for m := range s.mappers {
 		for i := range s.footprints[m] {
 			fp := &s.footprints[m][i]
-			w.u32(uint32(fp.ASN))
-			w.u32(uint32(fp.Interfaces))
-			w.u32(uint32(fp.Locations))
-			w.u32(uint32(fp.Degree))
-			w.f64(fp.Centroid.Lat)
-			w.f64(fp.Centroid.Lon)
-			w.f64(fp.AreaSqMi)
-			w.f64(fp.RadiusMi)
+			w.grow(48)
+			b := le.AppendUint32(w.buf, uint32(fp.ASN))
+			b = le.AppendUint32(b, uint32(fp.Interfaces))
+			b = le.AppendUint32(b, uint32(fp.Locations))
+			b = le.AppendUint32(b, uint32(fp.Degree))
+			b = le.AppendUint64(b, math.Float64bits(fp.Centroid.Lat))
+			b = le.AppendUint64(b, math.Float64bits(fp.Centroid.Lon))
+			b = le.AppendUint64(b, math.Float64bits(fp.AreaSqMi))
+			w.buf = le.AppendUint64(b, math.Float64bits(fp.RadiusMi))
 		}
 	}
 	w.flush()
 	sum := w.h.Sum(nil)
 	s.digest = hex.EncodeToString(sum)
 	s.tag = binary.BigEndian.Uint64(sum)
+	return hashed, nil
 }
