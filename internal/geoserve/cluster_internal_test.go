@@ -25,16 +25,16 @@ import (
 // every third prefix, and per-mapper entries whose content varies by
 // index so distinct snapshots get distinct digests.
 func syntheticSnapshot(start uint32, nPrefixes, nMappers int, salt float64) *Snapshot {
-	s := &Snapshot{}
+	var s Tables
 	for m := 0; m < nMappers; m++ {
-		s.mappers = append(s.mappers, fmt.Sprintf("m%d", m))
+		s.Mappers = append(s.Mappers, fmt.Sprintf("m%d", m))
 	}
 	for i := 0; i < nPrefixes; i++ {
 		// Spaced, ascending, low byte zero.
-		s.prefixes = append(s.prefixes, start+uint32(i)*7*256)
+		s.Prefixes = append(s.Prefixes, start+uint32(i)*7*256)
 	}
 	for i := 0; i < nPrefixes; i += 3 {
-		s.ips = append(s.ips, s.prefixes[i]+1, s.prefixes[i]+200)
+		s.IPs = append(s.IPs, s.Prefixes[i]+1, s.Prefixes[i]+200)
 	}
 	put := func(rec []byte, m, i int, exact bool) {
 		a := Answer{
@@ -53,19 +53,22 @@ func syntheticSnapshot(start uint32, nPrefixes, nMappers int, salt float64) *Sna
 			panic(err)
 		}
 	}
-	s.footprints = make([][]analysis.ASFootprint, nMappers)
+	s.Footprints = make([][]analysis.ASFootprint, nMappers)
 	for m := 0; m < nMappers; m++ {
-		slab := make([]byte, (len(s.prefixes)+len(s.ips))*RecordSize)
-		for i := range s.prefixes {
+		slab := make([]byte, (len(s.Prefixes)+len(s.IPs))*RecordSize)
+		for i := range s.Prefixes {
 			put(slab[i*RecordSize:], m, i, false)
 		}
-		for i := range s.ips {
-			put(slab[(len(s.prefixes)+i)*RecordSize:], m, i, true)
+		for i := range s.IPs {
+			put(slab[(len(s.Prefixes)+i)*RecordSize:], m, i, true)
 		}
-		s.records = append(s.records, slab)
+		s.Records = append(s.Records, slab)
 	}
-	s.seal(nil, nil)
-	return s
+	snap, err := FromTables(s, nil, nil)
+	if err != nil {
+		panic(err)
+	}
+	return snap
 }
 
 // probeAddrs is a deterministic address set exercising every lookup

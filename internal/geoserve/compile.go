@@ -42,7 +42,9 @@ type NamedMapper struct {
 	Mapper geoloc.MethodMapper
 	// Footprints are the per-AS footprints answers under this mapper
 	// carry their confidence radius from — typically
-	// analysis.Footprints over the mapper's processed dataset.
+	// analysis.Footprints over the mapper's processed dataset — strictly
+	// ascending by ASN, as analysis.Footprints returns them. Compile
+	// refuses a list out of that order; it does not sort one.
 	Footprints []analysis.ASFootprint
 }
 
@@ -114,70 +116,89 @@ const (
 	opPatch
 )
 
+// rowAt is row r of group g's pages.
+type rowAt struct{ g, r int32 }
+
 // compile is the one compile path: prev nil compiles src from scratch,
 // and otherwise rows are classified against prev (see CompileDelta).
-// Each mapper's slab is prev's carried runs (every mapper's carried at
-// once), then the radius patches, then one parallel pass that
-// recomputes the remaining rows.
+// Only the groups holding a row that is not copied, or a key that
+// left, get new pages: prev's rows copied, then the radius patches,
+// then one parallel pass that recomputes the remaining rows. seal then
+// shares prev's pages for every group the compile did not touch.
 func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats, error) {
 	var st DeltaStats
 	s, err := skeleton(src)
 	if err != nil {
 		return nil, st, err
 	}
-	rows := len(s.prefixes) + len(s.ips)
-	ops := make([]uint8, rows)
-	var prevRow []int32
-	touched := map[uint32]struct{}{}
 	if prev != nil {
 		if !slices.Equal(s.mappers, prev.mappers) {
 			return nil, st, fmt.Errorf("geoserve: delta compile: mappers %q, previous snapshot has %q", s.mappers, prev.mappers)
 		}
 		// The common churn step moves answers, not the index: it then
-		// shares prev's index and the directory derived from it.
+		// shares prev's index, groups and directory.
 		if sameIndex(prev, s) {
-			s.prefixes, s.ips, s.dir = prev.prefixes, prev.ips, prev.dir
+			s.prefixes, s.ips, s.groups, s.dir = prev.prefixes, prev.ips, prev.groups, prev.dir
 		}
-		prevRow = classify(prev, s, dirty, ops, &st, touched)
 	}
+	if s.groups == nil {
+		s.groups = groups(s.prefixes, s.ips)
+	}
+	rows := len(s.prefixes) + len(s.ips)
+	ops := make([]uint8, rows)
+	build := s.holding(nil, nil)
+	var (
+		from  []int32
+		match []int
+	)
+	touched := map[uint32]struct{}{}
+	if prev != nil {
+		from, match, build = classify(prev, s, dirty, ops, &st, touched)
+	}
+	s.carve(build)
 
+	// Each new page takes prev's rows that stand, with the radius
+	// re-derived on each whose AS footprint changed (the one field a
+	// footprint change moves), and lists the rows to recompute. Every
+	// page written here is new; none is prev's.
+	var recomp []rowAt
+	for i, g := range s.groups {
+		at := g.pLo + g.iLo
+		for r := 0; build[i] && r < g.rows(); r++ {
+			op := ops[at+r]
+			if op == opRecompute {
+				recomp = append(recomp, rowAt{int32(i), int32(r)})
+				continue
+			}
+			for m := range s.mappers {
+				rec := s.page(m, i)[r*RecordSize:][:RecordSize]
+				copy(rec, prev.page(m, match[i])[int(from[at+r])*RecordSize:])
+				if op == opPatch {
+					fp, _ := s.Footprint(m, int(recordASN(rec)))
+					binary.LittleEndian.PutUint64(rec[recOffRadius:], math.Float64bits(fp.RadiusMi))
+				}
+			}
+		}
+	}
 	// The address each recomputed row is answered for: an exact row's
 	// own address, and per /24 a representative "generic host" address
 	// — the highest address in the block that is not a known interface,
 	// so the prefix-level answer reflects what the mapper says about an
 	// arbitrary, PTR-less host there (whois by range, EdgeScape feed by
 	// /24). Copied and patched rows keep prev's, which cannot have moved.
-	var recomp []int32
-	for row, op := range ops {
-		if op == opRecompute {
-			recomp = append(recomp, int32(row))
-		}
-	}
 	addrs := make([]uint32, len(recomp))
 	parallel.ForEach(len(recomp), func(k int) {
-		row := int(recomp[k])
-		if addrs[k] = s.rowKey(row); row < len(s.prefixes) {
+		g, r := s.groups[recomp[k].g], int(recomp[k].r)
+		if addrs[k] = s.key(g, r); r < g.prefixRows() {
 			addrs[k] = GenericHost(s.ips, addrs[k])
 		}
 	})
-
 	var firstErr compileErr
-	slabs := parallel.Map(len(src.Mappers), func(m int) []byte { return carry(prev, m, ops, prevRow) })
 	for m, nm := range src.Mappers {
-		slab := slabs[m]
-		for row, op := range ops {
-			if op == opPatch {
-				// The one field a footprint change moves; every other
-				// byte of the record stands.
-				fp, _ := s.Footprint(m, int(recordASN(slab[row*RecordSize:])))
-				binary.LittleEndian.PutUint64(slab[row*RecordSize+recOffRadius:], math.Float64bits(fp.RadiusMi))
-			}
-		}
 		parallel.ForEach(len(recomp), func(k int) {
-			row := int(recomp[k])
-			firstErr.set(compileRecord(slab[row*RecordSize:], s, m, nm.Mapper, src.Table, addrs[k], row >= len(s.prefixes)))
+			i, r := int(recomp[k].g), int(recomp[k].r)
+			firstErr.set(compileRecord(s.page(m, i)[r*RecordSize:], s, m, nm.Mapper, src.Table, addrs[k], r >= s.groups[i].prefixRows()))
 		})
-		s.records = append(s.records, slab)
 	}
 	if firstErr.err != nil {
 		return nil, st, firstErr.err
@@ -185,45 +206,57 @@ func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats,
 
 	// Stats + the touched set, against prev: a recompiled or patched row
 	// only counts as touched if its answers actually differ from prev's.
+	// Every row outside a new page was copied.
 	if prev != nil {
 		st.Rows = rows
-		for row, op := range ops {
-			switch op {
-			case opCopy:
-				st.Copied++
+		for i, g := range s.groups {
+			if !build[i] {
 				continue
-			case opPatch:
-				st.Patched++
-			case opRecompute:
-				st.Recompiled++
 			}
-			for m := range s.records {
-				if prevRow[row] < 0 || !bytes.Equal(s.record(m, row), prev.record(m, int(prevRow[row]))) {
-					touched[s.rowKey(row)&^0xff] = struct{}{}
-					break
+			at := g.pLo + g.iLo
+			for r := range g.rows() {
+				switch ops[at+r] {
+				case opCopy:
+					continue
+				case opPatch:
+					st.Patched++
+				case opRecompute:
+					st.Recompiled++
+				}
+				for m := range s.mappers {
+					f := int(from[at+r])
+					if f < 0 || !bytes.Equal(s.page(m, i)[r*RecordSize:][:RecordSize], prev.page(m, match[i])[f*RecordSize:][:RecordSize]) {
+						touched[s.key(g, r)&^0xff] = struct{}{}
+						break
+					}
 				}
 			}
 		}
+		st.Copied = rows - st.Patched - st.Recompiled
 		st.Touched = slices.Sorted(maps.Keys(touched))
 	}
 
 	// Identity is content identity: the digest covers every table. A
 	// row outside Touched was copied from prev or recomputed to prev's
-	// bytes (the compare above), so the leaf of every group Touched
-	// misses is prev's, and seal reuses it.
+	// bytes (the compare above), so every group Touched misses is
+	// prev's, and seal shares its pages and leaf.
 	if _, err := s.seal(prev, st.Touched); err != nil {
 		return nil, st, err
 	}
 	return s, st, nil
 }
 
-// classify gives each row of s its op against prev and returns, per
-// row, the prev row it came from (-1 for a key new to the index, whose
-// op stays opRecompute). A kept row recomputes under a dirty /24, is
-// patched when its AS's footprint changed under any mapper, and is
-// copied otherwise. Deleted prev keys land in touched: their
-// interval's answers no longer exist.
-func classify(prev, s *Snapshot, dirty []uint32, ops []uint8, st *DeltaStats, touched map[uint32]struct{}) []int32 {
+// classify gives each row of s its op against prev, in ops, and
+// returns per row the row of prev's group at the same base that holds
+// its key (-1 for a key new to the index, whose op stays opRecompute),
+// per group of s prev's group at its base (-1 for none), and the groups
+// that need new pages: those holding a row that is not copied or a key
+// that left. A kept row recomputes under a dirty /24, is patched when
+// its AS's footprint changed under any mapper, and is copied otherwise.
+// Deleted prev keys land in touched: their interval's answers no
+// longer exist. ops and from are in page order: group after group,
+// each group's rows as its pages hold them.
+func classify(prev, s *Snapshot, dirty []uint32, ops []uint8, st *DeltaStats, touched map[uint32]struct{}) (from []int32, match []int, build []bool) {
 	// The ASNs whose footprint changed under any mapper since prev:
 	// merge prev.asns against s.asns; an ASN present on only one side,
 	// or whose footprint differs under any mapper, changed.
@@ -270,69 +303,83 @@ func classify(prev, s *Snapshot, dirty []uint32, ops []uint8, st *DeltaStats, to
 	slices.Sort(dirtyBases)
 	dirtyBases = slices.Compact(dirtyBases)
 
-	// merge walks one of prev's sorted key tables against its successor
-	// (the key tables sit at prevOff and newOff in their slabs).
-	prevRow := make([]int32, len(ops))
-	merge := func(prevKeys, newKeys []uint32, prevOff, newOff int) {
-		j := 0
-		d := 0 // the keys ascend, so their /24s walk dirtyBases once
-		for i, k := range newKeys {
-			for ; j < len(prevKeys) && prevKeys[j] < k; j++ {
-				st.Deleted++
-				touched[prevKeys[j]&^0xff] = struct{}{}
-			}
-			row := newOff + i
-			if j < len(prevKeys) && prevKeys[j] == k {
-				prevRow[row] = int32(prevOff + j)
-				for d < len(dirtyBases) && dirtyBases[d] < k&^0xff {
-					d++
-				}
-				if d == len(dirtyBases) || dirtyBases[d] != k&^0xff {
-					ops[row] = opCopy
-					if changedASN[recordASN(prev.record(0, prevOff+j))] {
-						ops[row] = opPatch
-					}
-				}
-				j++
-			} else {
-				prevRow[row] = -1
-			}
-		}
-		for ; j < len(prevKeys); j++ {
-			st.Deleted++
-			touched[prevKeys[j]&^0xff] = struct{}{}
+	from = make([]int32, len(ops))
+	match = make([]int, len(s.groups))
+	build = make([]bool, len(s.groups))
+	gone := func(keys []uint32) {
+		st.Deleted += len(keys)
+		for _, k := range keys {
+			touched[k&^0xff] = struct{}{}
 		}
 	}
-	merge(prev.prefixes, s.prefixes, 0, 0)
-	merge(prev.ips, s.ips, len(prev.prefixes), len(s.prefixes))
-	return prevRow
-}
-
-// carry lays out mapper m's new slab before any row is recomputed.
-// With no previous snapshot it is a zeroed slab. Otherwise it is runs
-// of rows carried over from consecutive prev rows, with a placeholder
-// record for each row to recompute; bytes.Join writes each row once
-// into a slab no zeroing pass touched first.
-func carry(prev *Snapshot, m int, ops []uint8, prevRow []int32) []byte {
-	if prev == nil {
-		return make([]byte, len(ops)*RecordSize)
+	goneGroup := func(pg group) {
+		gone(prev.prefixes[pg.pLo:pg.pHi])
+		gone(prev.ips[pg.iLo:pg.iHi])
 	}
-	var placeholder [RecordSize]byte
-	var runs [][]byte
-	for row := 0; row < len(ops); {
-		if ops[row] == opRecompute {
-			runs = append(runs, placeholder[:])
-			row++
+	k, d := 0, 0 // the groups ascend, so they walk prev's groups and dirtyBases once
+	for i, g := range s.groups {
+		for ; k < len(prev.groups) && prev.groups[k].base < g.base; k++ {
+			goneGroup(prev.groups[k])
+		}
+		at := g.pLo + g.iLo
+		if k == len(prev.groups) || prev.groups[k].base != g.base {
+			match[i], build[i] = -1, true
+			for r := range g.rows() {
+				from[at+r] = -1
+			}
 			continue
 		}
-		end := row + 1
-		for end < len(ops) && ops[end] != opRecompute && prevRow[end] == prevRow[end-1]+1 {
-			end++
+		pg := prev.groups[k]
+		match[i] = k
+		k++
+		for d < len(dirtyBases) && dirtyBases[d] < g.base {
+			d++
 		}
-		runs = append(runs, prev.records[m][int(prevRow[row])*RecordSize:int(prevRow[end-1]+1)*RecordSize])
-		row = end
+		e := d
+		for e < len(dirtyBases) && leafBase(dirtyBases[e]) == g.base {
+			e++
+		}
+		// merge walks one of the group's key tables against prev's (they
+		// start at rows off and prevOff of their pages).
+		merge := func(keys, prevKeys []uint32, off, prevOff int) {
+			j := 0
+			for n, key := range keys {
+				j0 := j
+				for j < len(prevKeys) && prevKeys[j] < key {
+					j++
+				}
+				if j > j0 {
+					gone(prevKeys[j0:j])
+					build[i] = true
+				}
+				row := at + off + n
+				if j == len(prevKeys) || prevKeys[j] != key {
+					from[row], build[i] = -1, true
+					continue
+				}
+				from[row] = int32(prevOff + j)
+				switch {
+				case slices.Contains(dirtyBases[d:e], key&^0xff):
+					build[i] = true
+				case changedASN[recordASN(prev.page(0, k-1)[(prevOff+j)*RecordSize:])]:
+					ops[row], build[i] = opPatch, true
+				default:
+					ops[row] = opCopy
+				}
+				j++
+			}
+			if j < len(prevKeys) {
+				gone(prevKeys[j:])
+				build[i] = true
+			}
+		}
+		merge(s.prefixes[g.pLo:g.pHi], prev.prefixes[pg.pLo:pg.pHi], 0, 0)
+		merge(s.ips[g.iLo:g.iHi], prev.ips[pg.iLo:pg.iHi], g.prefixRows(), pg.prefixRows())
 	}
-	return bytes.Join(runs, nil)
+	for ; k < len(prev.groups); k++ {
+		goneGroup(prev.groups[k])
+	}
+	return from, match, build
 }
 
 // skeleton builds everything of src's snapshot that no mapper answer
@@ -340,7 +387,8 @@ func carry(prev *Snapshot, m int, ops []uint8, prevRow []int32) []byte {
 // the footprint tables, the union of every mapper's ASNs with a zero
 // row where a mapper has none. check then holds them to the rules
 // FromTables holds outside bytes to; what only a Source can get wrong
-// is checked here: an empty address set, a nil table, a nil mapper.
+// is checked here: an empty address set, a nil table, a nil mapper, a
+// mapper's footprints out of ascending ASN order.
 func skeleton(src Source) (*Snapshot, error) {
 	switch {
 	case len(src.Prefixes) == 0 || len(src.IPs) == 0:
@@ -354,17 +402,40 @@ func skeleton(src Source) (*Snapshot, error) {
 			return nil, fmt.Errorf("geoserve: nil mapper")
 		}
 		s.mappers = append(s.mappers, nm.Mapper.Name())
-		for _, fp := range nm.Footprints {
-			s.asns = append(s.asns, int32(fp.ASN))
+		for i, fp := range nm.Footprints {
+			if fp.ASN <= 0 || fp.ASN > math.MaxInt32 || i > 0 && fp.ASN <= nm.Footprints[i-1].ASN {
+				return nil, fmt.Errorf("geoserve: mapper %q footprint %d (AS%d) is not a positive int32 ASN above its predecessor's", nm.Mapper.Name(), i, fp.ASN)
+			}
 		}
 	}
-	slices.Sort(s.asns)
-	s.asns = slices.Compact(s.asns)
+	// Each mapper's rows ascend, so one merge of all of them yields the
+	// union, and a walk per mapper then places its rows.
+	cur := make([]int, len(src.Mappers))
+	for {
+		least := math.MaxInt
+		for m, nm := range src.Mappers {
+			if c := cur[m]; c < len(nm.Footprints) {
+				least = min(least, nm.Footprints[c].ASN)
+			}
+		}
+		if least == math.MaxInt {
+			break
+		}
+		s.asns = append(s.asns, int32(least))
+		for m, nm := range src.Mappers {
+			if c := cur[m]; c < len(nm.Footprints) && nm.Footprints[c].ASN == least {
+				cur[m]++
+			}
+		}
+	}
 	s.footprints = make([][]analysis.ASFootprint, len(src.Mappers))
 	for m, nm := range src.Mappers {
 		s.footprints[m] = make([]analysis.ASFootprint, len(s.asns))
+		i := 0
 		for _, fp := range nm.Footprints {
-			i, _ := slices.BinarySearch(s.asns, int32(fp.ASN))
+			for s.asns[i] != int32(fp.ASN) {
+				i++
+			}
 			s.footprints[m][i] = fp
 		}
 	}

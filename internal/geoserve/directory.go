@@ -4,46 +4,53 @@ import "math/bits"
 
 // directory locates an address's answer row in constant time: l1 maps
 // the address's /16 to a block, the block maps its /24 to a slot, and
-// the slot holds the /24's prefix row, the row of its first exact
-// address and a bitmap of which hosts are exact. A lookup is three
-// dependent loads and, on an exact hit, a popcount.
+// the slot names the /24's leaf group and the rows of the group's pages
+// that hold the /24's prefix row and its first exact address, with a
+// bitmap of which hosts are exact. A lookup is three dependent loads
+// and, on an exact hit, a popcount; the record is then one more load
+// for the page and one for its bytes (Snapshot.record).
 //
 // Block 0 and slot 0 are shared by everything absent — a /16 with no
 // entry points at block 0, whose every /24 points at slot 0, which has
 // no prefix row and no exact hosts — so a miss walks the same three
 // loads as a hit and no level branches.
 //
-// The directory is derived from prefixes and ips alone (it is not
-// content: the digest and both file formats never see it), and the collector scans none of it: blocks and slots hold no
-// pointers and l1 lies after the last pointer of its struct. Its size
-// is bounded whatever the tables hold: 256 KB of l1, 1 KB per distinct
-// /16 (at most 64 MB) and one 40-byte slot per distinct /24
-// (TestDirectoryBound).
+// The directory is derived from the index alone (it is not content:
+// the digest and both file formats never see it), and the collector
+// scans none of it: blocks and slots hold no pointers and l1 lies
+// after the last pointer of its struct. Its size is bounded whatever
+// the tables hold: 256 KB of l1, 1 KB per distinct /16 (at most 64 MB)
+// and one 40-byte slot per distinct /24 (TestDirectoryBound).
 type directory struct {
 	blocks [][256]uint32
 	slots  []dirSlot
 	l1     [1 << 16]uint32
 }
 
-// dirSlot is what the directory knows about one /24.
+// dirSlot is what the directory knows about one /24, in 40 bytes. A
+// row number is a row of the group's pages: a group is one /20, so it
+// holds at most 16 prefix rows and 4 096 exact rows, and both fit 16
+// bits.
 type dirSlot struct {
-	// prefixRow is the /24's row in every slab, -1 when the /24 is not
-	// allocated (it is here only for its exact addresses).
-	prefixRow int32
-	// exactRow is the slab row of the /24's lowest exact address; its
-	// other exact addresses follow in host order.
-	exactRow int32
+	// group is the index of the /24's leaf group.
+	group uint32
+	// prefix is the /24's prefix row, -1 when the /24 is not allocated
+	// (it is here only for its exact addresses).
+	prefix int16
+	// exact is the row of the /24's lowest exact address; its other
+	// exact addresses follow in host order.
+	exact uint16
 	// hosts has bit h set when host h of the /24 is an exact address.
 	hosts [4]uint64
 }
 
 // buildDirectory derives the directory of the ascending tables
-// prefixes (/24-aligned) and ips. Rows are int32: FromTables refuses
-// tables with more. It numbers the occupied /16s, then the /24s — the
-// allocated ones in prefix order, then those that only hold exact
-// addresses — before it allocates, so blocks and slots are exactly the
-// stated size with no append slack.
-func buildDirectory(prefixes, ips []uint32) *directory {
+// prefixes (/24-aligned) and ips, split into the groups gs. It numbers
+// the occupied /16s, then the /24s — the allocated ones in prefix
+// order, then those that only hold exact addresses — before it
+// allocates, so blocks and slots are exactly the stated size with no
+// append slack.
+func buildDirectory(prefixes, ips []uint32, gs []group) *directory {
 	d := &directory{}
 	blocks := uint32(1)
 	for _, table := range [][]uint32{prefixes, ips} {
@@ -67,34 +74,37 @@ func buildDirectory(prefixes, ips []uint32) *directory {
 	}
 	d.slots = make([]dirSlot, slots)
 	for i := range d.slots {
-		d.slots[i].prefixRow = -1
+		d.slots[i].prefix = -1
 	}
-	for i := range prefixes {
-		d.slots[1+i].prefixRow = int32(i)
-	}
-	for i, ip := range ips {
-		sl := &d.slots[d.blocks[d.l1[ip>>16]][ip>>8&0xff]]
-		if sl.hosts == [4]uint64{} {
-			sl.exactRow = int32(len(prefixes) + i)
+	for gi, g := range gs {
+		for i := g.pLo; i < g.pHi; i++ {
+			d.slots[1+i].group, d.slots[1+i].prefix = uint32(gi), int16(i-g.pLo)
 		}
-		sl.hosts[ip>>6&3] |= 1 << (ip & 63)
+		for i := g.iLo; i < g.iHi; i++ {
+			ip := ips[i]
+			sl := &d.slots[d.blocks[d.l1[ip>>16]][ip>>8&0xff]]
+			if sl.hosts == [4]uint64{} {
+				sl.group, sl.exact = uint32(gi), uint16(g.prefixRows()+i-g.iLo)
+			}
+			sl.hosts[ip>>6&3] |= 1 << (ip & 63)
+		}
 	}
 	return d
 }
 
-// row locates ip's answer row in every mapper's slab: its exact row
-// when ip is a known interface address (the row of its /24's first
-// exact address plus the number of exact hosts below it), else its
-// /24's prefix row, else -1 (a miss).
-func (d *directory) row(ip uint32) int {
+// row locates ip's answer row: its group, and its row in the group's
+// pages — its exact row when ip is a known interface address (the row
+// of its /24's first exact address plus the number of exact hosts
+// below it), else its /24's prefix row, else -1 (a miss).
+func (d *directory) row(ip uint32) (group, row int) {
 	sl := &d.slots[d.blocks[d.l1[ip>>16]][ip>>8&0xff]]
 	w, bit := ip>>6&3, ip&63
 	if sl.hosts[w]>>bit&1 == 0 {
-		return int(sl.prefixRow)
+		return int(sl.group), int(sl.prefix)
 	}
 	rank := bits.OnesCount64(sl.hosts[w] & (1<<bit - 1))
 	for _, word := range sl.hosts[:w] {
 		rank += bits.OnesCount64(word)
 	}
-	return int(sl.exactRow) + rank
+	return int(sl.group), int(sl.exact) + rank
 }

@@ -1,6 +1,7 @@
 package geoserve
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -29,7 +30,15 @@ func searchRow(s *Snapshot, ip uint32) int {
 func CheckDirectory(tb testing.TB, s *Snapshot) {
 	tb.Helper()
 	probe := func(ip uint32) {
-		if got, want := s.lookupRow(ip), searchRow(s, ip); got != want {
+		// The directory's (group, page row) as a row of Tables' slab.
+		got := -1
+		if gi, r := s.dir.row(ip); r >= 0 {
+			g := s.groups[gi]
+			if got = g.pLo + r; r >= g.prefixRows() {
+				got = len(s.prefixes) + g.iLo + r - g.prefixRows()
+			}
+		}
+		if want := searchRow(s, ip); got != want {
 			tb.Fatalf("%s: directory row %d, binary search row %d (%d /24s, %d exact)",
 				FormatIPv4(ip), got, want, len(s.prefixes), len(s.ips))
 		}
@@ -66,8 +75,25 @@ func DirectorySize(s *Snapshot) (blocks, slots, bytes int) {
 // the /24s touched since it (prev nil: from scratch): the seal every
 // constructor ends with, on its own.
 func Seal(s, prev *Snapshot, touched []uint32) (string, error) {
-	c := &Snapshot{mappers: s.mappers, prefixes: s.prefixes, ips: s.ips,
-		records: s.records, asns: s.asns, footprints: s.footprints, dir: s.dir}
+	c := &Snapshot{mappers: s.mappers, prefixes: s.prefixes, ips: s.ips, groups: s.groups,
+		pages: slices.Clone(s.pages), asns: s.asns, footprints: s.footprints, dir: s.dir}
 	_, err := c.seal(prev, touched)
 	return c.digest, err
+}
+
+// SharedPages reports, per leaf of b in order, whether b holds a's
+// pages for that group under every mapper: the same memory, not just
+// equal bytes.
+func SharedPages(a, b *Snapshot) []bool {
+	nm := len(b.mappers)
+	out := make([]bool, len(b.groups))
+	for i, g := range b.groups {
+		k, ok := a.groupAt(g.base)
+		out[i] = ok && len(a.mappers) == nm
+		for m := 0; out[i] && m < nm; m++ {
+			pa, pb := a.page(m, k), b.page(m, i)
+			out[i] = len(pa) == len(pb) && unsafe.SliceData(pa) == unsafe.SliceData(pb)
+		}
+	}
+	return out
 }

@@ -411,6 +411,11 @@ func TestCompileRejectsBadSource(t *testing.T) {
 		{"bad footprint ASN", func(s *geoserve.Source) {
 			s.Mappers = []geoserve.NamedMapper{{Mapper: p.IxMapper, Footprints: []analysis.ASFootprint{{ASN: -1}}}}
 		}},
+		{"footprints not ascending by ASN", func(s *geoserve.Source) {
+			fps := slices.Clone(s.Mappers[0].Footprints)
+			fps[0], fps[1] = fps[1], fps[0]
+			s.Mappers = []geoserve.NamedMapper{{Mapper: p.IxMapper, Footprints: fps}}
+		}},
 		{"footprint radius NaN", func(s *geoserve.Source) {
 			fps := slices.Clone(s.Mappers[0].Footprints)
 			fps[0].RadiusMi = math.NaN()

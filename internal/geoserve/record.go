@@ -123,8 +123,8 @@ func checkRecord(rec []byte) error {
 	return nil
 }
 
-// Tables is a Snapshot's complete content as the snapshot's own
-// slices: the exchange form between geoserve and the snapfile formats.
+// Tables is a Snapshot's complete content in flat form: the exchange
+// form between geoserve and the snapshot file.
 type Tables struct {
 	Build   BuildInfo
 	Mappers []string
@@ -145,18 +145,37 @@ type Tables struct {
 	Footprints [][]analysis.ASFootprint
 }
 
-// Tables returns the snapshot's tables. They share the snapshot's
-// memory and are read-only; clone before mutating.
+// Tables returns the snapshot's tables. The indexes, ASNs and
+// footprints share the snapshot's memory and are read-only; each
+// mapper's slab is gathered from the pages into new memory on every
+// call, so no per-epoch path calls it.
 func (s *Snapshot) Tables() Tables {
-	return Tables{
+	t := Tables{
 		Build:      s.build,
 		Mappers:    s.mappers,
 		Prefixes:   s.prefixes,
 		IPs:        s.ips,
 		ASNs:       s.asns,
-		Records:    s.records,
 		Footprints: s.footprints,
 	}
+	np := len(s.prefixes)
+	for m := range s.mappers {
+		slab := make([]byte, (np+len(s.ips))*RecordSize)
+		for i, g := range s.groups {
+			page := s.page(m, i)
+			n := copy(slab[g.pLo*RecordSize:], page[:g.prefixRows()*RecordSize])
+			copy(slab[(np+g.iLo)*RecordSize:], page[n:])
+		}
+		t.Records = append(t.Records, slab)
+	}
+	return t
+}
+
+// FootprintTables returns the footprinted ASNs and every mapper's
+// footprint rows (see Tables), shared and read-only: what a delta
+// carries whole.
+func (s *Snapshot) FootprintTables() ([]int32, [][]analysis.ASFootprint) {
+	return s.asns, s.footprints
 }
 
 // FromTables assembles a Snapshot over t, validating every structural
@@ -167,19 +186,19 @@ func (s *Snapshot) Tables() Tables {
 // location on the globe (no NaN) and its radius finite and ≥ 0, and
 // the exact flag set exactly on the exact rows.
 //
-// prev, when non-nil, is a snapshot t was derived from — a delta's
-// base — and touched lists the /24 bases whose rows may differ from
-// prev's. The caller promises that every other row is prev's row at the
-// same key: a leaf group in which no touched /24 lies then takes prev's
-// leaf hash, and its records, which passed these checks when prev was
-// sealed, are not checked again (see seal). Such a group's keys must
-// equal prev's, or FromTables fails. With prev nil every row is checked
-// and hashed. The tables are retained, so callers must not mutate them
+// prev, when non-nil, is a snapshot t was derived from, and touched
+// lists the /24 bases whose rows may differ from prev's. Every leaf
+// group in which no touched /24 lies then holds prev's pages and leaf
+// (see seal), and t's rows there are not read; such a group's keys must
+// equal prev's, or FromTables fails. Every other group's rows are
+// copied out of t into pages and checked, so FromTables retains none of
+// t.Records, and the rest of t is retained: callers must not mutate it
 // afterwards. The tables may be bytes a decoder read off the network,
 // and the lookup directory is built from them here: whatever they hold
 // it takes 256 KB, 1 KB per distinct /16 (at most 64 MB, reached by
 // 65 536 rows of 36 B each) and 40 B per distinct /24
-// (TestDirectoryBound).
+// (TestDirectoryBound), beside 40 B of group and 24 B of page header
+// per mapper for each /20 that holds a row.
 func FromTables(t Tables, prev *Snapshot, touched []uint32) (*Snapshot, error) {
 	s := &Snapshot{
 		build:      t.Build,
@@ -187,43 +206,267 @@ func FromTables(t Tables, prev *Snapshot, touched []uint32) (*Snapshot, error) {
 		prefixes:   t.Prefixes,
 		ips:        t.IPs,
 		asns:       t.ASNs,
-		records:    t.Records,
 		footprints: t.Footprints,
 	}
 	if err := s.check(); err != nil {
 		return nil, err
 	}
-	rows := len(t.Prefixes) + len(t.IPs)
-	switch {
-	case len(t.Records) != len(t.Mappers):
+	if len(t.Records) != len(t.Mappers) {
 		return nil, fmt.Errorf("geoserve: %d mappers but %d record slabs", len(t.Mappers), len(t.Records))
-	case rows > math.MaxInt32:
-		return nil, fmt.Errorf("geoserve: %d rows exceed the directory's int32 row numbers", rows)
 	}
+	rows := len(t.Prefixes) + len(t.IPs)
 	for m, slab := range t.Records {
 		if len(slab) != rows*RecordSize {
 			return nil, fmt.Errorf("geoserve: mapper %d slab is %d bytes, want %d rows × %d", m, len(slab), rows, RecordSize)
 		}
 	}
-	hashed, err := s.seal(prev, touched)
-	if err != nil {
+	s.groups = groups(s.prefixes, s.ips)
+	build := s.holding(prev, touched)
+	s.carve(build)
+	np := len(t.Prefixes)
+	for i, g := range s.groups {
+		if !build[i] {
+			continue
+		}
+		for m, slab := range t.Records {
+			page := s.page(m, i)
+			n := copy(page, slab[g.pLo*RecordSize:g.pHi*RecordSize])
+			copy(page[n:], slab[(np+g.iLo)*RecordSize:(np+g.iHi)*RecordSize])
+		}
+	}
+	if err := s.sealChecked(prev, touched); err != nil {
 		return nil, err
 	}
-	np := len(t.Prefixes)
-	for _, g := range hashed {
-		for m, slab := range t.Records {
-			for _, span := range [2][2]int{{g.pLo, g.pHi}, {np + g.iLo, np + g.iHi}} {
-				for row := span[0]; row < span[1]; row++ {
-					rec := slab[row*RecordSize:][:RecordSize]
-					if err := checkRecord(rec); err != nil {
-						return nil, fmt.Errorf("geoserve: mapper %d row %d: %v", m, row, err)
-					}
-					if exact := rec[recOffFlags]&recFlagExact != 0; exact != (row >= np) {
-						return nil, fmt.Errorf("geoserve: mapper %d row %d of %d prefix rows has exact=%v", m, row, np, exact)
-					}
+	return s, nil
+}
+
+// sealChecked seals s against prev and touched, then holds every row of
+// each group the seal hashed to checkRecord and to the exact-flag rule:
+// the rows of every other group are prev's, which passed when prev was
+// sealed. FromTables and Derive, the constructors over outside bytes,
+// end here.
+func (s *Snapshot) sealChecked(prev *Snapshot, touched []uint32) error {
+	hashed, err := s.seal(prev, touched)
+	if err != nil {
+		return err
+	}
+	np := len(s.prefixes)
+	for _, i := range hashed {
+		g := s.groups[i]
+		for m := range s.mappers {
+			page := s.page(m, i)
+			for r := range g.rows() {
+				rec, exact := page[r*RecordSize:][:RecordSize], r >= g.prefixRows()
+				row := g.pLo + r // the row's number in Tables' slab
+				if exact {
+					row = np + g.iLo + r - g.prefixRows()
+				}
+				if err := checkRecord(rec); err != nil {
+					return fmt.Errorf("geoserve: mapper %d row %d: %v", m, row, err)
+				}
+				if rec[recOffFlags]&recFlagExact != 0 != exact {
+					return fmt.Errorf("geoserve: mapper %d row %d of %d prefix rows has exact=%v", m, row, np, !exact)
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// Interval is one /24 of a snapshot's index with its rows, in the form
+// a snapshot delta carries it.
+type Interval struct {
+	// Key is the /24's base address.
+	Key uint32
+	// Prefix reports whether the /24 is allocated: it has a prefix row.
+	Prefix bool
+	// IPs are the /24's exact addresses, ascending.
+	IPs []uint32
+	// Records holds, mapper after mapper, the /24's prefix record if
+	// any, then its exact records in IPs order.
+	Records []byte
+}
+
+func (v Interval) rows() int {
+	if v.Prefix {
+		return 1 + len(v.IPs)
+	}
+	return len(v.IPs)
+}
+
+// AppendIntervals appends to dst the /24 intervals of the leaf group
+// that holds base, ascending by key, and nothing when no group does.
+// The address lists share the snapshot's memory; the records are
+// copied out of its pages.
+func (s *Snapshot) AppendIntervals(dst []Interval, base uint32) []Interval {
+	gi, ok := s.groupAt(leafBase(base))
+	if !ok {
+		return dst
+	}
+	g := s.groups[gi]
+	recs := make([]byte, 0, len(s.mappers)*g.rows()*RecordSize)
+	for pi, ii := g.pLo, g.iLo; pi < g.pHi || ii < g.iHi; {
+		var key uint32
+		switch {
+		case pi == g.pHi:
+			key = s.ips[ii] &^ 0xff
+		case ii == g.iHi:
+			key = s.prefixes[pi]
+		default:
+			key = min(s.prefixes[pi], s.ips[ii]&^0xff)
+		}
+		v, p0, i0 := Interval{Key: key}, pi, ii
+		if pi < g.pHi && s.prefixes[pi] == key {
+			v.Prefix = true
+			pi++
+		}
+		for ii < g.iHi && s.ips[ii]&^0xff == key {
+			ii++
+		}
+		v.IPs = s.ips[i0:ii]
+		at := len(recs)
+		for m := range s.mappers {
+			page := s.page(m, gi)
+			recs = append(recs, page[(p0-g.pLo)*RecordSize:(pi-g.pLo)*RecordSize]...)
+			recs = append(recs, page[(g.prefixRows()+i0-g.iLo)*RecordSize:(g.prefixRows()+ii-g.iLo)*RecordSize]...)
+		}
+		v.Records = recs[at:len(recs):len(recs)]
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// Derive assembles the snapshot a delta describes: base with each /24
+// in edits replaced by the edit's rows, or removed when the edit has
+// none (base must then hold it), and t's build, mappers, ASNs and
+// footprints; t's index and records are not read. Edits ascend by key.
+// The result holds base's pages for every leaf group no edit lies in
+// (see seal); every other group gets new pages, copied from the edits
+// and from base, so it retains none of the edits' memory. Those groups'
+// records are checked as FromTables checks them, and the digest is
+// recomputed, never trusted.
+func Derive(base *Snapshot, t Tables, edits []Interval) (*Snapshot, error) {
+	if base == nil {
+		return nil, fmt.Errorf("geoserve: derive: nil base snapshot")
+	}
+	nm := len(base.mappers)
+	if !slices.Equal(t.Mappers, base.mappers) {
+		return nil, fmt.Errorf("geoserve: delta mappers %q, base has %q", t.Mappers, base.mappers)
+	}
+	keys := make([]uint32, len(edits))
+	added := 0
+	for i, v := range edits {
+		if v.Key&0xff != 0 || i > 0 && v.Key <= keys[i-1] {
+			return nil, fmt.Errorf("geoserve: edit %d: %s is not a /24 base above its predecessor", i, FormatIPv4(v.Key))
+		}
+		for j, ip := range v.IPs {
+			if ip&^0xff != v.Key || j > 0 && ip <= v.IPs[j-1] {
+				return nil, fmt.Errorf("geoserve: edit %s: exact address %s is not inside it above its predecessor", FormatIPv4(v.Key), FormatIPv4(ip))
+			}
+		}
+		if len(v.Records) != nm*v.rows()*RecordSize {
+			return nil, fmt.Errorf("geoserve: edit %s carries %d record bytes, want %d mappers × %d rows", FormatIPv4(v.Key), len(v.Records), nm, v.rows())
+		}
+		keys[i] = v.Key
+		added += len(v.IPs)
+	}
+
+	// The index: base's keys in runs between the edits, each edit's in
+	// place of base's at its /24.
+	s := &Snapshot{
+		build: t.Build, mappers: base.mappers, asns: t.ASNs, footprints: t.Footprints,
+		prefixes: make([]uint32, 0, len(base.prefixes)+len(edits)),
+		ips:      make([]uint32, 0, len(base.ips)+added),
+	}
+	pCur, iCur := 0, 0
+	for _, v := range edits {
+		pEnd, _ := slices.BinarySearch(base.prefixes, v.Key)
+		iEnd, _ := slices.BinarySearch(base.ips, v.Key)
+		s.prefixes = append(s.prefixes, base.prefixes[pCur:pEnd]...)
+		s.ips = append(s.ips, base.ips[iCur:iEnd]...)
+		pCur, iCur = pEnd, iEnd
+		if pCur < len(base.prefixes) && base.prefixes[pCur] == v.Key {
+			pCur++
+		}
+		for iCur < len(base.ips) && base.ips[iCur]&^0xff == v.Key {
+			iCur++
+		}
+		if v.rows() == 0 && pCur == pEnd && iCur == iEnd {
+			return nil, fmt.Errorf("geoserve: edit removes /24 %s, which base does not hold", FormatIPv4(v.Key))
+		}
+		if v.Prefix {
+			s.prefixes = append(s.prefixes, v.Key)
+		}
+		s.ips = append(s.ips, v.IPs...)
+	}
+	s.prefixes = append(s.prefixes, base.prefixes[pCur:]...)
+	s.ips = append(s.ips, base.ips[iCur:]...)
+	if err := s.check(); err != nil {
+		return nil, err
+	}
+	if sameIndex(base, s) {
+		s.prefixes, s.ips, s.groups, s.dir = base.prefixes, base.ips, base.groups, base.dir
+	} else {
+		s.groups = groups(s.prefixes, s.ips)
+	}
+
+	// The pages of each group an edit lies in: an edited /24's rows
+	// from its edit, every other row from base's page. Keys, edits and
+	// base's rows ascend alike, so one walk of each table finds them.
+	build := s.holding(base, keys)
+	s.carve(build)
+	fromEdit := func(i, r int, v Interval, j int) {
+		for m := range nm {
+			copy(s.page(m, i)[r*RecordSize:][:RecordSize], v.Records[(m*v.rows()+j)*RecordSize:])
+		}
+	}
+	fromBase := func(i, r, bi, j int) {
+		for m := range nm {
+			copy(s.page(m, i)[r*RecordSize:][:RecordSize], base.page(m, bi)[j*RecordSize:])
+		}
+	}
+	for i, g := range s.groups {
+		if !build[i] {
+			continue
+		}
+		bi, _ := base.groupAt(g.base)
+		var bg group
+		if bi < len(base.groups) {
+			bg = base.groups[bi]
+		}
+		e0, _ := slices.BinarySearch(keys, g.base)
+		for r, e, b := 0, e0, bg.pLo; r < g.prefixRows(); r++ {
+			k := s.prefixes[g.pLo+r]
+			for e < len(keys) && keys[e] < k {
+				e++
+			}
+			if e < len(keys) && keys[e] == k {
+				fromEdit(i, r, edits[e], 0)
+				continue
+			}
+			for base.prefixes[b] < k {
+				b++
+			}
+			fromBase(i, r, bi, b-bg.pLo)
+		}
+		for n, e, b, j := 0, e0, bg.iLo, 0; n < g.iHi-g.iLo; n++ {
+			ip, r := s.ips[g.iLo+n], g.prefixRows()+n
+			for e < len(keys) && keys[e] < ip&^0xff {
+				e, j = e+1, 0
+			}
+			if e < len(keys) && keys[e] == ip&^0xff {
+				fromEdit(i, r, edits[e], edits[e].rows()-len(edits[e].IPs)+j)
+				j++
+				continue
+			}
+			for base.ips[b] < ip {
+				b++
+			}
+			fromBase(i, r, bi, bg.prefixRows()+b-bg.iLo)
+		}
+	}
+	if err := s.sealChecked(base, keys); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

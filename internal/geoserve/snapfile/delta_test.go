@@ -267,6 +267,15 @@ func TestApplyRejectsDamage(t *testing.T) {
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("error %v, want %v", err, tc.want)
 			}
+			// A failed Apply leaves its base as it was: base's tables,
+			// gathered from its pages, still seal to its digest.
+			resealed, err := geoserve.FromTables(old.Tables(), nil, nil)
+			if err != nil {
+				t.Fatalf("base after a failed apply: %v", err)
+			}
+			if resealed.Digest() != old.Digest() {
+				t.Fatalf("base after a failed apply seals to %.16s, want %.16s", resealed.Digest(), old.Digest())
+			}
 		})
 	}
 }

@@ -13,8 +13,8 @@
 //	  prefixes    u32 count + count u32 (/24 interval index, ascending)
 //	  ips         u32 count + count u32 (exact-address index, ascending)
 //	  asns        u32 count + count i32 (footprinted AS union, ascending)
-//	  answers     one section per mapper: the mapper's record slab as
-//	              the snapshot holds it (geoserve.Tables.Records) —
+//	  answers     one section per mapper: the mapper's record slab
+//	              (geoserve.Tables.Records, gathered from the pages) —
 //	              len(prefixes)+len(ips) records of geoserve.RecordSize
 //	              bytes, prefix rows then exact rows; the record layout
 //	              is the wire protocol's (geoserve/wire.go)
@@ -32,8 +32,9 @@
 //	ops   u32 count, then per op, ascending by key:
 //	        key u32 (/24 base) | kind u8 (0 delete, 1 put)
 //	        put only: prefix rows u8 (0 or 1) | u32 count + exact
-//	        addresses | per mapper, the /24's records as they sit in
-//	        the slab: the prefix record if any, then the exact records
+//	        addresses | per mapper, the /24's records (a
+//	        geoserve.Interval): the prefix record if any, then the
+//	        exact records
 //
 // — closed by the target's content digest and the whole-file hash.
 // Format 3 lays out its bytes exactly as format 2 did; what changed is
@@ -48,11 +49,12 @@
 // Load and Apply never trust their bytes: magic and version gate
 // first, every section length and count is bounds-checked against the
 // remaining bytes before any allocation, the whole-file hash must
-// match, geoserve.FromTables revalidates everything lookups and JSON
-// bodies rely on, and the content digest is recomputed from the
-// reassembled snapshot (Apply reusing only the leaf hashes of its
-// base's byte-equal groups) and compared against the trailer.
-// FromTables holds the tables to the rules a compiled Source meets:
+// match, geoserve.FromTables (Load) or geoserve.Derive (Apply)
+// revalidates everything lookups and JSON bodies rely on, and the
+// content digest is recomputed from the reassembled snapshot (Apply
+// sharing only the pages and leaf hashes of the base's groups no op
+// lies in) and compared against the trailer. Both hold the tables to
+// the rules a compiled Source meets:
 // mapper names of [a-z0-9._-]+ (JSON answers carry them unescaped);
 // sorted, /24-aligned indexes; positive ascending ASNs; footprint rows
 // either all zero or their ASN's, with a centroid on the globe and an
@@ -204,7 +206,8 @@ func readSnapFileHeap(path string) ([]byte, func(), error) {
 }
 
 // Decode validates and reassembles an encoded snapshot. It retains
-// none of data: each mapper's slab is copied out once.
+// none of data: geoserve.FromTables copies every row out once, into
+// pages cut from one buffer the snapshot owns.
 func Decode(data []byte) (*geoserve.Snapshot, FileInfo, error) {
 	info := FileInfo{SizeBytes: int64(len(data))}
 	d, version, err := openEnvelope(data, magic, FormatVersion)
@@ -249,7 +252,7 @@ func Decode(data []byte) (*geoserve.Snapshot, FileInfo, error) {
 			return nil, info, fmt.Errorf("%w: answers section for mapper %d is %d bytes, want %d rows × %d",
 				ErrFormat, m, sec.remaining(), rows, geoserve.RecordSize)
 		}
-		t.Records = append(t.Records, bytes.Clone(sec.data))
+		t.Records = append(t.Records, sec.data)
 	}
 	if t.Footprints, err = decodeFootprints(d, len(t.Mappers), len(t.ASNs)); err != nil {
 		return nil, info, err
@@ -257,7 +260,7 @@ func Decode(data []byte) (*geoserve.Snapshot, FileInfo, error) {
 	if err := closeEnvelope(data, d); err != nil {
 		return nil, info, err
 	}
-	snap, err := assemble(t, trailerDigest(data), nil, nil)
+	snap, err := assemble(trailerDigest(data), func() (*geoserve.Snapshot, error) { return geoserve.FromTables(t, nil, nil) })
 	if err != nil {
 		return nil, info, err
 	}
@@ -297,16 +300,13 @@ func closeEnvelope(data []byte, d *decoder) error {
 	return nil
 }
 
-// assemble builds the snapshot over tables parsed from outside bytes:
-// geoserve.FromTables revalidates every invariant a lookup relies on,
-// and the content digest it recomputes must equal the one the file's
-// trailer names, so a loaded snapshot can never carry a digest its
-// content does not hash to. base is the snapshot a delta applies to
-// (nil for a file) and touched the /24s the delta's ops replaced or
-// removed: every other row was copied from base, so the digest reuses
-// base's leaf where a group holds none of them.
-func assemble(t geoserve.Tables, wantDigest string, base *geoserve.Snapshot, touched []uint32) (*geoserve.Snapshot, error) {
-	snap, err := geoserve.FromTables(t, base, touched)
+// assemble checks a snapshot built from outside bytes: build (which
+// is geoserve.FromTables or geoserve.Derive) revalidates every
+// invariant a lookup relies on, and the content digest it recomputes
+// must equal the one the trailer names, so a loaded or applied snapshot
+// can never carry a digest its content does not hash to.
+func assemble(wantDigest string, build func() (*geoserve.Snapshot, error)) (*geoserve.Snapshot, error) {
+	snap, err := build()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
@@ -325,20 +325,18 @@ func trailerDigest(data []byte) string {
 // without encoding: a publisher advertises the size of a file it has
 // not built yet.
 func EncodedSize(snap *geoserve.Snapshot) int {
-	t := snap.Tables()
+	mappers := snap.Mappers()
 	n := len(magic) + 4
-	n += 8 + 8 + 8 + 8 + 4 + len(t.Build.Label) // header
-	n += 8 + 4                                  // mappers
-	for _, name := range t.Mappers {
+	n += 8 + 8 + 8 + 8 + 4 + len(snap.Build().Label) // header
+	n += 8 + 4                                       // mappers
+	for _, name := range mappers {
 		n += 4 + len(name)
 	}
-	n += 8 + 4 + 4*len(t.Prefixes)
-	n += 8 + 4 + 4*len(t.IPs)
-	n += 8 + 4 + 4*len(t.ASNs)
-	for _, slab := range t.Records {
-		n += 8 + len(slab)
-	}
-	n += len(t.Mappers) * (8 + len(t.ASNs)*footprintRowBytes)
+	n += 8 + 4 + 4*snap.NumPrefixes()
+	n += 8 + 4 + 4*snap.NumExactIPs()
+	n += 8 + 4 + 4*snap.NumFootprints()
+	n += len(mappers) * (8 + (snap.NumPrefixes()+snap.NumExactIPs())*geoserve.RecordSize)
+	n += len(mappers) * (8 + snap.NumFootprints()*footprintRowBytes)
 	return n + trailerBytes
 }
 

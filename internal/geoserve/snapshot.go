@@ -1,6 +1,7 @@
 package geoserve
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -39,10 +40,10 @@ func methodCode(name string) (method, bool) {
 	return methodNone, false
 }
 
-// Snapshot is the immutable compiled serving index. All content is
-// flat sorted slices, located through a directory derived from them;
-// nothing is mutated after Compile, so any number of goroutines may
-// query it concurrently without synchronisation.
+// Snapshot is the immutable compiled serving index: sorted indexes,
+// the records of each leaf group in pages, and a directory derived from
+// the indexes. Nothing is mutated after it is sealed, so any number of
+// goroutines may query it concurrently without synchronisation.
 type Snapshot struct {
 	build   BuildInfo
 	mappers []string
@@ -53,11 +54,15 @@ type Snapshot struct {
 	prefixes []uint32
 	ips      []uint32
 
-	// records[m] is mapper m's answers, RecordSize bytes per row (see
-	// record.go): row i < len(prefixes) answers a generic (non-
-	// interface) address inside prefixes[i], row len(prefixes)+i is
-	// ips[i]'s exact answer.
-	records [][]byte
+	// groups are the index's leaf groups (see groups), ascending.
+	// pages[g*len(mappers)+m] is mapper m's page of group g: RecordSize
+	// bytes per row (see record.go), the group's prefix rows in prefix
+	// order, then its exact rows in address order. A snapshot derived
+	// from a predecessor holds the predecessor's page for every group
+	// in which it touched no /24 (see seal); no page is written once a
+	// snapshot is sealed, so pages are shared, never copied on write.
+	groups []group
+	pages  [][]byte
 
 	// asns holds the union of footprinted AS numbers in ascending
 	// order; footprints[m][i] is asns[i]'s footprint under mapper m
@@ -67,14 +72,13 @@ type Snapshot struct {
 
 	// digest is the content digest and tag its first 8 bytes, the
 	// epoch tag of the wire protocol; leaves are the digest's leaf
-	// hashes, one per leaf group holding a row, ascending. seal sets
-	// all three.
+	// hashes, one per group, in group order. seal sets all three.
 	digest string
 	tag    uint64
 	leaves []Leaf
 
 	// dir locates an address's row (see directory). seal derives it
-	// from prefixes and ips; it is not content.
+	// from prefixes, ips and groups; it is not content.
 	dir *directory
 }
 
@@ -145,12 +149,12 @@ func (s *Snapshot) Digest() string { return s.digest }
 // /20, the rows of up to 16 /24 intervals.
 const leafBits = 12
 
-// LeafBase returns the first address of the leaf group holding addr.
-func LeafBase(addr uint32) uint32 { return addr &^ (1<<leafBits - 1) }
+// leafBase returns the first address of the leaf group holding addr.
+func leafBase(addr uint32) uint32 { return addr &^ (1<<leafBits - 1) }
 
 // Leaf is one leaf group's hash inside the content digest.
 type Leaf struct {
-	// Base is the group's first address (LeafBase of each of its rows).
+	// Base is the group's first address (the /20 of each of its rows).
 	Base uint32
 	// Sum is the SHA-256 over the group's rows (see seal).
 	Sum [32]byte
@@ -193,34 +197,27 @@ func (s *Snapshot) Lookup(mapper int, ip uint32) Answer {
 // lookup additionally returns the stored method code, so the serving
 // metrics path never round-trips it through the method-name string.
 func (s *Snapshot) lookup(mapper int, ip uint32) (Answer, method) {
-	rec := s.record(mapper, s.lookupRow(ip))
+	g, row := s.dir.row(ip)
+	rec := s.record(mapper, g, row)
 	if rec == nil {
 		return Answer{IP: ip}, methodNone
 	}
 	return recordAnswer(ip, rec), method(rec[recOffMethod])
 }
 
-// lookupRow locates ip's answer row in every mapper's slab: its exact
-// row when ip is a known interface address, else its /24's prefix row,
-// else -1 (a miss). Every serving path finds its row here.
-func (s *Snapshot) lookupRow(ip uint32) int { return s.dir.row(ip) }
-
-// record returns the stored record of (mapper, row), or nil for a miss
-// (row -1) or an out-of-range mapper.
-func (s *Snapshot) record(mapper, row int) []byte {
-	if row < 0 || mapper < 0 || mapper >= len(s.records) {
+// record returns the stored record at row of group g's page under
+// mapper, or nil for a miss (row -1) or an out-of-range mapper. Every
+// serving path reads its record here, at the row the directory names
+// for its address (directory.row).
+func (s *Snapshot) record(mapper, g, row int) []byte {
+	if row < 0 || uint(mapper) >= uint(len(s.mappers)) {
 		return nil
 	}
-	return s.records[mapper][row*RecordSize:][:RecordSize]
+	return s.page(mapper, g)[row*RecordSize:][:RecordSize]
 }
 
-// rowKey is a row's index key: its /24 base or its exact address.
-func (s *Snapshot) rowKey(row int) uint32 {
-	if row < len(s.prefixes) {
-		return s.prefixes[row]
-	}
-	return s.ips[row-len(s.prefixes)]
-}
+// page returns mapper m's page of group g.
+func (s *Snapshot) page(m, g int) []byte { return s.pages[g*len(s.mappers)+m] }
 
 // Footprint returns an AS's geographic footprint under the mapper with
 // the given index, or ok=false when the AS was not seen in that
@@ -291,36 +288,42 @@ func (w *hashWriter) str(s string) {
 // an answer's fields, not over the bytes that store them, which keeps
 // a digest — and every golden pinning one — stable across changes of
 // the stored layout. The exact flag (implied by row position) and the
-// reserved bytes are therefore not in it; FromTables pins those.
+// reserved bytes are therefore not in it; FromTables and Derive pin those.
 //
 // Like u32s it fills the buffer a chunk at a time, and it moves each
 // record's fields as whole words: this loop is most of a seal's cost
 // besides SHA-256 itself.
-func (w *hashWriter) records(slab []byte) {
+func (w *hashWriter) records(page []byte) {
 	le := binary.LittleEndian
-	for len(slab) >= RecordSize {
+	for len(page) >= RecordSize {
 		w.grow(30)
-		n := min((cap(w.buf)-len(w.buf))/30, len(slab)/RecordSize)
+		n := min((cap(w.buf)-len(w.buf))/30, len(page)/RecordSize)
 		off := len(w.buf)
 		w.buf = w.buf[:off+n*30]
 		for i := range n {
-			rec, d := slab[i*RecordSize:][:RecordSize], w.buf[off+i*30:][:30]
+			rec, d := page[i*RecordSize:][:RecordSize], w.buf[off+i*30:][:30]
 			le.PutUint64(d[0:], le.Uint64(rec[recOffLat:]))
 			le.PutUint64(d[8:], le.Uint64(rec[recOffLon:]))
 			le.PutUint64(d[16:], le.Uint64(rec[recOffRadius:]))
 			le.PutUint32(d[24:], le.Uint32(rec[recOffASN:]))
 			d[28], d[29] = rec[recOffMethod], rec[recOffFlags]&recFlagFound
 		}
-		slab = slab[n*RecordSize:]
+		page = page[n*RecordSize:]
 	}
 }
 
-// group is one leaf group's rows: prefix rows [pLo, pHi) and the exact
-// addresses ips[iLo:iHi], whose slab rows follow all prefix rows.
+// group is one leaf group's rows: the /24s prefixes[pLo:pHi] and the
+// exact addresses ips[iLo:iHi]. Its pages hold the prefix rows first,
+// so row r of a page is a prefix row when r < prefixRows(). The rows
+// before the group in the index number pLo+iLo.
 type group struct {
 	base               uint32
 	pLo, pHi, iLo, iHi int
 }
+
+func (g group) prefixRows() int { return g.pHi - g.pLo }
+
+func (g group) rows() int { return g.pHi - g.pLo + g.iHi - g.iLo }
 
 // groups splits an index (both slices ascending) into its leaf groups,
 // ascending: one per /20 that holds a row.
@@ -330,17 +333,17 @@ func groups(prefixes, ips []uint32) []group {
 		var base uint32
 		switch {
 		case pi >= len(prefixes):
-			base = LeafBase(ips[ii])
+			base = leafBase(ips[ii])
 		case ii >= len(ips):
-			base = LeafBase(prefixes[pi])
+			base = leafBase(prefixes[pi])
 		default:
-			base = LeafBase(min(prefixes[pi], ips[ii]))
+			base = leafBase(min(prefixes[pi], ips[ii]))
 		}
 		g := group{base: base, pLo: pi, iLo: ii}
-		for pi < len(prefixes) && LeafBase(prefixes[pi]) == base {
+		for pi < len(prefixes) && leafBase(prefixes[pi]) == base {
 			pi++
 		}
-		for ii < len(ips) && LeafBase(ips[ii]) == base {
+		for ii < len(ips) && leafBase(ips[ii]) == base {
 			ii++
 		}
 		g.pHi, g.iHi = pi, ii
@@ -349,14 +352,61 @@ func groups(prefixes, ips []uint32) []group {
 	return gs
 }
 
-// prefixRecs and exactRecs return a group's records in mapper m's slab.
-func (s *Snapshot) prefixRecs(m int, g group) []byte {
-	return s.records[m][g.pLo*RecordSize : g.pHi*RecordSize]
+// key returns the index key of row r of g's pages: a /24 base or an
+// exact address.
+func (s *Snapshot) key(g group, r int) uint32 {
+	if r < g.prefixRows() {
+		return s.prefixes[g.pLo+r]
+	}
+	return s.ips[g.iLo+r-g.prefixRows()]
 }
 
-func (s *Snapshot) exactRecs(m int, g group) []byte {
-	np := len(s.prefixes)
-	return s.records[m][(np+g.iLo)*RecordSize : (np+g.iHi)*RecordSize]
+// groupAt finds the group at base.
+func (s *Snapshot) groupAt(base uint32) (int, bool) {
+	return slices.BinarySearchFunc(s.groups, base, func(g group, b uint32) int { return cmp.Compare(g.base, b) })
+}
+
+// holding marks the groups a snapshot derived from prev must build
+// pages for: every group when prev is nil, else each group a /24 in
+// touched (any order) lies in. seal shares prev's pages for the rest.
+func (s *Snapshot) holding(prev *Snapshot, touched []uint32) []bool {
+	hit := make([]bool, len(s.groups))
+	if prev == nil {
+		for i := range hit {
+			hit[i] = true
+		}
+	}
+	for _, t := range touched {
+		if i, ok := s.groupAt(leafBase(t)); ok {
+			hit[i] = true
+		}
+	}
+	return hit
+}
+
+// carve gives each group marked in build one new page per mapper; the
+// other pages stay nil for seal to share. All the new pages are cut from
+// one zeroed buffer, so a build allocates once and rounds nothing up,
+// and the buffer stays live while any page cut from it does.
+func (s *Snapshot) carve(build []bool) {
+	nm := len(s.mappers)
+	s.pages = make([][]byte, len(s.groups)*nm)
+	n := 0
+	for i, g := range s.groups {
+		if build[i] {
+			n += g.rows()
+		}
+	}
+	buf := make([]byte, n*nm*RecordSize)
+	for i, g := range s.groups {
+		if !build[i] {
+			continue
+		}
+		size := g.rows() * RecordSize
+		for m := range nm {
+			s.pages[i*nm+m], buf = buf[:size:size], buf[size:]
+		}
+	}
 }
 
 // sameKeys reports whether group g of s and group pg of prev hold the
@@ -372,79 +422,70 @@ func sameKeys(s *Snapshot, g group, prev *Snapshot, pg group) bool {
 // Snapshot ends here, so none serves without a directory and no lookup
 // ever builds one.
 //
-// The digest is two-level. Each leaf group (one /20, see LeafBase)
+// The digest is two-level. Each leaf group (one /20, see leafBase)
 // holding a row gets a leaf: a SHA-256 over its /24s and exact
-// addresses (each a u32 count, then the values) and, per mapper, the
-// records of its prefix rows then of its exact rows. The root is a
-// SHA-256 over the mapper names, the row counts, every leaf's base and
-// hash, the ASNs and the footprints; BuildInfo is deliberately
-// excluded (see Digest).
+// addresses (each a u32 count, then the values) and, per mapper, its
+// page. The root is a SHA-256 over the mapper names, the row counts,
+// every leaf's base and hash, the ASNs and the footprints; BuildInfo
+// is deliberately excluded (see Digest).
 //
 // prev, when non-nil, is the snapshot s was derived from, and touched
 // lists (in any order) the /24 bases whose rows may differ from prev's.
-// A group in which no touched /24 lies takes prev's leaf instead of
-// being hashed, so an epoch hashes what it changed. That rests on the
-// deriver's contract — every row outside a touched /24 is prev's row
-// at the same key, copied verbatim — which CompileDelta and
-// snapfile.Apply meet by construction. seal checks the keys half of it
-// cheaply: such a group's keys must equal those of prev's group at the
-// same base, so a touched set that misses a changed key is an error,
-// never a wrong leaf. prev's leaves were computed by its own seal,
-// never read from outside bytes. seal returns the groups it hashed.
-func (s *Snapshot) seal(prev *Snapshot, touched []uint32) ([]group, error) {
+// A group in which no touched /24 lies takes prev's pages and prev's
+// leaf: the bytes it serves are the bytes prev hashed, so an epoch
+// hashes, checks and stores only what it changed, whatever page its
+// deriver built there. Such a group's keys must equal those of prev's
+// group at the same base, so a touched set that misses a changed key is
+// an error, never a wrong page. prev's leaves were computed by its own
+// seal, never read from outside bytes. seal returns the indexes of the
+// groups it hashed.
+func (s *Snapshot) seal(prev *Snapshot, touched []uint32) ([]int, error) {
 	var (
-		hashed []group
+		hashed []int
 		err    error
 	)
 	parallel.Do(func() {
 		if s.dir == nil {
-			s.dir = buildDirectory(s.prefixes, s.ips)
+			s.dir = buildDirectory(s.prefixes, s.ips, s.groups)
 		}
 	}, func() { hashed, err = s.hash(prev, touched) })
 	return hashed, err
 }
 
-// hash sets the leaves, the digest and the tag for seal.
-func (s *Snapshot) hash(prev *Snapshot, touched []uint32) ([]group, error) {
-	gs := groups(s.prefixes, s.ips)
-	var pgs []group // prev's groups, one per leaf of prev
-	var bases []uint32
-	if prev != nil {
-		if !slices.Equal(s.mappers, prev.mappers) {
-			return nil, fmt.Errorf("geoserve: mappers %q, previous snapshot has %q", s.mappers, prev.mappers)
-		}
-		pgs = groups(prev.prefixes, prev.ips)
-		for _, t := range touched {
-			bases = append(bases, LeafBase(t))
-		}
-		slices.Sort(bases)
+// hash sets the leaves, the shared pages, the digest and the tag for
+// seal.
+func (s *Snapshot) hash(prev *Snapshot, touched []uint32) ([]int, error) {
+	if prev != nil && !slices.Equal(s.mappers, prev.mappers) {
+		return nil, fmt.Errorf("geoserve: mappers %q, previous snapshot has %q", s.mappers, prev.mappers)
 	}
+	build := s.holding(prev, touched)
+	nm := len(s.mappers)
 	w := &hashWriter{h: sha256.New(), buf: make([]byte, 0, 1<<16)}
-	s.leaves = make([]Leaf, len(gs))
-	var hashed []group
-	k := 0
-	for i, g := range gs {
+	s.leaves = make([]Leaf, len(s.groups))
+	var hashed []int
+	k := 0 // prev's group at or after g's base
+	for i, g := range s.groups {
 		leaf := &s.leaves[i]
 		leaf.Base = g.base
-		for k < len(pgs) && pgs[k].base < g.base {
-			k++
-		}
-		if _, hit := slices.BinarySearch(bases, g.base); prev != nil && !hit {
-			if k == len(pgs) || pgs[k].base != g.base || !sameKeys(s, g, prev, pgs[k]) {
+		if !build[i] {
+			for k < len(prev.groups) && prev.groups[k].base < g.base {
+				k++
+			}
+			if k == len(prev.groups) || prev.groups[k].base != g.base || !sameKeys(s, g, prev, prev.groups[k]) {
 				return nil, fmt.Errorf("geoserve: leaf group %s holds no touched /24 but its keys differ from the previous snapshot's", FormatIPv4(g.base))
 			}
 			leaf.Sum = prev.leaves[k].Sum
+			copy(s.pages[i*nm:(i+1)*nm], prev.pages[k*nm:(k+1)*nm])
 			continue
 		}
-		hashed = append(hashed, g)
+		hashed = append(hashed, i)
 		w.h.Reset()
 		w.u32(uint32(g.pHi - g.pLo))
 		w.u32s(s.prefixes[g.pLo:g.pHi])
 		w.u32(uint32(g.iHi - g.iLo))
 		w.u32s(s.ips[g.iLo:g.iHi])
-		for m := range s.records {
-			w.records(s.prefixRecs(m, g))
-			w.records(s.exactRecs(m, g))
+		for m := range nm {
+			w.records(s.page(m, i))
 		}
 		w.flush()
 		w.h.Sum(leaf.Sum[:0])

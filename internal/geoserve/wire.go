@@ -365,7 +365,8 @@ func (s *Snapshot) wireMapperIndex(id uint16) (int, bool) {
 // of the snapshot; a miss copies the static zero record.
 func (s *Snapshot) wireAnswer(mapper int, ip uint32, dst []byte) method {
 	binary.LittleEndian.PutUint32(dst, ip)
-	rec := s.record(mapper, s.lookupRow(ip))
+	g, row := s.dir.row(ip)
+	rec := s.record(mapper, g, row)
 	if rec == nil {
 		rec = zeroRecord[:]
 	}
