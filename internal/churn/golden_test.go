@@ -235,7 +235,7 @@ func TestIncrementalDigestMatchesFromScratch(t *testing.T) {
 			path string
 			snap *geoserve.Snapshot
 		}{{"CompileDelta", snap}, {"Apply", applied}} {
-			scratch, err := geoserve.FromTables(c.snap.Tables(), nil, nil)
+			scratch, err := geoserve.FromTables(c.snap.Tables())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -58,7 +58,7 @@ func TestLineageKeepsEverySnapshot(t *testing.T) {
 		snaps []*geoserve.Snapshot
 	}{{"CompileDelta", built}, {"Apply", applied}} {
 		for i, s := range lineage.snaps {
-			scratch, err := geoserve.FromTables(s.Tables(), nil, nil)
+			scratch, err := geoserve.FromTables(s.Tables())
 			if err != nil {
 				t.Fatalf("%s epoch %d: %v", lineage.name, i, err)
 			}

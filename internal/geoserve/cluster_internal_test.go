@@ -64,7 +64,7 @@ func syntheticSnapshot(start uint32, nPrefixes, nMappers int, salt float64) *Sna
 		}
 		s.Records = append(s.Records, slab)
 	}
-	snap, err := FromTables(s, nil, nil)
+	snap, err := FromTables(s)
 	if err != nil {
 		panic(err)
 	}

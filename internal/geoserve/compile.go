@@ -67,8 +67,10 @@ type DeltaStats struct {
 	Deleted int `json:"deleted"`
 	// Touched lists, ascending, the /24 base addresses whose answers
 	// actually differ from the previous snapshot (including inserted
-	// and deleted intervals). Cluster.SwapDelta uses it to count the
-	// shards a delta really moved.
+	// and deleted intervals). seal shares the previous snapshot's pages
+	// and leaf for every leaf group holding none of them, and
+	// Cluster.SwapDelta uses it to count the shards a delta really
+	// moved.
 	Touched []uint32 `json:"-"`
 }
 

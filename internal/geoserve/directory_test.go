@@ -33,7 +33,7 @@ func indexSnapshot(t *testing.T, prefixes, ips []uint32) *geoserve.Snapshot {
 		IPs:        ips,
 		Records:    [][]byte{slab},
 		Footprints: make([][]analysis.ASFootprint, 1),
-	}, nil, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,20 +186,15 @@ func (s *Snapshot) FootprintTables() ([]int32, [][]analysis.ASFootprint) {
 // location on the globe (no NaN) and its radius finite and ≥ 0, and
 // the exact flag set exactly on the exact rows.
 //
-// prev, when non-nil, is a snapshot t was derived from, and touched
-// lists the /24 bases whose rows may differ from prev's. Every leaf
-// group in which no touched /24 lies then holds prev's pages and leaf
-// (see seal), and t's rows there are not read; such a group's keys must
-// equal prev's, or FromTables fails. Every other group's rows are
-// copied out of t into pages and checked, so FromTables retains none of
-// t.Records, and the rest of t is retained: callers must not mutate it
-// afterwards. The tables may be bytes a decoder read off the network,
-// and the lookup directory is built from them here: whatever they hold
-// it takes 256 KB, 1 KB per distinct /16 (at most 64 MB, reached by
-// 65 536 rows of 36 B each) and 40 B per distinct /24
+// Every row is copied out of t into pages, so FromTables retains none
+// of t.Records, and the rest of t is retained: callers must not mutate
+// it afterwards. The tables may be bytes a decoder read off the
+// network, and the lookup directory is built from them here: whatever
+// they hold it takes 256 KB, 1 KB per distinct /16 (at most 64 MB,
+// reached by 65 536 rows of 36 B each) and 40 B per distinct /24
 // (TestDirectoryBound), beside 40 B of group and 24 B of page header
 // per mapper for each /20 that holds a row.
-func FromTables(t Tables, prev *Snapshot, touched []uint32) (*Snapshot, error) {
+func FromTables(t Tables) (*Snapshot, error) {
 	s := &Snapshot{
 		build:      t.Build,
 		mappers:    t.Mappers,
@@ -221,20 +216,16 @@ func FromTables(t Tables, prev *Snapshot, touched []uint32) (*Snapshot, error) {
 		}
 	}
 	s.groups = groups(s.prefixes, s.ips)
-	build := s.holding(prev, touched)
-	s.carve(build)
+	s.carve(s.holding(nil, nil))
 	np := len(t.Prefixes)
 	for i, g := range s.groups {
-		if !build[i] {
-			continue
-		}
 		for m, slab := range t.Records {
 			page := s.page(m, i)
 			n := copy(page, slab[g.pLo*RecordSize:g.pHi*RecordSize])
 			copy(page[n:], slab[(np+g.iLo)*RecordSize:(np+g.iHi)*RecordSize])
 		}
 	}
-	if err := s.sealChecked(prev, touched); err != nil {
+	if err := s.sealChecked(nil, nil); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -273,79 +264,40 @@ func (s *Snapshot) sealChecked(prev *Snapshot, touched []uint32) error {
 	return nil
 }
 
-// Interval is one /24 of a snapshot's index with its rows, in the form
-// a snapshot delta carries it.
-type Interval struct {
-	// Key is the /24's base address.
-	Key uint32
-	// Prefix reports whether the /24 is allocated: it has a prefix row.
-	Prefix bool
-	// IPs are the /24's exact addresses, ascending.
-	IPs []uint32
-	// Records holds, mapper after mapper, the /24's prefix record if
-	// any, then its exact records in IPs order.
-	Records []byte
+// Group is one leaf group whole, the unit a snapshot delta carries: its
+// /20 base, its /24s and exact addresses (ascending, each inside the
+// /20), and one page per mapper holding the group's prefix records and
+// then its exact records, as the snapshot stores them. A group with no
+// rows is a delete.
+type Group struct {
+	Base     uint32
+	Prefixes []uint32
+	IPs      []uint32
+	Pages    [][]byte
 }
 
-func (v Interval) rows() int {
-	if v.Prefix {
-		return 1 + len(v.IPs)
-	}
-	return len(v.IPs)
-}
-
-// AppendIntervals appends to dst the /24 intervals of the leaf group
-// that holds base, ascending by key, and nothing when no group does.
-// The address lists share the snapshot's memory; the records are
-// copied out of its pages.
-func (s *Snapshot) AppendIntervals(dst []Interval, base uint32) []Interval {
-	gi, ok := s.groupAt(leafBase(base))
+// Group returns the leaf group at base, the base of a /20: views of the
+// snapshot's index and pages, shared and read-only. Where no group
+// holds a row there, the Group has no rows and empty pages.
+func (s *Snapshot) Group(base uint32) Group {
+	nm := len(s.mappers)
+	i, ok := s.groupAt(base)
 	if !ok {
-		return dst
+		return Group{Base: base, Pages: make([][]byte, nm)}
 	}
-	g := s.groups[gi]
-	recs := make([]byte, 0, len(s.mappers)*g.rows()*RecordSize)
-	for pi, ii := g.pLo, g.iLo; pi < g.pHi || ii < g.iHi; {
-		var key uint32
-		switch {
-		case pi == g.pHi:
-			key = s.ips[ii] &^ 0xff
-		case ii == g.iHi:
-			key = s.prefixes[pi]
-		default:
-			key = min(s.prefixes[pi], s.ips[ii]&^0xff)
-		}
-		v, p0, i0 := Interval{Key: key}, pi, ii
-		if pi < g.pHi && s.prefixes[pi] == key {
-			v.Prefix = true
-			pi++
-		}
-		for ii < g.iHi && s.ips[ii]&^0xff == key {
-			ii++
-		}
-		v.IPs = s.ips[i0:ii]
-		at := len(recs)
-		for m := range s.mappers {
-			page := s.page(m, gi)
-			recs = append(recs, page[(p0-g.pLo)*RecordSize:(pi-g.pLo)*RecordSize]...)
-			recs = append(recs, page[(g.prefixRows()+i0-g.iLo)*RecordSize:(g.prefixRows()+ii-g.iLo)*RecordSize]...)
-		}
-		v.Records = recs[at:len(recs):len(recs)]
-		dst = append(dst, v)
-	}
-	return dst
+	g := s.groups[i]
+	return Group{Base: base, Prefixes: s.prefixes[g.pLo:g.pHi], IPs: s.ips[g.iLo:g.iHi], Pages: s.pages[i*nm : (i+1)*nm]}
 }
 
-// Derive assembles the snapshot a delta describes: base with each /24
-// in edits replaced by the edit's rows, or removed when the edit has
-// none (base must then hold it), and t's build, mappers, ASNs and
-// footprints; t's index and records are not read. Edits ascend by key.
-// The result holds base's pages for every leaf group no edit lies in
-// (see seal); every other group gets new pages, copied from the edits
-// and from base, so it retains none of the edits' memory. Those groups'
-// records are checked as FromTables checks them, and the digest is
-// recomputed, never trusted.
-func Derive(base *Snapshot, t Tables, edits []Interval) (*Snapshot, error) {
+// Derive assembles the snapshot a delta describes: base with each group
+// in gs put in place of base's group at its base, or removed when it
+// has no rows (base must then hold it), and t's build, mappers, ASNs and
+// footprints; t's index and records are not read. Groups ascend by
+// base. The result holds base's pages for every group gs does not name
+// (see seal) and a copy of each put group's pages, so it retains none of
+// gs's memory. The put groups' records are checked as FromTables checks
+// them, and the digest is recomputed, never trusted.
+func Derive(base *Snapshot, t Tables, gs []Group) (*Snapshot, error) {
 	if base == nil {
 		return nil, fmt.Errorf("geoserve: derive: nil base snapshot")
 	}
@@ -353,51 +305,55 @@ func Derive(base *Snapshot, t Tables, edits []Interval) (*Snapshot, error) {
 	if !slices.Equal(t.Mappers, base.mappers) {
 		return nil, fmt.Errorf("geoserve: delta mappers %q, base has %q", t.Mappers, base.mappers)
 	}
-	keys := make([]uint32, len(edits))
-	added := 0
-	for i, v := range edits {
-		if v.Key&0xff != 0 || i > 0 && v.Key <= keys[i-1] {
-			return nil, fmt.Errorf("geoserve: edit %d: %s is not a /24 base above its predecessor", i, FormatIPv4(v.Key))
+	bases := make([]uint32, len(gs))
+	np, ni := 0, 0
+	for i, g := range gs {
+		if leafBase(g.Base) != g.Base || i > 0 && g.Base <= bases[i-1] {
+			return nil, fmt.Errorf("geoserve: group %d: %s is not a /20 base above its predecessor", i, FormatIPv4(g.Base))
 		}
-		for j, ip := range v.IPs {
-			if ip&^0xff != v.Key || j > 0 && ip <= v.IPs[j-1] {
-				return nil, fmt.Errorf("geoserve: edit %s: exact address %s is not inside it above its predecessor", FormatIPv4(v.Key), FormatIPv4(ip))
+		for j, p := range g.Prefixes {
+			if p&0xff != 0 || leafBase(p) != g.Base || j > 0 && p <= g.Prefixes[j-1] {
+				return nil, fmt.Errorf("geoserve: group %s: %s is not a /24 base inside it above its predecessor", FormatIPv4(g.Base), FormatIPv4(p))
 			}
 		}
-		if len(v.Records) != nm*v.rows()*RecordSize {
-			return nil, fmt.Errorf("geoserve: edit %s carries %d record bytes, want %d mappers × %d rows", FormatIPv4(v.Key), len(v.Records), nm, v.rows())
+		for j, ip := range g.IPs {
+			if leafBase(ip) != g.Base || j > 0 && ip <= g.IPs[j-1] {
+				return nil, fmt.Errorf("geoserve: group %s: exact address %s is not inside it above its predecessor", FormatIPv4(g.Base), FormatIPv4(ip))
+			}
 		}
-		keys[i] = v.Key
-		added += len(v.IPs)
+		size := (len(g.Prefixes) + len(g.IPs)) * RecordSize
+		if len(g.Pages) != nm || slices.ContainsFunc(g.Pages, func(p []byte) bool { return len(p) != size }) {
+			return nil, fmt.Errorf("geoserve: group %s carries %d pages, want one of %d bytes per mapper (%d rows) for %d mappers",
+				FormatIPv4(g.Base), len(g.Pages), size, size/RecordSize, nm)
+		}
+		bases[i] = g.Base
+		np, ni = np+len(g.Prefixes), ni+len(g.IPs)
 	}
 
-	// The index: base's keys in runs between the edits, each edit's in
-	// place of base's at its /24.
+	// The index: base's keys in runs between the groups, each group's in
+	// place of base's at its /20.
 	s := &Snapshot{
 		build: t.Build, mappers: base.mappers, asns: t.ASNs, footprints: t.Footprints,
-		prefixes: make([]uint32, 0, len(base.prefixes)+len(edits)),
-		ips:      make([]uint32, 0, len(base.ips)+added),
+		prefixes: make([]uint32, 0, len(base.prefixes)+np),
+		ips:      make([]uint32, 0, len(base.ips)+ni),
 	}
 	pCur, iCur := 0, 0
-	for _, v := range edits {
-		pEnd, _ := slices.BinarySearch(base.prefixes, v.Key)
-		iEnd, _ := slices.BinarySearch(base.ips, v.Key)
+	for _, g := range gs {
+		k, held := base.groupAt(g.Base)
+		pEnd, iEnd := len(base.prefixes), len(base.ips)
+		if k < len(base.groups) {
+			pEnd, iEnd = base.groups[k].pLo, base.groups[k].iLo
+		}
 		s.prefixes = append(s.prefixes, base.prefixes[pCur:pEnd]...)
 		s.ips = append(s.ips, base.ips[iCur:iEnd]...)
 		pCur, iCur = pEnd, iEnd
-		if pCur < len(base.prefixes) && base.prefixes[pCur] == v.Key {
-			pCur++
+		if held {
+			pCur, iCur = base.groups[k].pHi, base.groups[k].iHi
+		} else if len(g.Prefixes)+len(g.IPs) == 0 {
+			return nil, fmt.Errorf("geoserve: delta deletes leaf group %s, which base does not hold", FormatIPv4(g.Base))
 		}
-		for iCur < len(base.ips) && base.ips[iCur]&^0xff == v.Key {
-			iCur++
-		}
-		if v.rows() == 0 && pCur == pEnd && iCur == iEnd {
-			return nil, fmt.Errorf("geoserve: edit removes /24 %s, which base does not hold", FormatIPv4(v.Key))
-		}
-		if v.Prefix {
-			s.prefixes = append(s.prefixes, v.Key)
-		}
-		s.ips = append(s.ips, v.IPs...)
+		s.prefixes = append(s.prefixes, g.Prefixes...)
+		s.ips = append(s.ips, g.IPs...)
 	}
 	s.prefixes = append(s.prefixes, base.prefixes[pCur:]...)
 	s.ips = append(s.ips, base.ips[iCur:]...)
@@ -410,62 +366,17 @@ func Derive(base *Snapshot, t Tables, edits []Interval) (*Snapshot, error) {
 		s.groups = groups(s.prefixes, s.ips)
 	}
 
-	// The pages of each group an edit lies in: an edited /24's rows
-	// from its edit, every other row from base's page. Keys, edits and
-	// base's rows ascend alike, so one walk of each table finds them.
-	build := s.holding(base, keys)
-	s.carve(build)
-	fromEdit := func(i, r int, v Interval, j int) {
-		for m := range nm {
-			copy(s.page(m, i)[r*RecordSize:][:RecordSize], v.Records[(m*v.rows()+j)*RecordSize:])
+	// Each put group's pages are copied in; seal shares base's for the
+	// rest.
+	s.carve(s.holding(base, bases))
+	for _, g := range gs {
+		if i, ok := s.groupAt(g.Base); ok {
+			for m, page := range g.Pages {
+				copy(s.page(m, i), page)
+			}
 		}
 	}
-	fromBase := func(i, r, bi, j int) {
-		for m := range nm {
-			copy(s.page(m, i)[r*RecordSize:][:RecordSize], base.page(m, bi)[j*RecordSize:])
-		}
-	}
-	for i, g := range s.groups {
-		if !build[i] {
-			continue
-		}
-		bi, _ := base.groupAt(g.base)
-		var bg group
-		if bi < len(base.groups) {
-			bg = base.groups[bi]
-		}
-		e0, _ := slices.BinarySearch(keys, g.base)
-		for r, e, b := 0, e0, bg.pLo; r < g.prefixRows(); r++ {
-			k := s.prefixes[g.pLo+r]
-			for e < len(keys) && keys[e] < k {
-				e++
-			}
-			if e < len(keys) && keys[e] == k {
-				fromEdit(i, r, edits[e], 0)
-				continue
-			}
-			for base.prefixes[b] < k {
-				b++
-			}
-			fromBase(i, r, bi, b-bg.pLo)
-		}
-		for n, e, b, j := 0, e0, bg.iLo, 0; n < g.iHi-g.iLo; n++ {
-			ip, r := s.ips[g.iLo+n], g.prefixRows()+n
-			for e < len(keys) && keys[e] < ip&^0xff {
-				e, j = e+1, 0
-			}
-			if e < len(keys) && keys[e] == ip&^0xff {
-				fromEdit(i, r, edits[e], edits[e].rows()-len(edits[e].IPs)+j)
-				j++
-				continue
-			}
-			for base.ips[b] < ip {
-				b++
-			}
-			fromBase(i, r, bi, bg.prefixRows()+b-bg.iLo)
-		}
-	}
-	if err := s.sealChecked(base, keys); err != nil {
+	if err := s.sealChecked(base, bases); err != nil {
 		return nil, err
 	}
 	return s, nil

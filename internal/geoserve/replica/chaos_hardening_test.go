@@ -49,7 +49,7 @@ func churn(tb testing.TB, snap *geoserve.Snapshot, step int) *geoserve.Snapshot 
 			}
 		}
 	}
-	out, err := geoserve.FromTables(c, nil, nil)
+	out, err := geoserve.FromTables(c)
 	if err != nil {
 		tb.Fatalf("churn step %d: %v", step, err)
 	}

@@ -69,7 +69,7 @@ func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Sna
 		}
 		c.Footprints = append(c.Footprints, fps)
 	}
-	snap, err := geoserve.FromTables(c, nil, nil)
+	snap, err := geoserve.FromTables(c)
 	if err != nil {
 		tb.Fatalf("FromTables: %v", err)
 	}

@@ -1,11 +1,105 @@
 package geoserve_test
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
+	"geonet/internal/analysis"
 	"geonet/internal/core"
 	"geonet/internal/geoserve"
 )
+
+// sealWorld assembles a two-mapper snapshot holding, for each /24 of
+// keys (ascending), a prefix row and two exact rows whose answers are a
+// function of the key and salts[key]: worlds built with mostly equal
+// salts share most leaf groups byte for byte.
+func sealWorld(tb testing.TB, keys []uint32, salts map[uint32]int64) *geoserve.Snapshot {
+	tb.Helper()
+	t := geoserve.Tables{Mappers: []string{"alpha", "beta"}, Footprints: make([][]analysis.ASFootprint, 2)}
+	for _, k := range keys {
+		t.Prefixes = append(t.Prefixes, k)
+		t.IPs = append(t.IPs, k+1, k+2)
+	}
+	n := len(keys)
+	for m := range t.Mappers {
+		slab := make([]byte, 3*n*geoserve.RecordSize)
+		for r := range 3 * n {
+			k := keys[r%n]
+			if r >= n {
+				k = keys[(r-n)/2]
+			}
+			a := geoserve.Answer{Found: true, Exact: r >= n, Method: "whois", ASN: 1 + r, RadiusMi: float64(m) + float64(salts[k])}
+			if err := geoserve.PutRecord(slab[r*geoserve.RecordSize:], a); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		t.Records = append(t.Records, slab)
+	}
+	s, err := geoserve.FromTables(t)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// TestSealRehashesTouched pins what a digest computed against a
+// predecessor trusts and what it checks. It trusts that every row
+// outside the touched /24s is the predecessor's, and hashes the rest:
+// one flipped byte in a group no churn changed, with its /24 listed in
+// touched, gives the digest a from-scratch seal gives (the root covers
+// every leaf's base and hash, so the leaves agree too). It checks the
+// keys a reused leaf rests on: a touched set that omits a /24 whose
+// keys changed is refused, never sealed to a wrong leaf, and so is a
+// predecessor with other mappers.
+func TestSealRehashesTouched(t *testing.T) {
+	keys := make([]uint32, 64) // four leaf groups of 16 /24s
+	for i := range keys {
+		keys[i] = 10<<24 | uint32(i)<<8
+	}
+	old := sealWorld(t, keys, nil)
+	new := sealWorld(t, keys, map[uint32]int64{keys[3]: 9}) // only the first group changes
+	if old.Digest() == new.Digest() {
+		t.Fatal("test is vacuous: the churn changed nothing")
+	}
+
+	tabs := new.Tables()
+	tabs.Records[1][50*geoserve.RecordSize] ^= 1 // keys[50]'s prefix row, in the last group
+	flipped, err := geoserve.FromTables(tabs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := geoserve.Seal(flipped, old, []uint32{keys[3], keys[50]}); err != nil || d != flipped.Digest() || d == new.Digest() {
+		t.Fatalf("flipped row: digest against the predecessor %.16s (%v), from scratch %.16s, unflipped %.16s",
+			d, err, flipped.Digest(), new.Digest())
+	}
+
+	holed := slices.Delete(slices.Clone(keys), 40, 41) // keys[40] is in the third group
+	for _, c := range []struct {
+		name     string
+		from, to []uint32
+		touched  []uint32
+	}{
+		{"a /24 left an untouched group", keys, holed, []uint32{keys[3]}},
+		{"a /24 joined an untouched group", holed, keys, nil},
+		{"a new group holds no touched /24", keys, append(slices.Clone(keys), keys[63]+1<<8), nil},
+	} {
+		from, to := sealWorld(t, c.from, nil), sealWorld(t, c.to, nil)
+		if _, err := geoserve.Seal(to, from, c.touched); err == nil || !strings.Contains(err.Error(), "touched") {
+			t.Errorf("%s: sealed against the predecessor with touched %v: err %v, want the key guard's", c.name, c.touched, err)
+		}
+	}
+
+	renamed := new.Tables()
+	renamed.Mappers = []string{"alpha", "gamma"}
+	other, err := geoserve.FromTables(renamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := geoserve.Seal(other, old, []uint32{keys[3]}); err == nil {
+		t.Error("sealed against a predecessor with other mappers")
+	}
+}
 
 // BenchmarkSeal seals the second snapshot of one test-scale churn pair
 // twice: from scratch, and against its predecessor, which reuses the

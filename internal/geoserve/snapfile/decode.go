@@ -105,6 +105,24 @@ func (d *decoder) u32Section(what string) ([]uint32, error) {
 	return out, nil
 }
 
+// offsets consumes a u16 count and count u16 offsets, and returns base
+// plus each offset.
+func (d *decoder) offsets(base uint32, what string) ([]uint32, error) {
+	b, err := d.take(2, what+" count")
+	if err != nil {
+		return nil, err
+	}
+	raw, err := d.take(2*int(binary.LittleEndian.Uint16(b)), what)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint32, len(raw)/2)
+	for i := range out {
+		out[i] = base + uint32(binary.LittleEndian.Uint16(raw[2*i:]))
+	}
+	return out, nil
+}
+
 // The raw readers skip per-read error checks; callers use them only
 // after verifying the section holds exactly the bytes they will
 // consume.

@@ -2,6 +2,7 @@ package snapfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -80,7 +81,7 @@ func buildWorld(tb testing.TB, seed int64, keys []uint32, salts map[uint32]int64
 		}
 		c.Footprints = append(c.Footprints, fps)
 	}
-	snap, err := geoserve.FromTables(c, nil, nil)
+	snap, err := geoserve.FromTables(c)
 	if err != nil {
 		tb.Fatalf("FromTables: %v", err)
 	}
@@ -208,7 +209,7 @@ func TestDiffRejectsMapperMismatch(t *testing.T) {
 	other := makeSnapshot(t, 4, 8, 4)
 	c := other.Tables()
 	c.Mappers = []string{"alpha", "gamma"}
-	renamed, err := geoserve.FromTables(c, nil, nil)
+	renamed, err := geoserve.FromTables(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,33 +227,49 @@ func TestApplyRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	damage := []struct {
+	type damageCase struct {
 		name string
 		mut  func([]byte) []byte
 		want error
-	}{
-		{"empty", func(b []byte) []byte { return nil }, ErrMagic},
-		{"full-snapshot magic", func(b []byte) []byte { copy(b, magic); return b }, ErrMagic},
-		{"version skew", func(b []byte) []byte { b[8] = 99; return b }, ErrVersion},
-		{"cut mid-section", func(b []byte) []byte { return b[:len(b)/2] }, ErrTruncated},
-		{"cut trailer", func(b []byte) []byte { return b[:len(b)-70] }, ErrTruncated},
-		{"bit flip in body", func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }, ErrCorrupt},
-		{"bit flip in to-digest", func(b []byte) []byte { b[len(b)-40] ^= 0x01; return b }, ErrCorrupt},
-		{"bit flip in file hash", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, ErrCorrupt},
+		msg  string // in the error, when set
+	}
+	nm := len(new.Mappers())
+	ops := func(edit func([]geoserve.Group)) func([]byte) []byte {
+		return func(b []byte) []byte { return rewriteOps(t, b, nm, edit) }
+	}
+	if _, _, err := Apply(old, rewriteOps(t, bytes.Clone(delta), nm, func([]geoserve.Group) {})); err != nil {
+		t.Fatalf("ops rewritten unchanged: %v", err)
+	}
+	damage := []damageCase{
+		{"empty", func(b []byte) []byte { return nil }, ErrMagic, ""},
+		{"full-snapshot magic", func(b []byte) []byte { copy(b, magic); return b }, ErrMagic, ""},
+		{"version skew", func(b []byte) []byte { b[8] = 99; return b }, ErrVersion, ""},
+		{"version 3", func(b []byte) []byte { b[8] = 3; return b }, ErrVersion, ""},
+		{"cut mid-section", func(b []byte) []byte { return b[:len(b)/2] }, ErrTruncated, ""},
+		{"cut trailer", func(b []byte) []byte { return b[:len(b)-70] }, ErrTruncated, ""},
+		{"bit flip in body", func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }, ErrCorrupt, ""},
+		{"bit flip in to-digest", func(b []byte) []byte { b[len(b)-40] ^= 0x01; return b }, ErrCorrupt, ""},
+		{"bit flip in file hash", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, ErrCorrupt, ""},
+		// The ops are the churned group 10.0.0.0/20 and the new group
+		// 11.0.0.0/20. Each case breaks one rule Derive holds a group
+		// op to and is resealed, its to-digest left alone.
+		{"group base not /20-aligned", ops(func(g []geoserve.Group) { g[0].Base += 1 << 8 }), ErrFormat, "not a /20 base"},
+		{"group bases out of order", ops(func(g []geoserve.Group) { g[0], g[1] = g[1], g[0] }), ErrFormat, "not a /20 base"},
+		{"prefix outside its group", ops(func(g []geoserve.Group) { g[0].Prefixes[len(g[0].Prefixes)-1] = g[0].Base + 1<<12 }), ErrFormat, "not a /24 base inside it"},
+		{"exact address outside its group", ops(func(g []geoserve.Group) { g[0].IPs[len(g[0].IPs)-1] = g[0].Base + 1<<12 + 1 }), ErrFormat, "not inside it above its predecessor"},
+		{"keys out of order", ops(func(g []geoserve.Group) { g[0].IPs[0], g[0].IPs[1] = g[0].IPs[1], g[0].IPs[0] }), ErrFormat, "not inside it above its predecessor"},
+		{"record bytes not mappers × rows", ops(func(g []geoserve.Group) { g[0].Pages[1] = g[0].Pages[1][:len(g[0].Pages[1])-geoserve.RecordSize] }), ErrFormat, "per mapper"},
+		{"delete of a group base lacks", ops(func(g []geoserve.Group) { g[1] = geoserve.Group{Base: g[1].Base} }), ErrFormat, "does not hold"},
 	}
 	// A put op's records get the same canonical-record checks a full
 	// file's do: each case is resealed, and its to-digest left alone.
 	for _, nc := range noncanonical {
-		damage = append(damage, struct {
-			name string
-			mut  func([]byte) []byte
-			want error
-		}{"put op: " + nc.name, func(b []byte) []byte {
+		damage = append(damage, damageCase{"put op: " + nc.name, func(b []byte) []byte {
 			at := findRecord(t, b, new, nc.exactRow)
 			nc.mut(b[at : at+geoserve.RecordSize])
 			reseal(b)
 			return b
-		}, ErrFormat})
+		}, ErrFormat, ""})
 	}
 	for _, tc := range damage {
 		t.Run(tc.name, func(t *testing.T) {
@@ -264,12 +281,12 @@ func TestApplyRejectsDamage(t *testing.T) {
 			if s != nil {
 				t.Fatal("damaged apply returned a snapshot alongside its error")
 			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("error %v, want %v", err, tc.want)
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("error %v, want %v naming %q", err, tc.want, tc.msg)
 			}
 			// A failed Apply leaves its base as it was: base's tables,
 			// gathered from its pages, still seal to its digest.
-			resealed, err := geoserve.FromTables(old.Tables(), nil, nil)
+			resealed, err := geoserve.FromTables(old.Tables())
 			if err != nil {
 				t.Fatalf("base after a failed apply: %v", err)
 			}
@@ -278,6 +295,28 @@ func TestApplyRejectsDamage(t *testing.T) {
 			}
 		})
 	}
+}
+
+// rewriteOps returns delta with its ops decoded, edited in place and
+// encoded again, and the whole-file hash resealed; the to-digest stays.
+func rewriteOps(tb testing.TB, delta []byte, nMappers int, edit func([]geoserve.Group)) []byte {
+	tb.Helper()
+	at := sectionPayload(delta, 3+nMappers) - 8 // header, mappers, asns, footprints, then ops
+	ops, err := decodeOps(&decoder{data: delta[at : len(delta)-trailerBytes]}, nMappers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	edit(ops)
+	out := appendSection(bytes.Clone(delta[:at]), func(b []byte) []byte {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(ops)))
+		for _, op := range ops {
+			b = appendOp(b, op)
+		}
+		return b
+	})
+	out = append(out, delta[len(delta)-trailerBytes:]...)
+	reseal(out)
+	return out
 }
 
 // TestApplyRejectsBadFootprintOrScale runs badContent through Apply: a
@@ -348,63 +387,21 @@ func TestApplyRejectsForgedToDigest(t *testing.T) {
 	}
 }
 
-// TestIncrementalDigestRehashesTouched pins what a digest computed
-// against a predecessor trusts and what it checks. It trusts that every
-// row outside the touched /24s is the predecessor's, and hashes the
-// rest: one flipped byte in a group no churn changed, with its /24
-// listed in touched, gives the digest and the leaves a from-scratch
-// seal gives. It checks the keys a reused leaf rests on: a touched set
-// that omits a /24 whose keys changed is refused, never sealed to a
-// wrong leaf, and so is a predecessor with other mappers. And Apply's
-// touched set is its own op keys, so a delta that smuggles the flipped
-// byte in under the honest target's digest fails ErrCorrupt.
+// TestIncrementalDigestRehashesTouched pins that Apply's touched set is
+// its own ops' groups, each rehashed: a delta that smuggles a flipped
+// byte in under the honest target's digest fails ErrCorrupt. What a
+// digest computed against a predecessor trusts and checks is geoserve's
+// TestSealRehashesTouched.
 func TestIncrementalDigestRehashesTouched(t *testing.T) {
 	keys := worldKeys(64) // four leaf groups of 16 /24s
 	old := buildWorld(t, 1, keys, nil)
 	new := buildWorld(t, 1, keys, map[uint32]int64{keys[3]: 9}) // only the first group changes
-	if old.Digest() == new.Digest() {
-		t.Fatal("test is vacuous: the churn changed nothing")
-	}
-
 	tabs := new.Tables()
-	tabs.Records = [][]byte{bytes.Clone(tabs.Records[0]), bytes.Clone(tabs.Records[1])}
 	tabs.Records[1][50*geoserve.RecordSize] ^= 1 // keys[50]'s prefix row, in the last group
-	flipped, err := geoserve.FromTables(tabs, old, []uint32{keys[3], keys[50]})
+	flipped, err := geoserve.FromTables(tabs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := geoserve.FromTables(tabs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flipped.Digest() == new.Digest() || flipped.Digest() != scratch.Digest() || !slices.Equal(flipped.Leaves(), scratch.Leaves()) {
-		t.Fatalf("flipped row: digest against the predecessor %.16s, from scratch %.16s, unflipped %.16s",
-			flipped.Digest(), scratch.Digest(), new.Digest())
-	}
-
-	holed := slices.Delete(slices.Clone(keys), 40, 41) // keys[40] is in the third group
-	for _, c := range []struct {
-		name     string
-		from, to []uint32
-		touched  []uint32
-	}{
-		{"a /24 left an untouched group", keys, holed, []uint32{keys[3]}},
-		{"a /24 joined an untouched group", holed, keys, nil},
-		{"a new group holds no touched /24", keys, append(slices.Clone(keys), keys[63]+1<<8), nil},
-	} {
-		from, to := buildWorld(t, 1, c.from, nil), buildWorld(t, 1, c.to, nil)
-		_, err := geoserve.FromTables(to.Tables(), from, c.touched)
-		if err == nil || !strings.Contains(err.Error(), "touched") {
-			t.Errorf("%s: sealed against the predecessor with touched %v: err %v, want the key guard's", c.name, c.touched, err)
-		}
-	}
-
-	renamed := new.Tables()
-	renamed.Mappers = []string{"alpha", "gamma"}
-	if _, err := geoserve.FromTables(renamed, old, []uint32{keys[3]}); err == nil {
-		t.Error("sealed against a predecessor with other mappers")
-	}
-
 	delta, err := Diff(old, flipped, 1, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -211,7 +211,7 @@ func FuzzSnapdeltaApply(f *testing.F) {
 			if snap.Digest() != trailer || info.ToDigest != trailer {
 				t.Fatalf("applied digest %s, info %s, trailer %s", snap.Digest(), info.ToDigest, trailer)
 			}
-			scratch, err := geoserve.FromTables(snap.Tables(), nil, nil)
+			scratch, err := geoserve.FromTables(snap.Tables())
 			if err != nil {
 				t.Fatalf("applied, but its tables fail from scratch: %v", err)
 			}

@@ -24,27 +24,30 @@
 //	trailer [32]byte content digest (= Snapshot.Digest(), raw)
 //	        [32]byte SHA-256 over every preceding byte of the file
 //
-// Snapshot delta layout, format 3 (magic "geosnapd", DeltaFormatVersion;
+// Snapshot delta layout, format 4 (magic "geosnapd", DeltaFormatVersion;
 // see Diff and Apply): the same envelope around a header (from epoch,
 // to epoch, the base's content digest, build), the target's mappers,
 // asns and footprints sections whole, and one ops section —
 //
-//	ops   u32 count, then per op, ascending by key:
-//	        key u32 (/24 base) | kind u8 (0 delete, 1 put)
-//	        put only: prefix rows u8 (0 or 1) | u32 count + exact
-//	        addresses | per mapper, the /24's records (a
-//	        geoserve.Interval): the prefix record if any, then the
-//	        exact records
+//	ops   u32 count, then per op, one leaf group (a /20), ascending:
+//	        base u32 (the /20's first address)
+//	        u16 count + count u16 offsets from base (its /24s)
+//	        u16 count + count u16 offsets from base (its exact
+//	        addresses)
+//	        u32 byte count + per mapper the group's page as the
+//	        snapshot holds it (geoserve.Group): its prefix records,
+//	        then its exact records
+//	      an op with no rows deletes the group
 //
 // — closed by the target's content digest and the whole-file hash.
-// Format 3 lays out its bytes exactly as format 2 did; what changed is
+// File format 3 lays out its bytes exactly as format 2 did; what changed is
 // the content digest the trailers carry, which is two-level since
 // format 3 (see geoserve.Snapshot.Digest). The leaf hashes never
 // travel: a reader recomputes every leaf it does not prove equal to
 // its own base's. Formats 1 (30-byte rows, column-major in the file and
-// row-major in the delta) and 2 have no reader: one binary runs a fleet
-// and every snapshot is recompiled from the pipeline, so an old file
-// gets ErrVersion.
+// row-major in the delta) and 2 have no reader, and neither has delta
+// format 3 (per-/24 ops): one binary runs a fleet and every snapshot is
+// recompiled from the pipeline, so an old file gets ErrVersion.
 //
 // Load and Apply never trust their bytes: magic and version gate
 // first, every section length and count is bounds-checked against the
@@ -53,7 +56,7 @@
 // revalidates everything lookups and JSON bodies rely on, and the
 // content digest is recomputed from the reassembled snapshot (Apply
 // sharing only the pages and leaf hashes of the base's groups no op
-// lies in) and compared against the trailer. Both hold the tables to
+// names) and compared against the trailer. Both hold the tables to
 // the rules a compiled Source meets:
 // mapper names of [a-z0-9._-]+ (JSON answers carry them unescaped);
 // sorted, /24-aligned indexes; positive ascending ASNs; footprint rows
@@ -260,7 +263,7 @@ func Decode(data []byte) (*geoserve.Snapshot, FileInfo, error) {
 	if err := closeEnvelope(data, d); err != nil {
 		return nil, info, err
 	}
-	snap, err := assemble(trailerDigest(data), func() (*geoserve.Snapshot, error) { return geoserve.FromTables(t, nil, nil) })
+	snap, err := assemble(trailerDigest(data), func() (*geoserve.Snapshot, error) { return geoserve.FromTables(t) })
 	if err != nil {
 		return nil, info, err
 	}

@@ -73,7 +73,7 @@ func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Sna
 		}
 		c.Footprints = append(c.Footprints, fps)
 	}
-	snap, err := geoserve.FromTables(c, nil, nil)
+	snap, err := geoserve.FromTables(c)
 	if err != nil {
 		tb.Fatalf("FromTables: %v", err)
 	}
@@ -427,7 +427,7 @@ func TestEncodedSizeExact(t *testing.T) {
 			if tc.noFootprints {
 				tabs.ASNs, tabs.Footprints = nil, make([][]analysis.ASFootprint, len(tabs.Mappers))
 			}
-			snap, err := geoserve.FromTables(tabs, nil, nil)
+			snap, err := geoserve.FromTables(tabs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -162,8 +162,9 @@ type Leaf struct {
 
 // Leaves returns the digest's leaf hashes, ascending by Base: one per
 // leaf group that holds a row. Equal Sums at one Base mean the group's
-// /24 intervals are identical in both snapshots, which is what lets
-// snapfile.Diff skip them. The slice is shared and read-only.
+// keys and pages are identical in both snapshots: snapfile.Diff skips
+// those groups and sends every other one whole (see Group). The slice
+// is shared and read-only.
 func (s *Snapshot) Leaves() []Leaf { return s.leaves }
 
 // search32 finds v in the ascending slice xs: the index of the first
