@@ -16,8 +16,8 @@ import (
 // so a write into a shared page would change every snapshot holding
 // it. It runs 40 churn steps through CompileDelta, and through Diff and
 // Apply on a replica lineage, keeps every snapshot of both, and only at
-// the end re-derives each one from scratch: FromTables over its tables
-// must give its own digest and leaves.
+// the end re-derives each one from nothing: its groups must give its
+// own digest and leaves.
 func TestLineageKeepsEverySnapshot(t *testing.T) {
 	p, full0 := fixture(t)
 	ch, err := p.Churner(core.ServeOptions{}, corpusSeed)
@@ -58,12 +58,12 @@ func TestLineageKeepsEverySnapshot(t *testing.T) {
 		snaps []*geoserve.Snapshot
 	}{{"CompileDelta", built}, {"Apply", applied}} {
 		for i, s := range lineage.snaps {
-			scratch, err := geoserve.FromTables(s.Tables())
+			scratch, err := rederive(s)
 			if err != nil {
 				t.Fatalf("%s epoch %d: %v", lineage.name, i, err)
 			}
 			if scratch.Digest() != s.Digest() || !slices.Equal(scratch.Leaves(), s.Leaves()) {
-				t.Fatalf("%s epoch %d: sealed to %.16s, its tables now hash to %.16s: a later epoch wrote into its pages",
+				t.Fatalf("%s epoch %d: sealed to %.16s, its groups now hash to %.16s: a later epoch wrote into its pages",
 					lineage.name, i, s.Digest(), scratch.Digest())
 			}
 		}

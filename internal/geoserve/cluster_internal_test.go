@@ -25,16 +25,17 @@ import (
 // every third prefix, and per-mapper entries whose content varies by
 // index so distinct snapshots get distinct digests.
 func syntheticSnapshot(start uint32, nPrefixes, nMappers int, salt float64) *Snapshot {
-	var s Tables
+	var h Header
+	var prefixes, ips []uint32
 	for m := 0; m < nMappers; m++ {
-		s.Mappers = append(s.Mappers, fmt.Sprintf("m%d", m))
+		h.Mappers = append(h.Mappers, fmt.Sprintf("m%d", m))
 	}
 	for i := 0; i < nPrefixes; i++ {
 		// Spaced, ascending, low byte zero.
-		s.Prefixes = append(s.Prefixes, start+uint32(i)*7*256)
+		prefixes = append(prefixes, start+uint32(i)*7*256)
 	}
 	for i := 0; i < nPrefixes; i += 3 {
-		s.IPs = append(s.IPs, s.Prefixes[i]+1, s.Prefixes[i]+200)
+		ips = append(ips, prefixes[i]+1, prefixes[i]+200)
 	}
 	put := func(rec []byte, m, i int, exact bool) {
 		a := Answer{
@@ -53,18 +54,19 @@ func syntheticSnapshot(start uint32, nPrefixes, nMappers int, salt float64) *Sna
 			panic(err)
 		}
 	}
-	s.Footprints = make([][]analysis.ASFootprint, nMappers)
+	h.Footprints = make([][]analysis.ASFootprint, nMappers)
+	var slabs [][]byte
 	for m := 0; m < nMappers; m++ {
-		slab := make([]byte, (len(s.Prefixes)+len(s.IPs))*RecordSize)
-		for i := range s.Prefixes {
+		slab := make([]byte, (len(prefixes)+len(ips))*RecordSize)
+		for i := range prefixes {
 			put(slab[i*RecordSize:], m, i, false)
 		}
-		for i := range s.IPs {
-			put(slab[(len(s.Prefixes)+i)*RecordSize:], m, i, true)
+		for i := range ips {
+			put(slab[(len(prefixes)+i)*RecordSize:], m, i, true)
 		}
-		s.Records = append(s.Records, slab)
+		slabs = append(slabs, slab)
 	}
-	snap, err := FromTables(s)
+	snap, err := DeriveSlabs(h, prefixes, ips, slabs)
 	if err != nil {
 		panic(err)
 	}

@@ -388,7 +388,7 @@ func classify(prev, s *Snapshot, dirty []uint32, ops []uint8, st *DeltaStats, to
 // goes into: the mapper names, the two indexes (src's own slices) and
 // the footprint tables, the union of every mapper's ASNs with a zero
 // row where a mapper has none. check then holds them to the rules
-// FromTables holds outside bytes to; what only a Source can get wrong
+// Derive holds outside bytes to; what only a Source can get wrong
 // is checked here: an empty address set, a nil table, a nil mapper, a
 // mapper's footprints out of ascending ASN order.
 func skeleton(src Source) (*Snapshot, error) {

@@ -11,7 +11,7 @@ import (
 	"geonet/internal/rng"
 )
 
-// indexSnapshot assembles, through FromTables, a one-mapper snapshot
+// indexSnapshot derives from nothing a one-mapper snapshot
 // over the given /24s and exact addresses (any order, duplicates
 // dropped); row r answers with ASN r+1, so an answer names its row.
 func indexSnapshot(t *testing.T, prefixes, ips []uint32) *geoserve.Snapshot {
@@ -27,13 +27,8 @@ func indexSnapshot(t *testing.T, prefixes, ips []uint32) *geoserve.Snapshot {
 			t.Fatal(err)
 		}
 	}
-	snap, err := geoserve.FromTables(geoserve.Tables{
-		Mappers:    []string{"m"},
-		Prefixes:   prefixes,
-		IPs:        ips,
-		Records:    [][]byte{slab},
-		Footprints: make([][]analysis.ASFootprint, 1),
-	})
+	h := geoserve.Header{Mappers: []string{"m"}, Footprints: make([][]analysis.ASFootprint, 1)}
+	snap, err := geoserve.DeriveSlabs(h, prefixes, ips, [][]byte{slab})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +52,7 @@ func TestDirectoryMatchesSearch(t *testing.T) {
 		// Both ends of the address space as /24s and as exact addresses,
 		// /24s at both ends of a /16 and across the boundary to its
 		// neighbours, a /24 whose 256 hosts are all exact, and exact
-		// addresses in /24s (and a /16) nothing allocated — FromTables
+		// addresses in /24s (and a /16) nothing allocated — Derive
 		// accepts them though no compile produces one.
 		prefixes := []uint32{
 			0x00000000, 0xFFFFFF00,
@@ -74,10 +69,10 @@ func TestDirectoryMatchesSearch(t *testing.T) {
 		}
 		snap := indexSnapshot(t, prefixes, ips)
 		geoserve.CheckDirectory(t, snap)
-		tabs := snap.Tables()
-		for i, ip := range tabs.IPs {
-			if a := snap.Lookup(0, ip); !a.Exact || a.ASN != len(tabs.Prefixes)+i+1 {
-				t.Fatalf("exact %s answered %+v, want row %d", geoserve.FormatIPv4(ip), a, len(tabs.Prefixes)+i)
+		np := snap.NumPrefixes()
+		for i, ip := range snap.ExactIPs() {
+			if a := snap.Lookup(0, ip); !a.Exact || a.ASN != np+i+1 {
+				t.Fatalf("exact %s answered %+v, want row %d", geoserve.FormatIPv4(ip), a, np+i)
 			}
 		}
 		// An exact-only /24 misses at every host that is not exact.
@@ -167,12 +162,12 @@ func TestDirectoryMatchesSearch(t *testing.T) {
 	})
 }
 
-// TestDirectoryBound pins what FromTables promises about tables read
-// off the network: the directory they make it build stays within
-// 256 KB + 1 KB per distinct /16 + 40 B per distinct /24 (plus the one
-// shared block and slot). The worst input per row puts every row in a
-// /16 of its own, so both tables here cover all 65 536 of them — 36 B
-// of input buy 1 KB of block, and there the growth stops, at 64 MB.
+// TestDirectoryBound pins what Derive promises about groups read off
+// the network: the directory they make it build stays within 256 KB +
+// 1 KB per distinct /16 + 40 B per distinct /24 (plus the one shared
+// block and slot). The worst input per row puts every row in a /16 of
+// its own, so both indexes here cover all 65 536 of them — a one-row
+// op of 46 B buys 1 KB of block, and there the growth stops, at 64 MB.
 func TestDirectoryBound(t *testing.T) {
 	const n = 1 << 16
 	bases, hosts := make([]uint32, n), make([]uint32, n)

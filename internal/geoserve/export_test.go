@@ -30,7 +30,8 @@ func searchRow(s *Snapshot, ip uint32) int {
 func CheckDirectory(tb testing.TB, s *Snapshot) {
 	tb.Helper()
 	probe := func(ip uint32) {
-		// The directory's (group, page row) as a row of Tables' slab.
+		// The directory's (group, page row) as a row of the index:
+		// every /24, then every exact address.
 		got := -1
 		if gi, r := s.dir.row(ip); r >= 0 {
 			g := s.groups[gi]
@@ -55,6 +56,33 @@ func CheckDirectory(tb testing.TB, s *Snapshot) {
 		probe(ip)
 		probe(ip + 1)
 	}
+}
+
+// DeriveSlabs cuts each mapper's slab — a record per /24 of prefixes,
+// then one per address of ips, both ascending — into the leaf groups a
+// snapshot stores, and derives the snapshot from nothing.
+func DeriveSlabs(h Header, prefixes, ips []uint32, slabs [][]byte) (*Snapshot, error) {
+	np := len(prefixes)
+	var gs []Group
+	for _, g := range groups(prefixes, ips) {
+		cut := Group{Base: g.base, Prefixes: prefixes[g.pLo:g.pHi], IPs: ips[g.iLo:g.iHi]}
+		for _, slab := range slabs {
+			cut.Pages = append(cut.Pages, slices.Concat(slab[g.pLo*RecordSize:g.pHi*RecordSize],
+				slab[(np+g.iLo)*RecordSize:(np+g.iHi)*RecordSize]))
+		}
+		gs = append(gs, cut)
+	}
+	return Derive(nil, h, gs)
+}
+
+// Groups returns every leaf group of s, ascending: views of its index
+// and pages, shared and read-only.
+func Groups(s *Snapshot) []Group {
+	gs := make([]Group, len(s.groups))
+	for i, g := range s.groups {
+		gs[i] = s.Group(g.base)
+	}
+	return gs
 }
 
 // SharesDirectory reports whether b serves from a's directory rather

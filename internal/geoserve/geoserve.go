@@ -28,7 +28,7 @@
 // endpoints, plus the binary wire protocol (/v1/locate/bin batches and
 // /v1/locate/stream full-duplex chunk streams) whose
 // epoch-tagged fixed-width answer frames are copied straight out of
-// the snapshot's record slabs — the 32-byte record is the one stored
+// the snapshot's record pages — the 32-byte record is the one stored
 // form of an answer (record.go), shared with the snapfile formats; see
 // wire.go and the wire-protocol section of DESIGN.md.
 //
@@ -67,7 +67,7 @@
 // (churn.TestGoldenChurnCorpus) pins the identity at every step, and
 // TestChurnWireChaos races wire batches against a live churn stream.
 // Compiled and loaded snapshots meet one content check: a Source goes
-// through the rules FromTables holds outside bytes to.
+// through the rules Derive holds outside bytes to.
 //
 // Every handler carries the internal/obs observability layer: serving,
 // shard, wire-protocol and epoch-swap metrics exposed in Prometheus

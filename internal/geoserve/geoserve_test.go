@@ -435,7 +435,7 @@ func TestCompileRejectsBadSource(t *testing.T) {
 }
 
 // TestPutRecordRefusesBadAnswer pins that PutRecord writes no record
-// FromTables would refuse to load: a place off the globe, a radius not
+// Derive would refuse to load: a place off the globe, a radius not
 // finite and ≥ 0, or Found disagreeing with having a method.
 func TestPutRecordRefusesBadAnswer(t *testing.T) {
 	good := geoserve.Answer{Found: true, Method: "feed", Loc: geo.Pt(-90, 180), RadiusMi: 0}

@@ -268,7 +268,7 @@ func MarshalAnswerJSON(a Answer, mapperName string) []byte {
 // of it: ip, mapper and found always; exact, method, asn and radius_mi
 // when not zero; lat and lon when found. Its bytes are encoding/json's
 // for the same object (TestAnswerJSONMatchesEncodingJSON). The mapper
-// name is written unescaped: FromTables admits only [a-z0-9._-] names.
+// name is written unescaped: check admits only [a-z0-9._-] names.
 func appendAnswerJSON(b []byte, a Answer, mapper string) []byte {
 	b = appendIPv4(append(b, `{"ip":"`...), a.IP)
 	b = append(append(b, `","mapper":"`...), mapper...)

@@ -13,10 +13,10 @@ import (
 
 // The record is the one stored form of an answer: memory, the binary
 // wire protocol, the snapfile and the snapdelta all hold the same
-// RecordSize bytes (layout in wire.go). A mapper's answers are one
-// slab of records, prefix rows first (one per /24, in Prefixes order),
-// exact rows after (one per address, in IPs order) with the exact flag
-// set on the latter.
+// RecordSize bytes (layout in wire.go). A mapper's answers are pages of
+// records, one per leaf group (see Group): the group's prefix rows
+// first (one per /24, ascending), its exact rows after (one per
+// address, ascending) with the exact flag set on the latter.
 const (
 	// RecordSize is the fixed width of one answer record.
 	RecordSize = 32
@@ -68,7 +68,7 @@ func PutRecord(dst []byte, a Answer) error {
 
 // recordAnswer decodes the record rec as the answer for ip. It is the
 // only reader of the layout and validates nothing: a snapshot's
-// records were written by PutRecord or checked by FromTables, and
+// records were written by PutRecord or checked by Derive, and
 // WireReader runs checkRecord first. It stays within the inlining
 // budget (callers pass a slice of exactly RecordSize bytes, which also
 // drops the bounds checks): Snapshot.lookup is the serving hot path.
@@ -96,7 +96,7 @@ func recordASN(rec []byte) int32 {
 // PutRecord could have written; PutRecord holds its own output to it,
 // so the two cannot drift apart. Digest does not cover the exact flag
 // or the reserved bytes, so every loader of outside bytes must run
-// this (and FromTables the exact-flag check) for equal digests to keep
+// this (and Derive the exact-flag check) for equal digests to keep
 // meaning byte-identical answers.
 func checkRecord(rec []byte) error {
 	flags, code := rec[recOffFlags], rec[recOffMethod]
@@ -123,140 +123,44 @@ func checkRecord(rec []byte) error {
 	return nil
 }
 
-// Tables is a Snapshot's complete content in flat form: the exchange
-// form between geoserve and the snapshot file.
-type Tables struct {
-	Build   BuildInfo
-	Mappers []string
-
-	// Prefixes holds the /24 interval index (ascending, /24-aligned
-	// base addresses); IPs the exactly-answered addresses (ascending);
-	// ASNs the footprinted AS union (ascending, positive).
-	Prefixes []uint32
-	IPs      []uint32
-	ASNs     []int32
-
-	// Records[m] is mapper m's slab: RecordSize bytes per row,
-	// len(Prefixes) prefix rows then len(IPs) exact rows.
-	Records [][]byte
-
-	// Footprints[m][i] is ASNs[i]'s footprint under mapper m; a zero
-	// ASN field marks absence under that mapper.
+// Header is what a snapshot holds beside its leaf groups: its build,
+// mapper names, footprinted ASNs (ascending, positive) and footprints
+// (Footprints[m][i] is ASNs[i]'s under mapper m; a zero ASN field marks
+// absence under that mapper). A snapshot file and a delta carry it
+// whole.
+type Header struct {
+	Build      BuildInfo
+	Mappers    []string
+	ASNs       []int32
 	Footprints [][]analysis.ASFootprint
 }
 
-// Tables returns the snapshot's tables. The indexes, ASNs and
-// footprints share the snapshot's memory and are read-only; each
-// mapper's slab is gathered from the pages into new memory on every
-// call, so no per-epoch path calls it.
-func (s *Snapshot) Tables() Tables {
-	t := Tables{
-		Build:      s.build,
-		Mappers:    s.mappers,
-		Prefixes:   s.prefixes,
-		IPs:        s.ips,
-		ASNs:       s.asns,
-		Footprints: s.footprints,
-	}
-	np := len(s.prefixes)
-	for m := range s.mappers {
-		slab := make([]byte, (np+len(s.ips))*RecordSize)
-		for i, g := range s.groups {
-			page := s.page(m, i)
-			n := copy(slab[g.pLo*RecordSize:], page[:g.prefixRows()*RecordSize])
-			copy(slab[(np+g.iLo)*RecordSize:], page[n:])
-		}
-		t.Records = append(t.Records, slab)
-	}
-	return t
-}
-
-// FootprintTables returns the footprinted ASNs and every mapper's
-// footprint rows (see Tables), shared and read-only: what a delta
-// carries whole.
-func (s *Snapshot) FootprintTables() ([]int32, [][]analysis.ASFootprint) {
-	return s.asns, s.footprints
-}
-
-// FromTables assembles a Snapshot over t, validating every structural
-// invariant a lookup relies on and computing the content digest (it is
-// never trusted from the caller). check holds the names, indexes,
-// footprints and build scale to the rules a compiled Source meets;
-// FromTables adds the lengths and canonical records — each with its
-// location on the globe (no NaN) and its radius finite and ≥ 0, and
-// the exact flag set exactly on the exact rows.
-//
-// Every row is copied out of t into pages, so FromTables retains none
-// of t.Records, and the rest of t is retained: callers must not mutate
-// it afterwards. The tables may be bytes a decoder read off the
-// network, and the lookup directory is built from them here: whatever
-// they hold it takes 256 KB, 1 KB per distinct /16 (at most 64 MB,
-// reached by 65 536 rows of 36 B each) and 40 B per distinct /24
-// (TestDirectoryBound), beside 40 B of group and 24 B of page header
-// per mapper for each /20 that holds a row.
-func FromTables(t Tables) (*Snapshot, error) {
-	s := &Snapshot{
-		build:      t.Build,
-		mappers:    t.Mappers,
-		prefixes:   t.Prefixes,
-		ips:        t.IPs,
-		asns:       t.ASNs,
-		footprints: t.Footprints,
-	}
-	if err := s.check(); err != nil {
-		return nil, err
-	}
-	if len(t.Records) != len(t.Mappers) {
-		return nil, fmt.Errorf("geoserve: %d mappers but %d record slabs", len(t.Mappers), len(t.Records))
-	}
-	rows := len(t.Prefixes) + len(t.IPs)
-	for m, slab := range t.Records {
-		if len(slab) != rows*RecordSize {
-			return nil, fmt.Errorf("geoserve: mapper %d slab is %d bytes, want %d rows × %d", m, len(slab), rows, RecordSize)
-		}
-	}
-	s.groups = groups(s.prefixes, s.ips)
-	s.carve(s.holding(nil, nil))
-	np := len(t.Prefixes)
-	for i, g := range s.groups {
-		for m, slab := range t.Records {
-			page := s.page(m, i)
-			n := copy(page, slab[g.pLo*RecordSize:g.pHi*RecordSize])
-			copy(page[n:], slab[(np+g.iLo)*RecordSize:(np+g.iHi)*RecordSize])
-		}
-	}
-	if err := s.sealChecked(nil, nil); err != nil {
-		return nil, err
-	}
-	return s, nil
+// Header returns the snapshot's header, shared and read-only.
+func (s *Snapshot) Header() Header {
+	return Header{Build: s.build, Mappers: s.mappers, ASNs: s.asns, Footprints: s.footprints}
 }
 
 // sealChecked seals s against prev and touched, then holds every row of
 // each group the seal hashed to checkRecord and to the exact-flag rule:
 // the rows of every other group are prev's, which passed when prev was
-// sealed. FromTables and Derive, the constructors over outside bytes,
-// end here.
+// sealed. Derive, the constructor over outside bytes, ends here.
 func (s *Snapshot) sealChecked(prev *Snapshot, touched []uint32) error {
 	hashed, err := s.seal(prev, touched)
 	if err != nil {
 		return err
 	}
-	np := len(s.prefixes)
 	for _, i := range hashed {
 		g := s.groups[i]
 		for m := range s.mappers {
 			page := s.page(m, i)
 			for r := range g.rows() {
 				rec, exact := page[r*RecordSize:][:RecordSize], r >= g.prefixRows()
-				row := g.pLo + r // the row's number in Tables' slab
-				if exact {
-					row = np + g.iLo + r - g.prefixRows()
-				}
 				if err := checkRecord(rec); err != nil {
-					return fmt.Errorf("geoserve: mapper %d row %d: %v", m, row, err)
+					return fmt.Errorf("geoserve: mapper %d group %s row %d: %v", m, FormatIPv4(g.base), r, err)
 				}
 				if rec[recOffFlags]&recFlagExact != 0 != exact {
-					return fmt.Errorf("geoserve: mapper %d row %d of %d prefix rows has exact=%v", m, row, np, !exact)
+					return fmt.Errorf("geoserve: mapper %d group %s row %d of %d prefix rows has exact=%v",
+						m, FormatIPv4(g.base), r, g.prefixRows(), !exact)
 				}
 			}
 		}
@@ -264,11 +168,11 @@ func (s *Snapshot) sealChecked(prev *Snapshot, touched []uint32) error {
 	return nil
 }
 
-// Group is one leaf group whole, the unit a snapshot delta carries: its
-// /20 base, its /24s and exact addresses (ascending, each inside the
-// /20), and one page per mapper holding the group's prefix records and
-// then its exact records, as the snapshot stores them. A group with no
-// rows is a delete.
+// Group is one leaf group whole, the unit a snapshot file and a delta
+// carry: its /20 base, its /24s and exact addresses (ascending, each
+// inside the /20), and one page per mapper holding the group's prefix
+// records and then its exact records, as the snapshot stores them. A
+// group with no rows is a delete.
 type Group struct {
 	Base     uint32
 	Prefixes []uint32
@@ -289,21 +193,33 @@ func (s *Snapshot) Group(base uint32) Group {
 	return Group{Base: base, Prefixes: s.prefixes[g.pLo:g.pHi], IPs: s.ips[g.iLo:g.iHi], Pages: s.pages[i*nm : (i+1)*nm]}
 }
 
-// Derive assembles the snapshot a delta describes: base with each group
-// in gs put in place of base's group at its base, or removed when it
-// has no rows (base must then hold it), and t's build, mappers, ASNs and
-// footprints; t's index and records are not read. Groups ascend by
-// base. The result holds base's pages for every group gs does not name
-// (see seal) and a copy of each put group's pages, so it retains none of
-// gs's memory. The put groups' records are checked as FromTables checks
-// them, and the digest is recomputed, never trusted.
-func Derive(base *Snapshot, t Tables, gs []Group) (*Snapshot, error) {
+// Derive assembles the snapshot a file or delta describes: base with
+// each group in gs put in place of base's group at its base, or removed
+// when it has no rows (base must then hold it), and h's build, mappers,
+// ASNs and footprints. A nil base is the empty snapshot of h's mappers,
+// so a derivation from nothing holds exactly gs and refuses a group
+// with no rows. Groups ascend by base. The result holds base's pages
+// for every group gs does not name (see seal) and a copy of each put
+// group's pages, so it retains none of gs's memory, and it retains h.
+//
+// Everything is checked, nothing trusted: check holds h and the index
+// to the rules a compiled Source meets, each put group's records must
+// be canonical (checkRecord: a location on the globe, no NaN, a radius
+// finite and ≥ 0) with the exact flag set exactly on the exact rows,
+// and the digest is recomputed. The groups may be bytes a decoder read
+// off the network, and the lookup directory is built from them here:
+// whatever they hold it takes 256 KB, 1 KB per distinct /16 (at most
+// 64 MB, reached by 65 536 one-row ops of 46 B each) and 40 B per
+// distinct /24 (TestDirectoryBound), beside 40 B of group and 24 B of
+// page header per mapper for each /20 that holds a row.
+func Derive(base *Snapshot, h Header, gs []Group) (*Snapshot, error) {
+	prev := base // nil: gs holds every group, and seal builds them all
 	if base == nil {
-		return nil, fmt.Errorf("geoserve: derive: nil base snapshot")
+		base = &Snapshot{mappers: h.Mappers}
 	}
 	nm := len(base.mappers)
-	if !slices.Equal(t.Mappers, base.mappers) {
-		return nil, fmt.Errorf("geoserve: delta mappers %q, base has %q", t.Mappers, base.mappers)
+	if !slices.Equal(h.Mappers, base.mappers) {
+		return nil, fmt.Errorf("geoserve: derive: mappers %q, base has %q", h.Mappers, base.mappers)
 	}
 	bases := make([]uint32, len(gs))
 	np, ni := 0, 0
@@ -333,7 +249,7 @@ func Derive(base *Snapshot, t Tables, gs []Group) (*Snapshot, error) {
 	// The index: base's keys in runs between the groups, each group's in
 	// place of base's at its /20.
 	s := &Snapshot{
-		build: t.Build, mappers: base.mappers, asns: t.ASNs, footprints: t.Footprints,
+		build: h.Build, mappers: base.mappers, asns: h.ASNs, footprints: h.Footprints,
 		prefixes: make([]uint32, 0, len(base.prefixes)+np),
 		ips:      make([]uint32, 0, len(base.ips)+ni),
 	}
@@ -350,7 +266,7 @@ func Derive(base *Snapshot, t Tables, gs []Group) (*Snapshot, error) {
 		if held {
 			pCur, iCur = base.groups[k].pHi, base.groups[k].iHi
 		} else if len(g.Prefixes)+len(g.IPs) == 0 {
-			return nil, fmt.Errorf("geoserve: delta deletes leaf group %s, which base does not hold", FormatIPv4(g.Base))
+			return nil, fmt.Errorf("geoserve: group %s has no rows, and base does not hold it to delete", FormatIPv4(g.Base))
 		}
 		s.prefixes = append(s.prefixes, g.Prefixes...)
 		s.ips = append(s.ips, g.IPs...)
@@ -360,7 +276,7 @@ func Derive(base *Snapshot, t Tables, gs []Group) (*Snapshot, error) {
 	if err := s.check(); err != nil {
 		return nil, err
 	}
-	if sameIndex(base, s) {
+	if slices.Equal(base.prefixes, s.prefixes) && slices.Equal(base.ips, s.ips) {
 		s.prefixes, s.ips, s.groups, s.dir = base.prefixes, base.ips, base.groups, base.dir
 	} else {
 		s.groups = groups(s.prefixes, s.ips)
@@ -368,7 +284,7 @@ func Derive(base *Snapshot, t Tables, gs []Group) (*Snapshot, error) {
 
 	// Each put group's pages are copied in; seal shares base's for the
 	// rest.
-	s.carve(s.holding(base, bases))
+	s.carve(s.holding(prev, bases))
 	for _, g := range gs {
 		if i, ok := s.groupAt(g.Base); ok {
 			for m, page := range g.Pages {
@@ -376,7 +292,7 @@ func Derive(base *Snapshot, t Tables, gs []Group) (*Snapshot, error) {
 			}
 		}
 	}
-	if err := s.sealChecked(base, bases); err != nil {
+	if err := s.sealChecked(prev, bases); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -384,15 +300,15 @@ func Derive(base *Snapshot, t Tables, gs []Group) (*Snapshot, error) {
 
 // check holds a snapshot's names, indexes, footprints and build scale
 // to the rules lookups and JSON bodies rely on, wherever they came
-// from: skeleton runs it on a compiled Source and FromTables on tables
-// that may be outside bytes. The rules: at least one mapper, each named
-// by [a-z0-9._-]+ (JSON answers, metric labels and URL queries carry
-// the name unescaped) and none twice; /24-aligned prefixes and exact
-// addresses, both strictly ascending; positive ASNs, strictly
-// ascending; per mapper one footprint row per ASN (checkFootprint); and
-// a finite build scale. encoding/json refuses NaN and ±Inf only after
-// a handler has committed its 200, so a float that breaks these rules
-// would be served as an empty body.
+// from: skeleton runs it on a compiled Source and Derive on a header
+// and groups that may be outside bytes. The rules: at least one
+// mapper, each named by [a-z0-9._-]+ (JSON answers, metric labels and
+// URL queries carry the name unescaped) and none twice; /24-aligned
+// prefixes and exact addresses, both strictly ascending; positive
+// ASNs, strictly ascending; per mapper one footprint row per ASN
+// (checkFootprint); and a finite build scale. encoding/json refuses
+// NaN and ±Inf only after a handler has committed its 200, so a float
+// that breaks these rules would be served as an empty body.
 func (s *Snapshot) check() error {
 	if len(s.mappers) == 0 {
 		return fmt.Errorf("geoserve: no mappers")

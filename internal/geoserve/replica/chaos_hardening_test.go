@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -31,25 +32,39 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // epochs exist for.
 func churn(tb testing.TB, snap *geoserve.Snapshot, step int) *geoserve.Snapshot {
 	tb.Helper()
-	c := snap.Tables()
-	c.Records = append([][]byte(nil), c.Records...)
-	for m := range c.Records {
-		// Tables shares the snapshot's memory: mutate a clone.
-		slab := bytes.Clone(c.Records[m])
-		c.Records[m] = slab
-		for i := step % 7; i*geoserve.RecordSize < len(slab); i += 7 {
-			rec := slab[i*geoserve.RecordSize:][:geoserve.RecordSize]
-			if rec[28]&1 == 0 { // not found
-				continue
-			}
-			// lat, lon and radius are the record's three leading f64s.
-			for f, delta := range []float64{float64(step), -float64(step), 1} {
-				v := math.Float64frombits(binary.LittleEndian.Uint64(rec[8*f:]))
-				binary.LittleEndian.PutUint64(rec[8*f:], math.Float64bits(v/2+delta))
+	// The answers of every 7th row of a mapper's records, counted
+	// across the snapshot's groups with all prefix rows ahead of all
+	// exact rows, move.
+	np := snap.NumPrefixes()
+	var gs []geoserve.Group
+	pRows, iRows := 0, 0 // prefix and exact rows in the groups before g
+	for _, l := range snap.Leaves() {
+		g := snap.Group(l.Base)
+		g.Pages = slices.Clone(g.Pages)
+		for m := range g.Pages {
+			// Group shares the snapshot's memory: mutate a clone.
+			page := bytes.Clone(g.Pages[m])
+			g.Pages[m] = page
+			for r := 0; r*geoserve.RecordSize < len(page); r++ {
+				row := pRows + r
+				if r >= len(g.Prefixes) {
+					row = np + iRows + r - len(g.Prefixes)
+				}
+				rec := page[r*geoserve.RecordSize:][:geoserve.RecordSize]
+				if row%7 != step%7 || rec[28]&1 == 0 { // not this step's, or not found
+					continue
+				}
+				// lat, lon and radius are the record's three leading f64s.
+				for f, delta := range []float64{float64(step), -float64(step), 1} {
+					v := math.Float64frombits(binary.LittleEndian.Uint64(rec[8*f:]))
+					binary.LittleEndian.PutUint64(rec[8*f:], math.Float64bits(v/2+delta))
+				}
 			}
 		}
+		gs = append(gs, g)
+		pRows, iRows = pRows+len(g.Prefixes), iRows+len(g.IPs)
 	}
-	out, err := geoserve.FromTables(c)
+	out, err := geoserve.Derive(nil, snap.Header(), gs)
 	if err != nil {
 		tb.Fatalf("churn step %d: %v", step, err)
 	}

@@ -3,6 +3,7 @@ package replica
 import (
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,32 +15,34 @@ import (
 )
 
 // makeSnapshot assembles a small synthetic snapshot through
-// geoserve.FromTables so fleet tests need no pipeline run. Content is
+// geoserve.Derive so fleet tests need no pipeline run. Content is
 // deterministic in (seed, nPrefixes, nASNs).
 func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Snapshot {
 	tb.Helper()
 	r := rng.New(seed)
-	c := geoserve.Tables{
+	h := geoserve.Header{
 		Build:   geoserve.BuildInfo{Seed: seed, Scale: 0.5, Label: "synthetic"},
 		Mappers: []string{"alpha", "beta"},
 	}
+	var prefixes, ips []uint32
 	for i := 0; i < nPrefixes; i++ {
 		base := uint32(10<<24) + uint32(i)<<8
-		c.Prefixes = append(c.Prefixes, base)
+		prefixes = append(prefixes, base)
 		// Two exact addresses per /24.
-		c.IPs = append(c.IPs, base+1, base+2)
+		ips = append(ips, base+1, base+2)
 	}
 	for i := 0; i < nASNs; i++ {
-		c.ASNs = append(c.ASNs, int32(100+i))
+		h.ASNs = append(h.ASNs, int32(100+i))
 	}
 	methods := []string{"feed", "hostname", "loc", "whois"}
-	rows := len(c.Prefixes) + len(c.IPs)
-	for m := 0; m < len(c.Mappers); m++ {
+	rows := len(prefixes) + len(ips)
+	var slabs [][]byte
+	for m := 0; m < len(h.Mappers); m++ {
 		slab := make([]byte, rows*geoserve.RecordSize)
 		for i := 0; i < rows; i++ {
-			a := geoserve.Answer{Exact: i >= len(c.Prefixes)}
+			a := geoserve.Answer{Exact: i >= len(prefixes)}
 			if nASNs > 0 {
-				a.ASN = int(c.ASNs[r.Intn(nASNs)])
+				a.ASN = int(h.ASNs[r.Intn(nASNs)])
 			}
 			if r.Bool(0.8) {
 				a.Found = true
@@ -52,12 +55,12 @@ func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Sna
 				tb.Fatal(err)
 			}
 		}
-		c.Records = append(c.Records, slab)
+		slabs = append(slabs, slab)
 		fps := make([]analysis.ASFootprint, nASNs)
 		for i := range fps {
 			if r.Bool(0.7) {
 				fps[i] = analysis.ASFootprint{
-					ASN:        int(c.ASNs[i]),
+					ASN:        int(h.ASNs[i]),
 					Interfaces: 1 + r.Intn(50),
 					Locations:  1 + r.Intn(10),
 					Degree:     r.Intn(20),
@@ -67,11 +70,29 @@ func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Sna
 				}
 			}
 		}
-		c.Footprints = append(c.Footprints, fps)
+		h.Footprints = append(h.Footprints, fps)
 	}
-	snap, err := geoserve.FromTables(c)
+	// Each mapper's slab holds a prefix row per /24, then an exact row
+	// per address; a snapshot stores them cut into /20 leaf groups.
+	const rs = geoserve.RecordSize
+	var gs []geoserve.Group
+	for p := 0; p < len(prefixes); {
+		base := prefixes[p] &^ (1<<12 - 1)
+		pe := p
+		for pe < len(prefixes) && prefixes[pe]&^(1<<12-1) == base {
+			pe++
+		}
+		g := geoserve.Group{Base: base, Prefixes: prefixes[p:pe], IPs: ips[2*p : 2*pe]}
+		for _, slab := range slabs {
+			exact := slab[len(prefixes)*rs:]
+			g.Pages = append(g.Pages, slices.Concat(slab[p*rs:pe*rs], exact[2*p*rs:2*pe*rs]))
+		}
+		gs = append(gs, g)
+		p = pe
+	}
+	snap, err := geoserve.Derive(nil, h, gs)
 	if err != nil {
-		tb.Fatalf("FromTables: %v", err)
+		tb.Fatalf("Derive: %v", err)
 	}
 	return snap
 }

@@ -340,8 +340,15 @@ func (r *Replica) fetchDelta(ctx context.Context, cur *served, m Manifest) (*geo
 	}
 	defer resp.Body.Close()
 	// A delta bigger than the full file plus slack is either damage or
-	// not worth applying; the limit turns it into an Apply failure.
-	blob, err := io.ReadAll(io.LimitReader(resp.Body, m.SizeBytes+(1<<20)))
+	// not worth applying; the limit turns it into an Apply failure. The
+	// body is read into one buffer sized for its declared length, with
+	// the byte that lets EOF arrive without a regrow.
+	limit := m.SizeBytes + 1<<20
+	var blob []byte
+	if resp.ContentLength >= 0 {
+		blob = make([]byte, 0, min(resp.ContentLength, limit)+1)
+	}
+	blob, err = geoserve.ReadAllInto(blob, io.LimitReader(resp.Body, limit))
 	if err != nil {
 		return nil, fmt.Errorf("replica: delta fetch interrupted: %w", err)
 	}
@@ -512,22 +519,18 @@ func (r *Replica) fetchBlob(ctx context.Context, m Manifest) ([]byte, error) {
 	} else {
 		buf = buf[:0] // full body (server ignored or was not sent Range)
 	}
+	if len(buf) == 0 {
+		buf = make([]byte, 0, m.SizeBytes+1)
+	}
 
-	// Read at most what the manifest promised (+1 to detect overruns);
-	// whatever lands in buf survives this attempt for resumption.
-	limited := io.LimitReader(resp.Body, m.SizeBytes-int64(len(buf))+1)
-	chunk := make([]byte, 64<<10)
-	for {
-		n, rerr := limited.Read(chunk)
-		buf = append(buf, chunk[:n]...)
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			r.savePartial(buf)
-			return nil, fmt.Errorf("replica: snapshot fetch interrupted at %d/%d bytes: %w",
-				len(buf), m.SizeBytes, rerr)
-		}
+	// Read at most what the manifest promised (+1 to detect overruns)
+	// into buf's capacity; whatever lands in buf survives this attempt
+	// for resumption.
+	buf, err = geoserve.ReadAllInto(buf, io.LimitReader(resp.Body, m.SizeBytes-int64(len(buf))+1))
+	if err != nil {
+		r.savePartial(buf)
+		return nil, fmt.Errorf("replica: snapshot fetch interrupted at %d/%d bytes: %w",
+			len(buf), m.SizeBytes, err)
 	}
 	if int64(len(buf)) < m.SizeBytes {
 		r.savePartial(buf)

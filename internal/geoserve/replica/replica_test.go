@@ -1,9 +1,11 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -316,4 +318,66 @@ func TestReplicaRun(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("run did not stop on cancellation")
 	}
+}
+
+// BenchmarkFetch reads one epoch's file (fetchBlob) and its delta from
+// the epoch before (fetchDelta, which also applies it), each body
+// served from memory as the publisher wrote it (canned), so -benchmem
+// reports what the fetch itself allocates.
+func BenchmarkFetch(b *testing.B) {
+	old := makeSnapshot(b, 1, 2000, 2000)
+	pub := NewPublisher()
+	if _, err := pub.Publish(old); err != nil {
+		b.Fatal(err)
+	}
+	client, _ := localClient(fleetMux{"builder": pub.Handler()}, nil)
+	rep := New(Config{BuilderURL: "http://builder", Client: client})
+	ctx := context.Background()
+	if _, err := rep.SyncOnce(ctx); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := pub.Publish(churn(b, old, 1)); err != nil {
+		b.Fatal(err)
+	}
+	m, err := rep.fetchManifest(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bodies := canned{}
+	for _, path := range []string{"/v1/replication/snapshot/2", "/v1/replication/delta/1/2"} {
+		_, body := get(b, client, "http://builder"+path)
+		bodies[path] = []byte(body)
+	}
+	rep.cfg.Client = &http.Client{Transport: bodies}
+	b.Run("file", func(b *testing.B) {
+		b.SetBytes(int64(len(bodies["/v1/replication/snapshot/2"])))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := rep.fetchBlob(ctx, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("delta", func(b *testing.B) {
+		b.SetBytes(int64(len(bodies["/v1/replication/delta/1/2"])))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := rep.fetchDelta(ctx, rep.cur.Load(), m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// canned answers a GET of each path it holds with that body and its
+// length, as a server that sets Content-Length does.
+type canned map[string][]byte
+
+func (c canned) RoundTrip(req *http.Request) (*http.Response, error) {
+	body, ok := c[req.URL.Path]
+	if !ok {
+		return &http.Response{StatusCode: http.StatusNotFound, Body: http.NoBody, Request: req}, nil
+	}
+	return &http.Response{StatusCode: http.StatusOK, ContentLength: int64(len(body)),
+		Body: io.NopCloser(bytes.NewReader(body)), Request: req}, nil
 }

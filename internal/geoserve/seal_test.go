@@ -16,13 +16,14 @@ import (
 // salts share most leaf groups byte for byte.
 func sealWorld(tb testing.TB, keys []uint32, salts map[uint32]int64) *geoserve.Snapshot {
 	tb.Helper()
-	t := geoserve.Tables{Mappers: []string{"alpha", "beta"}, Footprints: make([][]analysis.ASFootprint, 2)}
+	h := geoserve.Header{Mappers: []string{"alpha", "beta"}, Footprints: make([][]analysis.ASFootprint, 2)}
+	var ips []uint32
 	for _, k := range keys {
-		t.Prefixes = append(t.Prefixes, k)
-		t.IPs = append(t.IPs, k+1, k+2)
+		ips = append(ips, k+1, k+2)
 	}
 	n := len(keys)
-	for m := range t.Mappers {
+	var slabs [][]byte
+	for m := range h.Mappers {
 		slab := make([]byte, 3*n*geoserve.RecordSize)
 		for r := range 3 * n {
 			k := keys[r%n]
@@ -34,9 +35,9 @@ func sealWorld(tb testing.TB, keys []uint32, salts map[uint32]int64) *geoserve.S
 				tb.Fatal(err)
 			}
 		}
-		t.Records = append(t.Records, slab)
+		slabs = append(slabs, slab)
 	}
-	s, err := geoserve.FromTables(t)
+	s, err := geoserve.DeriveSlabs(h, keys, ips, slabs)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -63,9 +64,11 @@ func TestSealRehashesTouched(t *testing.T) {
 		t.Fatal("test is vacuous: the churn changed nothing")
 	}
 
-	tabs := new.Tables()
-	tabs.Records[1][50*geoserve.RecordSize] ^= 1 // keys[50]'s prefix row, in the last group
-	flipped, err := geoserve.FromTables(tabs)
+	gs := geoserve.Groups(new)
+	gs[3].Pages = slices.Clone(gs[3].Pages)
+	gs[3].Pages[1] = slices.Clone(gs[3].Pages[1])
+	gs[3].Pages[1][2*geoserve.RecordSize] ^= 1 // keys[50]'s prefix row, in the last group
+	flipped, err := geoserve.Derive(nil, new.Header(), gs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +93,9 @@ func TestSealRehashesTouched(t *testing.T) {
 		}
 	}
 
-	renamed := new.Tables()
+	renamed := new.Header()
 	renamed.Mappers = []string{"alpha", "gamma"}
-	other, err := geoserve.FromTables(renamed)
+	other, err := geoserve.Derive(nil, renamed, geoserve.Groups(new))
 	if err != nil {
 		t.Fatal(err)
 	}

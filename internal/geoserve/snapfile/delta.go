@@ -90,55 +90,9 @@ func Diff(old, new *geoserve.Snapshot, fromEpoch, toEpoch uint64) ([]byte, error
 	// ASNs and footprints travel whole every epoch. They are most of a
 	// delta's bytes: 48 bytes per ASN per mapper, 298 KB of a 382 KB
 	// churn-step delta at scale 0.1.
-	asns, footprints := new.FootprintTables()
-	size := 1<<10 + len(new.Build().Label) + len(asns)*(4+len(mappers)*footprintRowBytes) // 1 KB bounds the fixed fields
-	for _, name := range mappers {
-		size += 4 + len(name)
-	}
-	for _, g := range ops {
-		size += 12 + (len(g.Prefixes)+len(g.IPs))*(2+len(mappers)*geoserve.RecordSize)
-	}
-	buf := append(make([]byte, 0, size), deltaMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, DeltaFormatVersion)
-	buf = appendSection(buf, func(b []byte) []byte {
-		b = binary.LittleEndian.AppendUint64(b, fromEpoch)
-		b = binary.LittleEndian.AppendUint64(b, toEpoch)
-		b = append(b, fromDigest...)
-		return appendBuild(b, new.Build())
-	})
-	buf = appendMappers(buf, mappers)
-	buf = appendASNs(buf, asns)
-	buf = appendFootprints(buf, footprints)
-	buf = appendSection(buf, func(b []byte) []byte {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(ops)))
-		for _, g := range ops {
-			b = appendOp(b, g)
-		}
-		return b
-	})
-	return appendTrailer(buf, toDigest), nil
-}
-
-// appendOp emits a leaf group whole: its base, its /24s and exact
-// addresses as offsets from the base, and the byte count and bytes of
-// its pages, mapper after mapper.
-func appendOp(b []byte, g geoserve.Group) []byte {
-	b = binary.LittleEndian.AppendUint32(b, g.Base)
-	for _, keys := range [][]uint32{g.Prefixes, g.IPs} {
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(keys)))
-		for _, k := range keys {
-			b = binary.LittleEndian.AppendUint16(b, uint16(k-g.Base))
-		}
-	}
-	n := 0
-	for _, page := range g.Pages {
-		n += len(page)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
-	for _, page := range g.Pages {
-		b = append(b, page...)
-	}
-	return b
+	head := binary.LittleEndian.AppendUint64(nil, fromEpoch)
+	head = binary.LittleEndian.AppendUint64(head, toEpoch)
+	return write(deltaMagic, DeltaFormatVersion, append(head, fromDigest...), new.Header(), ops, toDigest), nil
 }
 
 // Apply verifies a delta end to end and rebuilds the target snapshot
@@ -153,53 +107,22 @@ func appendOp(b []byte, g geoserve.Group) []byte {
 // byte of data; it retains base's memory in the pages it shares.
 func Apply(base *geoserve.Snapshot, data []byte) (*geoserve.Snapshot, DeltaInfo, error) {
 	info := DeltaInfo{SizeBytes: int64(len(data))}
-	d, version, err := openEnvelope(data, deltaMagic, DeltaFormatVersion)
-	info.FormatVersion = version
+	version, h, ops, err := read(data, deltaMagic, DeltaFormatVersion, func(head *decoder) (err error) {
+		if info.FromEpoch, err = head.u64("from epoch"); err != nil {
+			return err
+		}
+		if info.ToEpoch, err = head.u64("to epoch"); err != nil {
+			return err
+		}
+		from, err := head.take(32, "from digest")
+		info.FromDigest = hex.EncodeToString(from)
+		return err
+	})
+	info.FormatVersion, info.Build, info.Ops = version, h.Build, len(ops)
 	if err != nil {
-		return nil, info, err
-	}
-	header, err := d.section("delta header")
-	if err != nil {
-		return nil, info, err
-	}
-	if info.FromEpoch, err = header.u64("from epoch"); err != nil {
-		return nil, info, err
-	}
-	if info.ToEpoch, err = header.u64("to epoch"); err != nil {
-		return nil, info, err
-	}
-	fromRaw, err := header.take(32, "from digest")
-	if err != nil {
-		return nil, info, err
-	}
-	info.FromDigest = hex.EncodeToString(fromRaw)
-	if info.Build, err = decodeBuild(header); err != nil {
-		return nil, info, err
-	}
-	if err := header.done("delta header"); err != nil {
 		return nil, info, err
 	}
 	info.ToDigest = trailerDigest(data)
-
-	t := geoserve.Tables{Build: info.Build}
-	if t.Mappers, err = decodeMappers(d); err != nil {
-		return nil, info, err
-	}
-	if t.ASNs, err = decodeASNs(d); err != nil {
-		return nil, info, err
-	}
-	if t.Footprints, err = decodeFootprints(d, len(t.Mappers), len(t.ASNs)); err != nil {
-		return nil, info, err
-	}
-	ops, err := decodeOps(d, len(t.Mappers))
-	if err != nil {
-		return nil, info, err
-	}
-	info.Ops = len(ops)
-	if err := closeEnvelope(data, d); err != nil {
-		return nil, info, err
-	}
-
 	if base == nil || base.Digest() != info.FromDigest {
 		have := "<nil>"
 		if base != nil {
@@ -207,54 +130,6 @@ func Apply(base *geoserve.Snapshot, data []byte) (*geoserve.Snapshot, DeltaInfo,
 		}
 		return nil, info, fmt.Errorf("%w: delta is from %s, base is %s", ErrDeltaBase, info.FromDigest, have)
 	}
-	snap, err := assemble(info.ToDigest, func() (*geoserve.Snapshot, error) { return geoserve.Derive(base, t, ops) })
+	snap, err := assemble(info.ToDigest, base, h, ops)
 	return snap, info, err
-}
-
-// decodeOps parses the ops section into geoserve.Derive's groups. The
-// records of each op are cut into len(mappers) equal pages, which
-// Derive holds to the op's row count; they alias data.
-func decodeOps(d *decoder, nMappers int) ([]geoserve.Group, error) {
-	sec, err := d.section("delta ops")
-	if err != nil {
-		return nil, err
-	}
-	nOps, err := sec.u32("op count")
-	if err != nil {
-		return nil, err
-	}
-	// Every op costs at least its 12-byte base, key counts and record
-	// byte count, bounding the count before anything allocates.
-	if uint64(nOps)*12 > uint64(sec.remaining()) {
-		return nil, fmt.Errorf("%w: op count %d exceeds section size", ErrFormat, nOps)
-	}
-	ops := make([]geoserve.Group, nOps)
-	for i := range ops {
-		op := &ops[i]
-		if op.Base, err = sec.u32("op base"); err != nil {
-			return nil, err
-		}
-		if op.Prefixes, err = sec.offsets(op.Base, "op prefixes"); err != nil {
-			return nil, err
-		}
-		if op.IPs, err = sec.offsets(op.Base, "op exact addresses"); err != nil {
-			return nil, err
-		}
-		n, err := sec.u32("op record bytes")
-		if err != nil {
-			return nil, err
-		}
-		recs, err := sec.take(int(n), "op records")
-		if err != nil {
-			return nil, err
-		}
-		op.Pages = make([][]byte, nMappers)
-		for m := range op.Pages {
-			op.Pages[m] = recs[m*len(recs)/nMappers : (m+1)*len(recs)/nMappers]
-		}
-	}
-	if err := sec.done("delta ops"); err != nil {
-		return nil, err
-	}
-	return ops, nil
 }

@@ -26,25 +26,26 @@ func buildWorld(tb testing.TB, seed int64, keys []uint32, salts map[uint32]int64
 	tb.Helper()
 	sorted := append([]uint32(nil), keys...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	c := geoserve.Tables{
+	h := geoserve.Header{
 		Build:   geoserve.BuildInfo{Seed: seed, Scale: 0.5, Label: "delta-world"},
 		Mappers: []string{"alpha", "beta"},
 	}
 	const nASNs = 8
 	for i := 0; i < nASNs; i++ {
-		c.ASNs = append(c.ASNs, int32(100+i))
+		h.ASNs = append(h.ASNs, int32(100+i))
 	}
+	var ips []uint32
 	for _, key := range sorted {
-		c.Prefixes = append(c.Prefixes, key)
-		c.IPs = append(c.IPs, key+1, key+2)
+		ips = append(ips, key+1, key+2)
 	}
 	methods := []string{"feed", "hostname", "loc", "whois"}
-	rows := len(c.Prefixes) + len(c.IPs)
-	for m := 0; m < len(c.Mappers); m++ {
+	rows := len(sorted) + len(ips)
+	var slabs [][]byte
+	for m := 0; m < len(h.Mappers); m++ {
 		slab := make([]byte, rows*geoserve.RecordSize)
 		fill := func(row int, r *rng.Stream) {
 			a := geoserve.Answer{Exact: row >= len(sorted)}
-			asn := int(c.ASNs[r.Intn(nASNs)])
+			asn := int(h.ASNs[r.Intn(nASNs)])
 			if r.Bool(0.8) {
 				a.ASN = asn
 				a.Found = true
@@ -63,13 +64,13 @@ func buildWorld(tb testing.TB, seed int64, keys []uint32, salts map[uint32]int64
 			fill(len(sorted)+2*i, r)
 			fill(len(sorted)+2*i+1, r)
 		}
-		c.Records = append(c.Records, slab)
+		slabs = append(slabs, slab)
 		fps := make([]analysis.ASFootprint, nASNs)
 		fr := rng.New(seed + int64(m))
 		for i := range fps {
 			if fr.Bool(0.7) {
 				fps[i] = analysis.ASFootprint{
-					ASN:        int(c.ASNs[i]),
+					ASN:        int(h.ASNs[i]),
 					Interfaces: 1 + fr.Intn(50),
 					Locations:  1 + fr.Intn(10),
 					Degree:     fr.Intn(20),
@@ -79,13 +80,9 @@ func buildWorld(tb testing.TB, seed int64, keys []uint32, salts map[uint32]int64
 				}
 			}
 		}
-		c.Footprints = append(c.Footprints, fps)
+		h.Footprints = append(h.Footprints, fps)
 	}
-	snap, err := geoserve.FromTables(c)
-	if err != nil {
-		tb.Fatalf("FromTables: %v", err)
-	}
-	return snap
+	return deriveSlabs(tb, h, sorted, ips, slabs)
 }
 
 // worldKeys returns n /24 base addresses under 10.0.0.0/8.
@@ -120,9 +117,12 @@ func churnedKeys(keys []uint32, step int64) ([]uint32, map[uint32]int64) {
 
 func TestDiffApplyRoundTrip(t *testing.T) {
 	keys := worldKeys(40)
-	old := buildWorld(t, 1, keys, nil)
+	// The churn touches every leaf group of keys; calm is one it leaves
+	// alone, which the delta skips and the file carries.
+	calm := []uint32{12 << 24, 12<<24 | 1<<8}
+	old := buildWorld(t, 1, append(slices.Clone(keys), calm...), nil)
 	newKeys, salts := churnedKeys(keys, 1)
-	new := buildWorld(t, 1, newKeys, salts)
+	new := buildWorld(t, 1, append(newKeys, calm...), salts)
 	if old.Digest() == new.Digest() {
 		t.Fatal("test is vacuous: churn produced identical snapshots")
 	}
@@ -207,9 +207,9 @@ func TestDiffDeterministic(t *testing.T) {
 func TestDiffRejectsMapperMismatch(t *testing.T) {
 	snap := buildWorld(t, 4, worldKeys(8), nil)
 	other := makeSnapshot(t, 4, 8, 4)
-	c := other.Tables()
-	c.Mappers = []string{"alpha", "gamma"}
-	renamed, err := geoserve.FromTables(c)
+	h := other.Header()
+	h.Mappers = []string{"alpha", "gamma"}
+	renamed, err := geoserve.Derive(nil, h, allGroups(other))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,16 +250,11 @@ func TestApplyRejectsDamage(t *testing.T) {
 		{"bit flip in body", func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }, ErrCorrupt, ""},
 		{"bit flip in to-digest", func(b []byte) []byte { b[len(b)-40] ^= 0x01; return b }, ErrCorrupt, ""},
 		{"bit flip in file hash", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, ErrCorrupt, ""},
-		// The ops are the churned group 10.0.0.0/20 and the new group
-		// 11.0.0.0/20. Each case breaks one rule Derive holds a group
-		// op to and is resealed, its to-digest left alone.
-		{"group base not /20-aligned", ops(func(g []geoserve.Group) { g[0].Base += 1 << 8 }), ErrFormat, "not a /20 base"},
-		{"group bases out of order", ops(func(g []geoserve.Group) { g[0], g[1] = g[1], g[0] }), ErrFormat, "not a /20 base"},
-		{"prefix outside its group", ops(func(g []geoserve.Group) { g[0].Prefixes[len(g[0].Prefixes)-1] = g[0].Base + 1<<12 }), ErrFormat, "not a /24 base inside it"},
-		{"exact address outside its group", ops(func(g []geoserve.Group) { g[0].IPs[len(g[0].IPs)-1] = g[0].Base + 1<<12 + 1 }), ErrFormat, "not inside it above its predecessor"},
-		{"keys out of order", ops(func(g []geoserve.Group) { g[0].IPs[0], g[0].IPs[1] = g[0].IPs[1], g[0].IPs[0] }), ErrFormat, "not inside it above its predecessor"},
-		{"record bytes not mappers × rows", ops(func(g []geoserve.Group) { g[0].Pages[1] = g[0].Pages[1][:len(g[0].Pages[1])-geoserve.RecordSize] }), ErrFormat, "per mapper"},
-		{"delete of a group base lacks", ops(func(g []geoserve.Group) { g[1] = geoserve.Group{Base: g[1].Base} }), ErrFormat, "does not hold"},
+	}
+	// The ops are the churned group 10.0.0.0/20 and the new group
+	// 11.0.0.0/20, which the base lacks, so its delete is refused.
+	for _, oc := range opDamage {
+		damage = append(damage, damageCase{oc.name, ops(oc.edit), ErrFormat, oc.msg})
 	}
 	// A put op's records get the same canonical-record checks a full
 	// file's do: each case is resealed, and its to-digest left alone.
@@ -284,9 +279,9 @@ func TestApplyRejectsDamage(t *testing.T) {
 			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.msg) {
 				t.Fatalf("error %v, want %v naming %q", err, tc.want, tc.msg)
 			}
-			// A failed Apply leaves its base as it was: base's tables,
-			// gathered from its pages, still seal to its digest.
-			resealed, err := geoserve.FromTables(old.Tables())
+			// A failed Apply leaves its base as it was: base's groups,
+			// derived again from nothing, still seal to its digest.
+			resealed, err := rederive(old)
 			if err != nil {
 				t.Fatalf("base after a failed apply: %v", err)
 			}
@@ -297,24 +292,43 @@ func TestApplyRejectsDamage(t *testing.T) {
 	}
 }
 
-// rewriteOps returns delta with its ops decoded, edited in place and
-// encoded again, and the whole-file hash resealed; the to-digest stays.
-func rewriteOps(tb testing.TB, delta []byte, nMappers int, edit func([]geoserve.Group)) []byte {
+// opDamage lists, for a file's ops and a delta's alike, one edit per
+// rule Derive holds a group op to, and the words its error names. Each
+// edits ops of at least two groups, the first holding two exact
+// addresses, where the base holds no group at the second op's base.
+var opDamage = []struct {
+	name string
+	edit func([]geoserve.Group)
+	msg  string
+}{
+	{"group base not /20-aligned", func(g []geoserve.Group) { g[0].Base += 1 << 8 }, "not a /20 base"},
+	{"group bases out of order", func(g []geoserve.Group) { g[0], g[1] = g[1], g[0] }, "not a /20 base"},
+	{"prefix outside its group", func(g []geoserve.Group) { g[0].Prefixes[len(g[0].Prefixes)-1] = g[0].Base + 1<<12 }, "not a /24 base inside it"},
+	{"exact address outside its group", func(g []geoserve.Group) { g[0].IPs[len(g[0].IPs)-1] = g[0].Base + 1<<12 + 1 }, "not inside it above its predecessor"},
+	{"keys out of order", func(g []geoserve.Group) { g[0].IPs[0], g[0].IPs[1] = g[0].IPs[1], g[0].IPs[0] }, "not inside it above its predecessor"},
+	{"record bytes not mappers × rows", func(g []geoserve.Group) { g[0].Pages[1] = g[0].Pages[1][:len(g[0].Pages[1])-geoserve.RecordSize] }, "per mapper"},
+	{"delete of a group base lacks", func(g []geoserve.Group) { g[1] = geoserve.Group{Base: g[1].Base} }, "does not hold"},
+}
+
+// rewriteOps returns a file or delta with its ops decoded, edited in
+// place and encoded again, and the whole-file hash resealed; the
+// content digest stays.
+func rewriteOps(tb testing.TB, data []byte, nMappers int, edit func([]geoserve.Group)) []byte {
 	tb.Helper()
-	at := sectionPayload(delta, 3+nMappers) - 8 // header, mappers, asns, footprints, then ops
-	ops, err := decodeOps(&decoder{data: delta[at : len(delta)-trailerBytes]}, nMappers)
+	at := sectionPayload(data, 3+nMappers) - 8 // header, mappers, asns, footprints, then ops
+	ops, err := decodeOps(&decoder{data: data[at : len(data)-trailerBytes]}, nMappers)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	edit(ops)
-	out := appendSection(bytes.Clone(delta[:at]), func(b []byte) []byte {
+	out := appendSection(bytes.Clone(data[:at]), func(b []byte) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(ops)))
 		for _, op := range ops {
 			b = appendOp(b, op)
 		}
 		return b
 	})
-	out = append(out, delta[len(delta)-trailerBytes:]...)
+	out = append(out, data[len(data)-trailerBytes:]...)
 	reseal(out)
 	return out
 }
@@ -396,9 +410,11 @@ func TestIncrementalDigestRehashesTouched(t *testing.T) {
 	keys := worldKeys(64) // four leaf groups of 16 /24s
 	old := buildWorld(t, 1, keys, nil)
 	new := buildWorld(t, 1, keys, map[uint32]int64{keys[3]: 9}) // only the first group changes
-	tabs := new.Tables()
-	tabs.Records[1][50*geoserve.RecordSize] ^= 1 // keys[50]'s prefix row, in the last group
-	flipped, err := geoserve.FromTables(tabs)
+	gs := allGroups(new)
+	gs[3].Pages = slices.Clone(gs[3].Pages)
+	gs[3].Pages[1] = bytes.Clone(gs[3].Pages[1])
+	gs[3].Pages[1][2*geoserve.RecordSize] ^= 1 // keys[50]'s prefix row, in the last group
+	flipped, err := geoserve.Derive(nil, new.Header(), gs)
 	if err != nil {
 		t.Fatal(err)
 	}

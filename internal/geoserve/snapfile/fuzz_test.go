@@ -26,22 +26,22 @@ func reseal(b []byte) {
 }
 
 // checkLookups compares what a loaded snapshot serves with a binary
-// search of its own tables — the lookup the directory replaced, which
-// FromTables now builds from bytes a decoder read — at every stored
-// /24, every exact address and their neighbours on both sides: the
-// served answer must re-encode to the record of the row the search
-// names, and be the bare miss where it names none.
+// search of its own groups — the lookup the directory replaced, which
+// Derive builds from bytes a decoder read — at every stored /24, every
+// exact address and their neighbours on both sides: the served answer
+// must re-encode to the record of the row the search names, and be the
+// bare miss where it names none.
 func checkLookups(t *testing.T, snap *geoserve.Snapshot) {
 	t.Helper()
-	tabs := snap.Tables()
 	probe := func(ip uint32) {
-		row, ok := slices.BinarySearch(tabs.IPs, ip)
+		g := snap.Group(ip &^ (1<<12 - 1))
+		row, ok := slices.BinarySearch(g.IPs, ip)
 		if ok {
-			row += len(tabs.Prefixes)
-		} else if row, ok = slices.BinarySearch(tabs.Prefixes, ip&^0xff); !ok {
+			row += len(g.Prefixes)
+		} else if row, ok = slices.BinarySearch(g.Prefixes, ip&^0xff); !ok {
 			row = -1
 		}
-		for m := range tabs.Mappers {
+		for m, page := range g.Pages {
 			a := snap.Lookup(m, ip)
 			if row < 0 {
 				if a != (geoserve.Answer{IP: ip}) {
@@ -53,17 +53,18 @@ func checkLookups(t *testing.T, snap *geoserve.Snapshot) {
 			if err := geoserve.PutRecord(rec[:], a); err != nil {
 				t.Fatal(err)
 			}
-			if want := tabs.Records[m][row*geoserve.RecordSize:][:geoserve.RecordSize]; a.IP != ip || !bytes.Equal(rec[:], want) {
-				t.Fatalf("mapper %d: %s answered %+v (record %x), row %d holds %x", m, geoserve.FormatIPv4(ip), a, rec, row, want)
+			if want := page[row*geoserve.RecordSize:][:geoserve.RecordSize]; a.IP != ip || !bytes.Equal(rec[:], want) {
+				t.Fatalf("mapper %d: %s answered %+v (record %x), row %d of group %s holds %x",
+					m, geoserve.FormatIPv4(ip), a, rec, row, geoserve.FormatIPv4(g.Base), want)
 			}
 		}
 	}
-	for _, p := range tabs.Prefixes {
+	for _, p := range snap.Prefixes() {
 		probe(p - 1)
 		probe(p)
 		probe(p + 1)
 	}
-	for _, ip := range tabs.IPs {
+	for _, ip := range snap.ExactIPs() {
 		probe(ip - 1)
 		probe(ip)
 		probe(ip + 1)
@@ -80,7 +81,7 @@ func checkRenders(t *testing.T, snap *geoserve.Snapshot) {
 	if _, err := json.Marshal(info); err != nil {
 		t.Fatalf("SnapshotInfo does not render: %v", err)
 	}
-	for _, asn := range snap.Tables().ASNs {
+	for _, asn := range snap.Header().ASNs {
 		for m := range snap.Mappers() {
 			if fp, ok := snap.Footprint(m, int(asn)); ok {
 				if _, err := json.Marshal(fp); err != nil {
@@ -107,7 +108,7 @@ func forgeScale(data []byte, off int) []byte {
 // whatever the bytes; a load that succeeds always returns a snapshot
 // whose recomputed Digest() equals the file's trailer digest —
 // corruption can fail a load but can never smuggle content in under
-// the wrong digest — and which serves its own tables (checkLookups);
+// the wrong digest — and which serves its own groups (checkLookups);
 // and what loads, renders (checkRenders).
 func FuzzSnapfileLoad(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "*.snap"))
@@ -161,9 +162,9 @@ func fuzzDeltaBase(tb testing.TB) *geoserve.Snapshot {
 // the record checks behind the hash. The properties: Apply never
 // panics, every failure is one of the package's typed errors, no
 // snapshot comes back beside an error, and a success always hashes to
-// the to-digest the delta's trailer names, passes FromTables from
-// scratch with the same digest and leaves (the oracle for the leaves
-// and record checks Apply took from base), serves its own tables
+// the to-digest the delta's trailer names, derives again from nothing
+// to the same digest and leaves (the oracle for the leaves and record
+// checks Apply took from base), serves its own groups
 // (checkLookups) and renders (checkRenders). One seed is a valid delta
 // with a resealed +Inf header scale.
 func FuzzSnapdeltaApply(f *testing.F) {
@@ -211,9 +212,9 @@ func FuzzSnapdeltaApply(f *testing.F) {
 			if snap.Digest() != trailer || info.ToDigest != trailer {
 				t.Fatalf("applied digest %s, info %s, trailer %s", snap.Digest(), info.ToDigest, trailer)
 			}
-			scratch, err := geoserve.FromTables(snap.Tables())
+			scratch, err := rederive(snap)
 			if err != nil {
-				t.Fatalf("applied, but its tables fail from scratch: %v", err)
+				t.Fatalf("applied, but its groups fail from nothing: %v", err)
 			}
 			if scratch.Digest() != snap.Digest() || !slices.Equal(scratch.Leaves(), snap.Leaves()) {
 				t.Fatalf("applied digest %.16s, from scratch %.16s (leaves equal: %v)",

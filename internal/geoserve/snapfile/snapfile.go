@@ -3,81 +3,72 @@
 // replicas, and the cold-start path that makes geoserved startup
 // O(snapshot size) instead of O(pipeline).
 //
-// Snapshot file layout, format 3 (all integers little-endian):
+// A snapshot file and a snapshot delta are one encoding, format 4 (all
+// integers little-endian):
 //
-//	magic   [8]byte "geosnapf"
-//	version u32     (= FormatVersion)
+//	magic   [8]byte "geosnapf" (file) or "geosnapd" (delta)
+//	version u32     (FormatVersion or DeltaFormatVersion)
 //	sections, each a u64 byte-length prefix followed by the payload:
-//	  header      epoch u64, build seed i64, scale f64, label (u32+bytes)
+//	  header      file: epoch u64; delta: from epoch u64, to epoch u64,
+//	              the base's content digest [32]byte; then build seed
+//	              i64, scale f64, label (u32+bytes)
 //	  mappers     u32 count, then per mapper u32 len + name bytes
-//	  prefixes    u32 count + count u32 (/24 interval index, ascending)
-//	  ips         u32 count + count u32 (exact-address index, ascending)
 //	  asns        u32 count + count i32 (footprinted AS union, ascending)
-//	  answers     one section per mapper: the mapper's record slab
-//	              (geoserve.Tables.Records, gathered from the pages) —
-//	              len(prefixes)+len(ips) records of geoserve.RecordSize
-//	              bytes, prefix rows then exact rows; the record layout
-//	              is the wire protocol's (geoserve/wire.go)
 //	  footprints  one section per mapper: 48-byte rows (asn i32,
 //	              interfaces/locations/degree u32, centroid lat/lon
 //	              f64, area f64, radius f64)
-//	trailer [32]byte content digest (= Snapshot.Digest(), raw)
+//	  ops         u32 count, then per op one leaf group (a /20),
+//	              ascending:
+//	                base u32 (the /20's first address)
+//	                u16 count + count u16 offsets from base (its /24s)
+//	                u16 count + count u16 offsets from base (its exact
+//	                addresses)
+//	                u32 byte count + per mapper the group's page as the
+//	                snapshot holds it (geoserve.Group): its prefix
+//	                records, then its exact records, each in the wire
+//	                protocol's record layout (geoserve/wire.go)
+//	              an op with no rows deletes the group
+//	trailer [32]byte content digest (= Snapshot.Digest(), raw; a
+//	                 delta's names its target)
 //	        [32]byte SHA-256 over every preceding byte of the file
 //
-// Snapshot delta layout, format 4 (magic "geosnapd", DeltaFormatVersion;
-// see Diff and Apply): the same envelope around a header (from epoch,
-// to epoch, the base's content digest, build), the target's mappers,
-// asns and footprints sections whole, and one ops section —
+// A file is a delta from nothing: its ops put every leaf group of the
+// snapshot, and Decode derives the snapshot from no base, so a delete
+// op in a file is refused. A delta's ops are the groups Diff found
+// changed, and Apply derives the target from its base. The leaf hashes
+// never travel: a reader recomputes every leaf it does not prove equal
+// to its own base's. Older formats have no reader: one binary runs a
+// fleet and every snapshot is recompiled from the pipeline, so an old
+// file gets ErrVersion.
 //
-//	ops   u32 count, then per op, one leaf group (a /20), ascending:
-//	        base u32 (the /20's first address)
-//	        u16 count + count u16 offsets from base (its /24s)
-//	        u16 count + count u16 offsets from base (its exact
-//	        addresses)
-//	        u32 byte count + per mapper the group's page as the
-//	        snapshot holds it (geoserve.Group): its prefix records,
-//	        then its exact records
-//	      an op with no rows deletes the group
-//
-// — closed by the target's content digest and the whole-file hash.
-// File format 3 lays out its bytes exactly as format 2 did; what changed is
-// the content digest the trailers carry, which is two-level since
-// format 3 (see geoserve.Snapshot.Digest). The leaf hashes never
-// travel: a reader recomputes every leaf it does not prove equal to
-// its own base's. Formats 1 (30-byte rows, column-major in the file and
-// row-major in the delta) and 2 have no reader, and neither has delta
-// format 3 (per-/24 ops): one binary runs a fleet and every snapshot is
-// recompiled from the pipeline, so an old file gets ErrVersion.
-//
-// Load and Apply never trust their bytes: magic and version gate
+// Decode and Apply never trust their bytes: magic and version gate
 // first, every section length and count is bounds-checked against the
 // remaining bytes before any allocation, the whole-file hash must
-// match, geoserve.FromTables (Load) or geoserve.Derive (Apply)
-// revalidates everything lookups and JSON bodies rely on, and the
-// content digest is recomputed from the reassembled snapshot (Apply
-// sharing only the pages and leaf hashes of the base's groups no op
-// names) and compared against the trailer. Both hold the tables to
-// the rules a compiled Source meets:
-// mapper names of [a-z0-9._-]+ (JSON answers carry them unescaped);
-// sorted, /24-aligned indexes; positive ascending ASNs; footprint rows
-// either all zero or their ASN's, with a centroid on the globe and an
-// area and radius finite and ≥ 0; and a finite header scale (the
-// header is outside the content digest, and encoding/json cannot
-// render a NaN or ±Inf). Records arrive as the bytes that will be
-// served, so each must be canonical: known flag bits only, method code
-// in range, found set exactly when there is a method, a location on
-// the globe, a radius finite and ≥ 0, zero reserved bytes, and the
-// exact flag set exactly on the exact rows. The last two are not
-// redundant with the digest — Snapshot.Digest hashes the fields of an
-// answer, which cover neither the exact flag (implied by row position)
-// nor the reserved bytes — and without them two files with one digest
-// could serve different wire bytes. Truncated, corrupt, non-canonical
-// or version-skewed input is rejected with typed errors — never a
-// panic, and never a snapshot whose Digest() differs from the trailer.
+// match, geoserve.Derive revalidates everything lookups and JSON bodies
+// rely on, and the content digest is recomputed from the reassembled
+// snapshot (Apply sharing only the pages and leaf hashes of the base's
+// groups no op names) and compared against the trailer. Derive holds
+// the header and groups to the rules a compiled Source meets: mapper
+// names of [a-z0-9._-]+ (JSON answers carry them unescaped); sorted,
+// /24-aligned indexes, each key inside its op's /20; positive
+// ascending ASNs; footprint rows either all zero or their ASN's, with a
+// centroid on the globe and an area and radius finite and ≥ 0; and a
+// finite header scale (the header is outside the content digest, and
+// encoding/json cannot render a NaN or ±Inf). Records arrive as the
+// bytes that will be served, so each must be canonical: known flag bits
+// only, method code in range, found set exactly when there is a method,
+// a location on the globe, a radius finite and ≥ 0, zero reserved
+// bytes, and the exact flag set exactly on the exact rows. The last two
+// are not redundant with the digest — Snapshot.Digest hashes the fields
+// of an answer, which cover neither the exact flag (implied by row
+// position) nor the reserved bytes — and without them two files with
+// one digest could serve different wire bytes. Truncated, corrupt,
+// non-canonical or version-skewed input is rejected with typed errors —
+// never a panic, and never a snapshot whose Digest() differs from the
+// trailer.
 package snapfile
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -93,7 +84,7 @@ import (
 
 // FormatVersion is the snapshot file format this package writes and
 // the only one it loads.
-const FormatVersion = 3
+const FormatVersion = 4
 
 // magic identifies a snapshot file; it never changes across versions.
 const magic = "geosnapf"
@@ -133,29 +124,25 @@ const (
 	trailerBytes      = 32 + 32
 )
 
-// Encode serialises the snapshot at the given replication epoch.
+// Encode serialises the snapshot at the given replication epoch: every
+// leaf group as a put op.
 func Encode(snap *geoserve.Snapshot, epoch uint64) ([]byte, error) {
 	digest, err := rawDigest(snap.Digest())
 	if err != nil {
 		return nil, err
 	}
-	t := snap.Tables()
-	buf := make([]byte, 0, EncodedSize(snap))
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
-	buf = appendSection(buf, func(b []byte) []byte {
-		b = binary.LittleEndian.AppendUint64(b, epoch)
-		return appendBuild(b, t.Build)
-	})
-	buf = appendMappers(buf, t.Mappers)
-	buf = appendSection(buf, func(b []byte) []byte { return appendU32s(b, t.Prefixes) })
-	buf = appendSection(buf, func(b []byte) []byte { return appendU32s(b, t.IPs) })
-	buf = appendASNs(buf, t.ASNs)
-	for _, slab := range t.Records {
-		buf = appendSection(buf, func(b []byte) []byte { return append(b, slab...) })
+	head := binary.LittleEndian.AppendUint64(nil, epoch)
+	return write(magic, FormatVersion, head, snap.Header(), allGroups(snap), digest), nil
+}
+
+// allGroups returns every leaf group of snap, ascending: a file's ops.
+func allGroups(snap *geoserve.Snapshot) []geoserve.Group {
+	leaves := snap.Leaves()
+	gs := make([]geoserve.Group, len(leaves))
+	for i, l := range leaves {
+		gs[i] = snap.Group(l.Base)
 	}
-	buf = appendFootprints(buf, t.Footprints)
-	return appendTrailer(buf, digest), nil
+	return gs
 }
 
 // WriteFile writes the snapshot to path atomically: the bytes land in
@@ -208,62 +195,20 @@ func readSnapFileHeap(path string) ([]byte, func(), error) {
 	return data, func() {}, nil
 }
 
-// Decode validates and reassembles an encoded snapshot. It retains
-// none of data: geoserve.FromTables copies every row out once, into
-// pages cut from one buffer the snapshot owns.
+// Decode validates and reassembles an encoded snapshot: geoserve.Derive
+// from no base. It retains none of data: Derive copies every row out
+// once, into pages cut from one buffer the snapshot owns.
 func Decode(data []byte) (*geoserve.Snapshot, FileInfo, error) {
 	info := FileInfo{SizeBytes: int64(len(data))}
-	d, version, err := openEnvelope(data, magic, FormatVersion)
-	info.FormatVersion = version
+	version, h, ops, err := read(data, magic, FormatVersion, func(head *decoder) (err error) {
+		info.Epoch, err = head.u64("epoch")
+		return err
+	})
+	info.FormatVersion, info.Build = version, h.Build
 	if err != nil {
 		return nil, info, err
 	}
-	var t geoserve.Tables
-	header, err := d.section("header")
-	if err != nil {
-		return nil, info, err
-	}
-	if info.Epoch, err = header.u64("epoch"); err != nil {
-		return nil, info, err
-	}
-	if t.Build, err = decodeBuild(header); err != nil {
-		return nil, info, err
-	}
-	if err := header.done("header"); err != nil {
-		return nil, info, err
-	}
-	info.Build = t.Build
-	if t.Mappers, err = decodeMappers(d); err != nil {
-		return nil, info, err
-	}
-	if t.Prefixes, err = d.u32Section("prefixes"); err != nil {
-		return nil, info, err
-	}
-	if t.IPs, err = d.u32Section("ips"); err != nil {
-		return nil, info, err
-	}
-	if t.ASNs, err = decodeASNs(d); err != nil {
-		return nil, info, err
-	}
-	rows := len(t.Prefixes) + len(t.IPs)
-	for m := range t.Mappers {
-		sec, err := d.section("answers")
-		if err != nil {
-			return nil, info, err
-		}
-		if sec.remaining() != rows*geoserve.RecordSize {
-			return nil, info, fmt.Errorf("%w: answers section for mapper %d is %d bytes, want %d rows × %d",
-				ErrFormat, m, sec.remaining(), rows, geoserve.RecordSize)
-		}
-		t.Records = append(t.Records, sec.data)
-	}
-	if t.Footprints, err = decodeFootprints(d, len(t.Mappers), len(t.ASNs)); err != nil {
-		return nil, info, err
-	}
-	if err := closeEnvelope(data, d); err != nil {
-		return nil, info, err
-	}
-	snap, err := assemble(trailerDigest(data), func() (*geoserve.Snapshot, error) { return geoserve.FromTables(t) })
+	snap, err := assemble(trailerDigest(data), nil, h, ops)
 	if err != nil {
 		return nil, info, err
 	}
@@ -271,45 +216,13 @@ func Decode(data []byte) (*geoserve.Snapshot, FileInfo, error) {
 	return snap, info, nil
 }
 
-// openEnvelope checks what both formats open with — magic, version,
-// room for the trailer — and returns a decoder over the sections in
-// between.
-func openEnvelope(data []byte, magic string, speaks uint32) (*decoder, uint32, error) {
-	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
-		return nil, 0, fmt.Errorf("%w (want %q)", ErrMagic, magic)
-	}
-	version := binary.LittleEndian.Uint32(data[len(magic):])
-	if version != speaks {
-		return nil, version, fmt.Errorf("%w %d (this build speaks %d)", ErrVersion, version, speaks)
-	}
-	if len(data) < len(magic)+4+trailerBytes {
-		return nil, version, fmt.Errorf("%w: %d bytes is shorter than the minimal file", ErrTruncated, len(data))
-	}
-	return &decoder{data: data[len(magic)+4 : len(data)-trailerBytes]}, version, nil
-}
-
-// closeEnvelope checks what both formats close with once every
-// section has parsed: nothing unread before the trailer, and final 32
-// bytes that hash everything before them (covering the header fields
-// the content digest excludes).
-func closeEnvelope(data []byte, d *decoder) error {
-	if d.remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after the last section", ErrFormat, d.remaining())
-	}
-	sum := sha256.Sum256(data[:len(data)-32])
-	if !bytes.Equal(sum[:], data[len(data)-32:]) {
-		return fmt.Errorf("%w: file hash mismatch", ErrCorrupt)
-	}
-	return nil
-}
-
-// assemble checks a snapshot built from outside bytes: build (which
-// is geoserve.FromTables or geoserve.Derive) revalidates every
+// assemble derives the snapshot a file or delta describes from base
+// (nil: from nothing) and checks it: geoserve.Derive revalidates every
 // invariant a lookup relies on, and the content digest it recomputes
 // must equal the one the trailer names, so a loaded or applied snapshot
 // can never carry a digest its content does not hash to.
-func assemble(wantDigest string, build func() (*geoserve.Snapshot, error)) (*geoserve.Snapshot, error) {
-	snap, err := build()
+func assemble(wantDigest string, base *geoserve.Snapshot, h geoserve.Header, ops []geoserve.Group) (*geoserve.Snapshot, error) {
+	snap, err := geoserve.Derive(base, h, ops)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
@@ -328,19 +241,96 @@ func trailerDigest(data []byte) string {
 // without encoding: a publisher advertises the size of a file it has
 // not built yet.
 func EncodedSize(snap *geoserve.Snapshot) int {
-	mappers := snap.Mappers()
+	return encodedSize(8, snap.Header(), allGroups(snap))
+}
+
+// write lays out a file or a delta (see the package doc): magic and
+// version, a header section of head and h's build, h's mappers, ASNs
+// and footprints, one op per group of ops, and the trailers naming
+// digest. It fills one buffer of encodedSize bytes.
+func write(magic string, version uint32, head []byte, h geoserve.Header, ops []geoserve.Group, digest []byte) []byte {
+	le := binary.LittleEndian
+	buf := make([]byte, 0, encodedSize(len(head), h, ops))
+	buf = le.AppendUint32(append(buf, magic...), version)
+	buf = appendSection(buf, func(b []byte) []byte {
+		b = le.AppendUint64(append(b, head...), uint64(h.Build.Seed))
+		b = appendF64(b, h.Build.Scale)
+		return appendString(b, h.Build.Label)
+	})
+	buf = appendSection(buf, func(b []byte) []byte {
+		b = le.AppendUint32(b, uint32(len(h.Mappers)))
+		for _, name := range h.Mappers {
+			b = appendString(b, name)
+		}
+		return b
+	})
+	buf = appendSection(buf, func(b []byte) []byte {
+		b = le.AppendUint32(b, uint32(len(h.ASNs)))
+		for _, v := range h.ASNs {
+			b = le.AppendUint32(b, uint32(v))
+		}
+		return b
+	})
+	buf = appendFootprints(buf, h.Footprints)
+	buf = appendSection(buf, func(b []byte) []byte {
+		b = le.AppendUint32(b, uint32(len(ops)))
+		for _, g := range ops {
+			b = appendOp(b, g)
+		}
+		return b
+	})
+	buf = append(buf, digest...)
+	sum := sha256.Sum256(buf)
+	return append(buf, sum[:]...)
+}
+
+// encodedSize is the exact length write gives a header section of
+// headBytes and h's build, h and ops.
+func encodedSize(headBytes int, h geoserve.Header, ops []geoserve.Group) int {
 	n := len(magic) + 4
-	n += 8 + 8 + 8 + 8 + 4 + len(snap.Build().Label) // header
-	n += 8 + 4                                       // mappers
-	for _, name := range mappers {
+	n += 8 + headBytes + 8 + 8 + 4 + len(h.Build.Label) // header
+	n += 8 + 4                                          // mappers
+	for _, name := range h.Mappers {
 		n += 4 + len(name)
 	}
-	n += 8 + 4 + 4*snap.NumPrefixes()
-	n += 8 + 4 + 4*snap.NumExactIPs()
-	n += 8 + 4 + 4*snap.NumFootprints()
-	n += len(mappers) * (8 + (snap.NumPrefixes()+snap.NumExactIPs())*geoserve.RecordSize)
-	n += len(mappers) * (8 + snap.NumFootprints()*footprintRowBytes)
+	n += 8 + 4 + 4*len(h.ASNs)
+	n += len(h.Mappers) * (8 + len(h.ASNs)*footprintRowBytes)
+	n += 8 + 4 // ops
+	for _, g := range ops {
+		n += opSize(g)
+	}
 	return n + trailerBytes
+}
+
+// opSize is the exact length appendOp gives g.
+func opSize(g geoserve.Group) int {
+	n := 4 + 2 + 2*len(g.Prefixes) + 2 + 2*len(g.IPs) + 4
+	for _, page := range g.Pages {
+		n += len(page)
+	}
+	return n
+}
+
+// appendOp emits a leaf group whole: its base, its /24s and exact
+// addresses as offsets from the base, and the byte count and bytes of
+// its pages, mapper after mapper.
+func appendOp(b []byte, g geoserve.Group) []byte {
+	b = binary.LittleEndian.AppendUint32(b, g.Base)
+	for _, keys := range [][]uint32{g.Prefixes, g.IPs} {
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(keys)))
+		for _, k := range keys {
+			b = binary.LittleEndian.AppendUint16(b, uint16(k-g.Base))
+		}
+	}
+	n := 0
+	for _, page := range g.Pages {
+		n += len(page)
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	for _, page := range g.Pages {
+		b = append(b, page...)
+	}
+	return b
 }
 
 // appendSection emits a u64 length prefix followed by fill's payload,
@@ -362,44 +352,6 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendU32s(b []byte, xs []uint32) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(xs)))
-	for _, v := range xs {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	return b
-}
-
-// The append functions below and their decode counterparts in
-// decode.go are the sections the snapshot and delta formats share.
-
-// appendBuild emits the build identity a header section ends with.
-func appendBuild(b []byte, build geoserve.BuildInfo) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(build.Seed))
-	b = appendF64(b, build.Scale)
-	return appendString(b, build.Label)
-}
-
-func appendMappers(buf []byte, names []string) []byte {
-	return appendSection(buf, func(b []byte) []byte {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(names)))
-		for _, name := range names {
-			b = appendString(b, name)
-		}
-		return b
-	})
-}
-
-func appendASNs(buf []byte, asns []int32) []byte {
-	return appendSection(buf, func(b []byte) []byte {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(asns)))
-		for _, v := range asns {
-			b = binary.LittleEndian.AppendUint32(b, uint32(v))
-		}
-		return b
-	})
-}
-
 // appendFootprints emits one section per mapper.
 func appendFootprints(buf []byte, footprints [][]analysis.ASFootprint) []byte {
 	for _, fps := range footprints {
@@ -419,14 +371,6 @@ func appendFootprints(buf []byte, footprints [][]analysis.ASFootprint) []byte {
 		})
 	}
 	return buf
-}
-
-// appendTrailer closes a file: the content digest, then a SHA-256 over
-// every byte before it.
-func appendTrailer(buf, digest []byte) []byte {
-	buf = append(buf, digest...)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
 }
 
 func rawDigest(hexDigest string) ([]byte, error) {

@@ -8,6 +8,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,32 +20,34 @@ import (
 )
 
 // makeSnapshot assembles a small synthetic snapshot through the same
-// FromTables path Load uses, so tests need no pipeline run. Content
-// is deterministic in (seed, nPrefixes, nASNs).
+// geoserve.Derive path Decode uses, so tests need no pipeline run.
+// Content is deterministic in (seed, nPrefixes, nASNs).
 func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Snapshot {
 	tb.Helper()
 	r := rng.New(seed)
-	c := geoserve.Tables{
+	h := geoserve.Header{
 		Build:   geoserve.BuildInfo{Seed: seed, Scale: 0.5, Label: "synthetic"},
 		Mappers: []string{"alpha", "beta"},
 	}
+	var prefixes, ips []uint32
 	for i := 0; i < nPrefixes; i++ {
 		base := uint32(10<<24) + uint32(i)<<8
-		c.Prefixes = append(c.Prefixes, base)
+		prefixes = append(prefixes, base)
 		// Two exact addresses per /24.
-		c.IPs = append(c.IPs, base+1, base+2)
+		ips = append(ips, base+1, base+2)
 	}
 	for i := 0; i < nASNs; i++ {
-		c.ASNs = append(c.ASNs, int32(100+i))
+		h.ASNs = append(h.ASNs, int32(100+i))
 	}
 	methods := []string{"feed", "hostname", "loc", "whois"}
-	rows := len(c.Prefixes) + len(c.IPs)
-	for m := 0; m < len(c.Mappers); m++ {
+	rows := len(prefixes) + len(ips)
+	var slabs [][]byte
+	for m := 0; m < len(h.Mappers); m++ {
 		slab := make([]byte, rows*geoserve.RecordSize)
 		for i := 0; i < rows; i++ {
-			a := geoserve.Answer{Exact: i >= len(c.Prefixes)}
+			a := geoserve.Answer{Exact: i >= len(prefixes)}
 			if nASNs > 0 {
-				a.ASN = int(c.ASNs[r.Intn(nASNs)])
+				a.ASN = int(h.ASNs[r.Intn(nASNs)])
 			}
 			if r.Bool(0.8) {
 				a.Found = true
@@ -56,12 +60,12 @@ func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Sna
 				tb.Fatal(err)
 			}
 		}
-		c.Records = append(c.Records, slab)
+		slabs = append(slabs, slab)
 		fps := make([]analysis.ASFootprint, nASNs)
 		for i := range fps {
 			if r.Bool(0.7) {
 				fps[i] = analysis.ASFootprint{
-					ASN:        int(c.ASNs[i]),
+					ASN:        int(h.ASNs[i]),
 					Interfaces: 1 + r.Intn(50),
 					Locations:  1 + r.Intn(10),
 					Degree:     r.Intn(20),
@@ -71,13 +75,44 @@ func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Sna
 				}
 			}
 		}
-		c.Footprints = append(c.Footprints, fps)
+		h.Footprints = append(h.Footprints, fps)
 	}
-	snap, err := geoserve.FromTables(c)
+	return deriveSlabs(tb, h, prefixes, ips, slabs)
+}
+
+// deriveSlabs cuts each mapper's slab — a record per /24 of prefixes
+// (ascending), then one per address of ips, which holds two per /24 —
+// into the /20 leaf groups a snapshot stores, and derives the snapshot
+// from nothing.
+func deriveSlabs(tb testing.TB, h geoserve.Header, prefixes, ips []uint32, slabs [][]byte) *geoserve.Snapshot {
+	tb.Helper()
+	const rs = geoserve.RecordSize
+	var gs []geoserve.Group
+	for p := 0; p < len(prefixes); {
+		base := prefixes[p] &^ (1<<12 - 1)
+		pe := p
+		for pe < len(prefixes) && prefixes[pe]&^(1<<12-1) == base {
+			pe++
+		}
+		g := geoserve.Group{Base: base, Prefixes: prefixes[p:pe], IPs: ips[2*p : 2*pe]}
+		for _, slab := range slabs {
+			exact := slab[len(prefixes)*rs:]
+			g.Pages = append(g.Pages, slices.Concat(slab[p*rs:pe*rs], exact[2*p*rs:2*pe*rs]))
+		}
+		gs = append(gs, g)
+		p = pe
+	}
+	snap, err := geoserve.Derive(nil, h, gs)
 	if err != nil {
-		tb.Fatalf("FromTables: %v", err)
+		tb.Fatalf("Derive: %v", err)
 	}
 	return snap
+}
+
+// rederive derives snap's content again from nothing: every leaf group
+// rehashed and every record rechecked.
+func rederive(snap *geoserve.Snapshot) (*geoserve.Snapshot, error) {
+	return geoserve.Derive(nil, snap.Header(), allGroups(snap))
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -269,21 +304,24 @@ func putFloat(b []byte, f float64) { binary.LittleEndian.PutUint64(b, math.Float
 // findRecord returns the offset inside blob of a found record of
 // snap's first mapper — a prefix row's, or an exact row's — so a test
 // can damage it in an encoded file or delta (a delta carries only the
-// changed intervals' records, hence the search).
+// changed groups' records, hence the search).
 func findRecord(tb testing.TB, blob []byte, snap *geoserve.Snapshot, exactRow bool) int {
 	tb.Helper()
-	tabs := snap.Tables()
-	lo, hi := 0, len(tabs.Prefixes)
-	if exactRow {
-		lo, hi = hi, hi+len(tabs.IPs)
-	}
-	for row := lo; row < hi; row++ {
-		rec := tabs.Records[0][row*geoserve.RecordSize:][:geoserve.RecordSize]
-		if rec[28]&1 == 0 {
-			continue
+	for _, g := range allGroups(snap) {
+		page := g.Pages[0]
+		if exactRow {
+			page = page[len(g.Prefixes)*geoserve.RecordSize:]
+		} else {
+			page = page[:len(g.Prefixes)*geoserve.RecordSize]
 		}
-		if at := bytes.Index(blob, rec); at >= 0 {
-			return at
+		for ; len(page) > 0; page = page[geoserve.RecordSize:] {
+			rec := page[:geoserve.RecordSize]
+			if rec[28]&1 == 0 {
+				continue
+			}
+			if at := bytes.Index(blob, rec); at >= 0 {
+				return at
+			}
 		}
 	}
 	tb.Fatalf("no found record (exact=%v) of the snapshot occurs in the %d-byte blob", exactRow, len(blob))
@@ -345,7 +383,7 @@ func sectionPayload(b []byte, n int) int {
 // first of blob.
 func footprintRow(tb testing.TB, blob []byte, snap *geoserve.Snapshot, first int, present bool) []byte {
 	tb.Helper()
-	for m, fps := range snap.Tables().Footprints {
+	for m, fps := range snap.Header().Footprints {
 		for i, fp := range fps {
 			if (fp.ASN != 0) == present {
 				at := sectionPayload(blob, first+m) + i*footprintRowBytes
@@ -371,7 +409,7 @@ func TestLoadRejectsBadFootprintOrScale(t *testing.T) {
 	for _, tc := range badContent {
 		t.Run(tc.name, func(t *testing.T) {
 			forged := bytes.Clone(blob)
-			row := footprintRow(t, forged, snap, 5+len(snap.Mappers()), tc.present)
+			row := footprintRow(t, forged, snap, 3, tc.present)
 			tc.mut(row, forged[sectionPayload(forged, 0)+16:])
 			reseal(forged)
 			if s, _, err := Decode(forged); !errors.Is(err, ErrFormat) || s != nil {
@@ -381,13 +419,97 @@ func TestLoadRejectsBadFootprintOrScale(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsBadOps runs opDamage through Decode: a file's ops
+// are held to the rules a delta's are, and a file has no base, so a
+// delete op is refused too. Each damaged file is resealed, its content
+// digest left alone.
+func TestLoadRejectsBadOps(t *testing.T) {
+	snap := makeSnapshot(t, 5, 40, 4) // three leaf groups
+	blob, err := Encode(snap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nm := len(snap.Mappers())
+	if _, _, err := Decode(rewriteOps(t, bytes.Clone(blob), nm, func([]geoserve.Group) {})); err != nil {
+		t.Fatalf("ops rewritten unchanged: %v", err)
+	}
+	for _, tc := range opDamage {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _, err := Decode(rewriteOps(t, bytes.Clone(blob), nm, tc.edit))
+			if s != nil || !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("snapshot %v, err %v; want no snapshot and ErrFormat naming %q", s != nil, err, tc.msg)
+			}
+		})
+	}
+}
+
+// TestLoadRejectsOpFlood pins that what decodeOps allocates stays
+// within the bytes it reads: 2 000 mappers and 2 000 empty ops (57 KB)
+// once made it allocate a page list per op per mapper, 99 MB. A file
+// refuses the deletes and a delta its base; both read every op first.
+func TestLoadRejectsOpFlood(t *testing.T) {
+	const n = 2000
+	h := geoserve.Header{Footprints: make([][]analysis.ASFootprint, n)}
+	for m := range n {
+		h.Mappers = append(h.Mappers, fmt.Sprintf("m%d", m))
+	}
+	ops := make([]geoserve.Group, n)
+	for i := range ops {
+		ops[i].Base = uint32(i) << 12
+	}
+	snap := makeSnapshot(t, 5, 12, 4)
+	for name, load := range map[string]func() error{
+		"file": func() error {
+			_, _, err := Decode(write(magic, FormatVersion, make([]byte, 8), h, ops, make([]byte, 32)))
+			return err
+		},
+		"delta": func() error {
+			_, _, err := Apply(snap, write(deltaMagic, DeltaFormatVersion, make([]byte, 48), h, ops, make([]byte, 32)))
+			return err
+		},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := load()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: the flood loaded", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("%s: reading a 57 KB flood allocated %d bytes (%v)", name, grew, err)
+		}
+	}
+}
+
+// TestMagicsNeverCross pins that a delta never loads as a file and a
+// file never applies as a delta, though both are one encoding.
+func TestMagicsNeverCross(t *testing.T) {
+	old := makeSnapshot(t, 5, 12, 4)
+	new := makeSnapshot(t, 6, 12, 4)
+	file, err := Encode(new, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := Diff(old, new, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, _, err := Decode(delta); s != nil || !errors.Is(err, ErrMagic) {
+		t.Fatalf("a delta decoded as a file: snapshot %v, err %v; want ErrMagic", s != nil, err)
+	}
+	if s, _, err := Apply(old, file); s != nil || !errors.Is(err, ErrMagic) {
+		t.Fatalf("a file applied as a delta: snapshot %v, err %v; want ErrMagic", s != nil, err)
+	}
+}
+
 // TestLoadRejectsRetiredVersions pins that the retired formats get the
 // typed version error, not a parse attempt: version 1 (the old record
-// layouts) and version 2 (the same bytes as version 3, but trailers
-// naming the one-level content digest).
+// layouts), version 2 (the same bytes as version 3, but trailers naming
+// the one-level content digest) and version 3 (one record slab per
+// mapper instead of leaf-group ops).
 func TestLoadRejectsRetiredVersions(t *testing.T) {
 	snap := makeSnapshot(t, 5, 12, 4)
-	for _, version := range []byte{1, 2} {
+	for _, version := range []byte{1, 2, 3} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			blob, err := Encode(snap, 1)
 			if err != nil {
@@ -409,9 +531,10 @@ func TestLoadRejectsRetiredVersions(t *testing.T) {
 }
 
 // TestEncodedSizeExact pins the size a publisher advertises before it
-// encodes anything to the length of the file it later serves.
+// encodes anything to the length of the file it later serves, and a
+// delta's length to the same per-op sizes over the ops it carries.
 func TestEncodedSizeExact(t *testing.T) {
-	base := makeSnapshot(t, 3, 10, 4)
+	base := makeSnapshot(t, 3, 40, 4)
 	for _, tc := range []struct {
 		name         string
 		label        string
@@ -422,12 +545,12 @@ func TestEncodedSizeExact(t *testing.T) {
 		{"no footprints", "synthetic", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tabs := base.Tables()
-			tabs.Build.Label = tc.label
+			h := base.Header()
+			h.Build.Label = tc.label
 			if tc.noFootprints {
-				tabs.ASNs, tabs.Footprints = nil, make([][]analysis.ASFootprint, len(tabs.Mappers))
+				h.ASNs, h.Footprints = nil, make([][]analysis.ASFootprint, len(h.Mappers))
 			}
-			snap, err := geoserve.FromTables(tabs)
+			snap, err := geoserve.Derive(nil, h, allGroups(base))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -437,6 +560,28 @@ func TestEncodedSizeExact(t *testing.T) {
 			}
 			if got := EncodedSize(snap); got != len(blob) {
 				t.Fatalf("EncodedSize %d, Encode wrote %d bytes", got, len(blob))
+			}
+			// Without its first group: a delta to snap puts that group,
+			// and one back deletes it.
+			trimmed, err := geoserve.Derive(nil, h, allGroups(base)[1:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pair := range [][2]*geoserve.Snapshot{{trimmed, snap}, {snap, trimmed}} {
+				delta, err := Diff(pair[0], pair[1], 1, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, dh, ops, err := read(delta, deltaMagic, DeltaFormatVersion, func(head *decoder) error {
+					_, err := head.take(48, "delta head")
+					return err
+				})
+				if err != nil || len(ops) != 1 {
+					t.Fatalf("delta carries %d ops (%v), want the one group", len(ops), err)
+				}
+				if got := encodedSize(48, dh, ops); got != len(delta) {
+					t.Fatalf("encodedSize over the delta's ops is %d, Diff wrote %d bytes", got, len(delta))
+				}
 			}
 		})
 	}

@@ -289,7 +289,7 @@ func (w *hashWriter) str(s string) {
 // an answer's fields, not over the bytes that store them, which keeps
 // a digest — and every golden pinning one — stable across changes of
 // the stored layout. The exact flag (implied by row position) and the
-// reserved bytes are therefore not in it; FromTables and Derive pin those.
+// reserved bytes are therefore not in it; Derive pins those.
 //
 // Like u32s it fills the buffer a chunk at a time, and it moves each
 // record's fields as whole words: this loop is most of a seal's cost
@@ -376,6 +376,7 @@ func (s *Snapshot) holding(prev *Snapshot, touched []uint32) []bool {
 		for i := range hit {
 			hit[i] = true
 		}
+		return hit
 	}
 	for _, t := range touched {
 		if i, ok := s.groupAt(leafBase(t)); ok {

@@ -163,7 +163,7 @@ func TestLookupBatchZeroAllocs(t *testing.T) {
 // nothing has served from yet — freshly compiled, and freshly decoded
 // from a snapfile — the first /v1/locate/bin batch allocates nothing
 // that grows with the row count, and for every mapper and row the 32
-// record bytes in the response are the bytes of Tables().Records.
+// record bytes in the response are the bytes its group's page stores.
 func TestFirstWireBatchBuildsNothing(t *testing.T) {
 	p, _ := fixture(t)
 	compiled, err := p.Serve()
@@ -179,15 +179,15 @@ func TestFirstWireBatchBuildsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, snap := range map[string]*geoserve.Snapshot{"compiled": compiled, "decoded": decoded} {
-		tabs := snap.Tables()
-		rows := len(tabs.Prefixes) + len(tabs.IPs)
+		ips := snap.ExactIPs()
+		rows := snap.NumPrefixes() + len(ips)
 		h := geoserve.NewHandler(geoserve.NewEngine(snap))
 
 		// A second full copy of the answers is rows × RecordSize per
 		// mapper; a 64-address batch needs a few KB of buffers.
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		w := postWire(t, h, 0, tabs.IPs[:64])
+		w := postWire(t, h, 0, ips[:64])
 		runtime.ReadMemStats(&after)
 		if w.Code != 200 {
 			t.Fatalf("%s: first batch answered %d", name, w.Code)
@@ -198,23 +198,30 @@ func TestFirstWireBatchBuildsNothing(t *testing.T) {
 
 		// One address per row: for each /24 its highest address that has
 		// no exact row of its own (a /24 of 256 interfaces would fail the
-		// comparison below; the fixture has none), and each exact address.
-		addrs, addrRow := make([]uint32, 0, rows), make([]int, 0, rows)
+		// comparison below; the fixture has none), and each exact address,
+		// beside the record its group's page stores for it.
+		type stored struct {
+			g   geoserve.Group
+			row int
+		}
+		addrs, addrRow := make([]uint32, 0, rows), make([]stored, 0, rows)
 		isExact := func(ip uint32) bool {
-			_, ok := slices.BinarySearch(tabs.IPs, ip)
+			_, ok := slices.BinarySearch(ips, ip)
 			return ok
 		}
-		for i, base := range tabs.Prefixes {
-			ip := base + 255
-			for ip > base && isExact(ip) {
-				ip--
+		for _, g := range geoserve.Groups(snap) {
+			for i, base := range g.Prefixes {
+				ip := base + 255
+				for ip > base && isExact(ip) {
+					ip--
+				}
+				addrs, addrRow = append(addrs, ip), append(addrRow, stored{g, i})
 			}
-			addrs, addrRow = append(addrs, ip), append(addrRow, i)
+			for i, ip := range g.IPs {
+				addrs, addrRow = append(addrs, ip), append(addrRow, stored{g, len(g.Prefixes) + i})
+			}
 		}
-		for i, ip := range tabs.IPs {
-			addrs, addrRow = append(addrs, ip), append(addrRow, len(tabs.Prefixes)+i)
-		}
-		for m := range tabs.Mappers {
+		for m := range snap.Mappers() {
 			for lo := 0; lo < len(addrs); lo += geoserve.MaxBatch {
 				hi := min(lo+geoserve.MaxBatch, len(addrs))
 				body := postWire(t, h, uint16(m), addrs[lo:hi]).Body.Bytes()
@@ -222,10 +229,11 @@ func TestFirstWireBatchBuildsNothing(t *testing.T) {
 				if len(body) != frame+(hi-lo)*geoserve.WireAnswerSize {
 					t.Fatalf("%s mapper %d: %d-byte reply to %d addresses", name, m, len(body), hi-lo)
 				}
-				for j, row := range addrRow[lo:hi] {
+				for j, at := range addrRow[lo:hi] {
 					served := body[frame+j*geoserve.WireAnswerSize+4:][:geoserve.RecordSize]
-					if stored := tabs.Records[m][row*geoserve.RecordSize:][:geoserve.RecordSize]; !bytes.Equal(served, stored) {
-						t.Fatalf("%s mapper %d row %d: served record %x, stored %x", name, m, row, served, stored)
+					if rec := at.g.Pages[m][at.row*geoserve.RecordSize:][:geoserve.RecordSize]; !bytes.Equal(served, rec) {
+						t.Fatalf("%s mapper %d group %s row %d: served record %x, stored %x",
+							name, m, geoserve.FormatIPv4(at.g.Base), at.row, served, rec)
 					}
 				}
 			}
