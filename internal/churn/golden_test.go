@@ -206,7 +206,8 @@ func TestGoldenChurnCorpus(t *testing.T) {
 // end: over 24 steps of the seeded churn stream, the digest and leaves
 // CompileDelta reaches against the builder's previous epoch, and those
 // Apply reaches against a replica's, each equal the digest and leaves
-// of the same groups derived from nothing (rederive).
+// of the same groups derived from nothing (every leaf group rehashed
+// and every record rechecked).
 func TestIncrementalDigestMatchesFromScratch(t *testing.T) {
 	p, full0 := fixture(t)
 	ch, err := p.Churner(core.ServeOptions{}, corpusSeed)
@@ -235,7 +236,7 @@ func TestIncrementalDigestMatchesFromScratch(t *testing.T) {
 			path string
 			snap *geoserve.Snapshot
 		}{{"CompileDelta", snap}, {"Apply", applied}} {
-			scratch, err := rederive(c.snap)
+			scratch, err := geoserve.Derive(nil, c.snap.Header(), c.snap.Groups())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,16 +247,6 @@ func TestIncrementalDigestMatchesFromScratch(t *testing.T) {
 		}
 		prev, rep = snap, applied
 	}
-}
-
-// rederive derives s's content again from nothing: every leaf group
-// rehashed and every record rechecked.
-func rederive(s *geoserve.Snapshot) (*geoserve.Snapshot, error) {
-	var gs []geoserve.Group
-	for _, l := range s.Leaves() {
-		gs = append(gs, s.Group(l.Base))
-	}
-	return geoserve.Derive(nil, s.Header(), gs)
 }
 
 // TestChurnDeterministic pins replayability: the same (source, seed)

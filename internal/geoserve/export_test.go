@@ -75,16 +75,6 @@ func DeriveSlabs(h Header, prefixes, ips []uint32, slabs [][]byte) (*Snapshot, e
 	return Derive(nil, h, gs)
 }
 
-// Groups returns every leaf group of s, ascending: views of its index
-// and pages, shared and read-only.
-func Groups(s *Snapshot) []Group {
-	gs := make([]Group, len(s.groups))
-	for i, g := range s.groups {
-		gs[i] = s.Group(g.base)
-	}
-	return gs
-}
-
 // SharesDirectory reports whether b serves from a's directory rather
 // than one of its own.
 func SharesDirectory(a, b *Snapshot) bool { return a.dir == b.dir }

@@ -184,13 +184,27 @@ type Group struct {
 // snapshot's index and pages, shared and read-only. Where no group
 // holds a row there, the Group has no rows and empty pages.
 func (s *Snapshot) Group(base uint32) Group {
-	nm := len(s.mappers)
 	i, ok := s.groupAt(base)
 	if !ok {
-		return Group{Base: base, Pages: make([][]byte, nm)}
+		return Group{Base: base, Pages: make([][]byte, len(s.mappers))}
 	}
-	g := s.groups[i]
-	return Group{Base: base, Prefixes: s.prefixes[g.pLo:g.pHi], IPs: s.ips[g.iLo:g.iHi], Pages: s.pages[i*nm : (i+1)*nm]}
+	return s.group(i)
+}
+
+// Groups returns every leaf group of the snapshot, ascending: the
+// Group views of a snapshot file's ops.
+func (s *Snapshot) Groups() []Group {
+	gs := make([]Group, len(s.groups))
+	for i := range gs {
+		gs[i] = s.group(i)
+	}
+	return gs
+}
+
+// group is the Group view of s.groups[i].
+func (s *Snapshot) group(i int) Group {
+	nm, g := len(s.mappers), s.groups[i]
+	return Group{Base: g.base, Prefixes: s.prefixes[g.pLo:g.pHi], IPs: s.ips[g.iLo:g.iHi], Pages: s.pages[i*nm : (i+1)*nm]}
 }
 
 // Derive assembles the snapshot a file or delta describes: base with

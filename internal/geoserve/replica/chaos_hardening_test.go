@@ -36,10 +36,10 @@ func churn(tb testing.TB, snap *geoserve.Snapshot, step int) *geoserve.Snapshot 
 	// across the snapshot's groups with all prefix rows ahead of all
 	// exact rows, move.
 	np := snap.NumPrefixes()
-	var gs []geoserve.Group
+	gs := snap.Groups()
 	pRows, iRows := 0, 0 // prefix and exact rows in the groups before g
-	for _, l := range snap.Leaves() {
-		g := snap.Group(l.Base)
+	for i := range gs {
+		g := &gs[i]
 		g.Pages = slices.Clone(g.Pages)
 		for m := range g.Pages {
 			// Group shares the snapshot's memory: mutate a clone.
@@ -61,7 +61,6 @@ func churn(tb testing.TB, snap *geoserve.Snapshot, step int) *geoserve.Snapshot 
 				}
 			}
 		}
-		gs = append(gs, g)
 		pRows, iRows = pRows+len(g.Prefixes), iRows+len(g.IPs)
 	}
 	out, err := geoserve.Derive(nil, snap.Header(), gs)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -341,14 +342,9 @@ func (r *Replica) fetchDelta(ctx context.Context, cur *served, m Manifest) (*geo
 	defer resp.Body.Close()
 	// A delta bigger than the full file plus slack is either damage or
 	// not worth applying; the limit turns it into an Apply failure. The
-	// body is read into one buffer sized for its declared length, with
-	// the byte that lets EOF arrive without a regrow.
-	limit := m.SizeBytes + 1<<20
-	var blob []byte
-	if resp.ContentLength >= 0 {
-		blob = make([]byte, 0, min(resp.ContentLength, limit)+1)
-	}
-	blob, err = geoserve.ReadAllInto(blob, io.LimitReader(resp.Body, limit))
+	// body is read into one buffer sized for its declared length.
+	limit := min(m.SizeBytes, math.MaxInt64-1<<20) + 1<<20
+	blob, err := geoserve.ReadAllInto(presize(min(resp.ContentLength, limit)), io.LimitReader(resp.Body, limit))
 	if err != nil {
 		return nil, fmt.Errorf("replica: delta fetch interrupted: %w", err)
 	}
@@ -520,13 +516,17 @@ func (r *Replica) fetchBlob(ctx context.Context, m Manifest) ([]byte, error) {
 		buf = buf[:0] // full body (server ignored or was not sent Range)
 	}
 	if len(buf) == 0 {
-		buf = make([]byte, 0, m.SizeBytes+1)
+		n := m.SizeBytes
+		if resp.ContentLength >= 0 {
+			n = min(n, resp.ContentLength)
+		}
+		buf = presize(n)
 	}
 
-	// Read at most what the manifest promised (+1 to detect overruns)
-	// into buf's capacity; whatever lands in buf survives this attempt
-	// for resumption.
-	buf, err = geoserve.ReadAllInto(buf, io.LimitReader(resp.Body, m.SizeBytes-int64(len(buf))+1))
+	// Read at most what the manifest promised (+1 to detect overruns);
+	// whatever lands in buf survives this attempt for resumption.
+	rest := min(m.SizeBytes-int64(len(buf)), math.MaxInt64-1) + 1
+	buf, err = geoserve.ReadAllInto(buf, io.LimitReader(resp.Body, rest))
 	if err != nil {
 		r.savePartial(buf)
 		return nil, fmt.Errorf("replica: snapshot fetch interrupted at %d/%d bytes: %w",
@@ -543,6 +543,21 @@ func (r *Replica) fetchBlob(ctx context.Context, m Manifest) ([]byte, error) {
 	}
 	r.dropPartial()
 	return buf, nil
+}
+
+// maxPresize caps the buffer a fetch allocates before a byte arrives:
+// the sizes it is told come over the network, so a body larger than
+// this grows its buffer as it lands.
+const maxPresize = 64 << 20
+
+// presize returns an empty buffer for a body of n bytes (none when n
+// is negative, an unknown length), with the byte that lets EOF arrive
+// without a regrow.
+func presize(n int64) []byte {
+	if n < 0 {
+		return nil
+	}
+	return make([]byte, 0, min(n, maxPresize)+1)
 }
 
 func (r *Replica) savePartial(buf []byte) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -325,29 +326,8 @@ func TestReplicaRun(t *testing.T) {
 // served from memory as the publisher wrote it (canned), so -benchmem
 // reports what the fetch itself allocates.
 func BenchmarkFetch(b *testing.B) {
-	old := makeSnapshot(b, 1, 2000, 2000)
-	pub := NewPublisher()
-	if _, err := pub.Publish(old); err != nil {
-		b.Fatal(err)
-	}
-	client, _ := localClient(fleetMux{"builder": pub.Handler()}, nil)
-	rep := New(Config{BuilderURL: "http://builder", Client: client})
+	rep, m, bodies := fetchFixture(b, makeSnapshot(b, 1, 2000, 2000))
 	ctx := context.Background()
-	if _, err := rep.SyncOnce(ctx); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := pub.Publish(churn(b, old, 1)); err != nil {
-		b.Fatal(err)
-	}
-	m, err := rep.fetchManifest(ctx)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bodies := canned{}
-	for _, path := range []string{"/v1/replication/snapshot/2", "/v1/replication/delta/1/2"} {
-		_, body := get(b, client, "http://builder"+path)
-		bodies[path] = []byte(body)
-	}
 	rep.cfg.Client = &http.Client{Transport: bodies}
 	b.Run("file", func(b *testing.B) {
 		b.SetBytes(int64(len(bodies["/v1/replication/snapshot/2"])))
@@ -369,6 +349,67 @@ func BenchmarkFetch(b *testing.B) {
 	})
 }
 
+// TestFetchSurvivesHugeSizes: a manifest's size_bytes and a response's
+// Content-Length come over the network, so neither may size a buffer
+// whole. Told a size far past the body, with the body's length unknown
+// or claimed as large, a file fetch fails as truncated, a delta that
+// is whole still applies, and no fetch allocates past maxPresize up
+// front or panics.
+func TestFetchSurvivesHugeSizes(t *testing.T) {
+	rep, m, bodies := fetchFixture(t, makeSnapshot(t, 8, 20, 6))
+	ctx := context.Background()
+	for _, size := range []int64{math.MaxInt64, 1 << 40} {
+		for _, length := range []int64{-1, size} {
+			huge := m
+			huge.SizeBytes = size
+			rep.cfg.Client = &http.Client{Transport: claiming{bodies, length}}
+			if _, err := rep.fetchBlob(ctx, huge); !errors.Is(err, snapfile.ErrTruncated) {
+				t.Errorf("size %d, length %d: file fetch gave %v, want ErrTruncated", size, length, err)
+			}
+			rep.mu.Lock()
+			kept := cap(rep.partial)
+			rep.mu.Unlock()
+			if kept > maxPresize+1 {
+				t.Errorf("size %d, length %d: the partial download holds a %d-byte buffer", size, length, kept)
+			}
+			if _, err := rep.fetchDelta(ctx, rep.cur.Load(), huge); err != nil {
+				t.Errorf("size %d, length %d: delta fetch: %v", size, length, err)
+			}
+		}
+	}
+}
+
+// fetchFixture syncs a replica to old at epoch 1, publishes old
+// churned as epoch 2, and returns the replica, epoch 2's manifest and
+// the bodies of its file and of the delta from epoch 1, as the
+// publisher wrote them.
+func fetchFixture(tb testing.TB, old *geoserve.Snapshot) (*Replica, Manifest, canned) {
+	tb.Helper()
+	pub := NewPublisher()
+	if _, err := pub.Publish(old); err != nil {
+		tb.Fatal(err)
+	}
+	client, _ := localClient(fleetMux{"builder": pub.Handler()}, nil)
+	rep := New(Config{BuilderURL: "http://builder", Client: client})
+	ctx := context.Background()
+	if _, err := rep.SyncOnce(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := pub.Publish(churn(tb, old, 1)); err != nil {
+		tb.Fatal(err)
+	}
+	m, err := rep.fetchManifest(ctx)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bodies := canned{}
+	for _, path := range []string{"/v1/replication/snapshot/2", "/v1/replication/delta/1/2"} {
+		_, body := get(tb, client, "http://builder"+path)
+		bodies[path] = []byte(body)
+	}
+	return rep, m, bodies
+}
+
 // canned answers a GET of each path it holds with that body and its
 // length, as a server that sets Content-Length does.
 type canned map[string][]byte
@@ -380,4 +421,16 @@ func (c canned) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	return &http.Response{StatusCode: http.StatusOK, ContentLength: int64(len(body)),
 		Body: io.NopCloser(bytes.NewReader(body)), Request: req}, nil
+}
+
+// claiming serves canned's bodies under a Content-Length of its own.
+type claiming struct {
+	canned
+	length int64
+}
+
+func (c claiming) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := c.canned.RoundTrip(req)
+	resp.ContentLength = c.length
+	return resp, err
 }

@@ -64,7 +64,7 @@ func TestSealRehashesTouched(t *testing.T) {
 		t.Fatal("test is vacuous: the churn changed nothing")
 	}
 
-	gs := geoserve.Groups(new)
+	gs := new.Groups()
 	gs[3].Pages = slices.Clone(gs[3].Pages)
 	gs[3].Pages[1] = slices.Clone(gs[3].Pages[1])
 	gs[3].Pages[1][2*geoserve.RecordSize] ^= 1 // keys[50]'s prefix row, in the last group
@@ -95,7 +95,7 @@ func TestSealRehashesTouched(t *testing.T) {
 
 	renamed := new.Header()
 	renamed.Mappers = []string{"alpha", "gamma"}
-	other, err := geoserve.Derive(nil, renamed, geoserve.Groups(new))
+	other, err := geoserve.Derive(nil, renamed, new.Groups())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,9 +141,8 @@ func (d *decoder) str(what string) (string, error) {
 }
 
 // offsets consumes a u16 count and count u16 offsets, and returns base
-// plus each offset, cut from the spare capacity of *arena, which it
-// refills 4096 keys at a time.
-func (d *decoder) offsets(arena *[]uint32, base uint32) ([]uint32, error) {
+// plus each offset.
+func (d *decoder) offsets(base uint32) ([]uint32, error) {
 	b, err := d.take(2, "op key count")
 	if err != nil {
 		return nil, err
@@ -152,13 +151,7 @@ func (d *decoder) offsets(arena *[]uint32, base uint32) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(raw) / 2
-	if cap(*arena)-len(*arena) < n {
-		*arena = make([]uint32, 0, max(n, 1<<12))
-	}
-	at := len(*arena)
-	out := (*arena)[at : at+n : at+n]
-	*arena = (*arena)[:at+n]
+	out := make([]uint32, len(raw)/2)
 	for i := range out {
 		out[i] = base + uint32(binary.LittleEndian.Uint16(raw[2*i:]))
 	}
@@ -272,9 +265,7 @@ func decodeFootprints(d *decoder, nMappers, nASNs int) ([][]analysis.ASFootprint
 // op's record bytes must be one page of its rows per mapper, cut from
 // data (the pages alias it), and every op with no rows shares one list
 // of empty pages: the page lists allocated stay within the record
-// bytes read, whatever the mapper count. Keys and page lists are cut
-// from arenas refilled a few KB at a time, so an op allocates nothing
-// of its own (Decode reads about 900 ops at scale 0.1).
+// bytes read, whatever the mapper count.
 func decodeOps(d *decoder, nMappers int) ([]geoserve.Group, error) {
 	sec, err := d.section("ops")
 	if err != nil {
@@ -291,17 +282,15 @@ func decodeOps(d *decoder, nMappers int) ([]geoserve.Group, error) {
 	}
 	ops := make([]geoserve.Group, nOps)
 	none := make([][]byte, nMappers)
-	var keys []uint32
-	var pages [][]byte
 	for i := range ops {
 		op := &ops[i]
 		if op.Base, err = sec.u32("op base"); err != nil {
 			return nil, err
 		}
-		if op.Prefixes, err = sec.offsets(&keys, op.Base); err != nil {
+		if op.Prefixes, err = sec.offsets(op.Base); err != nil {
 			return nil, err
 		}
-		if op.IPs, err = sec.offsets(&keys, op.Base); err != nil {
+		if op.IPs, err = sec.offsets(op.Base); err != nil {
 			return nil, err
 		}
 		n, err := sec.u32("op record bytes")
@@ -319,13 +308,10 @@ func decodeOps(d *decoder, nMappers int) ([]geoserve.Group, error) {
 		}
 		op.Pages = none
 		if size > 0 {
-			if cap(pages)-len(pages) < nMappers {
-				pages = make([][]byte, 0, max(nMappers, 1<<10))
+			op.Pages = make([][]byte, nMappers)
+			for m := range op.Pages {
+				op.Pages[m] = recs[m*size : (m+1)*size]
 			}
-			for m := range nMappers {
-				pages = append(pages, recs[m*size:(m+1)*size])
-			}
-			op.Pages = pages[len(pages)-nMappers : len(pages) : len(pages)]
 		}
 	}
 	if err := sec.done("ops"); err != nil {

@@ -34,37 +34,43 @@ func buildWorld(tb testing.TB, seed int64, keys []uint32, salts map[uint32]int64
 	for i := 0; i < nASNs; i++ {
 		h.ASNs = append(h.ASNs, int32(100+i))
 	}
-	var ips []uint32
+	var gs []geoserve.Group // the /20 leaf groups of sorted, ascending
 	for _, key := range sorted {
-		ips = append(ips, key+1, key+2)
+		if base := key &^ (1<<12 - 1); len(gs) == 0 || gs[len(gs)-1].Base != base {
+			gs = append(gs, geoserve.Group{Base: base})
+		}
+		g := &gs[len(gs)-1]
+		g.Prefixes, g.IPs = append(g.Prefixes, key), append(g.IPs, key+1, key+2)
 	}
 	methods := []string{"feed", "hostname", "loc", "whois"}
-	rows := len(sorted) + len(ips)
-	var slabs [][]byte
 	for m := 0; m < len(h.Mappers); m++ {
-		slab := make([]byte, rows*geoserve.RecordSize)
-		fill := func(row int, r *rng.Stream) {
-			a := geoserve.Answer{Exact: row >= len(sorted)}
-			asn := int(h.ASNs[r.Intn(nASNs)])
-			if r.Bool(0.8) {
-				a.ASN = asn
-				a.Found = true
-				a.Method = methods[r.Intn(4)]
-				a.Loc.Lat = r.Float64()*180 - 90
-				a.Loc.Lon = r.Float64()*360 - 180
-				a.RadiusMi = r.Float64() * 500
+		for gi := range gs {
+			g := &gs[gi]
+			np := len(g.Prefixes)
+			page := make([]byte, 3*np*geoserve.RecordSize)
+			fill := func(row int, r *rng.Stream) {
+				a := geoserve.Answer{Exact: row >= np}
+				asn := int(h.ASNs[r.Intn(nASNs)])
+				if r.Bool(0.8) {
+					a.ASN = asn
+					a.Found = true
+					a.Method = methods[r.Intn(4)]
+					a.Loc.Lat = r.Float64()*180 - 90
+					a.Loc.Lon = r.Float64()*360 - 180
+					a.RadiusMi = r.Float64() * 500
+				}
+				if err := geoserve.PutRecord(page[row*geoserve.RecordSize:], a); err != nil {
+					tb.Fatal(err)
+				}
 			}
-			if err := geoserve.PutRecord(slab[row*geoserve.RecordSize:], a); err != nil {
-				tb.Fatal(err)
+			for i, key := range g.Prefixes {
+				r := rng.New(seed + int64(m)*7919 + int64(key)*31 + salts[key])
+				fill(i, r)
+				fill(np+2*i, r)
+				fill(np+2*i+1, r)
 			}
+			g.Pages = append(g.Pages, page)
 		}
-		for i, key := range sorted {
-			r := rng.New(seed + int64(m)*7919 + int64(key)*31 + salts[key])
-			fill(i, r)
-			fill(len(sorted)+2*i, r)
-			fill(len(sorted)+2*i+1, r)
-		}
-		slabs = append(slabs, slab)
 		fps := make([]analysis.ASFootprint, nASNs)
 		fr := rng.New(seed + int64(m))
 		for i := range fps {
@@ -82,7 +88,11 @@ func buildWorld(tb testing.TB, seed int64, keys []uint32, salts map[uint32]int64
 		}
 		h.Footprints = append(h.Footprints, fps)
 	}
-	return deriveSlabs(tb, h, sorted, ips, slabs)
+	snap, err := geoserve.Derive(nil, h, gs)
+	if err != nil {
+		tb.Fatalf("Derive: %v", err)
+	}
+	return snap
 }
 
 // worldKeys returns n /24 base addresses under 10.0.0.0/8.
@@ -117,54 +127,69 @@ func churnedKeys(keys []uint32, step int64) ([]uint32, map[uint32]int64) {
 
 func TestDiffApplyRoundTrip(t *testing.T) {
 	keys := worldKeys(40)
-	// The churn touches every leaf group of keys; calm is one it leaves
-	// alone, which the delta skips and the file carries.
-	calm := []uint32{12 << 24, 12<<24 | 1<<8}
-	old := buildWorld(t, 1, append(slices.Clone(keys), calm...), nil)
-	newKeys, salts := churnedKeys(keys, 1)
-	new := buildWorld(t, 1, append(newKeys, calm...), salts)
-	if old.Digest() == new.Digest() {
-		t.Fatal("test is vacuous: churn produced identical snapshots")
-	}
+	for _, tc := range []struct {
+		name string
+		calm []uint32 // the /24s of a group the churn leaves alone
+	}{
+		// The churn touches every leaf group of keys, so the delta puts
+		// every group: it is the file plus the 40 bytes by which a
+		// delta's header (two epochs and the base digest) outgrows a
+		// file's (one epoch).
+		{"every group churns", nil},
+		// A calm group is one the delta skips and the file carries.
+		{"one group calm", []uint32{12 << 24, 12<<24 | 1<<8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old := buildWorld(t, 1, append(slices.Clone(keys), tc.calm...), nil)
+			newKeys, salts := churnedKeys(keys, 1)
+			new := buildWorld(t, 1, append(newKeys, tc.calm...), salts)
+			if old.Digest() == new.Digest() {
+				t.Fatal("test is vacuous: churn produced identical snapshots")
+			}
 
-	delta, err := Diff(old, new, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Encode(new, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(delta) >= len(full) {
-		t.Fatalf("delta (%d bytes) not smaller than the full snapshot (%d bytes)", len(delta), len(full))
-	}
+			delta, err := Diff(old, new, 1, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := Encode(new, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.calm == nil && len(delta) != len(full)+40 {
+				t.Fatalf("delta of every group is %d bytes, want the full snapshot's %d + 40", len(delta), len(full))
+			}
+			if tc.calm != nil && len(delta) >= len(full) {
+				t.Fatalf("delta (%d bytes) not smaller than the full snapshot (%d bytes)", len(delta), len(full))
+			}
 
-	applied, info, err := Apply(old, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied.Digest() != new.Digest() {
-		t.Fatalf("applied digest %s != target %s", applied.Digest(), new.Digest())
-	}
-	if info.FromEpoch != 1 || info.ToEpoch != 2 ||
-		info.FromDigest != old.Digest() || info.ToDigest != new.Digest() {
-		t.Fatalf("delta info %+v", info)
-	}
-	if info.Build != new.Build() {
-		t.Fatalf("delta build info %+v != %+v", info.Build, new.Build())
-	}
-	if info.Ops == 0 || info.Ops >= len(keys) {
-		t.Fatalf("delta carries %d ops for a partial churn over %d intervals", info.Ops, len(keys))
-	}
-	// The applied snapshot re-encodes byte-identically to a full
-	// download of the target epoch — delta sync and full sync are
-	// interchangeable at the file level, not just digest-equal.
-	reenc, err := Encode(applied, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reenc, full) {
-		t.Fatal("applied snapshot re-encodes differently from the full target file")
+			applied, info, err := Apply(old, delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if applied.Digest() != new.Digest() {
+				t.Fatalf("applied digest %s != target %s", applied.Digest(), new.Digest())
+			}
+			if info.FromEpoch != 1 || info.ToEpoch != 2 ||
+				info.FromDigest != old.Digest() || info.ToDigest != new.Digest() {
+				t.Fatalf("delta info %+v", info)
+			}
+			if info.Build != new.Build() {
+				t.Fatalf("delta build info %+v != %+v", info.Build, new.Build())
+			}
+			if info.Ops == 0 || info.Ops >= len(keys) {
+				t.Fatalf("delta carries %d ops for a partial churn over %d intervals", info.Ops, len(keys))
+			}
+			// The applied snapshot re-encodes byte-identically to a full
+			// download of the target epoch — delta sync and full sync are
+			// interchangeable at the file level, not just digest-equal.
+			reenc, err := Encode(applied, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(reenc, full) {
+				t.Fatal("applied snapshot re-encodes differently from the full target file")
+			}
+		})
 	}
 }
 
@@ -209,7 +234,7 @@ func TestDiffRejectsMapperMismatch(t *testing.T) {
 	other := makeSnapshot(t, 4, 8, 4)
 	h := other.Header()
 	h.Mappers = []string{"alpha", "gamma"}
-	renamed, err := geoserve.Derive(nil, h, allGroups(other))
+	renamed, err := geoserve.Derive(nil, h, other.Groups())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +306,7 @@ func TestApplyRejectsDamage(t *testing.T) {
 			}
 			// A failed Apply leaves its base as it was: base's groups,
 			// derived again from nothing, still seal to its digest.
-			resealed, err := rederive(old)
+			resealed, err := geoserve.Derive(nil, old.Header(), old.Groups())
 			if err != nil {
 				t.Fatalf("base after a failed apply: %v", err)
 			}
@@ -410,7 +435,7 @@ func TestIncrementalDigestRehashesTouched(t *testing.T) {
 	keys := worldKeys(64) // four leaf groups of 16 /24s
 	old := buildWorld(t, 1, keys, nil)
 	new := buildWorld(t, 1, keys, map[uint32]int64{keys[3]: 9}) // only the first group changes
-	gs := allGroups(new)
+	gs := new.Groups()
 	gs[3].Pages = slices.Clone(gs[3].Pages)
 	gs[3].Pages[1] = bytes.Clone(gs[3].Pages[1])
 	gs[3].Pages[1][2*geoserve.RecordSize] ^= 1 // keys[50]'s prefix row, in the last group

@@ -212,7 +212,7 @@ func FuzzSnapdeltaApply(f *testing.F) {
 			if snap.Digest() != trailer || info.ToDigest != trailer {
 				t.Fatalf("applied digest %s, info %s, trailer %s", snap.Digest(), info.ToDigest, trailer)
 			}
-			scratch, err := rederive(snap)
+			scratch, err := geoserve.Derive(nil, snap.Header(), snap.Groups())
 			if err != nil {
 				t.Fatalf("applied, but its groups fail from nothing: %v", err)
 			}

@@ -132,17 +132,7 @@ func Encode(snap *geoserve.Snapshot, epoch uint64) ([]byte, error) {
 		return nil, err
 	}
 	head := binary.LittleEndian.AppendUint64(nil, epoch)
-	return write(magic, FormatVersion, head, snap.Header(), allGroups(snap), digest), nil
-}
-
-// allGroups returns every leaf group of snap, ascending: a file's ops.
-func allGroups(snap *geoserve.Snapshot) []geoserve.Group {
-	leaves := snap.Leaves()
-	gs := make([]geoserve.Group, len(leaves))
-	for i, l := range leaves {
-		gs[i] = snap.Group(l.Base)
-	}
-	return gs
+	return write(magic, FormatVersion, head, snap.Header(), snap.Groups(), digest), nil
 }
 
 // WriteFile writes the snapshot to path atomically: the bytes land in
@@ -241,7 +231,7 @@ func trailerDigest(data []byte) string {
 // without encoding: a publisher advertises the size of a file it has
 // not built yet.
 func EncodedSize(snap *geoserve.Snapshot) int {
-	return encodedSize(8, snap.Header(), allGroups(snap))
+	return encodedSize(8, snap.Header(), snap.Groups())
 }
 
 // write lays out a file or a delta (see the package doc): magic and

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -29,23 +28,32 @@ func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Sna
 		Build:   geoserve.BuildInfo{Seed: seed, Scale: 0.5, Label: "synthetic"},
 		Mappers: []string{"alpha", "beta"},
 	}
-	var prefixes, ips []uint32
+	// The /24s run up from 10.0.0.0, sixteen to a /20 leaf group, each
+	// with two exact addresses.
+	var gs []geoserve.Group
 	for i := 0; i < nPrefixes; i++ {
-		base := uint32(10<<24) + uint32(i)<<8
-		prefixes = append(prefixes, base)
-		// Two exact addresses per /24.
-		ips = append(ips, base+1, base+2)
+		p := uint32(10<<24) + uint32(i)<<8
+		if i%16 == 0 {
+			gs = append(gs, geoserve.Group{Base: p})
+		}
+		g := &gs[i/16]
+		g.Prefixes, g.IPs = append(g.Prefixes, p), append(g.IPs, p+1, p+2)
 	}
 	for i := 0; i < nASNs; i++ {
 		h.ASNs = append(h.ASNs, int32(100+i))
 	}
 	methods := []string{"feed", "hostname", "loc", "whois"}
-	rows := len(prefixes) + len(ips)
-	var slabs [][]byte
 	for m := 0; m < len(h.Mappers); m++ {
-		slab := make([]byte, rows*geoserve.RecordSize)
-		for i := 0; i < rows; i++ {
-			a := geoserve.Answer{Exact: i >= len(prefixes)}
+		for i := range gs {
+			gs[i].Pages = append(gs[i].Pages, make([]byte, 3*len(gs[i].Prefixes)*geoserve.RecordSize))
+		}
+		// A mapper draws every prefix row, then every exact row.
+		for row := 0; row < 3*nPrefixes; row++ {
+			a := geoserve.Answer{Exact: row >= nPrefixes}
+			gi, at := row/16, row%16
+			if j := row - nPrefixes; a.Exact {
+				gi, at = j/32, len(gs[j/32].Prefixes)+j%32
+			}
 			if nASNs > 0 {
 				a.ASN = int(h.ASNs[r.Intn(nASNs)])
 			}
@@ -56,11 +64,10 @@ func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Sna
 				a.Loc.Lon = r.Float64()*360 - 180
 				a.RadiusMi = r.Float64() * 500
 			}
-			if err := geoserve.PutRecord(slab[i*geoserve.RecordSize:], a); err != nil {
+			if err := geoserve.PutRecord(gs[gi].Pages[m][at*geoserve.RecordSize:], a); err != nil {
 				tb.Fatal(err)
 			}
 		}
-		slabs = append(slabs, slab)
 		fps := make([]analysis.ASFootprint, nASNs)
 		for i := range fps {
 			if r.Bool(0.7) {
@@ -77,42 +84,11 @@ func makeSnapshot(tb testing.TB, seed int64, nPrefixes, nASNs int) *geoserve.Sna
 		}
 		h.Footprints = append(h.Footprints, fps)
 	}
-	return deriveSlabs(tb, h, prefixes, ips, slabs)
-}
-
-// deriveSlabs cuts each mapper's slab — a record per /24 of prefixes
-// (ascending), then one per address of ips, which holds two per /24 —
-// into the /20 leaf groups a snapshot stores, and derives the snapshot
-// from nothing.
-func deriveSlabs(tb testing.TB, h geoserve.Header, prefixes, ips []uint32, slabs [][]byte) *geoserve.Snapshot {
-	tb.Helper()
-	const rs = geoserve.RecordSize
-	var gs []geoserve.Group
-	for p := 0; p < len(prefixes); {
-		base := prefixes[p] &^ (1<<12 - 1)
-		pe := p
-		for pe < len(prefixes) && prefixes[pe]&^(1<<12-1) == base {
-			pe++
-		}
-		g := geoserve.Group{Base: base, Prefixes: prefixes[p:pe], IPs: ips[2*p : 2*pe]}
-		for _, slab := range slabs {
-			exact := slab[len(prefixes)*rs:]
-			g.Pages = append(g.Pages, slices.Concat(slab[p*rs:pe*rs], exact[2*p*rs:2*pe*rs]))
-		}
-		gs = append(gs, g)
-		p = pe
-	}
 	snap, err := geoserve.Derive(nil, h, gs)
 	if err != nil {
 		tb.Fatalf("Derive: %v", err)
 	}
 	return snap
-}
-
-// rederive derives snap's content again from nothing: every leaf group
-// rehashed and every record rechecked.
-func rederive(snap *geoserve.Snapshot) (*geoserve.Snapshot, error) {
-	return geoserve.Derive(nil, snap.Header(), allGroups(snap))
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -307,7 +283,7 @@ func putFloat(b []byte, f float64) { binary.LittleEndian.PutUint64(b, math.Float
 // changed groups' records, hence the search).
 func findRecord(tb testing.TB, blob []byte, snap *geoserve.Snapshot, exactRow bool) int {
 	tb.Helper()
-	for _, g := range allGroups(snap) {
+	for _, g := range snap.Groups() {
 		page := g.Pages[0]
 		if exactRow {
 			page = page[len(g.Prefixes)*geoserve.RecordSize:]
@@ -550,7 +526,7 @@ func TestEncodedSizeExact(t *testing.T) {
 			if tc.noFootprints {
 				h.ASNs, h.Footprints = nil, make([][]analysis.ASFootprint, len(h.Mappers))
 			}
-			snap, err := geoserve.Derive(nil, h, allGroups(base))
+			snap, err := geoserve.Derive(nil, h, base.Groups())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -563,7 +539,7 @@ func TestEncodedSizeExact(t *testing.T) {
 			}
 			// Without its first group: a delta to snap puts that group,
 			// and one back deletes it.
-			trimmed, err := geoserve.Derive(nil, h, allGroups(base)[1:])
+			trimmed, err := geoserve.Derive(nil, h, base.Groups()[1:])
 			if err != nil {
 				t.Fatal(err)
 			}

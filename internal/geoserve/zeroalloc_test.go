@@ -209,7 +209,7 @@ func TestFirstWireBatchBuildsNothing(t *testing.T) {
 			_, ok := slices.BinarySearch(ips, ip)
 			return ok
 		}
-		for _, g := range geoserve.Groups(snap) {
+		for _, g := range snap.Groups() {
 			for i, base := range g.Prefixes {
 				ip := base + 255
 				for ip > base && isExact(ip) {
