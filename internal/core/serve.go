@@ -165,10 +165,10 @@ func (p *Pipeline) Churner(opts ServeOptions, seed int64) (*churn.Churner, error
 }
 
 // ServeDelta makes Serve resumable under churn: it incrementally
-// recompiles prev for one churn step, recomputing only the /24
-// intervals whose answers could have changed (the step's dirty routes
-// and allocations, interface churn, footprint changes) and copying the
-// rest. The result is byte-identical — same Digest — to a
+// recompiles prev for one churn step, recomputing only the rows whose
+// answers could have changed (the step's dirty routes and allocations,
+// leaf groups whose interfaces changed, footprint changes) and sharing
+// the rest. The result is byte-identical — same Digest — to a
 // from-scratch compile of the step's source; the golden churn corpus
 // pins that at every step.
 func (p *Pipeline) ServeDelta(prev *geoserve.Snapshot, step churn.Step) (*geoserve.Snapshot, geoserve.DeltaStats, error) {

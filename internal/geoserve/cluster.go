@@ -186,9 +186,9 @@ func (c *Cluster) swap(snap *Snapshot) (old *Snapshot, starts []uint32, err erro
 // reports how many shards the delta really moved: when the interval
 // index is unchanged (the common churn step: answers moved, geometry
 // didn't) the cuts are the same, and resplit counts the shards owning
-// a touched /24 (CompileDelta's DeltaStats.Touched); when the index
-// itself changed (allocation growth or reclaim shifted the cuts) every
-// shard moved.
+// a touched /24 (CompileDelta's DeltaStats.Touched: the /24s whose
+// answers it changed); when the index itself changed (allocation
+// growth or reclaim shifted the cuts) every shard moved.
 func (c *Cluster) SwapDelta(snap *Snapshot, touched []uint32) (old *Snapshot, resplit int, err error) {
 	old, starts, err := c.swap(snap)
 	if err != nil {
@@ -212,9 +212,9 @@ func (c *Cluster) SwapDelta(snap *Snapshot, touched []uint32) (old *Snapshot, re
 
 // sameIndex reports whether two snapshots share an identical interval
 // and exact-address index (answers may differ) — the condition under
-// which a swap leaves the cluster's shard cuts where they were, and a
-// delta compile shares its predecessor's directory (after which the
-// first comparison here decides).
+// which a swap leaves the cluster's shard cuts where they were, and
+// Derive shares its base's directory (after which the first comparison
+// here decides).
 func sameIndex(a, b *Snapshot) bool {
 	return a.dir == b.dir ||
 		slices.Equal(a.prefixes, b.prefixes) && slices.Equal(a.ips, b.ips)
@@ -362,12 +362,20 @@ func (c *Cluster) admit(v *clusterView, ips []uint32, b *batchTally) error {
 // charged the lookups that fell in it, at the batch's per-lookup
 // average latency (so batch serving never pays a clock read per
 // address), and its slot released. Method counts are only ever reported
-// summed over ranges, so the lowest touched range takes the batch's.
+// summed over ranges, so the lowest touched range takes the batch's,
+// once every touched range has counted its lookups: Status reads range
+// after range, so a scrape between two ranges never finds more lookups
+// attributed to methods than counted.
 func (c *Cluster) settle(b *batchTally, mapper, n int, tr *obs.Trace) {
 	if n == 0 {
 		return
 	}
 	perLookup := time.Since(b.start) / time.Duration(n)
+	for i, sh := range c.shards {
+		if k := b.perShard[i]; k != 0 {
+			sh.m.countBatch(uint64(k))
+		}
+	}
 	methods := &b.methods
 	for i, sh := range c.shards {
 		if k := b.perShard[i]; k != 0 {

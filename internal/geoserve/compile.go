@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -17,8 +16,8 @@ import (
 
 // Source bundles everything Compile reads from a finished pipeline.
 // core.Pipeline.ServeSource constructs it, and each churn step
-// materialises one. A compiled snapshot keeps Prefixes and IPs as its
-// indexes, so neither may change once compiled.
+// materialises one. The snapshot compiled from it keeps none of its
+// slices.
 type Source struct {
 	// Prefixes is the allocated address space: the base address of
 	// every allocated /24, strictly ascending.
@@ -54,23 +53,19 @@ type NamedMapper struct {
 type DeltaStats struct {
 	// Rows is the total number of answer rows in the new snapshot.
 	Rows int `json:"rows"`
-	// Recompiled rows were answered fresh through the mappers: rows
-	// under a dirty /24 plus rows new to the index.
+	// Recompiled rows were answered fresh through the mappers: every
+	// row of a leaf group whose keys differ from those of the previous
+	// snapshot's group at its base (or that has none there), and in the
+	// other groups the rows under a dirty /24.
 	Recompiled int `json:"recompiled"`
 	// Patched rows had only their confidence radius re-derived from a
 	// changed AS footprint — no mapper or BGP work.
 	Patched int `json:"patched"`
-	// Copied rows were carried over from the previous snapshot
-	// verbatim.
-	Copied int `json:"copied"`
-	// Deleted counts previous rows that left the index.
-	Deleted int `json:"deleted"`
-	// Touched lists, ascending, the /24 base addresses whose answers
-	// actually differ from the previous snapshot (including inserted
-	// and deleted intervals). seal shares the previous snapshot's pages
-	// and leaf for every leaf group holding none of them, and
-	// Cluster.SwapDelta uses it to count the shards a delta really
-	// moved.
+	// Touched lists, ascending, the /24 bases whose answers may differ
+	// from the previous snapshot: in a leaf group that kept its keys,
+	// each /24 with a row that came out different; in any other
+	// group, every /24 it held before and holds after. Cluster.SwapDelta
+	// uses it to count the shards a delta really moved.
 	Touched []uint32 `json:"-"`
 }
 
@@ -78,9 +73,10 @@ type DeltaStats struct {
 // sorted /24 interval index over the allocated space, exact answers
 // for every known interface address, prefix-level answers for generic
 // hosts, and per-AS footprints. It is a delta compile with no previous
-// snapshot, so every row is recomputed. Compilation parallelizes over
-// per-row slots (up to GOMAXPROCS), so the result (and its Digest) is
-// identical at any parallelism.
+// snapshot: every leaf group is answered whole and derived from
+// nothing. Compilation parallelizes over per-row slots (up to
+// GOMAXPROCS), so the result (and its Digest) is identical at any
+// parallelism.
 func Compile(src Source) (*Snapshot, error) {
 	s, _, err := compile(nil, src, nil)
 	return s, err
@@ -88,21 +84,21 @@ func Compile(src Source) (*Snapshot, error) {
 
 // CompileDelta incrementally recompiles prev into a new snapshot for a
 // churned source, recomputing only the rows whose answers could have
-// changed and copying everything else from prev.
+// changed and sharing or copying everything else from prev.
 //
 // The contract: src must differ from the source prev was compiled from
 // only in (a) routes and allocations covering the /24s listed in
 // dirty, (b) interface addresses added or removed — detected from the
-// sources themselves, their /24s join the dirty set automatically (an
-// interface appearing or vanishing can shift the block's
-// representative "generic host" address) — and (c) AS footprints,
-// detected by comparing prev's footprint tables against src's (a
-// changed footprint re-derives the radius of every row attributed to
-// that AS, with no mapper work). The mappers themselves must be the
-// same objects answering identically outside dirty /24s; under that
-// contract the result is byte-identical — same Digest — to a
-// from-scratch Compile of src (pinned per churn step by the golden
-// churn corpus).
+// sources themselves: such a change alters its leaf group's keys, and
+// the whole group is recomputed (an interface appearing or vanishing
+// can shift its /24's representative "generic host" address, which
+// never leaves the group) — and (c) AS footprints, detected by
+// comparing prev's footprint tables against src's (a changed footprint
+// re-derives the radius of every row attributed to that AS, with no
+// mapper work). The mappers themselves must be the same objects
+// answering identically outside dirty /24s; under that contract the
+// result is byte-identical — same Digest — to a from-scratch Compile
+// of src (pinned per churn step by the golden churn corpus).
 func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats, error) {
 	if prev == nil {
 		return nil, DeltaStats{}, fmt.Errorf("geoserve: delta compile: nil previous snapshot (use Compile)")
@@ -110,230 +106,98 @@ func CompileDelta(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaS
 	return compile(prev, src, dirty)
 }
 
-// Row ops: what compile does with an answer row. The zero op
-// recomputes, and with no previous snapshot it is every row's.
+// Row ops: what compile does with a row of a leaf group that kept
+// prev's keys. Every row of any other group is recomputed.
 const (
 	opRecompute uint8 = iota
 	opCopy
 	opPatch
 )
 
-// rowAt is row r of group g's pages.
-type rowAt struct{ g, r int32 }
+// rowAt is row r of the page of built group b.
+type rowAt struct{ b, r int32 }
 
-// compile is the one compile path: prev nil compiles src from scratch,
-// and otherwise rows are classified against prev (see CompileDelta).
-// Only the groups holding a row that is not copied, or a key that
-// left, get new pages: prev's rows copied, then the radius patches,
-// then one parallel pass that recomputes the remaining rows. seal then
-// shares prev's pages for every group the compile did not touch.
+// built is a put or a delete (no rows) for Derive. kept is prev's
+// group with the same keys, whose rows its pages line up with one for
+// one, or -1 for a group answered whole and for a delete.
+type built struct {
+	g    Group
+	kept int
+}
+
+// compile is the one compile path, and a derivation: it returns
+// Derive(prev, header, the groups of src whose rows differ from prev's
+// and a delete per group of prev that src lacks); with prev nil that is
+// every group. A group that prev lacks, or whose keys differ from
+// those of prev's group at its base, is answered whole. A group that
+// kept prev's keys is copied from prev's pages, with each row under a
+// dirty /24 recomputed and each whose AS footprint changed patched; it
+// is skipped without a row loop when it holds no dirty /24 and no
+// footprint changed, and dropped when every row equals prev's.
 func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats, error) {
 	var st DeltaStats
 	s, err := skeleton(src)
 	if err != nil {
 		return nil, st, err
 	}
-	if prev != nil {
-		if !slices.Equal(s.mappers, prev.mappers) {
-			return nil, st, fmt.Errorf("geoserve: delta compile: mappers %q, previous snapshot has %q", s.mappers, prev.mappers)
-		}
-		// The common churn step moves answers, not the index: it then
-		// shares prev's index, groups and directory.
-		if sameIndex(prev, s) {
-			s.prefixes, s.ips, s.groups, s.dir = prev.prefixes, prev.ips, prev.groups, prev.dir
-		}
-	}
-	if s.groups == nil {
-		s.groups = groups(s.prefixes, s.ips)
-	}
-	rows := len(s.prefixes) + len(s.ips)
-	ops := make([]uint8, rows)
-	build := s.holding(nil, nil)
-	var (
-		from  []int32
-		match []int
-	)
-	touched := map[uint32]struct{}{}
-	if prev != nil {
-		from, match, build = classify(prev, s, dirty, ops, &st, touched)
-	}
-	s.carve(build)
-
-	// Each new page takes prev's rows that stand, with the radius
-	// re-derived on each whose AS footprint changed (the one field a
-	// footprint change moves), and lists the rows to recompute. Every
-	// page written here is new; none is prev's.
-	var recomp []rowAt
-	for i, g := range s.groups {
-		at := g.pLo + g.iLo
-		for r := 0; build[i] && r < g.rows(); r++ {
-			op := ops[at+r]
-			if op == opRecompute {
-				recomp = append(recomp, rowAt{int32(i), int32(r)})
-				continue
-			}
-			for m := range s.mappers {
-				rec := s.page(m, i)[r*RecordSize:][:RecordSize]
-				copy(rec, prev.page(m, match[i])[int(from[at+r])*RecordSize:])
-				if op == opPatch {
-					fp, _ := s.Footprint(m, int(recordASN(rec)))
-					binary.LittleEndian.PutUint64(rec[recOffRadius:], math.Float64bits(fp.RadiusMi))
-				}
-			}
-		}
-	}
-	// The address each recomputed row is answered for: an exact row's
-	// own address, and per /24 a representative "generic host" address
-	// — the highest address in the block that is not a known interface,
-	// so the prefix-level answer reflects what the mapper says about an
-	// arbitrary, PTR-less host there (whois by range, EdgeScape feed by
-	// /24). Copied and patched rows keep prev's, which cannot have moved.
-	addrs := make([]uint32, len(recomp))
-	parallel.ForEach(len(recomp), func(k int) {
-		g, r := s.groups[recomp[k].g], int(recomp[k].r)
-		if addrs[k] = s.key(g, r); r < g.prefixRows() {
-			addrs[k] = GenericHost(s.ips, addrs[k])
-		}
-	})
-	var firstErr compileErr
-	for m, nm := range src.Mappers {
-		parallel.ForEach(len(recomp), func(k int) {
-			i, r := int(recomp[k].g), int(recomp[k].r)
-			firstErr.set(compileRecord(s.page(m, i)[r*RecordSize:], s, m, nm.Mapper, src.Table, addrs[k], r >= s.groups[i].prefixRows()))
-		})
-	}
-	if firstErr.err != nil {
-		return nil, st, firstErr.err
-	}
-
-	// Stats + the touched set, against prev: a recompiled or patched row
-	// only counts as touched if its answers actually differ from prev's.
-	// Every row outside a new page was copied.
-	if prev != nil {
-		st.Rows = rows
-		for i, g := range s.groups {
-			if !build[i] {
-				continue
-			}
-			at := g.pLo + g.iLo
-			for r := range g.rows() {
-				switch ops[at+r] {
-				case opCopy:
-					continue
-				case opPatch:
-					st.Patched++
-				case opRecompute:
-					st.Recompiled++
-				}
-				for m := range s.mappers {
-					f := int(from[at+r])
-					if f < 0 || !bytes.Equal(s.page(m, i)[r*RecordSize:][:RecordSize], prev.page(m, match[i])[f*RecordSize:][:RecordSize]) {
-						touched[s.key(g, r)&^0xff] = struct{}{}
-						break
+	h := s.Header()
+	nm := len(h.Mappers)
+	// prev's groups, when its pages can be read mapper by mapper
+	// against src's; Derive refuses a prev whose mappers differ.
+	var old []group
+	changedASN := map[int32]bool{}
+	if prev != nil && slices.Equal(prev.mappers, h.Mappers) {
+		old = prev.groups
+		// The ASNs whose footprint changed under any mapper: merge
+		// prev.asns against s.asns; an ASN present on only one side, or
+		// whose footprint differs under any mapper, changed.
+		for i, j := 0, 0; i < len(prev.asns) || j < len(s.asns); {
+			switch {
+			case j >= len(s.asns) || (i < len(prev.asns) && prev.asns[i] < s.asns[j]):
+				changedASN[prev.asns[i]], i = true, i+1
+			case i >= len(prev.asns) || s.asns[j] < prev.asns[i]:
+				changedASN[s.asns[j]], j = true, j+1
+			default:
+				for m := 0; m < nm && !changedASN[s.asns[j]]; m++ {
+					if prev.footprints[m][i] != s.footprints[m][j] {
+						changedASN[s.asns[j]] = true
 					}
 				}
+				i, j = i+1, j+1
 			}
 		}
-		st.Copied = rows - st.Patched - st.Recompiled
-		st.Touched = slices.Sorted(maps.Keys(touched))
 	}
-
-	// Identity is content identity: the digest covers every table. A
-	// row outside Touched was copied from prev or recomputed to prev's
-	// bytes (the compare above), so every group Touched misses is
-	// prev's, and seal shares its pages and leaf.
-	if _, err := s.seal(prev, st.Touched); err != nil {
-		return nil, st, err
-	}
-	return s, st, nil
-}
-
-// classify gives each row of s its op against prev, in ops, and
-// returns per row the row of prev's group at the same base that holds
-// its key (-1 for a key new to the index, whose op stays opRecompute),
-// per group of s prev's group at its base (-1 for none), and the groups
-// that need new pages: those holding a row that is not copied or a key
-// that left. A kept row recomputes under a dirty /24, is patched when
-// its AS's footprint changed under any mapper, and is copied otherwise.
-// Deleted prev keys land in touched: their interval's answers no
-// longer exist. ops and from are in page order: group after group,
-// each group's rows as its pages hold them.
-func classify(prev, s *Snapshot, dirty []uint32, ops []uint8, st *DeltaStats, touched map[uint32]struct{}) (from []int32, match []int, build []bool) {
-	// The ASNs whose footprint changed under any mapper since prev:
-	// merge prev.asns against s.asns; an ASN present on only one side,
-	// or whose footprint differs under any mapper, changed.
-	changedASN := map[int32]bool{}
-	for i, j := 0, 0; i < len(prev.asns) || j < len(s.asns); {
-		switch {
-		case j >= len(s.asns) || (i < len(prev.asns) && prev.asns[i] < s.asns[j]):
-			changedASN[prev.asns[i]] = true
-			i++
-		case i >= len(prev.asns) || s.asns[j] < prev.asns[i]:
-			changedASN[s.asns[j]] = true
-			j++
-		default:
-			for m := range s.footprints {
-				if prev.footprints[m][i] != s.footprints[m][j] {
-					changedASN[prev.asns[i]] = true
-					break
-				}
-			}
-			i, j = i+1, j+1
-		}
-	}
-
-	// The dirty set, as ascending /24 bases. Interface churn joins it
-	// here: an address appearing in or leaving the exact index can
-	// shift its block's representative generic-host address, so the
-	// whole /24 recompiles.
-	dirtyBases := make([]uint32, 0, len(dirty))
-	for _, d := range dirty {
-		dirtyBases = append(dirtyBases, d&^0xff)
-	}
-	for i, j := 0, 0; i < len(prev.ips) || j < len(s.ips); {
-		switch {
-		case j >= len(s.ips) || (i < len(prev.ips) && prev.ips[i] < s.ips[j]):
-			dirtyBases = append(dirtyBases, prev.ips[i]&^0xff)
-			i++
-		case i >= len(prev.ips) || s.ips[j] < prev.ips[i]:
-			dirtyBases = append(dirtyBases, s.ips[j]&^0xff)
-			j++
-		default:
-			i, j = i+1, j+1
-		}
+	dirtyBases := make([]uint32, len(dirty))
+	for i, d := range dirty {
+		dirtyBases[i] = d &^ 0xff
 	}
 	slices.Sort(dirtyBases)
 	dirtyBases = slices.Compact(dirtyBases)
 
-	from = make([]int32, len(ops))
-	match = make([]int, len(s.groups))
-	build = make([]bool, len(s.groups))
-	gone := func(keys []uint32) {
-		st.Deleted += len(keys)
-		for _, k := range keys {
-			touched[k&^0xff] = struct{}{}
+	var (
+		builds  []built
+		recomp  []rowAt
+		touched []uint32
+	)
+	touch := func(g Group) {
+		if prev == nil {
+			return // Compile has no Touched
 		}
-	}
-	goneGroup := func(pg group) {
-		gone(prev.prefixes[pg.pLo:pg.pHi])
-		gone(prev.ips[pg.iLo:pg.iHi])
-	}
-	k, d := 0, 0 // the groups ascend, so they walk prev's groups and dirtyBases once
-	for i, g := range s.groups {
-		for ; k < len(prev.groups) && prev.groups[k].base < g.base; k++ {
-			goneGroup(prev.groups[k])
-		}
-		at := g.pLo + g.iLo
-		if k == len(prev.groups) || prev.groups[k].base != g.base {
-			match[i], build[i] = -1, true
-			for r := range g.rows() {
-				from[at+r] = -1
+		for _, keys := range [2][]uint32{g.Prefixes, g.IPs} {
+			for _, key := range keys {
+				touched = append(touched, key&^0xff)
 			}
-			continue
 		}
-		pg := prev.groups[k]
-		match[i] = k
-		k++
+	}
+	gone := func(k int) { // prev's group k, which src lacks: a delete
+		touch(prev.group(k))
+		builds = append(builds, built{g: Group{Base: old[k].base, Pages: make([][]byte, nm)}, kept: -1})
+	}
+	k, d := 0, 0 // the groups ascend, so they walk old and dirtyBases once
+	for _, g := range groups(s.prefixes, s.ips) {
+		for ; k < len(old) && old[k].base < g.base; k++ {
+			gone(k)
+		}
 		for d < len(dirtyBases) && dirtyBases[d] < g.base {
 			d++
 		}
@@ -341,47 +205,117 @@ func classify(prev, s *Snapshot, dirty []uint32, ops []uint8, st *DeltaStats, to
 		for e < len(dirtyBases) && leafBase(dirtyBases[e]) == g.base {
 			e++
 		}
-		// merge walks one of the group's key tables against prev's (they
-		// start at rows off and prevOff of their pages).
-		merge := func(keys, prevKeys []uint32, off, prevOff int) {
-			j := 0
-			for n, key := range keys {
-				j0 := j
-				for j < len(prevKeys) && prevKeys[j] < key {
-					j++
-				}
-				if j > j0 {
-					gone(prevKeys[j0:j])
-					build[i] = true
-				}
-				row := at + off + n
-				if j == len(prevKeys) || prevKeys[j] != key {
-					from[row], build[i] = -1, true
-					continue
-				}
-				from[row] = int32(prevOff + j)
-				switch {
-				case slices.Contains(dirtyBases[d:e], key&^0xff):
-					build[i] = true
-				case changedASN[recordASN(prev.page(0, k-1)[(prevOff+j)*RecordSize:])]:
-					ops[row], build[i] = opPatch, true
-				default:
-					ops[row] = opCopy
-				}
-				j++
+		b := built{g: Group{Base: g.base, Prefixes: s.prefixes[g.pLo:g.pHi], IPs: s.ips[g.iLo:g.iHi]}, kept: -1}
+		if k < len(old) && old[k].base == g.base {
+			if sameKeys(s, g, prev, old[k]) {
+				b.kept = k
+			} else {
+				touch(prev.group(k))
 			}
-			if j < len(prevKeys) {
-				gone(prevKeys[j:])
-				build[i] = true
+			k++
+		}
+		// op is what becomes of row r; every row of a group answered
+		// whole is recomputed.
+		op := func(r int) uint8 {
+			switch {
+			case b.kept < 0 || slices.Contains(dirtyBases[d:e], b.g.key(r)&^0xff):
+				return opRecompute
+			case changedASN[recordASN(prev.page(0, b.kept)[r*RecordSize:])]:
+				return opPatch
+			}
+			return opCopy
+		}
+		if b.kept >= 0 {
+			moved := false
+			for r := 0; !moved && (d < e || len(changedASN) > 0) && r < g.rows(); r++ {
+				moved = op(r) != opCopy
+			}
+			if !moved {
+				continue
 			}
 		}
-		merge(s.prefixes[g.pLo:g.pHi], prev.prefixes[pg.pLo:pg.pHi], 0, 0)
-		merge(s.ips[g.iLo:g.iHi], prev.ips[pg.iLo:pg.iHi], g.prefixRows(), pg.prefixRows())
+		b.g.Pages = make([][]byte, nm)
+		size := g.rows() * RecordSize
+		buf := make([]byte, nm*size)
+		for m := range nm {
+			b.g.Pages[m], buf = buf[:size:size], buf[size:]
+			if b.kept >= 0 {
+				copy(b.g.Pages[m], prev.page(m, b.kept))
+			}
+		}
+		if b.kept < 0 {
+			touch(b.g)
+		}
+		for r := range g.rows() {
+			switch op(r) {
+			case opRecompute:
+				recomp = append(recomp, rowAt{int32(len(builds)), int32(r)})
+				st.Recompiled++
+			case opPatch:
+				st.Patched++
+				for m, page := range b.g.Pages {
+					rec := page[r*RecordSize:][:RecordSize]
+					fp, _ := s.Footprint(m, int(recordASN(rec)))
+					binary.LittleEndian.PutUint64(rec[recOffRadius:], math.Float64bits(fp.RadiusMi))
+				}
+			}
+		}
+		builds = append(builds, b)
 	}
-	for ; k < len(prev.groups); k++ {
-		goneGroup(prev.groups[k])
+	for ; k < len(old); k++ {
+		gone(k)
 	}
-	return from, match, build
+
+	// The address each recomputed row is answered for: an exact row's
+	// own address, and per /24 a representative "generic host" address
+	// — the highest address in the block that is not a known interface,
+	// so the prefix-level answer reflects what the mapper says about an
+	// arbitrary, PTR-less host there (whois by range, EdgeScape feed by
+	// /24). Copied and patched rows keep prev's, which cannot have moved.
+	addrs := make([]uint32, len(recomp))
+	parallel.ForEach(len(recomp), func(i int) {
+		g, r := &builds[recomp[i].b].g, int(recomp[i].r)
+		if addrs[i] = g.key(r); r < len(g.Prefixes) {
+			addrs[i] = GenericHost(s.ips, addrs[i])
+		}
+	})
+	var firstErr compileErr
+	for m, named := range src.Mappers {
+		parallel.ForEach(len(recomp), func(i int) {
+			g, r := &builds[recomp[i].b].g, int(recomp[i].r)
+			firstErr.set(compileRecord(g.Pages[m][r*RecordSize:], s, m, named.Mapper, src.Table, addrs[i], r >= len(g.Prefixes)))
+		})
+	}
+	if firstErr.err != nil {
+		return nil, st, firstErr.err
+	}
+
+	// A group that kept its keys is put only if a row came out
+	// different from prev's, and only such a row's /24 counts as
+	// touched.
+	puts := make([]Group, 0, len(builds))
+	for _, b := range builds {
+		moved := b.kept < 0
+		for m := 0; b.kept >= 0 && m < nm; m++ {
+			page, was := b.g.Pages[m], prev.page(m, b.kept)
+			for r := 0; r*RecordSize < len(page); r++ {
+				if !bytes.Equal(page[r*RecordSize:][:RecordSize], was[r*RecordSize:][:RecordSize]) {
+					touched = append(touched, b.g.key(r)&^0xff)
+					moved = true
+				}
+			}
+		}
+		if moved {
+			puts = append(puts, b.g)
+		}
+	}
+	slices.Sort(touched)
+	st.Rows, st.Touched = len(s.prefixes)+len(s.ips), slices.Compact(touched)
+	snap, err := Derive(prev, h, puts)
+	if err != nil {
+		return nil, st, err
+	}
+	return snap, st, nil
 }
 
 // skeleton builds everything of src's snapshot that no mapper answer

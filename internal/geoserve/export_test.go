@@ -95,7 +95,7 @@ func DirectorySize(s *Snapshot) (blocks, slots, bytes int) {
 func Seal(s, prev *Snapshot, touched []uint32) (string, error) {
 	c := &Snapshot{mappers: s.mappers, prefixes: s.prefixes, ips: s.ips, groups: s.groups,
 		pages: slices.Clone(s.pages), asns: s.asns, footprints: s.footprints, dir: s.dir}
-	_, err := c.seal(prev, touched)
+	err := c.seal(prev, touched)
 	return c.digest, err
 }
 

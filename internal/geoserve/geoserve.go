@@ -54,20 +54,22 @@
 // count, and identical rebuilds of the same pipeline swap in with the
 // same digest (TestGoldenServing).
 //
-// There is one compile path, and under continuous topology churn
+// There is one compile path, and it is a derivation: it answers the
+// leaf groups that may have changed and hands them to Derive, the one
+// constructor of a Snapshot. Under continuous topology churn
 // (internal/churn) it resumes from the previous snapshot: CompileDelta
-// recomputes only the /24 intervals whose mapper answers could have
-// changed — the step's dirty routes and allocations, auto-detected
-// interface churn, footprint radius patches — and copies every other
-// row from it; Compile is the same path with no previous snapshot, so
-// every row is recomputed. A delta-compiled snapshot is byte-identical
-// (same Digest) to Compile of the same source; Cluster.SwapDelta then
-// publishes it under the same epoch guard and reports how many shards
-// owned a touched interval. The golden churn corpus
-// (churn.TestGoldenChurnCorpus) pins the identity at every step, and
-// TestChurnWireChaos races wire batches against a live churn stream.
-// Compiled and loaded snapshots meet one content check: a Source goes
-// through the rules Derive holds outside bytes to.
+// recomputes the leaf groups whose keys changed (interface churn,
+// allocation growth) and, elsewhere, the rows under the step's dirty
+// routes and allocations, patches footprint radii, and shares every
+// other group's pages; Compile is the same path with no previous
+// snapshot, so every group is answered. A delta-compiled snapshot is
+// byte-identical (same Digest) to Compile of the same source;
+// Cluster.SwapDelta then publishes it under the same epoch guard and
+// reports how many shards owned a touched interval. The golden churn
+// corpus (churn.TestGoldenChurnCorpus) pins the identity at every
+// step, and TestChurnWireChaos races wire batches against a live churn
+// stream. Compiled and loaded snapshots meet one content check: both
+// are derived, and Derive holds every new row to the same rules.
 //
 // Every handler carries the internal/obs observability layer: serving,
 // shard, wire-protocol and epoch-swap metrics exposed in Prometheus

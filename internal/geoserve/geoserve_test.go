@@ -376,9 +376,12 @@ type renamedMapper struct {
 func (m renamedMapper) Name() string { return m.name }
 
 // TestCompileRejectsBadSource covers the compile error paths: each
-// row breaks one part of a valid source.
+// row breaks one part of a valid source, which Compile and a
+// CompileDelta from the valid source's snapshot both refuse. A delta
+// compile also refuses a source whose mappers are not its
+// predecessor's.
 func TestCompileRejectsBadSource(t *testing.T) {
-	p, _ := fixture(t)
+	p, prev := fixture(t)
 	valid, err := p.ServeSource(core.ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -428,9 +431,69 @@ func TestCompileRejectsBadSource(t *testing.T) {
 		if _, err := geoserve.Compile(src); err == nil {
 			t.Errorf("%s should fail", c.name)
 		}
+		if _, _, err := geoserve.CompileDelta(prev, src, nil); err == nil {
+			t.Errorf("%s should fail a delta compile", c.name)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		mappers []geoserve.NamedMapper
+	}{
+		{"a renamed mapper", append([]geoserve.NamedMapper{{Mapper: renamedMapper{valid.Mappers[0].Mapper, "renamed"}, Footprints: valid.Mappers[0].Footprints}}, valid.Mappers[1:]...)},
+		{"a mapper more", append(slices.Clone(valid.Mappers), geoserve.NamedMapper{Mapper: renamedMapper{valid.Mappers[0].Mapper, "extra"}})},
+	} {
+		src := valid
+		src.Mappers = c.mappers
+		if _, err := geoserve.Compile(src); err != nil {
+			t.Fatalf("%s: the source should compile from scratch: %v", c.name, err)
+		}
+		if _, _, err := geoserve.CompileDelta(prev, src, nil); err == nil {
+			t.Errorf("%s should fail a delta compile", c.name)
+		}
 	}
 	if _, err := geoserve.Compile(valid); err != nil {
 		t.Fatalf("the unedited source should compile: %v", err)
+	}
+	if next, _, err := geoserve.CompileDelta(prev, valid, nil); err != nil || next.Digest() != prev.Digest() {
+		t.Fatalf("the unedited source should delta-compile to its snapshot: %v", err)
+	}
+}
+
+// TestInterfaceChurnRecomputesItsGroup pins how a delta compile finds
+// interface churn with no dirty /24 to name it: one interface address
+// inserted at a /24's generic host changes its leaf group's keys, so
+// that group is recomputed whole. The result equals Compile's, only
+// that group gets new pages, and its /24 is touched.
+func TestInterfaceChurnRecomputesItsGroup(t *testing.T) {
+	p, prev := fixture(t)
+	src, err := p.ServeSource(core.ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := src.Prefixes[len(src.Prefixes)/2]
+	host := geoserve.GenericHost(src.IPs, base)
+	i, _ := slices.BinarySearch(src.IPs, host)
+	src.IPs = slices.Insert(slices.Clone(src.IPs), i, host)
+
+	next, st, err := geoserve.CompileDelta(prev, src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := geoserve.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Digest() != full.Digest() {
+		t.Fatalf("delta-compiled digest %.16s, from scratch %.16s", next.Digest(), full.Digest())
+	}
+	if !slices.Contains(st.Touched, base) {
+		t.Errorf("touched %v lacks %s, whose generic host became an interface", st.Touched, geoserve.FormatIPv4(base))
+	}
+	group := base &^ (1<<12 - 1)
+	for j, shared := range geoserve.SharedPages(prev, next) {
+		if b := next.Leaves()[j].Base; shared == (b == group) {
+			t.Errorf("group %s shares its predecessor's pages: %v", geoserve.FormatIPv4(b), shared)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ const (
 // counters never share a 64-byte line.
 type stripe struct {
 	// singles counts single lookups and is the sampling counter;
-	// batched counts lookups folded by recordBatch.
+	// batched counts lookups folded by countBatch.
 	singles atomic.Uint64
 	batched atomic.Uint64
 	methods [maxMappers][numMethods]atomic.Uint64
@@ -98,13 +98,20 @@ func (m *metrics) end(t lookupTick, mapper int, code method) {
 	}
 }
 
-// recordBatch folds a batch's share into the metrics: n lookups
-// entering the latency histogram at perLookup each, and the per-method
-// counts the caller accumulated locally (nil when another shard range
-// takes the batch's).
-func (m *metrics) recordBatch(mapper int, counts *[numMethods]uint32, n uint64, perLookup time.Duration, now time.Time) {
+// countBatch counts n batched lookups; recordBatch then attributes
+// them.
+func (m *metrics) countBatch(n uint64) {
 	st := m.acquire()
 	st.batched.Add(n)
+	m.free.Put(st)
+}
+
+// recordBatch folds a batch's share, counted by countBatch, into the
+// metrics: n lookups entering the latency histogram at perLookup each,
+// and the per-method counts the caller accumulated locally (nil when
+// another shard range takes the batch's).
+func (m *metrics) recordBatch(mapper int, counts *[numMethods]uint32, n uint64, perLookup time.Duration, now time.Time) {
+	st := m.acquire()
 	if counts != nil && mapper >= 0 && mapper < maxMappers {
 		for code := range counts {
 			if c := counts[code]; c > 0 {

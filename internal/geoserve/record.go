@@ -68,7 +68,7 @@ func PutRecord(dst []byte, a Answer) error {
 
 // recordAnswer decodes the record rec as the answer for ip. It is the
 // only reader of the layout and validates nothing: a snapshot's
-// records were written by PutRecord or checked by Derive, and
+// records were checked by seal as Derive built it, and
 // WireReader runs checkRecord first. It stays within the inlining
 // budget (callers pass a slice of exactly RecordSize bytes, which also
 // drops the bounds checks): Snapshot.lookup is the serving hot path.
@@ -95,8 +95,8 @@ func recordASN(rec []byte) int32 {
 // checkRecord reports what keeps rec[:RecordSize] from being a record
 // PutRecord could have written; PutRecord holds its own output to it,
 // so the two cannot drift apart. Digest does not cover the exact flag
-// or the reserved bytes, so every loader of outside bytes must run
-// this (and Derive the exact-flag check) for equal digests to keep
+// or the reserved bytes, so seal runs this (and the exact-flag check)
+// on every row a derivation brings in, for equal digests to keep
 // meaning byte-identical answers.
 func checkRecord(rec []byte) error {
 	flags, code := rec[recOffFlags], rec[recOffMethod]
@@ -140,34 +140,6 @@ func (s *Snapshot) Header() Header {
 	return Header{Build: s.build, Mappers: s.mappers, ASNs: s.asns, Footprints: s.footprints}
 }
 
-// sealChecked seals s against prev and touched, then holds every row of
-// each group the seal hashed to checkRecord and to the exact-flag rule:
-// the rows of every other group are prev's, which passed when prev was
-// sealed. Derive, the constructor over outside bytes, ends here.
-func (s *Snapshot) sealChecked(prev *Snapshot, touched []uint32) error {
-	hashed, err := s.seal(prev, touched)
-	if err != nil {
-		return err
-	}
-	for _, i := range hashed {
-		g := s.groups[i]
-		for m := range s.mappers {
-			page := s.page(m, i)
-			for r := range g.rows() {
-				rec, exact := page[r*RecordSize:][:RecordSize], r >= g.prefixRows()
-				if err := checkRecord(rec); err != nil {
-					return fmt.Errorf("geoserve: mapper %d group %s row %d: %v", m, FormatIPv4(g.base), r, err)
-				}
-				if rec[recOffFlags]&recFlagExact != 0 != exact {
-					return fmt.Errorf("geoserve: mapper %d group %s row %d of %d prefix rows has exact=%v",
-						m, FormatIPv4(g.base), r, g.prefixRows(), !exact)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Group is one leaf group whole, the unit a snapshot file and a delta
 // carry: its /20 base, its /24s and exact addresses (ascending, each
 // inside the /20), and one page per mapper holding the group's prefix
@@ -178,6 +150,15 @@ type Group struct {
 	Prefixes []uint32
 	IPs      []uint32
 	Pages    [][]byte
+}
+
+// key returns the index key of row r of g's pages: a /24 base or an
+// exact address.
+func (g *Group) key(r int) uint32 {
+	if r < len(g.Prefixes) {
+		return g.Prefixes[r]
+	}
+	return g.IPs[r-len(g.Prefixes)]
 }
 
 // Group returns the leaf group at base, the base of a /20: views of the
@@ -207,7 +188,8 @@ func (s *Snapshot) group(i int) Group {
 	return Group{Base: g.base, Prefixes: s.prefixes[g.pLo:g.pHi], IPs: s.ips[g.iLo:g.iHi], Pages: s.pages[i*nm : (i+1)*nm]}
 }
 
-// Derive assembles the snapshot a file or delta describes: base with
+// Derive, the one constructor of a Snapshot, assembles the snapshot a
+// file, a delta or a compile describes: base with
 // each group in gs put in place of base's group at its base, or removed
 // when it has no rows (base must then hold it), and h's build, mappers,
 // ASNs and footprints. A nil base is the empty snapshot of h's mappers,
@@ -219,8 +201,9 @@ func (s *Snapshot) group(i int) Group {
 // Everything is checked, nothing trusted: check holds h and the index
 // to the rules a compiled Source meets, each put group's records must
 // be canonical (checkRecord: a location on the globe, no NaN, a radius
-// finite and ≥ 0) with the exact flag set exactly on the exact rows,
-// and the digest is recomputed. The groups may be bytes a decoder read
+// finite and ≥ 0) with the exact flag set exactly on the exact rows
+// (seal checks both as it hashes them), and the digest is recomputed.
+// The groups may be bytes a decoder read
 // off the network, and the lookup directory is built from them here:
 // whatever they hold it takes 256 KB, 1 KB per distinct /16 (at most
 // 64 MB, reached by 65 536 one-row ops of 46 B each) and 40 B per
@@ -306,7 +289,7 @@ func Derive(base *Snapshot, h Header, gs []Group) (*Snapshot, error) {
 			}
 		}
 	}
-	if err := s.sealChecked(prev, bases); err != nil {
+	if err := s.seal(prev, bases); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -289,7 +289,7 @@ func (w *hashWriter) str(s string) {
 // an answer's fields, not over the bytes that store them, which keeps
 // a digest — and every golden pinning one — stable across changes of
 // the stored layout. The exact flag (implied by row position) and the
-// reserved bytes are therefore not in it; Derive pins those.
+// reserved bytes are therefore not in it; seal checks those.
 //
 // Like u32s it fills the buffer a chunk at a time, and it moves each
 // record's fields as whole words: this loop is most of a seal's cost
@@ -353,15 +353,6 @@ func groups(prefixes, ips []uint32) []group {
 	return gs
 }
 
-// key returns the index key of row r of g's pages: a /24 base or an
-// exact address.
-func (s *Snapshot) key(g group, r int) uint32 {
-	if r < g.prefixRows() {
-		return s.prefixes[g.pLo+r]
-	}
-	return s.ips[g.iLo+r-g.prefixRows()]
-}
-
 // groupAt finds the group at base.
 func (s *Snapshot) groupAt(base uint32) (int, bool) {
 	return slices.BinarySearchFunc(s.groups, base, func(g group, b uint32) int { return cmp.Compare(g.base, b) })
@@ -419,10 +410,11 @@ func sameKeys(s *Snapshot, g group, prev *Snapshot, pg group) bool {
 }
 
 // seal computes the content digest and the epoch tag, and builds the
-// directory unless the snapshot already shares one (CompileDelta over
-// an unchanged index) while the leaves hash. Every constructor of a
-// Snapshot ends here, so none serves without a directory and no lookup
-// ever builds one.
+// directory unless the snapshot already shares one (a derivation that
+// left the index as it was) while the leaves hash. Derive, the one
+// constructor of a Snapshot, ends here, compiled or decoded, so none
+// serves without a directory or with an unchecked row, and no lookup
+// ever builds a directory.
 //
 // The digest is two-level. Each leaf group (one /20, see leafBase)
 // holding a row gets a leaf: a SHA-256 over its /24s and exact
@@ -439,32 +431,29 @@ func sameKeys(s *Snapshot, g group, prev *Snapshot, pg group) bool {
 // deriver built there. Such a group's keys must equal those of prev's
 // group at the same base, so a touched set that misses a changed key is
 // an error, never a wrong page. prev's leaves were computed by its own
-// seal, never read from outside bytes. seal returns the indexes of the
-// groups it hashed.
-func (s *Snapshot) seal(prev *Snapshot, touched []uint32) ([]int, error) {
-	var (
-		hashed []int
-		err    error
-	)
+// seal, never read from outside bytes.
+func (s *Snapshot) seal(prev *Snapshot, touched []uint32) error {
+	var err error
 	parallel.Do(func() {
 		if s.dir == nil {
 			s.dir = buildDirectory(s.prefixes, s.ips, s.groups)
 		}
-	}, func() { hashed, err = s.hash(prev, touched) })
-	return hashed, err
+	}, func() { err = s.hash(prev, touched) })
+	return err
 }
 
 // hash sets the leaves, the shared pages, the digest and the tag for
-// seal.
-func (s *Snapshot) hash(prev *Snapshot, touched []uint32) ([]int, error) {
+// seal, and holds every row of each group it hashes to checkRecord and
+// to the exact-flag rule: the rows of every other group are prev's,
+// which passed when prev was sealed.
+func (s *Snapshot) hash(prev *Snapshot, touched []uint32) error {
 	if prev != nil && !slices.Equal(s.mappers, prev.mappers) {
-		return nil, fmt.Errorf("geoserve: mappers %q, previous snapshot has %q", s.mappers, prev.mappers)
+		return fmt.Errorf("geoserve: mappers %q, previous snapshot has %q", s.mappers, prev.mappers)
 	}
 	build := s.holding(prev, touched)
 	nm := len(s.mappers)
 	w := &hashWriter{h: sha256.New(), buf: make([]byte, 0, 1<<16)}
 	s.leaves = make([]Leaf, len(s.groups))
-	var hashed []int
 	k := 0 // prev's group at or after g's base
 	for i, g := range s.groups {
 		leaf := &s.leaves[i]
@@ -474,20 +463,30 @@ func (s *Snapshot) hash(prev *Snapshot, touched []uint32) ([]int, error) {
 				k++
 			}
 			if k == len(prev.groups) || prev.groups[k].base != g.base || !sameKeys(s, g, prev, prev.groups[k]) {
-				return nil, fmt.Errorf("geoserve: leaf group %s holds no touched /24 but its keys differ from the previous snapshot's", FormatIPv4(g.base))
+				return fmt.Errorf("geoserve: leaf group %s holds no touched /24 but its keys differ from the previous snapshot's", FormatIPv4(g.base))
 			}
 			leaf.Sum = prev.leaves[k].Sum
 			copy(s.pages[i*nm:(i+1)*nm], prev.pages[k*nm:(k+1)*nm])
 			continue
 		}
-		hashed = append(hashed, i)
 		w.h.Reset()
 		w.u32(uint32(g.pHi - g.pLo))
 		w.u32s(s.prefixes[g.pLo:g.pHi])
 		w.u32(uint32(g.iHi - g.iLo))
 		w.u32s(s.ips[g.iLo:g.iHi])
 		for m := range nm {
-			w.records(s.page(m, i))
+			page := s.page(m, i)
+			for r := range g.rows() {
+				rec, exact := page[r*RecordSize:][:RecordSize], r >= g.prefixRows()
+				if err := checkRecord(rec); err != nil {
+					return fmt.Errorf("geoserve: mapper %d group %s row %d: %v", m, FormatIPv4(g.base), r, err)
+				}
+				if rec[recOffFlags]&recFlagExact != 0 != exact {
+					return fmt.Errorf("geoserve: mapper %d group %s row %d of %d prefix rows has exact=%v",
+						m, FormatIPv4(g.base), r, g.prefixRows(), !exact)
+				}
+			}
+			w.records(page)
 		}
 		w.flush()
 		w.h.Sum(leaf.Sum[:0])
@@ -531,5 +530,5 @@ func (s *Snapshot) hash(prev *Snapshot, touched []uint32) ([]int, error) {
 	sum := w.h.Sum(nil)
 	s.digest = hex.EncodeToString(sum)
 	s.tag = binary.BigEndian.Uint64(sum)
-	return hashed, nil
+	return nil
 }
