@@ -154,7 +154,7 @@ func TestSplitErrors(t *testing.T) {
 	// One shard is the unsharded server: it takes any snapshot, an
 	// empty one included, and misses everywhere on it.
 	empty := &Snapshot{}
-	empty.seal(nil, nil)
+	empty.seal(nil)
 	c, err := NewCluster(empty, ClusterConfig{Shards: 1})
 	if err != nil {
 		t.Fatalf("NewCluster(empty, 1 shard): %v", err)
@@ -532,7 +532,7 @@ func TestJSONBatchOneViewAcrossSwap(t *testing.T) {
 	snapA := syntheticSnapshot(10<<24, 23, 2, 0)
 	snapB := syntheticSnapshot(10<<24, 23, 2, 2.5)
 	snapB.mappers = []string{"n0", "n1"}
-	snapB.seal(nil, nil)
+	snapB.seal(everyGroup(snapB))
 	byMapper := map[string]*Snapshot{"m0": snapA, "n0": snapB}
 
 	var (

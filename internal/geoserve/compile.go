@@ -207,7 +207,7 @@ func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats,
 		}
 		b := built{g: Group{Base: g.base, Prefixes: s.prefixes[g.pLo:g.pHi], IPs: s.ips[g.iLo:g.iHi]}, kept: -1}
 		if k < len(old) && old[k].base == g.base {
-			if sameKeys(s, g, prev, old[k]) {
+			if b.g.sameKeys(prev.group(k)) {
 				b.kept = k
 			} else {
 				touch(prev.group(k))

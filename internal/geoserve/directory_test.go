@@ -127,8 +127,8 @@ func TestDirectoryMatchesSearch(t *testing.T) {
 
 	t.Run("delta", func(t *testing.T) {
 		// A churn chain has steps that move only answers — CompileDelta
-		// then shares prev's directory — and steps that move the index
-		// and rebuild it. Both kinds must occur and both must match.
+		// and Apply then share prev's directory — and steps that move the
+		// index and rebuild it. Both kinds must occur and both must match.
 		p, prev := fixture(t)
 		ch, err := p.Churner(core.ServeOptions{}, 15)
 		if err != nil {
@@ -144,16 +144,26 @@ func TestDirectoryMatchesSearch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			delta, err := snapfile.Diff(prev, next, uint64(i), uint64(i+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			applied, _, err := snapfile.Apply(prev, delta)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sameIndex := slices.Equal(prev.Prefixes(), next.Prefixes()) && slices.Equal(prev.ExactIPs(), next.ExactIPs())
-			if geoserve.SharesDirectory(prev, next) != sameIndex {
-				t.Fatalf("step %d: same index %v but shared directory %v", step.N, sameIndex, !sameIndex)
+			for name, snap := range map[string]*geoserve.Snapshot{"CompileDelta": next, "Apply": applied} {
+				if geoserve.SharesDirectory(prev, snap) != sameIndex {
+					t.Fatalf("step %d: %s: same index %v but shared directory %v", step.N, name, sameIndex, !sameIndex)
+				}
+				geoserve.CheckDirectory(t, snap)
 			}
 			if sameIndex {
 				shared++
 			} else {
 				rebuilt++
 			}
-			geoserve.CheckDirectory(t, next)
 			prev = next
 		}
 		if shared == 0 || rebuilt == 0 {

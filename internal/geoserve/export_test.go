@@ -89,14 +89,23 @@ func DirectorySize(s *Snapshot) (blocks, slots, bytes int) {
 	return len(d.blocks), len(d.slots), bytes
 }
 
-// Seal recomputes s's content digest on a copy of s, against prev and
-// the /24s touched since it (prev nil: from scratch): the seal every
-// constructor ends with, on its own.
-func Seal(s, prev *Snapshot, touched []uint32) (string, error) {
-	c := &Snapshot{mappers: s.mappers, prefixes: s.prefixes, ips: s.ips, groups: s.groups,
-		pages: slices.Clone(s.pages), asns: s.asns, footprints: s.footprints, dir: s.dir}
-	err := c.seal(prev, touched)
+// Seal recomputes s's content digest from scratch on a copy of s: the
+// seal every derivation ends with, over every group.
+func Seal(s *Snapshot) (string, error) {
+	c := &Snapshot{mappers: s.mappers, prefixes: s.prefixes, ips: s.ips, groups: s.groups, pages: s.pages,
+		leaves: slices.Clone(s.leaves), asns: s.asns, footprints: s.footprints, dir: s.dir}
+	err := c.seal(everyGroup(c))
 	return c.digest, err
+}
+
+// everyGroup lists the indexes of every group of s: the fresh groups of
+// a seal from scratch.
+func everyGroup(s *Snapshot) []int {
+	all := make([]int, len(s.groups))
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // SharedPages reports, per leaf of b in order, whether b holds a's

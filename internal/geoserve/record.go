@@ -161,6 +161,12 @@ func (g *Group) key(r int) uint32 {
 	return g.IPs[r-len(g.Prefixes)]
 }
 
+// sameKeys reports whether g and o hold the same /24s and the same
+// exact addresses.
+func (g *Group) sameKeys(o Group) bool {
+	return slices.Equal(g.Prefixes, o.Prefixes) && slices.Equal(g.IPs, o.IPs)
+}
+
 // Group returns the leaf group at base, the base of a /20: views of the
 // snapshot's index and pages, shared and read-only. Where no group
 // holds a row there, the Group has no rows and empty pages.
@@ -189,14 +195,20 @@ func (s *Snapshot) group(i int) Group {
 }
 
 // Derive, the one constructor of a Snapshot, assembles the snapshot a
-// file, a delta or a compile describes: base with
-// each group in gs put in place of base's group at its base, or removed
-// when it has no rows (base must then hold it), and h's build, mappers,
-// ASNs and footprints. A nil base is the empty snapshot of h's mappers,
-// so a derivation from nothing holds exactly gs and refuses a group
-// with no rows. Groups ascend by base. The result holds base's pages
-// for every group gs does not name (see seal) and a copy of each put
-// group's pages, so it retains none of gs's memory, and it retains h.
+// file, a delta or a compile describes: base with each group in gs put
+// in place of base's group at its base, or removed when it has no rows
+// (base must then hold it), and h's build, mappers, ASNs and
+// footprints. A nil base is the empty snapshot of h's mappers, so a
+// derivation from nothing holds exactly gs and refuses a group with no
+// rows. Groups ascend by base.
+//
+// It is one ascending merge of base's groups and gs: each group of the
+// result is base's, taken whole (keys, pages and leaf hash), or a put,
+// taken whole (keys and pages). Derive keeps the pages it is handed,
+// without copying them: its callers never write them again, and the
+// result retains them, base's memory in the groups it shares, and h.
+// The result shares base's index and directory when every put keeps
+// the keys of base's group at its base.
 //
 // Everything is checked, nothing trusted: check holds h and the index
 // to the rules a compiled Source meets, each put group's records must
@@ -210,7 +222,6 @@ func (s *Snapshot) group(i int) Group {
 // distinct /24 (TestDirectoryBound), beside 40 B of group and 24 B of
 // page header per mapper for each /20 that holds a row.
 func Derive(base *Snapshot, h Header, gs []Group) (*Snapshot, error) {
-	prev := base // nil: gs holds every group, and seal builds them all
 	if base == nil {
 		base = &Snapshot{mappers: h.Mappers}
 	}
@@ -218,10 +229,12 @@ func Derive(base *Snapshot, h Header, gs []Group) (*Snapshot, error) {
 	if !slices.Equal(h.Mappers, base.mappers) {
 		return nil, fmt.Errorf("geoserve: derive: mappers %q, base has %q", h.Mappers, base.mappers)
 	}
-	bases := make([]uint32, len(gs))
-	np, ni := 0, 0
-	for i, g := range gs {
-		if leafBase(g.Base) != g.Base || i > 0 && g.Base <= bases[i-1] {
+	// Each put is checked and matched against base's group at its base,
+	// which sizes the result and tells whether the index moves.
+	ng, np, ni, same := len(base.groups), len(base.prefixes), len(base.ips), true
+	for i, k := 0, 0; i < len(gs); i++ {
+		g := &gs[i]
+		if leafBase(g.Base) != g.Base || i > 0 && g.Base <= gs[i-1].Base {
 			return nil, fmt.Errorf("geoserve: group %d: %s is not a /20 base above its predecessor", i, FormatIPv4(g.Base))
 		}
 		for j, p := range g.Prefixes {
@@ -234,62 +247,66 @@ func Derive(base *Snapshot, h Header, gs []Group) (*Snapshot, error) {
 				return nil, fmt.Errorf("geoserve: group %s: exact address %s is not inside it above its predecessor", FormatIPv4(g.Base), FormatIPv4(ip))
 			}
 		}
-		size := (len(g.Prefixes) + len(g.IPs)) * RecordSize
-		if len(g.Pages) != nm || slices.ContainsFunc(g.Pages, func(p []byte) bool { return len(p) != size }) {
+		rows := len(g.Prefixes) + len(g.IPs)
+		if len(g.Pages) != nm || slices.ContainsFunc(g.Pages, func(p []byte) bool { return len(p) != rows*RecordSize }) {
 			return nil, fmt.Errorf("geoserve: group %s carries %d pages, want one of %d bytes per mapper (%d rows) for %d mappers",
-				FormatIPv4(g.Base), len(g.Pages), size, size/RecordSize, nm)
+				FormatIPv4(g.Base), len(g.Pages), rows*RecordSize, rows, nm)
 		}
-		bases[i] = g.Base
-		np, ni = np+len(g.Prefixes), ni+len(g.IPs)
+		for k < len(base.groups) && base.groups[k].base < g.Base {
+			k++
+		}
+		if k < len(base.groups) && base.groups[k].base == g.Base {
+			old := base.group(k)
+			same = same && g.sameKeys(old)
+			ng, np, ni = ng-1, np-len(old.Prefixes), ni-len(old.IPs)
+		} else if rows == 0 {
+			return nil, fmt.Errorf("geoserve: group %s has no rows, and base does not hold it to delete", FormatIPv4(g.Base))
+		} else {
+			same = false
+		}
+		if rows > 0 {
+			ng, np, ni = ng+1, np+len(g.Prefixes), ni+len(g.IPs)
+		}
 	}
 
-	// The index: base's keys in runs between the groups, each group's in
-	// place of base's at its /20.
 	s := &Snapshot{
 		build: h.Build, mappers: base.mappers, asns: h.ASNs, footprints: h.Footprints,
-		prefixes: make([]uint32, 0, len(base.prefixes)+np),
-		ips:      make([]uint32, 0, len(base.ips)+ni),
+		prefixes: base.prefixes, ips: base.ips, groups: base.groups, dir: base.dir,
+		pages: make([][]byte, 0, ng*nm), leaves: make([]Leaf, 0, ng),
 	}
-	pCur, iCur := 0, 0
-	for _, g := range gs {
-		k, held := base.groupAt(g.Base)
-		pEnd, iEnd := len(base.prefixes), len(base.ips)
-		if k < len(base.groups) {
-			pEnd, iEnd = base.groups[k].pLo, base.groups[k].iLo
-		}
-		s.prefixes = append(s.prefixes, base.prefixes[pCur:pEnd]...)
-		s.ips = append(s.ips, base.ips[iCur:iEnd]...)
-		pCur, iCur = pEnd, iEnd
-		if held {
-			pCur, iCur = base.groups[k].pHi, base.groups[k].iHi
-		} else if len(g.Prefixes)+len(g.IPs) == 0 {
-			return nil, fmt.Errorf("geoserve: group %s has no rows, and base does not hold it to delete", FormatIPv4(g.Base))
-		}
-		s.prefixes = append(s.prefixes, g.Prefixes...)
-		s.ips = append(s.ips, g.IPs...)
+	if !same {
+		s.prefixes, s.ips, s.groups, s.dir = make([]uint32, 0, np), make([]uint32, 0, ni), make([]group, 0, ng), nil
 	}
-	s.prefixes = append(s.prefixes, base.prefixes[pCur:]...)
-	s.ips = append(s.ips, base.ips[iCur:]...)
+	add := func(g Group, leaf Leaf) {
+		if !same {
+			p, i := len(s.prefixes), len(s.ips)
+			s.groups = append(s.groups, group{base: g.Base, pLo: p, pHi: p + len(g.Prefixes), iLo: i, iHi: i + len(g.IPs)})
+			s.prefixes = append(s.prefixes, g.Prefixes...)
+			s.ips = append(s.ips, g.IPs...)
+		}
+		s.pages = append(s.pages, g.Pages...)
+		s.leaves = append(s.leaves, leaf)
+	}
+	fresh := make([]int, 0, len(gs)) // the puts' indexes in s.groups, for seal to hash
+	for i, k := 0, 0; i < len(gs) || k < len(base.groups); {
+		if i == len(gs) || k < len(base.groups) && base.groups[k].base < gs[i].Base {
+			add(base.group(k), base.leaves[k])
+			k++
+			continue
+		}
+		if k < len(base.groups) && base.groups[k].base == gs[i].Base {
+			k++ // replaced or deleted
+		}
+		if g := gs[i]; len(g.Prefixes)+len(g.IPs) > 0 {
+			fresh = append(fresh, len(s.leaves))
+			add(g, Leaf{Base: g.Base})
+		}
+		i++
+	}
 	if err := s.check(); err != nil {
 		return nil, err
 	}
-	if slices.Equal(base.prefixes, s.prefixes) && slices.Equal(base.ips, s.ips) {
-		s.prefixes, s.ips, s.groups, s.dir = base.prefixes, base.ips, base.groups, base.dir
-	} else {
-		s.groups = groups(s.prefixes, s.ips)
-	}
-
-	// Each put group's pages are copied in; seal shares base's for the
-	// rest.
-	s.carve(s.holding(prev, bases))
-	for _, g := range gs {
-		if i, ok := s.groupAt(g.Base); ok {
-			for m, page := range g.Pages {
-				copy(s.page(m, i), page)
-			}
-		}
-	}
-	if err := s.seal(prev, bases); err != nil {
+	if err := s.seal(fresh); err != nil {
 		return nil, err
 	}
 	return s, nil

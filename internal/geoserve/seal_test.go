@@ -2,7 +2,6 @@ package geoserve_test
 
 import (
 	"slices"
-	"strings"
 	"testing"
 
 	"geonet/internal/analysis"
@@ -44,15 +43,37 @@ func sealWorld(tb testing.TB, keys []uint32, salts map[uint32]int64) *geoserve.S
 	return s
 }
 
-// TestSealRehashesTouched pins what a digest computed against a
-// predecessor trusts and what it checks. It trusts that every row
-// outside the touched /24s is the predecessor's, and hashes the rest:
-// one flipped byte in a group no churn changed, with its /24 listed in
-// touched, gives the digest a from-scratch seal gives (the root covers
-// every leaf's base and hash, so the leaves agree too). It checks the
-// keys a reused leaf rests on: a touched set that omits a /24 whose
-// keys changed is refused, never sealed to a wrong leaf, and so is a
-// predecessor with other mappers.
+// changedGroups returns the groups that derive next from prev: each
+// group of next whose leaf prev does not hold, and a delete (a group
+// with no rows) at each base only prev holds.
+func changedGroups(prev, next *geoserve.Snapshot) []geoserve.Group {
+	var gs []geoserve.Group
+	pl, nl := prev.Leaves(), next.Leaves()
+	for i, j := 0, 0; i < len(pl) || j < len(nl); {
+		switch {
+		case j == len(nl) || i < len(pl) && pl[i].Base < nl[j].Base:
+			gs, i = append(gs, next.Group(pl[i].Base)), i+1
+		case i == len(pl) || nl[j].Base < pl[i].Base:
+			gs, j = append(gs, next.Group(nl[j].Base)), j+1
+		default:
+			if pl[i] != nl[j] {
+				gs = append(gs, next.Group(nl[j].Base))
+			}
+			i, j = i+1, j+1
+		}
+	}
+	return gs
+}
+
+// TestSealRehashesTouched pins what a digest derived from a
+// predecessor trusts and what it checks. It trusts that every group no
+// put names is the predecessor's, and hashes every put: deriving with
+// the changed groups as puts gives the from-scratch digest, and a put
+// carrying one flipped byte in a group no churn changed gives the
+// flipped world's from-scratch digest (the root covers every leaf's
+// base and hash, so the leaves agree too), never a leaf reused from
+// the predecessor. A header whose mappers differ from the
+// predecessor's is refused.
 func TestSealRehashesTouched(t *testing.T) {
 	keys := make([]uint32, 64) // four leaf groups of 16 /24s
 	for i := range keys {
@@ -60,8 +81,13 @@ func TestSealRehashesTouched(t *testing.T) {
 	}
 	old := sealWorld(t, keys, nil)
 	new := sealWorld(t, keys, map[uint32]int64{keys[3]: 9}) // only the first group changes
-	if old.Digest() == new.Digest() {
-		t.Fatal("test is vacuous: the churn changed nothing")
+	puts := changedGroups(old, new)
+	if len(puts) != 1 {
+		t.Fatalf("the churn changed %d groups, want 1", len(puts))
+	}
+	derived, err := geoserve.Derive(old, new.Header(), puts)
+	if err != nil || derived.Digest() != new.Digest() || !slices.Equal(derived.Leaves(), new.Leaves()) {
+		t.Fatalf("derived with the changed group: digest %.16s (%v), from scratch %.16s", derived.Digest(), err, new.Digest())
 	}
 
 	gs := new.Groups()
@@ -72,41 +98,26 @@ func TestSealRehashesTouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, err := geoserve.Seal(flipped, old, []uint32{keys[3], keys[50]}); err != nil || d != flipped.Digest() || d == new.Digest() {
-		t.Fatalf("flipped row: digest against the predecessor %.16s (%v), from scratch %.16s, unflipped %.16s",
-			d, err, flipped.Digest(), new.Digest())
+	if d, err := geoserve.Seal(flipped); err != nil || d != flipped.Digest() {
+		t.Fatalf("flipped world sealed again from scratch to %.16s (%v), derived to %.16s", d, err, flipped.Digest())
 	}
-
-	holed := slices.Delete(slices.Clone(keys), 40, 41) // keys[40] is in the third group
-	for _, c := range []struct {
-		name     string
-		from, to []uint32
-		touched  []uint32
-	}{
-		{"a /24 left an untouched group", keys, holed, []uint32{keys[3]}},
-		{"a /24 joined an untouched group", holed, keys, nil},
-		{"a new group holds no touched /24", keys, append(slices.Clone(keys), keys[63]+1<<8), nil},
-	} {
-		from, to := sealWorld(t, c.from, nil), sealWorld(t, c.to, nil)
-		if _, err := geoserve.Seal(to, from, c.touched); err == nil || !strings.Contains(err.Error(), "touched") {
-			t.Errorf("%s: sealed against the predecessor with touched %v: err %v, want the key guard's", c.name, c.touched, err)
-		}
+	derived, err = geoserve.Derive(old, new.Header(), append(puts, gs[3]))
+	if err != nil || derived.Digest() != flipped.Digest() || derived.Digest() == new.Digest() {
+		t.Fatalf("flipped put: digest derived from the predecessor %.16s (%v), from scratch %.16s, unflipped %.16s",
+			derived.Digest(), err, flipped.Digest(), new.Digest())
 	}
 
 	renamed := new.Header()
 	renamed.Mappers = []string{"alpha", "gamma"}
-	other, err := geoserve.Derive(nil, renamed, new.Groups())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := geoserve.Seal(other, old, []uint32{keys[3]}); err == nil {
-		t.Error("sealed against a predecessor with other mappers")
+	if _, err := geoserve.Derive(old, renamed, puts); err == nil {
+		t.Error("derived from a predecessor with other mappers")
 	}
 }
 
-// BenchmarkSeal seals the second snapshot of one test-scale churn pair
-// twice: from scratch, and against its predecessor, which reuses the
-// leaf of every group the step touched no /24 in.
+// BenchmarkSeal derives the second snapshot of one test-scale churn
+// pair twice: sealed from scratch, and from its predecessor with the
+// groups the step changed as puts, which hashes only those groups and
+// takes the predecessor's leaf for every other.
 func BenchmarkSeal(b *testing.B) {
 	p, prev := fixture(b)
 	ch, err := p.Churner(core.ServeOptions{}, 1)
@@ -117,18 +128,28 @@ func BenchmarkSeal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	next, st, err := p.ServeDelta(prev, step)
+	next, _, err := p.ServeDelta(prev, step)
 	if err != nil {
 		b.Fatal(err)
 	}
+	puts := changedGroups(prev, next)
 	for _, bc := range []struct {
 		name string
-		prev *geoserve.Snapshot
-	}{{"scratch", nil}, {"prev", prev}} {
+		seal func() (string, error)
+	}{
+		{"scratch", func() (string, error) { return geoserve.Seal(next) }},
+		{"prev", func() (string, error) {
+			s, err := geoserve.Derive(prev, next.Header(), puts)
+			if err != nil {
+				return "", err
+			}
+			return s.Digest(), nil
+		}},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if d, err := geoserve.Seal(next, bc.prev, st.Touched); err != nil || d != next.Digest() {
+				if d, err := bc.seal(); err != nil || d != next.Digest() {
 					b.Fatalf("sealed to %.16s (%v), want %.16s", d, err, next.Digest())
 				}
 			}

@@ -16,8 +16,8 @@ import (
 // the mappers, ASNs, footprints and ops, nothing unread before the
 // trailer, and final 32 bytes that hash everything before them
 // (covering the header fields the content digest excludes). The ops'
-// pages alias data; h's build is set once the header parsed, whatever
-// fails later.
+// pages are copied out of data; h's build is set once the header
+// parsed, whatever fails later.
 func read(data []byte, magic string, speaks uint32, head func(*decoder) error) (version uint32, h geoserve.Header, ops []geoserve.Group, err error) {
 	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
 		return 0, h, nil, fmt.Errorf("%w (want %q)", ErrMagic, magic)
@@ -262,10 +262,11 @@ func decodeFootprints(d *decoder, nMappers, nASNs int) ([][]analysis.ASFootprint
 }
 
 // decodeOps parses the ops section into geoserve.Derive's groups. An
-// op's record bytes must be one page of its rows per mapper, cut from
-// data (the pages alias it), and every op with no rows shares one list
-// of empty pages: the page lists allocated stay within the record
-// bytes read, whatever the mapper count.
+// op's record bytes must be one page of its rows per mapper. Derive keeps
+// the pages it is handed and data may be a mapping Load unmaps, so the
+// pages are copied into one buffer sized to the record bytes read; every
+// op with no rows shares one list of empty pages. What is allocated stays
+// within the bytes read, whatever the mapper count.
 func decodeOps(d *decoder, nMappers int) ([]geoserve.Group, error) {
 	sec, err := d.section("ops")
 	if err != nil {
@@ -282,6 +283,7 @@ func decodeOps(d *decoder, nMappers int) ([]geoserve.Group, error) {
 	}
 	ops := make([]geoserve.Group, nOps)
 	none := make([][]byte, nMappers)
+	total := 0
 	for i := range ops {
 		op := &ops[i]
 		if op.Base, err = sec.u32("op base"); err != nil {
@@ -313,9 +315,17 @@ func decodeOps(d *decoder, nMappers int) ([]geoserve.Group, error) {
 				op.Pages[m] = recs[m*size : (m+1)*size]
 			}
 		}
+		total += int(n)
 	}
 	if err := sec.done("ops"); err != nil {
 		return nil, err
+	}
+	buf := make([]byte, total)
+	for _, op := range ops {
+		for m := 0; len(op.Prefixes)+len(op.IPs) > 0 && m < nMappers; m++ {
+			n := copy(buf, op.Pages[m])
+			op.Pages[m], buf = buf[:n:n], buf[n:]
+		}
 	}
 	return ops, nil
 }

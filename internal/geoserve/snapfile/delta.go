@@ -101,10 +101,10 @@ func Diff(old, new *geoserve.Snapshot, fromEpoch, toEpoch uint64) ([]byte, error
 // the delta's from-digest, and the reassembled snapshot's recomputed
 // digest must equal the to-digest trailer — an applied delta can never
 // yield a snapshot the builder did not publish. geoserve.Derive does
-// the rebuild: it holds the ops to their order and shape, copies and
-// checks the pages of each group an op puts, and shares base's pages
-// and leaf hash for every group no op names. The result retains no
-// byte of data; it retains base's memory in the pages it shares.
+// the rebuild: it holds the ops to their order and shape, keeps and
+// checks the pages of each group an op puts (copied out of data once, by
+// the decoder), and shares base's pages and leaf hash for every group no
+// op names. The result retains no byte of data; it retains base's pages.
 func Apply(base *geoserve.Snapshot, data []byte) (*geoserve.Snapshot, DeltaInfo, error) {
 	info := DeltaInfo{SizeBytes: int64(len(data))}
 	version, h, ops, err := read(data, deltaMagic, DeltaFormatVersion, func(head *decoder) (err error) {

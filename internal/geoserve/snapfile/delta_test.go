@@ -181,7 +181,12 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 			}
 			// The applied snapshot re-encodes byte-identically to a full
 			// download of the target epoch — delta sync and full sync are
-			// interchangeable at the file level, not just digest-equal.
+			// interchangeable at the file level, not just digest-equal —
+			// and owns its memory: the delta's bytes, overwritten once
+			// Apply returns, change none of it.
+			for i := range delta {
+				delta[i] = 0xFF
+			}
 			reenc, err := Encode(applied, 2)
 			if err != nil {
 				t.Fatal(err)

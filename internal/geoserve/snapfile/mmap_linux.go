@@ -8,10 +8,10 @@ import (
 )
 
 // readSnapFile maps the file read-only instead of copying it onto the
-// heap: Decode never retains the input bytes (every section is copied
-// or parsed into fresh slices), so the mapping is released as soon as
-// decoding finishes and the page cache backs the one pass over the
-// file. Anything mmap can't serve (empty file, weird filesystem) falls
+// heap: Decode never retains the input bytes (it parses every section
+// into fresh slices and copies the op records once, for Derive to keep),
+// so the mapping is released as soon as decoding finishes and the page
+// cache backs the one pass over the file. Anything mmap can't serve (empty file, weird filesystem) falls
 // back to an ordinary read.
 func readSnapFile(path string) (data []byte, done func(), err error) {
 	f, err := os.Open(path)

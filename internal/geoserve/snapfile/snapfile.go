@@ -166,7 +166,8 @@ func WriteFile(path string, snap *geoserve.Snapshot, epoch uint64) error {
 
 // Load reads, validates and reassembles a snapshot file. On linux the
 // file is mmapped for the single decoding pass (heap-copy fallback
-// elsewhere); either way the returned snapshot owns all its memory.
+// elsewhere) and unmapped once Decode returns; either way the returned
+// snapshot owns all its memory, since Decode copies the records out.
 func Load(path string) (*geoserve.Snapshot, FileInfo, error) {
 	data, done, err := readSnapFile(path)
 	if err != nil {
@@ -186,8 +187,8 @@ func readSnapFileHeap(path string) ([]byte, func(), error) {
 }
 
 // Decode validates and reassembles an encoded snapshot: geoserve.Derive
-// from no base. It retains none of data: Derive copies every row out
-// once, into pages cut from one buffer the snapshot owns.
+// from no base. It retains none of data: the op records are copied out
+// once, into one buffer the snapshot owns, and Derive keeps them as is.
 func Decode(data []byte) (*geoserve.Snapshot, FileInfo, error) {
 	info := FileInfo{SizeBytes: int64(len(data))}
 	version, h, ops, err := read(data, magic, FormatVersion, func(head *decoder) (err error) {

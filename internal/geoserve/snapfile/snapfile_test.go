@@ -101,6 +101,15 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The decoded snapshot owns its memory: the file's bytes, overwritten
+	// once Decode returns, change none of it.
+	orig := bytes.Clone(blob)
+	for i := range blob {
+		blob[i] = 0xFF
+	}
+	if reenc, err := Encode(loaded, 3); err != nil || !bytes.Equal(reenc, orig) {
+		t.Fatalf("decoded snapshot re-encodes differently once its file's bytes are overwritten (%v)", err)
+	}
 	if loaded.Digest() != snap.Digest() {
 		t.Fatalf("digest drifted across encode/decode: %s != %s", loaded.Digest(), snap.Digest())
 	}

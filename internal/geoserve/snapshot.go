@@ -59,8 +59,8 @@ type Snapshot struct {
 	// bytes per row (see record.go), the group's prefix rows in prefix
 	// order, then its exact rows in address order. A snapshot derived
 	// from a predecessor holds the predecessor's page for every group
-	// in which it touched no /24 (see seal); no page is written once a
-	// snapshot is sealed, so pages are shared, never copied on write.
+	// the derivation did not put (see Derive); no page is written once
+	// a snapshot is sealed, so pages are shared, never copied on write.
 	groups []group
 	pages  [][]byte
 
@@ -72,7 +72,8 @@ type Snapshot struct {
 
 	// digest is the content digest and tag its first 8 bytes, the
 	// epoch tag of the wire protocol; leaves are the digest's leaf
-	// hashes, one per group, in group order. seal sets all three.
+	// hashes, one per group, in group order. Derive takes base's leaves
+	// where it takes base's groups, and seal sets the rest.
 	digest string
 	tag    uint64
 	leaves []Leaf
@@ -358,57 +359,6 @@ func (s *Snapshot) groupAt(base uint32) (int, bool) {
 	return slices.BinarySearchFunc(s.groups, base, func(g group, b uint32) int { return cmp.Compare(g.base, b) })
 }
 
-// holding marks the groups a snapshot derived from prev must build
-// pages for: every group when prev is nil, else each group a /24 in
-// touched (any order) lies in. seal shares prev's pages for the rest.
-func (s *Snapshot) holding(prev *Snapshot, touched []uint32) []bool {
-	hit := make([]bool, len(s.groups))
-	if prev == nil {
-		for i := range hit {
-			hit[i] = true
-		}
-		return hit
-	}
-	for _, t := range touched {
-		if i, ok := s.groupAt(leafBase(t)); ok {
-			hit[i] = true
-		}
-	}
-	return hit
-}
-
-// carve gives each group marked in build one new page per mapper; the
-// other pages stay nil for seal to share. All the new pages are cut from
-// one zeroed buffer, so a build allocates once and rounds nothing up,
-// and the buffer stays live while any page cut from it does.
-func (s *Snapshot) carve(build []bool) {
-	nm := len(s.mappers)
-	s.pages = make([][]byte, len(s.groups)*nm)
-	n := 0
-	for i, g := range s.groups {
-		if build[i] {
-			n += g.rows()
-		}
-	}
-	buf := make([]byte, n*nm*RecordSize)
-	for i, g := range s.groups {
-		if !build[i] {
-			continue
-		}
-		size := g.rows() * RecordSize
-		for m := range nm {
-			s.pages[i*nm+m], buf = buf[:size:size], buf[size:]
-		}
-	}
-}
-
-// sameKeys reports whether group g of s and group pg of prev hold the
-// same /24s and the same exact addresses.
-func sameKeys(s *Snapshot, g group, prev *Snapshot, pg group) bool {
-	return slices.Equal(s.prefixes[g.pLo:g.pHi], prev.prefixes[pg.pLo:pg.pHi]) &&
-		slices.Equal(s.ips[g.iLo:g.iHi], prev.ips[pg.iLo:pg.iHi])
-}
-
 // seal computes the content digest and the epoch tag, and builds the
 // directory unless the snapshot already shares one (a derivation that
 // left the index as it was) while the leaves hash. Derive, the one
@@ -423,58 +373,34 @@ func sameKeys(s *Snapshot, g group, prev *Snapshot, pg group) bool {
 // every leaf's base and hash, the ASNs and the footprints; BuildInfo
 // is deliberately excluded (see Digest).
 //
-// prev, when non-nil, is the snapshot s was derived from, and touched
-// lists (in any order) the /24 bases whose rows may differ from prev's.
-// A group in which no touched /24 lies takes prev's pages and prev's
-// leaf: the bytes it serves are the bytes prev hashed, so an epoch
-// hashes, checks and stores only what it changed, whatever page its
-// deriver built there. Such a group's keys must equal those of prev's
-// group at the same base, so a touched set that misses a changed key is
-// an error, never a wrong page. prev's leaves were computed by its own
-// seal, never read from outside bytes.
-func (s *Snapshot) seal(prev *Snapshot, touched []uint32) error {
+// fresh lists the groups Derive put, whose leaves seal hashes; every
+// other group is base's, taken whole with the leaf base's own seal
+// computed over the same keys and pages, so an epoch hashes, checks
+// and stores only what it changed.
+func (s *Snapshot) seal(fresh []int) error {
 	var err error
 	parallel.Do(func() {
 		if s.dir == nil {
 			s.dir = buildDirectory(s.prefixes, s.ips, s.groups)
 		}
-	}, func() { err = s.hash(prev, touched) })
+	}, func() { err = s.hash(fresh) })
 	return err
 }
 
-// hash sets the leaves, the shared pages, the digest and the tag for
-// seal, and holds every row of each group it hashes to checkRecord and
-// to the exact-flag rule: the rows of every other group are prev's,
-// which passed when prev was sealed.
-func (s *Snapshot) hash(prev *Snapshot, touched []uint32) error {
-	if prev != nil && !slices.Equal(s.mappers, prev.mappers) {
-		return fmt.Errorf("geoserve: mappers %q, previous snapshot has %q", s.mappers, prev.mappers)
-	}
-	build := s.holding(prev, touched)
-	nm := len(s.mappers)
+// hash sets the leaf hash of each fresh group, then the digest and the
+// tag, for seal. It holds every row of each fresh group to checkRecord
+// and to the exact-flag rule: the rows of every other group are
+// base's, which passed when base was sealed.
+func (s *Snapshot) hash(fresh []int) error {
 	w := &hashWriter{h: sha256.New(), buf: make([]byte, 0, 1<<16)}
-	s.leaves = make([]Leaf, len(s.groups))
-	k := 0 // prev's group at or after g's base
-	for i, g := range s.groups {
-		leaf := &s.leaves[i]
-		leaf.Base = g.base
-		if !build[i] {
-			for k < len(prev.groups) && prev.groups[k].base < g.base {
-				k++
-			}
-			if k == len(prev.groups) || prev.groups[k].base != g.base || !sameKeys(s, g, prev, prev.groups[k]) {
-				return fmt.Errorf("geoserve: leaf group %s holds no touched /24 but its keys differ from the previous snapshot's", FormatIPv4(g.base))
-			}
-			leaf.Sum = prev.leaves[k].Sum
-			copy(s.pages[i*nm:(i+1)*nm], prev.pages[k*nm:(k+1)*nm])
-			continue
-		}
+	for _, i := range fresh {
+		g := s.groups[i]
 		w.h.Reset()
 		w.u32(uint32(g.pHi - g.pLo))
 		w.u32s(s.prefixes[g.pLo:g.pHi])
 		w.u32(uint32(g.iHi - g.iLo))
 		w.u32s(s.ips[g.iLo:g.iHi])
-		for m := range nm {
+		for m := range s.mappers {
 			page := s.page(m, i)
 			for r := range g.rows() {
 				rec, exact := page[r*RecordSize:][:RecordSize], r >= g.prefixRows()
@@ -489,7 +415,7 @@ func (s *Snapshot) hash(prev *Snapshot, touched []uint32) error {
 			w.records(page)
 		}
 		w.flush()
-		w.h.Sum(leaf.Sum[:0])
+		w.h.Sum(s.leaves[i].Sum[:0])
 	}
 
 	w.h.Reset()
