@@ -86,9 +86,9 @@
 //
 // The Section III-B mappers also run as an online query service.
 // internal/geoserve compiles a finished pipeline
-// (core.Pipeline.Serve) into an immutable snapshot — a sorted /24
-// interval index with exact precomputed answers for every known
-// interface address and prefix-level answers for generic hosts, each
+// (core.Pipeline.Serve) into an immutable snapshot — per /20 leaf
+// group, exact precomputed answers for every known interface address
+// and prefix-level answers for the generic hosts of each /24, each
 // carrying location, method attribution, BGP origin AS and a
 // confidence radius from the AS's geographic footprint — published by
 // the one serving type, geoserve.Cluster, through an atomic pointer

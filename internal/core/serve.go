@@ -20,8 +20,8 @@ type ServeOptions struct {
 }
 
 // Serve compiles the finished pipeline's geolocation knowledge into an
-// immutable serving snapshot (internal/geoserve): a sorted /24
-// interval index with precomputed answers for both mappers, AS
+// immutable serving snapshot (internal/geoserve): the allocated /24s
+// and interface addresses with precomputed answers for both mappers, AS
 // attribution from the Skitter-era BGP epoch (the more recent of the
 // two), and confidence radii from each mapper's per-AS footprints
 // measured over its Skitter dataset (the larger collection). The

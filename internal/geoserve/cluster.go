@@ -22,9 +22,9 @@ const DefaultQueueBudget = 64
 
 // ClusterConfig sizes a serving cluster.
 type ClusterConfig struct {
-	// Shards is the number of prefix-range shards (>= 1). The sorted
-	// /24 interval index is cut into Shards contiguous runs balanced by
-	// interval count. A shard is an accounting range — its own counters
+	// Shards is the number of prefix-range shards (>= 1). The
+	// ascending allocated /24s are cut into Shards contiguous runs
+	// balanced by /24 count. A shard is an accounting range — its own counters
 	// and admission budget — not a unit of parallelism.
 	Shards int
 	// QueueBudget caps the batches in flight on each shard range; a
@@ -183,12 +183,13 @@ func (c *Cluster) swap(snap *Snapshot) (old *Snapshot, starts []uint32, err erro
 }
 
 // SwapDelta publishes a delta-compiled snapshot exactly like Swap and
-// reports how many shards the delta really moved: when the interval
-// index is unchanged (the common churn step: answers moved, geometry
-// didn't) the cuts are the same, and resplit counts the shards owning
-// a touched /24 (CompileDelta's DeltaStats.Touched: the /24s whose
-// answers it changed); when the index itself changed (allocation
-// growth or reclaim shifted the cuts) every shard moved.
+// reports how many shards the delta really moved: when the keys of
+// every leaf group are unchanged (answers moved, geometry didn't) the
+// cuts are the same, and resplit counts the shards owning a touched /24
+// (CompileDelta's DeltaStats.Touched: the /24s whose answers it
+// changed); when the keys changed (an interface or an allocation came
+// or went, which a churn step of 20 events does nearly every time, and
+// which may shift the cuts) every shard moved.
 func (c *Cluster) SwapDelta(snap *Snapshot, touched []uint32) (old *Snapshot, resplit int, err error) {
 	old, starts, err := c.swap(snap)
 	if err != nil {
@@ -210,14 +211,12 @@ func (c *Cluster) SwapDelta(snap *Snapshot, touched []uint32) (old *Snapshot, re
 	return old, resplit, nil
 }
 
-// sameIndex reports whether two snapshots share an identical interval
-// and exact-address index (answers may differ) — the condition under
-// which a swap leaves the cluster's shard cuts where they were, and
-// Derive shares its base's directory (after which the first comparison
-// here decides).
+// sameIndex reports whether two snapshots hold the same keys in every
+// leaf group (answers may differ) — the condition under which a swap
+// leaves the cluster's shard cuts where they were, and Derive shares
+// its base's directory (after which the first comparison here decides).
 func sameIndex(a, b *Snapshot) bool {
-	return a.dir == b.dir ||
-		slices.Equal(a.prefixes, b.prefixes) && slices.Equal(a.ips, b.ips)
+	return a.dir == b.dir || slices.EqualFunc(a.groups, b.groups, Group.sameKeys)
 }
 
 // Lookup answers one address under the mapper with the given index

@@ -78,16 +78,18 @@ func syntheticSnapshot(start uint32, nPrefixes, nMappers int, salt float64) *Sna
 // between allocated /24s, and the space below/above the index.
 func probeAddrs(s *Snapshot) []uint32 {
 	var ps []uint32
-	for _, base := range s.prefixes {
+	prefixes := s.Prefixes()
+	for _, base := range prefixes {
 		ps = append(ps, base, base+1, base+127, base+255, base+256, base+512)
 	}
-	ps = append(ps, s.ips...)
-	ps = append(ps, 0, 1, s.prefixes[0]-1, 0xF0000001, 0xFFFFFFFF)
+	ps = append(ps, s.ExactIPs()...)
+	ps = append(ps, 0, 1, prefixes[0]-1, 0xF0000001, 0xFFFFFFFF)
 	return ps
 }
 
 func TestSplitBalancedAndPartitions(t *testing.T) {
 	snap := syntheticSnapshot(10<<24, 23, 2, 0)
+	allPrefixes, allIPs := snap.Prefixes(), snap.ExactIPs()
 	for _, n := range []int{1, 2, 3, 8, 23} {
 		starts, err := splitSnapshot(snap, n)
 		if err != nil {
@@ -107,7 +109,7 @@ func TestSplitBalancedAndPartitions(t *testing.T) {
 				t.Fatalf("split %d: shard %d range starts at %d, want %d", n, i, lo, starts[i])
 			}
 			// Balance: every shard within one prefix of the ideal cut.
-			if least := len(snap.prefixes) / n; prefixes < least || prefixes > least+1 {
+			if least := len(allPrefixes) / n; prefixes < least || prefixes > least+1 {
 				t.Fatalf("split %d: shard %d owns %d prefixes, want %d or %d", n, i, prefixes, least, least+1)
 			}
 			// Ranges tile the address space contiguously.
@@ -118,12 +120,12 @@ func TestSplitBalancedAndPartitions(t *testing.T) {
 			// The range's counts are consecutive runs of the snapshot's
 			// sorted arrays; every member falls inside the range and
 			// routes to this shard.
-			for _, p := range snap.prefixes[totalPrefixes : totalPrefixes+prefixes] {
+			for _, p := range allPrefixes[totalPrefixes : totalPrefixes+prefixes] {
 				if p < lo || p > hi || shardIndexOf(starts, p) != i {
 					t.Fatalf("split %d: shard %d prefix %d outside [%d, %d]", n, i, p, lo, hi)
 				}
 			}
-			for _, ip := range snap.ips[totalIPs : totalIPs+exactIPs] {
+			for _, ip := range allIPs[totalIPs : totalIPs+exactIPs] {
 				if ip < lo || ip > hi || shardIndexOf(starts, ip) != i {
 					t.Fatalf("split %d: shard %d ip %d outside range", n, i, ip)
 				}
@@ -134,9 +136,9 @@ func TestSplitBalancedAndPartitions(t *testing.T) {
 		if prevHi != 0xFFFFFFFF {
 			t.Fatalf("split %d: last shard ends at %d", n, prevHi)
 		}
-		if totalPrefixes != len(snap.prefixes) || totalIPs != len(snap.ips) {
+		if totalPrefixes != len(allPrefixes) || totalIPs != len(allIPs) {
 			t.Fatalf("split %d: shards cover %d prefixes / %d ips, want %d / %d",
-				n, totalPrefixes, totalIPs, len(snap.prefixes), len(snap.ips))
+				n, totalPrefixes, totalIPs, len(allPrefixes), len(allIPs))
 		}
 	}
 }
@@ -310,10 +312,10 @@ func TestClusterShed(t *testing.T) {
 	// A batch confined to an un-saturated range still serves: shard 1,
 	// holding none of its addresses, is not admitted against, and only
 	// range 0 is charged.
-	if _, err := c.LookupBatch(0, snap.ips[:2], out[:2]); err != nil {
+	if _, err := c.LookupBatch(0, snap.ExactIPs()[:2], out[:2]); err != nil {
 		t.Fatalf("shard-0-only batch shed: %v", err)
 	}
-	charge(snap.ips[:2])
+	charge(snap.ExactIPs()[:2])
 	if wantShard != [3]uint64{2, 0, 0} {
 		t.Fatalf("the first two exact addresses fall %v into the ranges, want all in range 0", wantShard)
 	}
@@ -366,7 +368,7 @@ func TestClusterHTTP429(t *testing.T) {
 	c.shards[0].inflight.Store(1)
 
 	var ips []string
-	for _, base := range snap.prefixes {
+	for _, base := range snap.Prefixes() {
 		ips = append(ips, FormatIPv4(base+9))
 	}
 	body, _ := json.Marshal(map[string]any{"ips": ips})
@@ -400,7 +402,7 @@ func TestClusterHTTP429(t *testing.T) {
 	// Single lookups on the saturated shard still serve (shedding is a
 	// batch-queue policy, not a read lock).
 	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/locate?ip="+FormatIPv4(snap.prefixes[0]+9), nil))
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/locate?ip="+FormatIPv4(snap.Prefixes()[0]+9), nil))
 	if w.Code != 200 {
 		t.Fatalf("single lookup during saturation: status %d", w.Code)
 	}
@@ -480,8 +482,9 @@ func TestClusterStatusShape(t *testing.T) {
 	for _, ip := range probeAddrs(snap) {
 		c.Lookup(0, ip)
 	}
-	out := make([]Answer, len(snap.ips))
-	if _, err := c.LookupBatch(1, snap.ips, out); err != nil {
+	exact := snap.ExactIPs()
+	out := make([]Answer, len(exact))
+	if _, err := c.LookupBatch(1, exact, out); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Status()

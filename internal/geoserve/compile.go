@@ -17,7 +17,8 @@ import (
 // Source bundles everything Compile reads from a finished pipeline.
 // core.Pipeline.ServeSource constructs it, and each churn step
 // materialises one. The snapshot compiled from it keeps none of its
-// slices.
+// slices: a leaf group's keys are a copy of the source's, or the
+// previous snapshot's where the group kept them.
 type Source struct {
 	// Prefixes is the allocated address space: the base address of
 	// every allocated /24, strictly ascending.
@@ -69,12 +70,12 @@ type DeltaStats struct {
 	Touched []uint32 `json:"-"`
 }
 
-// Compile flattens the source into an immutable serving snapshot: one
-// sorted /24 interval index over the allocated space, exact answers
-// for every known interface address, prefix-level answers for generic
-// hosts, and per-AS footprints. It is a delta compile with no previous
-// snapshot: every leaf group is answered whole and derived from
-// nothing. Compilation parallelizes over per-row slots (up to
+// Compile turns the source into an immutable serving snapshot: its
+// leaf groups, each holding its allocated /24s and known interface
+// addresses with an exact answer per address and a prefix-level answer
+// for the generic hosts of each /24, and per-AS footprints. It is a
+// delta compile with no previous snapshot: every leaf group is answered
+// whole and derived from nothing. Compilation parallelizes over per-row slots (up to
 // GOMAXPROCS), so the result (and its Digest) is identical at any
 // parallelism.
 func Compile(src Source) (*Snapshot, error) {
@@ -144,7 +145,7 @@ func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats,
 	nm := len(h.Mappers)
 	// prev's groups, when its pages can be read mapper by mapper
 	// against src's; Derive refuses a prev whose mappers differ.
-	var old []group
+	var old []Group
 	changedASN := map[int32]bool{}
 	if prev != nil && slices.Equal(prev.mappers, h.Mappers) {
 		old = prev.groups
@@ -190,27 +191,36 @@ func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats,
 		}
 	}
 	gone := func(k int) { // prev's group k, which src lacks: a delete
-		touch(prev.group(k))
-		builds = append(builds, built{g: Group{Base: old[k].base, Pages: make([][]byte, nm)}, kept: -1})
+		touch(old[k])
+		builds = append(builds, built{g: Group{Base: old[k].Base, Pages: make([][]byte, nm)}, kept: -1})
 	}
+	gs := groups(src.Prefixes, src.IPs)
 	k, d := 0, 0 // the groups ascend, so they walk old and dirtyBases once
-	for _, g := range groups(s.prefixes, s.ips) {
-		for ; k < len(old) && old[k].base < g.base; k++ {
+	for i, g := range gs {
+		// Derive holds each put's keys to their order; a group that is
+		// not put keeps prev's keys, so ascending bases leave no key of
+		// src unchecked.
+		if i > 0 && g.Base <= gs[i-1].Base {
+			return nil, st, fmt.Errorf("geoserve: source keys are not ascending at %s", FormatIPv4(g.Base))
+		}
+		for ; k < len(old) && old[k].Base < g.Base; k++ {
 			gone(k)
 		}
-		for d < len(dirtyBases) && dirtyBases[d] < g.base {
+		for d < len(dirtyBases) && dirtyBases[d] < g.Base {
 			d++
 		}
 		e := d
-		for e < len(dirtyBases) && leafBase(dirtyBases[e]) == g.base {
+		for e < len(dirtyBases) && leafBase(dirtyBases[e]) == g.Base {
 			e++
 		}
-		b := built{g: Group{Base: g.base, Prefixes: s.prefixes[g.pLo:g.pHi], IPs: s.ips[g.iLo:g.iHi]}, kept: -1}
-		if k < len(old) && old[k].base == g.base {
-			if b.g.sameKeys(prev.group(k)) {
-				b.kept = k
+		// A group that kept prev's keys holds prev's, and any other a
+		// copy of src's: the snapshot keeps none of src.
+		b, rows := built{g: g, kept: -1}, len(g.Prefixes)+len(g.IPs)
+		if k < len(old) && old[k].Base == g.Base {
+			if g.sameKeys(old[k]) {
+				b.kept, b.g.Prefixes, b.g.IPs = k, old[k].Prefixes, old[k].IPs
 			} else {
-				touch(prev.group(k))
+				touch(old[k])
 			}
 			k++
 		}
@@ -227,7 +237,7 @@ func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats,
 		}
 		if b.kept >= 0 {
 			moved := false
-			for r := 0; !moved && (d < e || len(changedASN) > 0) && r < g.rows(); r++ {
+			for r := 0; !moved && (d < e || len(changedASN) > 0) && r < rows; r++ {
 				moved = op(r) != opCopy
 			}
 			if !moved {
@@ -235,7 +245,7 @@ func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats,
 			}
 		}
 		b.g.Pages = make([][]byte, nm)
-		size := g.rows() * RecordSize
+		size := rows * RecordSize
 		buf := make([]byte, nm*size)
 		for m := range nm {
 			b.g.Pages[m], buf = buf[:size:size], buf[size:]
@@ -244,9 +254,11 @@ func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats,
 			}
 		}
 		if b.kept < 0 {
+			keys, np := slices.Concat(g.Prefixes, g.IPs), len(g.Prefixes)
+			b.g.Prefixes, b.g.IPs = keys[:np:np], keys[np:]
 			touch(b.g)
 		}
-		for r := range g.rows() {
+		for r := range rows {
 			switch op(r) {
 			case opRecompute:
 				recomp = append(recomp, rowAt{int32(len(builds)), int32(r)})
@@ -276,7 +288,7 @@ func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats,
 	parallel.ForEach(len(recomp), func(i int) {
 		g, r := &builds[recomp[i].b].g, int(recomp[i].r)
 		if addrs[i] = g.key(r); r < len(g.Prefixes) {
-			addrs[i] = GenericHost(s.ips, addrs[i])
+			addrs[i] = GenericHost(src.IPs, addrs[i])
 		}
 	})
 	var firstErr compileErr
@@ -310,7 +322,7 @@ func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats,
 		}
 	}
 	slices.Sort(touched)
-	st.Rows, st.Touched = len(s.prefixes)+len(s.ips), slices.Compact(touched)
+	st.Rows, st.Touched = len(src.Prefixes)+len(src.IPs), slices.Compact(touched)
 	snap, err := Derive(prev, h, puts)
 	if err != nil {
 		return nil, st, err
@@ -318,13 +330,13 @@ func compile(prev *Snapshot, src Source, dirty []uint32) (*Snapshot, DeltaStats,
 	return snap, st, nil
 }
 
-// skeleton builds everything of src's snapshot that no mapper answer
-// goes into: the mapper names, the two indexes (src's own slices) and
-// the footprint tables, the union of every mapper's ASNs with a zero
-// row where a mapper has none. check then holds them to the rules
-// Derive holds outside bytes to; what only a Source can get wrong
-// is checked here: an empty address set, a nil table, a nil mapper, a
-// mapper's footprints out of ascending ASN order.
+// skeleton builds the header of src's snapshot, everything no mapper
+// answer and no key goes into: the build, the mapper names and the
+// footprint tables, the union of every mapper's ASNs with a zero row
+// where a mapper has none. check then holds them to the rules Derive
+// holds outside bytes to; what only a Source can get wrong is checked
+// here: an empty address set, a nil table, a nil mapper, a mapper's
+// footprints out of ascending ASN order.
 func skeleton(src Source) (*Snapshot, error) {
 	switch {
 	case len(src.Prefixes) == 0 || len(src.IPs) == 0:
@@ -332,7 +344,7 @@ func skeleton(src Source) (*Snapshot, error) {
 	case src.Table == nil:
 		return nil, fmt.Errorf("geoserve: nil BGP table")
 	}
-	s := &Snapshot{build: src.Build, prefixes: src.Prefixes, ips: src.IPs}
+	s := &Snapshot{build: src.Build}
 	for _, nm := range src.Mappers {
 		if nm.Mapper == nil {
 			return nil, fmt.Errorf("geoserve: nil mapper")

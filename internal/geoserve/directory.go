@@ -15,7 +15,7 @@ import "math/bits"
 // no prefix row and no exact hosts — so a miss walks the same three
 // loads as a hit and no level branches.
 //
-// The directory is derived from the index alone (it is not content:
+// The directory is derived from the groups' keys alone (it is not content:
 // the digest and both file formats never see it), and the collector
 // scans none of it: blocks and slots hold no pointers and l1 lies
 // after the last pointer of its struct. Its size is bounded whatever
@@ -44,32 +44,34 @@ type dirSlot struct {
 	hosts [4]uint64
 }
 
-// buildDirectory derives the directory of the ascending tables
-// prefixes (/24-aligned) and ips, split into the groups gs. It numbers
-// the occupied /16s, then the /24s — the allocated ones in prefix
-// order, then those that only hold exact addresses — before it
-// allocates, so blocks and slots are exactly the stated size with no
-// append slack.
-func buildDirectory(prefixes, ips []uint32, gs []group) *directory {
+// buildDirectory derives the directory of the leaf groups gs
+// (ascending). It numbers the occupied /16s, then the /24s — in group
+// order, within a group the allocated ones in prefix order and then
+// those that only hold exact addresses — before it allocates, so blocks
+// and slots are exactly the stated size with no append slack.
+func buildDirectory(gs []Group) *directory {
 	d := &directory{}
 	blocks := uint32(1)
-	for _, table := range [][]uint32{prefixes, ips} {
-		for _, ip := range table {
-			if b := &d.l1[ip>>16]; *b == 0 {
-				*b = blocks
-				blocks++
+	for _, g := range gs {
+		for _, keys := range [2][]uint32{g.Prefixes, g.IPs} {
+			for _, k := range keys {
+				if b := &d.l1[k>>16]; *b == 0 {
+					*b = blocks
+					blocks++
+				}
 			}
 		}
 	}
 	d.blocks = make([][256]uint32, blocks)
-	for i, p := range prefixes {
-		d.blocks[d.l1[p>>16]][p>>8&0xff] = uint32(1 + i)
-	}
-	slots := uint32(1 + len(prefixes))
-	for _, ip := range ips {
-		if e := &d.blocks[d.l1[ip>>16]][ip>>8&0xff]; *e == 0 {
-			*e = slots
-			slots++
+	slots := uint32(1)
+	for _, g := range gs {
+		for _, keys := range [2][]uint32{g.Prefixes, g.IPs} {
+			for _, k := range keys {
+				if e := &d.blocks[d.l1[k>>16]][k>>8&0xff]; *e == 0 {
+					*e = slots
+					slots++
+				}
+			}
 		}
 	}
 	d.slots = make([]dirSlot, slots)
@@ -77,14 +79,14 @@ func buildDirectory(prefixes, ips []uint32, gs []group) *directory {
 		d.slots[i].prefix = -1
 	}
 	for gi, g := range gs {
-		for i := g.pLo; i < g.pHi; i++ {
-			d.slots[1+i].group, d.slots[1+i].prefix = uint32(gi), int16(i-g.pLo)
+		for r, p := range g.Prefixes {
+			sl := &d.slots[d.blocks[d.l1[p>>16]][p>>8&0xff]]
+			sl.group, sl.prefix = uint32(gi), int16(r)
 		}
-		for i := g.iLo; i < g.iHi; i++ {
-			ip := ips[i]
+		for r, ip := range g.IPs {
 			sl := &d.slots[d.blocks[d.l1[ip>>16]][ip>>8&0xff]]
 			if sl.hosts == [4]uint64{} {
-				sl.group, sl.exact = uint32(gi), uint16(g.prefixRows()+i-g.iLo)
+				sl.group, sl.exact = uint32(gi), uint16(len(g.Prefixes)+r)
 			}
 			sl.hosts[ip>>6&3] |= 1 << (ip & 63)
 		}

@@ -1,6 +1,7 @@
 package geoserve
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 	"unsafe"
@@ -10,17 +11,25 @@ import (
 // oracle and what the external tests (which can reach the pipeline
 // fixture and the snapfile codec) need of the unexported directory.
 
+// hit is what a lookup finds for an address: the key of its row (the
+// address itself for an exact row, its /24 for a prefix row) and
+// whether the row is exact, or ok=false on a miss.
+type hit struct {
+	key       uint32
+	exact, ok bool
+}
+
 // searchRow is the lookup the directory replaced — a binary search of
 // the exact addresses, then one of the /24s — kept as the oracle every
 // directory test compares against.
-func searchRow(s *Snapshot, ip uint32) int {
-	if i, ok := search32(s.ips, ip); ok {
-		return len(s.prefixes) + i
+func searchRow(prefixes, ips []uint32, ip uint32) hit {
+	if _, ok := slices.BinarySearch(ips, ip); ok {
+		return hit{ip, true, true}
 	}
-	if i, ok := search32(s.prefixes, ip&^0xff); ok {
-		return i
+	if _, ok := slices.BinarySearch(prefixes, ip&^0xff); ok {
+		return hit{ip &^ 0xff, false, true}
 	}
-	return -1
+	return hit{}
 }
 
 // CheckDirectory compares the directory's row with the oracle's at
@@ -29,29 +38,26 @@ func searchRow(s *Snapshot, ip uint32) int {
 // and (for a /24) its last host and the first of the next /24.
 func CheckDirectory(tb testing.TB, s *Snapshot) {
 	tb.Helper()
+	prefixes, ips := s.Prefixes(), s.ExactIPs()
 	probe := func(ip uint32) {
-		// The directory's (group, page row) as a row of the index:
-		// every /24, then every exact address.
-		got := -1
+		var got hit
 		if gi, r := s.dir.row(ip); r >= 0 {
 			g := s.groups[gi]
-			if got = g.pLo + r; r >= g.prefixRows() {
-				got = len(s.prefixes) + g.iLo + r - g.prefixRows()
-			}
+			got = hit{g.key(r), r >= len(g.Prefixes), true}
 		}
-		if want := searchRow(s, ip); got != want {
-			tb.Fatalf("%s: directory row %d, binary search row %d (%d /24s, %d exact)",
-				FormatIPv4(ip), got, want, len(s.prefixes), len(s.ips))
+		if want := searchRow(prefixes, ips, ip); got != want {
+			tb.Fatalf("%s: directory row holds %+v, binary search finds %+v (%d /24s, %d exact)",
+				FormatIPv4(ip), got, want, len(prefixes), len(ips))
 		}
 	}
 	probe(0)
 	probe(0xFFFFFFFF)
-	for _, p := range s.prefixes {
+	for _, p := range prefixes {
 		for _, ip := range [...]uint32{p - 1, p, p + 1, p + 255, p + 256} {
 			probe(ip)
 		}
 	}
-	for _, ip := range s.ips {
+	for _, ip := range ips {
 		probe(ip - 1)
 		probe(ip)
 		probe(ip + 1)
@@ -62,15 +68,15 @@ func CheckDirectory(tb testing.TB, s *Snapshot) {
 // then one per address of ips, both ascending — into the leaf groups a
 // snapshot stores, and derives the snapshot from nothing.
 func DeriveSlabs(h Header, prefixes, ips []uint32, slabs [][]byte) (*Snapshot, error) {
-	np := len(prefixes)
-	var gs []Group
-	for _, g := range groups(prefixes, ips) {
-		cut := Group{Base: g.base, Prefixes: prefixes[g.pLo:g.pHi], IPs: ips[g.iLo:g.iHi]}
+	gs := groups(prefixes, ips)
+	p, i := 0, len(prefixes) // the slab rows of the group's first /24 and first exact address
+	for k := range gs {
+		g := &gs[k]
+		np, ni := len(g.Prefixes)*RecordSize, len(g.IPs)*RecordSize
 		for _, slab := range slabs {
-			cut.Pages = append(cut.Pages, slices.Concat(slab[g.pLo*RecordSize:g.pHi*RecordSize],
-				slab[(np+g.iLo)*RecordSize:(np+g.iHi)*RecordSize]))
+			g.Pages = append(g.Pages, slices.Concat(slab[p*RecordSize:][:np], slab[i*RecordSize:][:ni]))
 		}
-		gs = append(gs, cut)
+		p, i = p+len(g.Prefixes), i+len(g.IPs)
 	}
 	return Derive(nil, h, gs)
 }
@@ -92,8 +98,8 @@ func DirectorySize(s *Snapshot) (blocks, slots, bytes int) {
 // Seal recomputes s's content digest from scratch on a copy of s: the
 // seal every derivation ends with, over every group.
 func Seal(s *Snapshot) (string, error) {
-	c := &Snapshot{mappers: s.mappers, prefixes: s.prefixes, ips: s.ips, groups: s.groups, pages: s.pages,
-		leaves: slices.Clone(s.leaves), asns: s.asns, footprints: s.footprints, dir: s.dir}
+	c := &Snapshot{mappers: s.mappers, groups: s.groups, pages: s.pages, leaves: slices.Clone(s.leaves),
+		asns: s.asns, footprints: s.footprints, dir: s.dir}
 	err := c.seal(everyGroup(c))
 	return c.digest, err
 }
@@ -109,18 +115,25 @@ func everyGroup(s *Snapshot) []int {
 }
 
 // SharedPages reports, per leaf of b in order, whether b holds a's
-// pages for that group under every mapper: the same memory, not just
-// equal bytes.
+// keys and pages for that group, under every mapper: the same memory,
+// not just equal values.
 func SharedPages(a, b *Snapshot) []bool {
-	nm := len(b.mappers)
 	out := make([]bool, len(b.groups))
 	for i, g := range b.groups {
-		k, ok := a.groupAt(g.base)
-		out[i] = ok && len(a.mappers) == nm
-		for m := 0; out[i] && m < nm; m++ {
-			pa, pb := a.page(m, k), b.page(m, i)
-			out[i] = len(pa) == len(pb) && unsafe.SliceData(pa) == unsafe.SliceData(pb)
+		k, ok := slices.BinarySearchFunc(a.groups, g.Base, func(x Group, base uint32) int { return cmp.Compare(x.Base, base) })
+		if !ok {
+			continue
+		}
+		was := a.groups[k]
+		out[i] = sameMemory(was.Prefixes, g.Prefixes) && sameMemory(was.IPs, g.IPs) && len(was.Pages) == len(g.Pages)
+		for m := 0; out[i] && m < len(g.Pages); m++ {
+			out[i] = sameMemory(was.Pages[m], g.Pages[m])
 		}
 	}
 	return out
+}
+
+// sameMemory reports whether x and y are one slice of the same memory.
+func sameMemory[T any](x, y []T) bool {
+	return len(x) == len(y) && unsafe.SliceData(x) == unsafe.SliceData(y)
 }

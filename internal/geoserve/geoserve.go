@@ -2,13 +2,14 @@
 // pipeline: it compiles a finished pipeline's geolocation knowledge —
 // both Section III-B mappers, the whois registry, DNS LOC, the BGP
 // origin table and the per-AS footprints of Section VI — into one
-// immutable, flat Snapshot, and answers lookups over it at memory
-// speed. What it compiles is a Source: the mappers, the BGP table and
+// immutable Snapshot, and answers lookups over it at memory speed. What it compiles is a Source: the mappers, the BGP table and
 // two ascending address sets (the allocated /24s and the public
 // interface addresses). It never reads the simulated ground truth.
 //
-// A Snapshot is a sorted /24 interval index over the allocated address
-// space. Every known interface address carries an exact precomputed
+// A Snapshot is its leaf groups, ascending: one per /20 of the address
+// space that holds a row, each holding its allocated /24s, its known
+// interface addresses and one page of records per mapper, a row per
+// key. Every known interface address carries an exact precomputed
 // answer per mapper; every other address in an allocated /24 falls
 // back to that prefix's precomputed prefix-level answer (what the
 // mapper says about a generic, PTR-less host in the block); addresses
@@ -33,7 +34,7 @@
 // wire.go and the wire-protocol section of DESIGN.md.
 //
 // NewCluster splits a snapshot into N prefix-range shards — contiguous
-// cuts of the sorted /24 interval index balanced by interval count.
+// cuts of the ascending allocated /24s balanced by /24 count.
 // A shard is an accounting range (an address range with its own
 // metrics and in-flight budget), not a copy of any index and not a
 // unit of parallelism: every lookup, single or in a batch, runs the
@@ -61,7 +62,7 @@
 // recomputes the leaf groups whose keys changed (interface churn,
 // allocation growth) and, elsewhere, the rows under the step's dirty
 // routes and allocations, patches footprint radii, and shares every
-// other group's pages; Compile is the same path with no previous
+// other group's keys and pages; Compile is the same path with no previous
 // snapshot, so every group is answered. A delta-compiled snapshot is
 // byte-identical (same Digest) to Compile of the same source;
 // Cluster.SwapDelta then publishes it under the same epoch guard and

@@ -401,6 +401,7 @@ func TestCompileRejectsBadSource(t *testing.T) {
 		{"unsorted Prefixes", func(s *geoserve.Source) { s.Prefixes = swapped(s.Prefixes) }},
 		{"unsorted IPs", func(s *geoserve.Source) { s.IPs = swapped(s.IPs) }},
 		{"duplicate in IPs", func(s *geoserve.Source) { s.IPs = append([]uint32{s.IPs[0]}, s.IPs...) }},
+		{"first /24 again at the end", func(s *geoserve.Source) { s.Prefixes = append(slices.Clone(s.Prefixes), s.Prefixes[0]) }},
 		{"Prefixes not /24 bases", func(s *geoserve.Source) {
 			s.Prefixes = append(slices.Clone(s.Prefixes), s.Prefixes[len(s.Prefixes)-1]+300)
 		}},

@@ -11,8 +11,11 @@ import (
 // TestDerivationsSharePages pins the memory an epoch costs: after one
 // churn step, the delta carries one op per leaf group holding a touched
 // /24, and the builder's CompileDelta and a replica's Apply each hold
-// their base's pages for exactly the leaf groups in which the step
-// touched no /24, and new pages for the others.
+// their base's keys and pages for exactly the leaf groups in which the
+// step touched no /24, and new pages for the others. The compiled
+// snapshot keeps none of its Source: with the step's address sets
+// overwritten, it seals to its own digest and its directory matches
+// its keys.
 func TestDerivationsSharePages(t *testing.T) {
 	p, prev := fixture(t)
 	ch, err := p.Churner(core.ServeOptions{}, 44)
@@ -27,6 +30,12 @@ func TestDerivationsSharePages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clear(step.Source.Prefixes)
+	clear(step.Source.IPs)
+	if d, err := geoserve.Seal(next); err != nil || d != next.Digest() {
+		t.Fatalf("with its Source overwritten, the compiled snapshot seals to %.16s (%v), want %.16s", d, err, next.Digest())
+	}
+	geoserve.CheckDirectory(t, next)
 	blob, err := snapfile.Encode(prev, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +67,7 @@ func TestDerivationsSharePages(t *testing.T) {
 		n := 0
 		for i, leaf := range c.snap.Leaves() {
 			if shared[i] == touchedGroup[leaf.Base] {
-				t.Fatalf("%s: group %s touched %v but shares its base's pages %v",
+				t.Fatalf("%s: group %s touched %v but shares its base's keys and pages %v",
 					c.name, geoserve.FormatIPv4(leaf.Base), touchedGroup[leaf.Base], shared[i])
 			}
 			if shared[i] {

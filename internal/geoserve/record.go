@@ -140,8 +140,8 @@ func (s *Snapshot) Header() Header {
 	return Header{Build: s.build, Mappers: s.mappers, ASNs: s.asns, Footprints: s.footprints}
 }
 
-// Group is one leaf group whole, the unit a snapshot file and a delta
-// carry: its /20 base, its /24s and exact addresses (ascending, each
+// Group is one leaf group whole, the unit a snapshot holds its index
+// and records in and a snapshot file and a delta carry: its /20 base, its /24s and exact addresses (ascending, each
 // inside the /20), and one page per mapper holding the group's prefix
 // records and then its exact records, as the snapshot stores them. A
 // group with no rows is a delete.
@@ -154,7 +154,7 @@ type Group struct {
 
 // key returns the index key of row r of g's pages: a /24 base or an
 // exact address.
-func (g *Group) key(r int) uint32 {
+func (g Group) key(r int) uint32 {
 	if r < len(g.Prefixes) {
 		return g.Prefixes[r]
 	}
@@ -163,36 +163,14 @@ func (g *Group) key(r int) uint32 {
 
 // sameKeys reports whether g and o hold the same /24s and the same
 // exact addresses.
-func (g *Group) sameKeys(o Group) bool {
+func (g Group) sameKeys(o Group) bool {
 	return slices.Equal(g.Prefixes, o.Prefixes) && slices.Equal(g.IPs, o.IPs)
 }
 
-// Group returns the leaf group at base, the base of a /20: views of the
-// snapshot's index and pages, shared and read-only. Where no group
-// holds a row there, the Group has no rows and empty pages.
-func (s *Snapshot) Group(base uint32) Group {
-	i, ok := s.groupAt(base)
-	if !ok {
-		return Group{Base: base, Pages: make([][]byte, len(s.mappers))}
-	}
-	return s.group(i)
-}
-
-// Groups returns every leaf group of the snapshot, ascending: the
-// Group views of a snapshot file's ops.
-func (s *Snapshot) Groups() []Group {
-	gs := make([]Group, len(s.groups))
-	for i := range gs {
-		gs[i] = s.group(i)
-	}
-	return gs
-}
-
-// group is the Group view of s.groups[i].
-func (s *Snapshot) group(i int) Group {
-	nm, g := len(s.mappers), s.groups[i]
-	return Group{Base: g.base, Prefixes: s.prefixes[g.pLo:g.pHi], IPs: s.ips[g.iLo:g.iHi], Pages: s.pages[i*nm : (i+1)*nm]}
-}
+// Groups returns every leaf group of the snapshot, ascending: the ops
+// of a snapshot file. The slice is the caller's; the keys and pages of
+// its groups are the snapshot's, shared and read-only.
+func (s *Snapshot) Groups() []Group { return slices.Clone(s.groups) }
 
 // Derive, the one constructor of a Snapshot, assembles the snapshot a
 // file, a delta or a compile describes: base with each group in gs put
@@ -204,22 +182,23 @@ func (s *Snapshot) group(i int) Group {
 //
 // It is one ascending merge of base's groups and gs: each group of the
 // result is base's, taken whole (keys, pages and leaf hash), or a put,
-// taken whole (keys and pages). Derive keeps the pages it is handed,
-// without copying them: its callers never write them again, and the
-// result retains them, base's memory in the groups it shares, and h.
-// The result shares base's index and directory when every put keeps
-// the keys of base's group at its base.
+// taken whole (keys and pages). Derive keeps the keys and pages it is
+// handed, without copying them: its callers never write them again,
+// and the result retains them, base's memory in the groups it shares,
+// and h. The result shares base's directory when every put keeps the
+// keys of base's group at its base.
 //
-// Everything is checked, nothing trusted: check holds h and the index
-// to the rules a compiled Source meets, each put group's records must
-// be canonical (checkRecord: a location on the globe, no NaN, a radius
-// finite and ≥ 0) with the exact flag set exactly on the exact rows
-// (seal checks both as it hashes them), and the digest is recomputed.
-// The groups may be bytes a decoder read
+// Everything is checked, nothing trusted: check holds h to the rules a
+// compiled Source meets, each put's keys must be /24 bases and
+// addresses inside its /20, strictly ascending, each put group's
+// records must be canonical (checkRecord: a location on the globe, no
+// NaN, a radius finite and ≥ 0) with the exact flag set exactly on the
+// exact rows (seal checks both as it hashes them), and the digest is
+// recomputed. The groups may be bytes a decoder read
 // off the network, and the lookup directory is built from them here:
 // whatever they hold it takes 256 KB, 1 KB per distinct /16 (at most
 // 64 MB, reached by 65 536 one-row ops of 46 B each) and 40 B per
-// distinct /24 (TestDirectoryBound), beside 40 B of group and 24 B of
+// distinct /24 (TestDirectoryBound), beside 80 B of group and 24 B of
 // page header per mapper for each /20 that holds a row.
 func Derive(base *Snapshot, h Header, gs []Group) (*Snapshot, error) {
 	if base == nil {
@@ -231,7 +210,7 @@ func Derive(base *Snapshot, h Header, gs []Group) (*Snapshot, error) {
 	}
 	// Each put is checked and matched against base's group at its base,
 	// which sizes the result and tells whether the index moves.
-	ng, np, ni, same := len(base.groups), len(base.prefixes), len(base.ips), true
+	ng, same := len(base.groups), true
 	for i, k := 0, 0; i < len(gs); i++ {
 		g := &gs[i]
 		if leafBase(g.Base) != g.Base || i > 0 && g.Base <= gs[i-1].Base {
@@ -252,49 +231,46 @@ func Derive(base *Snapshot, h Header, gs []Group) (*Snapshot, error) {
 			return nil, fmt.Errorf("geoserve: group %s carries %d pages, want one of %d bytes per mapper (%d rows) for %d mappers",
 				FormatIPv4(g.Base), len(g.Pages), rows*RecordSize, rows, nm)
 		}
-		for k < len(base.groups) && base.groups[k].base < g.Base {
+		for k < len(base.groups) && base.groups[k].Base < g.Base {
 			k++
 		}
-		if k < len(base.groups) && base.groups[k].base == g.Base {
-			old := base.group(k)
-			same = same && g.sameKeys(old)
-			ng, np, ni = ng-1, np-len(old.Prefixes), ni-len(old.IPs)
+		if k < len(base.groups) && base.groups[k].Base == g.Base {
+			same = same && g.sameKeys(base.groups[k])
+			ng--
 		} else if rows == 0 {
 			return nil, fmt.Errorf("geoserve: group %s has no rows, and base does not hold it to delete", FormatIPv4(g.Base))
 		} else {
 			same = false
 		}
 		if rows > 0 {
-			ng, np, ni = ng+1, np+len(g.Prefixes), ni+len(g.IPs)
+			ng++
 		}
 	}
 
 	s := &Snapshot{
 		build: h.Build, mappers: base.mappers, asns: h.ASNs, footprints: h.Footprints,
-		prefixes: base.prefixes, ips: base.ips, groups: base.groups, dir: base.dir,
-		pages: make([][]byte, 0, ng*nm), leaves: make([]Leaf, 0, ng),
+		groups: make([]Group, 0, ng), pages: make([][]byte, 0, ng*nm), leaves: make([]Leaf, 0, ng),
 	}
-	if !same {
-		s.prefixes, s.ips, s.groups, s.dir = make([]uint32, 0, np), make([]uint32, 0, ni), make([]group, 0, ng), nil
+	if same {
+		s.dir = base.dir
 	}
+	// s.pages is sized up front, so appending never moves it, and each
+	// group's Pages is its own run of s.pages: a kept group pins no page
+	// header array of an earlier epoch.
 	add := func(g Group, leaf Leaf) {
-		if !same {
-			p, i := len(s.prefixes), len(s.ips)
-			s.groups = append(s.groups, group{base: g.Base, pLo: p, pHi: p + len(g.Prefixes), iLo: i, iHi: i + len(g.IPs)})
-			s.prefixes = append(s.prefixes, g.Prefixes...)
-			s.ips = append(s.ips, g.IPs...)
-		}
 		s.pages = append(s.pages, g.Pages...)
+		g.Pages = s.pages[len(s.pages)-nm : len(s.pages) : len(s.pages)]
+		s.groups = append(s.groups, g)
 		s.leaves = append(s.leaves, leaf)
 	}
 	fresh := make([]int, 0, len(gs)) // the puts' indexes in s.groups, for seal to hash
 	for i, k := 0, 0; i < len(gs) || k < len(base.groups); {
-		if i == len(gs) || k < len(base.groups) && base.groups[k].base < gs[i].Base {
-			add(base.group(k), base.leaves[k])
+		if i == len(gs) || k < len(base.groups) && base.groups[k].Base < gs[i].Base {
+			add(base.groups[k], base.leaves[k])
 			k++
 			continue
 		}
-		if k < len(base.groups) && base.groups[k].base == gs[i].Base {
+		if k < len(base.groups) && base.groups[k].Base == gs[i].Base {
 			k++ // replaced or deleted
 		}
 		if g := gs[i]; len(g.Prefixes)+len(g.IPs) > 0 {
@@ -312,15 +288,14 @@ func Derive(base *Snapshot, h Header, gs []Group) (*Snapshot, error) {
 	return s, nil
 }
 
-// check holds a snapshot's names, indexes, footprints and build scale
-// to the rules lookups and JSON bodies rely on, wherever they came
-// from: skeleton runs it on a compiled Source and Derive on a header
-// and groups that may be outside bytes. The rules: at least one
-// mapper, each named by [a-z0-9._-]+ (JSON answers, metric labels and
-// URL queries carry the name unescaped) and none twice; /24-aligned
-// prefixes and exact addresses, both strictly ascending; positive
-// ASNs, strictly ascending; per mapper one footprint row per ASN
-// (checkFootprint); and a finite build scale. encoding/json refuses
+// check holds a snapshot's names, footprints and build scale to the
+// rules lookups and JSON bodies rely on, wherever they came from:
+// skeleton runs it on a compiled Source and Derive on a header that may
+// be outside bytes (Derive checks each put's keys itself). The rules:
+// at least one mapper, each named by [a-z0-9._-]+ (JSON answers, metric
+// labels and URL queries carry the name unescaped) and none twice;
+// positive ASNs, strictly ascending; per mapper one footprint row per
+// ASN (checkFootprint); and a finite build scale. encoding/json refuses
 // NaN and ±Inf only after a handler has committed its 200, so a float
 // that breaks these rules would be served as an empty body.
 func (s *Snapshot) check() error {
@@ -333,16 +308,6 @@ func (s *Snapshot) check() error {
 		}
 		if slices.Contains(s.mappers[:i], name) {
 			return fmt.Errorf("geoserve: duplicate mapper %q", name)
-		}
-	}
-	for i, p := range s.prefixes {
-		if p&0xff != 0 || i > 0 && p <= s.prefixes[i-1] {
-			return fmt.Errorf("geoserve: prefix %d (%s) is not a /24 base above its predecessor", i, FormatIPv4(p))
-		}
-	}
-	for i := 1; i < len(s.ips); i++ {
-		if s.ips[i] <= s.ips[i-1] {
-			return fmt.Errorf("geoserve: exact address %d (%s) is not above its predecessor", i, FormatIPv4(s.ips[i]))
 		}
 	}
 	for i, asn := range s.asns {

@@ -400,7 +400,7 @@ func (r *Replica) install(snap *geoserve.Snapshot, m Manifest) error {
 }
 
 // selfProbe is the default warm-up gate: a seeded sample of the
-// snapshot's own interval index (prefix rows and exact addresses) must
+// snapshot's own keys (prefix rows and exact addresses) must
 // answer through the cluster exactly as the snapshot's row data says,
 // with coordinates inside the valid range, and an address outside
 // allocated space must come back unmapped. The probe set is drawn from

@@ -48,16 +48,16 @@ func sealWorld(tb testing.TB, keys []uint32, salts map[uint32]int64) *geoserve.S
 // with no rows) at each base only prev holds.
 func changedGroups(prev, next *geoserve.Snapshot) []geoserve.Group {
 	var gs []geoserve.Group
-	pl, nl := prev.Leaves(), next.Leaves()
+	pl, nl, ng := prev.Leaves(), next.Leaves(), next.Groups()
 	for i, j := 0, 0; i < len(pl) || j < len(nl); {
 		switch {
 		case j == len(nl) || i < len(pl) && pl[i].Base < nl[j].Base:
-			gs, i = append(gs, next.Group(pl[i].Base)), i+1
+			gs, i = append(gs, geoserve.Group{Base: pl[i].Base, Pages: make([][]byte, len(next.Mappers()))}), i+1
 		case i == len(pl) || nl[j].Base < pl[i].Base:
-			gs, j = append(gs, next.Group(nl[j].Base)), j+1
+			gs, j = append(gs, ng[j]), j+1
 		default:
 			if pl[i] != nl[j] {
-				gs = append(gs, next.Group(nl[j].Base))
+				gs = append(gs, ng[j])
 			}
 			i, j = i+1, j+1
 		}

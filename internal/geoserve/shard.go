@@ -9,15 +9,14 @@ import (
 // addresses per shard range in a fixed array on the stack.
 const maxShards = 256
 
-// splitSnapshot cuts the snapshot's sorted /24 interval index into n
-// contiguous runs balanced by interval count (runs differ by at most
-// one prefix). starts[i] is the lower bound of shard i's address range;
-// starts[0] is 0 and the last shard extends to 0xFFFFFFFF, so the
-// ranges partition the address space — every address has exactly one
-// owner — and routing is one binary search. A shard holds no index of
-// its own: its lookups are the snapshot's, byte-equivalent to the
-// unsharded lookup by construction. One shard takes any snapshot, an
-// empty one included.
+// splitSnapshot cuts the snapshot's ascending /24s into n contiguous
+// runs balanced by /24 count (runs differ by at most one prefix).
+// starts[i] is the lower bound of shard i's address range; starts[0] is
+// 0 and the last shard extends to 0xFFFFFFFF, so the ranges partition
+// the address space — every address has exactly one owner — and
+// routing is one binary search. A shard holds no index of its own: its
+// lookups are the snapshot's, byte-equivalent to the unsharded lookup
+// by construction. One shard takes any snapshot, an empty one included.
 func splitSnapshot(snap *Snapshot, n int) (starts []uint32, err error) {
 	if n < 1 {
 		return nil, fmt.Errorf("geoserve: shard count %d < 1", n)
@@ -25,30 +24,42 @@ func splitSnapshot(snap *Snapshot, n int) (starts []uint32, err error) {
 	if n > maxShards {
 		return nil, fmt.Errorf("geoserve: shard count %d exceeds max %d", n, maxShards)
 	}
-	if n > 1 && n > len(snap.prefixes) {
-		return nil, fmt.Errorf("geoserve: %d shards over %d /24 intervals", n, len(snap.prefixes))
-	}
 	starts = make([]uint32, n)
+	if n == 1 {
+		return starts, nil
+	}
+	prefixes := snap.Prefixes()
+	if n > len(prefixes) {
+		return nil, fmt.Errorf("geoserve: %d shards over %d /24 intervals", n, len(prefixes))
+	}
 	for i := 1; i < n; i++ {
-		starts[i] = snap.prefixes[i*len(snap.prefixes)/n]
+		starts[i] = prefixes[i*len(prefixes)/n]
 	}
 	return starts, nil
 }
 
 // shardRange reports shard i's inclusive address range under starts and
-// how many of the snapshot's /24 intervals and exact addresses fall
-// inside it (/statusz reports them).
+// how many of the snapshot's /24s and exact addresses fall inside it
+// (/statusz reports them).
 func shardRange(snap *Snapshot, starts []uint32, i int) (lo, hi uint32, prefixes, exactIPs int) {
 	lo, hi = starts[i], 0xFFFFFFFF
-	pLo, _ := search32(snap.prefixes, lo)
-	ipLo, _ := search32(snap.ips, lo)
-	pHi, ipHi := len(snap.prefixes), len(snap.ips)
 	if i+1 < len(starts) {
 		hi = starts[i+1] - 1
-		pHi, _ = search32(snap.prefixes, starts[i+1])
-		ipHi, _ = search32(snap.ips, starts[i+1])
 	}
-	return lo, hi, pHi - pLo, ipHi - ipLo
+	count := func(keys []uint32) (n int) {
+		for _, k := range keys {
+			if lo <= k && k <= hi {
+				n++
+			}
+		}
+		return n
+	}
+	for _, g := range snap.groups {
+		if g.Base <= hi && lo <= g.Base|(1<<leafBits-1) {
+			prefixes, exactIPs = prefixes+count(g.Prefixes), exactIPs+count(g.IPs)
+		}
+	}
+	return lo, hi, prefixes, exactIPs
 }
 
 // shardIndexOf routes an address to its owning shard: the greatest i

@@ -63,28 +63,25 @@ func Diff(old, new *geoserve.Snapshot, fromEpoch, toEpoch uint64) ([]byte, error
 	}
 
 	// The ops, ascending by base: one merge pass over both leaf lists
-	// gathers the changed groups as shared views, so that the delta can
-	// be allocated once.
+	// (new's leaf j is its group j) gathers the changed groups as shared
+	// views, so that the delta can be allocated once.
 	var ops []geoserve.Group
-	ol, nl := old.Leaves(), new.Leaves()
+	ol, nl, ng := old.Leaves(), new.Leaves(), new.Groups()
+	none := make([][]byte, len(mappers)) // a delete's pages
 	for gi, gj := 0, 0; gi < len(ol) || gj < len(nl); {
-		var base uint32
 		switch {
 		case gj >= len(nl) || (gi < len(ol) && ol[gi].Base < nl[gj].Base):
-			base = ol[gi].Base
+			ops = append(ops, geoserve.Group{Base: ol[gi].Base, Pages: none})
 			gi++
 		case gi >= len(ol) || nl[gj].Base < ol[gi].Base:
-			base = nl[gj].Base
+			ops = append(ops, ng[gj])
 			gj++
 		default:
-			base = nl[gj].Base
-			same := ol[gi].Sum == nl[gj].Sum
-			gi, gj = gi+1, gj+1
-			if same {
-				continue
+			if ol[gi].Sum != nl[gj].Sum {
+				ops = append(ops, ng[gj])
 			}
+			gi, gj = gi+1, gj+1
 		}
-		ops = append(ops, new.Group(base))
 	}
 
 	// ASNs and footprints travel whole every epoch. They are most of a

@@ -2,6 +2,7 @@ package snapfile
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -33,8 +34,14 @@ func reseal(b []byte) {
 // bare miss where it names none.
 func checkLookups(t *testing.T, snap *geoserve.Snapshot) {
 	t.Helper()
+	gs := snap.Groups()
 	probe := func(ip uint32) {
-		g := snap.Group(ip &^ (1<<12 - 1))
+		base := ip &^ (1<<12 - 1)
+		k, _ := slices.BinarySearchFunc(gs, base, func(g geoserve.Group, base uint32) int { return cmp.Compare(g.Base, base) })
+		g := geoserve.Group{Base: base, Pages: make([][]byte, len(snap.Mappers()))}
+		if k < len(gs) && gs[k].Base == base {
+			g = gs[k]
+		}
 		row, ok := slices.BinarySearch(g.IPs, ip)
 		if ok {
 			row += len(g.Prefixes)

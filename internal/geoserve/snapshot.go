@@ -1,7 +1,6 @@
 package geoserve
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -40,28 +39,25 @@ func methodCode(name string) (method, bool) {
 	return methodNone, false
 }
 
-// Snapshot is the immutable compiled serving index: sorted indexes,
-// the records of each leaf group in pages, and a directory derived from
-// the indexes. Nothing is mutated after it is sealed, so any number of
+// Snapshot is the immutable compiled serving index: its leaf groups,
+// each holding its own keys and pages, and a directory derived from
+// them. Nothing is mutated after it is sealed, so any number of
 // goroutines may query it concurrently without synchronisation.
 type Snapshot struct {
 	build   BuildInfo
 	mappers []string
 
-	// prefixes holds the base address of every allocated /24 in
-	// ascending order; ips every known interface address in ascending
-	// order.
-	prefixes []uint32
-	ips      []uint32
-
-	// groups are the index's leaf groups (see groups), ascending.
+	// groups are the snapshot's leaf groups (one per /20 that holds a
+	// row), ascending by base: each its /24s and exact addresses, and as
+	// its Pages the run pages[g*len(mappers):][:len(mappers)].
 	// pages[g*len(mappers)+m] is mapper m's page of group g: RecordSize
 	// bytes per row (see record.go), the group's prefix rows in prefix
 	// order, then its exact rows in address order. A snapshot derived
-	// from a predecessor holds the predecessor's page for every group
-	// the derivation did not put (see Derive); no page is written once
-	// a snapshot is sealed, so pages are shared, never copied on write.
-	groups []group
+	// from a predecessor holds the predecessor's keys and pages for
+	// every group the derivation did not put (see Derive); nothing is
+	// written once a snapshot is sealed, so both are shared, never
+	// copied on write.
+	groups []Group
 	pages  [][]byte
 
 	// asns holds the union of footprinted AS numbers in ascending
@@ -79,7 +75,7 @@ type Snapshot struct {
 	leaves []Leaf
 
 	// dir locates an address's row (see directory). seal derives it
-	// from prefixes, ips and groups; it is not content.
+	// from the groups; it is not content.
 	dir *directory
 }
 
@@ -113,33 +109,49 @@ func (s *Snapshot) mapperByName(name string) (int, bool) {
 }
 
 // NumPrefixes reports the number of allocated /24s in the index.
-func (s *Snapshot) NumPrefixes() int { return len(s.prefixes) }
+func (s *Snapshot) NumPrefixes() int {
+	n := 0
+	for _, g := range s.groups {
+		n += len(g.Prefixes)
+	}
+	return n
+}
 
 // NumExactIPs reports the number of exact per-address answers.
-func (s *Snapshot) NumExactIPs() int { return len(s.ips) }
+func (s *Snapshot) NumExactIPs() int {
+	n := 0
+	for _, g := range s.groups {
+		n += len(g.IPs)
+	}
+	return n
+}
 
 // NumFootprints reports the number of footprinted ASes (the union
 // across mappers).
 func (s *Snapshot) NumFootprints() int { return len(s.asns) }
 
-// Prefixes returns a copy of the allocated /24 base addresses in
-// ascending order (load generators build address mixes from it).
+// Prefixes returns the allocated /24 base addresses in ascending
+// order, in a new slice (load generators build address mixes from it).
 func (s *Snapshot) Prefixes() []uint32 {
-	out := make([]uint32, len(s.prefixes))
-	copy(out, s.prefixes)
+	out := make([]uint32, 0, s.NumPrefixes())
+	for _, g := range s.groups {
+		out = append(out, g.Prefixes...)
+	}
 	return out
 }
 
-// ExactIPs returns a copy of the exactly-answered addresses in
-// ascending order.
+// ExactIPs returns the exactly-answered addresses in ascending order,
+// in a new slice.
 func (s *Snapshot) ExactIPs() []uint32 {
-	out := make([]uint32, len(s.ips))
-	copy(out, s.ips)
+	out := make([]uint32, 0, s.NumExactIPs())
+	for _, g := range s.groups {
+		out = append(out, g.IPs...)
+	}
 	return out
 }
 
 // Digest is a two-level SHA-256 over the snapshot's complete content
-// (mapper names, interval index, every precomputed answer and
+// (mapper names, every leaf group's keys, every precomputed answer and
 // footprint), in a fixed serialisation order (see seal). Two snapshots
 // with equal digests serve byte-identical answers, the same discipline
 // core.Digest applies to reports — so golden tests pin it across worker
@@ -167,24 +179,6 @@ type Leaf struct {
 // those groups and sends every other one whole (see Group). The slice
 // is shared and read-only.
 func (s *Snapshot) Leaves() []Leaf { return s.leaves }
-
-// search32 finds v in the ascending slice xs: the index of the first
-// element not below v, and whether that element is v.
-func search32(xs []uint32, v uint32) (int, bool) {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if xs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(xs) && xs[lo] == v {
-		return lo, true
-	}
-	return lo, false
-}
 
 // Lookup answers one address under the mapper with the given index
 // (see MapperIndex). It allocates nothing: known interface addresses
@@ -314,49 +308,32 @@ func (w *hashWriter) records(page []byte) {
 	}
 }
 
-// group is one leaf group's rows: the /24s prefixes[pLo:pHi] and the
-// exact addresses ips[iLo:iHi]. Its pages hold the prefix rows first,
-// so row r of a page is a prefix row when r < prefixRows(). The rows
-// before the group in the index number pLo+iLo.
-type group struct {
-	base               uint32
-	pLo, pHi, iLo, iHi int
-}
-
-func (g group) prefixRows() int { return g.pHi - g.pLo }
-
-func (g group) rows() int { return g.pHi - g.pLo + g.iHi - g.iLo }
-
 // groups splits an index (both slices ascending) into its leaf groups,
-// ascending: one per /20 that holds a row.
-func groups(prefixes, ips []uint32) []group {
-	var gs []group
-	for pi, ii := 0, 0; pi < len(prefixes) || ii < len(ips); {
+// ascending: one per /20 that holds a row, each holding views of the
+// two slices and no pages.
+func groups(prefixes, ips []uint32) []Group {
+	var gs []Group
+	for len(prefixes) > 0 || len(ips) > 0 {
 		var base uint32
 		switch {
-		case pi >= len(prefixes):
-			base = leafBase(ips[ii])
-		case ii >= len(ips):
-			base = leafBase(prefixes[pi])
+		case len(prefixes) == 0:
+			base = leafBase(ips[0])
+		case len(ips) == 0:
+			base = leafBase(prefixes[0])
 		default:
-			base = leafBase(min(prefixes[pi], ips[ii]))
+			base = leafBase(min(prefixes[0], ips[0]))
 		}
-		g := group{base: base, pLo: pi, iLo: ii}
-		for pi < len(prefixes) && leafBase(prefixes[pi]) == base {
-			pi++
+		np, ni := 0, 0
+		for np < len(prefixes) && leafBase(prefixes[np]) == base {
+			np++
 		}
-		for ii < len(ips) && leafBase(ips[ii]) == base {
-			ii++
+		for ni < len(ips) && leafBase(ips[ni]) == base {
+			ni++
 		}
-		g.pHi, g.iHi = pi, ii
-		gs = append(gs, g)
+		gs = append(gs, Group{Base: base, Prefixes: prefixes[:np:np], IPs: ips[:ni:ni]})
+		prefixes, ips = prefixes[np:], ips[ni:]
 	}
 	return gs
-}
-
-// groupAt finds the group at base.
-func (s *Snapshot) groupAt(base uint32) (int, bool) {
-	return slices.BinarySearchFunc(s.groups, base, func(g group, b uint32) int { return cmp.Compare(g.base, b) })
 }
 
 // seal computes the content digest and the epoch tag, and builds the
@@ -381,7 +358,7 @@ func (s *Snapshot) seal(fresh []int) error {
 	var err error
 	parallel.Do(func() {
 		if s.dir == nil {
-			s.dir = buildDirectory(s.prefixes, s.ips, s.groups)
+			s.dir = buildDirectory(s.groups)
 		}
 	}, func() { err = s.hash(fresh) })
 	return err
@@ -394,22 +371,21 @@ func (s *Snapshot) seal(fresh []int) error {
 func (s *Snapshot) hash(fresh []int) error {
 	w := &hashWriter{h: sha256.New(), buf: make([]byte, 0, 1<<16)}
 	for _, i := range fresh {
-		g := s.groups[i]
+		g := &s.groups[i]
 		w.h.Reset()
-		w.u32(uint32(g.pHi - g.pLo))
-		w.u32s(s.prefixes[g.pLo:g.pHi])
-		w.u32(uint32(g.iHi - g.iLo))
-		w.u32s(s.ips[g.iLo:g.iHi])
-		for m := range s.mappers {
-			page := s.page(m, i)
-			for r := range g.rows() {
-				rec, exact := page[r*RecordSize:][:RecordSize], r >= g.prefixRows()
+		w.u32(uint32(len(g.Prefixes)))
+		w.u32s(g.Prefixes)
+		w.u32(uint32(len(g.IPs)))
+		w.u32s(g.IPs)
+		for m, page := range g.Pages {
+			for r := range len(page) / RecordSize {
+				rec, exact := page[r*RecordSize:][:RecordSize], r >= len(g.Prefixes)
 				if err := checkRecord(rec); err != nil {
-					return fmt.Errorf("geoserve: mapper %d group %s row %d: %v", m, FormatIPv4(g.base), r, err)
+					return fmt.Errorf("geoserve: mapper %d group %s row %d: %v", m, FormatIPv4(g.Base), r, err)
 				}
 				if rec[recOffFlags]&recFlagExact != 0 != exact {
 					return fmt.Errorf("geoserve: mapper %d group %s row %d of %d prefix rows has exact=%v",
-						m, FormatIPv4(g.base), r, g.prefixRows(), !exact)
+						m, FormatIPv4(g.Base), r, len(g.Prefixes), !exact)
 				}
 			}
 			w.records(page)
@@ -424,8 +400,8 @@ func (s *Snapshot) hash(fresh []int) error {
 	for _, name := range s.mappers {
 		w.str(name)
 	}
-	w.u32(uint32(len(s.prefixes)))
-	w.u32(uint32(len(s.ips)))
+	w.u32(uint32(s.NumPrefixes()))
+	w.u32(uint32(s.NumExactIPs()))
 	w.u32(uint32(len(s.leaves)))
 	for i := range s.leaves {
 		w.u32(s.leaves[i].Base)

@@ -103,7 +103,7 @@ func TestWireParseTypedErrors(t *testing.T) {
 func TestWireDecodeTypedErrors(t *testing.T) {
 	snap := syntheticSnapshot(10<<24, 9, 2, 0)
 	e := NewEngine(snap)
-	resp := engineWireResponse(t, e, 1, []uint32{snap.prefixes[0] + 5})
+	resp := engineWireResponse(t, e, 1, []uint32{snap.Prefixes()[0] + 5})
 
 	truncHeader := resp[:wireHeaderSize-1]
 	truncFrame := resp[:wireHeaderSize+2]
@@ -195,7 +195,7 @@ func TestWireAnswersMatchLookup(t *testing.T) {
 func TestWireDefaultMapper(t *testing.T) {
 	snap := syntheticSnapshot(10<<24, 9, 2, 0)
 	e := NewEngine(snap)
-	probes := []uint32{snap.prefixes[0] + 7}
+	probes := []uint32{snap.Prefixes()[0] + 7}
 	def := engineWireResponse(t, e, WireMapperDefault, probes)
 	zero := engineWireResponse(t, e, 0, probes)
 	if !bytes.Equal(def, zero) {
